@@ -6,17 +6,17 @@ sum_k M_k p_k = (sum_k M_k) * p_avg. Inside a surface every element
 trains at its surface's power, which is optimal by symmetry of the
 gain formula. Three closed forms cover the moderate-SNR, many-element
 and equal-count regimes; the numeric solver maximizes the exact
-objective by projected gradient ascent on the budget hyperplane.
+objective by solving its Lagrange conditions with Newton steps on the
+budget hyperplane.
 """
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import objective_phi, stationarity_residual
+from .analysis import SurfaceObjective, stationarity_residual, surface_objective
 from .estimation import PilotAllocation
 from .scenario import LargeScale, Scenario
 
@@ -32,6 +32,7 @@ __all__ = [
     "allocate_equal_m",
     "allocate_exact_numeric",
     "exact_solver_diagnostics",
+    "multiplier_spread",
     "ALLOCATOR_IDS",
     "resolve_allocator",
     "run_allocator",
@@ -51,7 +52,7 @@ class UniformFallbackWarning(UserWarning):
 
 
 class NonConvergenceError(RuntimeError):
-    """The numeric solver hit its iteration cap before the tolerance."""
+    """The numeric solver stopped without a certified stationary point."""
 
     def __init__(self, message: str, best_powers: np.ndarray, residuals: np.ndarray):
         super().__init__(message)
@@ -173,12 +174,39 @@ def allocate_large_m(ls: LargeScale, element_counts, p_avg: float) -> PerRisPowe
     return PerRisPowers(p_k=int(counts.sum()) * p_avg / denom)
 
 
-def _phi_reduced(b2: np.ndarray, counts: np.ndarray, p: np.ndarray, sigma_z_sq: float) -> float:
-    c = b2 + sigma_z_sq / p
-    intra = float(np.sum(b2**2 * counts * (counts - 1.0) / c))
-    g = counts * b2 / np.sqrt(c)
-    total = float(np.sum(g))
-    return intra + float(np.dot(g, total - g))
+def multiplier_spread(residuals: np.ndarray) -> float:
+    """(max r - min r) / max |r| over the per-surface multipliers; 0 if all vanish."""
+    scale = float(np.max(np.abs(residuals)))
+    return float((residuals.max() - residuals.min()) / scale) if scale > 0.0 else 0.0
+
+
+def _newton_step(m: np.ndarray, obj: SurfaceObjective) -> np.ndarray:
+    """Newton direction for maximizing phi on the budget hyperplane m . d = 0.
+
+    Solves H d + grad = lambda m with H = diag(curvature) + 2 slope slope^T
+    by Sherman-Morrison, in O(K): d = a - (m . a / m . b) b with
+    a = H^-1 (-grad) and b = H^-1 m. A singular system gives non-finite
+    entries, which the caller treats as no Newton step.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        w = obj.slope / obj.curvature
+        denom = 1.0 + 2.0 * np.dot(obj.slope, w)
+
+        def solve(x):
+            x = x / obj.curvature
+            return x - (2.0 * np.dot(obj.slope, x) / denom) * w
+
+        a = solve(-m * obj.residual)
+        b = solve(m)
+        return a - (np.dot(m, a) / np.dot(m, b)) * b
+
+
+def _ascends(step: np.ndarray, grad: np.ndarray) -> bool:
+    return bool(np.all(np.isfinite(step)) and np.dot(grad, step) > 0.0)
+
+
+# A returned answer's multiplier spread is at most this (or tol, if larger).
+_CERTIFIED_SPREAD = 1e-9
 
 
 def allocate_exact_numeric(
@@ -186,20 +214,23 @@ def allocate_exact_numeric(
     element_counts,
     p_avg: float,
     sigma_z_sq: float,
-    tol: float = 1e-10,
+    tol: float = 1e-12,
     *,
-    max_iter: int = 100_000,
+    max_iter: int = 100,
     start: np.ndarray | None = None,
 ) -> PerRisPowers:
     """Maximize the exact gain objective over the budget hyperplane.
 
-    Projected gradient ascent from the uniform point (or a caller
-    supplied start), with a backtracking step. Convergence is declared
-    when the in-plane gradient norm falls below tol times the raw
-    gradient norm at the uniform point. Iterates are floored at
-    1e-6 * p_avg and rescaled back onto the budget, which keeps them
-    strictly feasible. Non-convergence raises, carrying the best
-    iterate and its stationarity residuals.
+    Solves the Lagrange (KKT) conditions, one multiplier shared by every
+    surface's stationarity_residual, with Newton steps from the uniform
+    point (or a caller supplied start). A Newton step that does not
+    ascend is replaced by the step from the Hessian's diagonal alone, and
+    that one by the projected gradient; every step is capped so the
+    powers stay positive, rescaled onto the budget and backtracked on
+    phi. The loop stops when the multiplier spread falls below tol or
+    a step no longer moves the powers. The answer is returned only if its
+    spread is below max(tol, 1e-9); otherwise NonConvergenceError carries
+    the best iterate and its residuals.
     """
     counts = _counts(element_counts)
     _check_inputs(ls, counts, p_avg)
@@ -208,62 +239,63 @@ def allocate_exact_numeric(
     m = counts.astype(np.float64)
     b2 = ls.beta_sq
     budget = float(counts.sum() * p_avg)
-    floor = 1e-6 * p_avg
-    m_dot_m = float(np.dot(m, m))
 
-    def grad(p):
-        return m * stationarity_residual(ls, counts, p, sigma_z_sq)
-
-    def project(g):
-        return g - (float(np.dot(m, g)) / m_dot_m) * m
-
-    uniform = np.full(ls.num_ris, p_avg)
-    ref = float(np.linalg.norm(grad(uniform)))
-    if ref == 0.0:
-        # flat objective (noiseless training): every allocation is optimal
-        return PerRisPowers(p_k=uniform)
-
-    p = uniform.copy() if start is None else np.asarray(start, dtype=np.float64).copy()
+    p = np.full(ls.num_ris, p_avg) if start is None else np.asarray(start, dtype=np.float64).copy()
     if p.size != ls.num_ris or np.any(p <= 0.0):
         raise ValueError("start must be a positive vector with one entry per surface")
-    p = np.maximum(p, floor)
+    p = np.maximum(p, 1e-6 * p_avg)
     p *= budget / float(np.dot(m, p))
+    cur = surface_objective(b2, m, p, sigma_z_sq)
+    if not np.any(cur.residual):
+        # flat objective (noiseless training): every allocation is optimal
+        return PerRisPowers(p_k=np.full(ls.num_ris, p_avg))
 
-    phi = _phi_reduced(b2, m, p, sigma_z_sq)
-    gp = project(grad(p))
-    gp_norm = float(np.linalg.norm(gp))
-    best_p, best_phi = p.copy(), phi
-    eta = 0.1 * p_avg / gp_norm if gp_norm > 0.0 else 0.0
-
-    for _ in range(max_iter):
-        if gp_norm < tol * ref:
-            return PerRisPowers(p_k=p)
-        cand = np.maximum(p + eta * gp, floor)
-        cand *= budget / float(np.dot(m, cand))
-        phi_c = _phi_reduced(b2, m, cand, sigma_z_sq)
-        if phi_c > phi:
-            p, phi = cand, phi_c
-            eta *= 1.25
-        elif phi_c >= phi - 1e-13 * abs(phi):
-            # float plateau near the optimum: keep sliding, damp the step
-            p, phi = cand, phi_c
-            eta *= 0.7
+    best_p, best_phi = p, cur.phi
+    iterations = 0
+    while iterations < max_iter and multiplier_spread(cur.residual) >= tol:
+        iterations += 1
+        # removing the mean multiplier keeps the ascent test free of
+        # cancellation near the optimum; steps are in-plane either way
+        grad = m * (cur.residual - np.mean(cur.residual))
+        step = _newton_step(m, cur)
+        if not _ascends(step, grad):
+            # far from the optimum the rank-one part can make the model
+            # indefinite on the plane; its diagonal alone often still ascends
+            step = _newton_step(m, cur._replace(slope=np.zeros_like(cur.slope)))
+        if not _ascends(step, grad):
+            step = grad - (np.dot(m, grad) / np.dot(m, m)) * m
+            step *= 0.5 / np.max(np.abs(step) / p)
+        # no power falls below a tenth of its value in one step
+        shrinking = step < 0.0
+        t = 1.0
+        if np.any(shrinking):
+            t = min(t, 0.9 * float(np.min(-p[shrinking] / step[shrinking])))
+        # phi is flat to rounding near the optimum: tolerate a loss at that level
+        floor = cur.phi - 1e-14 * abs(cur.phi)
+        for _ in range(60):
+            cand = p + t * step
+            cand *= budget / float(np.dot(m, cand))
+            trial = surface_objective(b2, m, cand, sigma_z_sq)
+            if trial.phi >= floor:
+                break
+            t *= 0.5
         else:
-            eta *= 0.5
-        if phi > best_phi:
-            best_p, best_phi = p.copy(), phi
-        gp = project(grad(p))
-        gp_norm = float(np.linalg.norm(gp))
-        if eta * gp_norm < 1e-18 * p_avg:
             break
+        if np.array_equal(cand, p):
+            break
+        p, cur = cand, trial
+        if cur.phi > best_phi:
+            best_p, best_phi = p, cur.phi
 
-    if gp_norm < tol * ref:
+    certified = max(tol, _CERTIFIED_SPREAD)
+    if multiplier_spread(stationarity_residual(ls, counts, p, sigma_z_sq)) < certified:
         return PerRisPowers(p_k=p)
+    residuals = stationarity_residual(ls, counts, best_p, sigma_z_sq)
     raise NonConvergenceError(
-        f"no convergence within {max_iter} iterations: "
-        f"gradient ratio {gp_norm / ref:.3e} vs tol {tol:.1e}",
+        f"no convergence after {iterations} iterations (cap {max_iter}): "
+        f"multiplier spread {multiplier_spread(residuals):.3e} vs {certified:.1e}",
         best_powers=best_p,
-        residuals=stationarity_residual(ls, counts, best_p, sigma_z_sq),
+        residuals=residuals,
     )
 
 
@@ -289,7 +321,7 @@ def exact_solver_diagnostics(
     element_counts,
     p_avg: float,
     sigma_z_sq: float,
-    tol: float = 1e-10,
+    tol: float = 1e-12,
     *,
     random_starts: int = 4,
     seed: int = 0,
@@ -297,20 +329,17 @@ def exact_solver_diagnostics(
     counts = _counts(element_counts)
     sol = allocate_exact_numeric(ls, counts, p_avg, sigma_z_sq, tol)
     res = stationarity_residual(ls, counts, sol.p_k, sigma_z_sq)
-    scale = float(np.max(np.abs(res)))
-    spread = float((res.max() - res.min()) / scale) if scale > 0.0 else 0.0
     gen = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
     max_dev = 0.0
     for _ in range(random_starts):
         start = gen.uniform(0.1, 1.0, counts.size) * p_avg
         other = allocate_exact_numeric(ls, counts, p_avg, sigma_z_sq, tol, start=start)
         max_dev = max(max_dev, float(np.max(np.abs(other.p_k - sol.p_k))) / p_avg)
-    phi = _phi_reduced(ls.beta_sq, counts.astype(np.float64), sol.p_k, sigma_z_sq)
     return SolverDiagnostics(
         powers=sol.p_k,
         residuals=res,
-        multiplier_spread=spread,
-        phi=phi,
+        multiplier_spread=multiplier_spread(res),
+        phi=surface_objective(ls.beta_sq, counts.astype(np.float64), sol.p_k, sigma_z_sq).phi,
         multistart_max_rel_dev=max_dev,
     )
 

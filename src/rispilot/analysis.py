@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,6 +26,8 @@ __all__ = [
     "ergodic_gain_closed_form",
     "objective_phi",
     "stationarity_residual",
+    "SurfaceObjective",
+    "surface_objective",
 ]
 
 _HALF_SQRT_PI = 0.5 * math.sqrt(math.pi)
@@ -71,16 +74,17 @@ def _check_shapes(ls: LargeScale, element_counts, alloc: PilotAllocation) -> np.
     return counts
 
 
-def _structured_sums(ls: LargeScale, alloc: PilotAllocation, sigma_z_sq: float):
+def _structured_sums(ls: LargeScale, counts: np.ndarray, alloc: PilotAllocation,
+                     sigma_z_sq: float):
     """The two coupling sums of the gain formula, without the pi/4 factor."""
-    intra = 0.0
-    b_terms = np.empty(ls.num_ris)
-    for k in range(ls.num_ris):
-        damping = 1.0 / np.sqrt(ls.beta_sq[k] + sigma_z_sq / alloc.powers[k])
-        s_k = float(np.sum(damping))
-        # sum over ordered pairs of distinct elements, factored per element
-        intra += ls.beta_sq[k] ** 2 * float(np.dot(damping, s_k - damping))
-        b_terms[k] = ls.beta_sq[k] * s_k
+    starts = np.concatenate(([0], np.cumsum(counts[:-1])))
+    powers = np.concatenate(alloc.powers)
+    damping = 1.0 / np.sqrt(np.repeat(ls.beta_sq, counts) + sigma_z_sq / powers)
+    s_k = np.add.reduceat(damping, starts)
+    # ordered pairs of distinct elements per surface: s_k^2 - sum of squares
+    pairs = s_k * s_k - np.add.reduceat(damping * damping, starts)
+    intra = float(np.dot(ls.beta_sq**2, pairs))
+    b_terms = ls.beta_sq * s_k
     b_total = float(np.sum(b_terms))
     inter = float(np.dot(b_terms, b_total - b_terms))
     return intra, inter
@@ -106,7 +110,7 @@ def ergodic_gain_closed_form(
     if sigma_z_sq < 0.0:
         raise ValueError(f"noise power must be nonnegative, got {sigma_z_sq}")
     incoherent = float(np.dot(counts.astype(np.float64), ls.beta_sq))
-    intra_raw, inter_raw = _structured_sums(ls, alloc, sigma_z_sq)
+    intra_raw, inter_raw = _structured_sums(ls, counts, alloc, sigma_z_sq)
     intra = _QUARTER_PI * intra_raw
     inter = _QUARTER_PI * inter_raw
     valid = True
@@ -139,11 +143,48 @@ def objective_phi(
     total gain = incoherent + (pi/4) * objective_phi, so maximizing this
     over the pilot powers maximizes the gain.
     """
-    _check_shapes(ls, element_counts, alloc)
+    counts = _check_shapes(ls, element_counts, alloc)
     if sigma_z_sq < 0.0:
         raise ValueError(f"noise power must be nonnegative, got {sigma_z_sq}")
-    intra_raw, inter_raw = _structured_sums(ls, alloc, sigma_z_sq)
+    intra_raw, inter_raw = _structured_sums(ls, counts, alloc, sigma_z_sq)
     return intra_raw + inter_raw
+
+
+class SurfaceObjective(NamedTuple):
+    """phi with equal power inside each surface, and its derivatives.
+
+    The gradient in the per-surface powers is counts * residual, and the
+    Hessian is 2 * outer(slope, slope) + diag(curvature).
+    """
+
+    phi: float
+    residual: np.ndarray
+    slope: np.ndarray
+    curvature: np.ndarray
+
+
+def surface_objective(beta_sq, counts, p, sigma_z_sq: float) -> SurfaceObjective:
+    """objective_phi for one power per surface, with gradient and Hessian.
+
+    With c_k = beta_sq_k + sigma_z_sq / p_k, g_k = M_k beta_sq_k / sqrt(c_k),
+    G = sum_k g_k and h_k = M_k beta_sq_k^2 / c_k, phi = G^2 - sum_k h_k.
+    Every term depends on its own p_k only, so the Hessian is the rank-one
+    part 2 g' g'^T plus the diagonal 2 G g''_k - h''_k. Inputs are not
+    validated; counts and p are float arrays of one entry per surface.
+    """
+    c = beta_sq + sigma_z_sq / p
+    rate = sigma_z_sq / (p * p * c)  # -(dc_k / dp_k) / c_k
+    damping = 1.0 / np.sqrt(c)
+    g = counts * beta_sq * damping
+    h = g * beta_sq * damping
+    big_g = float(np.sum(g))
+    residual = rate * beta_sq * damping * (big_g - beta_sq * damping)
+    slope = 0.5 * rate * g
+    two_over_p = 2.0 / p
+    curvature = (
+        2.0 * big_g * slope * (1.5 * rate - two_over_p) - rate * h * (2.0 * rate - two_over_p)
+    )
+    return SurfaceObjective(big_g * big_g - float(np.sum(h)), residual, slope, curvature)
 
 
 def stationarity_residual(
@@ -155,9 +196,10 @@ def stationarity_residual(
     """Per-surface candidate for the budget multiplier.
 
     With equal power inside each surface, the optimality condition says
-    this quantity is the same for every surface (it equals the budget
-    constraint's multiplier). The spread across surfaces therefore
-    measures how far an allocation is from stationary.
+    this quantity, d phi / d p_k divided by M_k, is the same for every
+    surface (it equals the budget constraint's multiplier). The spread
+    across surfaces therefore measures how far an allocation is from
+    stationary.
     """
     counts = np.asarray(element_counts, dtype=np.float64)
     p = np.asarray(per_ris_powers, dtype=np.float64)
@@ -167,8 +209,4 @@ def stationarity_residual(
         raise ValueError("per-surface pilot powers must be positive")
     if sigma_z_sq < 0.0:
         raise ValueError(f"noise power must be nonnegative, got {sigma_z_sq}")
-    b2 = ls.beta_sq
-    c = b2 + sigma_z_sq / p
-    coupling = float(np.sum(b2 * counts / np.sqrt(c)))
-    lead = b2 * sigma_z_sq / (p**2 * np.sqrt(c**3))
-    return lead * coupling - b2**2 * sigma_z_sq / (p**2 * c**2)
+    return surface_objective(ls.beta_sq, counts, p, sigma_z_sq).residual

@@ -28,6 +28,7 @@ from .allocation import (
     allocate_average,
     allocate_equal_m,
     allocate_large_m,
+    multiplier_spread,
     resolve_allocator,
     run_allocator,
 )
@@ -358,12 +359,20 @@ def _parse_d_range(text: str, path: str) -> list[float]:
     return [start + i * step for i in range(n)]
 
 
-def load_config(path: str) -> dict:
+# libyaml parses the same documents several times faster, where PyYAML has it
+_YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
+
+def _load_yaml(path: str):
     with open(path, "r", encoding="utf-8") as f:
         try:
-            raw = yaml.safe_load(f)
+            return yaml.load(f, Loader=_YAML_LOADER)
         except yaml.YAMLError as exc:
             raise ConfigError(path, f"not valid YAML: {exc}") from None
+
+
+def load_config(path: str) -> dict:
+    raw = _load_yaml(path)
     if not isinstance(raw, dict):
         raise ConfigError(path, "top level of the config must be a mapping")
     _reject_unknown(raw, {"scenario", "run"}, "")
@@ -605,8 +614,7 @@ def _validation_checks(s, ls, trials: int, seed: int, workers: int) -> list[dict
     # the numeric solution equalizes the budget multiplier
     if "exact" in allocator_powers and s.sigma_z_sq > 0.0:
         r = stationarity_residual(ls, counts, allocator_powers["exact"].p_k, s.sigma_z_sq)
-        scale = float(np.max(np.abs(r)))
-        spread = float((r.max() - r.min()) / scale) if scale > 0.0 else 0.0
+        spread = multiplier_spread(r)
         checks.append(_exact_check("solver-stationarity", spread < 1e-6, spread, 0.0))
 
     # more channel knowledge can only help, trial by trial
@@ -705,11 +713,7 @@ def _sweep_from(scn: ScenarioSettings, *, d_values, names, trials, seed, estimat
 
 def cmd_sweep(args) -> int:
     if args.manifest is not None:
-        with open(args.manifest, "r", encoding="utf-8") as f:
-            try:
-                saved = yaml.safe_load(f)
-            except yaml.YAMLError as exc:
-                raise ConfigError(args.manifest, f"not valid YAML: {exc}") from None
+        saved = _load_yaml(args.manifest)
         if not isinstance(saved, dict) or saved.get("command") != "sweep":
             raise ConfigError(args.manifest, "not a sweep manifest")
         scn = ScenarioSettings.from_dict(saved["scenario"])

@@ -10,7 +10,6 @@ Use different seeds if independent runs are wanted instead.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
@@ -122,6 +121,9 @@ def trial_gains(
     if workers <= 1 or cfg.trials < 2 * workers:
         return _gain_range(s, ls, p_k, cfg, 0, cfg.trials)
     bounds = np.linspace(0, cfg.trials, workers + 1, dtype=int)
+    # imported here so that commands without a pool never load multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         parts = pool.map(
             _gain_range,

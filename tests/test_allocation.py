@@ -17,6 +17,7 @@ from rispilot.allocation import (
     allocate_large_m,
     allocate_moderate_snr,
     exact_solver_diagnostics,
+    multiplier_spread,
     resolve_allocator,
     run_allocator,
 )
@@ -212,6 +213,49 @@ def test_exact_solver_nonconvergence_carries_best_iterate():
     assert err.best_powers.shape == (2,)
     assert err.residuals.shape == (2,)
     assert np.all(err.best_powers > 0.0)
+
+
+def test_exact_solver_failure_message_reports_what_ran():
+    with pytest.raises(NonConvergenceError) as exc:
+        allocate_exact_numeric(_SOLVER_LS, _SOLVER_COUNTS, _SOLVER_PAVG, _SOLVER_NOISE, max_iter=1)
+    message = str(exc.value)
+    assert message.startswith("no convergence after 1 iterations (cap 1): multiplier spread ")
+    spread = float(message.split("multiplier spread ")[1].split()[0])
+    assert spread == pytest.approx(multiplier_spread(exc.value.residuals), rel=1e-3)
+    assert spread > 1e-9
+
+
+# the benchmark's heterogeneous problems: 14 dBm average pilot power
+# and -110 dBm training noise
+_HETERO_PAVG = 10.0 ** 1.4 / 1000.0
+_HETERO_NOISE = 1e-14
+
+
+@given(st.integers(min_value=2, max_value=64), st.data())
+@settings(max_examples=60, deadline=None)
+def test_exact_solver_certifies_heterogeneous_problems(k, data):
+    exponents = data.draw(
+        st.lists(st.floats(min_value=-12.0, max_value=-8.0), min_size=k, max_size=k)
+    )
+    counts = data.draw(st.lists(st.integers(min_value=8, max_value=256), min_size=k, max_size=k))
+    ls = _ls(*(10.0 ** e for e in exponents))
+    exact = allocate_exact_numeric(ls, counts, _HETERO_PAVG, _HETERO_NOISE).p_k
+    budget = float(np.dot(counts, exact))
+    assert budget == pytest.approx(sum(counts) * _HETERO_PAVG, rel=1e-9)
+    r = stationarity_residual(ls, counts, exact, _HETERO_NOISE)
+    assert multiplier_spread(r) < 1e-6
+
+    def phi_of(p_k):
+        alloc = PerRisPowers(p_k=np.asarray(p_k)).per_element(counts, _HETERO_PAVG)
+        return objective_phi(ls, counts, alloc, _HETERO_NOISE)
+
+    phi_exact = phi_of(exact)
+    for rival in (
+        np.full(k, _HETERO_PAVG),
+        allocate_moderate_snr(ls, counts, _HETERO_PAVG).p_k,
+        allocate_large_m(ls, counts, _HETERO_PAVG).p_k,
+    ):
+        assert phi_exact + 1e-12 * abs(phi_exact) >= phi_of(rival)
 
 
 def test_exact_solver_rejects_bad_start():

@@ -12,6 +12,7 @@ from rispilot.analysis import (
     ergodic_gain_closed_form,
     objective_phi,
     stationarity_residual,
+    surface_objective,
 )
 from rispilot.estimation import PilotAllocation
 from rispilot.scenario import LargeScale, from_large_scale
@@ -187,6 +188,55 @@ def test_residual_matches_objective_derivative():
         dn[k] -= h
         fd = (phi_at(up) - phi_at(dn)) / (2.0 * h)
         assert fd == pytest.approx(counts[k] * r[k], rel=1e-5)
+
+
+def _structured_sums_loop(beta_sq, blocks, sigma_z_sq):
+    # reference: one surface at a time, pairs of distinct elements per element
+    intra, b_terms = 0.0, []
+    for b2, powers in zip(beta_sq, blocks):
+        damping = 1.0 / np.sqrt(b2 + sigma_z_sq / powers)
+        s_k = float(np.sum(damping))
+        intra += b2**2 * float(np.dot(damping, s_k - damping))
+        b_terms.append(b2 * s_k)
+    b_terms = np.array(b_terms)
+    return intra + float(np.dot(b_terms, np.sum(b_terms) - b_terms))
+
+
+@given(st.integers(min_value=1, max_value=12), st.data())
+@settings(max_examples=40, deadline=None)
+def test_objective_matches_loop_reference_on_unequal_blocks(k, data):
+    counts = data.draw(st.lists(st.integers(min_value=1, max_value=40), min_size=k, max_size=k))
+    beta_sq = [10.0 ** e for e in data.draw(
+        st.lists(st.floats(min_value=-3.0, max_value=1.0), min_size=k, max_size=k)
+    )]
+    powers = st.floats(min_value=0.1, max_value=10.0)
+    blocks = tuple(
+        np.array(data.draw(st.lists(powers, min_size=m, max_size=m))) for m in counts
+    )
+    alloc = PilotAllocation(powers=blocks, budget=float(sum(np.sum(b) for b in blocks)))
+    phi = objective_phi(_ls(*beta_sq), counts, alloc, 0.3)
+    assert phi == pytest.approx(_structured_sums_loop(beta_sq, blocks, 0.3), rel=1e-12, abs=0.0)
+
+
+def test_surface_objective_derivatives():
+    beta_sq = np.array([1.0, 0.25, 0.05])
+    counts = np.array([8.0, 16.0, 3.0])
+    p = np.array([3.0, 2.0, 0.4])
+    sigma_z_sq = 1.0
+    obj = surface_objective(beta_sq, counts, p, sigma_z_sq)
+    alloc = _alloc(p, counts.astype(int))
+    assert obj.phi == pytest.approx(
+        objective_phi(_ls(*beta_sq), counts.astype(int), alloc, sigma_z_sq), rel=1e-12
+    )
+    hessian = 2.0 * np.outer(obj.slope, obj.slope) + np.diag(obj.curvature)
+    for k in range(3):
+        h = 1e-5 * p[k]
+        up, dn = p.copy(), p.copy()
+        up[k] += h
+        dn[k] -= h
+        grad_up = counts * surface_objective(beta_sq, counts, up, sigma_z_sq).residual
+        grad_dn = counts * surface_objective(beta_sq, counts, dn, sigma_z_sq).residual
+        assert np.allclose((grad_up - grad_dn) / (2.0 * h), hessian[:, k], rtol=1e-6, atol=0.0)
 
 
 def test_residual_vanishes_with_perfect_estimates():

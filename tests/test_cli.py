@@ -1,5 +1,6 @@
 import csv
 import math
+import pathlib
 import textwrap
 
 import pytest
@@ -286,3 +287,25 @@ def test_seed_changes_metrics_but_not_schema(tmp_path):
     c = tmp_path / "c"
     assert main(["sweep", "--config", cfg, "--trials", "50", "--seed", "1", "--out", str(c)]) == 0
     assert (a / "metrics.csv").read_bytes() == (c / "metrics.csv").read_bytes()
+
+
+def test_invalid_yaml_is_a_config_error(tmp_path, capsys):
+    cfg = _cfg(tmp_path, "scenario: [unclosed\n")
+    assert main(["allocate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "not valid YAML" in err
+    assert main(["sweep", "--manifest", cfg]) == 2
+    assert "not valid YAML" in capsys.readouterr().err
+
+
+def test_exact_sweep_converges_at_a_flat_optimum(tmp_path):
+    # phi is flat to rounding here long before a gradient-ratio stopping rule
+    # holds; the multiplier spread still certifies the answer
+    config = pathlib.Path(__file__).resolve().parent.parent / "configs" / "two_ris_symmetric.yaml"
+    out = tmp_path / "run"
+    rc = main([
+        "sweep", "--config", str(config), "--d-range=-10.75:-10.75:1",
+        "--trials", "200", "--out", str(out),
+    ])
+    assert rc == 0
+    assert sorted(r["allocator"] for r in _read_csv(out / "metrics.csv")) == ["exact", "uniform"]

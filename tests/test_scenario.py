@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from rispilot.scenario import (
     LargeScale,
@@ -57,9 +57,12 @@ def test_path_loss_domain_errors():
     st.floats(min_value=0.1, max_value=1e4),
     st.floats(min_value=0.5, max_value=6.0),
 )
+# adjacent floats: both distances round to the same path loss
+@example(0.1, 0.10000000000000002, 0.5)
 def test_path_loss_decreasing_in_distance(d1, d2, alpha):
     lo, hi = sorted((d1, d2))
-    if lo < hi:
+    assert path_loss(hi, -20.0, alpha) <= path_loss(lo, -20.0, alpha)
+    if hi - lo > 1e-12 * lo:
         assert path_loss(hi, -20.0, alpha) < path_loss(lo, -20.0, alpha)
 
 
