@@ -22,7 +22,7 @@ from .scenario import (
     from_large_scale,
 )
 from .channel import RngStream, ChannelRealization, sample_channels
-from .estimation import PilotAllocation, ChannelEstimate, estimate_mse, ls_estimate, pilot_overhead
+from .estimation import PerRisPowers, ChannelEstimate, estimate_mse, ls_estimate, pilot_overhead
 from .reflection import (
     PhaseConfig,
     configure_phases,
@@ -40,17 +40,14 @@ from .analysis import (
     stationarity_residual,
 )
 from .allocation import (
-    PerRisPowers,
     InfeasibleAllocationError,
     UniformFallbackWarning,
     NonConvergenceError,
-    SolverDiagnostics,
     allocate_average,
     allocate_moderate_snr,
     allocate_large_m,
     allocate_equal_m,
     allocate_exact_numeric,
-    exact_solver_diagnostics,
     ALLOCATOR_IDS,
     resolve_allocator,
     run_allocator,

@@ -12,12 +12,11 @@ budget hyperplane.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .analysis import SurfaceObjective, stationarity_residual, surface_objective
-from .estimation import PilotAllocation
+from .estimation import PerRisPowers
 from .scenario import LargeScale, Scenario
 
 __all__ = [
@@ -25,13 +24,11 @@ __all__ = [
     "InfeasibleAllocationError",
     "UniformFallbackWarning",
     "NonConvergenceError",
-    "SolverDiagnostics",
     "allocate_average",
     "allocate_moderate_snr",
     "allocate_large_m",
     "allocate_equal_m",
     "allocate_exact_numeric",
-    "exact_solver_diagnostics",
     "multiplier_spread",
     "ALLOCATOR_IDS",
     "resolve_allocator",
@@ -58,29 +55,6 @@ class NonConvergenceError(RuntimeError):
         super().__init__(message)
         self.best_powers = best_powers
         self.residuals = residuals
-
-
-@dataclass(frozen=True, eq=False)
-class PerRisPowers:
-    """One pilot power per surface, in watts."""
-
-    p_k: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.p_k, dtype=np.float64).copy()
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("p_k must be a nonempty 1-D array")
-        if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-            raise ValueError("every per-surface power must be finite and positive")
-        arr.setflags(write=False)
-        object.__setattr__(self, "p_k", arr)
-
-    @property
-    def num_ris(self) -> int:
-        return self.p_k.size
-
-    def per_element(self, element_counts, p_avg: float) -> PilotAllocation:
-        return PilotAllocation.from_per_ris(self.p_k, element_counts, p_avg)
 
 
 def _counts(element_counts) -> np.ndarray:
@@ -296,51 +270,6 @@ def allocate_exact_numeric(
         f"multiplier spread {multiplier_spread(residuals):.3e} vs {certified:.1e}",
         best_powers=best_p,
         residuals=residuals,
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class SolverDiagnostics:
-    """What the numeric solver can certify about its answer.
-
-    The solver only finds a stationary point. multistart_max_rel_dev
-    reports how far solutions from random feasible starts deviate from
-    the uniform-start solution, relative to p_avg; small values support
-    (but do not prove) that the point is the global maximum.
-    """
-
-    powers: np.ndarray
-    residuals: np.ndarray
-    multiplier_spread: float
-    phi: float
-    multistart_max_rel_dev: float
-
-
-def exact_solver_diagnostics(
-    ls: LargeScale,
-    element_counts,
-    p_avg: float,
-    sigma_z_sq: float,
-    tol: float = 1e-12,
-    *,
-    random_starts: int = 4,
-    seed: int = 0,
-) -> SolverDiagnostics:
-    counts = _counts(element_counts)
-    sol = allocate_exact_numeric(ls, counts, p_avg, sigma_z_sq, tol)
-    res = stationarity_residual(ls, counts, sol.p_k, sigma_z_sq)
-    gen = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
-    max_dev = 0.0
-    for _ in range(random_starts):
-        start = gen.uniform(0.1, 1.0, counts.size) * p_avg
-        other = allocate_exact_numeric(ls, counts, p_avg, sigma_z_sq, tol, start=start)
-        max_dev = max(max_dev, float(np.max(np.abs(other.p_k - sol.p_k))) / p_avg)
-    return SolverDiagnostics(
-        powers=sol.p_k,
-        residuals=res,
-        multiplier_spread=multiplier_spread(res),
-        phi=surface_objective(ls.beta_sq, counts.astype(np.float64), sol.p_k, sigma_z_sq).phi,
-        multistart_max_rel_dev=max_dev,
     )
 
 

@@ -4,7 +4,8 @@ With independent zero-mean complex Gaussian cascades and conjugate
 alignment against noisy LS estimates, the expected composite power
 splits into an incoherent part plus two structured sums: coherent
 combining across elements of the same surface, and coherent combining
-across surfaces. Both structured sums are damped per element by
+across surfaces. Every element of a surface trains at the surface's
+pilot power, and both structured sums are damped per element by
 1 / sqrt(beta_sq + mse), which is where the pilot powers enter.
 """
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .estimation import PilotAllocation
+from .estimation import PerRisPowers
 from .scenario import LargeScale, Scenario
 
 __all__ = [
@@ -63,37 +64,23 @@ class GainBreakdown:
     model_valid: bool = True
 
 
-def _check_shapes(ls: LargeScale, element_counts, alloc: PilotAllocation) -> np.ndarray:
-    counts = np.asarray(element_counts, dtype=np.int64)
-    if counts.size != ls.num_ris:
-        raise ValueError(f"{counts.size} element counts for {ls.num_ris} surfaces")
-    if np.any(counts < 1):
-        raise ValueError("element counts must be positive")
-    if [b.size for b in alloc.powers] != list(counts):
-        raise ValueError("allocation blocks do not match the element counts")
+def _checked_counts(ls: LargeScale, element_counts, p: np.ndarray, sigma_z_sq: float) -> np.ndarray:
+    counts = np.asarray(element_counts, dtype=np.float64)
+    if counts.size != ls.num_ris or p.size != ls.num_ris:
+        raise ValueError(
+            f"{counts.size} element counts and {p.size} powers for {ls.num_ris} surfaces"
+        )
+    if np.any(counts < 1) or np.any(p <= 0.0):
+        raise ValueError("element counts and pilot powers must be positive")
+    if sigma_z_sq < 0.0:
+        raise ValueError(f"noise power must be nonnegative, got {sigma_z_sq}")
     return counts
-
-
-def _structured_sums(ls: LargeScale, counts: np.ndarray, alloc: PilotAllocation,
-                     sigma_z_sq: float):
-    """The two coupling sums of the gain formula, without the pi/4 factor."""
-    starts = np.concatenate(([0], np.cumsum(counts[:-1])))
-    powers = np.concatenate(alloc.powers)
-    damping = 1.0 / np.sqrt(np.repeat(ls.beta_sq, counts) + sigma_z_sq / powers)
-    s_k = np.add.reduceat(damping, starts)
-    # ordered pairs of distinct elements per surface: s_k^2 - sum of squares
-    pairs = s_k * s_k - np.add.reduceat(damping * damping, starts)
-    intra = float(np.dot(ls.beta_sq**2, pairs))
-    b_terms = ls.beta_sq * s_k
-    b_total = float(np.sum(b_terms))
-    inter = float(np.dot(b_terms, b_total - b_terms))
-    return intra, inter
 
 
 def ergodic_gain_closed_form(
     ls: LargeScale,
     element_counts,
-    alloc: PilotAllocation,
+    powers: PerRisPowers,
     sigma_z_sq: float,
     *,
     scenario: Scenario | None = None,
@@ -106,13 +93,15 @@ def ergodic_gain_closed_form(
     the value is still returned but model_valid is cleared and a
     ModelAssumptionWarning is emitted.
     """
-    counts = _check_shapes(ls, element_counts, alloc)
-    if sigma_z_sq < 0.0:
-        raise ValueError(f"noise power must be nonnegative, got {sigma_z_sq}")
-    incoherent = float(np.dot(counts.astype(np.float64), ls.beta_sq))
-    intra_raw, inter_raw = _structured_sums(ls, counts, alloc, sigma_z_sq)
-    intra = _QUARTER_PI * intra_raw
-    inter = _QUARTER_PI * inter_raw
+    counts = _checked_counts(ls, element_counts, powers.p_k, sigma_z_sq)
+    obj = surface_objective(ls.beta_sq, counts, powers.p_k, sigma_z_sq)
+    incoherent = float(np.dot(counts, ls.beta_sq))
+    # g_k^2 / M_k is surface k's own-element term, so each surface keeps
+    # (1 - 1/M_k) g_k^2 for its distinct pairs and the rest is across surfaces
+    g_sq = obj.coherent * obj.coherent
+    intra_raw = float(np.dot(1.0 - 1.0 / counts, g_sq))
+    total_g = float(np.sum(obj.coherent))
+    inter_raw = total_g * total_g - float(np.sum(g_sq))
     valid = True
     if scenario is not None:
         valid = math.isinf(scenario.rician_k_br) and scenario.rician_k_ru == 0.0
@@ -125,9 +114,9 @@ def ergodic_gain_closed_form(
             )
     return GainBreakdown(
         incoherent=incoherent,
-        intra_ris=intra,
-        inter_ris=inter,
-        total=incoherent + intra + inter,
+        intra_ris=_QUARTER_PI * intra_raw,
+        inter_ris=_QUARTER_PI * inter_raw,
+        total=incoherent + _QUARTER_PI * obj.phi,
         model_valid=valid,
     )
 
@@ -135,7 +124,7 @@ def ergodic_gain_closed_form(
 def objective_phi(
     ls: LargeScale,
     element_counts,
-    alloc: PilotAllocation,
+    powers: PerRisPowers,
     sigma_z_sq: float,
 ) -> float:
     """Allocation-dependent part of the ergodic gain.
@@ -143,28 +132,27 @@ def objective_phi(
     total gain = incoherent + (pi/4) * objective_phi, so maximizing this
     over the pilot powers maximizes the gain.
     """
-    counts = _check_shapes(ls, element_counts, alloc)
-    if sigma_z_sq < 0.0:
-        raise ValueError(f"noise power must be nonnegative, got {sigma_z_sq}")
-    intra_raw, inter_raw = _structured_sums(ls, counts, alloc, sigma_z_sq)
-    return intra_raw + inter_raw
+    counts = _checked_counts(ls, element_counts, powers.p_k, sigma_z_sq)
+    return surface_objective(ls.beta_sq, counts, powers.p_k, sigma_z_sq).phi
 
 
 class SurfaceObjective(NamedTuple):
     """phi with equal power inside each surface, and its derivatives.
 
     The gradient in the per-surface powers is counts * residual, and the
-    Hessian is 2 * outer(slope, slope) + diag(curvature).
+    Hessian is 2 * outer(slope, slope) + diag(curvature). coherent holds
+    each surface's damped amplitude sum g_k.
     """
 
     phi: float
     residual: np.ndarray
     slope: np.ndarray
     curvature: np.ndarray
+    coherent: np.ndarray
 
 
 def surface_objective(beta_sq, counts, p, sigma_z_sq: float) -> SurfaceObjective:
-    """objective_phi for one power per surface, with gradient and Hessian.
+    """objective_phi with its gradient and Hessian.
 
     With c_k = beta_sq_k + sigma_z_sq / p_k, g_k = M_k beta_sq_k / sqrt(c_k),
     G = sum_k g_k and h_k = M_k beta_sq_k^2 / c_k, phi = G^2 - sum_k h_k.
@@ -184,7 +172,7 @@ def surface_objective(beta_sq, counts, p, sigma_z_sq: float) -> SurfaceObjective
     curvature = (
         2.0 * big_g * slope * (1.5 * rate - two_over_p) - rate * h * (2.0 * rate - two_over_p)
     )
-    return SurfaceObjective(big_g * big_g - float(np.sum(h)), residual, slope, curvature)
+    return SurfaceObjective(big_g * big_g - float(np.sum(h)), residual, slope, curvature, g)
 
 
 def stationarity_residual(
@@ -201,12 +189,6 @@ def stationarity_residual(
     across surfaces therefore measures how far an allocation is from
     stationary.
     """
-    counts = np.asarray(element_counts, dtype=np.float64)
     p = np.asarray(per_ris_powers, dtype=np.float64)
-    if counts.size != ls.num_ris or p.size != ls.num_ris:
-        raise ValueError("element counts and powers must have one entry per surface")
-    if np.any(p <= 0.0):
-        raise ValueError("per-surface pilot powers must be positive")
-    if sigma_z_sq < 0.0:
-        raise ValueError(f"noise power must be nonnegative, got {sigma_z_sq}")
+    counts = _checked_counts(ls, element_counts, p, sigma_z_sq)
     return surface_objective(ls.beta_sq, counts, p, sigma_z_sq).residual

@@ -39,7 +39,7 @@ from .analysis import (
     stationarity_residual,
 )
 from .channel import RngStream, standard_complex_normal, substream, PURPOSE_RIS_USER
-from .estimation import PilotAllocation
+from .estimation import PerRisPowers
 from .montecarlo import TrialConfig, simulate_metrics, sweep_user, trial_gains
 from .scenario import (
     Scenario,
@@ -159,10 +159,6 @@ class ScenarioSettings:
     geometry: dict | None = None  # d0, d_v, d_h, d_u, user_y, c0_db, alphas, rician
     beta_sq: tuple[float, ...] | None = None
 
-    @property
-    def can_sweep(self) -> bool:
-        return self.geometry is not None
-
     def scenario_at(self, d: float) -> Scenario:
         if self.geometry is None:
             raise ConfigError("scenario.geometry", "user sweeps need a geometric layout")
@@ -205,19 +201,37 @@ class ScenarioSettings:
         return out
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "ScenarioSettings":
-        """Rebuild from as_dict output (manifest replay path)."""
-        geometry = dict(raw["geometry"]) if "geometry" in raw else None
-        beta_sq = tuple(float(b) for b in raw["beta_sq"]) if "beta_sq" in raw else None
+    def from_dict(cls, raw) -> "ScenarioSettings":
+        """Rebuild a geometric layout from as_dict output (manifest replay path)."""
+        path = "scenario"
+        block = _require_mapping(raw, path)
+        counts = _element_counts(_get(block, "element_counts", path), f"{path}.element_counts")
+        if len(counts) != 2:
+            raise ConfigError(f"{path}.element_counts", f"expected two counts, got {len(counts)}")
+
+        def number(mapping, key, where, **sign):
+            return _float_value(_get(mapping, key, where), f"{where}.{key}", **sign)
+
+        g = _require_mapping(_get(block, "geometry", path), f"{path}.geometry")
         return cls(
-            element_counts=tuple(int(m) for m in raw["element_counts"]),
-            p_avg_w=float(raw["p_avg_w"]),
-            q_w=float(raw["q_w"]),
-            sigma_z_sq_w=float(raw["sigma_z_sq_w"]),
-            sigma_n_sq_w=float(raw["sigma_n_sq_w"]),
-            geometry=geometry,
-            beta_sq=beta_sq,
+            element_counts=tuple(counts),
+            p_avg_w=number(block, "p_avg_w", path, positive=True),
+            q_w=number(block, "q_w", path, positive=True),
+            sigma_z_sq_w=number(block, "sigma_z_sq_w", path, nonneg=True),
+            sigma_n_sq_w=number(block, "sigma_n_sq_w", path, positive=True),
+            geometry={
+                key: number(g, key, f"{path}.geometry", **sign)
+                for key, sign in _MANIFEST_GEOMETRY.items()
+            },
         )
+
+
+_POSITIVE, _NONNEG = {"positive": True}, {"nonneg": True}
+# geometry fields as a manifest stores them, with the sign each must have
+_MANIFEST_GEOMETRY = {
+    "d0": _POSITIVE, "d_v": _POSITIVE, "d_h": _POSITIVE, "d_u": _POSITIVE, "user_y": {},
+    "c0_db": {}, "alpha_br": _POSITIVE, "alpha_ru": _POSITIVE, "k_br": _NONNEG, "k_ru": _NONNEG,
+}
 
 
 _SCENARIO_KEYS = {"element_counts", "p_avg", "q", "sigma_z", "sigma_n", "geometry", "channel"}
@@ -293,35 +307,40 @@ def _parse_run_block(raw: dict) -> dict:
         block = {}
     block = _require_mapping(block, "run")
     _reject_unknown(block, _RUN_KEYS, "run")
+    return _run_fields(block, "run.")
+
+
+_CSI_MODES = ("estimated", "perfect", "random-phase")
+_INT_FIELDS = {
+    "seed": (0, 2**64, "an integer in [0, 2^64)"),
+    "trials": (1, math.inf, "a positive integer"),
+    "workers": (1, math.inf, "a positive integer"),
+}
+
+
+def _run_fields(block: dict, prefix: str) -> dict:
+    """Check the run settings present in a config's run block or a manifest."""
     out = {}
-    if "seed" in block:
-        seed = block["seed"]
-        if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
-            raise ConfigError("run.seed", f"seed must be an integer in [0, 2^64), got {seed!r}")
-        out["seed"] = seed
-    if "trials" in block:
-        trials = block["trials"]
-        if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
-            raise ConfigError("run.trials", f"trials must be a positive integer, got {trials!r}")
-        out["trials"] = trials
+    for key, (low, high, what) in _INT_FIELDS.items():
+        value = block.get(key)
+        if key in block:
+            if isinstance(value, bool) or not isinstance(value, int) or not low <= value < high:
+                raise ConfigError(prefix + key, f"{key} must be {what}, got {value!r}")
+            out[key] = value
     if "csi_mode" in block:
-        out["csi_mode"] = _mode_value(block["csi_mode"], "run.csi_mode", ("estimated", "perfect", "random-phase"))
+        out["csi_mode"] = _mode_value(block["csi_mode"], prefix + "csi_mode", _CSI_MODES)
     if "estimate_mode" in block:
-        out["estimate_mode"] = _mode_value(block["estimate_mode"], "run.estimate_mode", ("shortcut", "protocol"))
+        # both historical modes drew identical numbers: accepted, no effect
+        _mode_value(block["estimate_mode"], prefix + "estimate_mode", ("shortcut", "protocol"))
     if "allocators" in block:
         names = block["allocators"]
         if isinstance(names, str):
             names = [t for t in names.split(",") if t]
         if not isinstance(names, list) or not names:
-            raise ConfigError("run.allocators", "expected a nonempty list of allocator names")
-        out["allocators"] = _resolve_allocators(names, "run.allocators")
+            raise ConfigError(prefix + "allocators", "expected a nonempty list of allocator names")
+        out["allocators"] = _resolve_allocators(names, prefix + "allocators")
     if "d_range" in block:
         out["d_range"] = str(block["d_range"])
-    if "workers" in block:
-        workers = block["workers"]
-        if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
-            raise ConfigError("run.workers", f"workers must be a positive integer, got {workers!r}")
-        out["workers"] = workers
     return out
 
 
@@ -329,6 +348,11 @@ def _mode_value(value, path: str, choices) -> str:
     if value not in choices:
         raise ConfigError(path, f"expected one of {', '.join(choices)}; got {value!r}")
     return value
+
+
+def _check_eq29(names, counts, path: str):
+    if "eq29" in names and any(m != counts[0] for m in counts):
+        raise ConfigError(path, "'eq29' expects equal element counts on every surface; use 'eq28'")
 
 
 def _resolve_allocators(names, path: str) -> list[str]:
@@ -419,15 +443,14 @@ def _write_yaml(path: str, payload: dict):
         yaml.safe_dump(payload, f, sort_keys=True, default_flow_style=False)
 
 
-def _manifest(command: str, scn: ScenarioSettings, *, seed, trials, estimate_mode,
-              csi_mode, workers, allocators=None, d_values=None, duration_s=None) -> dict:
+def _manifest(command: str, scn: ScenarioSettings, *, seed, trials, csi_mode, workers,
+              allocators=None, d_values=None, duration_s=None) -> dict:
     out = {
         "command": command,
         "version": __version__,
         "created": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "seed": seed,
         "trials": trials,
-        "estimate_mode": estimate_mode,
         "csi_mode": csi_mode,
         "workers": workers,
         "scenario": scn.as_dict(),
@@ -465,12 +488,7 @@ def _allocators_for(args, cfg_run, scn, default):
         names = cfg_run["allocators"]
     else:
         names = _resolve_allocators(default, "run.allocators")
-    counts = scn.element_counts
-    if "eq29" in names and any(m != counts[0] for m in counts):
-        raise ConfigError(
-            "run.allocators",
-            "'eq29' expects equal element counts on every surface; use 'eq28'",
-        )
+    _check_eq29(names, scn.element_counts, "run.allocators")
     return names
 
 
@@ -489,9 +507,8 @@ def cmd_allocate(args) -> int:
     rows = []
     for name in names:
         powers = run_allocator(name, s, ls)
-        per_element = powers.per_element(counts, s.p_avg)
-        phi = objective_phi(ls, counts, per_element, s.sigma_z_sq)
-        gain = ergodic_gain_closed_form(ls, counts, per_element, s.sigma_z_sq).total
+        phi = objective_phi(ls, counts, powers, s.sigma_z_sq)
+        gain = ergodic_gain_closed_form(ls, counts, powers, s.sigma_z_sq).total
         rows.append((name, powers, phi, gain))
         for k, p in enumerate(powers.p_k):
             lines.append(
@@ -508,8 +525,8 @@ def cmd_allocate(args) -> int:
         ]
         _write_powers_csv(os.path.join(args.out, POWERS_CSV), power_rows)
         manifest = _manifest(
-            "allocate", scn, seed=seed, trials=0, estimate_mode="shortcut",
-            csi_mode="estimated", workers=1, allocators=names,
+            "allocate", scn, seed=seed, trials=0, csi_mode="estimated", workers=1,
+            allocators=names,
         )
         _write_yaml(os.path.join(args.out, MANIFEST_FILE), manifest)
         print(f"wrote {os.path.join(args.out, POWERS_CSV)}")
@@ -538,7 +555,8 @@ def _exact_check(name, ok: bool, observed, expected, detail="") -> dict:
     }
 
 
-def _validation_checks(s, ls, trials: int, seed: int, workers: int) -> list[dict]:
+def _validation_checks(s, ls, trials: int, seed: int, workers: int,
+                       off_centre: Scenario | None) -> list[dict]:
     checks = []
     counts = s.element_counts
     countsf = counts.astype(np.float64)
@@ -562,9 +580,7 @@ def _validation_checks(s, ls, trials: int, seed: int, workers: int) -> list[dict
     # closed-form ergodic gain against the simulated pipeline
     cfg = TrialConfig(trials=trials, seed=seed)
     metrics = simulate_metrics(s, uniform, cfg, ls=ls, workers=workers)
-    closed = ergodic_gain_closed_form(
-        ls, counts, uniform.per_element(counts, s.p_avg), s.sigma_z_sq
-    ).total
+    closed = ergodic_gain_closed_form(ls, counts, uniform, s.sigma_z_sq).total
     checks.append(
         _check("ergodic-gain", metrics.mean_gain, closed, 0.02 * closed,
                4.0 * metrics.se_gain)
@@ -576,7 +592,7 @@ def _validation_checks(s, ls, trials: int, seed: int, workers: int) -> list[dict
     else:
         p_big = 1.0
     limit = ergodic_gain_closed_form(
-        ls, counts, PilotAllocation.uniform(counts, p_big), s.sigma_z_sq
+        ls, counts, PerRisPowers(p_k=np.full(s.num_ris, p_big)), s.sigma_z_sq
     ).total
     m_beta = float(np.dot(countsf, ls.beta))
     m_beta_sq = float(np.dot(countsf, ls.beta_sq))
@@ -617,6 +633,11 @@ def _validation_checks(s, ls, trials: int, seed: int, workers: int) -> list[dict
         spread = multiplier_spread(r)
         checks.append(_exact_check("solver-stationarity", spread < 1e-6, spread, 0.0))
 
+    # where the surfaces differ in strength uniform power is not stationary,
+    # so this check fails if the solver stops at its starting point
+    if off_centre is not None and off_centre.sigma_z_sq > 0.0:
+        checks.append(_off_centre_check(off_centre))
+
     # more channel knowledge can only help, trial by trial
     n_h = min(trials, 20_000)
     cfg_h = lambda mode: TrialConfig(trials=n_h, seed=seed, csi_mode=mode)
@@ -641,15 +662,34 @@ def _validation_checks(s, ls, trials: int, seed: int, workers: int) -> list[dict
     return checks
 
 
+def _off_centre_check(s: Scenario) -> dict:
+    name = "solver-stationarity[off-centre]"
+    ls = cascaded_large_scale(s)
+    counts = s.element_counts
+
+    def spread_of(p_k):
+        return multiplier_spread(stationarity_residual(ls, counts, p_k, s.sigma_z_sq))
+
+    detail = f"uniform spread {spread_of(np.full(s.num_ris, s.p_avg)):.3g}"
+    try:
+        spread = spread_of(run_allocator("exact", s, ls).p_k)
+    except NonConvergenceError as exc:
+        return _exact_check(name, False, math.nan, 0.0, f"{exc}; {detail}")
+    return _exact_check(name, spread < 1e-6, spread, 0.0, detail)
+
+
 def cmd_validate(args) -> int:
     scn, cfg_run = _load_settings_and_run(args)
     seed = _settings(args, cfg_run, "seed", 0)
     trials = _settings(args, cfg_run, "trials", _VALIDATE_DEFAULT_TRIALS)
     workers = _settings(args, cfg_run, "workers", 1)
     s, ls = scn.fixed_scenario()
+    off_centre = None
+    if scn.geometry is not None:
+        off_centre = scn.scenario_at(scn.geometry["user_y"] + scn.geometry["d_v"])
 
     t0 = time.monotonic()
-    checks = _validation_checks(s, ls, trials, seed, workers)
+    checks = _validation_checks(s, ls, trials, seed, workers, off_centre)
     duration = time.monotonic() - t0
 
     width = max(len(c["name"]) for c in checks)
@@ -676,19 +716,19 @@ def cmd_validate(args) -> int:
         }
         _write_yaml(os.path.join(args.out, REPORT_FILE), report)
         manifest = _manifest(
-            "validate", scn, seed=seed, trials=trials, estimate_mode="shortcut",
-            csi_mode="estimated", workers=workers, duration_s=round(duration, 3),
+            "validate", scn, seed=seed, trials=trials, csi_mode="estimated",
+            workers=workers, duration_s=round(duration, 3),
         )
         _write_yaml(os.path.join(args.out, MANIFEST_FILE), manifest)
         print(f"wrote {os.path.join(args.out, REPORT_FILE)}")
     return 1 if summary["fail"] else 0
 
 
-def _sweep_from(scn: ScenarioSettings, *, d_values, names, trials, seed, estimate_mode,
-                csi_mode, workers, out_dir) -> int:
-    if not scn.can_sweep:
+def _sweep_from(scn: ScenarioSettings, *, d_values, names, trials, seed, csi_mode, workers,
+                out_dir) -> int:
+    if scn.geometry is None:
         raise ConfigError("scenario.geometry", "user sweeps need a geometric layout")
-    cfg = TrialConfig(trials=trials, seed=seed, estimate_mode=estimate_mode, csi_mode=csi_mode)
+    cfg = TrialConfig(trials=trials, seed=seed, csi_mode=csi_mode)
     t0 = time.monotonic()
     result = sweep_user(scn.scenario_at, d_values, names, cfg, workers=workers)
     duration = time.monotonic() - t0
@@ -699,8 +739,8 @@ def _sweep_from(scn: ScenarioSettings, *, d_values, names, trials, seed, estimat
     _write_metrics_csv(metrics_path, result.rows)
     _write_powers_csv(powers_path, result.rows)
     manifest = _manifest(
-        "sweep", scn, seed=seed, trials=trials, estimate_mode=estimate_mode,
-        csi_mode=csi_mode, workers=workers, allocators=names, d_values=d_values,
+        "sweep", scn, seed=seed, trials=trials, csi_mode=csi_mode, workers=workers,
+        allocators=names, d_values=d_values,
         duration_s=round(duration, 3),
     )
     _write_yaml(os.path.join(out_dir, MANIFEST_FILE), manifest)
@@ -711,23 +751,34 @@ def _sweep_from(scn: ScenarioSettings, *, d_values, names, trials, seed, estimat
     return 0
 
 
+def _replay(saved: dict, args) -> int:
+    """Rerun a sweep manifest, checking each field as a config's would be."""
+    scn = ScenarioSettings.from_dict(_get(saved, "scenario", ""))
+    for key in ("seed", "trials", "csi_mode", "allocators", "workers"):
+        _get(saved, key, "")
+    run = _run_fields(saved, "")
+    _check_eq29(run["allocators"], scn.element_counts, "allocators")
+    d_values = _get(saved, "d_values", "")
+    if not isinstance(d_values, list) or not d_values:
+        raise ConfigError("d_values", "expected a nonempty list of user offsets")
+    return _sweep_from(
+        scn,
+        d_values=[_float_value(d, f"d_values[{i}]") for i, d in enumerate(d_values)],
+        names=run["allocators"],
+        trials=run["trials"],
+        seed=run["seed"],
+        csi_mode=run["csi_mode"],
+        workers=args.workers if args.workers is not None else run["workers"],
+        out_dir=args.out if args.out is not None else ".",
+    )
+
+
 def cmd_sweep(args) -> int:
     if args.manifest is not None:
         saved = _load_yaml(args.manifest)
         if not isinstance(saved, dict) or saved.get("command") != "sweep":
             raise ConfigError(args.manifest, "not a sweep manifest")
-        scn = ScenarioSettings.from_dict(saved["scenario"])
-        return _sweep_from(
-            scn,
-            d_values=[float(d) for d in saved["d_values"]],
-            names=list(saved["allocators"]),
-            trials=int(saved["trials"]),
-            seed=int(saved["seed"]),
-            estimate_mode=str(saved["estimate_mode"]),
-            csi_mode=str(saved["csi_mode"]),
-            workers=args.workers if args.workers is not None else int(saved["workers"]),
-            out_dir=args.out if args.out is not None else ".",
-        )
+        return _replay(saved, args)
 
     scn, cfg_run = _load_settings_and_run(args)
     names = _allocators_for(args, cfg_run, scn, ["uniform", "exact"])
@@ -741,7 +792,6 @@ def cmd_sweep(args) -> int:
         names=names,
         trials=_settings(args, cfg_run, "trials", _SWEEP_DEFAULT_TRIALS),
         seed=_settings(args, cfg_run, "seed", 0),
-        estimate_mode=cfg_run.get("estimate_mode", "shortcut"),
         csi_mode=_settings(args, cfg_run, "csi_mode", "estimated"),
         workers=_settings(args, cfg_run, "workers", 1),
         out_dir=args.out if args.out is not None else ".",
@@ -762,7 +812,7 @@ def _add_common(p: argparse.ArgumentParser, *, config_required=True):
     )
     p.add_argument(
         "--csi-mode", dest="csi_mode",
-        choices=("estimated", "perfect", "random-phase"),
+        choices=_CSI_MODES,
         help="how reflection phases are chosen",
     )
     p.add_argument("--workers", type=int, help="parallel trial workers")

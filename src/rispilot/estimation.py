@@ -1,15 +1,15 @@
 """Least-squares channel estimation under the one-element-on protocol.
 
 Each element gets one dedicated uplink slot, so training costs as many
-slots as there are elements in total. The LS estimate of a coefficient
-is the true value plus circular Gaussian noise of variance
-sigma_z_sq / p for slot power p; the training reflection phase and the
-pilot symbol cancel out of the estimate entirely.
+slots as there are elements in total. Every element of a surface trains
+at its surface's pilot power p, and the LS estimate of a coefficient is
+the true value plus circular Gaussian noise of variance sigma_z_sq / p;
+the training reflection phase and the pilot symbol cancel out of the
+estimate entirely.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,14 +17,12 @@ from .channel import PURPOSE_PILOT_NOISE, ChannelRealization, RngStream, standar
 from .scenario import Scenario
 
 __all__ = [
-    "PilotAllocation",
+    "PerRisPowers",
     "ChannelEstimate",
     "estimate_mse",
     "ls_estimate",
     "pilot_overhead",
 ]
-
-_BUDGET_RTOL = 1e-9
 
 
 def estimate_mse(p: float, sigma_z_sq: float) -> float:
@@ -37,123 +35,65 @@ def estimate_mse(p: float, sigma_z_sq: float) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class PilotAllocation:
-    """Per-element pilot powers for every RIS, plus the total budget."""
+class PerRisPowers:
+    """One pilot power per surface, in watts, at which each of its elements trains."""
 
-    powers: tuple[np.ndarray, ...]
-    budget: float
+    p_k: np.ndarray
 
     def __post_init__(self):
-        blocks = tuple(np.asarray(b, dtype=np.float64) for b in self.powers)
-        for b in blocks:
-            b.setflags(write=False)
-            if b.ndim != 1 or b.size < 1:
-                raise ValueError("each per-RIS power block must be a nonempty 1-D array")
-            if not np.all(np.isfinite(b)) or np.any(b <= 0.0):
-                raise ValueError("every pilot power must be finite and positive")
-        object.__setattr__(self, "powers", blocks)
-        total = float(sum(float(np.sum(b)) for b in blocks))
-        if not math.isclose(total, self.budget, rel_tol=_BUDGET_RTOL):
-            raise ValueError(
-                f"powers sum to {total!r}, which misses the budget {self.budget!r}"
-            )
+        arr = np.asarray(self.p_k, dtype=np.float64).copy()
+        if arr.ndim != 1 or arr.size < 1:
+            raise ValueError("p_k must be a nonempty 1-D array")
+        if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
+            raise ValueError("every per-surface power must be finite and positive")
+        arr.setflags(write=False)
+        object.__setattr__(self, "p_k", arr)
 
-    @classmethod
-    def uniform(cls, element_counts, p_avg: float) -> "PilotAllocation":
-        counts = np.asarray(element_counts, dtype=np.int64)
-        blocks = tuple(np.full(int(m), float(p_avg)) for m in counts)
-        return cls(powers=blocks, budget=float(int(counts.sum()) * p_avg))
-
-    @classmethod
-    def from_per_ris(cls, per_ris_powers, element_counts, p_avg: float) -> "PilotAllocation":
-        """Expand one power per RIS into equal per-element powers."""
-        p = np.asarray(per_ris_powers, dtype=np.float64)
-        counts = np.asarray(element_counts, dtype=np.int64)
-        if p.size != counts.size:
-            raise ValueError(f"{p.size} powers for {counts.size} surfaces")
-        blocks = tuple(np.full(int(m), float(pk)) for pk, m in zip(p, counts))
-        return cls(powers=blocks, budget=float(int(counts.sum()) * p_avg))
-
-    def mse(self, sigma_z_sq: float) -> tuple[np.ndarray, ...]:
-        return tuple(sigma_z_sq / b for b in self.powers)
+    @property
+    def num_ris(self) -> int:
+        return self.p_k.size
 
 
 @dataclass(frozen=True, eq=False)
 class ChannelEstimate:
-    """LS estimates plus their per-element error variances."""
+    """LS estimates, one block per surface, and each surface's error variance."""
 
     estimates: tuple[np.ndarray, ...]
-    mse: tuple[np.ndarray, ...]
+    mse: np.ndarray
 
     def __post_init__(self):
+        mse = np.asarray(self.mse, dtype=np.float64)
         object.__setattr__(self, "estimates", tuple(self.estimates))
-        object.__setattr__(self, "mse", tuple(self.mse))
-        if len(self.estimates) != len(self.mse):
-            raise ValueError("estimates and mse must have one block per RIS")
-
-
-def _as_unit_modulus_blocks(value, counts, name: str):
-    if value is None:
-        return [np.ones(m, dtype=np.complex128) for m in counts]
-    blocks = [np.asarray(b, dtype=np.complex128) for b in value]
-    if [b.size for b in blocks] != list(counts):
-        raise ValueError(f"{name} blocks do not match the channel element counts")
-    for b in blocks:
-        if np.any(np.abs(np.abs(b) - 1.0) > 1e-9):
-            raise ValueError(f"{name} entries must be unit modulus")
-    return blocks
+        object.__setattr__(self, "mse", mse)
+        if mse.shape != (len(self.estimates),):
+            raise ValueError("estimates and mse must have one entry per RIS")
 
 
 def ls_estimate(
     h: ChannelRealization,
-    alloc: PilotAllocation,
+    powers: PerRisPowers,
     sigma_z_sq: float,
     rng: RngStream,
-    mode: str = "shortcut",
-    training_phase=None,
-    pilot_symbols=None,
 ) -> ChannelEstimate:
     """LS estimate of every cascaded coefficient.
 
     The returned estimate is h plus circular noise of variance
-    sigma_z_sq / p, the exact post-cancellation form, so it does not
-    depend on the arbitrary training phase or pilot symbol. "protocol"
-    mode additionally synthesizes the received pilot samples and checks
-    that inverting them reproduces the same estimate, which exercises
-    the cancellation numerically instead of assuming it.
+    sigma_z_sq / p_k, the exact form left once the pilot symbol and the
+    training phase cancel, so neither appears here.
     """
-    if mode not in ("shortcut", "protocol"):
-        raise ValueError(f"unknown estimate mode {mode!r}")
-    counts = [c.size for c in h.coefficients]
-    if [b.size for b in alloc.powers] != counts:
-        raise ValueError("allocation shape does not match the channel realization")
+    if powers.num_ris != len(h.coefficients):
+        raise ValueError(
+            f"{powers.num_ris} pilot powers for {len(h.coefficients)} surfaces"
+        )
     if sigma_z_sq < 0.0:
         raise ValueError(f"noise power must be nonnegative, got {sigma_z_sq}")
-
-    phases = _as_unit_modulus_blocks(training_phase, counts, "training_phase")
-    pilots = _as_unit_modulus_blocks(pilot_symbols, counts, "pilot_symbols")
-
+    mse = sigma_z_sq / powers.p_k
+    deltas = np.sqrt(mse)
     est_blocks = []
-    mse_blocks = []
     for k, hk in enumerate(h.coefficients):
-        p = alloc.powers[k]
-        delta = np.sqrt(sigma_z_sq / p)
         gen = substream(rng, PURPOSE_PILOT_NOISE, k)
-        w = standard_complex_normal(gen, hk.size)
-        eps = delta * w
-        est = hk + eps
-        if mode == "protocol":
-            phi, x = phases[k], pilots[k]
-            root_p = np.sqrt(p)
-            z = np.conj(eps) * root_p * x * np.conj(phi)
-            y = np.conj(phi * hk) * root_p * x + z
-            recovered = np.conj(y) * x * np.conj(phi) / root_p
-            scale = np.maximum(np.abs(est), np.abs(hk)) + delta
-            if np.any(np.abs(recovered - est) > 1e-9 * scale + 1e-300):
-                raise ArithmeticError("pilot inversion failed to reproduce the LS estimate")
-        est_blocks.append(est)
-        mse_blocks.append(sigma_z_sq / p)
-    return ChannelEstimate(estimates=tuple(est_blocks), mse=tuple(mse_blocks))
+        est_blocks.append(hk + deltas[k] * standard_complex_normal(gen, hk.size))
+    return ChannelEstimate(estimates=tuple(est_blocks), mse=mse)
 
 
 def pilot_overhead(s: Scenario) -> int:

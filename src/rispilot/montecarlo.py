@@ -15,10 +15,10 @@ from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .allocation import PerRisPowers, resolve_allocator, run_allocator
+from .allocation import resolve_allocator, run_allocator
 from .analysis import ergodic_gain_closed_form
 from .channel import ChannelRealization, RngStream, sample_channels
-from .estimation import ChannelEstimate, PilotAllocation, ls_estimate
+from .estimation import ChannelEstimate, PerRisPowers, ls_estimate
 from .reflection import composite_channel, configure_phases, random_phases, rate_from_gain
 from .scenario import LargeScale, Scenario, cascaded_large_scale
 
@@ -34,7 +34,6 @@ __all__ = [
 ]
 
 _CSI_MODES = ("estimated", "perfect", "random-phase")
-_ESTIMATE_MODES = ("shortcut", "protocol")
 
 
 @dataclass(frozen=True)
@@ -43,14 +42,11 @@ class TrialConfig:
 
     trials: int = 1000
     seed: int = 0
-    estimate_mode: str = "shortcut"
     csi_mode: str = "estimated"
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError(f"trials must be positive, got {self.trials}")
-        if self.estimate_mode not in _ESTIMATE_MODES:
-            raise ValueError(f"estimate_mode must be one of {_ESTIMATE_MODES}")
         if self.csi_mode not in _CSI_MODES:
             raise ValueError(f"csi_mode must be one of {_CSI_MODES}")
 
@@ -75,22 +71,19 @@ def _check_budget(alloc: PerRisPowers, s: Scenario):
 def _gain_range(
     s: Scenario,
     ls: LargeScale,
-    p_k: np.ndarray | None,
+    powers: PerRisPowers,
     cfg: TrialConfig,
     start: int,
     stop: int,
 ) -> np.ndarray:
     counts = s.element_counts
-    alloc = None
-    if cfg.csi_mode == "estimated":
-        alloc = PilotAllocation.from_per_ris(p_k, counts, s.p_avg)
-    zero_mse = tuple(np.zeros(int(m)) for m in counts)
+    zero_mse = np.zeros(counts.size)
     out = np.empty(stop - start)
     for i, t in enumerate(range(start, stop)):
         rng_t = RngStream(cfg.seed, t)
         h = sample_channels(s, ls, rng_t)
         if cfg.csi_mode == "estimated":
-            est = ls_estimate(h, alloc, s.sigma_z_sq, rng_t, mode=cfg.estimate_mode)
+            est = ls_estimate(h, powers, s.sigma_z_sq, rng_t)
             phases = configure_phases(est)
         elif cfg.csi_mode == "perfect":
             est = ChannelEstimate(estimates=h.coefficients, mse=zero_mse)
@@ -117,9 +110,8 @@ def trial_gains(
     if ls is None:
         ls = cascaded_large_scale(s)
     _check_budget(alloc, s)
-    p_k = alloc.p_k if cfg.csi_mode == "estimated" else None
     if workers <= 1 or cfg.trials < 2 * workers:
-        return _gain_range(s, ls, p_k, cfg, 0, cfg.trials)
+        return _gain_range(s, ls, alloc, cfg, 0, cfg.trials)
     bounds = np.linspace(0, cfg.trials, workers + 1, dtype=int)
     # imported here so that commands without a pool never load multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -127,7 +119,7 @@ def trial_gains(
     with ProcessPoolExecutor(max_workers=workers) as pool:
         parts = pool.map(
             _gain_range,
-            *zip(*[(s, ls, p_k, cfg, int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]),
+            *zip(*[(s, ls, alloc, cfg, int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]),
         )
         return np.concatenate(list(parts))
 
@@ -185,9 +177,8 @@ def _closed_form_for_mode(s: Scenario, ls: LargeScale, alloc: PerRisPowers, cfg:
     if cfg.csi_mode == "random-phase":
         # phases carry no information, only the incoherent sum survives
         return float(np.dot(counts.astype(np.float64), ls.beta_sq))
-    per_element = alloc.per_element(counts, s.p_avg)
     sigma = 0.0 if cfg.csi_mode == "perfect" else s.sigma_z_sq
-    return ergodic_gain_closed_form(ls, counts, per_element, sigma).total
+    return ergodic_gain_closed_form(ls, counts, alloc, sigma).total
 
 
 def sweep_user(

@@ -34,7 +34,7 @@ from rispilot.channel import (
     substream,
 )
 from rispilot.cli import main
-from rispilot.estimation import PilotAllocation
+from rispilot.estimation import PerRisPowers
 from rispilot.montecarlo import TrialConfig, dynamic_range, trial_gains
 from rispilot.scenario import (
     LargeScale,
@@ -136,9 +136,7 @@ def test_criterion_02_ergodic_gain_oracle():
             [1.0, 0.25], counts, sigma_z_sq=1.0, sigma_n_sq=1.0, q=1.0, p_avg=p_avg
         )
         alloc = allocate_average(s)
-        closed = ergodic_gain_closed_form(
-            ls, counts, alloc.per_element(counts, p_avg), s.sigma_z_sq
-        ).total
+        closed = ergodic_gain_closed_form(ls, counts, alloc, s.sigma_z_sq).total
         gains = trial_gains(s, alloc, TrialConfig(trials=100_000, seed=7), ls=ls)
         mean, se = _mean_se(gains)
         tol = max(0.02 * closed, 4.0 * se)
@@ -158,7 +156,7 @@ def test_criterion_03_perfect_csi_limit():
     for beta_sq, counts, sigma_z_sq in cases:
         ls = LargeScale(beta_sq=np.array(beta_sq))
         p_big = 1e12 * sigma_z_sq / min(beta_sq)
-        alloc = PilotAllocation.uniform(counts, p_big)
+        alloc = PerRisPowers(p_k=np.full(len(counts), p_big))
         total = ergodic_gain_closed_form(ls, counts, alloc, sigma_z_sq).total
         m = np.asarray(counts, dtype=np.float64)
         beta = np.sqrt(ls.beta_sq)
@@ -223,7 +221,7 @@ def test_criterion_05_solver_consistency():
     assert spread <= 1e-6, spread
 
     def phi(alloc):
-        return objective_phi(ls, counts, alloc.per_element(counts, p_avg), sigma_z_sq)
+        return objective_phi(ls, counts, alloc, sigma_z_sq)
 
     phi_exact = phi(exact)
     phi_closed = phi(closed)

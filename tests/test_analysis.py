@@ -14,7 +14,7 @@ from rispilot.analysis import (
     stationarity_residual,
     surface_objective,
 )
-from rispilot.estimation import PilotAllocation
+from rispilot.estimation import PerRisPowers
 from rispilot.scenario import LargeScale, from_large_scale
 
 
@@ -22,10 +22,12 @@ def _ls(*beta_sq):
     return LargeScale(beta_sq=np.array(beta_sq, dtype=np.float64))
 
 
-def _alloc(per_ris_powers, counts):
-    blocks = tuple(np.full(int(m), float(p)) for p, m in zip(per_ris_powers, counts))
-    budget = float(sum(float(p) * int(m) for p, m in zip(per_ris_powers, counts)))
-    return PilotAllocation(powers=blocks, budget=budget)
+def _alloc(per_ris_powers):
+    return PerRisPowers(p_k=np.asarray(per_ris_powers, dtype=np.float64))
+
+
+def _uniform(counts, p):
+    return _alloc(np.full(len(counts), p))
 
 
 def test_alignment_mean_reference_values():
@@ -52,30 +54,30 @@ def test_alignment_mean_monte_carlo_oracle():
 
 
 def test_gain_single_element_is_pure_incoherent():
-    g = ergodic_gain_closed_form(_ls(1.0), [1], PilotAllocation.uniform([1], 5.0), 1.0)
+    g = ergodic_gain_closed_form(_ls(1.0), [1], _uniform([1], 5.0), 1.0)
     assert g.intra_ris == 0.0 and g.inter_ris == 0.0
     assert g.total == pytest.approx(1.0, rel=1e-12)
     assert g.model_valid is True
 
 
 def test_gain_two_elements_perfect_estimates():
-    g = ergodic_gain_closed_form(_ls(1.0), [2], PilotAllocation.uniform([2], 1.0), 0.0)
+    g = ergodic_gain_closed_form(_ls(1.0), [2], _uniform([2], 1.0), 0.0)
     assert g.total == pytest.approx(2.0 + math.pi / 2.0, rel=1e-12)
     assert g.incoherent == pytest.approx(2.0, rel=1e-12)
     assert g.inter_ris == 0.0
 
 
 def test_gain_two_elements_unit_noise():
-    g = ergodic_gain_closed_form(_ls(1.0), [2], PilotAllocation.uniform([2], 1.0), 1.0)
+    g = ergodic_gain_closed_form(_ls(1.0), [2], _uniform([2], 1.0), 1.0)
     assert g.total == pytest.approx(2.0 + math.pi / 4.0, rel=1e-12)
 
 
 def test_surface_split_does_not_change_the_gain():
     # two single-element surfaces with equal strength behave like one
     # two-element surface: the pairwise coupling is the same either way
-    merged = ergodic_gain_closed_form(_ls(1.0), [2], PilotAllocation.uniform([2], 1.3), 0.7)
+    merged = ergodic_gain_closed_form(_ls(1.0), [2], _uniform([2], 1.3), 0.7)
     split = ergodic_gain_closed_form(
-        _ls(1.0, 1.0), [1, 1], PilotAllocation.uniform([1, 1], 1.3), 0.7
+        _ls(1.0, 1.0), [1, 1], _uniform([1, 1], 1.3), 0.7
     )
     assert split.total == pytest.approx(merged.total, rel=1e-12)
 
@@ -97,7 +99,7 @@ def test_gain_monte_carlo_oracle_mixed_surfaces():
     gains = np.abs(total) ** 2
     se = np.std(gains, ddof=1) / math.sqrt(n)
     closed = ergodic_gain_closed_form(
-        _ls(*beta_sq), counts, _alloc(powers, counts), sigma_z_sq
+        _ls(*beta_sq), counts, _alloc(powers), sigma_z_sq
     )
     assert abs(np.mean(gains) - closed.total) < 4.0 * se
 
@@ -114,7 +116,7 @@ def test_total_decomposes_through_objective(beta_sq, data):
         st.lists(st.floats(min_value=0.05, max_value=20.0), min_size=k, max_size=k)
     )
     ls = _ls(*beta_sq)
-    alloc = _alloc(powers, counts)
+    alloc = _alloc(powers)
     g = ergodic_gain_closed_form(ls, counts, alloc, 0.8)
     phi = objective_phi(ls, counts, alloc, 0.8)
     assert g.total == pytest.approx(g.incoherent + 0.25 * math.pi * phi, rel=1e-12)
@@ -125,7 +127,7 @@ def test_gain_strictly_increases_with_pilot_power():
     counts = [8, 8]
     totals = [
         ergodic_gain_closed_form(
-            ls, counts, PilotAllocation.uniform(counts, p), 1.0
+            ls, counts, _uniform(counts, p), 1.0
         ).total
         for p in (0.01, 0.1, 1.0, 10.0, 100.0)
     ]
@@ -136,10 +138,10 @@ def test_gain_approaches_perfect_csi_limit():
     ls = _ls(2.0, 0.5)
     counts = [4, 6]
     noisy = ergodic_gain_closed_form(
-        ls, counts, PilotAllocation.uniform(counts, 1e12), 1.0
+        ls, counts, _uniform(counts, 1e12), 1.0
     ).total
     ideal = ergodic_gain_closed_form(
-        ls, counts, PilotAllocation.uniform(counts, 1.0), 0.0
+        ls, counts, _uniform(counts, 1.0), 0.0
     ).total
     assert noisy == pytest.approx(ideal, rel=1e-9)
     assert noisy <= ideal
@@ -147,7 +149,7 @@ def test_gain_approaches_perfect_csi_limit():
 
 def test_model_validity_flag_and_warning():
     s, ls = from_large_scale([1.0], [2], sigma_z_sq=1.0, sigma_n_sq=1.0, q=1.0, p_avg=1.0)
-    alloc = PilotAllocation.uniform([2], 1.0)
+    alloc = _uniform([2], 1.0)
     g = ergodic_gain_closed_form(ls, [2], alloc, 1.0, scenario=s)
     assert g.model_valid is True
     bad = dataclasses.replace(s, rician_k_br=5.0)
@@ -158,11 +160,11 @@ def test_model_validity_flag_and_warning():
 
 
 def test_shape_mismatches_rejected():
-    alloc = PilotAllocation.uniform([2, 2], 1.0)
+    alloc = _uniform([2, 2], 1.0)
     with pytest.raises(ValueError):
         ergodic_gain_closed_form(_ls(1.0), [2, 2], alloc, 1.0)
     with pytest.raises(ValueError):
-        ergodic_gain_closed_form(_ls(1.0, 1.0), [2, 3], alloc, 1.0)
+        ergodic_gain_closed_form(_ls(1.0, 1.0), [2, 3], _uniform([2, 2, 2], 1.0), 1.0)
 
 
 def test_residual_equal_under_symmetry():
@@ -178,8 +180,7 @@ def test_residual_matches_objective_derivative():
     r = stationarity_residual(ls, counts, p, sigma_z_sq)
 
     def phi_at(powers):
-        alloc = _alloc(powers, counts)
-        return objective_phi(ls, counts, alloc, sigma_z_sq)
+        return objective_phi(ls, counts, _alloc(powers), sigma_z_sq)
 
     for k in range(2):
         h = 1e-5 * p[k]
@@ -190,7 +191,7 @@ def test_residual_matches_objective_derivative():
         assert fd == pytest.approx(counts[k] * r[k], rel=1e-5)
 
 
-def _structured_sums_loop(beta_sq, blocks, sigma_z_sq):
+def _phi_loop(beta_sq, blocks, sigma_z_sq):
     # reference: one surface at a time, pairs of distinct elements per element
     intra, b_terms = 0.0, []
     for b2, powers in zip(beta_sq, blocks):
@@ -209,13 +210,12 @@ def test_objective_matches_loop_reference_on_unequal_blocks(k, data):
     beta_sq = [10.0 ** e for e in data.draw(
         st.lists(st.floats(min_value=-3.0, max_value=1.0), min_size=k, max_size=k)
     )]
-    powers = st.floats(min_value=0.1, max_value=10.0)
-    blocks = tuple(
-        np.array(data.draw(st.lists(powers, min_size=m, max_size=m))) for m in counts
+    powers = data.draw(
+        st.lists(st.floats(min_value=0.1, max_value=10.0), min_size=k, max_size=k)
     )
-    alloc = PilotAllocation(powers=blocks, budget=float(sum(np.sum(b) for b in blocks)))
-    phi = objective_phi(_ls(*beta_sq), counts, alloc, 0.3)
-    assert phi == pytest.approx(_structured_sums_loop(beta_sq, blocks, 0.3), rel=1e-12, abs=0.0)
+    blocks = tuple(np.full(m, p) for p, m in zip(powers, counts))
+    phi = objective_phi(_ls(*beta_sq), counts, _alloc(powers), 0.3)
+    assert phi == pytest.approx(_phi_loop(beta_sq, blocks, 0.3), rel=1e-12, abs=0.0)
 
 
 def test_surface_objective_derivatives():
@@ -224,9 +224,8 @@ def test_surface_objective_derivatives():
     p = np.array([3.0, 2.0, 0.4])
     sigma_z_sq = 1.0
     obj = surface_objective(beta_sq, counts, p, sigma_z_sq)
-    alloc = _alloc(p, counts.astype(int))
     assert obj.phi == pytest.approx(
-        objective_phi(_ls(*beta_sq), counts.astype(int), alloc, sigma_z_sq), rel=1e-12
+        objective_phi(_ls(*beta_sq), counts.astype(int), _alloc(p), sigma_z_sq), rel=1e-12
     )
     hessian = 2.0 * np.outer(obj.slope, obj.slope) + np.diag(obj.curvature)
     for k in range(3):

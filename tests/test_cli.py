@@ -309,3 +309,78 @@ def test_exact_sweep_converges_at_a_flat_optimum(tmp_path):
     ])
     assert rc == 0
     assert sorted(r["allocator"] for r in _read_csv(out / "metrics.csv")) == ["exact", "uniform"]
+
+
+def _sweep_manifest(tmp_path):
+    out = tmp_path / "orig"
+    rc = main([
+        "sweep", "--config", _cfg(tmp_path, GEOMETRY), "--trials", "20",
+        "--d-range", "0:0:1", "--out", str(out),
+    ])
+    assert rc == 0
+    return out, yaml.safe_load((out / "run_manifest.yaml").read_text(encoding="utf-8"))
+
+
+def _replay(tmp_path, saved, name):
+    path = tmp_path / f"{name}.yaml"
+    path.write_text(yaml.safe_dump(saved), encoding="utf-8")
+    return main(["sweep", "--manifest", str(path), "--out", str(tmp_path / name)])
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda m: m.pop("d_values"), "d_values"),
+        (lambda m: m["scenario"].pop("q_w"), "scenario.q_w"),
+        (lambda m: m.update(trials="many"), "trials"),
+    ],
+    ids=["missing-d_values", "missing-q_w", "trials-many"],
+)
+def test_malformed_manifest_is_a_config_error(tmp_path, capsys, edit, field):
+    _, saved = _sweep_manifest(tmp_path)
+    edit(saved)
+    assert _replay(tmp_path, saved, "edited") == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+
+
+def test_manifest_without_estimate_mode_replays(tmp_path, capsys):
+    out, saved = _sweep_manifest(tmp_path)
+    assert "estimate_mode" not in saved
+    assert _replay(tmp_path, saved, "plain") == 0
+    expected = (out / "metrics.csv").read_bytes()
+    assert (tmp_path / "plain" / "metrics.csv").read_bytes() == expected
+    # manifests written before the key was dropped still replay, identically
+    for mode in ("shortcut", "protocol"):
+        assert _replay(tmp_path, dict(saved, estimate_mode=mode), mode) == 0
+        assert (tmp_path / mode / "metrics.csv").read_bytes() == expected
+    assert _replay(tmp_path, dict(saved, estimate_mode="psychic"), "bad") == 2
+    assert capsys.readouterr().err.startswith("config error: estimate_mode: ")
+
+
+def test_config_estimate_mode_is_accepted_and_ignored(tmp_path, capsys):
+    runs = {}
+    for mode in ("shortcut", "protocol"):
+        cfg = _cfg(tmp_path, GEOMETRY + f"  estimate_mode: {mode}\n", f"{mode}.yaml")
+        out = tmp_path / mode
+        assert main(["sweep", "--config", cfg, "--trials", "50", "--out", str(out)]) == 0
+        runs[mode] = (out / "metrics.csv").read_bytes()
+    assert runs["shortcut"] == runs["protocol"]
+    cfg = _cfg(tmp_path, GEOMETRY + "  estimate_mode: psychic\n", "bad.yaml")
+    assert main(["sweep", "--config", cfg, "--trials", "50", "--out", str(tmp_path / "x")]) == 2
+    assert "run.estimate_mode" in capsys.readouterr().err
+
+
+def test_validate_solves_an_off_centre_position(tmp_path, capsys):
+    out = tmp_path / "vout"
+    rc = main(["validate", "--config", _cfg(tmp_path, GEOMETRY), "--trials", "1000",
+               "--out", str(out)])
+    assert rc == 0
+    report = yaml.safe_load((out / "validation_report.yaml").read_text(encoding="utf-8"))
+    checks = {c["name"]: c for c in report["checks"]}
+    # at the configured position the surfaces are equally strong, so
+    # uniform power is already stationary there
+    assert checks["solver-stationarity"]["observed"] == 0.0
+    off = checks["solver-stationarity[off-centre]"]
+    assert off["status"] == "pass" and off["observed"] < 1e-6
+    uniform_spread = float(off["detail"].removeprefix("uniform spread "))
+    assert uniform_spread > 1e-2

@@ -6,7 +6,7 @@ import pytest
 from rispilot.channel import RngStream, sample_channels, substream, PURPOSE_PHASE
 from rispilot.estimation import (
     ChannelEstimate,
-    PilotAllocation,
+    PerRisPowers,
     estimate_mse,
     ls_estimate,
     pilot_overhead,
@@ -21,25 +21,14 @@ def test_estimate_mse_reference_values():
         estimate_mse(0.0, 1e-14)
 
 
-def test_uniform_allocation_expands_per_element():
-    alloc = PilotAllocation.uniform([2, 3], 0.5)
-    assert [len(p) for p in alloc.powers] == [2, 3]
-    assert all(np.all(p == 0.5) for p in alloc.powers)
-    assert alloc.budget == pytest.approx(2.5)
-
-
-def test_from_per_ris_scales_budget_check():
-    alloc = PilotAllocation.from_per_ris([0.2, 0.8], [4, 4], 0.5)
-    assert np.all(alloc.powers[0] == 0.2) and np.all(alloc.powers[1] == 0.8)
-    with pytest.raises(ValueError):
-        PilotAllocation.from_per_ris([0.2, 0.9], [4, 4], 0.5)
-    with pytest.raises(ValueError):
-        PilotAllocation.from_per_ris([0.0, 1.0], [4, 4], 0.5)
+def _uniform(counts, p):
+    return PerRisPowers(p_k=np.full(len(counts), p))
 
 
 def test_allocation_mse_per_surface():
-    alloc = PilotAllocation.from_per_ris([0.5, 2.0], [2, 2], 1.25)
-    mse = alloc.mse(2.0)
+    s, ls, rng, h = _sampled(8, beta_sq=(1.0, 1.0), counts=(2, 2))
+    mse = ls_estimate(h, PerRisPowers(p_k=[0.5, 2.0]), 2.0, rng).mse
+    assert mse.shape == (2,)
     assert mse[0] == pytest.approx(4.0) and mse[1] == pytest.approx(1.0)
 
 
@@ -53,16 +42,14 @@ def _sampled(seed, beta_sq=(1.0,), counts=(64,), sigma_z_sq=1.0):
 
 def test_noiseless_estimate_recovers_channel_exactly():
     s, ls, rng, h = _sampled(1)
-    alloc = PilotAllocation.uniform(s.element_counts, s.p_avg)
-    est = ls_estimate(h, alloc, 0.0, rng)
+    est = ls_estimate(h, _uniform(s.element_counts, s.p_avg), 0.0, rng)
     assert np.array_equal(est.estimates[0], h.coefficients[0])
     assert np.all(est.mse[0] == 0.0)
 
 
 def test_estimate_error_variance_oracle():
     s, ls, rng, h = _sampled(2, counts=(200_000,), sigma_z_sq=2.0)
-    alloc = PilotAllocation.uniform(s.element_counts, 2.0)  # delta^2 = 1
-    est = ls_estimate(h, alloc, 2.0, rng)
+    est = ls_estimate(h, _uniform(s.element_counts, 2.0), 2.0, rng)  # delta^2 = 1
     eps = est.estimates[0] - h.coefficients[0]
     n = eps.size
     assert abs(np.mean(np.abs(eps) ** 2) - 1.0) < 4.0 / math.sqrt(n)
@@ -72,8 +59,8 @@ def test_estimate_error_variance_oracle():
 
 def test_estimate_error_shrinks_with_pilot_power():
     s, ls, rng, h = _sampled(3, counts=(50_000,))
-    weak = ls_estimate(h, PilotAllocation.uniform(s.element_counts, 0.1), 1.0, rng)
-    strong = ls_estimate(h, PilotAllocation.uniform(s.element_counts, 10.0), 1.0, rng)
+    weak = ls_estimate(h, _uniform(s.element_counts, 0.1), 1.0, rng)
+    strong = ls_estimate(h, _uniform(s.element_counts, 10.0), 1.0, rng)
     err = lambda e: np.mean(np.abs(e.estimates[0] - h.coefficients[0]) ** 2)
     assert err(strong) < err(weak)
 
@@ -87,41 +74,23 @@ def _unit_phases(rng, counts, offset=0):
 
 
 def test_estimates_do_not_depend_on_training_phase_or_pilots():
+    # pilot cancellation: element m of surface k reflects with phase phi and
+    # sends pilot x at power p, so the slot receives
+    # y = conj(phi h) sqrt(p) x + z with noise z = conj(eps) sqrt(p) x conj(phi);
+    # inverting y recovers h + eps, the estimate ls_estimate returns
     s, ls, rng, h = _sampled(4, beta_sq=(1.0, 0.5), counts=(8, 16))
-    alloc = PilotAllocation.uniform(s.element_counts, 0.7)
-    base = ls_estimate(h, alloc, 1.0, rng)
+    powers = PerRisPowers(p_k=[0.3, 1.7])
+    base = ls_estimate(h, powers, 1.0, rng)
     for offset in (10, 20):
         phases = _unit_phases(rng, s.element_counts, offset)
         pilots = _unit_phases(rng, s.element_counts, offset + 5)
-        alt = ls_estimate(
-            h, alloc, 1.0, rng, mode="protocol", training_phase=phases, pilot_symbols=pilots
-        )
-        for a, b in zip(base.estimates, alt.estimates):
-            assert np.array_equal(a, b)
-
-
-def test_protocol_mode_defaults_match_shortcut_bitwise():
-    s, ls, rng, h = _sampled(5, beta_sq=(2.0, 0.5), counts=(4, 4))
-    alloc = PilotAllocation.from_per_ris([0.3, 1.7], s.element_counts, 1.0)
-    a = ls_estimate(h, alloc, 1.0, rng, mode="shortcut")
-    b = ls_estimate(h, alloc, 1.0, rng, mode="protocol")
-    for x, y in zip(a.estimates, b.estimates):
-        assert np.array_equal(x, y)
-
-
-def test_protocol_mode_rejects_non_unit_modulus_inputs():
-    s, ls, rng, h = _sampled(6, counts=(4,))
-    alloc = PilotAllocation.uniform(s.element_counts, 1.0)
-    bad = [np.full(4, 0.5 + 0.0j)]
-    with pytest.raises(ValueError):
-        ls_estimate(h, alloc, 1.0, rng, mode="protocol", training_phase=bad)
-
-
-def test_unknown_mode_rejected():
-    s, ls, rng, h = _sampled(7, counts=(4,))
-    alloc = PilotAllocation.uniform(s.element_counts, 1.0)
-    with pytest.raises(ValueError):
-        ls_estimate(h, alloc, 1.0, rng, mode="magic")
+        for hk, est, phi, x, p in zip(h.coefficients, base.estimates, phases, pilots, powers.p_k):
+            root_p = math.sqrt(p)
+            eps = est - hk
+            y = np.conj(phi * hk) * root_p * x + np.conj(eps) * root_p * x * np.conj(phi)
+            recovered = np.conj(y) * x * np.conj(phi) / root_p
+            scale = np.maximum(np.abs(est), np.abs(hk)) + math.sqrt(1.0 / p)
+            assert np.all(np.abs(recovered - est) <= 1e-9 * scale)
 
 
 def test_channel_estimate_shape_guard():
@@ -132,3 +101,9 @@ def test_channel_estimate_shape_guard():
 def test_pilot_overhead_counts_elements():
     s = two_ris_layout(50.0, 0.0, 8, 16)
     assert pilot_overhead(s) == 24
+
+
+def test_power_count_must_match_surfaces():
+    s, ls, rng, h = _sampled(9, beta_sq=(1.0, 1.0), counts=(2, 2))
+    with pytest.raises(ValueError):
+        ls_estimate(h, PerRisPowers(p_k=[1.0]), 1.0, rng)

@@ -22,8 +22,6 @@ def test_trial_config_validation():
     with pytest.raises(ValueError):
         TrialConfig(trials=0)
     with pytest.raises(ValueError):
-        TrialConfig(estimate_mode="psychic")
-    with pytest.raises(ValueError):
         TrialConfig(csi_mode="oracle")
 
 
@@ -55,9 +53,7 @@ def test_estimated_mode_tracks_closed_form():
     alloc = allocate_average(s)
     cfg = TrialConfig(trials=20_000, seed=11)
     m = simulate_metrics(s, alloc, cfg, ls=ls)
-    closed = ergodic_gain_closed_form(
-        ls, s.element_counts, alloc.per_element(s.element_counts, s.p_avg), s.sigma_z_sq
-    ).total
+    closed = ergodic_gain_closed_form(ls, s.element_counts, alloc, s.sigma_z_sq).total
     assert abs(m.mean_gain - closed) < 4.0 * m.se_gain
 
 
@@ -86,15 +82,6 @@ def test_same_seed_shares_draws_across_allocations():
     a = trial_gains(s, allocate_average(s), cfg_p, ls=ls)
     b = trial_gains(s, PerRisPowers(p_k=np.array([1.0, 3.0])), cfg_p, ls=ls)
     assert np.array_equal(a, b)
-
-
-def test_protocol_estimation_changes_nothing():
-    s, ls = _beta_direct([1.0, 0.5], [4, 4], p_avg=0.5)
-    base = trial_gains(s, allocate_average(s), TrialConfig(trials=300, seed=2), ls=ls)
-    proto = trial_gains(
-        s, allocate_average(s), TrialConfig(trials=300, seed=2, estimate_mode="protocol"), ls=ls
-    )
-    assert np.array_equal(base, proto)
 
 
 def test_budget_violation_rejected():
@@ -175,9 +162,7 @@ def test_sweep_closed_form_column_per_mode():
     cfg_e = TrialConfig(trials=20, seed=1)
     row_e = sweep_user(_layout, [4.0], ["uniform"], cfg_e).rows[0]
     alloc = run_allocator("uniform", s, ls)
-    expected = ergodic_gain_closed_form(
-        ls, s.element_counts, alloc.per_element(s.element_counts, s.p_avg), s.sigma_z_sq
-    ).total
+    expected = ergodic_gain_closed_form(ls, s.element_counts, alloc, s.sigma_z_sq).total
     assert row_e.closed_form_gain == pytest.approx(expected, rel=1e-12)
     assert row_e.closed_form_gain > row.closed_form_gain
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rispilot.channel import RngStream, sample_channels
-from rispilot.estimation import ChannelEstimate, PilotAllocation, ls_estimate
+from rispilot.estimation import ChannelEstimate, PerRisPowers, ls_estimate
 from rispilot.reflection import (
     PhaseConfig,
     achievable_rate,
@@ -18,7 +18,7 @@ from rispilot.scenario import from_large_scale
 
 def _perfect_estimate(blocks):
     blocks = tuple(np.asarray(b, dtype=np.complex128) for b in blocks)
-    return ChannelEstimate(estimates=blocks, mse=tuple(np.zeros(b.size) for b in blocks))
+    return ChannelEstimate(estimates=blocks, mse=np.zeros(len(blocks)))
 
 
 def test_conjugate_alignment_on_known_coefficients():
@@ -119,8 +119,8 @@ def test_noisier_estimates_lose_gain_on_average():
     for seed in range(200):
         rng = RngStream(seed)
         h = sample_channels(s, ls, rng)
-        good = ls_estimate(h, PilotAllocation.uniform(s.element_counts, 100.0), 1.0, rng)
-        bad = ls_estimate(h, PilotAllocation.uniform(s.element_counts, 0.01), 1.0, rng)
+        good = ls_estimate(h, PerRisPowers(p_k=[100.0]), 1.0, rng)
+        bad = ls_estimate(h, PerRisPowers(p_k=[0.01]), 1.0, rng)
         g_good = abs(composite_channel(h, configure_phases(good))) ** 2
         g_bad = abs(composite_channel(h, configure_phases(bad))) ** 2
         diffs.append(g_good - g_bad)
