@@ -77,6 +77,19 @@ def _checked_counts(ls: LargeScale, element_counts, p: np.ndarray, sigma_z_sq: f
     return counts
 
 
+def _coupling_sums(ls: LargeScale, counts: np.ndarray, p: np.ndarray, sigma_z_sq: float):
+    """The two coupling sums of the gain formula, without the pi/4 factor.
+
+    Surface k keeps (1 - 1/M_k) g_k^2 for its distinct element pairs and
+    g_k (G - g_k) across surfaces: nonnegative terms only, so a lone
+    element or surface adds exactly zero, where G^2 - sum_k h_k rounds.
+    """
+    g = surface_objective(ls.beta_sq, counts, p, sigma_z_sq).coherent
+    intra = float(np.dot(1.0 - 1.0 / counts, g * g))
+    inter = float(np.dot(g, float(np.sum(g)) - g))
+    return intra, inter
+
+
 def ergodic_gain_closed_form(
     ls: LargeScale,
     element_counts,
@@ -94,14 +107,8 @@ def ergodic_gain_closed_form(
     ModelAssumptionWarning is emitted.
     """
     counts = _checked_counts(ls, element_counts, powers.p_k, sigma_z_sq)
-    obj = surface_objective(ls.beta_sq, counts, powers.p_k, sigma_z_sq)
+    intra_raw, inter_raw = _coupling_sums(ls, counts, powers.p_k, sigma_z_sq)
     incoherent = float(np.dot(counts, ls.beta_sq))
-    # g_k^2 / M_k is surface k's own-element term, so each surface keeps
-    # (1 - 1/M_k) g_k^2 for its distinct pairs and the rest is across surfaces
-    g_sq = obj.coherent * obj.coherent
-    intra_raw = float(np.dot(1.0 - 1.0 / counts, g_sq))
-    total_g = float(np.sum(obj.coherent))
-    inter_raw = total_g * total_g - float(np.sum(g_sq))
     valid = True
     if scenario is not None:
         valid = math.isinf(scenario.rician_k_br) and scenario.rician_k_ru == 0.0
@@ -112,11 +119,13 @@ def ergodic_gain_closed_form(
                 ModelAssumptionWarning,
                 stacklevel=2,
             )
+    intra = _QUARTER_PI * intra_raw
+    inter = _QUARTER_PI * inter_raw
     return GainBreakdown(
         incoherent=incoherent,
-        intra_ris=_QUARTER_PI * intra_raw,
-        inter_ris=_QUARTER_PI * inter_raw,
-        total=incoherent + _QUARTER_PI * obj.phi,
+        intra_ris=intra,
+        inter_ris=inter,
+        total=incoherent + intra + inter,
         model_valid=valid,
     )
 
@@ -133,7 +142,7 @@ def objective_phi(
     over the pilot powers maximizes the gain.
     """
     counts = _checked_counts(ls, element_counts, powers.p_k, sigma_z_sq)
-    return surface_objective(ls.beta_sq, counts, powers.p_k, sigma_z_sq).phi
+    return sum(_coupling_sums(ls, counts, powers.p_k, sigma_z_sq))
 
 
 class SurfaceObjective(NamedTuple):

@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from rispilot.channel import RngStream, sample_channels, substream, PURPOSE_PHASE
+from rispilot.channel import (
+    PURPOSE_PHASE,
+    PURPOSE_PILOT_NOISE,
+    RngStream,
+    sample_channels,
+    standard_complex_normal,
+    substream,
+)
 from rispilot.estimation import (
     ChannelEstimate,
     PerRisPowers,
@@ -91,6 +98,24 @@ def test_estimates_do_not_depend_on_training_phase_or_pilots():
             recovered = np.conj(y) * x * np.conj(phi) / root_p
             scale = np.maximum(np.abs(est), np.abs(hk)) + math.sqrt(1.0 / p)
             assert np.all(np.abs(recovered - est) <= 1e-9 * scale)
+
+
+def test_protocol_mode_defaults_match_shortcut_bitwise():
+    # the shortcut is h plus sqrt(sigma_z_sq / p_k) times surface k's
+    # pilot-noise draw; the protocol's default training sends pilot 1 with
+    # phase 1, and inverting those received slots gives the shortcut back
+    s, ls, rng, h = _sampled(5, beta_sq=(2.0, 0.5), counts=(4, 4))
+    powers = PerRisPowers(p_k=[0.3, 1.7])
+    est = ls_estimate(h, powers, 1.0, rng)
+    for k, (hk, ek, p) in enumerate(zip(h.coefficients, est.estimates, powers.p_k)):
+        delta = np.sqrt(1.0 / p)
+        w = standard_complex_normal(substream(rng, PURPOSE_PILOT_NOISE, k), hk.size)
+        assert np.array_equal(ek, hk + delta * w)
+        root_p = math.sqrt(p)
+        y = np.conj(hk) * root_p + np.conj(ek - hk) * root_p
+        recovered = np.conj(y) / root_p
+        scale = np.maximum(np.abs(ek), np.abs(hk)) + delta
+        assert np.all(np.abs(recovered - ek) <= 1e-9 * scale)
 
 
 def test_channel_estimate_shape_guard():
