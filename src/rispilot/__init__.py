@@ -21,10 +21,9 @@ from .scenario import (
     two_ris_layout,
     from_large_scale,
 )
-from .channel import RngStream, ChannelRealization, sample_channels
-from .estimation import PerRisPowers, ChannelEstimate, estimate_mse, ls_estimate, pilot_overhead
+from .channel import RngStream, sample_channels, unit_normals
+from .estimation import PerRisPowers, estimate_mse, ls_estimate, pilot_overhead
 from .reflection import (
-    PhaseConfig,
     configure_phases,
     random_phases,
     composite_channel,
@@ -55,6 +54,7 @@ from .allocation import (
 from .montecarlo import (
     TrialConfig,
     MetricEstimate,
+    GainRow,
     SweepRow,
     SweepResult,
     trial_gains,

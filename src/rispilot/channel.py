@@ -1,9 +1,17 @@
 """Small-scale fading draws for the cascaded reflect channels.
 
-Randomness is counter-based (Philox). A draw is addressed by
-(seed, stream_id, purpose, ris), so any element can be regenerated
-independently of execution order. Serial and parallel runs therefore
-see bit-identical numbers for the same seed.
+Randomness is counter-based (Philox). Trial t of a run with seed s owns
+one generator per purpose (user hop, BS hop, pilot noise, phases), keyed
+(s, t) and `substream(RngStream(s, t), purpose, 0)`. Each generator
+fills that purpose's draws for every element of every surface, end to
+end in surface order, so a trial's draws are a flat array of sum(M_k)
+values and never depend on which other trials, purposes or rows are
+evaluated beside it. Serial, chunked and parallel runs therefore see
+bit-identical numbers for the same seed.
+
+The layer functions work on a chunk of trials at once: arrays of shape
+(trials, sum(M_k)), one row per trial, with element m of surface k at
+column offset_k + m.
 """
 from __future__ import annotations
 
@@ -12,13 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import LargeScale, Scenario, path_loss
+from .scenario import LargeScale, Scenario
 
 __all__ = [
     "RngStream",
-    "ChannelRealization",
     "substream",
     "standard_complex_normal",
+    "trial_draws",
+    "unit_normals",
     "sample_channels",
 ]
 
@@ -69,56 +78,83 @@ def standard_complex_normal(gen: np.random.Generator, n: int) -> np.ndarray:
     return flat.view(np.complex128) * math.sqrt(0.5)
 
 
-@dataclass(frozen=True, eq=False)
-class ChannelRealization:
-    """One draw of every cascaded coefficient, grouped per RIS."""
+def trial_draws(seed: int, start: int, stop: int, purpose: int, width: int,
+                method: str = "standard_normal") -> np.ndarray:
+    """(stop - start, width) float draws, row i from trial start + i's stream.
 
-    coefficients: tuple[np.ndarray, ...]
+    Row i equals `getattr(substream(RngStream(seed, start + i), purpose, 0),
+    method)(width)`. One bit generator is re-keyed per trial instead of
+    building a new one, which would also gather OS entropy it never uses.
+    """
+    if not 0 <= start <= stop <= _U64_MAX + 1:
+        raise ValueError(f"trial range [{start}, {stop}) is not inside [0, 2^64)")
+    RngStream(seed)  # validates the seed
+    out = np.empty((stop - start, width))
+    bitgen = np.random.Philox(key=0)
+    fill = getattr(np.random.Generator(bitgen), method)
+    key = np.array([seed, 0], dtype=np.uint64)
+    counter = np.array([0, 0, purpose, 0], dtype=np.uint64)
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": counter, "key": key},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    for i, t in enumerate(range(start, stop)):
+        key[1] = counter[1] = t
+        bitgen.state = state
+        fill(out=out[i])
+    return out
 
-    def __post_init__(self):
-        object.__setattr__(self, "coefficients", tuple(self.coefficients))
-        for arr in self.coefficients:
-            if arr.ndim != 1:
-                raise ValueError("each per-RIS coefficient block must be 1-D")
 
-    @property
-    def element_counts(self) -> np.ndarray:
-        return np.array([c.size for c in self.coefficients], dtype=np.int64)
+def unit_normals(seed: int, start: int, stop: int, purpose: int, n: int) -> np.ndarray:
+    """(stop - start, n) unit complex normals, row i = trial start + i.
 
-
-def _rician_unit(k_factor: float, gen, n: int) -> np.ndarray:
-    # unit-mean-power link fading; deterministic part carries zero phase
-    if math.isinf(k_factor):
-        return np.ones(n, dtype=np.complex128)
-    los = math.sqrt(k_factor / (k_factor + 1.0))
-    nlos = math.sqrt(1.0 / (k_factor + 1.0))
-    return los + nlos * standard_complex_normal(gen, n)
+    Row i equals standard_complex_normal(substream(RngStream(seed,
+    start + i), purpose, 0), n).
+    """
+    flat = trial_draws(seed, start, stop, purpose, 2 * n)
+    flat *= math.sqrt(0.5)
+    return flat.view(np.complex128)
 
 
-def sample_channels(s: Scenario, ls: LargeScale, rng: RngStream) -> ChannelRealization:
-    """Draw every cascaded coefficient for one realization.
+def _rician(k_factor: float) -> tuple[float, float]:
+    # unit-mean-power link fading is los + nlos * z for a unit normal z;
+    # the deterministic part carries zero phase
+    return math.sqrt(k_factor / (k_factor + 1.0)), math.sqrt(1.0 / (k_factor + 1.0))
 
-    With a deterministic BS-side link the cascade reduces to a zero-mean
-    complex Gaussian whose variance is the cascaded gain, so only ls is
-    consulted and the scale is taken from it verbatim. With a scattered
-    BS-side link the two hop gains matter individually and are rebuilt
-    from the geometry.
+
+def sample_channels(s: Scenario, ls: LargeScale, user: np.ndarray,
+                    bs: np.ndarray | None = None) -> np.ndarray:
+    """Cascaded coefficients h = beta_k * u * conj(v), one row per trial.
+
+    user and bs are (trials, sum(M_k)) unit normals from unit_normals
+    with PURPOSE_RIS_USER and PURPOSE_BS_RIS; user also sets the trial
+    count, and is ignored when the user link is deterministic. bs is
+    needed only when the BS link is faded (finite Rician factor). Both
+    hops' fading has unit power, so the cascade's scale is ls.beta
+    alone: with a deterministic BS link and a scattered user link, h is
+    CN(0, beta_k^2).
     """
     if ls.num_ris != s.num_ris:
         raise ValueError(f"ls has {ls.num_ris} entries for {s.num_ris} surfaces")
-    blocks = []
-    for k, r in enumerate(s.ris_list):
-        m = r.element_count
-        gen_ru = substream(rng, PURPOSE_RIS_USER, k)
-        if math.isinf(s.rician_k_br):
-            v = _rician_unit(s.rician_k_ru, gen_ru, m)
-            h = ls.beta[k] * np.conj(v)
-        else:
-            pl_br = path_loss(s.bs_position.distance_to(r.position), s.c0_db, s.alpha_br)
-            pl_ru = path_loss(r.position.distance_to(s.user_position), s.c0_db, s.alpha_ru)
-            gen_br = substream(rng, PURPOSE_BS_RIS, k)
-            u = math.sqrt(pl_br) * _rician_unit(s.rician_k_br, gen_br, m)
-            v = math.sqrt(pl_ru) * _rician_unit(s.rician_k_ru, gen_ru, m)
-            h = u * np.conj(v)
-        blocks.append(h)
-    return ChannelRealization(coefficients=tuple(blocks))
+    scale = np.repeat(ls.beta, s.element_counts)
+    if user.ndim != 2 or user.shape[1] != scale.size:
+        raise ValueError(f"user draws must be (trials, {scale.size}), got {user.shape}")
+    if math.isinf(s.rician_k_ru):
+        h = np.ones(user.shape, dtype=np.complex128)
+    else:
+        h = np.conj(user)
+        if s.rician_k_ru > 0.0:
+            los, nlos = _rician(s.rician_k_ru)
+            h *= nlos
+            h += los
+    if not math.isinf(s.rician_k_br):
+        if bs is None or bs.shape != user.shape:
+            raise ValueError(f"a faded BS link needs bs draws shaped {user.shape}")
+        los, nlos = _rician(s.rician_k_br)
+        h *= los + nlos * bs
+    h *= scale
+    return h

@@ -40,7 +40,7 @@ from .analysis import (
 )
 from .channel import RngStream, standard_complex_normal, substream, PURPOSE_RIS_USER
 from .estimation import PerRisPowers
-from .montecarlo import TrialConfig, simulate_metrics, sweep_user, trial_gains
+from .montecarlo import GainRow, TrialConfig, sweep_user, trial_gains
 from .scenario import (
     Scenario,
     cascaded_large_scale,
@@ -58,6 +58,8 @@ REPORT_FILE = "validation_report.yaml"
 _PowerRow = namedtuple("_PowerRow", ["d_m", "allocator", "powers_w"])
 
 _VALIDATE_DEFAULT_TRIALS = 100_000
+# validate runs its perfect and random-phase rows on at most this many trials
+_HIERARCHY_TRIALS = 20_000
 _SWEEP_DEFAULT_TRIALS = 1000
 
 
@@ -383,8 +385,10 @@ def _parse_d_range(text: str, path: str) -> list[float]:
     return [start + i * step for i in range(n)]
 
 
-# libyaml parses the same documents several times faster, where PyYAML has it
+# libyaml parses and emits the same documents several times faster, where
+# PyYAML has it; the emitted bytes are the same
 _YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+_YAML_DUMPER = yaml.CSafeDumper if yaml.__with_libyaml__ else yaml.SafeDumper
 
 
 def _load_yaml(path: str):
@@ -440,11 +444,28 @@ def _write_powers_csv(path: str, rows):
 
 def _write_yaml(path: str, payload: dict):
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        yaml.safe_dump(payload, f, sort_keys=True, default_flow_style=False)
+        yaml.dump(payload, f, Dumper=_YAML_DUMPER, sort_keys=True, default_flow_style=False)
+
+
+def _host() -> dict:
+    """Facts about the interpreter and machine a run used.
+
+    Not platform.platform(): it starts a `uname -p` subprocess, whose
+    peak memory counts as the run's.
+    """
+    import platform  # only commands that write a manifest load it
+
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "platform": f"{platform.system()}-{platform.release()}-{platform.machine()}",
+        "cpu_count": os.cpu_count(),
+    }
 
 
 def _manifest(command: str, scn: ScenarioSettings, *, seed, trials, csi_mode, workers,
-              allocators=None, d_values=None, duration_s=None) -> dict:
+              allocators=None, d_values=None, duration_s=None, trial_rows=0) -> dict:
+    """Run record; trial_rows counts every (trial, row) pair the run evaluated."""
     out = {
         "command": command,
         "version": __version__,
@@ -460,7 +481,9 @@ def _manifest(command: str, scn: ScenarioSettings, *, seed, trials, csi_mode, wo
     if d_values is not None:
         out["d_values"] = [float(d) for d in d_values]
     if duration_s is not None:
-        out["duration_s"] = duration_s
+        out["duration_s"] = round(duration_s, 3)
+        out["trials_per_s"] = round(trial_rows / duration_s, 1) if duration_s > 0 else None
+    out["host"] = _host()
     return out
 
 
@@ -555,6 +578,10 @@ def _exact_check(name, ok: bool, observed, expected, detail="") -> dict:
     }
 
 
+def _se(x: np.ndarray) -> float:
+    return float(np.std(x, ddof=1) / math.sqrt(x.size)) if x.size > 1 else 0.0
+
+
 def _validation_checks(s, ls, trials: int, seed: int, workers: int,
                        off_centre: Scenario | None) -> list[dict]:
     checks = []
@@ -577,14 +604,30 @@ def _validation_checks(s, ls, trials: int, seed: int, workers: int,
                    0.02 * expected, 4.0 * se)
         )
 
+    # one run for the ergodic-gain check and the hierarchy checks below:
+    # the estimated row over every trial, the other CSI modes over the
+    # first n_h, all on the same draws
+    n_h = min(trials, _HIERARCHY_TRIALS)
+    gains = dict(zip(
+        ("estimated", "perfect", "random-phase"),
+        trial_gains(
+            [GainRow(s, uniform, ls)]
+            + [GainRow(s, uniform, ls, mode, n_h) for mode in ("perfect", "random-phase")],
+            None, TrialConfig(trials=trials, seed=seed), workers=workers,
+        ),
+    ))
+
     # closed-form ergodic gain against the simulated pipeline
-    cfg = TrialConfig(trials=trials, seed=seed)
-    metrics = simulate_metrics(s, uniform, cfg, ls=ls, workers=workers)
-    closed = ergodic_gain_closed_form(ls, counts, uniform, s.sigma_z_sq).total
-    checks.append(
-        _check("ergodic-gain", metrics.mean_gain, closed, 0.02 * closed,
-               4.0 * metrics.se_gain)
-    )
+    mean, se = float(np.mean(gains["estimated"])), _se(gains["estimated"])
+    closed = ergodic_gain_closed_form(ls, counts, uniform, s.sigma_z_sq, scenario=s)
+    check = _check("ergodic-gain", mean, closed.total, 0.02 * closed.total, 4.0 * se)
+    if not closed.model_valid:
+        check["status"] = "not-applicable"
+        check["detail"] = (
+            f"closed form assumes k_br = inf and k_ru = 0; "
+            f"this scenario has k_br = {s.rician_k_br:g}, k_ru = {s.rician_k_ru:g}"
+        )
+    checks.append(check)
 
     # perfect-estimation limit of the closed form
     if s.sigma_z_sq > 0.0:
@@ -639,19 +682,12 @@ def _validation_checks(s, ls, trials: int, seed: int, workers: int,
         checks.append(_off_centre_check(off_centre))
 
     # more channel knowledge can only help, trial by trial
-    n_h = min(trials, 20_000)
-    cfg_h = lambda mode: TrialConfig(trials=n_h, seed=seed, csi_mode=mode)
-    gains = {
-        mode: trial_gains(s, uniform, cfg_h(mode), ls=ls, workers=workers)
-        for mode in ("perfect", "estimated", "random-phase")
-    }
     for name, top, bottom in (
         ("hierarchy-perfect-vs-estimated", "perfect", "estimated"),
         ("hierarchy-estimated-vs-random", "estimated", "random-phase"),
     ):
-        diff = gains[top] - gains[bottom]
-        mean = float(np.mean(diff))
-        se = float(np.std(diff, ddof=1) / math.sqrt(n_h)) if n_h > 1 else 0.0
+        diff = gains[top][:n_h] - gains[bottom][:n_h]
+        mean, se = float(np.mean(diff)), _se(diff)
         checks.append(
             {
                 "name": name, "status": "pass" if mean >= -3.0 * se else "fail",
@@ -701,11 +737,11 @@ def cmd_validate(args) -> int:
         )
     summary = {
         status: sum(1 for c in checks if c["status"] == status)
-        for status in ("pass", "fail", "inconclusive")
+        for status in ("pass", "fail", "inconclusive", "not-applicable")
     }
     print(
         f"{summary['pass']} passed, {summary['fail']} failed, "
-        f"{summary['inconclusive']} inconclusive"
+        f"{summary['inconclusive']} inconclusive, {summary['not-applicable']} not applicable"
     )
 
     if args.out is not None:
@@ -717,7 +753,8 @@ def cmd_validate(args) -> int:
         _write_yaml(os.path.join(args.out, REPORT_FILE), report)
         manifest = _manifest(
             "validate", scn, seed=seed, trials=trials, csi_mode="estimated",
-            workers=workers, duration_s=round(duration, 3),
+            workers=workers, duration_s=duration,
+            trial_rows=trials + 2 * min(trials, _HIERARCHY_TRIALS),
         )
         _write_yaml(os.path.join(args.out, MANIFEST_FILE), manifest)
         print(f"wrote {os.path.join(args.out, REPORT_FILE)}")
@@ -741,7 +778,7 @@ def _sweep_from(scn: ScenarioSettings, *, d_values, names, trials, seed, csi_mod
     manifest = _manifest(
         "sweep", scn, seed=seed, trials=trials, csi_mode=csi_mode, workers=workers,
         allocators=names, d_values=d_values,
-        duration_s=round(duration, 3),
+        duration_s=duration, trial_rows=trials * len(result.rows),
     )
     _write_yaml(os.path.join(out_dir, MANIFEST_FILE), manifest)
     print(
@@ -751,8 +788,17 @@ def _sweep_from(scn: ScenarioSettings, *, d_values, names, trials, seed, csi_mod
     return 0
 
 
+# run settings a manifest fixes; only --workers and --out may change on replay
+_REPLAY_FIXED = {"trials": "--trials", "seed": "--seed", "csi_mode": "--csi-mode",
+                 "allocators": "--allocators", "d_range": "--d-range"}
+
+
 def _replay(saved: dict, args) -> int:
     """Rerun a sweep manifest, checking each field as a config's would be."""
+    for key, flag in _REPLAY_FIXED.items():
+        if getattr(args, key) is not None:
+            raise ConfigError(flag, "the manifest fixes this setting; a replay takes only "
+                                    "--workers and --out")
     scn = ScenarioSettings.from_dict(_get(saved, "scenario", ""))
     for key in ("seed", "trials", "csi_mode", "allocators", "workers"):
         _get(saved, key, "")

@@ -13,12 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import PURPOSE_PILOT_NOISE, ChannelRealization, RngStream, standard_complex_normal, substream
 from .scenario import Scenario
 
 __all__ = [
     "PerRisPowers",
-    "ChannelEstimate",
     "estimate_mse",
     "ls_estimate",
     "pilot_overhead",
@@ -54,46 +52,32 @@ class PerRisPowers:
         return self.p_k.size
 
 
-@dataclass(frozen=True, eq=False)
-class ChannelEstimate:
-    """LS estimates, one block per surface, and each surface's error variance."""
-
-    estimates: tuple[np.ndarray, ...]
-    mse: np.ndarray
-
-    def __post_init__(self):
-        mse = np.asarray(self.mse, dtype=np.float64)
-        object.__setattr__(self, "estimates", tuple(self.estimates))
-        object.__setattr__(self, "mse", mse)
-        if mse.shape != (len(self.estimates),):
-            raise ValueError("estimates and mse must have one entry per RIS")
-
-
 def ls_estimate(
-    h: ChannelRealization,
+    h: np.ndarray,
+    element_counts,
     powers: PerRisPowers,
     sigma_z_sq: float,
-    rng: RngStream,
-) -> ChannelEstimate:
-    """LS estimate of every cascaded coefficient.
+    noise: np.ndarray,
+) -> np.ndarray:
+    """LS estimates of a chunk of cascaded coefficients, one row per trial.
 
-    The returned estimate is h plus circular noise of variance
-    sigma_z_sq / p_k, the exact form left once the pilot symbol and the
-    training phase cancel, so neither appears here.
+    h and noise are (trials, sum(M_k)); noise holds unit complex normals
+    from unit_normals with PURPOSE_PILOT_NOISE. The estimate is h plus
+    noise scaled by delta_k = sqrt(sigma_z_sq / p_k) on surface k's
+    elements, the exact form left once the pilot symbol and the training
+    phase cancel, so neither appears here.
     """
-    if powers.num_ris != len(h.coefficients):
-        raise ValueError(
-            f"{powers.num_ris} pilot powers for {len(h.coefficients)} surfaces"
-        )
+    counts = np.asarray(element_counts)
+    if powers.num_ris != counts.size:
+        raise ValueError(f"{powers.num_ris} pilot powers for {counts.size} surfaces")
     if sigma_z_sq < 0.0:
         raise ValueError(f"noise power must be nonnegative, got {sigma_z_sq}")
-    mse = sigma_z_sq / powers.p_k
-    deltas = np.sqrt(mse)
-    est_blocks = []
-    for k, hk in enumerate(h.coefficients):
-        gen = substream(rng, PURPOSE_PILOT_NOISE, k)
-        est_blocks.append(hk + deltas[k] * standard_complex_normal(gen, hk.size))
-    return ChannelEstimate(estimates=tuple(est_blocks), mse=mse)
+    if h.shape != noise.shape or h.shape[-1] != int(counts.sum()):
+        raise ValueError(f"channel {h.shape} and noise {noise.shape} must both have "
+                         f"{int(counts.sum())} elements per trial")
+    est = noise * np.repeat(np.sqrt(sigma_z_sq / powers.p_k), counts)
+    est += h
+    return est
 
 
 def pilot_overhead(s: Scenario) -> int:

@@ -1,16 +1,17 @@
-"""Phase configuration from estimates, composite channel, rate."""
+"""Phase configuration from estimates, composite channel, rate.
+
+Phases, estimates and channels are (trials, sum(M_k)) arrays, one row
+per trial, as channel.sample_channels lays them out.
+"""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import PURPOSE_PHASE, ChannelRealization, RngStream, substream
-from .estimation import ChannelEstimate
+from .channel import PURPOSE_PHASE, trial_draws
 
 __all__ = [
-    "PhaseConfig",
     "configure_phases",
     "random_phases",
     "composite_channel",
@@ -19,54 +20,37 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class PhaseConfig:
-    """Unit-modulus reflection coefficients, grouped per RIS."""
-
-    coefficients: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coefficients", tuple(self.coefficients))
-        for block in self.coefficients:
-            if np.any(np.abs(np.abs(block) - 1.0) > 1e-12):
-                raise ValueError("reflection coefficients must be unit modulus")
-
-
-def configure_phases(est: ChannelEstimate) -> PhaseConfig:
+def configure_phases(est: np.ndarray) -> np.ndarray:
     """Conjugate-align each element to its estimated coefficient.
 
     A zero estimate carries no phase information; those elements fall
     back to coefficient 1.
     """
-    blocks = []
-    for e in est.estimates:
-        mag = np.abs(e)
-        safe = np.where(mag > 0.0, mag, 1.0)
-        phi = np.where(mag > 0.0, np.conj(e) / safe, 1.0 + 0.0j)
-        blocks.append(phi)
-    return PhaseConfig(coefficients=tuple(blocks))
+    mag = np.abs(est)
+    zero = mag == 0.0
+    phases = np.conj(est)
+    phases[zero] = 1.0
+    mag[zero] = 1.0
+    phases /= mag
+    return phases
 
 
-def random_phases(element_counts, rng: RngStream) -> PhaseConfig:
-    """Uniform random phases, the no-CSI reference configuration."""
-    blocks = []
-    for k, m in enumerate(element_counts):
-        gen = substream(rng, PURPOSE_PHASE, k)
-        theta = gen.uniform(0.0, 2.0 * math.pi, int(m))
-        blocks.append(np.exp(1j * theta))
-    return PhaseConfig(coefficients=tuple(blocks))
+def random_phases(seed: int, start: int, stop: int, n: int) -> np.ndarray:
+    """Uniform random phases for trials [start, stop), the no-CSI reference.
+
+    Row i holds exp(j theta) for theta drawn as substream(RngStream(seed,
+    start + i), PURPOSE_PHASE, 0).uniform(0, 2 pi, n).
+    """
+    theta = trial_draws(seed, start, stop, PURPOSE_PHASE, n, "random")
+    theta *= 2.0 * math.pi
+    return np.exp(1j * theta)
 
 
-def composite_channel(h: ChannelRealization, phases: PhaseConfig) -> complex:
-    """Sum of reflected coefficients under the given configuration."""
-    if len(phases.coefficients) != len(h.coefficients):
-        raise ValueError("phase blocks do not match channel blocks")
-    total = 0.0 + 0.0j
-    for hk, pk in zip(h.coefficients, phases.coefficients):
-        if hk.size != pk.size:
-            raise ValueError("phase blocks do not match channel blocks")
-        total += complex(np.sum(pk * hk))
-    return total
+def composite_channel(h: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """Sum of reflected coefficients under the given configuration, per trial."""
+    if h.shape != phases.shape:
+        raise ValueError(f"phases {phases.shape} do not match channels {h.shape}")
+    return np.sum(h * phases, axis=-1)
 
 
 def rate_from_gain(gain: float, q: float, sigma_n_sq: float) -> float:

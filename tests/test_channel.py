@@ -13,6 +13,8 @@ from rispilot.channel import (
     sample_channels,
     standard_complex_normal,
     substream,
+    trial_draws,
+    unit_normals,
 )
 from rispilot.scenario import (
     Position,
@@ -61,6 +63,34 @@ def test_standard_complex_normal_moments():
     assert abs(np.mean(w**2)) < 4.0 / math.sqrt(n)
 
 
+def _channel(s, ls, seed, trial=0):
+    """Trial `trial` of seed `seed`, as the engine draws it: (sum(M_k),) coefficients."""
+    n = int(s.element_counts.sum())
+    user = unit_normals(seed, trial, trial + 1, PURPOSE_RIS_USER, n)
+    bs = unit_normals(seed, trial, trial + 1, PURPOSE_BS_RIS, n)
+    return sample_channels(s, ls, user, bs)[0]
+
+
+@pytest.mark.parametrize("method, width", [("standard_normal", 6), ("random", 5)])
+def test_trial_draws_are_each_trials_own_substream(method, width):
+    seed = 2**64 - 3
+    chunk = trial_draws(seed, 7, 11, PURPOSE_PILOT_NOISE, width, method)
+    assert chunk.shape == (4, width)
+    for i, t in enumerate(range(7, 11)):
+        gen = substream(RngStream(seed, t), PURPOSE_PILOT_NOISE, 0)
+        assert np.array_equal(chunk[i], getattr(gen, method)(width))
+    # a trial's draws do not depend on the range it is drawn in
+    assert np.array_equal(trial_draws(seed, 9, 10, PURPOSE_PILOT_NOISE, width, method)[0], chunk[2])
+    normals = unit_normals(seed, 7, 9, PURPOSE_RIS_USER, width)
+    for i, t in enumerate((7, 8)):
+        gen = substream(RngStream(seed, t), PURPOSE_RIS_USER, 0)
+        assert np.array_equal(normals[i], standard_complex_normal(gen, width))
+    with pytest.raises(ValueError):
+        trial_draws(2**64, 0, 1, PURPOSE_RIS_USER, 2)
+    with pytest.raises(ValueError):
+        trial_draws(0, 3, 2, PURPOSE_RIS_USER, 2)
+
+
 def _one_ris_blocked(beta_sq, m):
     return from_large_scale(
         [beta_sq], [m], sigma_z_sq=1.0, sigma_n_sq=1.0, q=1.0, p_avg=1.0
@@ -69,7 +99,7 @@ def _one_ris_blocked(beta_sq, m):
 
 def test_sampled_energy_matches_large_scale():
     s, ls = _one_ris_blocked(4.0, 200_000)
-    h = sample_channels(s, ls, RngStream(11)).coefficients[0]
+    h = _channel(s, ls, 11)
     n = h.size
     mean_energy = np.mean(np.abs(h) ** 2)
     # |h|^2 / beta^2 is unit exponential, so its relative standard error is 1/sqrt(n)
@@ -78,7 +108,7 @@ def test_sampled_energy_matches_large_scale():
 
 def test_sampled_magnitude_matches_rayleigh_mean():
     s, ls = _one_ris_blocked(4.0, 200_000)
-    h = sample_channels(s, ls, RngStream(12)).coefficients[0]
+    h = _channel(s, ls, 12)
     n = h.size
     expected = SQRT_PI_HALF * 2.0
     rel_sd = math.sqrt(4.0 / math.pi - 1.0)
@@ -89,23 +119,37 @@ def test_sampled_magnitude_matches_rayleigh_mean():
 def test_sampling_is_deterministic_per_stream():
     s = two_ris_layout(50.0, 4.0, 8, 16)
     ls = cascaded_large_scale(s)
-    a = sample_channels(s, ls, RngStream(3, stream_id=9))
-    b = sample_channels(s, ls, RngStream(3, stream_id=9))
-    c = sample_channels(s, ls, RngStream(3, stream_id=10))
-    assert all(np.array_equal(x, y) for x, y in zip(a.coefficients, b.coefficients))
-    assert not np.array_equal(a.coefficients[0], c.coefficients[0])
-    assert [len(x) for x in a.coefficients] == [8, 16]
+    a = _channel(s, ls, 3, trial=9)
+    b = _channel(s, ls, 3, trial=9)
+    c = _channel(s, ls, 3, trial=10)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a[:8], c[:8])
+    assert a.shape == (24,)
 
 
-def test_per_surface_draws_do_not_leak_across_sizes():
-    # growing the first surface must not change the second surface's draws
+def test_surfaces_fill_each_trials_stream_end_to_end():
+    # surface k's elements take the next M_k values of the trial's stream,
+    # so growing the first surface keeps its own draws and shifts the second's
     s1 = two_ris_layout(50.0, 4.0, 8, 16)
     s2 = two_ris_layout(50.0, 4.0, 32, 16)
-    rng = RngStream(21)
-    h1 = sample_channels(s1, cascaded_large_scale(s1), rng)
-    h2 = sample_channels(s2, cascaded_large_scale(s2), rng)
-    assert np.array_equal(h1.coefficients[1], h2.coefficients[1])
-    assert np.array_equal(h1.coefficients[0], h2.coefficients[0][:8])
+    ls = cascaded_large_scale(s1)
+    assert np.array_equal(ls.beta, cascaded_large_scale(s2).beta)
+    v = unit_normals(21, 0, 1, PURPOSE_RIS_USER, 48)[0]
+    h1 = _channel(s1, ls, 21)
+    h2 = _channel(s2, ls, 21)
+    assert np.array_equal(h1[:8], h2[:8])
+    assert np.array_equal(h1[:8], ls.beta[0] * np.conj(v[:8]))
+    assert np.array_equal(h2[32:], ls.beta[1] * np.conj(v[32:48]))
+
+
+def test_sample_channels_rejects_misshapen_draws():
+    s = two_ris_layout(50.0, 4.0, 8, 16)
+    ls = cascaded_large_scale(s)
+    with pytest.raises(ValueError):
+        sample_channels(s, ls, unit_normals(1, 0, 2, PURPOSE_RIS_USER, 23))
+    faded = dataclasses.replace(s, rician_k_br=3.0)
+    with pytest.raises(ValueError):
+        sample_channels(faded, ls, unit_normals(1, 0, 2, PURPOSE_RIS_USER, 24))
 
 
 def _mirrored(s):
@@ -124,11 +168,7 @@ def test_mirrored_layout_reproduces_draws_bit_for_bit(d):
     ls_s = cascaded_large_scale(s)
     ls_m = cascaded_large_scale(m)
     assert np.array_equal(ls_s.beta_sq, ls_m.beta_sq)
-    rng = RngStream(77)
-    hs = sample_channels(s, ls_s, rng)
-    hm = sample_channels(m, ls_m, rng)
-    for a, b in zip(hs.coefficients, hm.coefficients):
-        assert np.array_equal(a, b)
+    assert np.array_equal(_channel(s, ls_s, 77), _channel(m, ls_m, 77))
 
 
 def test_finite_rician_energy_still_matches_cascade():
@@ -148,7 +188,7 @@ def test_finite_rician_energy_still_matches_cascade():
     )
     ls = cascaded_large_scale(s)
     assert ls.beta_sq[0] == pytest.approx(1.0, rel=1e-12)
-    h = sample_channels(s, ls, RngStream(31)).coefficients[0]
+    h = _channel(s, ls, 31)
     n = h.size
     # var(|uv|^2) for rician-by-rayleigh product with K=5, derived by moment algebra
     k = 5.0
@@ -173,7 +213,6 @@ def test_finite_rician_reduces_fading_spread():
     )
     strong_los = Scenario(rician_k_br=50.0, **base)
     weak_los = Scenario(rician_k_br=0.5, **base)
-    rng = RngStream(32)
-    v_strong = np.var(np.abs(sample_channels(strong_los, cascaded_large_scale(strong_los), rng).coefficients[0]) ** 2)
-    v_weak = np.var(np.abs(sample_channels(weak_los, cascaded_large_scale(weak_los), rng).coefficients[0]) ** 2)
+    v_strong = np.var(np.abs(_channel(strong_los, cascaded_large_scale(strong_los), 32)) ** 2)
+    v_weak = np.var(np.abs(_channel(weak_los, cascaded_large_scale(weak_los), 32)) ** 2)
     assert v_strong < v_weak

@@ -384,3 +384,61 @@ def test_validate_solves_an_off_centre_position(tmp_path, capsys):
     assert off["status"] == "pass" and off["observed"] < 1e-6
     uniform_spread = float(off["detail"].removeprefix("uniform spread "))
     assert uniform_spread > 1e-2
+
+
+@pytest.mark.parametrize(
+    "flag",
+    [["--trials", "30"], ["--seed", "5"], ["--csi-mode", "perfect"],
+     ["--allocators", "uniform"], ["--d-range", "0:4:4"]],
+    ids=lambda f: f[0],
+)
+def test_replay_rejects_flags_the_manifest_fixes(tmp_path, capsys, flag):
+    out, _ = _sweep_manifest(tmp_path)
+    capsys.readouterr()
+    rc = main(["sweep", "--manifest", str(out / "run_manifest.yaml"), *flag,
+               "--out", str(tmp_path / "replay")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"config error: {flag[0]}: ")
+    assert not (tmp_path / "replay").exists()
+
+
+def test_manifest_records_host_and_throughput(tmp_path):
+    out, saved = _sweep_manifest(tmp_path)
+    assert saved["trials_per_s"] > 0.0
+    host = saved["host"]
+    assert set(host) == {"python", "numpy", "platform", "cpu_count"}
+    assert host["cpu_count"] >= 1
+    vout = tmp_path / "vout"
+    assert main(["validate", "--config", _cfg(tmp_path, TWO_GAIN), "--trials", "50",
+                 "--out", str(vout)]) == 0
+    manifest = yaml.safe_load((vout / "run_manifest.yaml").read_text(encoding="utf-8"))
+    assert manifest["trials_per_s"] > 0.0 and set(manifest["host"]) == set(host)
+
+
+# a faded BS link and a Rician user link, outside the closed form's model
+OUT_OF_MODEL = GEOMETRY.replace("    alpha_ru: 2.8\n", "    alpha_ru: 2.8\n    k_br: 1\n    k_ru: 5\n")
+
+
+def test_closed_form_is_not_reported_outside_its_model(tmp_path, capsys):
+    cfg = _cfg(tmp_path, OUT_OF_MODEL)
+    out = tmp_path / "run"
+    with pytest.warns(UserWarning, match="closed form assumes"):
+        assert main(["sweep", "--config", cfg, "--trials", "50", "--out", str(out)]) == 0
+    rows = _read_csv(out / "metrics.csv")
+    assert rows and all(r["closed_form_gain"] == "nan" for r in rows)
+    assert all(math.isfinite(float(r["mean_gain"])) for r in rows)
+    # random phases keep their closed form: it holds for any fading
+    rout = tmp_path / "random"
+    assert main(["sweep", "--config", cfg, "--trials", "50", "--csi-mode", "random-phase",
+                 "--out", str(rout)]) == 0
+    assert all(math.isfinite(float(r["closed_form_gain"])) for r in _read_csv(rout / "metrics.csv"))
+
+    vout = tmp_path / "vout"
+    with pytest.warns(UserWarning, match="closed form assumes"):
+        rc = main(["validate", "--config", cfg, "--trials", "2000", "--out", str(vout)])
+    assert rc == 0
+    report = yaml.safe_load((vout / "validation_report.yaml").read_text(encoding="utf-8"))
+    ergodic = {c["name"]: c for c in report["checks"]}["ergodic-gain"]
+    assert ergodic["status"] == "not-applicable"
+    assert "k_br = 1" in ergodic["detail"] and "k_ru = 5" in ergodic["detail"]
+    assert report["summary"]["not-applicable"] == 1 and report["summary"]["fail"] == 0

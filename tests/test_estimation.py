@@ -6,13 +6,14 @@ import pytest
 from rispilot.channel import (
     PURPOSE_PHASE,
     PURPOSE_PILOT_NOISE,
+    PURPOSE_RIS_USER,
     RngStream,
     sample_channels,
     standard_complex_normal,
     substream,
+    unit_normals,
 )
 from rispilot.estimation import (
-    ChannelEstimate,
     PerRisPowers,
     estimate_mse,
     ls_estimate,
@@ -33,42 +34,43 @@ def _uniform(counts, p):
 
 
 def test_allocation_mse_per_surface():
-    s, ls, rng, h = _sampled(8, beta_sq=(1.0, 1.0), counts=(2, 2))
-    mse = ls_estimate(h, PerRisPowers(p_k=[0.5, 2.0]), 2.0, rng).mse
-    assert mse.shape == (2,)
-    assert mse[0] == pytest.approx(4.0) and mse[1] == pytest.approx(1.0)
+    s, h, noise = _sampled(8, beta_sq=(1.0, 1.0), counts=(2, 2))
+    est = ls_estimate(h, s.element_counts, PerRisPowers(p_k=[0.5, 2.0]), 2.0, noise)
+    # surface k's elements carry error delta_k = sqrt(sigma_z_sq / p_k)
+    assert (est - h) / noise == pytest.approx(np.array([[2.0, 2.0, 1.0, 1.0]]))
+    assert estimate_mse(0.5, 2.0) == pytest.approx(4.0) and estimate_mse(2.0, 2.0) == pytest.approx(1.0)
 
 
 def _sampled(seed, beta_sq=(1.0,), counts=(64,), sigma_z_sq=1.0):
+    """Trial 0 of seed: the scenario, its (1, sum(M_k)) channel and pilot-noise draws."""
     s, ls = from_large_scale(
         list(beta_sq), list(counts), sigma_z_sq=sigma_z_sq, sigma_n_sq=1.0, q=1.0, p_avg=1.0
     )
-    rng = RngStream(seed)
-    return s, ls, rng, sample_channels(s, ls, rng)
+    n = sum(counts)
+    h = sample_channels(s, ls, unit_normals(seed, 0, 1, PURPOSE_RIS_USER, n))
+    return s, h, unit_normals(seed, 0, 1, PURPOSE_PILOT_NOISE, n)
 
 
 def test_noiseless_estimate_recovers_channel_exactly():
-    s, ls, rng, h = _sampled(1)
-    est = ls_estimate(h, _uniform(s.element_counts, s.p_avg), 0.0, rng)
-    assert np.array_equal(est.estimates[0], h.coefficients[0])
-    assert np.all(est.mse[0] == 0.0)
+    s, h, noise = _sampled(1)
+    est = ls_estimate(h, s.element_counts, _uniform(s.element_counts, s.p_avg), 0.0, noise)
+    assert np.array_equal(est, h)
 
 
 def test_estimate_error_variance_oracle():
-    s, ls, rng, h = _sampled(2, counts=(200_000,), sigma_z_sq=2.0)
-    est = ls_estimate(h, _uniform(s.element_counts, 2.0), 2.0, rng)  # delta^2 = 1
-    eps = est.estimates[0] - h.coefficients[0]
+    s, h, noise = _sampled(2, counts=(200_000,), sigma_z_sq=2.0)
+    est = ls_estimate(h, s.element_counts, _uniform(s.element_counts, 2.0), 2.0, noise)  # delta^2 = 1
+    eps = est - h
     n = eps.size
     assert abs(np.mean(np.abs(eps) ** 2) - 1.0) < 4.0 / math.sqrt(n)
     assert abs(np.mean(eps)) < 4.0 / math.sqrt(2 * n)
-    assert est.mse[0] == pytest.approx(1.0)
 
 
 def test_estimate_error_shrinks_with_pilot_power():
-    s, ls, rng, h = _sampled(3, counts=(50_000,))
-    weak = ls_estimate(h, _uniform(s.element_counts, 0.1), 1.0, rng)
-    strong = ls_estimate(h, _uniform(s.element_counts, 10.0), 1.0, rng)
-    err = lambda e: np.mean(np.abs(e.estimates[0] - h.coefficients[0]) ** 2)
+    s, h, noise = _sampled(3, counts=(50_000,))
+    weak = ls_estimate(h, s.element_counts, _uniform(s.element_counts, 0.1), 1.0, noise)
+    strong = ls_estimate(h, s.element_counts, _uniform(s.element_counts, 10.0), 1.0, noise)
+    err = lambda e: np.mean(np.abs(e - h) ** 2)
     assert err(strong) < err(weak)
 
 
@@ -85,13 +87,18 @@ def test_estimates_do_not_depend_on_training_phase_or_pilots():
     # sends pilot x at power p, so the slot receives
     # y = conj(phi h) sqrt(p) x + z with noise z = conj(eps) sqrt(p) x conj(phi);
     # inverting y recovers h + eps, the estimate ls_estimate returns
-    s, ls, rng, h = _sampled(4, beta_sq=(1.0, 0.5), counts=(8, 16))
+    s, h, noise = _sampled(4, beta_sq=(1.0, 0.5), counts=(8, 16))
+    counts = s.element_counts
     powers = PerRisPowers(p_k=[0.3, 1.7])
-    base = ls_estimate(h, powers, 1.0, rng)
+    base = ls_estimate(h, counts, powers, 1.0, noise)[0]
+    split = np.cumsum(counts)[:-1]
+    rng = RngStream(4)
     for offset in (10, 20):
-        phases = _unit_phases(rng, s.element_counts, offset)
-        pilots = _unit_phases(rng, s.element_counts, offset + 5)
-        for hk, est, phi, x, p in zip(h.coefficients, base.estimates, phases, pilots, powers.p_k):
+        phases = _unit_phases(rng, counts, offset)
+        pilots = _unit_phases(rng, counts, offset + 5)
+        for hk, est, phi, x, p in zip(
+            np.split(h[0], split), np.split(base, split), phases, pilots, powers.p_k
+        ):
             root_p = math.sqrt(p)
             eps = est - hk
             y = np.conj(phi * hk) * root_p * x + np.conj(eps) * root_p * x * np.conj(phi)
@@ -101,26 +108,32 @@ def test_estimates_do_not_depend_on_training_phase_or_pilots():
 
 
 def test_protocol_mode_defaults_match_shortcut_bitwise():
-    # the shortcut is h plus sqrt(sigma_z_sq / p_k) times surface k's
-    # pilot-noise draw; the protocol's default training sends pilot 1 with
-    # phase 1, and inverting those received slots gives the shortcut back
-    s, ls, rng, h = _sampled(5, beta_sq=(2.0, 0.5), counts=(4, 4))
+    # the shortcut is h plus sqrt(sigma_z_sq / p_k) times the trial's
+    # pilot-noise draw on surface k's elements; the protocol's default
+    # training sends pilot 1 with phase 1, and inverting those received
+    # slots gives the shortcut back
+    s, h, noise = _sampled(5, beta_sq=(2.0, 0.5), counts=(4, 4))
     powers = PerRisPowers(p_k=[0.3, 1.7])
-    est = ls_estimate(h, powers, 1.0, rng)
-    for k, (hk, ek, p) in enumerate(zip(h.coefficients, est.estimates, powers.p_k)):
-        delta = np.sqrt(1.0 / p)
-        w = standard_complex_normal(substream(rng, PURPOSE_PILOT_NOISE, k), hk.size)
-        assert np.array_equal(ek, hk + delta * w)
-        root_p = math.sqrt(p)
-        y = np.conj(hk) * root_p + np.conj(ek - hk) * root_p
-        recovered = np.conj(y) / root_p
-        scale = np.maximum(np.abs(ek), np.abs(hk)) + delta
-        assert np.all(np.abs(recovered - ek) <= 1e-9 * scale)
+    est = ls_estimate(h, s.element_counts, powers, 1.0, noise)[0]
+    w = standard_complex_normal(substream(RngStream(5, 0), PURPOSE_PILOT_NOISE, 0), 8)
+    delta = np.repeat(np.sqrt(1.0 / powers.p_k), s.element_counts)
+    assert np.array_equal(est, h[0] + delta * w)
+    root_p = 1.0 / delta
+    y = np.conj(h[0]) * root_p + np.conj(est - h[0]) * root_p
+    recovered = np.conj(y) / root_p
+    scale = np.maximum(np.abs(est), np.abs(h[0])) + delta
+    assert np.all(np.abs(recovered - est) <= 1e-9 * scale)
 
 
 def test_channel_estimate_shape_guard():
+    s, h, noise = _sampled(6, beta_sq=(1.0, 1.0), counts=(2, 2))
+    powers = PerRisPowers(p_k=[1.0, 1.0])
     with pytest.raises(ValueError):
-        ChannelEstimate(estimates=(np.ones(3, dtype=complex),), mse=np.array([1.0, 2.0]))
+        ls_estimate(h, s.element_counts, powers, 1.0, noise[:, :3])
+    with pytest.raises(ValueError):
+        ls_estimate(h, (2, 1), powers, 1.0, noise)
+    with pytest.raises(ValueError):
+        ls_estimate(h, s.element_counts, powers, -1.0, noise)
 
 
 def test_pilot_overhead_counts_elements():
@@ -129,6 +142,6 @@ def test_pilot_overhead_counts_elements():
 
 
 def test_power_count_must_match_surfaces():
-    s, ls, rng, h = _sampled(9, beta_sq=(1.0, 1.0), counts=(2, 2))
+    s, h, noise = _sampled(9, beta_sq=(1.0, 1.0), counts=(2, 2))
     with pytest.raises(ValueError):
-        ls_estimate(h, PerRisPowers(p_k=[1.0]), 1.0, rng)
+        ls_estimate(h, s.element_counts, PerRisPowers(p_k=[1.0]), 1.0, noise)

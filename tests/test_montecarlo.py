@@ -3,9 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from rispilot import montecarlo
 from rispilot.allocation import PerRisPowers, allocate_average, run_allocator
 from rispilot.analysis import ergodic_gain_closed_form
+from rispilot.channel import (
+    PURPOSE_PHASE,
+    PURPOSE_PILOT_NOISE,
+    PURPOSE_RIS_USER,
+    RngStream,
+    standard_complex_normal,
+    substream,
+)
 from rispilot.montecarlo import (
+    GainRow,
     MetricEstimate,
     SweepRow,
     TrialConfig,
@@ -61,10 +71,63 @@ def test_gains_do_not_depend_on_worker_count():
     s, ls = _beta_direct([1.0, 0.25], [4, 4])
     cfg = TrialConfig(trials=200, seed=5)
     serial = trial_gains(s, allocate_average(s), cfg, ls=ls, workers=1)
-    parallel = trial_gains(s, allocate_average(s), cfg, ls=ls, workers=3)
-    assert np.array_equal(serial, parallel)
+    for workers in (2, 3):
+        assert np.array_equal(serial, trial_gains(s, allocate_average(s), cfg, ls=ls, workers=workers))
     few = trial_gains(s, allocate_average(s), TrialConfig(trials=3, seed=5), ls=ls, workers=8)
     assert np.array_equal(few, trial_gains(s, allocate_average(s), TrialConfig(trials=3, seed=5), ls=ls))
+
+
+@pytest.mark.parametrize("mode", ["estimated", "perfect", "random-phase"])
+def test_gains_do_not_depend_on_chunk_size(monkeypatch, mode):
+    s, ls = _beta_direct([1.0, 0.25], [4, 4])
+    cfg = TrialConfig(trials=200, seed=5, csi_mode=mode)
+    reference = trial_gains(s, allocate_average(s), cfg, ls=ls)
+    for cap in (8, 56):  # one and seven trials per chunk
+        monkeypatch.setattr(montecarlo, "CHUNK_ELEMENTS", cap)
+        for workers in (1, 2):
+            got = trial_gains(s, allocate_average(s), cfg, ls=ls, workers=workers)
+            assert np.array_equal(got, reference), (cap, workers)
+
+
+def test_every_csi_mode_sees_trial_ts_channel():
+    # a per-trial reference loop: trial t's channel, pilot noise and phases
+    # come from its own substreams, and every row of a run uses them
+    s, ls = _beta_direct([1.0, 0.25], [3, 5], p_avg=2.0)
+    alloc = PerRisPowers(p_k=np.array([3.0, 1.4]))
+    modes = ("perfect", "estimated", "random-phase")
+    rows = [GainRow(s, alloc, ls, mode) for mode in modes] + [GainRow(s, alloc, ls, "estimated", 15)]
+    gains = trial_gains(rows, None, TrialConfig(trials=40, seed=17))
+    assert [g.size for g in gains] == [40, 40, 40, 15]
+    assert np.array_equal(gains[3], gains[1][:15])
+    beta = np.repeat(ls.beta, s.element_counts)
+    delta = np.repeat(np.sqrt(s.sigma_z_sq / alloc.p_k), s.element_counts)
+    for t in range(40):
+        rng = RngStream(17, t)
+        h = beta * np.conj(standard_complex_normal(substream(rng, PURPOSE_RIS_USER, 0), 8))
+        est = h + delta * standard_complex_normal(substream(rng, PURPOSE_PILOT_NOISE, 0), 8)
+        theta = substream(rng, PURPOSE_PHASE, 0).uniform(0.0, 2.0 * math.pi, 8)
+        expected = (
+            float(np.sum(np.abs(h))) ** 2,
+            abs(np.sum(h * np.conj(est) / np.abs(est))) ** 2,
+            abs(np.sum(h * np.exp(1j * theta))) ** 2,
+        )
+        for mode, g, want in zip(modes, gains, expected):
+            assert g[t] == pytest.approx(want, rel=1e-12), (mode, t)
+
+
+def test_rows_must_fit_one_run():
+    s, ls = _beta_direct([1.0, 0.25], [4, 4])
+    other, _ = _beta_direct([1.0, 0.25], [4, 5])
+    alloc = allocate_average(s)
+    cfg = TrialConfig(trials=10)
+    with pytest.raises(ValueError):
+        trial_gains([GainRow(s, alloc), GainRow(other, allocate_average(other))], None, cfg)
+    with pytest.raises(ValueError):
+        trial_gains([GainRow(s, alloc, ls, trials=11)], None, cfg)
+    with pytest.raises(ValueError):
+        trial_gains([GainRow(s, alloc, ls, csi_mode="oracle")], None, cfg)
+    with pytest.raises(TypeError):
+        trial_gains([GainRow(s, alloc)], alloc, cfg)
 
 
 def test_same_seed_shares_draws_across_allocations():
@@ -128,6 +191,14 @@ def test_sweep_rows_are_canonical_and_complete():
     assert all(isinstance(r, SweepRow) and len(r.powers_w) == 2 for r in result.rows)
     picked = result.select(allocator="exact", d_m=4.0)
     assert len(picked) == 1 and picked[0].d_m == 4.0
+
+
+def test_sweep_rows_equal_single_row_runs():
+    cfg = TrialConfig(trials=300, seed=8)
+    result = sweep_user(_layout, [-4.0, 4.0], ["uniform", "exact"], cfg)
+    for row in result.rows:
+        alone = simulate_metrics(_layout(row.d_m), PerRisPowers(p_k=np.array(row.powers_w)), cfg)
+        assert alone == (row.mean_gain, row.se_gain, row.mean_rate, row.se_rate)
 
 
 def test_sweep_symmetric_point_equates_exact_and_uniform():
