@@ -57,9 +57,6 @@ class RngStream:
             if not isinstance(v, (int, np.integer)) or not (0 <= v <= _U64_MAX):
                 raise ValueError(f"{name} must be an unsigned 64-bit integer, got {v!r}")
 
-    def generator(self) -> np.random.Generator:
-        return substream(self, PURPOSE_RIS_USER, 0)
-
 
 def substream(rng: RngStream, purpose: int, ris: int) -> np.random.Generator:
     """Generator for one (purpose, ris) slot of a stream.

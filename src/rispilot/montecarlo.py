@@ -32,6 +32,7 @@ from .reflection import composite_channel, configure_phases, random_phases
 from .scenario import LargeScale, Scenario, cascaded_large_scale
 
 __all__ = [
+    "CSI_MODES",
     "TrialConfig",
     "MetricEstimate",
     "GainRow",
@@ -43,7 +44,7 @@ __all__ = [
     "dynamic_range",
 ]
 
-_CSI_MODES = ("estimated", "perfect", "random-phase")
+CSI_MODES = ("estimated", "perfect", "random-phase")
 
 
 @dataclass(frozen=True)
@@ -57,8 +58,8 @@ class TrialConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError(f"trials must be positive, got {self.trials}")
-        if self.csi_mode not in _CSI_MODES:
-            raise ValueError(f"csi_mode must be one of {_CSI_MODES}")
+        if self.csi_mode not in CSI_MODES:
+            raise ValueError(f"csi_mode must be one of {CSI_MODES}")
 
 
 class MetricEstimate(NamedTuple):
@@ -150,8 +151,8 @@ def _resolved(row: GainRow, cfg: TrialConfig, counts: np.ndarray) -> GainRow:
         raise ValueError("every row of a run needs the same element counts")
     _check_budget(row.powers, s)
     mode = cfg.csi_mode if row.csi_mode is None else row.csi_mode
-    if mode not in _CSI_MODES:
-        raise ValueError(f"csi_mode must be one of {_CSI_MODES}")
+    if mode not in CSI_MODES:
+        raise ValueError(f"csi_mode must be one of {CSI_MODES}")
     trials = cfg.trials if row.trials is None else row.trials
     if not 1 <= trials <= cfg.trials:
         raise ValueError(f"a row's trials must be in [1, {cfg.trials}], got {trials}")

@@ -153,15 +153,25 @@ def cascaded_large_scale(s: Scenario) -> LargeScale:
     """Per-RIS cascaded gain: product of the two link path losses.
 
     The reflect path sees both hops, so the gains multiply. Coincident
-    nodes (zero distance) are rejected.
+    nodes (zero distance) are rejected. A gain that leaves the float range
+    (0 or inf) raises ArithmeticError naming the surface.
     """
     gains = []
-    for r in s.ris_list:
+    for k, r in enumerate(s.ris_list):
         d_br = s.bs_position.distance_to(r.position)
         d_ru = r.position.distance_to(s.user_position)
         if d_br == 0.0 or d_ru == 0.0:
             raise ValueError("RIS coincides with BS or user, distances must be positive")
-        gains.append(path_loss(d_br, s.c0_db, s.alpha_br) * path_loss(d_ru, s.c0_db, s.alpha_ru))
+        try:
+            gain = path_loss(d_br, s.c0_db, s.alpha_br) * path_loss(d_ru, s.c0_db, s.alpha_ru)
+        except OverflowError:  # float ** raises where float * gives inf
+            gain = math.inf
+        if not 0.0 < gain < math.inf:
+            raise ArithmeticError(
+                f"cascaded gain of surface {k} is {gain} at distances "
+                f"{d_br:g} m and {d_ru:g} m: outside the float range"
+            )
+        gains.append(gain)
     return LargeScale(beta_sq=np.array(gains))
 
 

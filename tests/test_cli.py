@@ -442,3 +442,43 @@ def test_closed_form_is_not_reported_outside_its_model(tmp_path, capsys):
     assert ergodic["status"] == "not-applicable"
     assert "k_br = 1" in ergodic["detail"] and "k_ru = 5" in ergodic["detail"]
     assert report["summary"]["not-applicable"] == 1 and report["summary"]["fail"] == 0
+
+
+@pytest.mark.parametrize(
+    "old, new, flag, field",
+    [
+        ("    d0: 50.0\n", "    d0: .inf\n", [], "scenario.geometry.d0"),
+        ("    alpha_br: 2.2\n", "    alpha_br: .inf\n", [], "scenario.geometry.alpha_br"),
+        ('    c0: "-20 dB"\n', '    c0: "inf dB"\n', [], "scenario.geometry.c0"),
+        ('  p_avg: "14 dBm"\n', '  p_avg: "inf W"\n', [], "scenario.p_avg"),
+        ('  p_avg: "14 dBm"\n', '  p_avg: "nan W"\n', [], "scenario.p_avg"),
+        ("    d0: 50.0\n", "    d0: 50.0\n    d_u: 60\n", [], "scenario.geometry.d_u"),
+        ("", "", ["--d-range", "0:nan:1"], "--d-range"),
+        ("", "", ["--d-range", "0:inf:1"], "--d-range"),
+    ],
+    ids=["d0-inf", "alpha_br-inf", "c0-inf", "p_avg-inf", "p_avg-nan", "d_u-past-d0",
+         "d_range-nan", "d_range-inf"],
+)
+def test_non_finite_input_is_a_config_error(tmp_path, capsys, old, new, flag, field):
+    assert old in GEOMETRY
+    cfg = _cfg(tmp_path, GEOMETRY.replace(old, new, 1))
+    commands = [["sweep", *flag]] if flag else [["allocate"], ["validate"], ["sweep"]]
+    for command in commands:
+        rc = main([*command, "--config", cfg, "--trials", "20", "--out", str(tmp_path / "x")])
+        assert rc == 2, command
+        assert capsys.readouterr().err.startswith(f"config error: {field}: "), command
+
+
+def test_infinite_rician_factors_are_accepted(tmp_path):
+    cfg = _cfg(tmp_path, GEOMETRY.replace("    alpha_ru: 2.8\n",
+                                          "    alpha_ru: 2.8\n    k_br: .inf\n    k_ru: .inf\n"))
+    assert main(["allocate", "--config", cfg]) == 0
+
+
+def test_underflowing_path_loss_is_a_numerical_failure(tmp_path, capsys):
+    cfg = _cfg(tmp_path, GEOMETRY.replace("    alpha_br: 2.2\n", "    alpha_br: 300\n"))
+    for command in ("allocate", "validate", "sweep"):
+        rc = main([command, "--config", cfg, "--trials", "20", "--out", str(tmp_path / "x")])
+        assert rc == 3, command
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and "surface 0" in err, command

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -95,6 +96,17 @@ def test_cascaded_gain_rejects_coincident_nodes():
     s = _simple_scenario([Position(5.0, 0.0, 0.0)], [4])
     with pytest.raises(ValueError):
         cascaded_large_scale(s)
+
+
+def test_cascaded_gain_outside_float_range_names_the_surface():
+    # the user stands by surface 0, whose gain stays finite; the far
+    # surface 1's gain underflows to 0
+    s = dataclasses.replace(two_ris_layout(50.0, -8.0, 4, 4), alpha_ru=245.0)
+    assert cascaded_large_scale(dataclasses.replace(s, ris_list=s.ris_list[:1])).beta_sq[0] > 0.0
+    with pytest.raises(ArithmeticError, match="surface 1"):
+        cascaded_large_scale(s)
+    with pytest.raises(ArithmeticError, match="surface 0.* inf "):
+        cascaded_large_scale(dataclasses.replace(s, c0_db=4000.0))
 
 
 def test_two_ris_layout_symmetric_user_sees_equal_gains():
