@@ -6,16 +6,17 @@ sum_k M_k p_k = (sum_k M_k) * p_avg. Inside a surface every element
 trains at its surface's power, which is optimal by symmetry of the
 gain formula. Three closed forms cover the moderate-SNR, many-element
 and equal-count regimes; the numeric solver maximizes the exact
-objective by solving its Lagrange conditions with Newton steps on the
-budget hyperplane.
+objective by solving its Lagrange conditions with Newton steps in log
+powers, for many problems at once.
 """
 from __future__ import annotations
 
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 
-from .analysis import SurfaceObjective, stationarity_residual, surface_objective
+from .analysis import SurfaceObjective, surface_objective
 from .estimation import PerRisPowers
 from .scenario import LargeScale, Scenario
 
@@ -29,6 +30,8 @@ __all__ = [
     "allocate_large_m",
     "allocate_equal_m",
     "allocate_exact_numeric",
+    "ExactSolution",
+    "solve_exact",
     "multiplier_spread",
     "ALLOCATOR_IDS",
     "resolve_allocator",
@@ -148,39 +151,245 @@ def allocate_large_m(ls: LargeScale, element_counts, p_avg: float) -> PerRisPowe
     return PerRisPowers(p_k=int(counts.sum()) * p_avg / denom)
 
 
-def multiplier_spread(residuals: np.ndarray) -> float:
-    """(max r - min r) / max |r| over the per-surface multipliers; 0 if all vanish."""
-    scale = float(np.max(np.abs(residuals)))
-    return float((residuals.max() - residuals.min()) / scale) if scale > 0.0 else 0.0
+def multiplier_spread(residuals):
+    """(max r - min r) / max |r| over the per-surface multipliers; 0 if all vanish.
 
-
-def _newton_step(m: np.ndarray, obj: SurfaceObjective) -> np.ndarray:
-    """Newton direction for maximizing phi on the budget hyperplane m . d = 0.
-
-    Solves H d + grad = lambda m with H = diag(curvature) + 2 slope slope^T
-    by Sherman-Morrison, in O(K): d = a - (m . a / m . b) b with
-    a = H^-1 (-grad) and b = H^-1 m. A singular system gives non-finite
-    entries, which the caller treats as no Newton step.
+    For (rows, K) residuals, one spread per row.
     """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        w = obj.slope / obj.curvature
-        denom = 1.0 + 2.0 * np.dot(obj.slope, w)
-
-        def solve(x):
-            x = x / obj.curvature
-            return x - (2.0 * np.dot(obj.slope, x) / denom) * w
-
-        a = solve(-m * obj.residual)
-        b = solve(m)
-        return a - (np.dot(m, a) / np.dot(m, b)) * b
+    r = np.asarray(residuals)
+    scale = np.max(np.abs(r), axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        spread = np.where(scale > 0.0, (np.max(r, axis=-1) - np.min(r, axis=-1)) / scale, 0.0)
+    return float(spread) if spread.ndim == 0 else spread
 
 
-def _ascends(step: np.ndarray, grad: np.ndarray) -> bool:
-    return bool(np.all(np.isfinite(step)) and np.dot(grad, step) > 0.0)
+# numpy's reductions without the Python layer of np.sum and np.max, which
+# costs more than the arithmetic on a few surfaces
+_sum, _max, _min, _any = np.add.reduce, np.maximum.reduce, np.minimum.reduce, np.logical_or.reduce
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.vecdot(a, b)[:, None]
+
+
+def _filled(value, shape) -> np.ndarray:
+    out = np.empty(shape)
+    out[...] = value
+    return out
+
+
+def _newton_step(normal, z, diag, e=None, f=None):
+    """Newton step d that makes z + J d the same on every surface, per row.
+
+    J = diag(diag) + e f^T is the Jacobian of z in u, and d stays on the
+    plane normal . d = 0. By Sherman-Morrison, in O(K): d = (normal . b /
+    normal . a) a - b with a = J^-1 1 and b = J^-1 z. Without e and f, J
+    is its diagonal alone. A singular system gives non-finite entries,
+    which the caller treats as no Newton step.
+    """
+    a = 1.0 / diag
+    b = z / diag
+    if e is not None:
+        w = e / diag
+        c = 1.0 / (1.0 + _rowdot(f, w))
+        a -= (c * _rowdot(f, a)) * w
+        b -= (c * _rowdot(f, b)) * w
+    return (_rowdot(normal, b) / _rowdot(normal, a)) * a - b
+
+
+def _ascends(step: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    # a non-finite entry of step makes the dot product inf or nan
+    slope = _rowdot(grad, step)[:, 0]
+    return (slope > 0.0) & (slope < np.inf)
 
 
 # A returned answer's multiplier spread is at most this (or tol, if larger).
 _CERTIFIED_SPREAD = 1e-9
+# backtracking tries a step at most this many times, halving it each time
+_TRIES = 60
+
+
+class ExactSolution(NamedTuple):
+    """solve_exact's answer, one row per problem.
+
+    powers is the certified answer where certified is set, else the best
+    iterate found (highest phi); residuals and spread are those of powers.
+    iterations counts the steps each row took; max_iter and bound are the
+    cap and the certification bound the solve used.
+    """
+
+    powers: np.ndarray
+    residuals: np.ndarray
+    spread: np.ndarray
+    iterations: np.ndarray
+    certified: np.ndarray
+    max_iter: int
+    bound: float
+
+    def row(self, i: int) -> np.ndarray:
+        """Row i's certified powers; NonConvergenceError if it has none."""
+        if not self.certified[i]:
+            raise NonConvergenceError(
+                f"no convergence after {self.iterations[i]} iterations (cap {self.max_iter}): "
+                f"multiplier spread {self.spread[i]:.3e} vs {self.bound:.1e}",
+                best_powers=self.powers[i].copy(),
+                residuals=self.residuals[i].copy(),
+            )
+        return self.powers[i]
+
+
+def solve_exact(
+    beta_sq,
+    counts,
+    p_avg,
+    sigma_z_sq,
+    tol: float = 1e-12,
+    *,
+    max_iter: int = 100,
+    start=None,
+) -> ExactSolution:
+    """Maximize the exact gain objective over each row's budget.
+
+    beta_sq is (rows, K); counts is (rows, K) or (K,); p_avg and
+    sigma_z_sq are scalars or hold one entry per row; start is None or
+    (rows, K). Inputs are not validated here: allocate_exact_numeric and
+    run_allocator check them.
+
+    Each row solves the Lagrange (KKT) conditions, one multiplier shared
+    by every surface's stationarity_residual r_k, from the uniform point
+    (or its start). Steps are Newton steps in u = log p on the conditions
+    in logs, log r_k(u) = nu for every surface: their Jacobian in u is
+    diagonal plus rank one, like phi's Hessian, so a step costs O(K) by
+    Sherman-Morrison. In logs a surface whose optimal power lies many
+    decades below the others gets there in a step or two, where phi is
+    flat to rounding and cannot guide it; Newton on phi itself in u would
+    stall there, as phi grows like sqrt(p) = exp(u / 2), convex in u. A
+    step that does not ascend phi is replaced by the step from the
+    Jacobian's diagonal alone, and that one by the projected gradient. A
+    candidate p exp(t d) is shifted back onto the budget (a uniform shift
+    of u) and backtracked on phi. A row stops when its multiplier spread
+    falls below tol, when a step no longer moves it, or after max_iter
+    steps; it is certified if its final spread is below max(tol, 1e-9).
+    Rows never mix: a row's answer is the same bits whichever other rows
+    are solved with it.
+    """
+    b2 = np.asarray(beta_sq, dtype=np.float64)
+    n, k = b2.shape
+    counts = _filled(counts, (n, k))
+    p_avg = _filled(np.reshape(p_avg, (-1, 1)), (n, 1))
+    sigma = _filled(np.reshape(sigma_z_sq, (-1, 1)), (n, 1))
+    budget = _sum(counts, axis=-1, keepdims=True) * p_avg
+    inputs = [counts, b2, sigma, budget]
+
+    out_p, out_r, out_best = np.empty((n, k)), np.empty((n, k)), np.empty((n, k))
+    out_it = np.zeros(n, dtype=np.int64)
+    with np.errstate(all="ignore"):
+        if start is None:
+            p = _filled(p_avg, (n, k))
+        else:
+            p = np.maximum(start, 1e-6 * p_avg)
+        p *= budget / _rowdot(counts, p)
+        cur = surface_objective(b2, counts, p, sigma)
+        # flat objective (noiseless training): every allocation is optimal
+        flat = ~_any(cur.residual != 0.0, axis=-1)
+        if np.count_nonzero(flat):
+            p[flat] = _filled(p_avg, (n, k))[flat]
+        # the rows still iterating, and their share of the inputs
+        live, state = np.arange(n), inputs
+        best_p, best_phi = p, cur.phi
+        stopped = np.zeros(n, dtype=bool)
+        iterations = 0
+        while True:
+            r = cur.residual
+            high, low = _max(r, axis=-1), _min(r, axis=-1)
+            # the spread below tol, without dividing by a scale that may be 0
+            done = stopped | (high - low <= tol * np.maximum(high, -low))
+            if iterations >= max_iter:
+                done[:] = True
+            finished = np.count_nonzero(done)
+            if finished:
+                rows = live[done]
+                out_p[rows], out_r[rows], out_best[rows] = p[done], r[done], best_p[done]
+                out_it[rows] = iterations
+                if finished == live.size:
+                    break
+                keep = ~done
+                live, p, best_p, best_phi = live[keep], p[keep], best_p[keep], best_phi[keep]
+                state = [x[keep] for x in state]
+                cur = SurfaceObjective(*(x[keep] for x in cur))
+                r = cur.residual
+            m, b2, sigma, budget = state
+            iterations += 1
+
+            mp = m * p
+            lam = _rowdot(mp * mp, r) / _rowdot(mp, mp)
+            # phi's gradient in u less the multiplier's part: in-plane, and
+            # free of cancellation near the optimum
+            grad = mp * (r - lam)
+            # d log r / du = diag(diag) + e f^T, from phi's Hessian in p
+            mr = m * r
+            z, diag = np.log(r / lam), p * cur.curvature / mr
+            step = _newton_step(mp, z, diag, 2.0 * cur.slope / mr, p * cur.slope)
+            ok = _ascends(step, grad)
+            if np.count_nonzero(ok) < ok.size:
+                # far from the optimum the rank-one coupling can point the
+                # step downhill; the diagonal alone often still ascends
+                step = np.where(ok[:, None], step, _newton_step(mp, z, diag))
+                ok = _ascends(step, grad)
+                if np.count_nonzero(ok) < ok.size:
+                    scaled = grad * (0.5 / _max(np.abs(grad), axis=-1, keepdims=True))
+                    step = np.where(ok[:, None], step, scaled)
+
+            # phi is flat to rounding near the optimum: tolerate a loss at that level
+            floor = cur.phi - 1e-14 * np.abs(cur.phi)
+            cand = p * np.exp(step)
+            cand *= budget / _rowdot(m, cand)
+            trial = surface_objective(b2, m, cand, sigma)
+            short = ~(trial.phi >= floor)
+            if np.count_nonzero(short):
+                short, t = np.flatnonzero(short), 1.0
+                for _ in range(_TRIES - 1):
+                    t *= 0.5
+                    sub = p[short] * np.exp(t * step[short])
+                    sub *= budget[short] / _rowdot(m[short], sub)
+                    again = surface_objective(b2[short], m[short], sub, sigma[short])
+                    good = again.phi >= floor[short]
+                    rows = short[good]
+                    cand[rows] = sub[good]
+                    for field, value in zip(trial, again):
+                        field[rows] = value[good]
+                    short = short[~good]
+                    if not short.size:
+                        break
+            stopped = ~_any(cand != p, axis=-1)
+            stopped[short] = True
+            if np.count_nonzero(stopped):
+                # a row that cannot move keeps its point and is done
+                moved = ~stopped
+                p = np.where(moved[:, None], cand, p)
+                cur = SurfaceObjective(*(
+                    np.where(moved if new.ndim == 1 else moved[:, None], new, old)
+                    for new, old in zip(trial, cur)
+                ))
+            else:
+                p, cur = cand, trial
+            better = cur.phi > best_phi
+            if np.count_nonzero(better) == better.size:
+                best_p, best_phi = p, cur.phi
+            elif np.count_nonzero(better):
+                best_p = np.where(better[:, None], p, best_p)
+                best_phi = np.where(better, cur.phi, best_phi)
+
+        bound = max(tol, _CERTIFIED_SPREAD)
+        spread = multiplier_spread(out_r)
+        certified = spread < bound
+        lost = np.flatnonzero(~certified)
+        if lost.size:
+            out_p[lost] = out_best[lost]
+            m, b2, sigma, _ = (x[lost] for x in inputs)
+            out_r[lost] = surface_objective(b2, m, out_p[lost], sigma).residual
+            spread[lost] = multiplier_spread(out_r[lost])
+    return ExactSolution(out_p, out_r, spread, out_it, certified, max_iter, bound)
 
 
 def allocate_exact_numeric(
@@ -195,82 +404,22 @@ def allocate_exact_numeric(
 ) -> PerRisPowers:
     """Maximize the exact gain objective over the budget hyperplane.
 
-    Solves the Lagrange (KKT) conditions, one multiplier shared by every
-    surface's stationarity_residual, with Newton steps from the uniform
-    point (or a caller supplied start). A Newton step that does not
-    ascend is replaced by the step from the Hessian's diagonal alone, and
-    that one by the projected gradient; every step is capped so the
-    powers stay positive, rescaled onto the budget and backtracked on
-    phi. The loop stops when the multiplier spread falls below tol or
-    a step no longer moves the powers. The answer is returned only if its
-    spread is below max(tol, 1e-9); otherwise NonConvergenceError carries
-    the best iterate and its residuals.
+    The one-problem case of solve_exact: returns the certified powers, or
+    raises NonConvergenceError carrying the best iterate and its
+    residuals.
     """
     counts = _counts(element_counts)
     _check_inputs(ls, counts, p_avg)
     if sigma_z_sq < 0.0:
         raise ValueError(f"noise power must be nonnegative, got {sigma_z_sq}")
-    m = counts.astype(np.float64)
-    b2 = ls.beta_sq
-    budget = float(counts.sum() * p_avg)
-
-    p = np.full(ls.num_ris, p_avg) if start is None else np.asarray(start, dtype=np.float64).copy()
-    if p.size != ls.num_ris or np.any(p <= 0.0):
-        raise ValueError("start must be a positive vector with one entry per surface")
-    p = np.maximum(p, 1e-6 * p_avg)
-    p *= budget / float(np.dot(m, p))
-    cur = surface_objective(b2, m, p, sigma_z_sq)
-    if not np.any(cur.residual):
-        # flat objective (noiseless training): every allocation is optimal
-        return PerRisPowers(p_k=np.full(ls.num_ris, p_avg))
-
-    best_p, best_phi = p, cur.phi
-    iterations = 0
-    while iterations < max_iter and multiplier_spread(cur.residual) >= tol:
-        iterations += 1
-        # removing the mean multiplier keeps the ascent test free of
-        # cancellation near the optimum; steps are in-plane either way
-        grad = m * (cur.residual - np.mean(cur.residual))
-        step = _newton_step(m, cur)
-        if not _ascends(step, grad):
-            # far from the optimum the rank-one part can make the model
-            # indefinite on the plane; its diagonal alone often still ascends
-            step = _newton_step(m, cur._replace(slope=np.zeros_like(cur.slope)))
-        if not _ascends(step, grad):
-            step = grad - (np.dot(m, grad) / np.dot(m, m)) * m
-            step *= 0.5 / np.max(np.abs(step) / p)
-        # no power falls below a tenth of its value in one step
-        shrinking = step < 0.0
-        t = 1.0
-        if np.any(shrinking):
-            t = min(t, 0.9 * float(np.min(-p[shrinking] / step[shrinking])))
-        # phi is flat to rounding near the optimum: tolerate a loss at that level
-        floor = cur.phi - 1e-14 * abs(cur.phi)
-        for _ in range(60):
-            cand = p + t * step
-            cand *= budget / float(np.dot(m, cand))
-            trial = surface_objective(b2, m, cand, sigma_z_sq)
-            if trial.phi >= floor:
-                break
-            t *= 0.5
-        else:
-            break
-        if np.array_equal(cand, p):
-            break
-        p, cur = cand, trial
-        if cur.phi > best_phi:
-            best_p, best_phi = p, cur.phi
-
-    certified = max(tol, _CERTIFIED_SPREAD)
-    if multiplier_spread(stationarity_residual(ls, counts, p, sigma_z_sq)) < certified:
-        return PerRisPowers(p_k=p)
-    residuals = stationarity_residual(ls, counts, best_p, sigma_z_sq)
-    raise NonConvergenceError(
-        f"no convergence after {iterations} iterations (cap {max_iter}): "
-        f"multiplier spread {multiplier_spread(residuals):.3e} vs {certified:.1e}",
-        best_powers=best_p,
-        residuals=residuals,
-    )
+    if start is not None:
+        start = np.asarray(start, dtype=np.float64)
+        if start.shape != (ls.num_ris,) or np.any(start <= 0.0):
+            raise ValueError("start must be a positive vector with one entry per surface")
+        start = start[None]
+    sol = solve_exact(ls.beta_sq[None], counts, p_avg, sigma_z_sq, tol,
+                      max_iter=max_iter, start=start)
+    return PerRisPowers(p_k=sol.row(0))
 
 
 # CLI vocabulary for the allocators, with spelled-out aliases
@@ -293,9 +442,23 @@ def resolve_allocator(name: str) -> str:
     return canonical
 
 
-def run_allocator(name: str, s: Scenario, ls: LargeScale) -> PerRisPowers:
+def run_allocator(name: str, s: Scenario, ls):
+    """Pilot powers from one allocator, for scenario s with cascaded gains ls.
+
+    For `exact`, ls may also be a list of LargeScale: problems that share
+    s's element counts, average power and training noise, such as the
+    user positions of one layout. They are solved in one call, and the
+    ExactSolution comes back for the caller to read row by row.
+    """
     canonical = resolve_allocator(name)
     counts = s.element_counts
+    if isinstance(ls, (list, tuple)):
+        if canonical != "exact":
+            raise TypeError(f"allocator {canonical!r} takes one LargeScale, not a list")
+        beta_sq = np.stack([g.beta_sq for g in ls])
+        if beta_sq.shape[1] != counts.size:
+            raise ValueError(f"{beta_sq.shape[1]} cascaded gains for {counts.size} surfaces")
+        return solve_exact(beta_sq, counts, s.p_avg, s.sigma_z_sq)
     if canonical == "uniform":
         return allocate_average(s)
     if canonical == "eq27":

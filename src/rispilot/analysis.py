@@ -25,6 +25,8 @@ __all__ = [
     "ModelAssumptionWarning",
     "alignment_mean",
     "ergodic_gain_closed_form",
+    "ergodic_gain_rows",
+    "model_applies",
     "objective_phi",
     "stationarity_residual",
     "SurfaceObjective",
@@ -32,6 +34,8 @@ __all__ = [
 ]
 
 _HALF_SQRT_PI = 0.5 * math.sqrt(math.pi)
+# np.add.reduce without np.sum's Python layer: surface_objective is the solver's inner loop
+_sum = np.add.reduce
 _QUARTER_PI = 0.25 * math.pi
 
 
@@ -55,7 +59,10 @@ def alignment_mean(beta_sq: float, delta_sq: float) -> float:
 
 @dataclass(frozen=True)
 class GainBreakdown:
-    """Ergodic composite power, split by combining mechanism."""
+    """Ergodic composite power, split by combining mechanism.
+
+    From ergodic_gain_rows, each number field holds one entry per row.
+    """
 
     incoherent: float
     intra_ris: float
@@ -77,17 +84,36 @@ def _checked_counts(ls: LargeScale, element_counts, p: np.ndarray, sigma_z_sq: f
     return counts
 
 
-def _coupling_sums(ls: LargeScale, counts: np.ndarray, p: np.ndarray, sigma_z_sq: float):
-    """The two coupling sums of the gain formula, without the pi/4 factor.
+def _coupling_sums(beta_sq, counts, p, sigma_z_sq):
+    """The two coupling sums of the gain formula, without the pi/4 factor, per row.
 
     Surface k keeps (1 - 1/M_k) g_k^2 for its distinct element pairs and
     g_k (G - g_k) across surfaces: nonnegative terms only, so a lone
     element or surface adds exactly zero, where G^2 - sum_k h_k rounds.
     """
-    g = surface_objective(ls.beta_sq, counts, p, sigma_z_sq).coherent
-    intra = float(np.dot(1.0 - 1.0 / counts, g * g))
-    inter = float(np.dot(g, float(np.sum(g)) - g))
+    g = surface_objective(beta_sq, counts, p, sigma_z_sq).coherent
+    intra = np.vecdot(1.0 - 1.0 / counts, g * g)
+    inter = np.vecdot(g, _sum(g, axis=-1, keepdims=True) - g)
     return intra, inter
+
+
+def ergodic_gain_rows(beta_sq, counts, p, sigma_z_sq) -> GainBreakdown:
+    """The closed form of ergodic_gain_closed_form for many problems at once.
+
+    beta_sq, counts and p are (rows, K) arrays and sigma_z_sq is a scalar
+    or a (rows, 1) column; every field of the result holds one entry per
+    row. Inputs are not validated, and model_valid is left to the caller.
+    Row sums are np.vecdot, which gives each row the bits np.dot gives it
+    alone.
+    """
+    intra, inter = _coupling_sums(beta_sq, counts, p, sigma_z_sq)
+    incoherent = np.vecdot(counts, beta_sq)
+    intra *= _QUARTER_PI
+    inter *= _QUARTER_PI
+    return GainBreakdown(
+        incoherent=incoherent, intra_ris=intra, inter_ris=inter,
+        total=incoherent + intra + inter,
+    )
 
 
 def ergodic_gain_closed_form(
@@ -104,30 +130,35 @@ def ergodic_gain_closed_form(
     deterministic-BS-link, fully-scattered-user-link model. Passing the
     scenario lets the function flag configurations outside that model;
     the value is still returned but model_valid is cleared and a
-    ModelAssumptionWarning is emitted.
+    ModelAssumptionWarning is emitted. This is the one-row case of
+    ergodic_gain_rows.
     """
     counts = _checked_counts(ls, element_counts, powers.p_k, sigma_z_sq)
-    intra_raw, inter_raw = _coupling_sums(ls, counts, powers.p_k, sigma_z_sq)
-    incoherent = float(np.dot(counts, ls.beta_sq))
-    valid = True
-    if scenario is not None:
-        valid = math.isinf(scenario.rician_k_br) and scenario.rician_k_ru == 0.0
-        if not valid:
-            warnings.warn(
-                "closed form assumes a deterministic BS link and a fully "
-                "scattered user link; this scenario violates that",
-                ModelAssumptionWarning,
-                stacklevel=2,
-            )
-    intra = _QUARTER_PI * intra_raw
-    inter = _QUARTER_PI * inter_raw
+    valid = True if scenario is None else model_applies(scenario)
+    row = ergodic_gain_rows(ls.beta_sq, counts, powers.p_k, sigma_z_sq)
     return GainBreakdown(
-        incoherent=incoherent,
-        intra_ris=intra,
-        inter_ris=inter,
-        total=incoherent + intra + inter,
+        incoherent=float(row.incoherent),
+        intra_ris=float(row.intra_ris),
+        inter_ris=float(row.inter_ris),
+        total=float(row.total),
         model_valid=valid,
     )
+
+
+def model_applies(s: Scenario) -> bool:
+    """Whether s has the closed form's channel model, k_br = inf and k_ru = 0.
+
+    Where it does not, a ModelAssumptionWarning is emitted.
+    """
+    valid = math.isinf(s.rician_k_br) and s.rician_k_ru == 0.0
+    if not valid:
+        warnings.warn(
+            "closed form assumes a deterministic BS link and a fully "
+            "scattered user link; this scenario violates that",
+            ModelAssumptionWarning,
+            stacklevel=3,
+        )
+    return valid
 
 
 def objective_phi(
@@ -142,7 +173,8 @@ def objective_phi(
     over the pilot powers maximizes the gain.
     """
     counts = _checked_counts(ls, element_counts, powers.p_k, sigma_z_sq)
-    return sum(_coupling_sums(ls, counts, powers.p_k, sigma_z_sq))
+    intra, inter = _coupling_sums(ls.beta_sq, counts, powers.p_k, sigma_z_sq)
+    return float(intra + inter)
 
 
 class SurfaceObjective(NamedTuple):
@@ -150,38 +182,43 @@ class SurfaceObjective(NamedTuple):
 
     The gradient in the per-surface powers is counts * residual, and the
     Hessian is 2 * outer(slope, slope) + diag(curvature). coherent holds
-    each surface's damped amplitude sum g_k.
+    each surface's damped amplitude sum g_k. For (rows, K) inputs phi
+    holds one value per row and every other field is (rows, K).
     """
 
-    phi: float
+    phi: np.ndarray
     residual: np.ndarray
     slope: np.ndarray
     curvature: np.ndarray
     coherent: np.ndarray
 
 
-def surface_objective(beta_sq, counts, p, sigma_z_sq: float) -> SurfaceObjective:
-    """objective_phi with its gradient and Hessian.
+def surface_objective(beta_sq, counts, p, sigma_z_sq) -> SurfaceObjective:
+    """objective_phi with its gradient and Hessian, for one row or many.
 
     With c_k = beta_sq_k + sigma_z_sq / p_k, g_k = M_k beta_sq_k / sqrt(c_k),
     G = sum_k g_k and h_k = M_k beta_sq_k^2 / c_k, phi = G^2 - sum_k h_k.
     Every term depends on its own p_k only, so the Hessian is the rank-one
     part 2 g' g'^T plus the diagonal 2 G g''_k - h''_k. Inputs are not
-    validated; counts and p are float arrays of one entry per surface.
+    validated; counts and p are float arrays whose last axis runs over
+    the surfaces, and sigma_z_sq broadcasts against them (a scalar, or a
+    (rows, 1) column). Rows never mix: a row's values are the same bits
+    whichever other rows it is evaluated with.
     """
     c = beta_sq + sigma_z_sq / p
     rate = sigma_z_sq / (p * p * c)  # -(dc_k / dp_k) / c_k
     damping = 1.0 / np.sqrt(c)
     g = counts * beta_sq * damping
     h = g * beta_sq * damping
-    big_g = float(np.sum(g))
+    big_g = _sum(g, axis=-1, keepdims=True)
     residual = rate * beta_sq * damping * (big_g - beta_sq * damping)
     slope = 0.5 * rate * g
     two_over_p = 2.0 / p
     curvature = (
         2.0 * big_g * slope * (1.5 * rate - two_over_p) - rate * h * (2.0 * rate - two_over_p)
     )
-    return SurfaceObjective(big_g * big_g - float(np.sum(h)), residual, slope, curvature, g)
+    phi = (big_g * big_g)[..., 0] - _sum(h, axis=-1)
+    return SurfaceObjective(phi, residual, slope, curvature, g)
 
 
 def stationarity_residual(

@@ -13,6 +13,7 @@ import dataclasses
 import functools
 import math
 import os
+import re
 import sys
 import time
 from collections import namedtuple
@@ -91,7 +92,14 @@ def _get(mapping: dict, key: str, path: str):
     return mapping[key]
 
 
+# a YAML 1.2 decimal float; PyYAML's YAML 1.1 resolver leaves one without a
+# dot, such as 1e-10, a string
+_DECIMAL_FLOAT = re.compile(r"[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)([eE][-+]?[0-9]+)?")
+
+
 def _float_value(value, path: str, *, positive=False, nonneg=False, inf_ok=False) -> float:
+    if isinstance(value, str) and _DECIMAL_FLOAT.fullmatch(value):
+        value = float(value)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {value!r}")
     x = float(value)
@@ -648,14 +656,20 @@ def _validation_checks(s, ls, trials: int, seed: int, workers: int,
         _check("perfect-csi-limit", limit, ideal, ok=abs(limit - ideal) <= 1e-9 * ideal)
     )
 
-    # every allocator must spend exactly the budget
+    # every allocator must spend exactly the budget; `exact` solves the
+    # off-centre problem of the check below in the same call
     budget = float(int(counts.sum()) * s.p_avg)
+    off_ls = None if off_centre is None else cascaded_large_scale(off_centre)
+    exact = run_allocator("exact", s, [ls] if off_ls is None else [ls, off_ls])
     allocator_powers = {}
     for name in ALLOCATOR_IDS:
         if name == "eq29" and len(set(counts.tolist())) != 1:
             continue
         try:
-            powers = run_allocator(name, s, ls)
+            if name == "exact":
+                powers = PerRisPowers(p_k=exact.row(0))
+            else:
+                powers = run_allocator(name, s, ls)
         except NonConvergenceError as exc:
             checks.append(_check(f"budget[{name}]", math.nan, budget, ok=False, detail=str(exc)))
             continue
@@ -682,7 +696,7 @@ def _validation_checks(s, ls, trials: int, seed: int, workers: int,
     # where the surfaces differ in strength uniform power is not stationary,
     # so this check fails if the solver stops at its starting point
     if off_centre is not None and off_centre.sigma_z_sq > 0.0:
-        checks.append(_off_centre_check(off_centre))
+        checks.append(_off_centre_check(off_centre, off_ls, exact))
 
     # more channel knowledge can only help, trial by trial
     for name, top, bottom in (
@@ -696,9 +710,9 @@ def _validation_checks(s, ls, trials: int, seed: int, workers: int,
     return checks
 
 
-def _off_centre_check(s: Scenario) -> dict:
+def _off_centre_check(s: Scenario, ls, exact) -> dict:
+    """The stationarity of `exact` at the off-centre position, row 1 of exact."""
     name = "solver-stationarity[off-centre]"
-    ls = cascaded_large_scale(s)
     counts = s.element_counts
 
     def spread_of(p_k):
@@ -706,7 +720,7 @@ def _off_centre_check(s: Scenario) -> dict:
 
     detail = f"uniform spread {spread_of(np.full(s.num_ris, s.p_avg)):.3g}"
     try:
-        spread = spread_of(run_allocator("exact", s, ls).p_k)
+        spread = spread_of(exact.row(1))
     except NonConvergenceError as exc:
         return _check(name, math.nan, 0.0, ok=False, detail=f"{exc}; {detail}")
     return _check(name, spread, 0.0, ok=spread < 1e-6, detail=detail)
@@ -775,6 +789,8 @@ def _sweep_from(scn: ScenarioSettings, run: dict, out_dir: str | None) -> int:
         allocators=run["allocators"], d_values=run["d_range"],
         duration_s=duration, trial_rows=trials * len(result.rows),
     )
+    # the exact solver's iterations and final multiplier spread per position
+    manifest["solver"] = [row._asdict() for row in result.solver]
     _write_yaml(os.path.join(out_dir, MANIFEST_FILE), manifest)
     print(
         f"wrote {metrics_path} ({len(result.rows)} rows), {powers_path}, "

@@ -25,7 +25,7 @@ from typing import Callable, Iterable, NamedTuple
 import numpy as np
 
 from .allocation import resolve_allocator, run_allocator
-from .analysis import ergodic_gain_closed_form
+from .analysis import ergodic_gain_rows, model_applies
 from .channel import PURPOSE_BS_RIS, PURPOSE_PILOT_NOISE, PURPOSE_RIS_USER, sample_channels, unit_normals
 from .estimation import PerRisPowers, ls_estimate
 from .reflection import composite_channel, configure_phases, random_phases
@@ -37,6 +37,7 @@ __all__ = [
     "MetricEstimate",
     "GainRow",
     "SweepRow",
+    "SolverRow",
     "SweepResult",
     "trial_gains",
     "simulate_metrics",
@@ -205,16 +206,17 @@ def trial_gains(
     return gains[0] if single else gains
 
 
-def _mean_se(x: np.ndarray) -> tuple[float, float]:
-    mean = float(np.mean(x))
-    if x.size < 2:
-        return mean, 0.0
-    return mean, float(np.std(x, ddof=1) / math.sqrt(x.size))
-
-
-def _metrics(s: Scenario, gains: np.ndarray) -> MetricEstimate:
-    rates = np.log2(1.0 + s.q * gains / s.sigma_n_sq)
-    return MetricEstimate(*_mean_se(gains), *_mean_se(rates))
+def _metrics(scenarios: list[Scenario], gains: np.ndarray) -> list[MetricEstimate]:
+    """Means and standard errors of gain and rate, one per row of (rows, trials) gains."""
+    q = np.array([[s.q] for s in scenarios])
+    sigma_n_sq = np.array([[s.sigma_n_sq] for s in scenarios])
+    rates = np.log2(1.0 + q * gains / sigma_n_sq)
+    n = gains.shape[-1]
+    columns = []
+    for x in (gains, rates):
+        se = np.std(x, axis=-1, ddof=1) / math.sqrt(n) if n > 1 else np.zeros(len(x))
+        columns += [np.mean(x, axis=-1), se]
+    return [MetricEstimate(*map(float, row)) for row in zip(*columns)]
 
 
 def simulate_metrics(
@@ -226,7 +228,7 @@ def simulate_metrics(
     workers: int = 1,
 ) -> MetricEstimate:
     """Monte Carlo means and standard errors of gain and rate."""
-    return _metrics(s, trial_gains(s, alloc, cfg, ls=ls, workers=workers))
+    return _metrics([s], trial_gains(s, alloc, cfg, ls=ls, workers=workers)[None])[0]
 
 
 @dataclass(frozen=True)
@@ -241,9 +243,18 @@ class SweepRow:
     powers_w: tuple[float, ...]
 
 
+class SolverRow(NamedTuple):
+    """The exact solver's work at one user position."""
+
+    d_m: float
+    iterations: int
+    multiplier_spread: float
+
+
 @dataclass(frozen=True)
 class SweepResult:
     rows: tuple[SweepRow, ...]
+    solver: tuple[SolverRow, ...] = ()
 
     def select(self, allocator: str | None = None, d_m: float | None = None):
         rows = self.rows
@@ -254,16 +265,19 @@ class SweepResult:
         return rows
 
 
-def _closed_form_for_mode(s: Scenario, ls: LargeScale, alloc: PerRisPowers, cfg: TrialConfig) -> float:
-    """The closed-form mean gain of a row, nan where its model does not hold."""
-    counts = s.element_counts
-    if cfg.csi_mode == "random-phase":
+def _closed_forms(rows: list[GainRow], csi_mode: str) -> np.ndarray:
+    """The closed-form mean gain of every row, nan where its model does not hold."""
+    counts = rows[0].scenario.element_counts.astype(np.float64)
+    beta_sq = np.stack([r.ls.beta_sq for r in rows])
+    powers = np.stack([r.powers.p_k for r in rows])
+    sigma = np.array([[0.0 if csi_mode == "perfect" else r.scenario.sigma_z_sq] for r in rows])
+    gains = ergodic_gain_rows(beta_sq, counts, powers, sigma)
+    if csi_mode == "random-phase":
         # phases carry no information, only the incoherent sum survives,
         # whatever the fading distribution
-        return float(np.dot(counts.astype(np.float64), ls.beta_sq))
-    sigma = 0.0 if cfg.csi_mode == "perfect" else s.sigma_z_sq
-    closed = ergodic_gain_closed_form(ls, counts, alloc, sigma, scenario=s)
-    return closed.total if closed.model_valid else math.nan
+        return gains.incoherent
+    valid = np.array([model_applies(r.scenario) for r in rows])
+    return np.where(valid, gains.total, math.nan)
 
 
 def sweep_user(
@@ -277,9 +291,14 @@ def sweep_user(
     """Metrics for every (user position, allocator) pair.
 
     scenario_for rebuilds the scenario at each position, so the large
-    scale gains track the user. Allocator names are resolved to their
-    canonical ids and run in canonical order. Every allocation is made
-    first; then all rows run on one set of draws (see trial_gains).
+    scale gains track the user; the positions must share element counts,
+    average pilot power and training noise. Allocator names are resolved
+    to their canonical ids and run in canonical order. Every allocation
+    is made first, with one solve_exact call for all positions; then all
+    rows run on one set of draws (see trial_gains), and their metrics and
+    closed forms are each computed in one call. The result's solver
+    entries hold the exact solver's iterations and final multiplier
+    spread per position, when `exact` was run.
     """
     d_list = [float(d) for d in d_values]
     if not d_list:
@@ -287,28 +306,36 @@ def sweep_user(
     names = sorted({resolve_allocator(a) for a in allocators})
     if not names:
         raise ValueError("allocators must not be empty")
-    rows = []
-    for d in d_list:
-        s = scenario_for(d)
-        ls = cascaded_large_scale(s)
-        rows += [(d, name, GainRow(s, run_allocator(name, s, ls), ls)) for name in names]
-    gains = trial_gains([row for _, _, row in rows], None, cfg, workers=workers)
-    out = []
-    for (d, name, row), g in zip(rows, gains):
-        metrics = _metrics(row.scenario, g)
-        out.append(
-            SweepRow(
-                d_m=d,
-                allocator=name,
-                mean_gain=metrics.mean_gain,
-                se_gain=metrics.se_gain,
-                mean_rate=metrics.mean_rate,
-                se_rate=metrics.se_rate,
-                closed_form_gain=_closed_form_for_mode(row.scenario, row.ls, row.powers, cfg),
-                powers_w=tuple(float(p) for p in row.powers.p_k),
-            )
+    scenarios = [scenario_for(d) for d in d_list]
+    lss = [cascaded_large_scale(s) for s in scenarios]
+    first, solver = scenarios[0], ()
+    powers = {}
+    for name in names:
+        if name != "exact":
+            powers[name] = [run_allocator(name, s, ls) for s, ls in zip(scenarios, lss)]
+            continue
+        if len({(tuple(s.element_counts), s.p_avg, s.sigma_z_sq) for s in scenarios}) > 1:
+            raise ValueError("the positions of a sweep need the same element counts, "
+                             "average pilot power and training noise")
+        sol = run_allocator("exact", first, lss)
+        powers[name] = [PerRisPowers(p_k=sol.row(i)) for i in range(len(d_list))]
+        solver = tuple(SolverRow(d, int(it), float(spread))
+                       for d, it, spread in zip(d_list, sol.iterations, sol.spread))
+    rows = [(d, name, GainRow(s, powers[name][i], ls))
+            for i, (d, s, ls) in enumerate(zip(d_list, scenarios, lss)) for name in names]
+    gain_rows = [row for _, _, row in rows]
+    gains = np.stack(trial_gains(gain_rows, None, cfg, workers=workers))
+    metrics = _metrics([r.scenario for r in gain_rows], gains)
+    closed = _closed_forms(gain_rows, cfg.csi_mode)
+    out = [
+        SweepRow(
+            d_m=d, allocator=name, mean_gain=m.mean_gain, se_gain=m.se_gain,
+            mean_rate=m.mean_rate, se_rate=m.se_rate, closed_form_gain=float(c),
+            powers_w=tuple(float(p) for p in row.powers.p_k),
         )
-    return SweepResult(rows=tuple(out))
+        for (d, name, row), m, c in zip(rows, metrics, closed)
+    ]
+    return SweepResult(rows=tuple(out), solver=solver)
 
 
 def dynamic_range(powers: PerRisPowers) -> float:

@@ -24,14 +24,17 @@ def configure_phases(est: np.ndarray) -> np.ndarray:
     """Conjugate-align each element to its estimated coefficient.
 
     A zero estimate carries no phase information; those elements fall
-    back to coefficient 1.
+    back to coefficient 1. Multiplying by 1 / |est| skips numpy's complex
+    division and gives its bits, up to the sign of a part that is exactly
+    zero, which no product with a channel coefficient shows.
     """
     mag = np.abs(est)
     zero = mag == 0.0
     phases = np.conj(est)
     phases[zero] = 1.0
     mag[zero] = 1.0
-    phases /= mag
+    np.reciprocal(mag, out=mag)
+    phases *= mag
     return phases
 
 

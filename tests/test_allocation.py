@@ -19,6 +19,7 @@ from rispilot.allocation import (
     multiplier_spread,
     resolve_allocator,
     run_allocator,
+    solve_exact,
 )
 from rispilot.analysis import objective_phi, stationarity_residual
 from rispilot.scenario import LargeScale, from_large_scale
@@ -297,3 +298,68 @@ def test_run_allocator_dispatch():
     with pytest.raises(ValueError):
         run_allocator("eq29", s2, ls2)
     assert np.all(run_allocator("exact", s, ls).p_k > 0.0)
+    # a list of gains is solved in one call, `exact` only
+    _, ls3 = from_large_scale([0.5, 0.25], [16, 16], sigma_z_sq=0.01, sigma_n_sq=1.0, q=1.0,
+                              p_avg=2.0)
+    sol = run_allocator("exact", s, [ls, ls3])
+    assert np.array_equal(sol.row(0), run_allocator("exact", s, ls).p_k)
+    assert np.array_equal(sol.row(1), run_allocator("exact", s, ls3).p_k)
+    with pytest.raises(TypeError):
+        run_allocator("eq28", s, [ls, ls3])
+
+
+def _problem_rows(draw, k, n):
+    """n solver rows on k surfaces, cascade gains over eight decades."""
+    exps = draw(st.lists(st.lists(st.floats(-18.0, -10.0), min_size=k, max_size=k),
+                         min_size=n, max_size=n))
+    counts = draw(st.lists(st.lists(st.integers(1, 256), min_size=k, max_size=k),
+                           min_size=n, max_size=n))
+    snr = draw(st.lists(st.floats(-12.0, 2.0), min_size=n, max_size=n))
+    beta_sq = 10.0 ** np.array(exps)
+    p_avg = 10.0 ** np.array(snr) * _HETERO_NOISE / beta_sq.max(axis=1)
+    return beta_sq, np.array(counts, dtype=np.float64), p_avg
+
+
+@given(st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=6), st.data())
+@settings(max_examples=40, deadline=None)
+def test_a_row_solves_the_same_alone_or_in_any_batch(k, n, data):
+    beta_sq, counts, p_avg = _problem_rows(data.draw, k, n)
+    order = data.draw(st.permutations(range(n)))
+    batch = solve_exact(beta_sq, counts, p_avg, _HETERO_NOISE)
+    shuffled = solve_exact(beta_sq[order], counts[order], p_avg[order], _HETERO_NOISE)
+    for j, i in enumerate(order):
+        alone = solve_exact(beta_sq[i:i + 1], counts[i:i + 1], p_avg[i:i + 1], _HETERO_NOISE)
+        for sol, row in ((batch, i), (shuffled, j)):
+            assert np.array_equal(sol.powers[row], alone.powers[0])
+            assert sol.iterations[row] == alone.iterations[0]
+            assert sol.spread[row] == alone.spread[0]
+            assert sol.certified[row] == alone.certified[0]
+
+
+def test_exact_solver_certifies_low_snr_problems_over_eight_decades():
+    # per-surface pilot SNR below 1e-4: optimal powers go with beta_sq^2 and
+    # span up to sixteen decades, which the parent's step cap crossed at one
+    # decade per iteration
+    gen = np.random.Generator(np.random.Philox(key=np.array([11, 0], dtype=np.uint64)))
+    solved = 0
+    for k in (2, 3, 4, 8):
+        n = 750
+        beta_sq = 10.0 ** gen.uniform(-18.0, -10.0, (n, k))
+        counts = gen.integers(1, 257, (n, k)).astype(np.float64)
+        p_avg = 10.0 ** gen.uniform(-12.0, -4.0, n) * _HETERO_NOISE / beta_sq.max(axis=1)
+        sol = solve_exact(beta_sq, counts, p_avg, _HETERO_NOISE)
+        assert np.all(sol.certified) and np.all(sol.spread < 1e-9)
+        assert np.all(sol.powers > 0.0) and np.all(np.isfinite(sol.powers))
+        budget = np.sum(counts * sol.powers, axis=1)
+        assert np.allclose(budget, counts.sum(axis=1) * p_avg, rtol=1e-9, atol=0.0)
+        solved += n
+    assert solved == 3000
+
+
+def test_exact_solver_certifies_powers_sixteen_decades_apart():
+    # exited 3 with a multiplier spread of 1.8e-3 under the step cap
+    ls = _ls(1e-10, 1e-16)
+    p = allocate_exact_numeric(ls, [4, 8], 1e-30, 1e-14).p_k
+    assert multiplier_spread(stationarity_residual(ls, [4, 8], p, 1e-14)) < 1e-9
+    assert float(np.dot([4, 8], p)) == pytest.approx(12e-30, rel=1e-12)
+    assert p[1] / p[0] < 1e-10

@@ -3,10 +3,14 @@ import math
 import pathlib
 import textwrap
 
+import numpy as np
 import pytest
 import yaml
 
+from rispilot.allocation import multiplier_spread
+from rispilot.analysis import stationarity_residual
 from rispilot.cli import main
+from rispilot.scenario import LargeScale
 
 SYMMETRIC = """
 scenario:
@@ -482,3 +486,55 @@ def test_underflowing_path_loss_is_a_numerical_failure(tmp_path, capsys):
         assert rc == 3, command
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: ") and "surface 0" in err, command
+
+
+EXPONENT = """
+scenario:
+  element_counts: [4, 8]
+  p_avg: "1e-30 W"
+  q: "40 dBm"
+  sigma_z: "-110 dBm"
+  sigma_n: "-90 dBm"
+  channel:
+    beta_sq: [BETA0, 2.5e-11]
+"""
+
+
+def test_exponent_floats_read_as_numbers(tmp_path, capsys):
+    printed = []
+    for text in ("1e-10", "1.0e-10"):
+        cfg = _cfg(tmp_path, EXPONENT.replace("BETA0", text), f"{text}.yaml")
+        assert main(["allocate", "--config", cfg]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
+    for bad in ("1e-10x", '"nan"'):
+        cfg = _cfg(tmp_path, EXPONENT.replace("BETA0", bad), "bad.yaml")
+        assert main(["allocate", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("config error: scenario.channel.beta_sq[0]: ")
+
+
+def test_powers_sixteen_decades_apart_are_solved(tmp_path, capsys):
+    # the step cap of the p-space solver left a multiplier spread of 1.8e-3 here
+    text = EXPONENT.replace("BETA0", "1e-10").replace("2.5e-11", "1e-16")
+    cfg = _cfg(tmp_path, text)
+    assert main(["allocate", "--config", cfg, "--allocators", "exact"]) == 0
+    powers = [float(line.split()[2]) for line in capsys.readouterr().out.splitlines()[1:]]
+    ls = LargeScale(beta_sq=np.array([1e-10, 1e-16]))
+    residual = stationarity_residual(ls, [4, 8], np.array(powers), 1e-14)
+    assert multiplier_spread(residual) < 1e-9
+
+
+def test_sweep_manifest_records_the_solver_per_position(tmp_path):
+    out = tmp_path / "run"
+    assert main(["sweep", "--config", _cfg(tmp_path, GEOMETRY), "--trials", "20",
+                 "--allocators", "uniform,exact", "--d-range=-8:8:8", "--out", str(out)]) == 0
+    manifest = out / "run_manifest.yaml"
+    saved = yaml.safe_load(manifest.read_text(encoding="utf-8"))
+    assert [entry["d_m"] for entry in saved["solver"]] == saved["d_values"] == [-8.0, 0.0, 8.0]
+    for entry in saved["solver"]:
+        assert set(entry) == {"d_m", "iterations", "multiplier_spread"}
+        assert entry["iterations"] >= 0 and 0.0 <= entry["multiplier_spread"] < 1e-9
+    # the symmetric position needs no step: uniform power is already stationary
+    assert saved["solver"][1]["iterations"] == 0
+    assert main(["sweep", "--manifest", str(manifest), "--out", str(tmp_path / "again")]) == 0
+    assert (tmp_path / "again" / "metrics.csv").read_bytes() == (out / "metrics.csv").read_bytes()

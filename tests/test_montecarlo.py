@@ -201,6 +201,37 @@ def test_sweep_rows_equal_single_row_runs():
         assert alone == (row.mean_gain, row.se_gain, row.mean_rate, row.se_rate)
 
 
+def _per_row_reference(s, powers, gains, csi_mode):
+    """One row's metrics and closed form the way a loop over rows computes them."""
+    rates = np.log2(1.0 + s.q * gains / s.sigma_n_sq)
+    se = [float(np.std(x, ddof=1) / math.sqrt(x.size)) for x in (gains, rates)]
+    ls = cascaded_large_scale(s)
+    if csi_mode == "random-phase":
+        closed = float(np.dot(s.element_counts.astype(np.float64), ls.beta_sq))
+    else:
+        sigma = 0.0 if csi_mode == "perfect" else s.sigma_z_sq
+        closed = ergodic_gain_closed_form(ls, s.element_counts, powers, sigma).total
+    return float(np.mean(gains)), se[0], float(np.mean(rates)), se[1], closed
+
+
+@pytest.mark.parametrize("csi_mode", ["estimated", "perfect", "random-phase"])
+def test_sweep_metrics_equal_the_per_row_reference(csi_mode):
+    cfg = TrialConfig(trials=120, seed=5, csi_mode=csi_mode)
+    d_values = [-6.0, 0.0, 3.5]
+    result = sweep_user(_layout, d_values, ["uniform", "eq28", "exact"], cfg)
+    rows = [GainRow(_layout(r.d_m), PerRisPowers(p_k=np.array(r.powers_w))) for r in result.rows]
+    gains = trial_gains(rows, None, cfg)
+    for r, row, g in zip(result.rows, rows, gains):
+        expected = _per_row_reference(row.scenario, row.powers, g, csi_mode)
+        assert (r.mean_gain, r.se_gain, r.mean_rate, r.se_rate, r.closed_form_gain) == expected
+    # the exact rows are the per-position solves, with their solver record
+    for d, solved in zip(d_values, result.solver):
+        s = _layout(d)
+        alone = run_allocator("exact", s, cascaded_large_scale(s)).p_k
+        assert result.select(allocator="exact", d_m=d)[0].powers_w == tuple(alone)
+        assert solved.d_m == d and solved.iterations >= 0 and solved.multiplier_spread < 1e-9
+
+
 def test_sweep_symmetric_point_equates_exact_and_uniform():
     cfg = TrialConfig(trials=300, seed=4)
     result = sweep_user(_layout, [0.0], ["exact", "uniform"], cfg)
@@ -251,3 +282,11 @@ def test_dynamic_range_examples():
         10.0 * math.log10(2.0), rel=1e-12
     )
     assert dynamic_range(PerRisPowers(p_k=np.array([0.3, 0.3, 0.3]))) == 0.0
+
+
+def test_sweep_positions_must_share_the_budget():
+    def drifting(d):
+        return two_ris_layout(50.0, d, 8, 8, p_avg_dbm=-13.0 + d)
+
+    with pytest.raises(ValueError, match="same element counts"):
+        sweep_user(drifting, [0.0, 1.0], ["exact"], TrialConfig(trials=10))

@@ -45,6 +45,31 @@ def test_alignment_handles_zero_estimates():
     assert abs(abs(phi[1]) - 1.0) < 1e-12
 
 
+def test_alignment_matches_complex_division():
+    # magnitudes from 1e-300 to 1e300, subnormals and zeros, in every quadrant
+    gen = np.random.Generator(np.random.Philox(key=np.array([7, 0], dtype=np.uint64)))
+    scale = 10.0 ** gen.uniform(-300.0, 300.0, (40, 64))
+    est = (gen.standard_normal((40, 64)) + 1j * gen.standard_normal((40, 64))) * scale
+    tiny = np.array([5e-324, -5e-324, 2.5e-310, 1e-308, 0.0, -0.0])
+    est[0, :36] = (tiny[:, None] + 1j * tiny[None, :]).ravel()
+    est[1, :6] = tiny + 1j * 3.0
+    est[2, :6] = 1e300 + 1j * tiny
+    mag = np.abs(est)
+    with np.errstate(all="ignore"):
+        phases = configure_phases(est)
+        expected = np.conj(est) / mag
+    zero = mag == 0.0
+    assert np.count_nonzero(zero) == 4
+    assert np.all(phases[zero] == 1.0)
+    # the same bits, except that a part which is exactly zero may differ in
+    # sign, which no product h * phase can show
+    for got, want in ((phases.real, expected.real), (phases.imag, expected.imag)):
+        got, want = got[~zero], want[~zero]
+        assert np.array_equal(got, want, equal_nan=True)
+        nonzero = want != 0.0
+        assert np.array_equal(got[nonzero].view(np.uint64), want[nonzero].view(np.uint64))
+
+
 def test_aligned_composite_is_sum_of_magnitudes():
     h = _flat([np.array([3.0 + 4.0j, 1.0j]), np.array([-5.0 + 12.0j])])
     c = composite_channel(h, configure_phases(h))
