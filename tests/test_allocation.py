@@ -338,7 +338,7 @@ def test_a_row_solves_the_same_alone_or_in_any_batch(k, n, data):
 
 def test_exact_solver_certifies_low_snr_problems_over_eight_decades():
     # per-surface pilot SNR below 1e-4: optimal powers go with beta_sq^2 and
-    # span up to sixteen decades, which the parent's step cap crossed at one
+    # span up to sixteen decades, which the p-space solver's step cap crossed at one
     # decade per iteration
     gen = np.random.Generator(np.random.Philox(key=np.array([11, 0], dtype=np.uint64)))
     solved = 0
