@@ -13,23 +13,16 @@ from .scenario import (
     Position,
     RisSpec,
     Scenario,
-    LargeScale,
+    Link,
     dbm_to_watts,
     watts_to_dbm,
     path_loss,
     cascaded_large_scale,
     two_ris_layout,
-    from_large_scale,
 )
 from .channel import RngStream, sample_channels, unit_normals
-from .estimation import PerRisPowers, estimate_mse, ls_estimate, pilot_overhead
-from .reflection import (
-    configure_phases,
-    random_phases,
-    composite_channel,
-    achievable_rate,
-    rate_from_gain,
-)
+from .estimation import PerRisPowers, ls_estimate
+from .reflection import configure_phases, random_phases, composite_channel
 from .analysis import (
     GainBreakdown,
     ModelAssumptionWarning,
@@ -58,9 +51,7 @@ from .montecarlo import (
     SweepRow,
     SweepResult,
     trial_gains,
-    simulate_metrics,
     sweep_user,
-    dynamic_range,
 )
 
 __version__ = "0.1.0"

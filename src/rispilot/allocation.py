@@ -18,7 +18,7 @@ import numpy as np
 
 from .analysis import SurfaceObjective, surface_objective
 from .estimation import PerRisPowers
-from .scenario import LargeScale, Scenario
+from .scenario import Link
 
 __all__ = [
     "PerRisPowers",
@@ -60,26 +60,12 @@ class NonConvergenceError(RuntimeError):
         self.residuals = residuals
 
 
-def _counts(element_counts) -> np.ndarray:
-    counts = np.asarray(element_counts, dtype=np.int64)
-    if counts.ndim != 1 or counts.size < 1 or np.any(counts < 1):
-        raise ValueError("element counts must be a nonempty 1-D array of positive integers")
-    return counts
-
-
-def _check_inputs(ls: LargeScale, counts: np.ndarray, p_avg: float):
-    if counts.size != ls.num_ris:
-        raise ValueError(f"{counts.size} element counts for {ls.num_ris} surfaces")
-    if p_avg <= 0.0:
-        raise ValueError(f"average pilot power must be positive, got {p_avg}")
-
-
-def allocate_average(s: Scenario) -> PerRisPowers:
+def allocate_average(link: Link) -> PerRisPowers:
     """Every surface trains at the average power."""
-    return PerRisPowers(p_k=np.full(s.num_ris, s.p_avg))
+    return PerRisPowers(p_k=np.full(link.num_ris, link.p_avg))
 
 
-def allocate_moderate_snr(ls: LargeScale, element_counts, p_avg: float) -> PerRisPowers:
+def allocate_moderate_snr(link: Link) -> PerRisPowers:
     """Closed form for the regime where estimation noise is a perturbation.
 
     Weights are sqrt(S / beta_k - 1) with S the count-weighted sum of
@@ -88,10 +74,9 @@ def allocate_moderate_snr(ls: LargeScale, element_counts, p_avg: float) -> PerRi
     zero radicand (single surface with a single element) degenerates to
     uniform power for the affected surfaces, with a warning.
     """
-    counts = _counts(element_counts)
-    _check_inputs(ls, counts, p_avg)
-    s_amp = float(np.dot(counts.astype(np.float64), ls.beta))
-    ratio = s_amp / ls.beta
+    counts, p_avg = link.counts, link.p_avg
+    s_amp = float(np.dot(counts.astype(np.float64), link.beta))
+    ratio = s_amp / link.beta
     radicand = ratio - 1.0
     bad = radicand < -1e-12 * ratio
     if np.any(bad):
@@ -103,7 +88,7 @@ def allocate_moderate_snr(ls: LargeScale, element_counts, p_avg: float) -> PerRi
     degenerate = radicand <= 1e-12 * ratio
     w = np.sqrt(np.where(degenerate, 0.0, radicand))
     total = int(counts.sum())
-    p = np.empty(ls.num_ris)
+    p = np.empty(link.num_ris)
     if np.any(degenerate):
         warnings.warn(
             f"uniform fallback for surface index {np.flatnonzero(degenerate).tolist()}: "
@@ -121,45 +106,42 @@ def allocate_moderate_snr(ls: LargeScale, element_counts, p_avg: float) -> PerRi
     return PerRisPowers(p_k=p)
 
 
-def allocate_equal_m(ls: LargeScale, num_ris: int, p_avg: float) -> PerRisPowers:
+def allocate_equal_m(link: Link) -> PerRisPowers:
     """Closed form when every surface has the same element count.
 
     Power goes with the inverse square root of the cascade amplitude,
-    so p_k * sqrt(beta_k) is the same for every surface.
+    so p_k * sqrt(beta_k) is the same for every surface. It spends the
+    budget only when the counts are equal; run_allocator checks that.
     """
-    if num_ris != ls.num_ris:
-        raise ValueError(f"num_ris {num_ris} does not match the {ls.num_ris} cascaded gains")
-    if p_avg <= 0.0:
-        raise ValueError(f"average pilot power must be positive, got {p_avg}")
-    root_beta = np.sqrt(ls.beta)
+    root_beta = np.sqrt(link.beta)
     denom = root_beta * float(np.sum(1.0 / root_beta))
-    return PerRisPowers(p_k=num_ris * p_avg / denom)
+    return PerRisPowers(p_k=link.num_ris * link.p_avg / denom)
 
 
-def allocate_large_m(ls: LargeScale, element_counts, p_avg: float) -> PerRisPowers:
+def allocate_large_m(link: Link) -> PerRisPowers:
     """Closed form for many elements per surface.
 
     Reduces exactly to the equal-count form when all counts agree, and
     that case is routed through it so the two agree bit for bit.
     """
-    counts = _counts(element_counts)
-    _check_inputs(ls, counts, p_avg)
+    counts = link.counts
     if np.all(counts == counts[0]):
-        return allocate_equal_m(ls, ls.num_ris, p_avg)
-    root_beta = np.sqrt(ls.beta)
+        return allocate_equal_m(link)
+    root_beta = np.sqrt(link.beta)
     denom = root_beta * float(np.sum(counts / root_beta))
-    return PerRisPowers(p_k=int(counts.sum()) * p_avg / denom)
+    return PerRisPowers(p_k=int(counts.sum()) * link.p_avg / denom)
 
 
 def multiplier_spread(residuals):
     """(max r - min r) / max |r| over the per-surface multipliers; 0 if all vanish.
 
-    For (rows, K) residuals, one spread per row.
+    For (rows, K) residuals, one spread per row. A non-finite residual
+    gives a non-finite spread, which certifies nothing.
     """
     r = np.asarray(residuals)
     scale = np.max(np.abs(r), axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        spread = np.where(scale > 0.0, (np.max(r, axis=-1) - np.min(r, axis=-1)) / scale, 0.0)
+        spread = np.where(scale == 0.0, 0.0, (np.max(r, axis=-1) - np.min(r, axis=-1)) / scale)
     return float(spread) if spread.ndim == 0 else spread
 
 
@@ -252,8 +234,7 @@ def solve_exact(
 
     beta_sq is (rows, K); counts is (rows, K) or (K,); p_avg and
     sigma_z_sq are scalars or hold one entry per row; start is None or
-    (rows, K). Inputs are not validated here: allocate_exact_numeric and
-    run_allocator check them.
+    (rows, K). Inputs are not validated here: a Link has checked them.
 
     Each row solves the Lagrange (KKT) conditions, one multiplier shared
     by every surface's stationarity_residual r_k, from the uniform point
@@ -393,10 +374,7 @@ def solve_exact(
 
 
 def allocate_exact_numeric(
-    ls: LargeScale,
-    element_counts,
-    p_avg: float,
-    sigma_z_sq: float,
+    link: Link,
     tol: float = 1e-12,
     *,
     max_iter: int = 100,
@@ -408,16 +386,12 @@ def allocate_exact_numeric(
     raises NonConvergenceError carrying the best iterate and its
     residuals.
     """
-    counts = _counts(element_counts)
-    _check_inputs(ls, counts, p_avg)
-    if sigma_z_sq < 0.0:
-        raise ValueError(f"noise power must be nonnegative, got {sigma_z_sq}")
     if start is not None:
         start = np.asarray(start, dtype=np.float64)
-        if start.shape != (ls.num_ris,) or np.any(start <= 0.0):
+        if start.shape != (link.num_ris,) or np.any(start <= 0.0):
             raise ValueError("start must be a positive vector with one entry per surface")
         start = start[None]
-    sol = solve_exact(ls.beta_sq[None], counts, p_avg, sigma_z_sq, tol,
+    sol = solve_exact(link.beta_sq[None], link.counts, link.p_avg, link.sigma_z_sq, tol,
                       max_iter=max_iter, start=start)
     return PerRisPowers(p_k=sol.row(0))
 
@@ -442,31 +416,33 @@ def resolve_allocator(name: str) -> str:
     return canonical
 
 
-def run_allocator(name: str, s: Scenario, ls):
-    """Pilot powers from one allocator, for scenario s with cascaded gains ls.
+def run_allocator(name: str, link: Link, others=None):
+    """Pilot powers from one allocator for link.
 
-    For `exact`, ls may also be a list of LargeScale: problems that share
-    s's element counts, average power and training noise, such as the
-    user positions of one layout. They are solved in one call, and the
-    ExactSolution comes back for the caller to read row by row.
+    For `exact`, a list of other links may follow: problems that share
+    link's element counts, average pilot power and training noise, such
+    as the other user positions of one layout. link and the others are
+    solved in one call, and the ExactSolution comes back for the caller
+    to read row by row, row 0 being link.
     """
     canonical = resolve_allocator(name)
-    counts = s.element_counts
-    if isinstance(ls, (list, tuple)):
+    if others is not None:
         if canonical != "exact":
-            raise TypeError(f"allocator {canonical!r} takes one LargeScale, not a list")
-        beta_sq = np.stack([g.beta_sq for g in ls])
-        if beta_sq.shape[1] != counts.size:
-            raise ValueError(f"{beta_sq.shape[1]} cascaded gains for {counts.size} surfaces")
-        return solve_exact(beta_sq, counts, s.p_avg, s.sigma_z_sq)
+            raise TypeError(f"allocator {canonical!r} solves one link at a time")
+        shared = (tuple(link.counts), link.p_avg, link.sigma_z_sq)
+        if any((tuple(o.counts), o.p_avg, o.sigma_z_sq) != shared for o in others):
+            raise ValueError("problems solved together need the same element counts, "
+                             "average pilot power and training noise")
+        beta_sq = np.stack([link.beta_sq] + [o.beta_sq for o in others])
+        return solve_exact(beta_sq, link.counts, link.p_avg, link.sigma_z_sq)
     if canonical == "uniform":
-        return allocate_average(s)
+        return allocate_average(link)
     if canonical == "eq27":
-        return allocate_moderate_snr(ls, counts, s.p_avg)
+        return allocate_moderate_snr(link)
     if canonical == "eq28":
-        return allocate_large_m(ls, counts, s.p_avg)
+        return allocate_large_m(link)
     if canonical == "eq29":
-        if not np.all(counts == counts[0]):
+        if not np.all(link.counts == link.counts[0]):
             raise ValueError("allocator 'eq29' needs equal element counts on every surface")
-        return allocate_equal_m(ls, s.num_ris, s.p_avg)
-    return allocate_exact_numeric(ls, counts, s.p_avg, s.sigma_z_sq)
+        return allocate_equal_m(link)
+    return allocate_exact_numeric(link)

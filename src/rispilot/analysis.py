@@ -6,7 +6,9 @@ splits into an incoherent part plus two structured sums: coherent
 combining across elements of the same surface, and coherent combining
 across surfaces. Every element of a surface trains at the surface's
 pilot power, and both structured sums are damped per element by
-1 / sqrt(beta_sq + mse), which is where the pilot powers enter.
+1 / sqrt(beta_sq + mse), which is where the pilot powers enter. The
+one-problem functions take the problem's `scenario.Link` and its pilot
+powers; the closed form needs nothing else of the link.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .estimation import PerRisPowers
-from .scenario import LargeScale, Scenario
+from .scenario import Link
 
 __all__ = [
     "GainBreakdown",
@@ -61,27 +63,22 @@ def alignment_mean(beta_sq: float, delta_sq: float) -> float:
 class GainBreakdown:
     """Ergodic composite power, split by combining mechanism.
 
-    From ergodic_gain_rows, each number field holds one entry per row.
+    From ergodic_gain_rows, each field holds one entry per row.
     """
 
     incoherent: float
     intra_ris: float
     inter_ris: float
     total: float
-    model_valid: bool = True
 
 
-def _checked_counts(ls: LargeScale, element_counts, p: np.ndarray, sigma_z_sq: float) -> np.ndarray:
-    counts = np.asarray(element_counts, dtype=np.float64)
-    if counts.size != ls.num_ris or p.size != ls.num_ris:
-        raise ValueError(
-            f"{counts.size} element counts and {p.size} powers for {ls.num_ris} surfaces"
-        )
-    if np.any(counts < 1) or np.any(p <= 0.0):
-        raise ValueError("element counts and pilot powers must be positive")
-    if sigma_z_sq < 0.0:
-        raise ValueError(f"noise power must be nonnegative, got {sigma_z_sq}")
-    return counts
+def _checked(link: Link, powers) -> tuple[np.ndarray, np.ndarray]:
+    """link's counts as floats, and powers (PerRisPowers or a sequence) as an array."""
+    p = np.asarray(getattr(powers, "p_k", powers), dtype=np.float64)
+    if p.shape != (link.num_ris,) or not np.all(p > 0.0):
+        raise ValueError(f"{p.size} pilot powers for {link.num_ris} surfaces; "
+                         "each must be positive")
+    return link.counts.astype(np.float64), p
 
 
 def _coupling_sums(beta_sq, counts, p, sigma_z_sq):
@@ -102,9 +99,9 @@ def ergodic_gain_rows(beta_sq, counts, p, sigma_z_sq) -> GainBreakdown:
 
     beta_sq, counts and p are (rows, K) arrays and sigma_z_sq is a scalar
     or a (rows, 1) column; every field of the result holds one entry per
-    row. Inputs are not validated, and model_valid is left to the caller.
-    Row sums are np.vecdot, which gives each row the bits np.dot gives it
-    alone.
+    row. Inputs are not validated, and whether the model holds is left to
+    the caller (see model_applies). Row sums are np.vecdot, which gives
+    each row the bits np.dot gives it alone.
     """
     intra, inter = _coupling_sums(beta_sq, counts, p, sigma_z_sq)
     incoherent = np.vecdot(counts, beta_sq)
@@ -116,64 +113,48 @@ def ergodic_gain_rows(beta_sq, counts, p, sigma_z_sq) -> GainBreakdown:
     )
 
 
-def ergodic_gain_closed_form(
-    ls: LargeScale,
-    element_counts,
-    powers: PerRisPowers,
-    sigma_z_sq: float,
-    *,
-    scenario: Scenario | None = None,
-) -> GainBreakdown:
+def ergodic_gain_closed_form(link: Link, powers: PerRisPowers) -> GainBreakdown:
     """Expected composite power under conjugate alignment to LS estimates.
 
     Exact for independent CN(0, beta_sq) cascades, which is the
-    deterministic-BS-link, fully-scattered-user-link model. Passing the
-    scenario lets the function flag configurations outside that model;
-    the value is still returned but model_valid is cleared and a
-    ModelAssumptionWarning is emitted. This is the one-row case of
+    deterministic-BS-link, fully-scattered-user-link model; model_applies
+    says whether link has it. This is the one-row case of
     ergodic_gain_rows.
     """
-    counts = _checked_counts(ls, element_counts, powers.p_k, sigma_z_sq)
-    valid = True if scenario is None else model_applies(scenario)
-    row = ergodic_gain_rows(ls.beta_sq, counts, powers.p_k, sigma_z_sq)
+    counts, p = _checked(link, powers)
+    row = ergodic_gain_rows(link.beta_sq, counts, p, link.sigma_z_sq)
     return GainBreakdown(
         incoherent=float(row.incoherent),
         intra_ris=float(row.intra_ris),
         inter_ris=float(row.inter_ris),
         total=float(row.total),
-        model_valid=valid,
     )
 
 
-def model_applies(s: Scenario) -> bool:
-    """Whether s has the closed form's channel model, k_br = inf and k_ru = 0.
+def model_applies(link: Link) -> bool:
+    """Whether link has the closed form's channel model, k_br = inf and k_ru = 0.
 
     Where it does not, a ModelAssumptionWarning is emitted.
     """
-    valid = math.isinf(s.rician_k_br) and s.rician_k_ru == 0.0
+    valid = math.isinf(link.k_br) and link.k_ru == 0.0
     if not valid:
         warnings.warn(
             "closed form assumes a deterministic BS link and a fully "
             "scattered user link; this scenario violates that",
             ModelAssumptionWarning,
-            stacklevel=3,
+            stacklevel=2,
         )
     return valid
 
 
-def objective_phi(
-    ls: LargeScale,
-    element_counts,
-    powers: PerRisPowers,
-    sigma_z_sq: float,
-) -> float:
+def objective_phi(link: Link, powers: PerRisPowers) -> float:
     """Allocation-dependent part of the ergodic gain.
 
     total gain = incoherent + (pi/4) * objective_phi, so maximizing this
     over the pilot powers maximizes the gain.
     """
-    counts = _checked_counts(ls, element_counts, powers.p_k, sigma_z_sq)
-    intra, inter = _coupling_sums(ls.beta_sq, counts, powers.p_k, sigma_z_sq)
+    counts, p = _checked(link, powers)
+    intra, inter = _coupling_sums(link.beta_sq, counts, p, link.sigma_z_sq)
     return float(intra + inter)
 
 
@@ -221,12 +202,7 @@ def surface_objective(beta_sq, counts, p, sigma_z_sq) -> SurfaceObjective:
     return SurfaceObjective(phi, residual, slope, curvature, g)
 
 
-def stationarity_residual(
-    ls: LargeScale,
-    element_counts,
-    per_ris_powers,
-    sigma_z_sq: float,
-) -> np.ndarray:
+def stationarity_residual(link: Link, per_ris_powers) -> np.ndarray:
     """Per-surface candidate for the budget multiplier.
 
     With equal power inside each surface, the optimality condition says
@@ -235,6 +211,5 @@ def stationarity_residual(
     across surfaces therefore measures how far an allocation is from
     stationary.
     """
-    p = np.asarray(per_ris_powers, dtype=np.float64)
-    counts = _checked_counts(ls, element_counts, p, sigma_z_sq)
-    return surface_objective(ls.beta_sq, counts, p, sigma_z_sq).residual
+    counts, p = _checked(link, per_ris_powers)
+    return surface_objective(link.beta_sq, counts, p, link.sigma_z_sq).residual

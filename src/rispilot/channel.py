@@ -11,7 +11,9 @@ bit-identical numbers for the same seed.
 
 The layer functions work on a chunk of trials at once: arrays of shape
 (trials, sum(M_k)), one row per trial, with element m of surface k at
-column offset_k + m.
+column offset_k + m. Beyond the draws, a chunk's channels depend only
+on a `scenario.Link`: its element counts, cascaded gains and the fading
+of each hop.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import LargeScale, Scenario
+from .scenario import Link
 
 __all__ = [
     "RngStream",
@@ -123,35 +125,32 @@ def _rician(k_factor: float) -> tuple[float, float]:
     return math.sqrt(k_factor / (k_factor + 1.0)), math.sqrt(1.0 / (k_factor + 1.0))
 
 
-def sample_channels(s: Scenario, ls: LargeScale, user: np.ndarray,
-                    bs: np.ndarray | None = None) -> np.ndarray:
+def sample_channels(link: Link, user: np.ndarray, bs: np.ndarray | None = None) -> np.ndarray:
     """Cascaded coefficients h = beta_k * u * conj(v), one row per trial.
 
     user and bs are (trials, sum(M_k)) unit normals from unit_normals
     with PURPOSE_RIS_USER and PURPOSE_BS_RIS; user also sets the trial
     count, and is ignored when the user link is deterministic. bs is
     needed only when the BS link is faded (finite Rician factor). Both
-    hops' fading has unit power, so the cascade's scale is ls.beta
+    hops' fading has unit power, so the cascade's scale is link.beta
     alone: with a deterministic BS link and a scattered user link, h is
     CN(0, beta_k^2).
     """
-    if ls.num_ris != s.num_ris:
-        raise ValueError(f"ls has {ls.num_ris} entries for {s.num_ris} surfaces")
-    scale = np.repeat(ls.beta, s.element_counts)
+    scale = np.repeat(link.beta, link.counts)
     if user.ndim != 2 or user.shape[1] != scale.size:
         raise ValueError(f"user draws must be (trials, {scale.size}), got {user.shape}")
-    if math.isinf(s.rician_k_ru):
+    if math.isinf(link.k_ru):
         h = np.ones(user.shape, dtype=np.complex128)
     else:
         h = np.conj(user)
-        if s.rician_k_ru > 0.0:
-            los, nlos = _rician(s.rician_k_ru)
+        if link.k_ru > 0.0:
+            los, nlos = _rician(link.k_ru)
             h *= nlos
             h += los
-    if not math.isinf(s.rician_k_br):
+    if not math.isinf(link.k_br):
         if bs is None or bs.shape != user.shape:
             raise ValueError(f"a faded BS link needs bs draws shaped {user.shape}")
-        los, nlos = _rician(s.rician_k_br)
+        los, nlos = _rician(link.k_br)
         h *= los + nlos * bs
     h *= scale
     return h

@@ -37,6 +37,7 @@ from .allocation import (
 from .analysis import (
     alignment_mean,
     ergodic_gain_closed_form,
+    model_applies,
     objective_phi,
     stationarity_residual,
 )
@@ -44,10 +45,9 @@ from .channel import RngStream, standard_complex_normal, substream, PURPOSE_RIS_
 from .estimation import PerRisPowers
 from .montecarlo import CSI_MODES, GainRow, TrialConfig, sweep_user, trial_gains
 from .scenario import (
-    Scenario,
+    Link,
     cascaded_large_scale,
     dbm_to_watts,
-    from_large_scale,
     two_ris_layout,
     watts_to_dbm,
 )
@@ -178,7 +178,8 @@ class ScenarioSettings:
     geometry: dict | None = None  # d0, d_v, d_h, d_u, user_y, c0_db, alphas, rician
     beta_sq: tuple[float, ...] | None = None
 
-    def scenario_at(self, d: float) -> Scenario:
+    def link_at(self, d: float) -> Link:
+        """The geometric layout's link with the user at offset d."""
         if self.geometry is None:
             raise ConfigError("scenario.geometry", "user sweeps need a geometric layout")
         g = self.geometry
@@ -186,21 +187,20 @@ class ScenarioSettings:
             g["d0"], d, self.element_counts[0], self.element_counts[1],
             d_v=g["d_v"], d_h=g["d_h"], d_u=g["d_u"],
         )
-        return dataclasses.replace(
+        return cascaded_large_scale(dataclasses.replace(
             base,
             c0_db=g["c0_db"], alpha_br=g["alpha_br"], alpha_ru=g["alpha_ru"],
             rician_k_br=g["k_br"], rician_k_ru=g["k_ru"],
             sigma_z_sq=self.sigma_z_sq_w, sigma_n_sq=self.sigma_n_sq_w,
             q=self.q_w, p_avg=self.p_avg_w,
-        )
+        ))
 
-    def fixed_scenario(self):
-        """(scenario, large_scale) at the configured user position."""
+    def fixed_link(self) -> Link:
+        """The link at the configured user position, or the configured channel."""
         if self.geometry is not None:
-            s = self.scenario_at(self.geometry["user_y"])
-            return s, cascaded_large_scale(s)
-        return from_large_scale(
-            list(self.beta_sq), list(self.element_counts),
+            return self.link_at(self.geometry["user_y"])
+        return Link(
+            counts=self.element_counts, beta_sq=self.beta_sq,
             sigma_z_sq=self.sigma_z_sq_w, sigma_n_sq=self.sigma_n_sq_w,
             q=self.q_w, p_avg=self.p_avg_w,
         )
@@ -540,16 +540,15 @@ def cmd_allocate(args, flags: dict) -> int:
     # where the counts differ
     equal = len(set(scn.element_counts)) == 1
     names = [name for name in run["allocators"] if name != "eq29" or equal]
-    s, ls = scn.fixed_scenario()
-    counts = s.element_counts
+    link = scn.fixed_link()
 
     header = f"{'allocator':<10} {'ris':>3} {'power_w':>24} {'power_dbm':>12} {'phi':>14} {'gain':>14}"
     lines = [header]
     rows = []
     for name in names:
-        powers = run_allocator(name, s, ls)
-        phi = objective_phi(ls, counts, powers, s.sigma_z_sq)
-        gain = ergodic_gain_closed_form(ls, counts, powers, s.sigma_z_sq).total
+        powers = run_allocator(name, link)
+        phi = objective_phi(link, powers)
+        gain = ergodic_gain_closed_form(link, powers).total
         rows.append((name, powers, phi, gain))
         for k, p in enumerate(powers.p_k):
             lines.append(
@@ -594,17 +593,17 @@ def _se(x: np.ndarray) -> float:
     return float(np.std(x, ddof=1) / math.sqrt(x.size)) if x.size > 1 else 0.0
 
 
-def _validation_checks(s, ls, trials: int, seed: int, workers: int,
-                       off_centre: Scenario | None) -> list[dict]:
+def _validation_checks(link: Link, trials: int, seed: int, workers: int,
+                       off_centre: Link | None) -> list[dict]:
     checks = []
-    counts = s.element_counts
+    counts = link.counts
     countsf = counts.astype(np.float64)
-    uniform = allocate_average(s)
+    uniform = allocate_average(link)
 
     # per-surface aligned-coefficient mean, against the closed form
-    for k in range(s.num_ris):
-        b2 = float(ls.beta_sq[k])
-        d2 = s.sigma_z_sq / s.p_avg
+    for k in range(link.num_ris):
+        b2 = float(link.beta_sq[k])
+        d2 = link.sigma_z_sq / link.p_avg
         gen = substream(RngStream(seed, stream_id=2**63 + k), PURPOSE_RIS_USER, 0)
         h = math.sqrt(b2) * standard_complex_normal(gen, trials)
         est = h + math.sqrt(d2) * standard_complex_normal(gen, trials)
@@ -623,56 +622,50 @@ def _validation_checks(s, ls, trials: int, seed: int, workers: int,
     gains = dict(zip(
         ("estimated", "perfect", "random-phase"),
         trial_gains(
-            [GainRow(s, uniform, ls)]
-            + [GainRow(s, uniform, ls, mode, n_h) for mode in ("perfect", "random-phase")],
-            None, TrialConfig(trials=trials, seed=seed), workers=workers,
+            [GainRow(link, uniform)]
+            + [GainRow(link, uniform, mode, n_h) for mode in ("perfect", "random-phase")],
+            cfg=TrialConfig(trials=trials, seed=seed), workers=workers,
         ),
     ))
 
     # closed-form ergodic gain against the simulated pipeline
     mean, se = float(np.mean(gains["estimated"])), _se(gains["estimated"])
-    closed = ergodic_gain_closed_form(ls, counts, uniform, s.sigma_z_sq, scenario=s)
-    check = _check("ergodic-gain", mean, closed.total, 0.02 * closed.total, 4.0 * se)
-    if not closed.model_valid:
+    closed = ergodic_gain_closed_form(link, uniform).total
+    check = _check("ergodic-gain", mean, closed, 0.02 * closed, 4.0 * se)
+    if not model_applies(link):
         check["status"] = "not-applicable"
         check["detail"] = (
             f"closed form assumes k_br = inf and k_ru = 0; "
-            f"this scenario has k_br = {s.rician_k_br:g}, k_ru = {s.rician_k_ru:g}"
+            f"this scenario has k_br = {link.k_br:g}, k_ru = {link.k_ru:g}"
         )
     checks.append(check)
 
     # perfect-estimation limit of the closed form
-    if s.sigma_z_sq > 0.0:
-        p_big = 1e12 * s.sigma_z_sq / float(np.min(ls.beta_sq))
+    if link.sigma_z_sq > 0.0:
+        p_big = 1e12 * link.sigma_z_sq / float(np.min(link.beta_sq))
     else:
         p_big = 1.0
-    limit = ergodic_gain_closed_form(
-        ls, counts, PerRisPowers(p_k=np.full(s.num_ris, p_big)), s.sigma_z_sq
-    ).total
-    m_beta = float(np.dot(countsf, ls.beta))
-    m_beta_sq = float(np.dot(countsf, ls.beta_sq))
+    limit = ergodic_gain_closed_form(link, PerRisPowers(p_k=np.full(link.num_ris, p_big))).total
+    m_beta = float(np.dot(countsf, link.beta))
+    m_beta_sq = float(np.dot(countsf, link.beta_sq))
     ideal = m_beta_sq + 0.25 * math.pi * (m_beta**2 - m_beta_sq)
     checks.append(
         _check("perfect-csi-limit", limit, ideal, ok=abs(limit - ideal) <= 1e-9 * ideal)
     )
 
     # every allocator must spend exactly the budget; `exact` solves the
-    # off-centre problem of the check below in the same call
-    budget = float(int(counts.sum()) * s.p_avg)
-    off_ls = None if off_centre is None else cascaded_large_scale(off_centre)
-    exact = run_allocator("exact", s, [ls] if off_ls is None else [ls, off_ls])
+    # off-centre problem of the check below in the same call, and a
+    # configured problem it cannot certify is a numerical failure
+    budget = float(int(counts.sum()) * link.p_avg)
+    exact = run_allocator("exact", link, [] if off_centre is None else [off_centre])
     allocator_powers = {}
     for name in ALLOCATOR_IDS:
         if name == "eq29" and len(set(counts.tolist())) != 1:
             continue
-        try:
-            if name == "exact":
-                powers = PerRisPowers(p_k=exact.row(0))
-            else:
-                powers = run_allocator(name, s, ls)
-        except NonConvergenceError as exc:
-            checks.append(_check(f"budget[{name}]", math.nan, budget, ok=False, detail=str(exc)))
-            continue
+        if name == "exact":
+            powers = PerRisPowers(p_k=exact.row(0))
+        else:
+            powers = run_allocator(name, link)
         allocator_powers[name] = powers
         spent = float(np.dot(countsf, powers.p_k))
         checks.append(
@@ -681,22 +674,22 @@ def _validation_checks(s, ls, trials: int, seed: int, workers: int,
 
     # the two many-element forms must agree bit for bit on equal counts
     if len(set(counts.tolist())) == 1:
-        a = allocate_large_m(ls, counts, s.p_avg).p_k
-        b = allocate_equal_m(ls, s.num_ris, s.p_avg).p_k
+        a = allocate_large_m(link).p_k
+        b = allocate_equal_m(link).p_k
         checks.append(
             _check("equal-count-identity", a[0], b[0], ok=bool(np.array_equal(a, b)))
         )
 
     # the numeric solution equalizes the budget multiplier
-    if "exact" in allocator_powers and s.sigma_z_sq > 0.0:
-        r = stationarity_residual(ls, counts, allocator_powers["exact"].p_k, s.sigma_z_sq)
+    if link.sigma_z_sq > 0.0:
+        r = stationarity_residual(link, allocator_powers["exact"].p_k)
         spread = multiplier_spread(r)
         checks.append(_check("solver-stationarity", spread, 0.0, ok=spread < 1e-6))
 
     # where the surfaces differ in strength uniform power is not stationary,
     # so this check fails if the solver stops at its starting point
     if off_centre is not None and off_centre.sigma_z_sq > 0.0:
-        checks.append(_off_centre_check(off_centre, off_ls, exact))
+        checks.append(_off_centre_check(off_centre, exact))
 
     # more channel knowledge can only help, trial by trial
     for name, top, bottom in (
@@ -710,15 +703,14 @@ def _validation_checks(s, ls, trials: int, seed: int, workers: int,
     return checks
 
 
-def _off_centre_check(s: Scenario, ls, exact) -> dict:
+def _off_centre_check(link: Link, exact) -> dict:
     """The stationarity of `exact` at the off-centre position, row 1 of exact."""
     name = "solver-stationarity[off-centre]"
-    counts = s.element_counts
 
     def spread_of(p_k):
-        return multiplier_spread(stationarity_residual(ls, counts, p_k, s.sigma_z_sq))
+        return multiplier_spread(stationarity_residual(link, p_k))
 
-    detail = f"uniform spread {spread_of(np.full(s.num_ris, s.p_avg)):.3g}"
+    detail = f"uniform spread {spread_of(np.full(link.num_ris, link.p_avg)):.3g}"
     try:
         spread = spread_of(exact.row(1))
     except NonConvergenceError as exc:
@@ -729,13 +721,13 @@ def _off_centre_check(s: Scenario, ls, exact) -> dict:
 def cmd_validate(args, flags: dict) -> int:
     scn, run = _config_run(args, flags)
     seed, trials, workers = run["seed"], run["trials"], run["workers"]
-    s, ls = scn.fixed_scenario()
+    link = scn.fixed_link()
     off_centre = None
     if scn.geometry is not None:
-        off_centre = scn.scenario_at(scn.geometry["user_y"] + scn.geometry["d_v"])
+        off_centre = scn.link_at(scn.geometry["user_y"] + scn.geometry["d_v"])
 
     t0 = time.monotonic()
-    checks = _validation_checks(s, ls, trials, seed, workers, off_centre)
+    checks = _validation_checks(link, trials, seed, workers, off_centre)
     duration = time.monotonic() - t0
 
     width = max(len(c["name"]) for c in checks)
@@ -776,7 +768,7 @@ def _sweep_from(scn: ScenarioSettings, run: dict, out_dir: str | None) -> int:
     trials, seed, csi_mode, workers = run["trials"], run["seed"], run["csi_mode"], run["workers"]
     cfg = TrialConfig(trials=trials, seed=seed, csi_mode=csi_mode)
     t0 = time.monotonic()
-    result = sweep_user(scn.scenario_at, run["d_range"], run["allocators"], cfg, workers=workers)
+    result = sweep_user(scn.link_at, run["d_range"], run["allocators"], cfg, workers=workers)
     duration = time.monotonic() - t0
 
     os.makedirs(out_dir, exist_ok=True)

@@ -13,23 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import Scenario
-
 __all__ = [
     "PerRisPowers",
-    "estimate_mse",
     "ls_estimate",
-    "pilot_overhead",
 ]
-
-
-def estimate_mse(p: float, sigma_z_sq: float) -> float:
-    """Estimation error variance for one element trained at power p."""
-    if p <= 0.0:
-        raise ValueError(f"pilot power must be positive, got {p}")
-    if sigma_z_sq < 0.0:
-        raise ValueError(f"noise power must be nonnegative, got {sigma_z_sq}")
-    return sigma_z_sq / p
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,7 +66,3 @@ def ls_estimate(
     est += h
     return est
 
-
-def pilot_overhead(s: Scenario) -> int:
-    """Training slots consumed by one sweep: one per element, summed."""
-    return int(s.element_counts.sum())

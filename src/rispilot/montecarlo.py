@@ -3,11 +3,11 @@
 Trials are addressed by (seed, trial index): trial t draws from one
 Philox generator per purpose keyed (seed, t) (see channel), so a run is
 reproducible bit for bit no matter how trials are split across workers
-or chunks. A run evaluates every row (a scenario, its allocation and CSI
-mode) on the same draws: all positions and allocators of a sweep, all
-CSI modes of a validation. The comparison between rows is therefore
-paired: differences between their metrics come from the rows alone, not
-from sampling noise. Two runs with the same seed share their draws too;
+or chunks. A run evaluates every row (a `scenario.Link`, its allocation
+and CSI mode) on the same draws: all positions and allocators of a
+sweep, all CSI modes of a validation. The comparison between rows is
+therefore paired: differences between their metrics come from the rows
+alone, not from sampling noise. Two runs with the same seed share their draws too;
 use different seeds if independent runs are wanted instead.
 
 The engine works on chunks of trials. A chunk holds one
@@ -29,7 +29,7 @@ from .analysis import ergodic_gain_rows, model_applies
 from .channel import PURPOSE_BS_RIS, PURPOSE_PILOT_NOISE, PURPOSE_RIS_USER, sample_channels, unit_normals
 from .estimation import PerRisPowers, ls_estimate
 from .reflection import composite_channel, configure_phases, random_phases
-from .scenario import LargeScale, Scenario, cascaded_large_scale
+from .scenario import Link
 
 __all__ = [
     "CSI_MODES",
@@ -40,9 +40,7 @@ __all__ = [
     "SolverRow",
     "SweepResult",
     "trial_gains",
-    "simulate_metrics",
     "sweep_user",
-    "dynamic_range",
 ]
 
 CSI_MODES = ("estimated", "perfect", "random-phase")
@@ -70,26 +68,23 @@ class MetricEstimate(NamedTuple):
     se_rate: float
 
 
-def _check_budget(alloc: PerRisPowers, s: Scenario):
-    counts = s.element_counts
-    if alloc.num_ris != counts.size:
-        raise ValueError(f"{alloc.num_ris} powers for {counts.size} surfaces")
+def _check_budget(alloc: PerRisPowers, link: Link):
+    counts = link.counts
     total = float(np.dot(counts.astype(np.float64), alloc.p_k))
-    budget = float(int(counts.sum()) * s.p_avg)
+    budget = float(int(counts.sum()) * link.p_avg)
     if not math.isclose(total, budget, rel_tol=1e-9):
         raise ValueError(f"allocation spends {total!r}, budget is {budget!r}")
 
 
 class GainRow(NamedTuple):
-    """One row of a run: a scenario, its pilot powers and how phases are set.
+    """One row of a run: a link, its pilot powers and how phases are set.
 
     csi_mode None takes the run's TrialConfig.csi_mode; trials None takes
     all of the run's trials, a smaller count its first `trials` trials.
     """
 
-    scenario: Scenario
+    link: Link
     powers: PerRisPowers
-    ls: LargeScale | None = None
     csi_mode: str | None = None
     trials: int | None = None
 
@@ -109,9 +104,9 @@ def _gain_range(rows: list[GainRow], seed: int, start: int, stop: int) -> list[n
     Each chunk draws each purpose once, for all rows: the user hop always,
     the BS hop when a row's BS link is faded, pilot noise when a row
     estimates, phases when a row uses random phases. Rows at one position
-    (the same scenario and ls objects) share one channel array.
+    (the same Link object) share one channel array.
     """
-    counts = rows[0].scenario.element_counts
+    counts = rows[0].link.counts
     n = int(counts.sum())
     step = max(1, CHUNK_ELEMENTS // n)
     parts = [[] for _ in rows]
@@ -121,7 +116,7 @@ def _gain_range(rows: list[GainRow], seed: int, start: int, stop: int) -> list[n
         modes = {r.csi_mode for _, r in live}
         user = unit_normals(seed, a, b, PURPOSE_RIS_USER, n)
         bs = None
-        if any(not math.isinf(r.scenario.rician_k_br) for _, r in live):
+        if any(not math.isinf(r.link.k_br) for _, r in live):
             bs = unit_normals(seed, a, b, PURPOSE_BS_RIS, n)
         noise = None
         if "estimated" in modes:
@@ -131,12 +126,12 @@ def _gain_range(rows: list[GainRow], seed: int, start: int, stop: int) -> list[n
             scrambled = random_phases(seed, a, b, n)
         h, at = None, None
         for i, r in live:
-            if at != (id(r.scenario), id(r.ls)):
-                at = (id(r.scenario), id(r.ls))
-                h = sample_channels(r.scenario, r.ls, user, bs)
+            if at is not r.link:
+                at = r.link
+                h = sample_channels(r.link, user, bs)
             m = min(b, r.trials) - a
             if r.csi_mode == "estimated":
-                est = ls_estimate(h[:m], counts, r.powers, r.scenario.sigma_z_sq, noise[:m])
+                est = ls_estimate(h[:m], counts, r.powers, r.link.sigma_z_sq, noise[:m])
                 phases = configure_phases(est)
             elif r.csi_mode == "perfect":
                 phases = configure_phases(h[:m])
@@ -147,69 +142,50 @@ def _gain_range(rows: list[GainRow], seed: int, start: int, stop: int) -> list[n
 
 
 def _resolved(row: GainRow, cfg: TrialConfig, counts: np.ndarray) -> GainRow:
-    s = row.scenario
-    if not np.array_equal(s.element_counts, counts):
+    if not np.array_equal(row.link.counts, counts):
         raise ValueError("every row of a run needs the same element counts")
-    _check_budget(row.powers, s)
+    _check_budget(row.powers, row.link)
     mode = cfg.csi_mode if row.csi_mode is None else row.csi_mode
     if mode not in CSI_MODES:
         raise ValueError(f"csi_mode must be one of {CSI_MODES}")
     trials = cfg.trials if row.trials is None else row.trials
     if not 1 <= trials <= cfg.trials:
         raise ValueError(f"a row's trials must be in [1, {cfg.trials}], got {trials}")
-    ls = cascaded_large_scale(s) if row.ls is None else row.ls
-    return GainRow(s, row.powers, ls, mode, trials)
+    return row._replace(csi_mode=mode, trials=trials)
 
 
-def trial_gains(
-    s,
-    alloc: PerRisPowers | None,
-    cfg: TrialConfig,
-    *,
-    ls: LargeScale | None = None,
-    workers: int = 1,
-):
-    """Per-trial composite power gains, ordered by trial index.
+def trial_gains(rows, cfg: TrialConfig, *, workers: int = 1) -> list[np.ndarray]:
+    """Per-trial composite power gains of every GainRow, ordered by trial index.
 
-    For one scenario s and allocation alloc, returns a (cfg.trials,)
-    array. Passing a sequence of GainRow as s (with alloc and ls None)
-    evaluates every row on the same draws and returns one array per row.
-
-    The ordering is part of the contract: entry t depends only on
-    (cfg.seed, t), so any worker count or chunk size returns the
-    identical array, and rows of one run are paired trial by trial.
+    Every row is evaluated on the same draws, and one array comes back
+    per row, of its trial count. The ordering is part of the contract:
+    entry t depends only on (cfg.seed, t), so any worker count or chunk
+    size returns the identical arrays, and rows of one run are paired
+    trial by trial.
     """
-    single = isinstance(s, Scenario)
-    if single:
-        rows = [GainRow(s, alloc, ls)]
-    elif alloc is not None or ls is not None:
-        raise TypeError("with a sequence of rows, pass alloc and ls inside each GainRow")
-    else:
-        rows = list(s)
+    rows = list(rows)
     if not rows:
         raise ValueError("no rows to evaluate")
-    counts = rows[0].scenario.element_counts
+    counts = rows[0].link.counts
     rows = [_resolved(r, cfg, counts) for r in rows]
     if workers <= 1 or cfg.trials < 2 * workers:
-        gains = _gain_range(rows, cfg.seed, 0, cfg.trials)
-    else:
-        bounds = np.linspace(0, cfg.trials, workers + 1, dtype=int)
-        # imported here so that commands without a pool never load multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+        return _gain_range(rows, cfg.seed, 0, cfg.trials)
+    bounds = np.linspace(0, cfg.trials, workers + 1, dtype=int)
+    # imported here so that commands without a pool never load multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(
-                _gain_range,
-                *zip(*[(rows, cfg.seed, int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]),
-            ))
-        gains = [np.concatenate([p[i] for p in parts]) for i in range(len(rows))]
-    return gains[0] if single else gains
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        parts = list(pool.map(
+            _gain_range,
+            *zip(*[(rows, cfg.seed, int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]),
+        ))
+    return [np.concatenate([p[i] for p in parts]) for i in range(len(rows))]
 
 
-def _metrics(scenarios: list[Scenario], gains: np.ndarray) -> list[MetricEstimate]:
+def _metrics(links: list[Link], gains: np.ndarray) -> list[MetricEstimate]:
     """Means and standard errors of gain and rate, one per row of (rows, trials) gains."""
-    q = np.array([[s.q] for s in scenarios])
-    sigma_n_sq = np.array([[s.sigma_n_sq] for s in scenarios])
+    q = np.array([[link.q] for link in links])
+    sigma_n_sq = np.array([[link.sigma_n_sq] for link in links])
     rates = np.log2(1.0 + q * gains / sigma_n_sq)
     n = gains.shape[-1]
     columns = []
@@ -217,18 +193,6 @@ def _metrics(scenarios: list[Scenario], gains: np.ndarray) -> list[MetricEstimat
         se = np.std(x, axis=-1, ddof=1) / math.sqrt(n) if n > 1 else np.zeros(len(x))
         columns += [np.mean(x, axis=-1), se]
     return [MetricEstimate(*map(float, row)) for row in zip(*columns)]
-
-
-def simulate_metrics(
-    s: Scenario,
-    alloc: PerRisPowers,
-    cfg: TrialConfig,
-    *,
-    ls: LargeScale | None = None,
-    workers: int = 1,
-) -> MetricEstimate:
-    """Monte Carlo means and standard errors of gain and rate."""
-    return _metrics([s], trial_gains(s, alloc, cfg, ls=ls, workers=workers)[None])[0]
 
 
 @dataclass(frozen=True)
@@ -256,32 +220,24 @@ class SweepResult:
     rows: tuple[SweepRow, ...]
     solver: tuple[SolverRow, ...] = ()
 
-    def select(self, allocator: str | None = None, d_m: float | None = None):
-        rows = self.rows
-        if allocator is not None:
-            rows = tuple(r for r in rows if r.allocator == allocator)
-        if d_m is not None:
-            rows = tuple(r for r in rows if r.d_m == d_m)
-        return rows
-
 
 def _closed_forms(rows: list[GainRow], csi_mode: str) -> np.ndarray:
     """The closed-form mean gain of every row, nan where its model does not hold."""
-    counts = rows[0].scenario.element_counts.astype(np.float64)
-    beta_sq = np.stack([r.ls.beta_sq for r in rows])
+    counts = rows[0].link.counts.astype(np.float64)
+    beta_sq = np.stack([r.link.beta_sq for r in rows])
     powers = np.stack([r.powers.p_k for r in rows])
-    sigma = np.array([[0.0 if csi_mode == "perfect" else r.scenario.sigma_z_sq] for r in rows])
+    sigma = np.array([[0.0 if csi_mode == "perfect" else r.link.sigma_z_sq] for r in rows])
     gains = ergodic_gain_rows(beta_sq, counts, powers, sigma)
     if csi_mode == "random-phase":
         # phases carry no information, only the incoherent sum survives,
         # whatever the fading distribution
         return gains.incoherent
-    valid = np.array([model_applies(r.scenario) for r in rows])
+    valid = np.array([model_applies(r.link) for r in rows])
     return np.where(valid, gains.total, math.nan)
 
 
 def sweep_user(
-    scenario_for: Callable[[float], Scenario],
+    link_for: Callable[[float], Link],
     d_values: Iterable[float],
     allocators: Iterable[str],
     cfg: TrialConfig,
@@ -290,9 +246,9 @@ def sweep_user(
 ) -> SweepResult:
     """Metrics for every (user position, allocator) pair.
 
-    scenario_for rebuilds the scenario at each position, so the large
-    scale gains track the user; the positions must share element counts,
-    average pilot power and training noise. Allocator names are resolved
+    link_for builds the link at each position, so the cascaded gains
+    track the user; the positions must share element counts, average
+    pilot power and training noise. Allocator names are resolved
     to their canonical ids and run in canonical order. Every allocation
     is made first, with one solve_exact call for all positions; then all
     rows run on one set of draws (see trial_gains), and their metrics and
@@ -306,26 +262,22 @@ def sweep_user(
     names = sorted({resolve_allocator(a) for a in allocators})
     if not names:
         raise ValueError("allocators must not be empty")
-    scenarios = [scenario_for(d) for d in d_list]
-    lss = [cascaded_large_scale(s) for s in scenarios]
-    first, solver = scenarios[0], ()
+    links = [link_for(d) for d in d_list]
+    solver = ()
     powers = {}
     for name in names:
         if name != "exact":
-            powers[name] = [run_allocator(name, s, ls) for s, ls in zip(scenarios, lss)]
+            powers[name] = [run_allocator(name, link) for link in links]
             continue
-        if len({(tuple(s.element_counts), s.p_avg, s.sigma_z_sq) for s in scenarios}) > 1:
-            raise ValueError("the positions of a sweep need the same element counts, "
-                             "average pilot power and training noise")
-        sol = run_allocator("exact", first, lss)
+        sol = run_allocator("exact", links[0], links[1:])
         powers[name] = [PerRisPowers(p_k=sol.row(i)) for i in range(len(d_list))]
         solver = tuple(SolverRow(d, int(it), float(spread))
                        for d, it, spread in zip(d_list, sol.iterations, sol.spread))
-    rows = [(d, name, GainRow(s, powers[name][i], ls))
-            for i, (d, s, ls) in enumerate(zip(d_list, scenarios, lss)) for name in names]
+    rows = [(d, name, GainRow(link, powers[name][i]))
+            for i, (d, link) in enumerate(zip(d_list, links)) for name in names]
     gain_rows = [row for _, _, row in rows]
-    gains = np.stack(trial_gains(gain_rows, None, cfg, workers=workers))
-    metrics = _metrics([r.scenario for r in gain_rows], gains)
+    gains = np.stack(trial_gains(gain_rows, cfg=cfg, workers=workers))
+    metrics = _metrics([r.link for r in gain_rows], gains)
     closed = _closed_forms(gain_rows, cfg.csi_mode)
     out = [
         SweepRow(
@@ -337,8 +289,3 @@ def sweep_user(
     ]
     return SweepResult(rows=tuple(out), solver=solver)
 
-
-def dynamic_range(powers: PerRisPowers) -> float:
-    """Spread of an allocation in dB, max over min."""
-    p = powers.p_k
-    return 10.0 * math.log10(float(np.max(p)) / float(np.min(p)))

@@ -1,4 +1,4 @@
-"""Phase configuration from estimates, composite channel, rate.
+"""Phase configuration from estimates, and the composite channel.
 
 Phases, estimates and channels are (trials, sum(M_k)) arrays, one row
 per trial, as channel.sample_channels lays them out.
@@ -15,8 +15,6 @@ __all__ = [
     "configure_phases",
     "random_phases",
     "composite_channel",
-    "achievable_rate",
-    "rate_from_gain",
 ]
 
 
@@ -55,15 +53,3 @@ def composite_channel(h: np.ndarray, phases: np.ndarray) -> np.ndarray:
         raise ValueError(f"phases {phases.shape} do not match channels {h.shape}")
     return np.sum(h * phases, axis=-1)
 
-
-def rate_from_gain(gain: float, q: float, sigma_n_sq: float) -> float:
-    """Spectral efficiency for a given composite power gain."""
-    if q <= 0.0 or sigma_n_sq <= 0.0:
-        raise ValueError("transmit power and noise power must be positive")
-    if gain < 0.0:
-        raise ValueError(f"power gain cannot be negative, got {gain}")
-    return math.log2(1.0 + q * gain / sigma_n_sq)
-
-
-def achievable_rate(composite: complex, q: float, sigma_n_sq: float) -> float:
-    return rate_from_gain(abs(composite) ** 2, q, sigma_n_sq)

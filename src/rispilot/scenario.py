@@ -1,7 +1,10 @@
-"""Geometry, unit conversions and cascaded large-scale fading.
+"""Geometry, unit conversions and the flat link description.
 
-Everything downstream works in linear units (watts, linear power gains).
-dB and dBm values appear only here, at the configuration boundary.
+A `Scenario` places the BS, the user and the surfaces; `cascaded_large_scale`
+reduces it to a `Link`, which is all the engine, the allocators and the
+closed forms use. A config that pins the cascaded gains builds its `Link`
+directly. Everything downstream works in linear units (watts, linear
+power gains); dB and dBm values appear only at the configuration boundary.
 """
 from __future__ import annotations
 
@@ -14,13 +17,12 @@ __all__ = [
     "Position",
     "RisSpec",
     "Scenario",
-    "LargeScale",
+    "Link",
     "dbm_to_watts",
     "watts_to_dbm",
     "path_loss",
     "cascaded_large_scale",
     "two_ris_layout",
-    "from_large_scale",
 ]
 
 
@@ -87,7 +89,8 @@ class Scenario:
     """Full system description for one downlink deployment.
 
     Powers are in watts, noise powers in watts, Rician factors linear
-    (math.inf means a purely deterministic link).
+    (math.inf means a purely deterministic link). cascaded_large_scale
+    checks the values when it builds the scenario's Link.
     """
 
     bs_position: Position
@@ -107,52 +110,63 @@ class Scenario:
         object.__setattr__(self, "ris_list", tuple(self.ris_list))
         if len(self.ris_list) < 1:
             raise ValueError("scenario needs at least one RIS")
-        if self.alpha_br <= 0 or self.alpha_ru <= 0:
-            raise ValueError("path loss exponents must be positive")
-        if self.rician_k_br < 0 or self.rician_k_ru < 0:
-            raise ValueError("Rician factors must be nonnegative")
-        if self.sigma_z_sq < 0 or self.sigma_n_sq <= 0:
-            raise ValueError("noise powers must be nonnegative (downlink noise strictly positive)")
-        if self.q <= 0 or self.p_avg <= 0:
-            raise ValueError("transmit powers must be positive")
-
-    @property
-    def num_ris(self) -> int:
-        return len(self.ris_list)
-
-    @property
-    def element_counts(self) -> np.ndarray:
-        return np.array([r.element_count for r in self.ris_list], dtype=np.int64)
 
 
 @dataclass(frozen=True, eq=False)
-class LargeScale:
-    """Cascaded large-scale power gains, one entry per RIS."""
+class Link:
+    """The downlink as the engine, the allocators and the closed forms see it.
 
+    counts and beta_sq hold one entry per surface, its element count M_k
+    and cascaded power gain beta_k^2; beta holds beta_k. k_br and k_ru are
+    the Rician factors of the BS and user hops (math.inf: deterministic).
+    sigma_z_sq is the training noise, sigma_n_sq the receiver noise, q the
+    transmit power and p_avg the average pilot power, all in watts. The
+    arrays are read-only copies, checked once here.
+    """
+
+    counts: np.ndarray
     beta_sq: np.ndarray
-    beta: np.ndarray = field(init=False)
+    sigma_z_sq: float
+    sigma_n_sq: float
+    q: float
+    p_avg: float
+    k_br: float = math.inf
+    k_ru: float = 0.0
+    beta: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        arr = np.asarray(self.beta_sq, dtype=np.float64).copy()
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("beta_sq must be a nonempty 1-D sequence")
-        if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
+        counts = np.array(self.counts)
+        beta_sq = np.array(self.beta_sq, dtype=np.float64)
+        if counts.ndim != 1 or counts.size < 1 or beta_sq.shape != counts.shape:
+            raise ValueError(
+                f"need one cascaded gain per surface, got {beta_sq.size} gains "
+                f"for {counts.size} element counts"
+            )
+        if not np.issubdtype(counts.dtype, np.integer) or np.any(counts < 1):
+            raise ValueError("element counts must be positive integers")
+        if not np.all((beta_sq > 0.0) & (beta_sq < math.inf)):
             raise ValueError("every cascaded gain must be finite and positive")
-        arr.setflags(write=False)
-        object.__setattr__(self, "beta_sq", arr)
-        b = np.sqrt(arr)
-        b.setflags(write=False)
-        object.__setattr__(self, "beta", b)
+        if not (self.k_br >= 0.0 and self.k_ru >= 0.0):
+            raise ValueError("Rician factors must be nonnegative")
+        if not (0.0 <= self.sigma_z_sq < math.inf and 0.0 < self.sigma_n_sq < math.inf):
+            raise ValueError("noise powers must be finite, the receiver's positive")
+        if not (0.0 < self.q < math.inf and 0.0 < self.p_avg < math.inf):
+            raise ValueError("transmit powers must be finite and positive")
+        for name, arr in (("counts", counts.astype(np.int64)), ("beta_sq", beta_sq),
+                          ("beta", np.sqrt(beta_sq))):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def num_ris(self) -> int:
-        return self.beta_sq.size
+        return self.counts.size
 
 
-def cascaded_large_scale(s: Scenario) -> LargeScale:
-    """Per-RIS cascaded gain: product of the two link path losses.
+def cascaded_large_scale(s: Scenario) -> Link:
+    """The link of scenario s, with each surface's cascaded gain.
 
-    The reflect path sees both hops, so the gains multiply. Coincident
+    A surface's cascaded gain is the product of its two hops' path losses:
+    the reflect path sees both hops, so the gains multiply. Coincident
     nodes (zero distance) are rejected. A gain that leaves the float range
     (0 or inf) raises ArithmeticError naming the surface.
     """
@@ -172,7 +186,11 @@ def cascaded_large_scale(s: Scenario) -> LargeScale:
                 f"{d_br:g} m and {d_ru:g} m: outside the float range"
             )
         gains.append(gain)
-    return LargeScale(beta_sq=np.array(gains))
+    return Link(
+        counts=[r.element_count for r in s.ris_list], beta_sq=gains,
+        sigma_z_sq=s.sigma_z_sq, sigma_n_sq=s.sigma_n_sq, q=s.q, p_avg=s.p_avg,
+        k_br=s.rician_k_br, k_ru=s.rician_k_ru,
+    )
 
 
 def two_ris_layout(
@@ -221,46 +239,3 @@ def two_ris_layout(
         p_avg=dbm_to_watts(p_avg_dbm),
     )
 
-
-def from_large_scale(
-    beta_sq,
-    element_counts,
-    *,
-    sigma_z_sq: float,
-    sigma_n_sq: float,
-    q: float,
-    p_avg: float,
-) -> tuple[Scenario, LargeScale]:
-    """Build a scenario directly from cascaded gains, skipping geometry.
-
-    Useful when a config pins beta_sq instead of node placement. The
-    returned scenario carries placeholder positions; pass the returned
-    LargeScale explicitly to sampling and simulation so the placeholder
-    geometry is never consulted. Only the deterministic-BS-link model
-    is supported here because sampling then depends on the cascade gain
-    alone, not on how it splits across the two hops.
-    """
-    ls = LargeScale(beta_sq=np.asarray(beta_sq, dtype=np.float64))
-    counts = [int(m) for m in element_counts]
-    if len(counts) != ls.num_ris:
-        raise ValueError(
-            f"element_counts has {len(counts)} entries for {ls.num_ris} cascaded gains"
-        )
-    ris_list = tuple(
-        RisSpec(m, Position(1.0, float(k), 0.0)) for k, m in enumerate(counts)
-    )
-    s = Scenario(
-        bs_position=Position(0.0, 0.0, 0.0),
-        user_position=Position(2.0, 0.0, 0.0),
-        ris_list=ris_list,
-        c0_db=0.0,
-        alpha_br=2.0,
-        alpha_ru=2.0,
-        rician_k_br=math.inf,
-        rician_k_ru=0.0,
-        sigma_z_sq=sigma_z_sq,
-        sigma_n_sq=sigma_n_sq,
-        q=q,
-        p_avg=p_avg,
-    )
-    return s, ls

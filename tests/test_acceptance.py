@@ -35,13 +35,8 @@ from rispilot.channel import (
 )
 from rispilot.cli import main
 from rispilot.estimation import PerRisPowers
-from rispilot.montecarlo import TrialConfig, dynamic_range, trial_gains
-from rispilot.scenario import (
-    LargeScale,
-    cascaded_large_scale,
-    from_large_scale,
-    two_ris_layout,
-)
+from rispilot.montecarlo import GainRow, TrialConfig, trial_gains
+from rispilot.scenario import Link, cascaded_large_scale, two_ris_layout
 
 TRIALS_DESK = 10_000
 # Pilot budget for the user-sweep checks. High enough that estimation noise,
@@ -55,11 +50,25 @@ def _line(num, detail):
 
 
 def _layout(d, m1, m2):
-    return two_ris_layout(50.0, float(d), m1, m2, p_avg_dbm=P_AVG_DBM)
+    return cascaded_large_scale(two_ris_layout(50.0, float(d), m1, m2, p_avg_dbm=P_AVG_DBM))
 
 
-def _rates(s, gains):
-    return np.log2(1.0 + s.q * gains / s.sigma_n_sq)
+def _link(beta_sq, counts, p_avg=1.0, sigma_z_sq=1.0):
+    return Link(counts=counts, beta_sq=beta_sq, sigma_z_sq=sigma_z_sq, sigma_n_sq=1.0, q=1.0,
+                p_avg=p_avg)
+
+
+def _gains(link, alloc, cfg):
+    return trial_gains([GainRow(link, alloc)], cfg)[0]
+
+
+def _rates(link, gains):
+    return np.log2(1.0 + link.q * gains / link.sigma_n_sq)
+
+
+def _dynamic_range(powers):
+    """Spread of an allocation in dB, max over min."""
+    return 10.0 * math.log10(float(np.max(powers.p_k)) / float(np.min(powers.p_k)))
 
 
 def _mean_se(x):
@@ -72,13 +81,12 @@ def _symmetric_sweep():
     cfg = TrialConfig(trials=TRIALS_DESK, seed=29, csi_mode="estimated")
     data = {}
     for d in D_GRID:
-        s = _layout(d, 32, 32)
-        ls = cascaded_large_scale(s)
+        link = _layout(d, 32, 32)
         row = {}
         for name in ("uniform", "exact"):
-            alloc = run_allocator(name, s, ls)
-            row[name] = (alloc, trial_gains(s, alloc, cfg, ls=ls))
-        data[d] = (s, ls, row)
+            alloc = run_allocator(name, link)
+            row[name] = (alloc, _gains(link, alloc, cfg))
+        data[d] = (link, row)
     return data
 
 
@@ -88,13 +96,12 @@ def _asymmetric_sweep():
     cfg = TrialConfig(trials=TRIALS_DESK, seed=31, csi_mode="estimated")
     scen, powers, gains = {}, {}, {}
     for d in D_GRID:
-        s = _layout(d, 320, 32)
-        ls = cascaded_large_scale(s)
-        scen[d] = s
-        powers[d] = {n: run_allocator(n, s, ls) for n in ("uniform", "exact")}
+        link = _layout(d, 320, 32)
+        scen[d] = link
+        powers[d] = {n: run_allocator(n, link) for n in ("uniform", "exact")}
         if abs(d) == 16:
             gains[d] = {
-                n: trial_gains(s, powers[d][n], cfg, ls=ls)
+                n: _gains(link, powers[d][n], cfg)
                 for n in ("uniform", "exact")
             }
     return scen, powers, gains
@@ -132,12 +139,10 @@ def test_criterion_02_ergodic_gain_oracle():
     counts = (8, 8)
     worst = 0.0
     for p_avg in (40.0, 400.0, 4000.0):  # weak-surface pilot SNR 10/20/30 dB
-        s, ls = from_large_scale(
-            [1.0, 0.25], counts, sigma_z_sq=1.0, sigma_n_sq=1.0, q=1.0, p_avg=p_avg
-        )
-        alloc = allocate_average(s)
-        closed = ergodic_gain_closed_form(ls, counts, alloc, s.sigma_z_sq).total
-        gains = trial_gains(s, alloc, TrialConfig(trials=100_000, seed=7), ls=ls)
+        link = _link([1.0, 0.25], counts, p_avg)
+        alloc = allocate_average(link)
+        closed = ergodic_gain_closed_form(link, alloc).total
+        gains = _gains(link, alloc, TrialConfig(trials=100_000, seed=7))
         mean, se = _mean_se(gains)
         tol = max(0.02 * closed, 4.0 * se)
         assert abs(mean - closed) <= tol, (p_avg, mean, closed, tol)
@@ -154,13 +159,13 @@ def test_criterion_03_perfect_csi_limit():
     ]
     worst = 0.0
     for beta_sq, counts, sigma_z_sq in cases:
-        ls = LargeScale(beta_sq=np.array(beta_sq))
+        link = _link(beta_sq, counts, sigma_z_sq=sigma_z_sq)
         p_big = 1e12 * sigma_z_sq / min(beta_sq)
         alloc = PerRisPowers(p_k=np.full(len(counts), p_big))
-        total = ergodic_gain_closed_form(ls, counts, alloc, sigma_z_sq).total
+        total = ergodic_gain_closed_form(link, alloc).total
         m = np.asarray(counts, dtype=np.float64)
-        beta = np.sqrt(ls.beta_sq)
-        s2 = float(np.sum(m * ls.beta_sq))
+        beta = np.sqrt(link.beta_sq)
+        s2 = float(np.sum(m * link.beta_sq))
         s1 = float(np.sum(m * beta))
         ideal = s2 + 0.25 * math.pi * (s1**2 - s2)
         rel = abs(total - ideal) / ideal
@@ -171,19 +176,17 @@ def test_criterion_03_perfect_csi_limit():
 
 def test_criterion_04_allocation_closed_forms():
     # (a) sixteen-to-one gain ratio doubles the weak surface's pilot power
-    ratio = allocate_equal_m(LargeScale(beta_sq=np.array([16.0, 1.0])), 2, 3.0)
+    ratio = allocate_equal_m(_link([16.0, 1.0], (4, 4), 3.0))
     assert ratio.p_k[1] == 2.0 * ratio.p_k[0]
 
     # (b) the count-weighted form collapses to the equal-count form bitwise
-    ls = LargeScale(beta_sq=np.array([1.7, 0.3]))
-    assert np.array_equal(
-        allocate_large_m(ls, (7, 7), 2.5).p_k, allocate_equal_m(ls, 2, 2.5).p_k
-    )
+    link = _link([1.7, 0.3], (7, 7), 2.5)
+    assert np.array_equal(allocate_large_m(link).p_k, allocate_equal_m(link).p_k)
 
     # (c) inverse square-root law: p_k * sqrt(amplitude) constant per surface
-    ls4 = LargeScale(beta_sq=np.array([3.5, 1.0, 0.4, 0.07]))
-    p = allocate_equal_m(ls4, 4, 5.0).p_k
-    t = p * ls4.beta_sq**0.25
+    link4 = _link([3.5, 1.0, 0.4, 0.07], (4, 4, 4, 4), 5.0)
+    p = allocate_equal_m(link4).p_k
+    t = p * link4.beta_sq**0.25
     assert np.ptp(t) / np.mean(t) <= 1e-12
 
     # (d) every allocator lands on the exact pilot energy budget
@@ -192,13 +195,11 @@ def test_criterion_04_allocation_closed_forms():
         ((6, 10), ("uniform", "eq27", "eq28", "exact")),
         ((8, 8), ("eq29",)),
     ):
-        s, ls2 = from_large_scale(
-            [1.0, 0.25], counts, sigma_z_sq=1.0, sigma_n_sq=1.0, q=1.0, p_avg=4.0
-        )
+        link2 = _link([1.0, 0.25], counts, 4.0)
         m = np.asarray(counts, dtype=np.float64)
-        target = float(m.sum()) * s.p_avg
+        target = float(m.sum()) * link2.p_avg
         for name in names:
-            total = float(np.sum(m * run_allocator(name, s, ls2).p_k))
+            total = float(np.sum(m * run_allocator(name, link2).p_k))
             rel = abs(total - target) / target
             assert rel <= 1e-9, (name, rel)
             worst = max(worst, rel)
@@ -207,27 +208,24 @@ def test_criterion_04_allocation_closed_forms():
 
 def test_criterion_05_solver_consistency():
     t0 = perf_counter()
-    ls = LargeScale(beta_sq=np.array([1.0, 0.25]))
-    counts = (100, 100)
-    p_avg, sigma_z_sq = 400.0, 1.0  # weak-surface pilot SNR 20 dB
+    # weak-surface pilot SNR 20 dB
+    link = _link([1.0, 0.25], (100, 100), p_avg=400.0, sigma_z_sq=1.0)
 
-    exact = allocate_exact_numeric(ls, counts, p_avg, sigma_z_sq)
-    closed = allocate_moderate_snr(ls, counts, p_avg)
+    exact = allocate_exact_numeric(link)
+    closed = allocate_moderate_snr(link)
     rel = np.abs(exact.p_k - closed.p_k) / closed.p_k
     assert np.all(rel <= 0.05), rel
 
-    res = stationarity_residual(ls, counts, exact.p_k, sigma_z_sq)
+    res = stationarity_residual(link, exact.p_k)
     spread = float(np.ptp(res) / abs(np.mean(res)))
     assert spread <= 1e-6, spread
 
     def phi(alloc):
-        return objective_phi(ls, counts, alloc, sigma_z_sq)
+        return objective_phi(link, alloc)
 
     phi_exact = phi(exact)
     phi_closed = phi(closed)
-    phi_uniform = phi(allocate_average(from_large_scale(
-        [1.0, 0.25], counts, sigma_z_sq=sigma_z_sq, sigma_n_sq=1.0, q=1.0, p_avg=p_avg
-    )[0]))
+    phi_uniform = phi(allocate_average(link))
     assert phi_exact + 1e-9 * abs(phi_exact) >= phi_closed
     assert phi_closed + 1e-9 * abs(phi_closed) >= phi_uniform
     elapsed = perf_counter() - t0
@@ -243,10 +241,10 @@ def test_criterion_06_symmetric_sweep_claims():
     t0 = perf_counter()
     data = _symmetric_sweep()
     margins = {}
-    for d, (s, ls, row) in data.items():
+    for d, (link, row) in data.items():
         alloc_e, gains_e = row["exact"]
         alloc_u, gains_u = row["uniform"]
-        diff = _rates(s, gains_e) - _rates(s, gains_u)
+        diff = _rates(link, gains_e) - _rates(link, gains_u)
         mean, se = _mean_se(diff)
         margins[d] = (mean, se)
         # (i) the optimized allocation never loses to the uniform one
@@ -297,27 +295,27 @@ def test_criterion_07_asymmetric_sweep_claims():
 
 def test_criterion_08_dynamic_range_bound():
     worst = 0.0
-    for _, _, row in _symmetric_sweep().values():
+    for _, row in _symmetric_sweep().values():
         for alloc, _ in row.values():
-            worst = max(worst, dynamic_range(alloc))
+            worst = max(worst, _dynamic_range(alloc))
     _, powers, _ = _asymmetric_sweep()
     for per_d in powers.values():
         for alloc in per_d.values():
-            worst = max(worst, dynamic_range(alloc))
+            worst = max(worst, _dynamic_range(alloc))
     assert worst < 15.0
     _line(8, f"largest power spread {worst:.2f} dB, bound 15 dB")
 
 
 def test_criterion_09_csi_hierarchy():
     worst = math.inf
-    for d, (s, ls, row) in _symmetric_sweep().items():
+    for d, (link, row) in _symmetric_sweep().items():
         alloc, gains_est = row["exact"]
         per_mode = {"estimated": gains_est}
         for mode in ("perfect", "random-phase"):
             cfg = TrialConfig(trials=TRIALS_DESK, seed=29, csi_mode=mode)
-            per_mode[mode] = trial_gains(s, alloc, cfg, ls=ls)
+            per_mode[mode] = _gains(link, alloc, cfg)
         for hi, lo in (("perfect", "estimated"), ("estimated", "random-phase")):
-            diff = _rates(s, per_mode[hi]) - _rates(s, per_mode[lo])
+            diff = _rates(link, per_mode[hi]) - _rates(link, per_mode[lo])
             mean, se = _mean_se(diff)
             assert mean >= -3.0 * se, (d, hi, lo, mean, se)
             worst = min(worst, mean / se)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import types
 
@@ -22,22 +23,23 @@ from rispilot.allocation import (
     solve_exact,
 )
 from rispilot.analysis import objective_phi, stationarity_residual
-from rispilot.scenario import LargeScale, from_large_scale
+from rispilot.scenario import Link, dbm_to_watts
 
 
-def _ls(*beta_sq):
-    return LargeScale(beta_sq=np.array(beta_sq, dtype=np.float64))
+def _link(beta_sq, counts, p_avg=1.0, sigma_z_sq=1.0):
+    return Link(counts=counts, beta_sq=beta_sq, sigma_z_sq=sigma_z_sq, sigma_n_sq=1.0, q=1.0,
+                p_avg=p_avg)
 
 
 def test_moderate_snr_two_surface_example():
     # amplitudes 2 and 1, one element each: powers split 1:2
-    p = allocate_moderate_snr(_ls(4.0, 1.0), [1, 1], 1.0).p_k
+    p = allocate_moderate_snr(_link([4.0, 1.0], [1, 1])).p_k
     assert p[0] == pytest.approx(2.0 / 3.0, rel=1e-12)
     assert p[1] == pytest.approx(4.0 / 3.0, rel=1e-12)
 
 
 def test_equal_count_inverse_root_law():
-    p = allocate_equal_m(_ls(16.0, 1.0), 2, 1.0).p_k
+    p = allocate_equal_m(_link([16.0, 1.0], [8, 8])).p_k
     assert p[1] == 2.0 * p[0]
     prod = p * np.sqrt(np.sqrt(np.array([16.0, 1.0])))
     assert prod[0] == pytest.approx(prod[1], rel=1e-12)
@@ -45,21 +47,20 @@ def test_equal_count_inverse_root_law():
 
 def test_large_m_unequal_counts_example():
     # amplitudes 4 and 1, so the per-surface damping roots are 2 and 1
-    p = allocate_large_m(_ls(16.0, 1.0), [10, 30], 1.0).p_k
+    p = allocate_large_m(_link([16.0, 1.0], [10, 30])).p_k
     assert p[0] == pytest.approx(4.0 / 7.0, rel=1e-12)
     assert p[1] == pytest.approx(8.0 / 7.0, rel=1e-12)
 
 
 def test_large_m_routes_equal_counts_through_equal_m():
-    ls = _ls(3.0, 0.7, 1.2)
-    a = allocate_large_m(ls, [64, 64, 64], 0.05).p_k
-    b = allocate_equal_m(ls, 3, 0.05).p_k
+    link = _link([3.0, 0.7, 1.2], [64, 64, 64], 0.05)
+    a = allocate_large_m(link).p_k
+    b = allocate_equal_m(link).p_k
     assert np.array_equal(a, b)
 
 
 def test_average_allocator_is_flat():
-    s, _ = from_large_scale([1.0, 2.0], [8, 8], sigma_z_sq=1.0, sigma_n_sq=1.0, q=1.0, p_avg=0.2)
-    assert np.all(allocate_average(s).p_k == 0.2)
+    assert np.all(allocate_average(_link([1.0, 2.0], [8, 8], 0.2)).p_k == 0.2)
 
 
 @given(
@@ -71,26 +72,24 @@ def test_closed_forms_meet_the_budget(beta_sq, data):
     k = len(beta_sq)
     counts = data.draw(st.lists(st.integers(min_value=1, max_value=200), min_size=k, max_size=k))
     p_avg = data.draw(st.floats(min_value=1e-4, max_value=10.0))
-    ls = _ls(*beta_sq)
+    link = _link(beta_sq, counts, p_avg)
     total = sum(counts) * p_avg
     for p in (
-        allocate_moderate_snr(ls, counts, p_avg).p_k,
-        allocate_large_m(ls, counts, p_avg).p_k,
+        allocate_moderate_snr(link).p_k,
+        allocate_large_m(link).p_k,
     ):
         assert float(np.dot(counts, p)) == pytest.approx(total, rel=1e-12)
         assert np.all(p > 0.0)
-    p_eq = allocate_equal_m(ls, k, p_avg).p_k
+    p_eq = allocate_equal_m(link).p_k
     assert float(np.sum(p_eq)) == pytest.approx(k * p_avg, rel=1e-12)
 
 
 def test_closed_forms_scale_linearly_with_budget():
-    ls = _ls(2.0, 0.5, 0.1)
     counts = [16, 8, 4]
-    for fn in (
-        lambda pa: allocate_moderate_snr(ls, counts, pa).p_k,
-        lambda pa: allocate_large_m(ls, counts, pa).p_k,
-        lambda pa: allocate_equal_m(ls, 3, pa).p_k,
-    ):
+    for allocate in (allocate_moderate_snr, allocate_large_m, allocate_equal_m):
+        def fn(pa):
+            return allocate(_link([2.0, 0.5, 0.1], counts, pa)).p_k
+
         base = fn(0.3)
         assert np.array_equal(fn(0.3 * 4.0), base * 4.0)  # power-of-two scale is exact
         assert np.allclose(fn(0.3 * 3.7), base * 3.7, rtol=1e-12)
@@ -100,41 +99,42 @@ def test_closed_forms_are_permutation_equivariant():
     beta_sq = [4.0, 1.0, 0.25]
     counts = [10, 20, 40]
     order = [2, 0, 1]
-    ls, ls_perm = _ls(*beta_sq), _ls(*[beta_sq[i] for i in order])
+    beta_perm = [beta_sq[i] for i in order]
     counts_perm = [counts[i] for i in order]
-    for fn, fn_args, perm_args in (
-        (allocate_moderate_snr, (ls, counts, 1.0), (ls_perm, counts_perm, 1.0)),
-        (allocate_large_m, (ls, counts, 1.0), (ls_perm, counts_perm, 1.0)),
-        (allocate_equal_m, (ls, 3, 1.0), (ls_perm, 3, 1.0)),
+    for fn, link, link_perm in (
+        (allocate_moderate_snr, _link(beta_sq, counts), _link(beta_perm, counts_perm)),
+        (allocate_large_m, _link(beta_sq, counts), _link(beta_perm, counts_perm)),
+        (allocate_equal_m, _link(beta_sq, [8, 8, 8]), _link(beta_perm, [8, 8, 8])),
     ):
-        base = fn(*fn_args).p_k
-        perm = fn(*perm_args).p_k
+        base = fn(link).p_k
+        perm = fn(link_perm).p_k
         assert np.allclose(perm, base[order], rtol=1e-12)
 
 
 def test_weaker_surfaces_get_more_power():
-    ls = _ls(4.0, 1.0, 0.25)
+    beta_sq = [4.0, 1.0, 0.25]
     for p in (
-        allocate_moderate_snr(ls, [8, 8, 8], 1.0).p_k,
-        allocate_large_m(ls, [8, 4, 2], 1.0).p_k,
-        allocate_equal_m(ls, 3, 1.0).p_k,
+        allocate_moderate_snr(_link(beta_sq, [8, 8, 8])).p_k,
+        allocate_large_m(_link(beta_sq, [8, 4, 2])).p_k,
+        allocate_equal_m(_link(beta_sq, [8, 8, 8])).p_k,
     ):
         assert p[0] < p[1] < p[2]
 
 
 def test_single_element_network_falls_back_to_uniform():
     with pytest.warns(UniformFallbackWarning):
-        p = allocate_moderate_snr(_ls(2.0), [1], 0.7).p_k
+        p = allocate_moderate_snr(_link([2.0], [1], 0.7)).p_k
     assert np.array_equal(p, np.array([0.7]))
 
 
 def test_inconsistent_inputs_raise_infeasible():
     # a corrupt gain table whose amplitude sum undershoots one entry
     fake = types.SimpleNamespace(
-        beta=np.array([5.0, -4.9]), beta_sq=np.array([25.0, 24.01]), num_ris=2
+        beta=np.array([5.0, -4.9]), beta_sq=np.array([25.0, 24.01]), num_ris=2,
+        counts=np.array([1, 1]), p_avg=1.0,
     )
     with pytest.raises(InfeasibleAllocationError) as exc:
-        allocate_moderate_snr(fake, [1, 1], 1.0)
+        allocate_moderate_snr(fake)
     assert 0 in exc.value.ris_indices
 
 
@@ -143,29 +143,28 @@ def test_per_ris_powers_validation_and_expansion():
         PerRisPowers(p_k=np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         PerRisPowers(p_k=np.array([[1.0]]))
-    powers = allocate_large_m(_ls(4.0, 1.0), [10, 30], 0.5)
+    powers = allocate_large_m(_link([4.0, 1.0], [10, 30], 0.5))
     assert float(np.dot([10, 30], powers.p_k)) == pytest.approx(20.0, rel=1e-12)
 
 
 def test_exact_solver_symmetric_case_is_uniform_bitwise():
-    p = allocate_exact_numeric(_ls(1.0, 1.0), [32, 32], 0.25, 1e-3).p_k
+    p = allocate_exact_numeric(_link([1.0, 1.0], [32, 32], 0.25, 1e-3)).p_k
     assert np.all(p == 0.25)
 
 
 def test_exact_solver_noiseless_training_returns_uniform():
-    p = allocate_exact_numeric(_ls(4.0, 1.0), [8, 16], 0.25, 0.0).p_k
+    p = allocate_exact_numeric(_link([4.0, 1.0], [8, 16], 0.25, 0.0)).p_k
     assert np.all(p == 0.25)
 
 
-_SOLVER_LS = _ls(1.0, 0.25)
 _SOLVER_COUNTS = [100, 100]
 _SOLVER_PAVG = 4.0
-_SOLVER_NOISE = 1.0
+_SOLVER_LINK = _link([1.0, 0.25], _SOLVER_COUNTS, _SOLVER_PAVG, 1.0)
 
 
 def test_exact_solver_equalizes_the_multiplier():
-    sol = allocate_exact_numeric(_SOLVER_LS, _SOLVER_COUNTS, _SOLVER_PAVG, _SOLVER_NOISE)
-    r = stationarity_residual(_SOLVER_LS, _SOLVER_COUNTS, sol.p_k, _SOLVER_NOISE)
+    sol = allocate_exact_numeric(_SOLVER_LINK)
+    r = stationarity_residual(_SOLVER_LINK, sol.p_k)
     spread = (r.max() - r.min()) / np.max(np.abs(r))
     assert spread < 1e-6
     budget = float(np.dot(_SOLVER_COUNTS, sol.p_k))
@@ -174,14 +173,14 @@ def test_exact_solver_equalizes_the_multiplier():
 
 def test_exact_solver_beats_every_closed_form():
     def phi_of(p_k):
-        return objective_phi(_SOLVER_LS, _SOLVER_COUNTS, PerRisPowers(p_k=p_k), _SOLVER_NOISE)
+        return objective_phi(_SOLVER_LINK, PerRisPowers(p_k=p_k))
 
-    exact = allocate_exact_numeric(_SOLVER_LS, _SOLVER_COUNTS, _SOLVER_PAVG, _SOLVER_NOISE)
+    exact = allocate_exact_numeric(_SOLVER_LINK)
     phi_exact = phi_of(exact.p_k)
     slack = 1e-12 * abs(phi_exact)
     for rival in (
-        allocate_moderate_snr(_SOLVER_LS, _SOLVER_COUNTS, _SOLVER_PAVG).p_k,
-        allocate_large_m(_SOLVER_LS, _SOLVER_COUNTS, _SOLVER_PAVG).p_k,
+        allocate_moderate_snr(_SOLVER_LINK).p_k,
+        allocate_large_m(_SOLVER_LINK).p_k,
         np.full(2, _SOLVER_PAVG),
     ):
         assert phi_exact + slack >= phi_of(rival)
@@ -190,30 +189,29 @@ def test_exact_solver_beats_every_closed_form():
 def test_exact_solver_stays_near_moderate_snr_form_at_high_snr():
     # per-element training SNR is at least 10 dB here, the regime the
     # closed form was built for
-    exact = allocate_exact_numeric(_SOLVER_LS, _SOLVER_COUNTS, 400.0, _SOLVER_NOISE).p_k
-    closed = allocate_moderate_snr(_SOLVER_LS, _SOLVER_COUNTS, 400.0).p_k
+    link = dataclasses.replace(_SOLVER_LINK, p_avg=400.0)
+    exact = allocate_exact_numeric(link).p_k
+    closed = allocate_moderate_snr(link).p_k
     assert np.max(np.abs(exact - closed) / closed) < 0.05
 
 
 def test_exact_solver_start_independence():
-    sol = allocate_exact_numeric(_SOLVER_LS, _SOLVER_COUNTS, _SOLVER_PAVG, _SOLVER_NOISE)
+    sol = allocate_exact_numeric(_SOLVER_LINK)
     gen = np.random.Generator(np.random.Philox(key=np.array([0, 0], dtype=np.uint64)))
     max_dev = 0.0
     for _ in range(3):
         start = gen.uniform(0.1, 1.0, len(_SOLVER_COUNTS)) * _SOLVER_PAVG
-        other = allocate_exact_numeric(
-            _SOLVER_LS, _SOLVER_COUNTS, _SOLVER_PAVG, _SOLVER_NOISE, start=start
-        )
+        other = allocate_exact_numeric(_SOLVER_LINK, start=start)
         max_dev = max(max_dev, float(np.max(np.abs(other.p_k - sol.p_k))) / _SOLVER_PAVG)
     assert max_dev < 1e-5
-    r = stationarity_residual(_SOLVER_LS, _SOLVER_COUNTS, sol.p_k, _SOLVER_NOISE)
+    r = stationarity_residual(_SOLVER_LINK, sol.p_k)
     assert multiplier_spread(r) < 1e-6
-    assert objective_phi(_SOLVER_LS, _SOLVER_COUNTS, sol, _SOLVER_NOISE) > 0.0
+    assert objective_phi(_SOLVER_LINK, sol) > 0.0
 
 
 def test_exact_solver_nonconvergence_carries_best_iterate():
     with pytest.raises(NonConvergenceError) as exc:
-        allocate_exact_numeric(_SOLVER_LS, _SOLVER_COUNTS, _SOLVER_PAVG, _SOLVER_NOISE, max_iter=1)
+        allocate_exact_numeric(_SOLVER_LINK, max_iter=1)
     err = exc.value
     assert err.best_powers.shape == (2,)
     assert err.residuals.shape == (2,)
@@ -222,7 +220,7 @@ def test_exact_solver_nonconvergence_carries_best_iterate():
 
 def test_exact_solver_failure_message_reports_what_ran():
     with pytest.raises(NonConvergenceError) as exc:
-        allocate_exact_numeric(_SOLVER_LS, _SOLVER_COUNTS, _SOLVER_PAVG, _SOLVER_NOISE, max_iter=1)
+        allocate_exact_numeric(_SOLVER_LINK, max_iter=1)
     message = str(exc.value)
     assert message.startswith("no convergence after 1 iterations (cap 1): multiplier spread ")
     spread = float(message.split("multiplier spread ")[1].split()[0])
@@ -243,32 +241,31 @@ def test_exact_solver_certifies_heterogeneous_problems(k, data):
         st.lists(st.floats(min_value=-12.0, max_value=-8.0), min_size=k, max_size=k)
     )
     counts = data.draw(st.lists(st.integers(min_value=8, max_value=256), min_size=k, max_size=k))
-    ls = _ls(*(10.0 ** e for e in exponents))
-    exact = allocate_exact_numeric(ls, counts, _HETERO_PAVG, _HETERO_NOISE).p_k
+    link = _link([10.0 ** e for e in exponents], counts, _HETERO_PAVG, _HETERO_NOISE)
+    exact = allocate_exact_numeric(link).p_k
     budget = float(np.dot(counts, exact))
     assert budget == pytest.approx(sum(counts) * _HETERO_PAVG, rel=1e-9)
-    r = stationarity_residual(ls, counts, exact, _HETERO_NOISE)
+    r = stationarity_residual(link, exact)
     assert multiplier_spread(r) < 1e-6
 
     def phi_of(p_k):
-        return objective_phi(ls, counts, PerRisPowers(p_k=p_k), _HETERO_NOISE)
+        return objective_phi(link, PerRisPowers(p_k=p_k))
 
     phi_exact = phi_of(exact)
     for rival in (
         np.full(k, _HETERO_PAVG),
-        allocate_moderate_snr(ls, counts, _HETERO_PAVG).p_k,
-        allocate_large_m(ls, counts, _HETERO_PAVG).p_k,
+        allocate_moderate_snr(link).p_k,
+        allocate_large_m(link).p_k,
     ):
         assert phi_exact + 1e-12 * abs(phi_exact) >= phi_of(rival)
 
 
 def test_exact_solver_rejects_bad_start():
+    link = dataclasses.replace(_SOLVER_LINK, p_avg=1.0)
     with pytest.raises(ValueError):
-        allocate_exact_numeric(
-            _SOLVER_LS, _SOLVER_COUNTS, 1.0, 1.0, start=np.array([1.0, -1.0])
-        )
+        allocate_exact_numeric(link, start=np.array([1.0, -1.0]))
     with pytest.raises(ValueError):
-        allocate_exact_numeric(_SOLVER_LS, _SOLVER_COUNTS, 1.0, 1.0, start=np.ones(3))
+        allocate_exact_numeric(link, start=np.ones(3))
 
 
 def test_allocator_vocabulary():
@@ -284,28 +281,27 @@ def test_allocator_vocabulary():
 
 
 def test_run_allocator_dispatch():
-    s, ls = from_large_scale(
-        [1.0, 0.25], [16, 16], sigma_z_sq=0.01, sigma_n_sq=1.0, q=1.0, p_avg=2.0
-    )
-    flat = run_allocator("uniform", s, ls).p_k
+    link = _link([1.0, 0.25], [16, 16], 2.0, 0.01)
+    flat = run_allocator("uniform", link).p_k
     assert np.all(flat == 2.0)
     assert np.array_equal(
-        run_allocator("eq28", s, ls).p_k, run_allocator("eq29", s, ls).p_k
-    )
-    s2, ls2 = from_large_scale(
-        [1.0, 0.25], [16, 8], sigma_z_sq=0.01, sigma_n_sq=1.0, q=1.0, p_avg=2.0
+        run_allocator("eq28", link).p_k, run_allocator("eq29", link).p_k
     )
     with pytest.raises(ValueError):
-        run_allocator("eq29", s2, ls2)
-    assert np.all(run_allocator("exact", s, ls).p_k > 0.0)
-    # a list of gains is solved in one call, `exact` only
-    _, ls3 = from_large_scale([0.5, 0.25], [16, 16], sigma_z_sq=0.01, sigma_n_sq=1.0, q=1.0,
-                              p_avg=2.0)
-    sol = run_allocator("exact", s, [ls, ls3])
-    assert np.array_equal(sol.row(0), run_allocator("exact", s, ls).p_k)
-    assert np.array_equal(sol.row(1), run_allocator("exact", s, ls3).p_k)
+        run_allocator("eq29", _link([1.0, 0.25], [16, 8], 2.0, 0.01))
+    assert np.all(run_allocator("exact", link).p_k > 0.0)
+    # a link and a list of others are solved in one call, `exact` only
+    other = _link([0.5, 0.25], [16, 16], 2.0, 0.01)
+    sol = run_allocator("exact", link, [other])
+    assert np.array_equal(sol.row(0), run_allocator("exact", link).p_k)
+    assert np.array_equal(sol.row(1), run_allocator("exact", other).p_k)
+    assert run_allocator("exact", link, []).powers.shape == (1, 2)
     with pytest.raises(TypeError):
-        run_allocator("eq28", s, [ls, ls3])
+        run_allocator("eq28", link, [other])
+    # problems solved together share counts, average power and training noise
+    for field, value in (("counts", [16, 8]), ("p_avg", 3.0), ("sigma_z_sq", 0.02)):
+        with pytest.raises(ValueError, match="same element counts"):
+            run_allocator("exact", link, [dataclasses.replace(other, **{field: value})])
 
 
 def _problem_rows(draw, k, n):
@@ -358,8 +354,22 @@ def test_exact_solver_certifies_low_snr_problems_over_eight_decades():
 
 def test_exact_solver_certifies_powers_sixteen_decades_apart():
     # exited 3 with a multiplier spread of 1.8e-3 under the step cap
-    ls = _ls(1e-10, 1e-16)
-    p = allocate_exact_numeric(ls, [4, 8], 1e-30, 1e-14).p_k
-    assert multiplier_spread(stationarity_residual(ls, [4, 8], p, 1e-14)) < 1e-9
+    link = _link([1e-10, 1e-16], [4, 8], 1e-30, 1e-14)
+    p = allocate_exact_numeric(link).p_k
+    assert multiplier_spread(stationarity_residual(link, p)) < 1e-9
     assert float(np.dot([4, 8], p)) == pytest.approx(12e-30, rel=1e-12)
     assert p[1] / p[0] < 1e-10
+
+
+def test_a_non_finite_residual_certifies_nothing():
+    assert math.isnan(multiplier_spread([math.nan, 1.0]))
+    assert math.isnan(multiplier_spread([math.inf, 1.0]))
+    assert multiplier_spread([0.0, 0.0]) == 0.0
+    assert np.isnan(multiplier_spread(np.array([[1.0, math.nan], [2.0, 2.0]]))[0])
+    # the weak surface's optimal power underflows to 0, where its residual
+    # is nan: the row comes back uncertified, not as zero powers
+    sol = solve_exact(np.array([[1e-300, 1e-12]]), [4.0, 8.0], dbm_to_watts(14.0),
+                      dbm_to_watts(-110.0))
+    assert not sol.certified[0] and not sol.spread[0] < sol.bound
+    with pytest.raises(NonConvergenceError):
+        sol.row(0)

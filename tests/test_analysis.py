@@ -10,16 +10,18 @@ from rispilot.analysis import (
     ModelAssumptionWarning,
     alignment_mean,
     ergodic_gain_closed_form,
+    model_applies,
     objective_phi,
     stationarity_residual,
     surface_objective,
 )
 from rispilot.estimation import PerRisPowers
-from rispilot.scenario import LargeScale, from_large_scale
+from rispilot.scenario import Link
 
 
-def _ls(*beta_sq):
-    return LargeScale(beta_sq=np.array(beta_sq, dtype=np.float64))
+def _link(beta_sq, counts, sigma_z_sq):
+    return Link(counts=counts, beta_sq=beta_sq, sigma_z_sq=sigma_z_sq, sigma_n_sq=1.0, q=1.0,
+                p_avg=1.0)
 
 
 def _alloc(per_ris_powers):
@@ -54,31 +56,28 @@ def test_alignment_mean_monte_carlo_oracle():
 
 
 def test_gain_single_element_is_pure_incoherent():
-    g = ergodic_gain_closed_form(_ls(1.0), [1], _uniform([1], 5.0), 1.0)
+    g = ergodic_gain_closed_form(_link([1.0], [1], 1.0), _uniform([1], 5.0))
     assert g.intra_ris == 0.0 and g.inter_ris == 0.0
     assert g.total == pytest.approx(1.0, rel=1e-12)
-    assert g.model_valid is True
 
 
 def test_gain_two_elements_perfect_estimates():
-    g = ergodic_gain_closed_form(_ls(1.0), [2], _uniform([2], 1.0), 0.0)
+    g = ergodic_gain_closed_form(_link([1.0], [2], 0.0), _uniform([2], 1.0))
     assert g.total == pytest.approx(2.0 + math.pi / 2.0, rel=1e-12)
     assert g.incoherent == pytest.approx(2.0, rel=1e-12)
     assert g.inter_ris == 0.0
 
 
 def test_gain_two_elements_unit_noise():
-    g = ergodic_gain_closed_form(_ls(1.0), [2], _uniform([2], 1.0), 1.0)
+    g = ergodic_gain_closed_form(_link([1.0], [2], 1.0), _uniform([2], 1.0))
     assert g.total == pytest.approx(2.0 + math.pi / 4.0, rel=1e-12)
 
 
 def test_surface_split_does_not_change_the_gain():
     # two single-element surfaces with equal strength behave like one
     # two-element surface: the pairwise coupling is the same either way
-    merged = ergodic_gain_closed_form(_ls(1.0), [2], _uniform([2], 1.3), 0.7)
-    split = ergodic_gain_closed_form(
-        _ls(1.0, 1.0), [1, 1], _uniform([1, 1], 1.3), 0.7
-    )
+    merged = ergodic_gain_closed_form(_link([1.0], [2], 0.7), _uniform([2], 1.3))
+    split = ergodic_gain_closed_form(_link([1.0, 1.0], [1, 1], 0.7), _uniform([1, 1], 1.3))
     assert split.total == pytest.approx(merged.total, rel=1e-12)
 
 
@@ -98,9 +97,7 @@ def test_gain_monte_carlo_oracle_mixed_surfaces():
         total += np.sum(h * np.conj(est) / np.abs(est), axis=1)
     gains = np.abs(total) ** 2
     se = np.std(gains, ddof=1) / math.sqrt(n)
-    closed = ergodic_gain_closed_form(
-        _ls(*beta_sq), counts, _alloc(powers), sigma_z_sq
-    )
+    closed = ergodic_gain_closed_form(_link(beta_sq, counts, sigma_z_sq), _alloc(powers))
     assert abs(np.mean(gains) - closed.total) < 4.0 * se
 
 
@@ -115,72 +112,65 @@ def test_total_decomposes_through_objective(beta_sq, data):
     powers = data.draw(
         st.lists(st.floats(min_value=0.05, max_value=20.0), min_size=k, max_size=k)
     )
-    ls = _ls(*beta_sq)
+    link = _link(beta_sq, counts, 0.8)
     alloc = _alloc(powers)
-    g = ergodic_gain_closed_form(ls, counts, alloc, 0.8)
-    phi = objective_phi(ls, counts, alloc, 0.8)
+    g = ergodic_gain_closed_form(link, alloc)
+    phi = objective_phi(link, alloc)
     assert g.total == pytest.approx(g.incoherent + 0.25 * math.pi * phi, rel=1e-12)
 
 
 def test_gain_strictly_increases_with_pilot_power():
-    ls = _ls(1.0, 0.25)
     counts = [8, 8]
+    link = _link([1.0, 0.25], counts, 1.0)
     totals = [
-        ergodic_gain_closed_form(
-            ls, counts, _uniform(counts, p), 1.0
-        ).total
+        ergodic_gain_closed_form(link, _uniform(counts, p)).total
         for p in (0.01, 0.1, 1.0, 10.0, 100.0)
     ]
     assert totals == sorted(totals) and len(set(totals)) == len(totals)
 
 
 def test_gain_approaches_perfect_csi_limit():
-    ls = _ls(2.0, 0.5)
     counts = [4, 6]
-    noisy = ergodic_gain_closed_form(
-        ls, counts, _uniform(counts, 1e12), 1.0
-    ).total
-    ideal = ergodic_gain_closed_form(
-        ls, counts, _uniform(counts, 1.0), 0.0
-    ).total
+    noisy = ergodic_gain_closed_form(_link([2.0, 0.5], counts, 1.0), _uniform(counts, 1e12)).total
+    ideal = ergodic_gain_closed_form(_link([2.0, 0.5], counts, 0.0), _uniform(counts, 1.0)).total
     assert noisy == pytest.approx(ideal, rel=1e-9)
     assert noisy <= ideal
 
 
 def test_model_validity_flag_and_warning():
-    s, ls = from_large_scale([1.0], [2], sigma_z_sq=1.0, sigma_n_sq=1.0, q=1.0, p_avg=1.0)
+    link = _link([1.0], [2], 1.0)
     alloc = _uniform([2], 1.0)
-    g = ergodic_gain_closed_form(ls, [2], alloc, 1.0, scenario=s)
-    assert g.model_valid is True
-    bad = dataclasses.replace(s, rician_k_br=5.0)
+    g = ergodic_gain_closed_form(link, alloc)
+    assert model_applies(link) is True
+    bad = dataclasses.replace(link, k_br=5.0)
     with pytest.warns(ModelAssumptionWarning):
-        g_bad = ergodic_gain_closed_form(ls, [2], alloc, 1.0, scenario=bad)
-    assert g_bad.model_valid is False
-    assert g_bad.total == pytest.approx(g.total, rel=1e-15)
+        assert model_applies(bad) is False
+    assert ergodic_gain_closed_form(bad, alloc).total == pytest.approx(g.total, rel=1e-15)
 
 
 def test_shape_mismatches_rejected():
     alloc = _uniform([2, 2], 1.0)
     with pytest.raises(ValueError):
-        ergodic_gain_closed_form(_ls(1.0), [2, 2], alloc, 1.0)
+        ergodic_gain_closed_form(_link([1.0], [2], 1.0), alloc)
     with pytest.raises(ValueError):
-        ergodic_gain_closed_form(_ls(1.0, 1.0), [2, 3], _uniform([2, 2, 2], 1.0), 1.0)
+        ergodic_gain_closed_form(_link([1.0, 1.0], [2, 3], 1.0), _uniform([2, 2, 2], 1.0))
+    with pytest.raises(ValueError):
+        _link([1.0], [2, 2], 1.0)
 
 
 def test_residual_equal_under_symmetry():
-    r = stationarity_residual(_ls(1.0, 1.0, 1.0), [8, 8, 8], [2.0, 2.0, 2.0], 1.0)
+    r = stationarity_residual(_link([1.0, 1.0, 1.0], [8, 8, 8], 1.0), [2.0, 2.0, 2.0])
     assert r[0] == r[1] == r[2]
 
 
 def test_residual_matches_objective_derivative():
-    ls = _ls(1.0, 0.25)
     counts = [8, 16]
+    link = _link([1.0, 0.25], counts, 1.0)
     p = np.array([3.0, 2.0])
-    sigma_z_sq = 1.0
-    r = stationarity_residual(ls, counts, p, sigma_z_sq)
+    r = stationarity_residual(link, p)
 
     def phi_at(powers):
-        return objective_phi(ls, counts, _alloc(powers), sigma_z_sq)
+        return objective_phi(link, _alloc(powers))
 
     for k in range(2):
         h = 1e-5 * p[k]
@@ -214,7 +204,7 @@ def test_objective_matches_loop_reference_on_unequal_blocks(k, data):
         st.lists(st.floats(min_value=0.1, max_value=10.0), min_size=k, max_size=k)
     )
     blocks = tuple(np.full(m, p) for p, m in zip(powers, counts))
-    phi = objective_phi(_ls(*beta_sq), counts, _alloc(powers), 0.3)
+    phi = objective_phi(_link(beta_sq, counts, 0.3), _alloc(powers))
     assert phi == pytest.approx(_phi_loop(beta_sq, blocks, 0.3), rel=1e-12, abs=0.0)
 
 
@@ -225,7 +215,7 @@ def test_surface_objective_derivatives():
     sigma_z_sq = 1.0
     obj = surface_objective(beta_sq, counts, p, sigma_z_sq)
     assert obj.phi == pytest.approx(
-        objective_phi(_ls(*beta_sq), counts.astype(int), _alloc(p), sigma_z_sq), rel=1e-12
+        objective_phi(_link(beta_sq, counts.astype(int), sigma_z_sq), _alloc(p)), rel=1e-12
     )
     hessian = 2.0 * np.outer(obj.slope, obj.slope) + np.diag(obj.curvature)
     for k in range(3):
@@ -239,17 +229,19 @@ def test_surface_objective_derivatives():
 
 
 def test_residual_vanishes_with_perfect_estimates():
-    r = stationarity_residual(_ls(1.0, 0.25), [8, 16], [1e12, 1e12], 1.0)
+    r = stationarity_residual(_link([1.0, 0.25], [8, 16], 1.0), [1e12, 1e12])
     assert np.max(np.abs(r)) < 1e-12
-    r0 = stationarity_residual(_ls(1.0, 0.25), [8, 16], [1.0, 1.0], 0.0)
+    r0 = stationarity_residual(_link([1.0, 0.25], [8, 16], 0.0), [1.0, 1.0])
     assert np.all(r0 == 0.0)
 
 
 def test_residual_input_validation():
     with pytest.raises(ValueError):
-        stationarity_residual(_ls(1.0), [1, 2], [1.0], 1.0)
+        stationarity_residual(_link([1.0], [1], 1.0), [1.0, 2.0])
     with pytest.raises(ValueError):
-        stationarity_residual(_ls(1.0), [1], [0.0], 1.0)
+        stationarity_residual(_link([1.0], [1], 1.0), [0.0])
+    with pytest.raises(ValueError):
+        stationarity_residual(_link([1.0], [1], 1.0), [math.nan])
 
 
 def test_breakdown_is_frozen():

@@ -17,11 +17,11 @@ from rispilot.channel import (
     unit_normals,
 )
 from rispilot.scenario import (
+    Link,
     Position,
     RisSpec,
     Scenario,
     cascaded_large_scale,
-    from_large_scale,
     two_ris_layout,
 )
 
@@ -63,12 +63,12 @@ def test_standard_complex_normal_moments():
     assert abs(np.mean(w**2)) < 4.0 / math.sqrt(n)
 
 
-def _channel(s, ls, seed, trial=0):
+def _channel(link, seed, trial=0):
     """Trial `trial` of seed `seed`, as the engine draws it: (sum(M_k),) coefficients."""
-    n = int(s.element_counts.sum())
+    n = int(link.counts.sum())
     user = unit_normals(seed, trial, trial + 1, PURPOSE_RIS_USER, n)
     bs = unit_normals(seed, trial, trial + 1, PURPOSE_BS_RIS, n)
-    return sample_channels(s, ls, user, bs)[0]
+    return sample_channels(link, user, bs)[0]
 
 
 @pytest.mark.parametrize("method, width", [("standard_normal", 6), ("random", 5)])
@@ -92,14 +92,11 @@ def test_trial_draws_are_each_trials_own_substream(method, width):
 
 
 def _one_ris_blocked(beta_sq, m):
-    return from_large_scale(
-        [beta_sq], [m], sigma_z_sq=1.0, sigma_n_sq=1.0, q=1.0, p_avg=1.0
-    )
+    return Link(counts=[m], beta_sq=[beta_sq], sigma_z_sq=1.0, sigma_n_sq=1.0, q=1.0, p_avg=1.0)
 
 
 def test_sampled_energy_matches_large_scale():
-    s, ls = _one_ris_blocked(4.0, 200_000)
-    h = _channel(s, ls, 11)
+    h = _channel(_one_ris_blocked(4.0, 200_000), 11)
     n = h.size
     mean_energy = np.mean(np.abs(h) ** 2)
     # |h|^2 / beta^2 is unit exponential, so its relative standard error is 1/sqrt(n)
@@ -107,8 +104,7 @@ def test_sampled_energy_matches_large_scale():
 
 
 def test_sampled_magnitude_matches_rayleigh_mean():
-    s, ls = _one_ris_blocked(4.0, 200_000)
-    h = _channel(s, ls, 12)
+    h = _channel(_one_ris_blocked(4.0, 200_000), 12)
     n = h.size
     expected = SQRT_PI_HALF * 2.0
     rel_sd = math.sqrt(4.0 / math.pi - 1.0)
@@ -117,11 +113,10 @@ def test_sampled_magnitude_matches_rayleigh_mean():
 
 
 def test_sampling_is_deterministic_per_stream():
-    s = two_ris_layout(50.0, 4.0, 8, 16)
-    ls = cascaded_large_scale(s)
-    a = _channel(s, ls, 3, trial=9)
-    b = _channel(s, ls, 3, trial=9)
-    c = _channel(s, ls, 3, trial=10)
+    link = cascaded_large_scale(two_ris_layout(50.0, 4.0, 8, 16))
+    a = _channel(link, 3, trial=9)
+    b = _channel(link, 3, trial=9)
+    c = _channel(link, 3, trial=10)
     assert np.array_equal(a, b)
     assert not np.array_equal(a[:8], c[:8])
     assert a.shape == (24,)
@@ -130,26 +125,24 @@ def test_sampling_is_deterministic_per_stream():
 def test_surfaces_fill_each_trials_stream_end_to_end():
     # surface k's elements take the next M_k values of the trial's stream,
     # so growing the first surface keeps its own draws and shifts the second's
-    s1 = two_ris_layout(50.0, 4.0, 8, 16)
-    s2 = two_ris_layout(50.0, 4.0, 32, 16)
-    ls = cascaded_large_scale(s1)
-    assert np.array_equal(ls.beta, cascaded_large_scale(s2).beta)
+    link1 = cascaded_large_scale(two_ris_layout(50.0, 4.0, 8, 16))
+    link2 = cascaded_large_scale(two_ris_layout(50.0, 4.0, 32, 16))
+    assert np.array_equal(link1.beta, link2.beta)
     v = unit_normals(21, 0, 1, PURPOSE_RIS_USER, 48)[0]
-    h1 = _channel(s1, ls, 21)
-    h2 = _channel(s2, ls, 21)
+    h1 = _channel(link1, 21)
+    h2 = _channel(link2, 21)
     assert np.array_equal(h1[:8], h2[:8])
-    assert np.array_equal(h1[:8], ls.beta[0] * np.conj(v[:8]))
-    assert np.array_equal(h2[32:], ls.beta[1] * np.conj(v[32:48]))
+    assert np.array_equal(h1[:8], link1.beta[0] * np.conj(v[:8]))
+    assert np.array_equal(h2[32:], link1.beta[1] * np.conj(v[32:48]))
 
 
 def test_sample_channels_rejects_misshapen_draws():
-    s = two_ris_layout(50.0, 4.0, 8, 16)
-    ls = cascaded_large_scale(s)
+    link = cascaded_large_scale(two_ris_layout(50.0, 4.0, 8, 16))
     with pytest.raises(ValueError):
-        sample_channels(s, ls, unit_normals(1, 0, 2, PURPOSE_RIS_USER, 23))
-    faded = dataclasses.replace(s, rician_k_br=3.0)
+        sample_channels(link, unit_normals(1, 0, 2, PURPOSE_RIS_USER, 23))
+    faded = dataclasses.replace(link, k_br=3.0)
     with pytest.raises(ValueError):
-        sample_channels(faded, ls, unit_normals(1, 0, 2, PURPOSE_RIS_USER, 24))
+        sample_channels(faded, unit_normals(1, 0, 2, PURPOSE_RIS_USER, 24))
 
 
 def _mirrored(s):
@@ -165,10 +158,10 @@ def _mirrored(s):
 def test_mirrored_layout_reproduces_draws_bit_for_bit(d):
     s = two_ris_layout(50.0, d, 8, 16)
     m = _mirrored(s)
-    ls_s = cascaded_large_scale(s)
-    ls_m = cascaded_large_scale(m)
-    assert np.array_equal(ls_s.beta_sq, ls_m.beta_sq)
-    assert np.array_equal(_channel(s, ls_s, 77), _channel(m, ls_m, 77))
+    link_s = cascaded_large_scale(s)
+    link_m = cascaded_large_scale(m)
+    assert np.array_equal(link_s.beta_sq, link_m.beta_sq)
+    assert np.array_equal(_channel(link_s, 77), _channel(link_m, 77))
 
 
 def test_finite_rician_energy_still_matches_cascade():
@@ -186,9 +179,9 @@ def test_finite_rician_energy_still_matches_cascade():
         q=1.0,
         p_avg=1.0,
     )
-    ls = cascaded_large_scale(s)
-    assert ls.beta_sq[0] == pytest.approx(1.0, rel=1e-12)
-    h = _channel(s, ls, 31)
+    link = cascaded_large_scale(s)
+    assert link.beta_sq[0] == pytest.approx(1.0, rel=1e-12)
+    h = _channel(link, 31)
     n = h.size
     # var(|uv|^2) for rician-by-rayleigh product with K=5, derived by moment algebra
     k = 5.0
@@ -213,6 +206,6 @@ def test_finite_rician_reduces_fading_spread():
     )
     strong_los = Scenario(rician_k_br=50.0, **base)
     weak_los = Scenario(rician_k_br=0.5, **base)
-    v_strong = np.var(np.abs(_channel(strong_los, cascaded_large_scale(strong_los), 32)) ** 2)
-    v_weak = np.var(np.abs(_channel(weak_los, cascaded_large_scale(weak_los), 32)) ** 2)
+    v_strong = np.var(np.abs(_channel(cascaded_large_scale(strong_los), 32)) ** 2)
+    v_weak = np.var(np.abs(_channel(cascaded_large_scale(weak_los), 32)) ** 2)
     assert v_strong < v_weak

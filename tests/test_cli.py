@@ -10,7 +10,7 @@ import yaml
 from rispilot.allocation import multiplier_spread
 from rispilot.analysis import stationarity_residual
 from rispilot.cli import main
-from rispilot.scenario import LargeScale
+from rispilot.scenario import Link
 
 SYMMETRIC = """
 scenario:
@@ -519,9 +519,25 @@ def test_powers_sixteen_decades_apart_are_solved(tmp_path, capsys):
     cfg = _cfg(tmp_path, text)
     assert main(["allocate", "--config", cfg, "--allocators", "exact"]) == 0
     powers = [float(line.split()[2]) for line in capsys.readouterr().out.splitlines()[1:]]
-    ls = LargeScale(beta_sq=np.array([1e-10, 1e-16]))
-    residual = stationarity_residual(ls, [4, 8], np.array(powers), 1e-14)
+    link = Link(counts=[4, 8], beta_sq=[1e-10, 1e-16], sigma_z_sq=1e-14, sigma_n_sq=1e-12,
+                q=10.0, p_avg=1e-30)
+    residual = stationarity_residual(link, np.array(powers))
     assert multiplier_spread(residual) < 1e-9
+
+
+def test_an_optimal_power_below_the_float_range_is_a_numerical_failure(tmp_path, capsys):
+    # the weak surface's optimal power underflows to 0, where its multiplier
+    # is nan; that must leave the solve uncertified, not crash on zero powers
+    text = (EXPONENT.replace('"1e-30 W"', '"14 dBm"').replace("BETA0", "1.0e-300")
+            .replace("2.5e-11", "1.0e-12"))
+    cfg = _cfg(tmp_path, text)
+    for command in (["allocate"], ["validate", "--trials", "500"]):
+        rc = main([*command, "--config", cfg, "--out", str(tmp_path / "x")])
+        captured = capsys.readouterr()
+        assert rc == 3, command
+        assert captured.err.startswith("numerical failure: "), command
+        assert "multiplier spread nan" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
 
 
 def test_sweep_manifest_records_the_solver_per_position(tmp_path):

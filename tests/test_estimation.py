@@ -13,20 +13,18 @@ from rispilot.channel import (
     substream,
     unit_normals,
 )
-from rispilot.estimation import (
-    PerRisPowers,
-    estimate_mse,
-    ls_estimate,
-    pilot_overhead,
-)
-from rispilot.scenario import cascaded_large_scale, from_large_scale, two_ris_layout
+from rispilot.estimation import PerRisPowers, ls_estimate
+from rispilot.scenario import Link
 
 
 def test_estimate_mse_reference_values():
-    assert estimate_mse(0.05, 1e-14) == pytest.approx(2e-13, rel=1e-12)
-    assert estimate_mse(2.0, 2.0) == pytest.approx(1.0, rel=1e-12)
+    # an element trained at power p is estimated with error variance sigma_z_sq / p
+    for p, sigma_z_sq, mse in ((0.05, 1e-14, 2e-13), (2.0, 2.0, 1.0)):
+        s, h, noise = _sampled(10, counts=(3,), sigma_z_sq=sigma_z_sq)
+        est = ls_estimate(h, s.counts, PerRisPowers(p_k=[p]), sigma_z_sq, noise)
+        assert np.allclose(est - h, math.sqrt(mse) * noise, rtol=1e-8, atol=0.0)
     with pytest.raises(ValueError):
-        estimate_mse(0.0, 1e-14)
+        PerRisPowers(p_k=[0.0])
 
 
 def _uniform(counts, p):
@@ -35,31 +33,30 @@ def _uniform(counts, p):
 
 def test_allocation_mse_per_surface():
     s, h, noise = _sampled(8, beta_sq=(1.0, 1.0), counts=(2, 2))
-    est = ls_estimate(h, s.element_counts, PerRisPowers(p_k=[0.5, 2.0]), 2.0, noise)
-    # surface k's elements carry error delta_k = sqrt(sigma_z_sq / p_k)
+    est = ls_estimate(h, s.counts, PerRisPowers(p_k=[0.5, 2.0]), 2.0, noise)
+    # surface k's elements carry error delta_k = sqrt(sigma_z_sq / p_k), the
+    # estimate's mean squared error sigma_z_sq / p_k being 4 and 1
     assert (est - h) / noise == pytest.approx(np.array([[2.0, 2.0, 1.0, 1.0]]))
-    assert estimate_mse(0.5, 2.0) == pytest.approx(4.0) and estimate_mse(2.0, 2.0) == pytest.approx(1.0)
 
 
 def _sampled(seed, beta_sq=(1.0,), counts=(64,), sigma_z_sq=1.0):
-    """Trial 0 of seed: the scenario, its (1, sum(M_k)) channel and pilot-noise draws."""
-    s, ls = from_large_scale(
-        list(beta_sq), list(counts), sigma_z_sq=sigma_z_sq, sigma_n_sq=1.0, q=1.0, p_avg=1.0
-    )
+    """Trial 0 of seed: the link, its (1, sum(M_k)) channel and pilot-noise draws."""
+    s = Link(counts=counts, beta_sq=beta_sq, sigma_z_sq=sigma_z_sq, sigma_n_sq=1.0, q=1.0,
+             p_avg=1.0)
     n = sum(counts)
-    h = sample_channels(s, ls, unit_normals(seed, 0, 1, PURPOSE_RIS_USER, n))
+    h = sample_channels(s, unit_normals(seed, 0, 1, PURPOSE_RIS_USER, n))
     return s, h, unit_normals(seed, 0, 1, PURPOSE_PILOT_NOISE, n)
 
 
 def test_noiseless_estimate_recovers_channel_exactly():
     s, h, noise = _sampled(1)
-    est = ls_estimate(h, s.element_counts, _uniform(s.element_counts, s.p_avg), 0.0, noise)
+    est = ls_estimate(h, s.counts, _uniform(s.counts, s.p_avg), 0.0, noise)
     assert np.array_equal(est, h)
 
 
 def test_estimate_error_variance_oracle():
     s, h, noise = _sampled(2, counts=(200_000,), sigma_z_sq=2.0)
-    est = ls_estimate(h, s.element_counts, _uniform(s.element_counts, 2.0), 2.0, noise)  # delta^2 = 1
+    est = ls_estimate(h, s.counts, _uniform(s.counts, 2.0), 2.0, noise)  # delta^2 = 1
     eps = est - h
     n = eps.size
     assert abs(np.mean(np.abs(eps) ** 2) - 1.0) < 4.0 / math.sqrt(n)
@@ -68,8 +65,8 @@ def test_estimate_error_variance_oracle():
 
 def test_estimate_error_shrinks_with_pilot_power():
     s, h, noise = _sampled(3, counts=(50_000,))
-    weak = ls_estimate(h, s.element_counts, _uniform(s.element_counts, 0.1), 1.0, noise)
-    strong = ls_estimate(h, s.element_counts, _uniform(s.element_counts, 10.0), 1.0, noise)
+    weak = ls_estimate(h, s.counts, _uniform(s.counts, 0.1), 1.0, noise)
+    strong = ls_estimate(h, s.counts, _uniform(s.counts, 10.0), 1.0, noise)
     err = lambda e: np.mean(np.abs(e - h) ** 2)
     assert err(strong) < err(weak)
 
@@ -88,7 +85,7 @@ def test_estimates_do_not_depend_on_training_phase_or_pilots():
     # y = conj(phi h) sqrt(p) x + z with noise z = conj(eps) sqrt(p) x conj(phi);
     # inverting y recovers h + eps, the estimate ls_estimate returns
     s, h, noise = _sampled(4, beta_sq=(1.0, 0.5), counts=(8, 16))
-    counts = s.element_counts
+    counts = s.counts
     powers = PerRisPowers(p_k=[0.3, 1.7])
     base = ls_estimate(h, counts, powers, 1.0, noise)[0]
     split = np.cumsum(counts)[:-1]
@@ -114,9 +111,9 @@ def test_protocol_mode_defaults_match_shortcut_bitwise():
     # slots gives the shortcut back
     s, h, noise = _sampled(5, beta_sq=(2.0, 0.5), counts=(4, 4))
     powers = PerRisPowers(p_k=[0.3, 1.7])
-    est = ls_estimate(h, s.element_counts, powers, 1.0, noise)[0]
+    est = ls_estimate(h, s.counts, powers, 1.0, noise)[0]
     w = standard_complex_normal(substream(RngStream(5, 0), PURPOSE_PILOT_NOISE, 0), 8)
-    delta = np.repeat(np.sqrt(1.0 / powers.p_k), s.element_counts)
+    delta = np.repeat(np.sqrt(1.0 / powers.p_k), s.counts)
     assert np.array_equal(est, h[0] + delta * w)
     root_p = 1.0 / delta
     y = np.conj(h[0]) * root_p + np.conj(est - h[0]) * root_p
@@ -129,19 +126,14 @@ def test_channel_estimate_shape_guard():
     s, h, noise = _sampled(6, beta_sq=(1.0, 1.0), counts=(2, 2))
     powers = PerRisPowers(p_k=[1.0, 1.0])
     with pytest.raises(ValueError):
-        ls_estimate(h, s.element_counts, powers, 1.0, noise[:, :3])
+        ls_estimate(h, s.counts, powers, 1.0, noise[:, :3])
     with pytest.raises(ValueError):
         ls_estimate(h, (2, 1), powers, 1.0, noise)
     with pytest.raises(ValueError):
-        ls_estimate(h, s.element_counts, powers, -1.0, noise)
-
-
-def test_pilot_overhead_counts_elements():
-    s = two_ris_layout(50.0, 0.0, 8, 16)
-    assert pilot_overhead(s) == 24
+        ls_estimate(h, s.counts, powers, -1.0, noise)
 
 
 def test_power_count_must_match_surfaces():
     s, h, noise = _sampled(9, beta_sq=(1.0, 1.0), counts=(2, 2))
     with pytest.raises(ValueError):
-        ls_estimate(h, s.element_counts, PerRisPowers(p_k=[1.0]), 1.0, noise)
+        ls_estimate(h, s.counts, PerRisPowers(p_k=[1.0]), 1.0, noise)

@@ -51,7 +51,10 @@ def _config(name):
     return str(local if local.exists() else TESTS.parent / "configs" / f"{name}.yaml")
 
 
-@pytest.mark.parametrize("config,csi_mode", [(c, None) for c in CONFIGS] + RICIAN_SWEEPS)
+@pytest.mark.parametrize(
+    "config,csi_mode", [(c, None) for c in CONFIGS] + RICIAN_SWEEPS,
+    ids=CONFIGS + [f"{c}-{mode}" for c, mode in RICIAN_SWEEPS],
+)
 def test_sweep_matches_reference_outputs(tmp_path, config, csi_mode):
     out = tmp_path / config
     argv = ["sweep", "--config", _config(config), "--trials", "200", "--out", str(out)]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -19,13 +20,10 @@ from rispilot.montecarlo import (
     MetricEstimate,
     SweepRow,
     TrialConfig,
-    dynamic_range,
-    simulate_metrics,
     sweep_user,
     trial_gains,
 )
-from rispilot.reflection import rate_from_gain
-from rispilot.scenario import cascaded_large_scale, from_large_scale, two_ris_layout
+from rispilot.scenario import Link, cascaded_large_scale, two_ris_layout
 
 
 def test_trial_config_validation():
@@ -36,71 +34,93 @@ def test_trial_config_validation():
 
 
 def _beta_direct(beta_sq, counts, p_avg=1.0, sigma_z_sq=1.0):
-    return from_large_scale(
-        beta_sq, counts, sigma_z_sq=sigma_z_sq, sigma_n_sq=1.0, q=1.0, p_avg=p_avg
-    )
+    return Link(counts=counts, beta_sq=beta_sq, sigma_z_sq=sigma_z_sq, sigma_n_sq=1.0, q=1.0,
+                p_avg=p_avg)
+
+
+def _gains(link, alloc, cfg, workers=1):
+    """The per-trial gains of one row."""
+    return trial_gains([GainRow(link, alloc)], cfg, workers=workers)[0]
+
+
+def _se(x):
+    return float(np.std(x, ddof=1) / math.sqrt(x.size))
+
+
+def _simulate(link, alloc, cfg):
+    """Means and standard errors of one row's gain and rate, as a sweep row reports them."""
+    gains = _gains(link, alloc, cfg)
+    rates = np.log2(1.0 + link.q * gains / link.sigma_n_sq)
+    return MetricEstimate(float(np.mean(gains)), _se(gains), float(np.mean(rates)), _se(rates))
+
+
+def _select(result, allocator=None, d_m=None):
+    return [r for r in result.rows
+            if allocator in (None, r.allocator) and d_m in (None, r.d_m)]
 
 
 def test_single_element_perfect_csi_mean_gain():
-    s, ls = _beta_direct([2.5], [1])
+    link = _beta_direct([2.5], [1])
     cfg = TrialConfig(trials=100_000, seed=7, csi_mode="perfect")
-    m = simulate_metrics(s, allocate_average(s), cfg, ls=ls)
+    m = _simulate(link, allocate_average(link), cfg)
     assert abs(m.mean_gain - 2.5) < 3.0 * m.se_gain
     assert m.se_gain > 0.0
     # Jensen: mean log-rate sits below the rate at the mean gain
-    assert m.mean_rate < rate_from_gain(m.mean_gain, s.q, s.sigma_n_sq)
+    assert m.mean_rate < math.log2(1.0 + link.q * m.mean_gain / link.sigma_n_sq)
 
 
 def test_random_phase_mean_gain_is_incoherent():
-    s, ls = _beta_direct([1.0, 1.0], [8, 8])
+    link = _beta_direct([1.0, 1.0], [8, 8])
     cfg = TrialConfig(trials=100_000, seed=3, csi_mode="random-phase")
-    m = simulate_metrics(s, allocate_average(s), cfg, ls=ls)
+    m = _simulate(link, allocate_average(link), cfg)
     assert abs(m.mean_gain - 16.0) < 3.0 * m.se_gain
 
 
 def test_estimated_mode_tracks_closed_form():
-    s, ls = _beta_direct([1.0, 0.25], [8, 8], p_avg=2.0)
-    alloc = allocate_average(s)
+    link = _beta_direct([1.0, 0.25], [8, 8], p_avg=2.0)
+    alloc = allocate_average(link)
     cfg = TrialConfig(trials=20_000, seed=11)
-    m = simulate_metrics(s, alloc, cfg, ls=ls)
-    closed = ergodic_gain_closed_form(ls, s.element_counts, alloc, s.sigma_z_sq).total
+    m = _simulate(link, alloc, cfg)
+    closed = ergodic_gain_closed_form(link, alloc).total
     assert abs(m.mean_gain - closed) < 4.0 * m.se_gain
 
 
 def test_gains_do_not_depend_on_worker_count():
-    s, ls = _beta_direct([1.0, 0.25], [4, 4])
+    link = _beta_direct([1.0, 0.25], [4, 4])
+    alloc = allocate_average(link)
     cfg = TrialConfig(trials=200, seed=5)
-    serial = trial_gains(s, allocate_average(s), cfg, ls=ls, workers=1)
+    serial = _gains(link, alloc, cfg, workers=1)
     for workers in (2, 3):
-        assert np.array_equal(serial, trial_gains(s, allocate_average(s), cfg, ls=ls, workers=workers))
-    few = trial_gains(s, allocate_average(s), TrialConfig(trials=3, seed=5), ls=ls, workers=8)
-    assert np.array_equal(few, trial_gains(s, allocate_average(s), TrialConfig(trials=3, seed=5), ls=ls))
+        assert np.array_equal(serial, _gains(link, alloc, cfg, workers=workers))
+    few = _gains(link, alloc, TrialConfig(trials=3, seed=5), workers=8)
+    assert np.array_equal(few, _gains(link, alloc, TrialConfig(trials=3, seed=5)))
 
 
 @pytest.mark.parametrize("mode", ["estimated", "perfect", "random-phase"])
 def test_gains_do_not_depend_on_chunk_size(monkeypatch, mode):
-    s, ls = _beta_direct([1.0, 0.25], [4, 4])
+    link = _beta_direct([1.0, 0.25], [4, 4])
+    alloc = allocate_average(link)
     cfg = TrialConfig(trials=200, seed=5, csi_mode=mode)
-    reference = trial_gains(s, allocate_average(s), cfg, ls=ls)
+    reference = _gains(link, alloc, cfg)
     for cap in (8, 56):  # one and seven trials per chunk
         monkeypatch.setattr(montecarlo, "CHUNK_ELEMENTS", cap)
         for workers in (1, 2):
-            got = trial_gains(s, allocate_average(s), cfg, ls=ls, workers=workers)
+            got = _gains(link, alloc, cfg, workers=workers)
             assert np.array_equal(got, reference), (cap, workers)
 
 
 def test_every_csi_mode_sees_trial_ts_channel():
     # a per-trial reference loop: trial t's channel, pilot noise and phases
     # come from its own substreams, and every row of a run uses them
-    s, ls = _beta_direct([1.0, 0.25], [3, 5], p_avg=2.0)
+    link = _beta_direct([1.0, 0.25], [3, 5], p_avg=2.0)
     alloc = PerRisPowers(p_k=np.array([3.0, 1.4]))
     modes = ("perfect", "estimated", "random-phase")
-    rows = [GainRow(s, alloc, ls, mode) for mode in modes] + [GainRow(s, alloc, ls, "estimated", 15)]
-    gains = trial_gains(rows, None, TrialConfig(trials=40, seed=17))
+    rows = [GainRow(link, alloc, mode) for mode in modes] + [GainRow(link, alloc, "estimated", 15)]
+    gains = trial_gains(rows, TrialConfig(trials=40, seed=17))
     assert [g.size for g in gains] == [40, 40, 40, 15]
     assert np.array_equal(gains[3], gains[1][:15])
-    beta = np.repeat(ls.beta, s.element_counts)
-    delta = np.repeat(np.sqrt(s.sigma_z_sq / alloc.p_k), s.element_counts)
+    beta = np.repeat(link.beta, link.counts)
+    delta = np.repeat(np.sqrt(link.sigma_z_sq / alloc.p_k), link.counts)
     for t in range(40):
         rng = RngStream(17, t)
         h = beta * np.conj(standard_complex_normal(substream(rng, PURPOSE_RIS_USER, 0), 8))
@@ -116,63 +136,61 @@ def test_every_csi_mode_sees_trial_ts_channel():
 
 
 def test_rows_must_fit_one_run():
-    s, ls = _beta_direct([1.0, 0.25], [4, 4])
-    other, _ = _beta_direct([1.0, 0.25], [4, 5])
-    alloc = allocate_average(s)
+    link = _beta_direct([1.0, 0.25], [4, 4])
+    other = _beta_direct([1.0, 0.25], [4, 5])
+    alloc = allocate_average(link)
     cfg = TrialConfig(trials=10)
     with pytest.raises(ValueError):
-        trial_gains([GainRow(s, alloc), GainRow(other, allocate_average(other))], None, cfg)
+        trial_gains([GainRow(link, alloc), GainRow(other, allocate_average(other))], cfg)
     with pytest.raises(ValueError):
-        trial_gains([GainRow(s, alloc, ls, trials=11)], None, cfg)
+        trial_gains([GainRow(link, alloc, trials=11)], cfg)
     with pytest.raises(ValueError):
-        trial_gains([GainRow(s, alloc, ls, csi_mode="oracle")], None, cfg)
-    with pytest.raises(TypeError):
-        trial_gains([GainRow(s, alloc)], alloc, cfg)
+        trial_gains([GainRow(link, alloc, csi_mode="oracle")], cfg)
+    with pytest.raises(ValueError):
+        trial_gains([], cfg)
 
 
 def test_same_seed_shares_draws_across_allocations():
-    s, ls = _beta_direct([1.0, 0.25], [8, 8], p_avg=2.0)
+    link = _beta_direct([1.0, 0.25], [8, 8], p_avg=2.0)
     cfg = TrialConfig(trials=500, seed=9)
-    flat = trial_gains(s, allocate_average(s), cfg, ls=ls)
-    tilted = trial_gains(
-        s, PerRisPowers(p_k=np.array([1.0, 3.0])), cfg, ls=ls
-    )
+    flat = _gains(link, allocate_average(link), cfg)
+    tilted = _gains(link, PerRisPowers(p_k=np.array([1.0, 3.0])), cfg)
     assert not np.array_equal(flat, tilted)
     # the channel randomness is common, so the two series are strongly coupled
     assert np.corrcoef(flat, tilted)[0, 1] > 0.9
     # in perfect-CSI mode the pilot allocation cannot matter at all
     cfg_p = TrialConfig(trials=500, seed=9, csi_mode="perfect")
-    a = trial_gains(s, allocate_average(s), cfg_p, ls=ls)
-    b = trial_gains(s, PerRisPowers(p_k=np.array([1.0, 3.0])), cfg_p, ls=ls)
+    a = _gains(link, allocate_average(link), cfg_p)
+    b = _gains(link, PerRisPowers(p_k=np.array([1.0, 3.0])), cfg_p)
     assert np.array_equal(a, b)
 
 
 def test_budget_violation_rejected():
-    s, ls = _beta_direct([1.0, 0.25], [8, 8])
+    link = _beta_direct([1.0, 0.25], [8, 8])
     with pytest.raises(ValueError):
-        trial_gains(s, PerRisPowers(p_k=np.array([1.0, 1.5])), TrialConfig(trials=10), ls=ls)
+        _gains(link, PerRisPowers(p_k=np.array([1.0, 1.5])), TrialConfig(trials=10))
     with pytest.raises(ValueError):
-        trial_gains(s, PerRisPowers(p_k=np.array([1.0])), TrialConfig(trials=10), ls=ls)
+        _gains(link, PerRisPowers(p_k=np.array([1.0])), TrialConfig(trials=10))
 
 
 def test_metric_estimate_matches_manual_statistics():
-    s, ls = _beta_direct([1.0], [4])
+    link = _beta_direct([1.0], [4])
     cfg = TrialConfig(trials=400, seed=13)
-    gains = trial_gains(s, allocate_average(s), cfg, ls=ls)
-    m = simulate_metrics(s, allocate_average(s), cfg, ls=ls)
+    gains = _gains(link, allocate_average(link), cfg)
+    m = sweep_user(lambda d: link, [0.0], ["uniform"], cfg).rows[0]
     assert m.mean_gain == pytest.approx(float(np.mean(gains)), rel=1e-12)
     assert m.se_gain == pytest.approx(
         float(np.std(gains, ddof=1) / math.sqrt(gains.size)), rel=1e-12
     )
-    rates = np.log2(1.0 + s.q * gains / s.sigma_n_sq)
+    rates = np.log2(1.0 + link.q * gains / link.sigma_n_sq)
     assert m.mean_rate == pytest.approx(float(np.mean(rates)), rel=1e-12)
 
 
 def test_csi_quality_ordering_is_paired():
-    s, ls = _beta_direct([1.0, 0.25], [8, 8], p_avg=2.0)
-    alloc = allocate_average(s)
+    link = _beta_direct([1.0, 0.25], [8, 8], p_avg=2.0)
+    alloc = allocate_average(link)
     runs = {
-        mode: trial_gains(s, alloc, TrialConfig(trials=2000, seed=21, csi_mode=mode), ls=ls)
+        mode: _gains(link, alloc, TrialConfig(trials=2000, seed=21, csi_mode=mode))
         for mode in ("perfect", "estimated", "random-phase")
     }
     assert np.mean(runs["perfect"] - runs["estimated"]) > 0.0
@@ -180,7 +198,7 @@ def test_csi_quality_ordering_is_paired():
 
 
 def _layout(d):
-    return two_ris_layout(50.0, d, 8, 8)
+    return cascaded_large_scale(two_ris_layout(50.0, d, 8, 8))
 
 
 def test_sweep_rows_are_canonical_and_complete():
@@ -189,7 +207,7 @@ def test_sweep_rows_are_canonical_and_complete():
     assert [r.allocator for r in result.rows] == ["exact", "uniform", "exact", "uniform"]
     assert [r.d_m for r in result.rows] == [0.0, 0.0, 4.0, 4.0]
     assert all(isinstance(r, SweepRow) and len(r.powers_w) == 2 for r in result.rows)
-    picked = result.select(allocator="exact", d_m=4.0)
+    picked = _select(result, allocator="exact", d_m=4.0)
     assert len(picked) == 1 and picked[0].d_m == 4.0
 
 
@@ -197,20 +215,20 @@ def test_sweep_rows_equal_single_row_runs():
     cfg = TrialConfig(trials=300, seed=8)
     result = sweep_user(_layout, [-4.0, 4.0], ["uniform", "exact"], cfg)
     for row in result.rows:
-        alone = simulate_metrics(_layout(row.d_m), PerRisPowers(p_k=np.array(row.powers_w)), cfg)
+        alone = _simulate(_layout(row.d_m), PerRisPowers(p_k=np.array(row.powers_w)), cfg)
         assert alone == (row.mean_gain, row.se_gain, row.mean_rate, row.se_rate)
 
 
-def _per_row_reference(s, powers, gains, csi_mode):
+def _per_row_reference(link, powers, gains, csi_mode):
     """One row's metrics and closed form the way a loop over rows computes them."""
-    rates = np.log2(1.0 + s.q * gains / s.sigma_n_sq)
+    rates = np.log2(1.0 + link.q * gains / link.sigma_n_sq)
     se = [float(np.std(x, ddof=1) / math.sqrt(x.size)) for x in (gains, rates)]
-    ls = cascaded_large_scale(s)
     if csi_mode == "random-phase":
-        closed = float(np.dot(s.element_counts.astype(np.float64), ls.beta_sq))
+        closed = float(np.dot(link.counts.astype(np.float64), link.beta_sq))
     else:
-        sigma = 0.0 if csi_mode == "perfect" else s.sigma_z_sq
-        closed = ergodic_gain_closed_form(ls, s.element_counts, powers, sigma).total
+        if csi_mode == "perfect":
+            link = dataclasses.replace(link, sigma_z_sq=0.0)
+        closed = ergodic_gain_closed_form(link, powers).total
     return float(np.mean(gains)), se[0], float(np.mean(rates)), se[1], closed
 
 
@@ -220,23 +238,22 @@ def test_sweep_metrics_equal_the_per_row_reference(csi_mode):
     d_values = [-6.0, 0.0, 3.5]
     result = sweep_user(_layout, d_values, ["uniform", "eq28", "exact"], cfg)
     rows = [GainRow(_layout(r.d_m), PerRisPowers(p_k=np.array(r.powers_w))) for r in result.rows]
-    gains = trial_gains(rows, None, cfg)
+    gains = trial_gains(rows, cfg)
     for r, row, g in zip(result.rows, rows, gains):
-        expected = _per_row_reference(row.scenario, row.powers, g, csi_mode)
+        expected = _per_row_reference(row.link, row.powers, g, csi_mode)
         assert (r.mean_gain, r.se_gain, r.mean_rate, r.se_rate, r.closed_form_gain) == expected
     # the exact rows are the per-position solves, with their solver record
     for d, solved in zip(d_values, result.solver):
-        s = _layout(d)
-        alone = run_allocator("exact", s, cascaded_large_scale(s)).p_k
-        assert result.select(allocator="exact", d_m=d)[0].powers_w == tuple(alone)
+        alone = run_allocator("exact", _layout(d)).p_k
+        assert _select(result, allocator="exact", d_m=d)[0].powers_w == tuple(alone)
         assert solved.d_m == d and solved.iterations >= 0 and solved.multiplier_spread < 1e-9
 
 
 def test_sweep_symmetric_point_equates_exact_and_uniform():
     cfg = TrialConfig(trials=300, seed=4)
     result = sweep_user(_layout, [0.0], ["exact", "uniform"], cfg)
-    exact_row = result.select(allocator="exact")[0]
-    uniform_row = result.select(allocator="uniform")[0]
+    exact_row = _select(result, allocator="exact")[0]
+    uniform_row = _select(result, allocator="uniform")[0]
     assert exact_row.powers_w == uniform_row.powers_w
     assert exact_row.mean_gain == uniform_row.mean_gain
     assert exact_row.mean_rate == uniform_row.mean_rate
@@ -246,8 +263,8 @@ def test_sweep_mirror_symmetry():
     cfg = TrialConfig(trials=2000, seed=6)
     result = sweep_user(_layout, [-4.0, 4.0], ["uniform", "eq29"], cfg)
     for name in ("uniform", "eq29"):
-        minus = result.select(allocator=name, d_m=-4.0)[0]
-        plus = result.select(allocator=name, d_m=4.0)[0]
+        minus = _select(result, allocator=name, d_m=-4.0)[0]
+        plus = _select(result, allocator=name, d_m=4.0)[0]
         assert minus.closed_form_gain == plus.closed_form_gain
         assert minus.powers_w == tuple(reversed(plus.powers_w))
         tol = 4.0 * math.hypot(minus.se_gain, plus.se_gain)
@@ -255,16 +272,15 @@ def test_sweep_mirror_symmetry():
 
 
 def test_sweep_closed_form_column_per_mode():
-    s = _layout(4.0)
-    ls = cascaded_large_scale(s)
+    link = _layout(4.0)
     cfg = TrialConfig(trials=20, seed=1, csi_mode="random-phase")
     row = sweep_user(_layout, [4.0], ["uniform"], cfg).rows[0]
-    incoherent = float(np.dot(s.element_counts.astype(float), ls.beta_sq))
+    incoherent = float(np.dot(link.counts.astype(float), link.beta_sq))
     assert row.closed_form_gain == pytest.approx(incoherent, rel=1e-12)
     cfg_e = TrialConfig(trials=20, seed=1)
     row_e = sweep_user(_layout, [4.0], ["uniform"], cfg_e).rows[0]
-    alloc = run_allocator("uniform", s, ls)
-    expected = ergodic_gain_closed_form(ls, s.element_counts, alloc, s.sigma_z_sq).total
+    alloc = run_allocator("uniform", link)
+    expected = ergodic_gain_closed_form(link, alloc).total
     assert row_e.closed_form_gain == pytest.approx(expected, rel=1e-12)
     assert row_e.closed_form_gain > row.closed_form_gain
 
@@ -277,16 +293,9 @@ def test_sweep_rejects_empty_inputs():
         sweep_user(_layout, [0.0], [], cfg)
 
 
-def test_dynamic_range_examples():
-    assert dynamic_range(PerRisPowers(p_k=np.array([2.0, 1.0]))) == pytest.approx(
-        10.0 * math.log10(2.0), rel=1e-12
-    )
-    assert dynamic_range(PerRisPowers(p_k=np.array([0.3, 0.3, 0.3]))) == 0.0
-
-
 def test_sweep_positions_must_share_the_budget():
     def drifting(d):
-        return two_ris_layout(50.0, d, 8, 8, p_avg_dbm=-13.0 + d)
+        return cascaded_large_scale(two_ris_layout(50.0, d, 8, 8, p_avg_dbm=-13.0 + d))
 
     with pytest.raises(ValueError, match="same element counts"):
         sweep_user(drifting, [0.0, 1.0], ["exact"], TrialConfig(trials=10))

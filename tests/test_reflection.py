@@ -13,14 +13,9 @@ from rispilot.channel import (
     unit_normals,
 )
 from rispilot.estimation import PerRisPowers, ls_estimate
-from rispilot.reflection import (
-    achievable_rate,
-    composite_channel,
-    configure_phases,
-    random_phases,
-    rate_from_gain,
-)
-from rispilot.scenario import from_large_scale
+from rispilot.montecarlo import TrialConfig, sweep_user
+from rispilot.reflection import composite_channel, configure_phases, random_phases
+from rispilot.scenario import Link
 
 
 def _flat(blocks):
@@ -28,9 +23,13 @@ def _flat(blocks):
     return np.concatenate([np.asarray(b, dtype=np.complex128) for b in blocks])[None, :]
 
 
-def _channels(s, ls, seed, trials=1):
-    n = int(s.element_counts.sum())
-    return sample_channels(s, ls, unit_normals(seed, 0, trials, PURPOSE_RIS_USER, n))
+def _link(beta_sq, counts):
+    return Link(counts=counts, beta_sq=beta_sq, sigma_z_sq=1.0, sigma_n_sq=1.0, q=1.0, p_avg=1.0)
+
+
+def _channels(link, seed, trials=1):
+    n = int(link.counts.sum())
+    return sample_channels(link, unit_normals(seed, 0, trials, PURPOSE_RIS_USER, n))
 
 
 def test_conjugate_alignment_on_known_coefficients():
@@ -93,9 +92,9 @@ def test_random_phases_deterministic_and_unit_modulus():
 
 
 def test_alignment_beats_any_other_configuration():
-    s, ls = from_large_scale([1.0, 0.25], [8, 8], sigma_z_sq=1.0, sigma_n_sq=1.0, q=1.0, p_avg=1.0)
+    link = _link([1.0, 0.25], [8, 8])
     for seed in range(5):
-        h = _channels(s, ls, seed)
+        h = _channels(link, seed)
         aligned = abs(composite_channel(h, configure_phases(h))[0]) ** 2
         scrambled = abs(composite_channel(h, random_phases(seed + 100, 0, 1, 16))[0]) ** 2
         assert aligned >= scrambled
@@ -113,37 +112,47 @@ def test_gain_invariant_to_common_rotation_single_surface():
 
 
 def test_random_phase_mean_gain_is_incoherent_sum():
-    s, ls = from_large_scale([1.0, 1.0], [8, 8], sigma_z_sq=1.0, sigma_n_sq=1.0, q=1.0, p_avg=1.0)
+    link = _link([1.0, 1.0], [8, 8])
     n = 3000
-    h = _channels(s, ls, 1234, trials=n)
+    h = _channels(link, 1234, trials=n)
     gains = np.abs(composite_channel(h, random_phases(1234, 0, n, 16))) ** 2
     # the incoherent mean gain is sum(M_k beta_k^2) = 16; gain is exponential
     assert abs(np.mean(gains) - 16.0) < 4.0 * 16.0 / math.sqrt(n)
 
 
+def _rate(gain, q, sigma_n_sq):
+    """A sweep row's rate where the composite gain is `gain` in every trial.
+
+    With both hops deterministic and perfect CSI, one single-element
+    surface with cascaded gain `gain` gives exactly that composite gain.
+    """
+    link = Link(counts=[1], beta_sq=[gain], sigma_z_sq=1.0, sigma_n_sq=sigma_n_sq, q=q,
+                p_avg=1.0, k_ru=math.inf)
+    cfg = TrialConfig(trials=2, csi_mode="perfect")
+    row = sweep_user(lambda d: link, [0.0], ["uniform"], cfg).rows[0]
+    assert row.se_rate == 0.0
+    return row.mean_rate
+
+
 def test_rate_reference_values():
-    assert rate_from_gain(1.0, 10.0, 1.0) == pytest.approx(3.459431618637297, rel=1e-15)
-    assert rate_from_gain(0.0, 10.0, 1.0) == 0.0
-    assert achievable_rate(1.0 + 1.0j, 5.0, 1.0) == pytest.approx(math.log2(11.0), rel=1e-15)
-    with pytest.raises(ValueError):
-        rate_from_gain(-1.0, 10.0, 1.0)
-    with pytest.raises(ValueError):
-        rate_from_gain(1.0, 0.0, 1.0)
+    assert _rate(1.0, 10.0, 1.0) == pytest.approx(3.459431618637297, rel=1e-15)
+    assert _rate(4.0, 2.5, 1.0) == pytest.approx(math.log2(11.0), rel=1e-15)
+    assert _rate(1e-300, 10.0, 1.0) == 0.0
 
 
 def test_rate_monotone_in_gain():
-    r = [rate_from_gain(g, 10.0, 1e-2) for g in (0.0, 0.1, 1.0, 10.0)]
+    r = [_rate(g, 10.0, 1e-2) for g in (1e-3, 0.1, 1.0, 10.0)]
     assert r == sorted(r) and len(set(r)) == len(r)
 
 
 def test_noisier_estimates_lose_gain_on_average():
-    s, ls = from_large_scale([1.0], [64], sigma_z_sq=1.0, sigma_n_sq=1.0, q=1.0, p_avg=1.0)
+    link = _link([1.0], [64])
     diffs = []
     for seed in range(200):
-        h = _channels(s, ls, seed)
+        h = _channels(link, seed)
         noise = unit_normals(seed, 0, 1, PURPOSE_PILOT_NOISE, 64)
-        good = ls_estimate(h, s.element_counts, PerRisPowers(p_k=[100.0]), 1.0, noise)
-        bad = ls_estimate(h, s.element_counts, PerRisPowers(p_k=[0.01]), 1.0, noise)
+        good = ls_estimate(h, link.counts, PerRisPowers(p_k=[100.0]), 1.0, noise)
+        bad = ls_estimate(h, link.counts, PerRisPowers(p_k=[0.01]), 1.0, noise)
         g_good = abs(composite_channel(h, configure_phases(good))[0]) ** 2
         g_bad = abs(composite_channel(h, configure_phases(bad))[0]) ** 2
         diffs.append(g_good - g_bad)
@@ -151,8 +160,8 @@ def test_noisier_estimates_lose_gain_on_average():
 
 
 def test_composite_shape_mismatch_rejected():
-    s, ls = from_large_scale([1.0], [4], sigma_z_sq=1.0, sigma_n_sq=1.0, q=1.0, p_avg=1.0)
-    h = _channels(s, ls, 0)
+    link = _link([1.0], [4])
+    h = _channels(link, 0)
     with pytest.raises(ValueError):
         composite_channel(h, random_phases(0, 0, 1, 5))
     with pytest.raises(ValueError):

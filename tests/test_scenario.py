@@ -6,13 +6,12 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from rispilot.scenario import (
-    LargeScale,
+    Link,
     Position,
     RisSpec,
     Scenario,
     cascaded_large_scale,
     dbm_to_watts,
-    from_large_scale,
     path_loss,
     two_ris_layout,
     watts_to_dbm,
@@ -163,18 +162,61 @@ def test_scenario_validation():
         Position(math.nan, 0.0, 0.0)
 
 
+def _link(beta_sq, counts, **powers):
+    fields = dict(sigma_z_sq=1.0, sigma_n_sq=1.0, q=1.0, p_avg=10.0)
+    fields.update(powers)
+    return Link(counts=counts, beta_sq=beta_sq, **fields)
+
+
 def test_large_scale_rejects_nonpositive_gains():
     with pytest.raises(ValueError):
-        LargeScale(beta_sq=np.array([1.0, 0.0]))
+        _link([1.0, 0.0], [1, 1])
     with pytest.raises(ValueError):
-        LargeScale(beta_sq=np.array([-1.0]))
+        _link([-1.0], [1])
+    with pytest.raises(ValueError):
+        _link([1.0, math.inf], [1, 1])
+    with pytest.raises(ValueError):
+        _link([math.nan], [1])
 
 
-def test_from_large_scale_pins_the_gains_verbatim():
-    s, ls = from_large_scale(
-        [1.0, 0.25], [8, 8], sigma_z_sq=1.0, sigma_n_sq=1.0, q=1.0, p_avg=10.0
-    )
-    assert np.array_equal(ls.beta_sq, np.array([1.0, 0.25]))
-    assert s.num_ris == 2 and list(s.element_counts) == [8, 8]
+def test_link_pins_the_gains_verbatim():
+    gains = np.array([1.0, 0.25])
+    link = _link(gains, [8, 8])
+    assert np.array_equal(link.beta_sq, [1.0, 0.25]) and np.array_equal(link.beta, [1.0, 0.5])
+    assert link.num_ris == 2 and type(link.num_ris) is int and list(link.counts) == [8, 8]
+    assert math.isinf(link.k_br) and link.k_ru == 0.0
+    # a read-only copy: neither the caller's array nor the link's can change it
+    gains[0] = 7.0
+    assert link.beta_sq[0] == 1.0
     with pytest.raises(ValueError):
-        from_large_scale([1.0], [8, 8], sigma_z_sq=1.0, sigma_n_sq=1.0, q=1.0, p_avg=10.0)
+        link.beta_sq[0] = 7.0
+    with pytest.raises(ValueError):
+        _link([1.0], [8, 8])
+    with pytest.raises(ValueError):
+        _link([1.0, 0.25], [8])
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [{"counts": [0, 8]}, {"counts": [8.0, 8.0]}, {"counts": []}, {"sigma_z_sq": -1.0},
+     {"sigma_n_sq": 0.0}, {"sigma_z_sq": math.nan}, {"q": 0.0}, {"p_avg": math.inf},
+     {"k_br": -1.0}, {"k_ru": math.nan}],
+    ids=["zero-count", "float-count", "no-surface", "negative-training-noise",
+         "zero-receiver-noise", "nan-training-noise", "zero-q", "infinite-p_avg",
+         "negative-k_br", "nan-k_ru"],
+)
+def test_link_rejects_invalid_fields(fields):
+    args = dict(counts=[8, 8], beta_sq=[1.0, 0.25], sigma_z_sq=1.0, sigma_n_sq=1.0,
+                q=1.0, p_avg=1.0)
+    args.update(fields)
+    with pytest.raises(ValueError):
+        Link(**args)
+
+
+def test_cascaded_link_carries_the_scenario():
+    s = dataclasses.replace(two_ris_layout(50.0, 4.0, 8, 16), rician_k_br=3.0, rician_k_ru=0.5)
+    link = cascaded_large_scale(s)
+    assert list(link.counts) == [8, 16]
+    assert (link.sigma_z_sq, link.sigma_n_sq, link.q, link.p_avg) == (
+        s.sigma_z_sq, s.sigma_n_sq, s.q, s.p_avg)
+    assert (link.k_br, link.k_ru) == (3.0, 0.5)
