@@ -161,7 +161,8 @@ def trial_gains(rows, cfg: TrialConfig, *, workers: int = 1) -> list[np.ndarray]
     per row, of its trial count. The ordering is part of the contract:
     entry t depends only on (cfg.seed, t), so any worker count or chunk
     size returns the identical arrays, and rows of one run are paired
-    trial by trial.
+    trial by trial. Callers pass cfg and workers by keyword, where
+    perfbench's tracer reads the run's trial and worker counts.
     """
     rows = list(rows)
     if not rows:
