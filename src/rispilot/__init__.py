@@ -11,7 +11,6 @@ a reproducible Monte Carlo harness that validates the closed forms.
 
 from .scenario import (
     Position,
-    RisSpec,
     Scenario,
     Link,
     dbm_to_watts,
@@ -32,7 +31,6 @@ from .analysis import (
     stationarity_residual,
 )
 from .allocation import (
-    InfeasibleAllocationError,
     UniformFallbackWarning,
     NonConvergenceError,
     allocate_average,

@@ -22,7 +22,6 @@ from .scenario import Link
 
 __all__ = [
     "PerRisPowers",
-    "InfeasibleAllocationError",
     "UniformFallbackWarning",
     "NonConvergenceError",
     "allocate_average",
@@ -37,14 +36,6 @@ __all__ = [
     "resolve_allocator",
     "run_allocator",
 ]
-
-
-class InfeasibleAllocationError(ValueError):
-    """Closed-form weights are undefined for the given inputs."""
-
-    def __init__(self, message: str, ris_indices=()):
-        super().__init__(message)
-        self.ris_indices = tuple(ris_indices)
 
 
 class UniformFallbackWarning(UserWarning):
@@ -69,26 +60,18 @@ def allocate_moderate_snr(link: Link) -> PerRisPowers:
     """Closed form for the regime where estimation noise is a perturbation.
 
     Weights are sqrt(S / beta_k - 1) with S the count-weighted sum of
-    the cascade amplitudes, normalized to the budget. The radicand is
-    nonnegative whenever the inputs are mutually consistent; an exactly
-    zero radicand (single surface with a single element) degenerates to
-    uniform power for the affected surfaces, with a warning.
+    the cascade amplitudes, normalized to the budget. S >= beta_k for
+    every surface, so the radicand is nonnegative up to rounding; a
+    radicand at zero (single surface with a single element) degenerates
+    to uniform power for the affected surfaces, with a warning.
     """
     counts, p_avg = link.counts, link.p_avg
     s_amp = float(np.dot(counts.astype(np.float64), link.beta))
     ratio = s_amp / link.beta
     radicand = ratio - 1.0
-    bad = radicand < -1e-12 * ratio
-    if np.any(bad):
-        idx = np.flatnonzero(bad)
-        raise InfeasibleAllocationError(
-            f"negative weight radicand for surface index {idx.tolist()}, inputs are inconsistent",
-            ris_indices=idx,
-        )
     degenerate = radicand <= 1e-12 * ratio
     w = np.sqrt(np.where(degenerate, 0.0, radicand))
-    total = int(counts.sum())
-    p = np.empty(link.num_ris)
+    p = np.full(link.num_ris, p_avg)
     if np.any(degenerate):
         warnings.warn(
             f"uniform fallback for surface index {np.flatnonzero(degenerate).tolist()}: "
@@ -96,13 +79,10 @@ def allocate_moderate_snr(link: Link) -> PerRisPowers:
             UniformFallbackWarning,
             stacklevel=2,
         )
-        p[degenerate] = p_avg
-        live = ~degenerate
-        if np.any(live):
-            budget_live = float((total - int(counts[degenerate].sum())) * p_avg)
-            p[live] = w[live] * budget_live / float(np.dot(counts[live], w[live]))
-    else:
-        p = w * (total * p_avg) / float(np.dot(counts.astype(np.float64), w))
+    live = ~degenerate
+    if np.any(live):
+        budget_live = float((int(counts.sum()) - int(counts[degenerate].sum())) * p_avg)
+        p[live] = w[live] * budget_live / float(np.dot(counts[live], w[live]))
     return PerRisPowers(p_k=p)
 
 

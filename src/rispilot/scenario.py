@@ -1,10 +1,12 @@
 """Geometry, unit conversions and the flat link description.
 
-A `Scenario` places the BS, the user and the surfaces; `cascaded_large_scale`
-reduces it to a `Link`, which is all the engine, the allocators and the
-closed forms use. A config that pins the cascaded gains builds its `Link`
-directly. Everything downstream works in linear units (watts, linear
-power gains); dB and dBm values appear only at the configuration boundary.
+A `Scenario` places the BS, the user and the surfaces and sets the path
+loss; `cascaded_large_scale` reduces it to each surface's cascaded gain.
+A `Link` joins those gains (or gains a config pins) with the element
+counts, the fading and the powers, and is all the engine, the allocators
+and the closed forms use. Everything downstream works in linear units
+(watts, linear power gains); dB and dBm values appear only at the
+configuration boundary.
 """
 from __future__ import annotations
 
@@ -15,7 +17,6 @@ import numpy as np
 
 __all__ = [
     "Position",
-    "RisSpec",
     "Scenario",
     "Link",
     "dbm_to_watts",
@@ -73,42 +74,24 @@ class Position:
 
 
 @dataclass(frozen=True)
-class RisSpec:
-    """One reflecting surface: element count and placement."""
-
-    element_count: int
-    position: Position
-
-    def __post_init__(self):
-        if not isinstance(self.element_count, (int, np.integer)) or self.element_count < 1:
-            raise ValueError(f"element_count must be a positive integer, got {self.element_count}")
-
-
-@dataclass(frozen=True)
 class Scenario:
-    """Full system description for one downlink deployment.
+    """Where the BS, the user and the surfaces stand, and the path loss between them.
 
-    Powers are in watts, noise powers in watts, Rician factors linear
-    (math.inf means a purely deterministic link). cascaded_large_scale
-    checks the values when it builds the scenario's Link.
+    c0_db is the path loss at 1 m, alpha_br and alpha_ru the exponents of
+    the BS-surface and surface-user hops. ris_positions holds one
+    position per surface, in surface order.
     """
 
     bs_position: Position
     user_position: Position
-    ris_list: tuple[RisSpec, ...]
+    ris_positions: tuple[Position, ...]
     c0_db: float
     alpha_br: float
     alpha_ru: float
-    rician_k_br: float
-    rician_k_ru: float
-    sigma_z_sq: float
-    sigma_n_sq: float
-    q: float
-    p_avg: float
 
     def __post_init__(self):
-        object.__setattr__(self, "ris_list", tuple(self.ris_list))
-        if len(self.ris_list) < 1:
+        object.__setattr__(self, "ris_positions", tuple(self.ris_positions))
+        if len(self.ris_positions) < 1:
             raise ValueError("scenario needs at least one RIS")
 
 
@@ -162,18 +145,18 @@ class Link:
         return self.counts.size
 
 
-def cascaded_large_scale(s: Scenario) -> Link:
-    """The link of scenario s, with each surface's cascaded gain.
+def cascaded_large_scale(s: Scenario) -> np.ndarray:
+    """The cascaded power gain beta_k^2 of each surface of scenario s.
 
     A surface's cascaded gain is the product of its two hops' path losses:
     the reflect path sees both hops, so the gains multiply. Coincident
     nodes (zero distance) are rejected. A gain that leaves the float range
     (0 or inf) raises ArithmeticError naming the surface.
     """
-    gains = []
-    for k, r in enumerate(s.ris_list):
-        d_br = s.bs_position.distance_to(r.position)
-        d_ru = r.position.distance_to(s.user_position)
+    gains = np.empty(len(s.ris_positions))
+    for k, r in enumerate(s.ris_positions):
+        d_br = s.bs_position.distance_to(r)
+        d_ru = r.distance_to(s.user_position)
         if d_br == 0.0 or d_ru == 0.0:
             raise ValueError("RIS coincides with BS or user, distances must be positive")
         try:
@@ -185,30 +168,13 @@ def cascaded_large_scale(s: Scenario) -> Link:
                 f"cascaded gain of surface {k} is {gain} at distances "
                 f"{d_br:g} m and {d_ru:g} m: outside the float range"
             )
-        gains.append(gain)
-    return Link(
-        counts=[r.element_count for r in s.ris_list], beta_sq=gains,
-        sigma_z_sq=s.sigma_z_sq, sigma_n_sq=s.sigma_n_sq, q=s.q, p_avg=s.p_avg,
-        k_br=s.rician_k_br, k_ru=s.rician_k_ru,
-    )
+        gains[k] = gain
+    return gains
 
 
 def two_ris_layout(
-    d0: float,
-    d: float,
-    m1: int,
-    m2: int,
-    p_avg_dbm: float = -13.0,
-    *,
-    d_v: float = 10.0,
-    d_h: float = 10.0,
-    d_u: float = 2.0,
-    sigma_z_dbm: float = -110.0,
-    sigma_n_dbm: float = -90.0,
-    q_dbm: float = 40.0,
-    c0_db: float = -20.0,
-    alpha_br: float = 2.2,
-    alpha_ru: float = 2.8,
+    d0: float, d: float, *, d_v: float, d_h: float, d_u: float,
+    c0_db: float, alpha_br: float, alpha_ru: float,
 ) -> Scenario:
     """Two surfaces flanking a corridor, user sliding along it.
 
@@ -220,22 +186,11 @@ def two_ris_layout(
     """
     if d0 <= d_u:
         raise ValueError(f"corridor length d0 must exceed the user setback d_u ({d0} <= {d_u})")
-    bs = Position(0.0, 0.0, d_h)
-    ris1 = RisSpec(m1, Position(d0, -d_v, d_h))
-    ris2 = RisSpec(m2, Position(d0, d_v, d_h))
-    user = Position(d0 - d_u, d, 0.0)
     return Scenario(
-        bs_position=bs,
-        user_position=user,
-        ris_list=(ris1, ris2),
+        bs_position=Position(0.0, 0.0, d_h),
+        user_position=Position(d0 - d_u, d, 0.0),
+        ris_positions=(Position(d0, -d_v, d_h), Position(d0, d_v, d_h)),
         c0_db=c0_db,
         alpha_br=alpha_br,
         alpha_ru=alpha_ru,
-        rician_k_br=math.inf,
-        rician_k_ru=0.0,
-        sigma_z_sq=dbm_to_watts(sigma_z_dbm),
-        sigma_n_sq=dbm_to_watts(sigma_n_dbm),
-        q=dbm_to_watts(q_dbm),
-        p_avg=dbm_to_watts(p_avg_dbm),
     )
-

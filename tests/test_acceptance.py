@@ -13,6 +13,7 @@ from time import perf_counter
 import numpy as np
 import pytest
 
+from corridor import corridor_link
 from rispilot.allocation import (
     allocate_average,
     allocate_equal_m,
@@ -36,7 +37,7 @@ from rispilot.channel import (
 from rispilot.cli import main
 from rispilot.estimation import PerRisPowers
 from rispilot.montecarlo import GainRow, TrialConfig, trial_gains
-from rispilot.scenario import Link, cascaded_large_scale, two_ris_layout
+from rispilot.scenario import Link
 
 TRIALS_DESK = 10_000
 # Pilot budget for the user-sweep checks. High enough that estimation noise,
@@ -50,7 +51,7 @@ def _line(num, detail):
 
 
 def _layout(d, m1, m2):
-    return cascaded_large_scale(two_ris_layout(50.0, float(d), m1, m2, p_avg_dbm=P_AVG_DBM))
+    return corridor_link(50.0, float(d), m1, m2, p_avg_dbm=P_AVG_DBM)
 
 
 def _link(beta_sq, counts, p_avg=1.0, sigma_z_sq=1.0):

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import types
 
 import numpy as np
 import pytest
@@ -8,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from rispilot.allocation import (
     ALLOCATOR_IDS,
-    InfeasibleAllocationError,
     NonConvergenceError,
     PerRisPowers,
     UniformFallbackWarning,
@@ -125,17 +123,6 @@ def test_single_element_network_falls_back_to_uniform():
     with pytest.warns(UniformFallbackWarning):
         p = allocate_moderate_snr(_link([2.0], [1], 0.7)).p_k
     assert np.array_equal(p, np.array([0.7]))
-
-
-def test_inconsistent_inputs_raise_infeasible():
-    # a corrupt gain table whose amplitude sum undershoots one entry
-    fake = types.SimpleNamespace(
-        beta=np.array([5.0, -4.9]), beta_sq=np.array([25.0, 24.01]), num_ris=2,
-        counts=np.array([1, 1]), p_avg=1.0,
-    )
-    with pytest.raises(InfeasibleAllocationError) as exc:
-        allocate_moderate_snr(fake)
-    assert 0 in exc.value.ris_indices
 
 
 def test_per_ris_powers_validation_and_expansion():

@@ -16,10 +16,10 @@ from rispilot.channel import (
     trial_draws,
     unit_normals,
 )
+from corridor import CORRIDOR, corridor_link
 from rispilot.scenario import (
     Link,
     Position,
-    RisSpec,
     Scenario,
     cascaded_large_scale,
     two_ris_layout,
@@ -113,7 +113,7 @@ def test_sampled_magnitude_matches_rayleigh_mean():
 
 
 def test_sampling_is_deterministic_per_stream():
-    link = cascaded_large_scale(two_ris_layout(50.0, 4.0, 8, 16))
+    link = corridor_link(50.0, 4.0, 8, 16)
     a = _channel(link, 3, trial=9)
     b = _channel(link, 3, trial=9)
     c = _channel(link, 3, trial=10)
@@ -125,8 +125,8 @@ def test_sampling_is_deterministic_per_stream():
 def test_surfaces_fill_each_trials_stream_end_to_end():
     # surface k's elements take the next M_k values of the trial's stream,
     # so growing the first surface keeps its own draws and shifts the second's
-    link1 = cascaded_large_scale(two_ris_layout(50.0, 4.0, 8, 16))
-    link2 = cascaded_large_scale(two_ris_layout(50.0, 4.0, 32, 16))
+    link1 = corridor_link(50.0, 4.0, 8, 16)
+    link2 = corridor_link(50.0, 4.0, 32, 16)
     assert np.array_equal(link1.beta, link2.beta)
     v = unit_normals(21, 0, 1, PURPOSE_RIS_USER, 48)[0]
     h1 = _channel(link1, 21)
@@ -137,7 +137,7 @@ def test_surfaces_fill_each_trials_stream_end_to_end():
 
 
 def test_sample_channels_rejects_misshapen_draws():
-    link = cascaded_large_scale(two_ris_layout(50.0, 4.0, 8, 16))
+    link = corridor_link(50.0, 4.0, 8, 16)
     with pytest.raises(ValueError):
         sample_channels(link, unit_normals(1, 0, 2, PURPOSE_RIS_USER, 23))
     faded = dataclasses.replace(link, k_br=3.0)
@@ -147,39 +147,35 @@ def test_sample_channels_rejects_misshapen_draws():
 
 def _mirrored(s):
     flipped_user = dataclasses.replace(s.user_position, y=-s.user_position.y)
-    flipped_ris = tuple(
-        RisSpec(r.element_count, dataclasses.replace(r.position, y=-r.position.y))
-        for r in s.ris_list
-    )
-    return dataclasses.replace(s, user_position=flipped_user, ris_list=flipped_ris)
+    flipped_ris = tuple(dataclasses.replace(r, y=-r.y) for r in s.ris_positions)
+    return dataclasses.replace(s, user_position=flipped_user, ris_positions=flipped_ris)
 
 
 @pytest.mark.parametrize("d", [0.0, 4.0, 16.0, 7.3])
 def test_mirrored_layout_reproduces_draws_bit_for_bit(d):
-    s = two_ris_layout(50.0, d, 8, 16)
-    m = _mirrored(s)
-    link_s = cascaded_large_scale(s)
-    link_m = cascaded_large_scale(m)
+    link_s = corridor_link(50.0, d, 8, 16)
+    mirrored = cascaded_large_scale(_mirrored(two_ris_layout(50.0, d, **CORRIDOR)))
+    link_m = dataclasses.replace(link_s, beta_sq=mirrored)
     assert np.array_equal(link_s.beta_sq, link_m.beta_sq)
     assert np.array_equal(_channel(link_s, 77), _channel(link_m, 77))
 
 
-def test_finite_rician_energy_still_matches_cascade():
+def _one_ris_rician(m, k_br):
+    """One surface 1 m from the BS and the user, at 0 dB and exponent 2: beta^2 = 1."""
     s = Scenario(
         bs_position=Position(0.0, 0.0, 0.0),
         user_position=Position(2.0, 0.0, 0.0),
-        ris_list=(RisSpec(200_000, Position(1.0, 0.0, 0.0)),),
+        ris_positions=(Position(1.0, 0.0, 0.0),),
         c0_db=0.0,
         alpha_br=2.0,
         alpha_ru=2.0,
-        rician_k_br=5.0,
-        rician_k_ru=0.0,
-        sigma_z_sq=1.0,
-        sigma_n_sq=1.0,
-        q=1.0,
-        p_avg=1.0,
     )
-    link = cascaded_large_scale(s)
+    return Link(counts=[m], beta_sq=cascaded_large_scale(s), sigma_z_sq=1.0, sigma_n_sq=1.0,
+                q=1.0, p_avg=1.0, k_br=k_br, k_ru=0.0)
+
+
+def test_finite_rician_energy_still_matches_cascade():
+    link = _one_ris_rician(200_000, 5.0)
     assert link.beta_sq[0] == pytest.approx(1.0, rel=1e-12)
     h = _channel(link, 31)
     n = h.size
@@ -191,21 +187,6 @@ def test_finite_rician_energy_still_matches_cascade():
 
 
 def test_finite_rician_reduces_fading_spread():
-    base = dict(
-        bs_position=Position(0.0, 0.0, 0.0),
-        user_position=Position(2.0, 0.0, 0.0),
-        ris_list=(RisSpec(100_000, Position(1.0, 0.0, 0.0)),),
-        c0_db=0.0,
-        alpha_br=2.0,
-        alpha_ru=2.0,
-        rician_k_ru=0.0,
-        sigma_z_sq=1.0,
-        sigma_n_sq=1.0,
-        q=1.0,
-        p_avg=1.0,
-    )
-    strong_los = Scenario(rician_k_br=50.0, **base)
-    weak_los = Scenario(rician_k_br=0.5, **base)
-    v_strong = np.var(np.abs(_channel(cascaded_large_scale(strong_los), 32)) ** 2)
-    v_weak = np.var(np.abs(_channel(cascaded_large_scale(weak_los), 32)) ** 2)
+    v_strong = np.var(np.abs(_channel(_one_ris_rician(100_000, 50.0), 32)) ** 2)
+    v_weak = np.var(np.abs(_channel(_one_ris_rician(100_000, 0.5), 32)) ** 2)
     assert v_strong < v_weak

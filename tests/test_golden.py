@@ -13,8 +13,9 @@ allocate.txt, and validation_report.yaml from
 Two more cases live under tests/data/ with their configs:
 four_ris_channel (four surfaces given by their cascaded gains) pins
 allocate.txt and validation_report.yaml the same way, and
-two_ris_asymmetric_rician/<mode>/ (Rician fading on both hops) holds the
-CSVs of
+two_ris_asymmetric_rician (Rician fading on both hops, outside the
+closed form's model) pins allocate.txt, whose gain column reads nan, and
+in <mode>/ the CSVs of
 
     rispilot sweep --config tests/data/two_ris_asymmetric_rician.yaml \
         --trials 200 --allocators uniform,eq27,eq28,exact --csi-mode <mode>
@@ -81,7 +82,7 @@ def test_sweep_matches_reference_outputs(tmp_path, config, csi_mode):
                 assert a[field] == expected, (a["d_m"], a["allocator"], field)
 
 
-@pytest.mark.parametrize("config", CONFIGS + ["four_ris_channel"])
+@pytest.mark.parametrize("config", CONFIGS + ["four_ris_channel", "two_ris_asymmetric_rician"])
 def test_allocate_matches_reference_output(capsys, config):
     assert main(["allocate", "--config", _config(config)]) == 0
     expected = (TESTS / "data" / config / "allocate.txt").read_text(encoding="utf-8")

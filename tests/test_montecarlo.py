@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from corridor import corridor_link
 from rispilot import montecarlo
 from rispilot.allocation import PerRisPowers, allocate_average, run_allocator
 from rispilot.analysis import ergodic_gain_closed_form
@@ -23,7 +24,7 @@ from rispilot.montecarlo import (
     sweep_user,
     trial_gains,
 )
-from rispilot.scenario import Link, cascaded_large_scale, two_ris_layout
+from rispilot.scenario import Link
 
 
 def test_trial_config_validation():
@@ -198,7 +199,7 @@ def test_csi_quality_ordering_is_paired():
 
 
 def _layout(d):
-    return cascaded_large_scale(two_ris_layout(50.0, d, 8, 8))
+    return corridor_link(50.0, d, 8, 8)
 
 
 def test_sweep_rows_are_canonical_and_complete():
@@ -295,7 +296,7 @@ def test_sweep_rejects_empty_inputs():
 
 def test_sweep_positions_must_share_the_budget():
     def drifting(d):
-        return cascaded_large_scale(two_ris_layout(50.0, d, 8, 8, p_avg_dbm=-13.0 + d))
+        return corridor_link(50.0, d, 8, 8, p_avg_dbm=-13.0 + d)
 
     with pytest.raises(ValueError, match="same element counts"):
         sweep_user(drifting, [0.0, 1.0], ["exact"], TrialConfig(trials=10))

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from corridor import CORRIDOR, corridor_link
+from rispilot.cli import ScenarioSettings
 from rispilot.scenario import (
     Link,
     Position,
-    RisSpec,
     Scenario,
     cascaded_large_scale,
     dbm_to_watts,
@@ -66,33 +67,27 @@ def test_path_loss_decreasing_in_distance(d1, d2, alpha):
         assert path_loss(hi, -20.0, alpha) < path_loss(lo, -20.0, alpha)
 
 
-def _simple_scenario(ris_positions, counts, user=Position(5.0, 0.0, 0.0)):
+def _simple_scenario(ris_positions, user=Position(5.0, 0.0, 0.0)):
     return Scenario(
         bs_position=Position(0.0, 0.0, 0.0),
         user_position=user,
-        ris_list=tuple(RisSpec(m, p) for m, p in zip(counts, ris_positions)),
+        ris_positions=ris_positions,
         c0_db=-20.0,
         alpha_br=2.0,
         alpha_ru=2.0,
-        rician_k_br=math.inf,
-        rician_k_ru=0.0,
-        sigma_z_sq=1e-14,
-        sigma_n_sq=1e-12,
-        q=10.0,
-        p_avg=1e-3,
     )
 
 
 def test_cascaded_gain_is_product_of_link_losses():
     # both hops at 1 m with -20 dB reference: 1e-2 * 1e-2
-    s = _simple_scenario([Position(1.0, 0.0, 0.0)], [4], user=Position(2.0, 0.0, 0.0))
-    ls = cascaded_large_scale(s)
-    assert ls.beta_sq[0] == pytest.approx(1e-4, rel=1e-12)
-    assert ls.beta[0] == pytest.approx(1e-2, rel=1e-12)
+    s = _simple_scenario([Position(1.0, 0.0, 0.0)], user=Position(2.0, 0.0, 0.0))
+    beta_sq = cascaded_large_scale(s)
+    assert beta_sq[0] == pytest.approx(1e-4, rel=1e-12)
+    assert _link(beta_sq, [4]).beta[0] == pytest.approx(1e-2, rel=1e-12)
 
 
 def test_cascaded_gain_rejects_coincident_nodes():
-    s = _simple_scenario([Position(5.0, 0.0, 0.0)], [4])
+    s = _simple_scenario([Position(5.0, 0.0, 0.0)])
     with pytest.raises(ValueError):
         cascaded_large_scale(s)
 
@@ -100,8 +95,8 @@ def test_cascaded_gain_rejects_coincident_nodes():
 def test_cascaded_gain_outside_float_range_names_the_surface():
     # the user stands by surface 0, whose gain stays finite; the far
     # surface 1's gain underflows to 0
-    s = dataclasses.replace(two_ris_layout(50.0, -8.0, 4, 4), alpha_ru=245.0)
-    assert cascaded_large_scale(dataclasses.replace(s, ris_list=s.ris_list[:1])).beta_sq[0] > 0.0
+    s = dataclasses.replace(two_ris_layout(50.0, -8.0, **CORRIDOR), alpha_ru=245.0)
+    assert cascaded_large_scale(dataclasses.replace(s, ris_positions=s.ris_positions[:1]))[0] > 0.0
     with pytest.raises(ArithmeticError, match="surface 1"):
         cascaded_large_scale(s)
     with pytest.raises(ArithmeticError, match="surface 0.* inf "):
@@ -109,55 +104,39 @@ def test_cascaded_gain_outside_float_range_names_the_surface():
 
 
 def test_two_ris_layout_symmetric_user_sees_equal_gains():
-    s = two_ris_layout(50.0, 0.0, 100, 100)
-    ls = cascaded_large_scale(s)
-    assert ls.beta_sq[0] == ls.beta_sq[1]
+    link = corridor_link(50.0, 0.0, 100, 100)
+    assert link.beta_sq[0] == link.beta_sq[1]
 
 
 def test_two_ris_layout_user_near_first_surface():
-    s = two_ris_layout(50.0, -10.0, 100, 100)
-    ls = cascaded_large_scale(s)
-    assert ls.beta_sq[0] > ls.beta_sq[1]
+    link = corridor_link(50.0, -10.0, 100, 100)
+    assert link.beta_sq[0] > link.beta_sq[1]
 
 
 @pytest.mark.parametrize("d", [0.0, 4.0, 10.0, 16.0, 7.3])
 def test_two_ris_layout_mirror_exchange_is_exact(d):
-    plus = cascaded_large_scale(two_ris_layout(50.0, d, 64, 64)).beta_sq
-    minus = cascaded_large_scale(two_ris_layout(50.0, -d, 64, 64)).beta_sq
+    plus = corridor_link(50.0, d, 64, 64).beta_sq
+    minus = corridor_link(50.0, -d, 64, 64).beta_sq
     assert plus[0] == minus[1]
     assert plus[1] == minus[0]
 
 
-def test_two_ris_layout_default_unit_conversions():
-    s = two_ris_layout(50.0, 0.0, 10, 10)
-    assert s.sigma_z_sq == pytest.approx(1e-14, rel=1e-12)
-    assert s.sigma_n_sq == pytest.approx(1e-12, rel=1e-12)
-    assert s.q == pytest.approx(10.0, rel=1e-12)
-    assert s.p_avg == pytest.approx(dbm_to_watts(-13.0), rel=1e-12)
-    assert math.isinf(s.rician_k_br) and s.rician_k_ru == 0.0
-
-
 def test_two_ris_layout_rejects_user_behind_bs():
     with pytest.raises(ValueError):
-        two_ris_layout(1.0, 0.0, 10, 10)
+        two_ris_layout(1.0, 0.0, **CORRIDOR)
 
 
 @given(st.permutations(range(3)))
 def test_cascade_is_permutation_equivariant(order):
     positions = [Position(4.0, -2.0, 3.0), Position(6.0, 1.0, 2.0), Position(3.0, 5.0, 1.0)]
-    counts = [8, 16, 4]
-    base = cascaded_large_scale(_simple_scenario(positions, counts)).beta_sq
-    shuffled = cascaded_large_scale(
-        _simple_scenario([positions[i] for i in order], [counts[i] for i in order])
-    ).beta_sq
+    base = cascaded_large_scale(_simple_scenario(positions))
+    shuffled = cascaded_large_scale(_simple_scenario([positions[i] for i in order]))
     assert np.array_equal(shuffled, base[list(order)])
 
 
 def test_scenario_validation():
     with pytest.raises(ValueError):
-        _simple_scenario([], [])
-    with pytest.raises(ValueError):
-        RisSpec(0, Position(1.0, 0.0, 0.0))
+        _simple_scenario([])
     with pytest.raises(ValueError):
         Position(math.nan, 0.0, 0.0)
 
@@ -213,10 +192,20 @@ def test_link_rejects_invalid_fields(fields):
         Link(**args)
 
 
-def test_cascaded_link_carries_the_scenario():
-    s = dataclasses.replace(two_ris_layout(50.0, 4.0, 8, 16), rician_k_br=3.0, rician_k_ru=0.5)
-    link = cascaded_large_scale(s)
-    assert list(link.counts) == [8, 16]
-    assert (link.sigma_z_sq, link.sigma_n_sq, link.q, link.p_avg) == (
-        s.sigma_z_sq, s.sigma_n_sq, s.q, s.p_avg)
-    assert (link.k_br, link.k_ru) == (3.0, 0.5)
+def test_settings_links_carry_the_config():
+    powers = dict(p_avg_w=2e-3, q_w=10.0, sigma_z_sq_w=1e-14, sigma_n_sq_w=1e-12)
+    geometric = ScenarioSettings(
+        element_counts=(8, 16), **powers,
+        geometry={"d0": 50.0, "user_y": 4.0, "k_br": 3.0, "k_ru": 0.5, **CORRIDOR},
+    )
+    channel = ScenarioSettings(element_counts=(8, 16, 4), **powers, beta_sq=(1e-9, 4e-10, 1e-11))
+    links = [geometric.link_at(-6.0), geometric.fixed_link(), channel.fixed_link()]
+    for link, counts, fading in zip(links, ([8, 16], [8, 16], [8, 16, 4]),
+                                    ((3.0, 0.5), (3.0, 0.5), (math.inf, 0.0))):
+        assert list(link.counts) == counts and (link.k_br, link.k_ru) == fading
+        assert (link.p_avg, link.q, link.sigma_z_sq, link.sigma_n_sq) == (
+            2e-3, 10.0, 1e-14, 1e-12)
+    assert np.array_equal(links[1].beta_sq,
+                          cascaded_large_scale(two_ris_layout(50.0, 4.0, **CORRIDOR)))
+    assert links[0].beta_sq[0] > links[0].beta_sq[1]
+    assert np.array_equal(links[2].beta_sq, [1e-9, 4e-10, 1e-11])
