@@ -10,9 +10,11 @@ allocate.txt, and validation_report.yaml from
 
     rispilot validate --config configs/<config>.yaml --trials 2000
 
-Two more cases live under tests/data/ with their configs:
+More cases live under tests/data/ with their configs:
 four_ris_channel (four surfaces given by their cascaded gains) pins
-allocate.txt and validation_report.yaml the same way, and
+allocate.txt and validation_report.yaml the same way,
+sixty_four_ris_channel (64 surfaces, the size of the largest benchmark
+allocation problem) pins allocate.txt, and
 two_ris_asymmetric_rician (Rician fading on both hops, outside the
 closed form's model) pins allocate.txt, whose gain column reads nan, and
 in <mode>/ the CSVs of
@@ -82,7 +84,8 @@ def test_sweep_matches_reference_outputs(tmp_path, config, csi_mode):
                 assert a[field] == expected, (a["d_m"], a["allocator"], field)
 
 
-@pytest.mark.parametrize("config", CONFIGS + ["four_ris_channel", "two_ris_asymmetric_rician"])
+@pytest.mark.parametrize("config", CONFIGS + ["four_ris_channel", "sixty_four_ris_channel",
+                                    "two_ris_asymmetric_rician"])
 def test_allocate_matches_reference_output(capsys, config):
     assert main(["allocate", "--config", _config(config)]) == 0
     expected = (TESTS / "data" / config / "allocate.txt").read_text(encoding="utf-8")
