@@ -75,7 +75,7 @@ class GainBreakdown:
 def _checked(link: Link, powers) -> tuple[np.ndarray, np.ndarray]:
     """link's counts as floats, and powers (PerRisPowers or a sequence) as an array."""
     p = np.asarray(getattr(powers, "p_k", powers), dtype=np.float64)
-    if p.shape != (link.num_ris,) or not np.all(p > 0.0):
+    if p.shape != (link.num_ris,) or not (p > 0.0).all():
         raise ValueError(f"{p.size} pilot powers for {link.num_ris} surfaces; "
                          "each must be positive")
     return link.counts.astype(np.float64), p
@@ -88,7 +88,7 @@ def _coupling_sums(beta_sq, counts, p, sigma_z_sq):
     g_k (G - g_k) across surfaces: nonnegative terms only, so a lone
     element or surface adds exactly zero, where G^2 - sum_k h_k rounds.
     """
-    g = surface_objective(beta_sq, counts, p, sigma_z_sq).coherent
+    g = _damped(beta_sq, counts, p, sigma_z_sq)[2]
     intra = np.vecdot(1.0 - 1.0 / counts, g * g)
     inter = np.vecdot(g, _sum(g, axis=-1, keepdims=True) - g)
     return intra, inter
@@ -174,6 +174,14 @@ class SurfaceObjective(NamedTuple):
     coherent: np.ndarray
 
 
+def _damped(beta_sq, counts, p, sigma_z_sq):
+    """c_k = beta_sq_k + sigma_z_sq / p_k, the damping 1 / sqrt(c_k), and
+    g_k = M_k beta_sq_k / sqrt(c_k): all the closed forms need of the powers."""
+    c = beta_sq + sigma_z_sq / p
+    damping = 1.0 / np.sqrt(c)
+    return c, damping, counts * beta_sq * damping
+
+
 def surface_objective(beta_sq, counts, p, sigma_z_sq) -> SurfaceObjective:
     """objective_phi with its gradient and Hessian, for one row or many.
 
@@ -186,10 +194,8 @@ def surface_objective(beta_sq, counts, p, sigma_z_sq) -> SurfaceObjective:
     (rows, 1) column). Rows never mix: a row's values are the same bits
     whichever other rows it is evaluated with.
     """
-    c = beta_sq + sigma_z_sq / p
+    c, damping, g = _damped(beta_sq, counts, p, sigma_z_sq)
     rate = sigma_z_sq / (p * p * c)  # -(dc_k / dp_k) / c_k
-    damping = 1.0 / np.sqrt(c)
-    g = counts * beta_sq * damping
     h = g * beta_sq * damping
     big_g = _sum(g, axis=-1, keepdims=True)
     residual = rate * beta_sq * damping * (big_g - beta_sq * damping)

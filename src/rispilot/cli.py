@@ -16,6 +16,7 @@ import os
 import re
 import sys
 import time
+import warnings
 from collections import namedtuple
 from datetime import datetime, timezone
 
@@ -26,6 +27,7 @@ from . import __version__
 from .allocation import (
     ALLOCATOR_IDS,
     NonConvergenceError,
+    UniformFallbackWarning,
     allocate_average,
     allocate_equal_m,
     allocate_large_m,
@@ -34,6 +36,7 @@ from .allocation import (
     run_allocator,
 )
 from .analysis import (
+    ModelAssumptionWarning,
     alignment_mean,
     ergodic_gain_closed_form,
     model_applies,
@@ -57,6 +60,9 @@ MANIFEST_FILE = "run_manifest.yaml"
 REPORT_FILE = "validation_report.yaml"
 
 _PowerRow = namedtuple("_PowerRow", ["d_m", "allocator", "powers_w"])
+# rispilot's own warnings: main prints each distinct message once, and
+# manifests list them
+_OWN_WARNINGS = (ModelAssumptionWarning, UniformFallbackWarning)
 
 # validate runs its perfect and random-phase rows on at most this many trials
 _HIERARCHY_TRIALS = 20_000
@@ -479,9 +485,16 @@ def _host() -> dict:
     }
 
 
+def _own_messages(caught) -> list[str]:
+    """Distinct messages of rispilot's own warnings among caught, in order."""
+    own = (str(w.message) for w in caught if issubclass(w.category, _OWN_WARNINGS))
+    return list(dict.fromkeys(own))
+
+
 def _manifest(command: str, scn: ScenarioSettings, *, seed, trials, csi_mode, workers,
-              allocators=None, d_values=None, duration_s=None, trial_rows=0) -> dict:
-    """Run record; trial_rows counts every (trial, row) pair the run evaluated."""
+              caught, allocators=None, d_values=None, duration_s=None, trial_rows=0) -> dict:
+    """Run record; trial_rows counts every (trial, row) pair the run evaluated,
+    and caught holds the warnings raised so far (see main)."""
     out = {
         "command": command,
         "version": __version__,
@@ -499,6 +512,7 @@ def _manifest(command: str, scn: ScenarioSettings, *, seed, trials, csi_mode, wo
     if duration_s is not None:
         out["duration_s"] = round(duration_s, 3)
         out["trials_per_s"] = round(trial_rows / duration_s, 1) if duration_s > 0 else None
+    out["warnings"] = _own_messages(caught)
     out["host"] = _host()
     return out
 
@@ -548,11 +562,12 @@ def cmd_allocate(args, flags: dict) -> int:
         phi = objective_phi(link, powers)
         gain = ergodic_gain_closed_form(link, powers).total if in_model else math.nan
         rows.append((name, powers, phi, gain))
-        for k, p in enumerate(powers.p_k):
-            lines.append(
-                f"{name:<10} {k:>3} {p:>24.17g} {watts_to_dbm(float(p)):>12.4f} "
-                f"{phi:>14.6e} {gain:>14.6e}"
-            )
+        # name, phi and gain are formatted once; p_k as Python floats formats faster
+        head, tail = f"{name:<10} ", f" {phi:>14.6e} {gain:>14.6e}"
+        lines.extend(
+            f"{head}{k:>3} {p:>24.17g} {watts_to_dbm(p):>12.4f}{tail}"
+            for k, p in enumerate(powers.p_k.tolist())
+        )
     print("\n".join(lines))
 
     if args.out is not None:
@@ -564,7 +579,7 @@ def cmd_allocate(args, flags: dict) -> int:
         _write_powers_csv(os.path.join(args.out, POWERS_CSV), power_rows)
         manifest = _manifest(
             "allocate", scn, seed=run["seed"], trials=0, csi_mode="estimated", workers=1,
-            allocators=names,
+            caught=args.caught, allocators=names,
         )
         _write_yaml(os.path.join(args.out, MANIFEST_FILE), manifest)
         print(f"wrote {os.path.join(args.out, POWERS_CSV)}")
@@ -756,7 +771,7 @@ def cmd_validate(args, flags: dict) -> int:
         _write_yaml(os.path.join(args.out, REPORT_FILE), report)
         manifest = _manifest(
             "validate", scn, seed=seed, trials=trials, csi_mode="estimated",
-            workers=workers, duration_s=duration,
+            workers=workers, caught=args.caught, duration_s=duration,
             trial_rows=trials + 2 * min(trials, _HIERARCHY_TRIALS),
         )
         _write_yaml(os.path.join(args.out, MANIFEST_FILE), manifest)
@@ -764,8 +779,8 @@ def cmd_validate(args, flags: dict) -> int:
     return 1 if summary["fail"] else 0
 
 
-def _sweep_from(scn: ScenarioSettings, run: dict, out_dir: str | None) -> int:
-    out_dir = "." if out_dir is None else out_dir
+def _sweep_from(scn: ScenarioSettings, run: dict, args) -> int:
+    out_dir = "." if args.out is None else args.out
     trials, seed, csi_mode, workers = run["trials"], run["seed"], run["csi_mode"], run["workers"]
     cfg = TrialConfig(trials=trials, seed=seed, csi_mode=csi_mode)
     t0 = time.monotonic()
@@ -779,7 +794,7 @@ def _sweep_from(scn: ScenarioSettings, run: dict, out_dir: str | None) -> int:
     _write_powers_csv(powers_path, result.rows)
     manifest = _manifest(
         "sweep", scn, seed=seed, trials=trials, csi_mode=csi_mode, workers=workers,
-        allocators=run["allocators"], d_values=run["d_range"],
+        caught=args.caught, allocators=run["allocators"], d_values=run["d_range"],
         duration_s=duration, trial_rows=trials * len(result.rows),
     )
     # the exact solver's iterations and final multiplier spread per position
@@ -803,7 +818,7 @@ def _replay(saved: dict, args, flags: dict) -> int:
         _get(saved, key, "")
     run = {**_run_fields(saved, ""), **flags}
     _check_eq29(run["allocators"], scn.element_counts, "allocators")
-    return _sweep_from(scn, run, args.out)
+    return _sweep_from(scn, run, args)
 
 
 def cmd_sweep(args, flags: dict) -> int:
@@ -816,7 +831,7 @@ def cmd_sweep(args, flags: dict) -> int:
     scn, run = _config_run(args, flags)
     if "d_range" not in run:
         raise ConfigError("run.d_range", "missing required field (or pass --d-range)")
-    return _sweep_from(scn, run, args.out)
+    return _sweep_from(scn, run, args)
 
 
 # ---------------------------------------------------------------- entry
@@ -871,6 +886,23 @@ def main(argv=None) -> int:
     elif args.config is None:
         print("config error: --config is required", file=sys.stderr)
         return 2
+    # every warning is recorded; only rispilot's own are shown as one line
+    # each, and the rest are shown as Python would have shown them
+    with warnings.catch_warnings(record=True) as caught:
+        for category in _OWN_WARNINGS:
+            warnings.simplefilter("always", category)
+        args.caught = caught
+        code = _run(args)
+    for w in caught:
+        if not issubclass(w.category, _OWN_WARNINGS):
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+    for message in _own_messages(caught):
+        print(f"warning: {message}", file=sys.stderr)
+    return code
+
+
+def _run(args) -> int:
+    """args' command, its errors reported as one line and an exit code."""
     try:
         # flags are checked before any file is read
         given = {key: getattr(args, key, None) for key in _RUN_KEYS}

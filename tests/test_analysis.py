@@ -10,6 +10,7 @@ from rispilot.analysis import (
     ModelAssumptionWarning,
     alignment_mean,
     ergodic_gain_closed_form,
+    ergodic_gain_rows,
     model_applies,
     objective_phi,
     stationarity_residual,
@@ -226,6 +227,27 @@ def test_surface_objective_derivatives():
         grad_up = counts * surface_objective(beta_sq, counts, up, sigma_z_sq).residual
         grad_dn = counts * surface_objective(beta_sq, counts, dn, sigma_z_sq).residual
         assert np.allclose((grad_up - grad_dn) / (2.0 * h), hessian[:, k], rtol=1e-6, atol=0.0)
+
+
+@pytest.mark.parametrize("column", [False, True], ids=["scalar-noise", "noise-column"])
+def test_closed_forms_see_the_solvers_damped_sums(column):
+    """The closed forms' g_k are surface_objective's coherent sums, bit for bit."""
+    rng = np.random.default_rng(64)
+    for _ in range(40):
+        rows, k = int(rng.integers(1, 9)), int(rng.integers(1, 65))
+        counts = rng.integers(1, 257, k)
+        beta_sq = 10.0 ** rng.uniform(-12.0, -8.0, (rows, k))
+        p = 10.0 ** rng.uniform(-4.0, 0.0, (rows, k))
+        sigma = 10.0 ** rng.uniform(-15.0, -9.0, (rows, 1)) if column else 1e-14
+        g = surface_objective(beta_sq, counts.astype(np.float64), p, sigma).coherent
+        intra = np.vecdot(1.0 - 1.0 / counts, g * g)
+        inter = np.vecdot(g, np.add.reduce(g, axis=-1, keepdims=True) - g)
+        gains = ergodic_gain_rows(beta_sq, counts.astype(np.float64), p, sigma)
+        np.testing.assert_array_equal(gains.intra_ris, intra * (0.25 * math.pi))
+        np.testing.assert_array_equal(gains.inter_ris, inter * (0.25 * math.pi))
+        for i in range(rows):
+            link = _link(beta_sq[i], counts, float(np.broadcast_to(sigma, (rows, 1))[i, 0]))
+            assert objective_phi(link, p[i]) == float(intra[i] + inter[i])
 
 
 def test_residual_vanishes_with_perfect_estimates():

@@ -2,6 +2,7 @@ import csv
 import math
 import pathlib
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import yaml
 
 from rispilot.allocation import multiplier_spread
 from rispilot.analysis import stationarity_residual
+from rispilot import cli
 from rispilot.cli import main
 from rispilot.scenario import Link
 
@@ -421,13 +423,22 @@ def test_manifest_records_host_and_throughput(tmp_path):
 
 # a faded BS link and a Rician user link, outside the closed form's model
 OUT_OF_MODEL = GEOMETRY.replace("    alpha_ru: 2.8\n", "    alpha_ru: 2.8\n    k_br: 1\n    k_ru: 5\n")
+MODEL_WARNING = ("closed form assumes a deterministic BS link and a fully "
+                 "scattered user link; this scenario violates that")
+
+
+def _warned_once(capsys, out):
+    """The model warning printed once on stderr, and listed in out's manifest."""
+    assert capsys.readouterr().err == f"warning: {MODEL_WARNING}\n"
+    manifest = yaml.safe_load((out / "run_manifest.yaml").read_text(encoding="utf-8"))
+    assert manifest["warnings"] == [MODEL_WARNING]
 
 
 def test_closed_form_is_not_reported_outside_its_model(tmp_path, capsys):
     cfg = _cfg(tmp_path, OUT_OF_MODEL)
     out = tmp_path / "run"
-    with pytest.warns(UserWarning, match="closed form assumes"):
-        assert main(["sweep", "--config", cfg, "--trials", "50", "--out", str(out)]) == 0
+    assert main(["sweep", "--config", cfg, "--trials", "50", "--out", str(out)]) == 0
+    _warned_once(capsys, out)
     rows = _read_csv(out / "metrics.csv")
     assert rows and all(r["closed_form_gain"] == "nan" for r in rows)
     assert all(math.isfinite(float(r["mean_gain"])) for r in rows)
@@ -437,15 +448,42 @@ def test_closed_form_is_not_reported_outside_its_model(tmp_path, capsys):
                  "--out", str(rout)]) == 0
     assert all(math.isfinite(float(r["closed_form_gain"])) for r in _read_csv(rout / "metrics.csv"))
 
+    assert capsys.readouterr().err == ""
     vout = tmp_path / "vout"
-    with pytest.warns(UserWarning, match="closed form assumes"):
-        rc = main(["validate", "--config", cfg, "--trials", "2000", "--out", str(vout)])
-    assert rc == 0
+    assert main(["validate", "--config", cfg, "--trials", "2000", "--out", str(vout)]) == 0
+    _warned_once(capsys, vout)
     report = yaml.safe_load((vout / "validation_report.yaml").read_text(encoding="utf-8"))
     ergodic = {c["name"]: c for c in report["checks"]}["ergodic-gain"]
     assert ergodic["status"] == "not-applicable"
     assert "k_br = 1" in ergodic["detail"] and "k_ru = 5" in ergodic["detail"]
     assert report["summary"]["not-applicable"] == 1 and report["summary"]["fail"] == 0
+
+    aout = tmp_path / "aout"
+    assert main(["allocate", "--config", cfg, "--out", str(aout)]) == 0
+    _warned_once(capsys, aout)
+
+
+def test_main_prints_its_own_warnings_once_and_passes_others_on(tmp_path, capsys, monkeypatch):
+    # one surface of one element: eq27's weight degenerates to uniform power
+    cfg = _cfg(tmp_path, SYMMETRIC.replace("[4, 4]", "[1]").replace("[1.0, 1.0]", "[1.0]"))
+    assert main(["allocate", "--config", cfg, "--allocators", "eq27"]) == 0
+    assert capsys.readouterr().err == ("warning: uniform fallback for surface index [0]: "
+                                       "degenerate moderate-SNR weight\n")
+
+    real = cli.run_allocator
+
+    def noisy(name, link, *rest):
+        warnings.warn("not rispilot's", UserWarning)
+        return real(name, link, *rest)
+
+    monkeypatch.setattr(cli, "run_allocator", noisy)
+    with pytest.warns(UserWarning, match="not rispilot's"):
+        assert main(["allocate", "--config", _cfg(tmp_path, SYMMETRIC)]) == 0
+    assert "warning:" not in capsys.readouterr().err
+    # the suite's error::RuntimeWarning filter still reaches inside main
+    monkeypatch.setattr(cli, "run_allocator", lambda *a: np.float64(1e300) * 1e300)
+    with pytest.raises(RuntimeWarning, match="overflow"):
+        main(["allocate", "--config", _cfg(tmp_path, SYMMETRIC)])
 
 
 @pytest.mark.parametrize(
