@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 import yaml
 
+from rispilot import cli
 from rispilot.allocation import multiplier_spread
 from rispilot.analysis import stationarity_residual
-from rispilot import cli
 from rispilot.cli import main
 from rispilot.scenario import Link
 
