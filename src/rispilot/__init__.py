@@ -37,7 +37,6 @@ from .allocation import (
     allocate_moderate_snr,
     allocate_large_m,
     allocate_equal_m,
-    allocate_exact_numeric,
     ALLOCATOR_IDS,
     resolve_allocator,
     run_allocator,

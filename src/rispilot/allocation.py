@@ -18,7 +18,7 @@ import numpy as np
 
 from .analysis import SurfaceObjective, surface_objective
 from .estimation import PerRisPowers
-from .scenario import Link
+from .scenario import Link, equal_counts
 
 __all__ = [
     "PerRisPowers",
@@ -28,7 +28,6 @@ __all__ = [
     "allocate_moderate_snr",
     "allocate_large_m",
     "allocate_equal_m",
-    "allocate_exact_numeric",
     "ExactSolution",
     "solve_exact",
     "multiplier_spread",
@@ -105,7 +104,7 @@ def allocate_large_m(link: Link) -> PerRisPowers:
     that case is routed through it so the two agree bit for bit.
     """
     counts = link.counts
-    if np.all(counts == counts[0]):
+    if equal_counts(counts):
         return allocate_equal_m(link)
     root_beta = np.sqrt(link.beta)
     denom = root_beta * float(np.sum(counts / root_beta))
@@ -165,7 +164,10 @@ def _ascends(step: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return (slope > 0.0) & (slope < np.inf)
 
 
-# A returned answer's multiplier spread is at most this (or tol, if larger).
+# a row stops iterating once its multiplier spread is below _TOL, or after
+# _MAX_ITER steps; a returned answer's spread is below _CERTIFIED_SPREAD
+_TOL = 1e-12
+_MAX_ITER = 100
 _CERTIFIED_SPREAD = 1e-9
 # backtracking tries a step at most this many times, halving it each time
 _TRIES = 60
@@ -176,8 +178,7 @@ class ExactSolution(NamedTuple):
 
     powers is the certified answer where certified is set, else the best
     iterate found (highest phi); residuals and spread are those of powers.
-    iterations counts the steps each row took; max_iter and bound are the
-    cap and the certification bound the solve used.
+    iterations counts the steps each row took.
     """
 
     powers: np.ndarray
@@ -185,42 +186,31 @@ class ExactSolution(NamedTuple):
     spread: np.ndarray
     iterations: np.ndarray
     certified: np.ndarray
-    max_iter: int
-    bound: float
 
     def row(self, i: int) -> np.ndarray:
         """Row i's certified powers; NonConvergenceError if it has none."""
         if not self.certified[i]:
             raise NonConvergenceError(
-                f"no convergence after {self.iterations[i]} iterations (cap {self.max_iter}): "
-                f"multiplier spread {self.spread[i]:.3e} vs {self.bound:.1e}",
+                f"no convergence after {self.iterations[i]} iterations (cap {_MAX_ITER}): "
+                f"multiplier spread {self.spread[i]:.3e} vs {_CERTIFIED_SPREAD:.1e}",
                 best_powers=self.powers[i].copy(),
                 residuals=self.residuals[i].copy(),
             )
         return self.powers[i]
 
 
-def solve_exact(
-    beta_sq,
-    counts,
-    p_avg,
-    sigma_z_sq,
-    tol: float = 1e-12,
-    *,
-    max_iter: int = 100,
-    start=None,
-) -> ExactSolution:
+def solve_exact(beta_sq, counts, p_avg, sigma_z_sq) -> ExactSolution:
     """Maximize the exact gain objective over each row's budget.
 
     beta_sq is (rows, K); counts is (rows, K) or (K,); p_avg and
-    sigma_z_sq are scalars or hold one entry per row; start is None or
-    (rows, K). Inputs are not validated here: a Link has checked them.
+    sigma_z_sq are scalars or hold one entry per row. Inputs are not
+    validated here: a Link has checked them.
 
     Each row solves the Lagrange (KKT) conditions, one multiplier shared
-    by every surface's stationarity_residual r_k, from the uniform point
-    (or its start). Steps are Newton steps in u = log p on the conditions
-    in logs, log r_k(u) = nu for every surface: their Jacobian in u is
-    diagonal plus rank one, like phi's Hessian, so a step costs O(K) by
+    by every surface's stationarity_residual r_k, from the uniform point.
+    Steps are Newton steps in u = log p on the conditions in logs,
+    log r_k(u) = nu for every surface: their Jacobian in u is diagonal
+    plus rank one, like phi's Hessian, so a step costs O(K) by
     Sherman-Morrison. In logs a surface whose optimal power lies many
     decades below the others gets there in a step or two, where phi is
     flat to rounding and cannot guide it; Newton on phi itself in u would
@@ -229,8 +219,8 @@ def solve_exact(
     Jacobian's diagonal alone, and that one by the projected gradient. A
     candidate p exp(t d) is shifted back onto the budget (a uniform shift
     of u) and backtracked on phi. A row stops when its multiplier spread
-    falls below tol, when a step no longer moves it, or after max_iter
-    steps; it is certified if its final spread is below max(tol, 1e-9).
+    falls below _TOL, when a step no longer moves it, or after _MAX_ITER
+    steps; it is certified if its final spread is below 1e-9.
     Rows never mix: a row's answer is the same bits whichever other rows
     are solved with it.
     """
@@ -245,10 +235,7 @@ def solve_exact(
     out_p, out_r, out_best = np.empty((n, k)), np.empty((n, k)), np.empty((n, k))
     out_it = np.zeros(n, dtype=np.int64)
     with np.errstate(all="ignore"):
-        if start is None:
-            p = _filled(p_avg, (n, k))
-        else:
-            p = np.maximum(start, 1e-6 * p_avg)
+        p = _filled(p_avg, (n, k))
         p *= budget / _rowdot(counts, p)
         cur = surface_objective(b2, counts, p, sigma)
         # flat objective (noiseless training): every allocation is optimal
@@ -263,9 +250,9 @@ def solve_exact(
         while True:
             r = cur.residual
             high, low = _max(r, axis=-1), _min(r, axis=-1)
-            # the spread below tol, without dividing by a scale that may be 0
-            done = stopped | (high - low <= tol * np.maximum(high, -low))
-            if iterations >= max_iter:
+            # the spread below _TOL, without dividing by a scale that may be 0
+            done = stopped | (high - low <= _TOL * np.maximum(high, -low))
+            if iterations >= _MAX_ITER:
                 done[:] = True
             finished = np.count_nonzero(done)
             if finished:
@@ -341,39 +328,15 @@ def solve_exact(
                 best_p = np.where(better[:, None], p, best_p)
                 best_phi = np.where(better, cur.phi, best_phi)
 
-        bound = max(tol, _CERTIFIED_SPREAD)
         spread = multiplier_spread(out_r)
-        certified = spread < bound
+        certified = spread < _CERTIFIED_SPREAD
         lost = np.flatnonzero(~certified)
         if lost.size:
             out_p[lost] = out_best[lost]
             m, b2, sigma, _ = (x[lost] for x in inputs)
             out_r[lost] = surface_objective(b2, m, out_p[lost], sigma).residual
             spread[lost] = multiplier_spread(out_r[lost])
-    return ExactSolution(out_p, out_r, spread, out_it, certified, max_iter, bound)
-
-
-def allocate_exact_numeric(
-    link: Link,
-    tol: float = 1e-12,
-    *,
-    max_iter: int = 100,
-    start: np.ndarray | None = None,
-) -> PerRisPowers:
-    """Maximize the exact gain objective over the budget hyperplane.
-
-    The one-problem case of solve_exact: returns the certified powers, or
-    raises NonConvergenceError carrying the best iterate and its
-    residuals.
-    """
-    if start is not None:
-        start = np.asarray(start, dtype=np.float64)
-        if start.shape != (link.num_ris,) or np.any(start <= 0.0):
-            raise ValueError("start must be a positive vector with one entry per surface")
-        start = start[None]
-    sol = solve_exact(link.beta_sq[None], link.counts, link.p_avg, link.sigma_z_sq, tol,
-                      max_iter=max_iter, start=start)
-    return PerRisPowers(p_k=sol.row(0))
+    return ExactSolution(out_p, out_r, spread, out_it, certified)
 
 
 # CLI vocabulary for the allocators, with spelled-out aliases
@@ -399,6 +362,8 @@ def resolve_allocator(name: str) -> str:
 def run_allocator(name: str, link: Link, others=None):
     """Pilot powers from one allocator for link.
 
+    `exact` alone returns link's certified powers, or raises
+    NonConvergenceError carrying the best iterate and its residuals.
     For `exact`, a list of other links may follow: problems that share
     link's element counts, average pilot power and training noise, such
     as the other user positions of one layout. link and the others are
@@ -422,7 +387,8 @@ def run_allocator(name: str, link: Link, others=None):
     if canonical == "eq28":
         return allocate_large_m(link)
     if canonical == "eq29":
-        if not np.all(link.counts == link.counts[0]):
+        if not equal_counts(link.counts):
             raise ValueError("allocator 'eq29' needs equal element counts on every surface")
         return allocate_equal_m(link)
-    return allocate_exact_numeric(link)
+    sol = solve_exact(link.beta_sq[None], link.counts, link.p_avg, link.sigma_z_sq)
+    return PerRisPowers(p_k=sol.row(0))

@@ -43,13 +43,14 @@ from .analysis import (
     objective_phi,
     stationarity_residual,
 )
-from .channel import RngStream, standard_complex_normal, substream, PURPOSE_RIS_USER
+from .channel import PURPOSE_RIS_USER, unit_normals
 from .estimation import PerRisPowers
 from .montecarlo import CSI_MODES, GainRow, TrialConfig, sweep_user, trial_gains
 from .scenario import (
     Link,
     cascaded_large_scale,
     dbm_to_watts,
+    equal_counts,
     two_ris_layout,
     watts_to_dbm,
 )
@@ -271,7 +272,17 @@ def _geometry(raw, path: str, *, config: bool) -> dict:
 
 
 _SCENARIO_KEYS = {"element_counts", "p_avg", "q", "sigma_z", "sigma_n", "geometry", "channel"}
-_RUN_KEYS = {"seed", "trials", "csi_mode", "estimate_mode", "allocators", "d_range", "workers"}
+# the run settings each command takes and their defaults (None: no default);
+# a config's run block overrides a default and a flag overrides both. The
+# allocator lists are sorted, as _resolve_allocators returns them.
+_SETTINGS = {
+    "allocate": {"allocators": tuple(sorted(ALLOCATOR_IDS))},
+    "validate": {"seed": 0, "trials": 100_000, "workers": 1},
+    "sweep": {"seed": 0, "trials": 1000, "csi_mode": "estimated",
+              "allocators": ("exact", "uniform"), "workers": 1, "d_range": None},
+}
+# one config serves every command, so its run block may give any setting
+_RUN_KEYS = set().union(*_SETTINGS.values())
 
 
 def _parse_scenario(raw: dict) -> ScenarioSettings:
@@ -346,9 +357,6 @@ def _run_fields(block: dict, prefix: str) -> dict:
             out[key] = value
     if "csi_mode" in block:
         out["csi_mode"] = _mode_value(block["csi_mode"], where("csi_mode"), CSI_MODES)
-    if "estimate_mode" in block:
-        # both historical modes drew identical numbers: accepted, no effect
-        _mode_value(block["estimate_mode"], where("estimate_mode"), ("shortcut", "protocol"))
     if "allocators" in block:
         names = block["allocators"]
         if isinstance(names, str):
@@ -373,7 +381,7 @@ def _mode_value(value, path: str, choices) -> str:
 
 
 def _check_eq29(names, counts, path: str):
-    if "eq29" in names and any(m != counts[0] for m in counts):
+    if "eq29" in names and not equal_counts(counts):
         raise ConfigError(path, "'eq29' expects equal element counts on every surface; use 'eq28'")
 
 
@@ -491,24 +499,24 @@ def _own_messages(caught) -> list[str]:
     return list(dict.fromkeys(own))
 
 
-def _manifest(command: str, scn: ScenarioSettings, *, seed, trials, csi_mode, workers,
-              caught, allocators=None, d_values=None, duration_s=None, trial_rows=0) -> dict:
-    """Run record; trial_rows counts every (trial, row) pair the run evaluated,
-    and caught holds the warnings raised so far (see main)."""
+def _stored_as(key: str) -> str:
+    """A run setting's manifest field: the offsets d_range expanded to are d_values."""
+    return "d_values" if key == "d_range" else key
+
+
+def _manifest(command: str, scn: ScenarioSettings, run: dict, caught, *,
+              duration_s=None, trial_rows=0) -> dict:
+    """Run record of the command's run settings; trial_rows counts every
+    (trial, row) pair the run evaluated, and caught holds the warnings
+    raised so far (see main)."""
     out = {
         "command": command,
         "version": __version__,
         "created": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "seed": seed,
-        "trials": trials,
-        "csi_mode": csi_mode,
-        "workers": workers,
         "scenario": scn.as_dict(),
     }
-    if allocators is not None:
-        out["allocators"] = list(allocators)
-    if d_values is not None:
-        out["d_values"] = [float(d) for d in d_values]
+    for key in _SETTINGS[command]:
+        out[_stored_as(key)] = run[key]
     if duration_s is not None:
         out["duration_s"] = round(duration_s, 3)
         out["trials_per_s"] = round(trial_rows / duration_s, 1) if duration_s > 0 else None
@@ -520,18 +528,9 @@ def _manifest(command: str, scn: ScenarioSettings, *, seed, trials, csi_mode, wo
 # ---------------------------------------------------------------- commands
 
 
-# command defaults, overridden by a config's run block, overridden by flags;
-# allocator lists sorted, as _resolve_allocators returns them
-_DEFAULTS = {
-    "allocate": {"seed": 0, "allocators": tuple(sorted(ALLOCATOR_IDS))},
-    "validate": {"seed": 0, "trials": 100_000, "workers": 1},
-    "sweep": {"seed": 0, "trials": 1000, "workers": 1, "csi_mode": "estimated",
-              "allocators": ("exact", "uniform")},
-}
-
-
 def _config_run(args, flags: dict) -> tuple[ScenarioSettings, dict]:
-    """A config's scenario and the run settings merged over the command's defaults."""
+    """A config's scenario and the command's run settings, the run block and
+    flags merged over its defaults."""
     raw = load_config(args.config)
     scn = _parse_scenario(raw)
     block = raw.get("run")
@@ -541,14 +540,14 @@ def _config_run(args, flags: dict) -> tuple[ScenarioSettings, dict]:
     if "allocators" in given:
         source = "--allocators" if "allocators" in flags else "run.allocators"
         _check_eq29(given["allocators"], scn.element_counts, source)
-    return scn, {**_DEFAULTS[args.command], **given}
+    return scn, {key: given.get(key, default) for key, default in _SETTINGS[args.command].items()}
 
 
 def cmd_allocate(args, flags: dict) -> int:
     scn, run = _config_run(args, flags)
     # a named eq29 was checked against the counts; the default list skips it
     # where the counts differ
-    equal = len(set(scn.element_counts)) == 1
+    equal = equal_counts(scn.element_counts)
     names = [name for name in run["allocators"] if name != "eq29" or equal]
     link = scn.fixed_link()
     # outside the closed form's model the gain column reads nan, as in sweep
@@ -577,10 +576,7 @@ def cmd_allocate(args, flags: dict) -> int:
             for name, powers, _, _ in rows
         ]
         _write_powers_csv(os.path.join(args.out, POWERS_CSV), power_rows)
-        manifest = _manifest(
-            "allocate", scn, seed=run["seed"], trials=0, csi_mode="estimated", workers=1,
-            caught=args.caught, allocators=names,
-        )
+        manifest = _manifest("allocate", scn, {"allocators": names}, args.caught)
         _write_yaml(os.path.join(args.out, MANIFEST_FILE), manifest)
         print(f"wrote {os.path.join(args.out, POWERS_CSV)}")
     return 0
@@ -611,15 +607,17 @@ def _validation_checks(link: Link, trials: int, seed: int, workers: int,
     checks = []
     counts = link.counts
     countsf = counts.astype(np.float64)
+    equal = equal_counts(counts)
     uniform = allocate_average(link)
 
-    # per-surface aligned-coefficient mean, against the closed form
+    # per-surface aligned-coefficient mean, against the closed form; trial
+    # 2^63 + k's user-hop draws give h, then the estimation noise
     for k in range(link.num_ris):
         b2 = float(link.beta_sq[k])
         d2 = link.sigma_z_sq / link.p_avg
-        gen = substream(RngStream(seed, stream_id=2**63 + k), PURPOSE_RIS_USER, 0)
-        h = math.sqrt(b2) * standard_complex_normal(gen, trials)
-        est = h + math.sqrt(d2) * standard_complex_normal(gen, trials)
+        z = unit_normals(seed, 2**63 + k, 2**63 + k + 1, PURPOSE_RIS_USER, 2 * trials)[0]
+        h = math.sqrt(b2) * z[:trials]
+        est = h + math.sqrt(d2) * z[trials:]
         stat = (h * np.conj(est) / np.abs(est)).real
         expected = alignment_mean(b2, d2)
         se = float(np.std(stat, ddof=1) / math.sqrt(trials))
@@ -676,7 +674,7 @@ def _validation_checks(link: Link, trials: int, seed: int, workers: int,
     exact = run_allocator("exact", link, [] if off_centre is None else [off_centre])
     allocator_powers = {}
     for name in ALLOCATOR_IDS:
-        if name == "eq29" and len(set(counts.tolist())) != 1:
+        if name == "eq29" and not equal:
             continue
         if name == "exact":
             powers = PerRisPowers(p_k=exact.row(0))
@@ -689,7 +687,7 @@ def _validation_checks(link: Link, trials: int, seed: int, workers: int,
         )
 
     # the two many-element forms must agree bit for bit on equal counts
-    if len(set(counts.tolist())) == 1:
+    if equal:
         a = allocate_large_m(link).p_k
         b = allocate_equal_m(link).p_k
         checks.append(
@@ -770,8 +768,7 @@ def cmd_validate(args, flags: dict) -> int:
         }
         _write_yaml(os.path.join(args.out, REPORT_FILE), report)
         manifest = _manifest(
-            "validate", scn, seed=seed, trials=trials, csi_mode="estimated",
-            workers=workers, caught=args.caught, duration_s=duration,
+            "validate", scn, run, args.caught, duration_s=duration,
             trial_rows=trials + 2 * min(trials, _HIERARCHY_TRIALS),
         )
         _write_yaml(os.path.join(args.out, MANIFEST_FILE), manifest)
@@ -793,9 +790,8 @@ def _sweep_from(scn: ScenarioSettings, run: dict, args) -> int:
     _write_metrics_csv(metrics_path, result.rows)
     _write_powers_csv(powers_path, result.rows)
     manifest = _manifest(
-        "sweep", scn, seed=seed, trials=trials, csi_mode=csi_mode, workers=workers,
-        caught=args.caught, allocators=run["allocators"], d_values=run["d_range"],
-        duration_s=duration, trial_rows=trials * len(result.rows),
+        "sweep", scn, run, args.caught, duration_s=duration,
+        trial_rows=trials * len(result.rows),
     )
     # the exact solver's iterations and final multiplier spread per position
     manifest["solver"] = [row._asdict() for row in result.solver]
@@ -814,8 +810,8 @@ def _replay(saved: dict, args, flags: dict) -> int:
         raise ConfigError("--" + fixed[0].replace("_", "-"),
                           "the manifest fixes this setting; a replay takes only --workers and --out")
     scn = ScenarioSettings.from_dict(_get(saved, "scenario", ""))
-    for key in ("seed", "trials", "csi_mode", "allocators", "workers", "d_values"):
-        _get(saved, key, "")
+    for key in _SETTINGS["sweep"]:
+        _get(saved, _stored_as(key), "")
     run = {**_run_fields(saved, ""), **flags}
     _check_eq29(run["allocators"], scn.element_counts, "allocators")
     return _sweep_from(scn, run, args)
@@ -829,7 +825,7 @@ def cmd_sweep(args, flags: dict) -> int:
         return _replay(saved, args, flags)
 
     scn, run = _config_run(args, flags)
-    if "d_range" not in run:
+    if run["d_range"] is None:
         raise ConfigError("run.d_range", "missing required field (or pass --d-range)")
     return _sweep_from(scn, run, args)
 
@@ -837,15 +833,26 @@ def cmd_sweep(args, flags: dict) -> int:
 # ---------------------------------------------------------------- entry
 
 
-def _add_common(p: argparse.ArgumentParser):
+# each run setting's flag
+_FLAGS = {
+    "seed": {"type": int, "help": "base RNG seed (64-bit unsigned)"},
+    "trials": {"type": int, "help": "Monte Carlo trials"},
+    "csi_mode": {"choices": CSI_MODES, "help": "how reflection phases are chosen"},
+    "allocators": {"help": f"comma-separated allocators from: {', '.join(ALLOCATOR_IDS)}"},
+    "workers": {"type": int, "help": "parallel trial workers"},
+    "d_range": {"help": "user offsets as start:stop:step, inclusive"},
+}
+
+
+def _add_command(sub, command: str, func, text: str) -> argparse.ArgumentParser:
+    """A subcommand taking --config, --out and the flags of its run settings."""
+    p = sub.add_parser(command, help=text)
     p.add_argument("--config", help="YAML config file")
-    p.add_argument("--seed", type=int, help="base RNG seed (64-bit unsigned)")
-    p.add_argument("--trials", type=int, help="Monte Carlo trials")
     p.add_argument("--out", help="output directory")
-    p.add_argument("--allocators", help=f"comma-separated allocators from: {', '.join(ALLOCATOR_IDS)}")
-    p.add_argument("--csi-mode", dest="csi_mode", choices=CSI_MODES,
-                   help="how reflection phases are chosen")
-    p.add_argument("--workers", type=int, help="parallel trial workers")
+    for key in _SETTINGS[command]:
+        p.add_argument("--" + key.replace("_", "-"), dest=key, **_FLAGS[key])
+    p.set_defaults(func=func)
+    return p
 
 
 @functools.cache
@@ -858,19 +865,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_alloc = sub.add_parser("allocate", help="print per-surface pilot powers")
-    _add_common(p_alloc)
-    p_alloc.set_defaults(func=cmd_allocate)
-
-    p_val = sub.add_parser("validate", help="check closed forms against simulation")
-    _add_common(p_val)
-    p_val.set_defaults(func=cmd_validate)
-
-    p_sweep = sub.add_parser("sweep", help="sweep the user position, write CSVs")
-    _add_common(p_sweep)
-    p_sweep.add_argument("--d-range", dest="d_range", help="user offsets as start:stop:step, inclusive")
+    _add_command(sub, "allocate", cmd_allocate, "print per-surface pilot powers")
+    _add_command(sub, "validate", cmd_validate, "check closed forms against simulation")
+    p_sweep = _add_command(sub, "sweep", cmd_sweep, "sweep the user position, write CSVs")
     p_sweep.add_argument("--manifest", help="replay a saved run manifest")
-    p_sweep.set_defaults(func=cmd_sweep)
     return parser
 
 
@@ -905,7 +903,7 @@ def _run(args) -> int:
     """args' command, its errors reported as one line and an exit code."""
     try:
         # flags are checked before any file is read
-        given = {key: getattr(args, key, None) for key in _RUN_KEYS}
+        given = {key: getattr(args, key) for key in _SETTINGS[args.command]}
         flags = _run_fields({key: v for key, v in given.items() if v is not None}, "--")
         return args.func(args, flags)
     except ConfigError as exc:

@@ -19,6 +19,7 @@ __all__ = [
     "Position",
     "Scenario",
     "Link",
+    "equal_counts",
     "dbm_to_watts",
     "watts_to_dbm",
     "path_loss",
@@ -143,6 +144,12 @@ class Link:
     @property
     def num_ris(self) -> int:
         return self.counts.size
+
+
+def equal_counts(counts) -> bool:
+    """Whether every surface has the same element count, as eq29 needs."""
+    counts = np.asarray(counts)
+    return bool(np.all(counts == counts[0]))
 
 
 def cascaded_large_scale(s: Scenario) -> np.ndarray:

@@ -17,7 +17,6 @@ from corridor import corridor_link
 from rispilot.allocation import (
     allocate_average,
     allocate_equal_m,
-    allocate_exact_numeric,
     allocate_large_m,
     allocate_moderate_snr,
     run_allocator,
@@ -212,7 +211,7 @@ def test_criterion_05_solver_consistency():
     # weak-surface pilot SNR 20 dB
     link = _link([1.0, 0.25], (100, 100), p_avg=400.0, sigma_z_sq=1.0)
 
-    exact = allocate_exact_numeric(link)
+    exact = run_allocator("exact", link)
     closed = allocate_moderate_snr(link)
     rel = np.abs(exact.p_k - closed.p_k) / closed.p_k
     assert np.all(rel <= 0.05), rel

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rispilot import allocation
 from rispilot.allocation import (
     ALLOCATOR_IDS,
     NonConvergenceError,
@@ -12,7 +13,6 @@ from rispilot.allocation import (
     UniformFallbackWarning,
     allocate_average,
     allocate_equal_m,
-    allocate_exact_numeric,
     allocate_large_m,
     allocate_moderate_snr,
     multiplier_spread,
@@ -135,12 +135,12 @@ def test_per_ris_powers_validation_and_expansion():
 
 
 def test_exact_solver_symmetric_case_is_uniform_bitwise():
-    p = allocate_exact_numeric(_link([1.0, 1.0], [32, 32], 0.25, 1e-3)).p_k
+    p = run_allocator("exact", _link([1.0, 1.0], [32, 32], 0.25, 1e-3)).p_k
     assert np.all(p == 0.25)
 
 
 def test_exact_solver_noiseless_training_returns_uniform():
-    p = allocate_exact_numeric(_link([4.0, 1.0], [8, 16], 0.25, 0.0)).p_k
+    p = run_allocator("exact", _link([4.0, 1.0], [8, 16], 0.25, 0.0)).p_k
     assert np.all(p == 0.25)
 
 
@@ -150,7 +150,7 @@ _SOLVER_LINK = _link([1.0, 0.25], _SOLVER_COUNTS, _SOLVER_PAVG, 1.0)
 
 
 def test_exact_solver_equalizes_the_multiplier():
-    sol = allocate_exact_numeric(_SOLVER_LINK)
+    sol = run_allocator("exact", _SOLVER_LINK)
     r = stationarity_residual(_SOLVER_LINK, sol.p_k)
     spread = (r.max() - r.min()) / np.max(np.abs(r))
     assert spread < 1e-6
@@ -162,7 +162,7 @@ def test_exact_solver_beats_every_closed_form():
     def phi_of(p_k):
         return objective_phi(_SOLVER_LINK, PerRisPowers(p_k=p_k))
 
-    exact = allocate_exact_numeric(_SOLVER_LINK)
+    exact = run_allocator("exact", _SOLVER_LINK)
     phi_exact = phi_of(exact.p_k)
     slack = 1e-12 * abs(phi_exact)
     for rival in (
@@ -177,37 +177,25 @@ def test_exact_solver_stays_near_moderate_snr_form_at_high_snr():
     # per-element training SNR is at least 10 dB here, the regime the
     # closed form was built for
     link = dataclasses.replace(_SOLVER_LINK, p_avg=400.0)
-    exact = allocate_exact_numeric(link).p_k
+    exact = run_allocator("exact", link).p_k
     closed = allocate_moderate_snr(link).p_k
     assert np.max(np.abs(exact - closed) / closed) < 0.05
 
 
-def test_exact_solver_start_independence():
-    sol = allocate_exact_numeric(_SOLVER_LINK)
-    gen = np.random.Generator(np.random.Philox(key=np.array([0, 0], dtype=np.uint64)))
-    max_dev = 0.0
-    for _ in range(3):
-        start = gen.uniform(0.1, 1.0, len(_SOLVER_COUNTS)) * _SOLVER_PAVG
-        other = allocate_exact_numeric(_SOLVER_LINK, start=start)
-        max_dev = max(max_dev, float(np.max(np.abs(other.p_k - sol.p_k))) / _SOLVER_PAVG)
-    assert max_dev < 1e-5
-    r = stationarity_residual(_SOLVER_LINK, sol.p_k)
-    assert multiplier_spread(r) < 1e-6
-    assert objective_phi(_SOLVER_LINK, sol) > 0.0
-
-
-def test_exact_solver_nonconvergence_carries_best_iterate():
+def test_exact_solver_nonconvergence_carries_best_iterate(monkeypatch):
+    monkeypatch.setattr(allocation, "_MAX_ITER", 1)
     with pytest.raises(NonConvergenceError) as exc:
-        allocate_exact_numeric(_SOLVER_LINK, max_iter=1)
+        run_allocator("exact", _SOLVER_LINK)
     err = exc.value
     assert err.best_powers.shape == (2,)
     assert err.residuals.shape == (2,)
     assert np.all(err.best_powers > 0.0)
 
 
-def test_exact_solver_failure_message_reports_what_ran():
+def test_exact_solver_failure_message_reports_what_ran(monkeypatch):
+    monkeypatch.setattr(allocation, "_MAX_ITER", 1)
     with pytest.raises(NonConvergenceError) as exc:
-        allocate_exact_numeric(_SOLVER_LINK, max_iter=1)
+        run_allocator("exact", _SOLVER_LINK)
     message = str(exc.value)
     assert message.startswith("no convergence after 1 iterations (cap 1): multiplier spread ")
     spread = float(message.split("multiplier spread ")[1].split()[0])
@@ -229,7 +217,7 @@ def test_exact_solver_certifies_heterogeneous_problems(k, data):
     )
     counts = data.draw(st.lists(st.integers(min_value=8, max_value=256), min_size=k, max_size=k))
     link = _link([10.0 ** e for e in exponents], counts, _HETERO_PAVG, _HETERO_NOISE)
-    exact = allocate_exact_numeric(link).p_k
+    exact = run_allocator("exact", link).p_k
     budget = float(np.dot(counts, exact))
     assert budget == pytest.approx(sum(counts) * _HETERO_PAVG, rel=1e-9)
     r = stationarity_residual(link, exact)
@@ -247,12 +235,30 @@ def test_exact_solver_certifies_heterogeneous_problems(k, data):
         assert phi_exact + 1e-12 * abs(phi_exact) >= phi_of(rival)
 
 
-def test_exact_solver_rejects_bad_start():
-    link = dataclasses.replace(_SOLVER_LINK, p_avg=1.0)
-    with pytest.raises(ValueError):
-        allocate_exact_numeric(link, start=np.array([1.0, -1.0]))
-    with pytest.raises(ValueError):
-        allocate_exact_numeric(link, start=np.ones(3))
+@given(st.integers(min_value=2, max_value=8), st.data())
+@settings(max_examples=40, deadline=None)
+def test_no_feasible_allocation_beats_exact(k, data):
+    exponents = data.draw(
+        st.lists(st.floats(min_value=-12.0, max_value=-8.0), min_size=k, max_size=k)
+    )
+    counts = data.draw(st.lists(st.integers(min_value=1, max_value=256), min_size=k, max_size=k))
+    snr = data.draw(st.floats(min_value=-6.0, max_value=3.0))
+    beta_sq = [10.0 ** e for e in exponents]
+    link = _link(beta_sq, counts, 10.0 ** snr * _HETERO_NOISE / max(beta_sq), _HETERO_NOISE)
+    exact = run_allocator("exact", link).p_k
+
+    def phi_of(p_k):
+        return objective_phi(link, PerRisPowers(p_k=p_k))
+
+    phi_exact = phi_of(exact)
+    budget = float(np.dot(counts, exact))
+    gen = np.random.Generator(np.random.Philox(key=data.draw(st.integers(0, 2**64 - 1))))
+    # allocations spread over six decades, and small moves away from exact's
+    for weights in (10.0 ** gen.uniform(-3.0, 3.0, (20, k)),
+                    exact * np.exp(gen.uniform(-1e-3, 1e-3, (20, k)))):
+        for w in weights:
+            rival = w * (budget / float(np.dot(counts, w)))
+            assert phi_of(rival) <= phi_exact + 1e-12 * abs(phi_exact)
 
 
 def test_allocator_vocabulary():
@@ -342,7 +348,7 @@ def test_exact_solver_certifies_low_snr_problems_over_eight_decades():
 def test_exact_solver_certifies_powers_sixteen_decades_apart():
     # exited 3 with a multiplier spread of 1.8e-3 under the step cap
     link = _link([1e-10, 1e-16], [4, 8], 1e-30, 1e-14)
-    p = allocate_exact_numeric(link).p_k
+    p = run_allocator("exact", link).p_k
     assert multiplier_spread(stationarity_residual(link, p)) < 1e-9
     assert float(np.dot([4, 8], p)) == pytest.approx(12e-30, rel=1e-12)
     assert p[1] / p[0] < 1e-10
@@ -357,6 +363,6 @@ def test_a_non_finite_residual_certifies_nothing():
     # is nan: the row comes back uncertified, not as zero powers
     sol = solve_exact(np.array([[1e-300, 1e-12]]), [4.0, 8.0], dbm_to_watts(14.0),
                       dbm_to_watts(-110.0))
-    assert not sol.certified[0] and not sol.spread[0] < sol.bound
+    assert not sol.certified[0] and not sol.spread[0] < 1e-9
     with pytest.raises(NonConvergenceError):
         sol.row(0)

@@ -349,31 +349,72 @@ def test_malformed_manifest_is_a_config_error(tmp_path, capsys, edit, field):
     assert capsys.readouterr().err.startswith(f"config error: {field}: ")
 
 
-def test_manifest_without_estimate_mode_replays(tmp_path, capsys):
+def test_manifest_with_estimate_mode_replays(tmp_path):
+    # manifests written while the setting existed still replay, identically
     out, saved = _sweep_manifest(tmp_path)
     assert "estimate_mode" not in saved
-    assert _replay(tmp_path, saved, "plain") == 0
-    expected = (out / "metrics.csv").read_bytes()
-    assert (tmp_path / "plain" / "metrics.csv").read_bytes() == expected
-    # manifests written before the key was dropped still replay, identically
     for mode in ("shortcut", "protocol"):
         assert _replay(tmp_path, dict(saved, estimate_mode=mode), mode) == 0
-        assert (tmp_path / mode / "metrics.csv").read_bytes() == expected
-    assert _replay(tmp_path, dict(saved, estimate_mode="psychic"), "bad") == 2
-    assert capsys.readouterr().err.startswith("config error: estimate_mode: ")
+        for name in ("metrics.csv", "powers.csv"):
+            assert (tmp_path / mode / name).read_bytes() == (out / name).read_bytes()
 
 
-def test_config_estimate_mode_is_accepted_and_ignored(tmp_path, capsys):
-    runs = {}
-    for mode in ("shortcut", "protocol"):
-        cfg = _cfg(tmp_path, GEOMETRY + f"  estimate_mode: {mode}\n", f"{mode}.yaml")
-        out = tmp_path / mode
-        assert main(["sweep", "--config", cfg, "--trials", "50", "--out", str(out)]) == 0
-        runs[mode] = (out / "metrics.csv").read_bytes()
-    assert runs["shortcut"] == runs["protocol"]
-    cfg = _cfg(tmp_path, GEOMETRY + "  estimate_mode: psychic\n", "bad.yaml")
-    assert main(["sweep", "--config", cfg, "--trials", "50", "--out", str(tmp_path / "x")]) == 2
-    assert "run.estimate_mode" in capsys.readouterr().err
+def test_config_estimate_mode_is_an_unknown_field(tmp_path, capsys):
+    cfg = _cfg(tmp_path, GEOMETRY + "  estimate_mode: shortcut\n")
+    for command in ("allocate", "validate", "sweep"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "x")]) == 2, command
+        assert capsys.readouterr().err.startswith(
+            "config error: run.estimate_mode: unknown field"), command
+    assert not (tmp_path / "x").exists()
+
+
+# every flag, with a value each command that takes it accepts
+FLAGS = {
+    "--config": "absent.yaml", "--out": "x", "--seed": "5", "--trials": "20",
+    "--csi-mode": "perfect", "--allocators": "uniform,exact", "--workers": "2",
+    "--d-range": "0:0:1", "--manifest": "absent.yaml",
+}
+TAKES = {
+    "allocate": {"--config", "--out", "--allocators"},
+    "validate": {"--config", "--out", "--seed", "--trials", "--workers"},
+    "sweep": set(FLAGS),
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(command, flag) for command, takes in TAKES.items() for flag in FLAGS if flag not in takes],
+)
+def test_a_command_rejects_the_flags_it_does_not_take(tmp_path, capsys, monkeypatch,
+                                                      command, flag):
+    # the config does not exist: reading it would exit 4
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", "absent.yaml", flag, FLAGS[flag], "--out", "x"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} " in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_a_manifest_records_exactly_the_command_s_settings(tmp_path):
+    always = {"command", "version", "created", "scenario", "warnings", "host"}
+    timed = {"duration_s", "trials_per_s"}
+    cfg = _cfg(tmp_path, GEOMETRY)
+    expected = {
+        "allocate": ({"allocators": ["exact", "uniform"]}, set()),
+        "validate": ({"seed": 5, "trials": 20, "workers": 2}, timed),
+        "sweep": ({"seed": 5, "trials": 20, "csi_mode": "perfect",
+                   "allocators": ["exact", "uniform"], "workers": 2, "d_values": [0.0]},
+                  timed | {"solver"}),
+    }
+    for command, (settings, extra) in expected.items():
+        out = tmp_path / command
+        flags = [a for flag in sorted(TAKES[command] - {"--config", "--out", "--manifest"})
+                 for a in (flag, FLAGS[flag])]
+        assert main([command, "--config", cfg, *flags, "--out", str(out)]) == 0, command
+        manifest = yaml.safe_load((out / "run_manifest.yaml").read_text(encoding="utf-8"))
+        assert set(manifest) == always | set(settings) | extra, command
+        assert {key: manifest[key] for key in settings} == settings, command
 
 
 def test_validate_solves_an_off_centre_position(tmp_path, capsys):
@@ -504,9 +545,11 @@ def test_main_prints_its_own_warnings_once_and_passes_others_on(tmp_path, capsys
 def test_non_finite_input_is_a_config_error(tmp_path, capsys, old, new, flag, field):
     assert old in GEOMETRY
     cfg = _cfg(tmp_path, GEOMETRY.replace(old, new, 1))
-    commands = [["sweep", *flag]] if flag else [["allocate"], ["validate"], ["sweep"]]
+    trials = ["--trials", "20"]
+    commands = ([["sweep", *trials, *flag]] if flag
+                else [["allocate"], ["validate", *trials], ["sweep", *trials]])
     for command in commands:
-        rc = main([*command, "--config", cfg, "--trials", "20", "--out", str(tmp_path / "x")])
+        rc = main([*command, "--config", cfg, "--out", str(tmp_path / "x")])
         assert rc == 2, command
         assert capsys.readouterr().err.startswith(f"config error: {field}: "), command
 
@@ -519,8 +562,8 @@ def test_infinite_rician_factors_are_accepted(tmp_path):
 
 def test_underflowing_path_loss_is_a_numerical_failure(tmp_path, capsys):
     cfg = _cfg(tmp_path, GEOMETRY.replace("    alpha_br: 2.2\n", "    alpha_br: 300\n"))
-    for command in ("allocate", "validate", "sweep"):
-        rc = main([command, "--config", cfg, "--trials", "20", "--out", str(tmp_path / "x")])
+    for command in (["allocate"], ["validate", "--trials", "20"], ["sweep", "--trials", "20"]):
+        rc = main([*command, "--config", cfg, "--out", str(tmp_path / "x")])
         assert rc == 3, command
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: ") and "surface 0" in err, command

@@ -110,7 +110,7 @@ def test_validation_report_matches_reference_output(tmp_path, config):
 @pytest.mark.parametrize("config", ["two_ris_symmetric", "absent"])
 def test_bad_flag_exits_before_the_config_is_read(tmp_path, capsys, flag, config):
     path = _config(config) if config != "absent" else str(tmp_path / "absent.yaml")
-    for command in ("allocate", "validate", "sweep"):
+    for command in ("validate", "sweep"):
         assert main([command, "--config", path, *flag, "--out", str(tmp_path / "x")]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {flag[0]}"), command
     assert not (tmp_path / "x").exists()
