@@ -79,20 +79,27 @@ def standard_complex_normal(gen: np.random.Generator, n: int) -> np.ndarray:
 
 def trial_draws(seed: int, start: int, stop: int, purpose: int, width: int,
                 method: str = "standard_normal") -> np.ndarray:
-    """(stop - start, width) float draws, row i from trial start + i's stream.
+    """(stop - start, width) draws, row i from trial start + i's stream.
 
-    Row i equals `getattr(substream(RngStream(seed, start + i), purpose, 0),
-    method)(width)`. One bit generator is re-keyed per trial instead of
-    building a new one, which would also gather OS entropy it never uses.
-    The state holds plain lists, which the setter reads faster than
-    uint64 arrays.
+    Row i equals `substream(RngStream(seed, start + i), purpose,
+    0).standard_normal(width)`, or with method "random_raw" that
+    stream's raw 64-bit Philox words, `.bit_generator.random_raw(width)`.
+    One bit generator is re-keyed per trial instead of building a new
+    one, which would also gather OS entropy it never uses. The state
+    holds plain lists, which the setter reads faster than uint64 arrays.
     """
     if not 0 <= start <= stop <= _U64_MAX + 1:
         raise ValueError(f"trial range [{start}, {stop}) is not inside [0, 2^64)")
     RngStream(seed)  # validates the seed
-    out = np.empty((stop - start, width))
     bitgen = np.random.Philox(key=0)
-    fill = getattr(np.random.Generator(bitgen), method)
+    if method == "random_raw":
+        out = np.empty((stop - start, width), dtype=np.uint64)
+
+        def fill(out):
+            out[...] = bitgen.random_raw(width)
+    else:
+        out = np.empty((stop - start, width))
+        fill = getattr(np.random.Generator(bitgen), method)
     key = [int(seed), 0]
     counter = [0, 0, purpose, 0]
     state = {

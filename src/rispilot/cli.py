@@ -537,7 +537,8 @@ def _config_run(args, flags: dict) -> tuple[ScenarioSettings, dict]:
     block = _require_mapping({} if block is None else block, "run")
     _reject_unknown(block, _RUN_KEYS, "run")
     given = {**_run_fields(block, "run."), **flags}
-    if "allocators" in given:
+    # only a command that reads the allocators checks eq29 against the counts
+    if "allocators" in given and "allocators" in _SETTINGS[args.command]:
         source = "--allocators" if "allocators" in flags else "run.allocators"
         _check_eq29(given["allocators"], scn.element_counts, source)
     return scn, {key: given.get(key, default) for key, default in _SETTINGS[args.command].items()}
@@ -584,11 +585,12 @@ def cmd_allocate(args, flags: dict) -> int:
 
 def _check(name, observed, expected, tol=0.0, margin=0.0, *, ok=None, detail="") -> dict:
     """One report record. Without ok, it passes within tol of expected, and is
-    inconclusive where the noise margin exceeds tol."""
-    if ok is not None:
-        status = "pass" if ok else "fail"
-    elif margin > tol:
+    inconclusive where the noise margin exceeds tol. An infinite margin, a
+    statistic of fewer than two samples, is inconclusive even with ok."""
+    if math.isinf(margin) or (ok is None and margin > tol):
         status = "inconclusive"
+    elif ok is not None:
+        status = "pass" if ok else "fail"
     else:
         status = "pass" if abs(observed - expected) <= tol else "fail"
     return {
@@ -599,7 +601,8 @@ def _check(name, observed, expected, tol=0.0, margin=0.0, *, ok=None, detail="")
 
 
 def _se(x: np.ndarray) -> float:
-    return float(np.std(x, ddof=1) / math.sqrt(x.size)) if x.size > 1 else 0.0
+    """Standard error of the mean; unknown (inf) below two samples."""
+    return float(np.std(x, ddof=1) / math.sqrt(x.size)) if x.size > 1 else math.inf
 
 
 def _validation_checks(link: Link, trials: int, seed: int, workers: int,
@@ -620,10 +623,9 @@ def _validation_checks(link: Link, trials: int, seed: int, workers: int,
         est = h + math.sqrt(d2) * z[trials:]
         stat = (h * np.conj(est) / np.abs(est)).real
         expected = alignment_mean(b2, d2)
-        se = float(np.std(stat, ddof=1) / math.sqrt(trials))
         checks.append(
             _check(f"alignment-mean[{k}]", float(np.mean(stat)), expected,
-                   0.02 * expected, 4.0 * se)
+                   0.02 * expected, 4.0 * _se(stat))
         )
 
     # one run for the ergodic-gain check and the hierarchy checks below:

@@ -2,9 +2,18 @@
 
 Phases, estimates and channels are (trials, sum(M_k)) arrays, one row
 per trial, as channel.sample_channels lays them out.
+
+The no-CSI reference draws each element's phase uniformly from the grid
+of 4096 points 2 pi k / 4096, read from 12 raw Philox bits, rather than
+from the continuous circle. It is the same reference: for theta uniform
+on an N-point grid, E[exp(j k theta)] = 0 for every 0 < |k| < N, as for
+the continuous one, so E|sum h exp(j theta)|^2 = sum |h|^2 and the
+closed form sum(M_k beta_k^2) stays exact, and every moment of the gain
+up to order N - 1 equals the continuous one.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -36,15 +45,30 @@ def configure_phases(est: np.ndarray) -> np.ndarray:
     return phases
 
 
-def random_phases(seed: int, start: int, stop: int, n: int) -> np.ndarray:
-    """Uniform random phases for trials [start, stop), the no-CSI reference.
+_GRID_BITS = 12
 
-    Row i holds exp(j theta) for theta drawn as substream(RngStream(seed,
-    start + i), PURPOSE_PHASE, 0).uniform(0, 2 pi, n).
+
+@functools.cache
+def _unit_circle() -> np.ndarray:
+    """The 2^_GRID_BITS unit phasors exp(j 2 pi k / 2^_GRID_BITS)."""
+    size = 1 << _GRID_BITS
+    table = np.exp(2j * math.pi / size * np.arange(size))
+    table.flags.writeable = False  # one array serves every caller
+    return table
+
+
+def random_phases(seed: int, start: int, stop: int, n: int) -> np.ndarray:
+    """Uniform random grid phases for trials [start, stop), the no-CSI reference.
+
+    Row i takes ceil(n / 4) raw words of substream(RngStream(seed,
+    start + i), PURPOSE_PHASE, 0), splits each into four 16-bit lanes,
+    low lane first, and maps the first n lanes' top _GRID_BITS bits to
+    _unit_circle().
     """
-    theta = trial_draws(seed, start, stop, PURPOSE_PHASE, n, "random")
-    theta *= 2.0 * math.pi
-    return np.exp(1j * theta)
+    words = trial_draws(seed, start, stop, PURPOSE_PHASE, -(-n // 4), "random_raw")
+    lanes = words.astype("<u8", copy=False).view("<u2")[:, :n]
+    # shifting straight into intp spares take a converted copy of the indices
+    return _unit_circle().take(np.right_shift(lanes, 16 - _GRID_BITS, dtype=np.intp))
 
 
 def composite_channel(h: np.ndarray, phases: np.ndarray) -> np.ndarray:

@@ -71,14 +71,16 @@ def _channel(link, seed, trial=0):
     return sample_channels(link, user, bs)[0]
 
 
-@pytest.mark.parametrize("method, width", [("standard_normal", 6), ("random", 5)])
+@pytest.mark.parametrize("method, width", [("standard_normal", 6), ("random_raw", 5)])
 def test_trial_draws_are_each_trials_own_substream(method, width):
     seed = 2**64 - 3
     chunk = trial_draws(seed, 7, 11, PURPOSE_PILOT_NOISE, width, method)
     assert chunk.shape == (4, width)
     for i, t in enumerate(range(7, 11)):
         gen = substream(RngStream(seed, t), PURPOSE_PILOT_NOISE, 0)
-        assert np.array_equal(chunk[i], getattr(gen, method)(width))
+        expected = getattr(gen.bit_generator if method == "random_raw" else gen, method)(width)
+        assert chunk.dtype == expected.dtype
+        assert np.array_equal(chunk[i], expected)
     # a trial's draws do not depend on the range it is drawn in
     assert np.array_equal(trial_draws(seed, 9, 10, PURPOSE_PILOT_NOISE, width, method)[0], chunk[2])
     normals = unit_normals(seed, 7, 9, PURPOSE_RIS_USER, width)

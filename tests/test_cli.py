@@ -177,6 +177,26 @@ def test_validate_few_trials_goes_inconclusive_not_failed(tmp_path, capsys):
     assert " 0 failed" in text
 
 
+def test_validate_one_trial_is_inconclusive_without_warnings(tmp_path, capsys):
+    # a single trial has no standard error: every statistical check is
+    # inconclusive, none fails and numpy warns about nothing
+    out = tmp_path / "vout"
+    config = pathlib.Path(__file__).resolve().parent / "data" / "four_ris_channel.yaml"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(["validate", "--config", str(config), "--trials", "1", "--out", str(out)])
+    assert rc == 0
+    assert "RuntimeWarning" not in capsys.readouterr().err
+    report = yaml.safe_load((out / "validation_report.yaml").read_text(encoding="utf-8"))
+    status = {c["name"]: c["status"] for c in report["checks"]}
+    statistical = [f"alignment-mean[{k}]" for k in range(4)] + [
+        "ergodic-gain", "hierarchy-perfect-vs-estimated", "hierarchy-estimated-vs-random"]
+    assert {name: status[name] for name in statistical} == dict.fromkeys(
+        statistical, "inconclusive")
+    assert report["summary"]["fail"] == 0
+    assert report["summary"]["inconclusive"] == len(statistical)
+
+
 def test_sweep_csv_round_trip_and_replay(tmp_path):
     cfg = _cfg(tmp_path, GEOMETRY)
     run1, run2, run3 = (tmp_path / n for n in ("run1", "run2", "run3"))
@@ -248,6 +268,16 @@ def test_unequal_counts_reject_explicit_eq29(tmp_path, capsys):
     assert "eq29" in capsys.readouterr().err
     # without an explicit request the command simply skips that form
     assert main(["allocate", "--config", cfg]) == 0
+
+
+def test_run_block_eq29_binds_only_the_commands_that_read_allocators(tmp_path, capsys):
+    # run.allocators names eq29 on unequal counts; validate does not read it
+    cfg = _cfg(tmp_path, GEOMETRY.replace("element_counts: [8, 8]", "element_counts: [8, 4]"))
+    assert main(["validate", "--config", cfg, "--trials", "200"]) == 0
+    assert " 0 failed" in capsys.readouterr().out
+    for command in ("allocate", "sweep"):
+        assert main([command, "--config", cfg]) == 2, command
+        assert "config error: run.allocators: 'eq29'" in capsys.readouterr().err, command
 
 
 def test_unknown_allocator_rejected(tmp_path, capsys):

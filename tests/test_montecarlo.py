@@ -126,7 +126,11 @@ def test_every_csi_mode_sees_trial_ts_channel():
         rng = RngStream(17, t)
         h = beta * np.conj(standard_complex_normal(substream(rng, PURPOSE_RIS_USER, 0), 8))
         est = h + delta * standard_complex_normal(substream(rng, PURPOSE_PILOT_NOISE, 0), 8)
-        theta = substream(rng, PURPOSE_PHASE, 0).uniform(0.0, 2.0 * math.pi, 8)
+        # random phases: 16-bit lanes of the raw words, low lane first, whose
+        # top 12 bits pick a point of the 4096-point grid
+        words = substream(rng, PURPOSE_PHASE, 0).bit_generator.random_raw(2)
+        grid = [(int(w) >> (16 * j + 4)) & 0xFFF for w in words for j in range(4)]
+        theta = 2.0 * math.pi / 4096 * np.array(grid)
         expected = (
             float(np.sum(np.abs(h))) ** 2,
             abs(np.sum(h * np.conj(est) / np.abs(est))) ** 2,

@@ -14,7 +14,7 @@ from rispilot.channel import (
 )
 from rispilot.estimation import PerRisPowers, ls_estimate
 from rispilot.montecarlo import TrialConfig, sweep_user
-from rispilot.reflection import composite_channel, configure_phases, random_phases
+from rispilot.reflection import _unit_circle, composite_channel, configure_phases, random_phases
 from rispilot.scenario import Link
 
 
@@ -87,8 +87,43 @@ def test_random_phases_deterministic_and_unit_modulus():
     # row i is trial i's own phase stream, whatever range it is drawn in
     chunk = random_phases(9, 0, 3, 24)
     assert np.array_equal(chunk[0], a[0])
-    theta = substream(RngStream(9, 2), PURPOSE_PHASE, 0).uniform(0.0, 2.0 * math.pi, 24)
-    assert np.array_equal(chunk[2], np.exp(1j * theta))
+    assert np.array_equal(chunk[2], _grid_phases(RngStream(9, 2), 24))
+    # n need not fill whole words: the lanes are read in order, low lane first
+    assert np.array_equal(random_phases(9, 2, 3, 7)[0], chunk[2][:7])
+
+
+def _grid_phases(rng, n):
+    """The phases of one trial, by the contract: the phase stream's raw words,
+    cut into 16-bit lanes from the lowest up, whose top 12 bits pick
+    exp(j 2 pi k / 4096)."""
+    words = substream(rng, PURPOSE_PHASE, 0).bit_generator.random_raw(-(-n // 4))
+    lanes = [(int(w) >> (16 * j)) & 0xFFFF for w in words for j in range(4)]
+    return np.exp(2j * math.pi / 4096 * np.array([lane >> 4 for lane in lanes[:n]]))
+
+
+def test_phase_grid_has_the_continuous_moments():
+    # E[exp(j k theta)] = 0 for 0 < k < 4096 on the grid, as on the circle
+    table = _unit_circle()
+    assert table.shape == (4096,)
+    assert np.all(np.abs(np.abs(table) - 1.0) < 1e-15)
+    for k in range(1, 9):
+        assert abs(np.mean(table**k)) < 1e-12, k
+
+
+def test_random_phases_are_uniform_on_the_grid():
+    # every grid point and every lane position of a word is equally likely:
+    # 2^18 phases over 4096 points (64 expected per point), chi-square with
+    # 4095 degrees of freedom below its mean plus 6 standard deviations
+    phases = random_phases(2024, 0, 256, 1024)
+    k = np.rint(np.angle(phases) * (4096 / (2.0 * math.pi))).astype(np.int64) % 4096
+    assert np.array_equal(_unit_circle()[k], phases)
+    expected = phases.size / 4096
+    chi2 = np.sum((np.bincount(k.ravel(), minlength=4096) - expected) ** 2) / expected
+    assert chi2 < 4095 + 6.0 * math.sqrt(2 * 4095)
+    # the mean phasor of each lane position is 0 within 5 standard errors
+    for lane in range(4):
+        column = phases[:, lane::4]
+        assert abs(np.mean(column)) < 5.0 / math.sqrt(column.size), lane
 
 
 def test_alignment_beats_any_other_configuration():
