@@ -288,8 +288,12 @@ def solve_exact(beta_sq, counts, p_avg, sigma_z_sq) -> ExactSolution:
                     scaled = grad * (0.5 / _max(np.abs(grad), axis=-1, keepdims=True))
                     step = np.where(ok[:, None], step, scaled)
 
-            # phi is flat to rounding near the optimum: tolerate a loss at that level
-            floor = cur.phi - 1e-14 * np.abs(cur.phi)
+            # phi is flat to rounding near the optimum: tolerate a loss at that
+            # level, which is set by G^2, the larger of the two terms phi = G^2 -
+            # sum h subtracts. When one surface's g_k dwarfs the others, phi is
+            # far below G^2 and |phi| would understate its rounding.
+            big_g = _sum(cur.coherent, axis=-1)
+            floor = cur.phi - 1e-14 * (big_g * big_g)
             cand = p * np.exp(step)
             cand *= budget / _rowdot(m, cand)
             trial = surface_objective(b2, m, cand, sigma)

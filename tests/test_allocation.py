@@ -261,6 +261,16 @@ def test_no_feasible_allocation_beats_exact(k, data):
             assert phi_of(rival) <= phi_exact + 1e-12 * abs(phi_exact)
 
 
+def test_exact_solver_certifies_a_lopsided_single_element_pair():
+    # one element each, 29 dB apart: phi = 2 g_1 g_2 sits 220 times below
+    # G^2, so its rounding exceeds 1e-14 |phi| and the last Newton step
+    # must be judged against G^2
+    beta_sq = np.array([[10.0 ** -9.11206827700958, 1e-12]])
+    sol = solve_exact(beta_sq, [1, 1], _HETERO_NOISE / beta_sq.max(), _HETERO_NOISE)
+    assert sol.certified[0]
+    assert sol.spread[0] < 1e-9
+
+
 def test_allocator_vocabulary():
     assert ALLOCATOR_IDS == ("uniform", "eq27", "eq28", "eq29", "exact")
     assert resolve_allocator("average") == "uniform"
