@@ -17,6 +17,7 @@ of each hop.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -77,29 +78,48 @@ def standard_complex_normal(gen: np.random.Generator, n: int) -> np.ndarray:
     return flat.view(np.complex128) * math.sqrt(0.5)
 
 
+@functools.cache
+def _generator() -> np.random.Generator:
+    """The process's one Philox, behind a Generator; trial_draws re-keys it per trial.
+
+    Trials run in worker processes, never threads, so one per process
+    is never shared by two callers at once.
+    """
+    return np.random.Generator(np.random.Philox(key=0))
+
+
 def trial_draws(seed: int, start: int, stop: int, purpose: int, width: int,
-                method: str = "standard_normal") -> np.ndarray:
+                method: str = "standard_normal", out: np.ndarray | None = None) -> np.ndarray:
     """(stop - start, width) draws, row i from trial start + i's stream.
 
     Row i equals `substream(RngStream(seed, start + i), purpose,
     0).standard_normal(width)`, or with method "random_raw" that
     stream's raw 64-bit Philox words, `.bit_generator.random_raw(width)`.
-    One bit generator is re-keyed per trial instead of building a new
-    one, which would also gather OS entropy it never uses. The state
-    holds plain lists, which the setter reads faster than uint64 arrays.
+    out, a C-contiguous float64 (or uint64 for "random_raw") array of that
+    shape, receives the draws in place of a new array.
+
+    The process's one bit generator is re-keyed per trial instead of
+    building a new one, which would also gather OS entropy it never uses;
+    each trial sets its whole state, buffer included, so no earlier call
+    shows through. The state holds plain lists, which the setter reads
+    faster than uint64 arrays.
     """
     if not 0 <= start <= stop <= _U64_MAX + 1:
         raise ValueError(f"trial range [{start}, {stop}) is not inside [0, 2^64)")
     RngStream(seed)  # validates the seed
-    bitgen = np.random.Philox(key=0)
+    gen = _generator()
+    bitgen = gen.bit_generator
+    dtype = np.uint64 if method == "random_raw" else np.float64
+    if out is None:
+        out = np.empty((stop - start, width), dtype=dtype)
+    elif out.shape != (stop - start, width) or out.dtype != dtype or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous {np.dtype(dtype)} array of shape "
+                         f"{(stop - start, width)}, got {out.dtype} {out.shape}")
     if method == "random_raw":
-        out = np.empty((stop - start, width), dtype=np.uint64)
-
         def fill(out):
             out[...] = bitgen.random_raw(width)
     else:
-        out = np.empty((stop - start, width))
-        fill = getattr(np.random.Generator(bitgen), method)
+        fill = getattr(gen, method)
     key = [int(seed), 0]
     counter = [0, 0, purpose, 0]
     state = {
@@ -117,13 +137,16 @@ def trial_draws(seed: int, start: int, stop: int, purpose: int, width: int,
     return out
 
 
-def unit_normals(seed: int, start: int, stop: int, purpose: int, n: int) -> np.ndarray:
+def unit_normals(seed: int, start: int, stop: int, purpose: int, n: int,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """(stop - start, n) unit complex normals, row i = trial start + i.
 
     Row i equals standard_complex_normal(substream(RngStream(seed,
-    start + i), purpose, 0), n).
+    start + i), purpose, 0), n). out, a C-contiguous float64 array of
+    shape (stop - start, 2 n), receives the draws; the result is then its
+    complex view.
     """
-    flat = trial_draws(seed, start, stop, purpose, 2 * n)
+    flat = trial_draws(seed, start, stop, purpose, 2 * n, out=out)
     flat *= math.sqrt(0.5)
     return flat.view(np.complex128)
 
@@ -134,7 +157,8 @@ def _rician(k_factor: float) -> tuple[float, float]:
     return math.sqrt(k_factor / (k_factor + 1.0)), math.sqrt(1.0 / (k_factor + 1.0))
 
 
-def sample_channels(link: Link, user: np.ndarray, bs: np.ndarray | None = None) -> np.ndarray:
+def sample_channels(link: Link, user: np.ndarray, bs: np.ndarray | None = None,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """Cascaded coefficients h = beta_k * u * conj(v), one row per trial.
 
     user and bs are (trials, sum(M_k)) unit normals from unit_normals
@@ -143,15 +167,20 @@ def sample_channels(link: Link, user: np.ndarray, bs: np.ndarray | None = None) 
     needed only when the BS link is faded (finite Rician factor). Both
     hops' fading has unit power, so the cascade's scale is link.beta
     alone: with a deterministic BS link and a scattered user link, h is
-    CN(0, beta_k^2).
+    CN(0, beta_k^2). out, a complex128 array shaped like user, receives
+    h in place of a new array.
     """
     scale = np.repeat(link.beta, link.counts)
     if user.ndim != 2 or user.shape[1] != scale.size:
         raise ValueError(f"user draws must be (trials, {scale.size}), got {user.shape}")
+    h = np.empty(user.shape, dtype=np.complex128) if out is None else out
+    if h.shape != user.shape or h.dtype != np.complex128:
+        raise ValueError(f"out must be a complex128 array of shape {user.shape}, "
+                         f"got {h.dtype} {h.shape}")
     if math.isinf(link.k_ru):
-        h = np.ones(user.shape, dtype=np.complex128)
+        h.fill(1.0)
     else:
-        h = np.conj(user)
+        np.conjugate(user, out=h)
         if link.k_ru > 0.0:
             los, nlos = _rician(link.k_ru)
             h *= nlos

@@ -45,6 +45,7 @@ def ls_estimate(
     powers: PerRisPowers,
     sigma_z_sq: float,
     noise: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """LS estimates of a chunk of cascaded coefficients, one row per trial.
 
@@ -52,7 +53,8 @@ def ls_estimate(
     from unit_normals with PURPOSE_PILOT_NOISE. The estimate is h plus
     noise scaled by delta_k = sqrt(sigma_z_sq / p_k) on surface k's
     elements, the exact form left once the pilot symbol and the training
-    phase cancel, so neither appears here.
+    phase cancel, so neither appears here. out, a complex128 array shaped
+    like h (not h itself), receives the estimate in place of a new array.
     """
     counts = np.asarray(element_counts)
     if powers.num_ris != counts.size:
@@ -62,7 +64,7 @@ def ls_estimate(
     if h.shape != noise.shape or h.shape[-1] != int(counts.sum()):
         raise ValueError(f"channel {h.shape} and noise {noise.shape} must both have "
                          f"{int(counts.sum())} elements per trial")
-    est = noise * np.repeat(np.sqrt(sigma_z_sq / powers.p_k), counts)
+    est = np.multiply(noise, np.repeat(np.sqrt(sigma_z_sq / powers.p_k), counts), out=out)
     est += h
     return est
 

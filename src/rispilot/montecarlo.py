@@ -15,6 +15,13 @@ The engine works on chunks of trials. A chunk holds one
 elements, and each layer function is called once per chunk on those
 arrays; an np.repeat over the element counts maps per-surface values
 (beta_k, the estimation error delta_k) onto the elements.
+
+Each range of trials (one pool worker's share, or the whole run with one
+worker) allocates its chunk arrays once, as a workspace sized to the
+largest chunk: the draws of each purpose, the channel, the random phases
+and one row buffer. Every layer writes into them through its `out`
+argument, so the chunk loop allocates no array of a chunk's size, and
+its pages stay mapped from one chunk to the next.
 """
 from __future__ import annotations
 
@@ -91,9 +98,10 @@ class GainRow(NamedTuple):
 
 # Upper bound on the elements of any (trials, sum(M_k)) engine array (a
 # chunk holds at least one trial, so one trial of more elements exceeds
-# it). 2^14 complex values are 256 KiB: a chunk's dozen live arrays fit
-# in a core's L2 cache, and a pool worker's peak memory stays within
-# about 1 MiB of a one-trial-at-a-time loop's. At 2^16 the M=[1024, 256]
+# it). 2^14 complex values are 256 KiB: a range's workspace of at most
+# six such buffers, 1.5 MiB, fits in a core's L2 cache (2 MiB on the
+# 2-vCPU Xeon VM measured), and a pool worker holds no more than that
+# beyond a one-trial-at-a-time loop. At 2^16 the M=[1024, 256]
 # validation ran 7% slower and its workers peaked 8 MiB higher.
 CHUNK_ELEMENTS = 2**14
 
@@ -105,40 +113,61 @@ def _gain_range(rows: list[GainRow], seed: int, start: int, stop: int) -> list[n
     the BS hop when a row's BS link is faded, pilot noise when a row
     estimates, phases when a row uses random phases. Rows at one position
     (the same Link object) share one channel array.
+
+    Every chunk reuses one workspace, allocated here for the largest
+    chunk: a float buffer per draw purpose the range needs, complex
+    buffers for the channel and the random phases, and one row buffer
+    that holds a row's estimate, then its phases, then its products
+    h * phases. A random-phase row leaves the shared phase buffer alone.
     """
     counts = rows[0].link.counts
     n = int(counts.sum())
     step = max(1, CHUNK_ELEMENTS // n)
-    parts = [[] for _ in rows]
+    size = min(step, stop - start)
+    # the first chunk's rows are a superset of every later chunk's
+    first = [r for r in rows if r.trials > start]
+
+    def buffer(needed: bool, width: int, dtype=np.float64) -> np.ndarray | None:
+        return np.empty((size, width), dtype) if needed else None
+
+    user_buf = buffer(True, 2 * n)
+    bs_buf = buffer(any(not math.isinf(r.link.k_br) for r in first), 2 * n)
+    noise_buf = buffer(any(r.csi_mode == "estimated" for r in first), 2 * n)
+    phase_buf = buffer(any(r.csi_mode == "random-phase" for r in first), n, np.complex128)
+    h_buf = buffer(True, n, np.complex128)
+    row_buf = buffer(True, n, np.complex128)
+    gains = [np.empty(max(0, min(stop, r.trials) - start)) for r in rows]
     for a in range(start, stop, step):
         b = min(stop, a + step)
         live = [(i, r) for i, r in enumerate(rows) if r.trials > a]
         modes = {r.csi_mode for _, r in live}
-        user = unit_normals(seed, a, b, PURPOSE_RIS_USER, n)
+        user = unit_normals(seed, a, b, PURPOSE_RIS_USER, n, out=user_buf[:b - a])
         bs = None
         if any(not math.isinf(r.link.k_br) for _, r in live):
-            bs = unit_normals(seed, a, b, PURPOSE_BS_RIS, n)
+            bs = unit_normals(seed, a, b, PURPOSE_BS_RIS, n, out=bs_buf[:b - a])
         noise = None
         if "estimated" in modes:
-            noise = unit_normals(seed, a, b, PURPOSE_PILOT_NOISE, n)
+            noise = unit_normals(seed, a, b, PURPOSE_PILOT_NOISE, n, out=noise_buf[:b - a])
         scrambled = None
         if "random-phase" in modes:
-            scrambled = random_phases(seed, a, b, n)
+            scrambled = random_phases(seed, a, b, n, out=phase_buf[:b - a])
         h, at = None, None
         for i, r in live:
             if at is not r.link:
                 at = r.link
-                h = sample_channels(r.link, user, bs)
+                h = sample_channels(r.link, user, bs, out=h_buf[:b - a])
             m = min(b, r.trials) - a
+            work = row_buf[:m]  # the estimate, then the phases, then h * phases
             if r.csi_mode == "estimated":
-                est = ls_estimate(h[:m], counts, r.powers, r.link.sigma_z_sq, noise[:m])
-                phases = configure_phases(est)
+                est = ls_estimate(h[:m], counts, r.powers, r.link.sigma_z_sq, noise[:m], out=work)
+                phases = configure_phases(est, out=est)
             elif r.csi_mode == "perfect":
-                phases = configure_phases(h[:m])
+                phases = configure_phases(h[:m], out=work)
             else:
                 phases = scrambled[:m]
-            parts[i].append(np.abs(composite_channel(h[:m], phases)) ** 2)
-    return [np.concatenate(p) if p else np.empty(0) for p in parts]
+            total = composite_channel(h[:m], phases, out=work)
+            gains[i][a - start:a - start + m] = np.abs(total) ** 2
+    return gains
 
 
 def _resolved(row: GainRow, cfg: TrialConfig, counts: np.ndarray) -> GainRow:
@@ -191,7 +220,8 @@ def _metrics(links: list[Link], gains: np.ndarray) -> list[MetricEstimate]:
     n = gains.shape[-1]
     columns = []
     for x in (gains, rates):
-        se = np.std(x, axis=-1, ddof=1) / math.sqrt(n) if n > 1 else np.zeros(len(x))
+        # one sample leaves the standard error unknown
+        se = np.std(x, axis=-1, ddof=1) / math.sqrt(n) if n > 1 else np.full(len(x), math.inf)
         columns += [np.mean(x, axis=-1), se]
     return [MetricEstimate(*map(float, row)) for row in zip(*columns)]
 

@@ -27,19 +27,22 @@ __all__ = [
 ]
 
 
-def configure_phases(est: np.ndarray) -> np.ndarray:
+def configure_phases(est: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Conjugate-align each element to its estimated coefficient.
 
     A zero estimate carries no phase information; those elements fall
     back to coefficient 1. Multiplying by 1 / |est| skips numpy's complex
     division and gives its bits, up to the sign of a part that is exactly
-    zero, which no product with a channel coefficient shows.
+    zero, which no product with a channel coefficient shows. out, a
+    complex128 array shaped like est, or est itself, receives the phases
+    in place of a new array.
     """
     mag = np.abs(est)
-    zero = mag == 0.0
-    phases = np.conj(est)
-    phases[zero] = 1.0
-    mag[zero] = 1.0
+    phases = np.conjugate(est, out=out)
+    if not mag.all():
+        zero = mag == 0.0
+        phases[zero] = 1.0
+        mag[zero] = 1.0
     np.reciprocal(mag, out=mag)
     phases *= mag
     return phases
@@ -57,23 +60,32 @@ def _unit_circle() -> np.ndarray:
     return table
 
 
-def random_phases(seed: int, start: int, stop: int, n: int) -> np.ndarray:
+def random_phases(seed: int, start: int, stop: int, n: int,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """Uniform random grid phases for trials [start, stop), the no-CSI reference.
 
     Row i takes ceil(n / 4) raw words of substream(RngStream(seed,
     start + i), PURPOSE_PHASE, 0), splits each into four 16-bit lanes,
     low lane first, and maps the first n lanes' top _GRID_BITS bits to
-    _unit_circle().
+    _unit_circle(). out, a complex128 (stop - start, n) array, receives
+    the phases in place of a new array.
     """
     words = trial_draws(seed, start, stop, PURPOSE_PHASE, -(-n // 4), "random_raw")
     lanes = words.astype("<u8", copy=False).view("<u2")[:, :n]
-    # shifting straight into intp spares take a converted copy of the indices
-    return _unit_circle().take(np.right_shift(lanes, 16 - _GRID_BITS, dtype=np.intp))
+    # shifting straight into intp spares take a converted copy of the
+    # indices; every index is in the table, and "clip" lets take write
+    # into out without buffering the result
+    index = np.right_shift(lanes, 16 - _GRID_BITS, dtype=np.intp)
+    return _unit_circle().take(index, out=out, mode="clip")
 
 
-def composite_channel(h: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """Sum of reflected coefficients under the given configuration, per trial."""
+def composite_channel(h: np.ndarray, phases: np.ndarray,
+                      out: np.ndarray | None = None) -> np.ndarray:
+    """Sum of reflected coefficients under the given configuration, per trial.
+
+    out, a C-contiguous complex128 array shaped like h, or phases itself,
+    holds the products h * phases in place of a new array.
+    """
     if h.shape != phases.shape:
         raise ValueError(f"phases {phases.shape} do not match channels {h.shape}")
-    return np.sum(h * phases, axis=-1)
-
+    return np.sum(np.multiply(h, phases, out=out), axis=-1)

@@ -71,9 +71,18 @@ def _channel(link, seed, trial=0):
     return sample_channels(link, user, bs)[0]
 
 
-@pytest.mark.parametrize("method, width", [("standard_normal", 6), ("random_raw", 5)])
-def test_trial_draws_are_each_trials_own_substream(method, width):
+@pytest.mark.parametrize("method, width, before", [
+    pytest.param("standard_normal", 6, None, id="standard_normal-6"),
+    pytest.param("random_raw", 5, None, id="random_raw-5"),
+    # the process shares one bit generator: a call that leaves its buffer
+    # part used must not show in the next call's draws
+    pytest.param("standard_normal", 6, ("random_raw", 3), id="standard_normal-6-after-random_raw-3"),
+    pytest.param("random_raw", 5, ("standard_normal", 7), id="random_raw-5-after-standard_normal-7"),
+])
+def test_trial_draws_are_each_trials_own_substream(method, width, before):
     seed = 2**64 - 3
+    if before is not None:
+        trial_draws(seed, 8, 10, PURPOSE_PILOT_NOISE, before[1], before[0])
     chunk = trial_draws(seed, 7, 11, PURPOSE_PILOT_NOISE, width, method)
     assert chunk.shape == (4, width)
     for i, t in enumerate(range(7, 11)):
@@ -91,6 +100,43 @@ def test_trial_draws_are_each_trials_own_substream(method, width):
         trial_draws(2**64, 0, 1, PURPOSE_RIS_USER, 2)
     with pytest.raises(ValueError):
         trial_draws(0, 3, 2, PURPOSE_RIS_USER, 2)
+
+
+@pytest.mark.parametrize("method, dtype", [("standard_normal", np.float64),
+                                           ("random_raw", np.uint64)])
+def test_trial_draws_fill_out_with_the_same_bits(method, dtype):
+    out = np.full((4, 6), 7, dtype=dtype)
+    got = trial_draws(3, 7, 11, PURPOSE_RIS_USER, 6, method, out=out)
+    assert got is out
+    assert np.array_equal(out, trial_draws(3, 7, 11, PURPOSE_RIS_USER, 6, method))
+    # a row of a larger buffer is filled in place; a misfit out is refused
+    wide = np.zeros((5, 6), dtype=dtype)
+    trial_draws(3, 9, 10, PURPOSE_RIS_USER, 6, method, out=wide[2:3])
+    assert np.array_equal(wide[2], out[2])
+    for bad in (wide, np.zeros((4, 6), np.float32), np.zeros((6, 4), dtype=dtype).T):
+        with pytest.raises(ValueError):
+            trial_draws(3, 7, 11, PURPOSE_RIS_USER, 6, method, out=bad)
+
+
+def test_unit_normals_fill_out_with_the_same_bits():
+    out = np.empty((3, 10))
+    normals = unit_normals(8, 2, 5, PURPOSE_BS_RIS, 5, out=out)
+    assert np.shares_memory(normals, out)
+    assert np.array_equal(normals, unit_normals(8, 2, 5, PURPOSE_BS_RIS, 5))
+
+
+@pytest.mark.parametrize("k_br, k_ru", [(math.inf, 0.0), (math.inf, 2.0), (3.0, 0.0),
+                                        (0.5, math.inf)])
+def test_sample_channels_fill_out_with_the_same_bits(k_br, k_ru):
+    link = dataclasses.replace(corridor_link(50.0, 4.0, 8, 16), k_br=k_br, k_ru=k_ru)
+    user = unit_normals(4, 0, 3, PURPOSE_RIS_USER, 24)
+    bs = unit_normals(4, 0, 3, PURPOSE_BS_RIS, 24)
+    out = np.full((3, 24), np.nan, dtype=np.complex128)
+    h = sample_channels(link, user, bs, out=out)
+    assert h is out
+    assert np.array_equal(h, sample_channels(link, user, bs))
+    with pytest.raises(ValueError):
+        sample_channels(link, user, bs, out=np.empty((2, 24), dtype=np.complex128))
 
 
 def _one_ris_blocked(beta_sq, m):

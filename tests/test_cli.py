@@ -197,6 +197,18 @@ def test_validate_one_trial_is_inconclusive_without_warnings(tmp_path, capsys):
     assert report["summary"]["inconclusive"] == len(statistical)
 
 
+def test_sweep_one_trial_has_unknown_standard_errors(tmp_path):
+    # a single trial has no standard error: metrics.csv writes inf, not 0
+    out = tmp_path / "run"
+    cfg = _cfg(tmp_path, GEOMETRY)
+    assert main(["sweep", "--config", cfg, "--trials", "1", "--out", str(out)]) == 0
+    rows = _read_csv(out / "metrics.csv")
+    assert len(rows) == 3 * 2
+    for row in rows:
+        assert (row["se_gain"], row["se_rate"]) == ("inf", "inf")
+        assert math.isfinite(float(row["mean_gain"])) and math.isfinite(float(row["mean_rate_bps_hz"]))
+
+
 def test_sweep_csv_round_trip_and_replay(tmp_path):
     cfg = _cfg(tmp_path, GEOMETRY)
     run1, run2, run3 = (tmp_path / n for n in ("run1", "run2", "run3"))

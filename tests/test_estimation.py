@@ -137,3 +137,17 @@ def test_power_count_must_match_surfaces():
     s, h, noise = _sampled(9, beta_sq=(1.0, 1.0), counts=(2, 2))
     with pytest.raises(ValueError):
         ls_estimate(h, s.counts, PerRisPowers(p_k=[1.0]), 1.0, noise)
+
+
+def test_estimate_fills_out_with_the_same_bits():
+    link = Link(counts=(3, 5), beta_sq=(1.0, 0.25), sigma_z_sq=0.7, sigma_n_sq=1.0, q=1.0,
+                p_avg=1.0)
+    h = sample_channels(link, unit_normals(12, 0, 4, PURPOSE_RIS_USER, 8))
+    noise = unit_normals(12, 0, 4, PURPOSE_PILOT_NOISE, 8)
+    powers = PerRisPowers(p_k=[0.4, 1.36])
+    out = np.full((4, 8), np.nan, dtype=np.complex128)
+    est = ls_estimate(h, link.counts, powers, 0.7, noise, out=out)
+    assert est is out
+    assert np.array_equal(est, ls_estimate(h, link.counts, powers, 0.7, noise))
+    with pytest.raises(ValueError):
+        ls_estimate(h, link.counts, powers, 0.7, noise, out=np.empty((3, 8), np.complex128))

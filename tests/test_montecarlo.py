@@ -99,15 +99,32 @@ def test_gains_do_not_depend_on_worker_count():
 
 @pytest.mark.parametrize("mode", ["estimated", "perfect", "random-phase"])
 def test_gains_do_not_depend_on_chunk_size(monkeypatch, mode):
+    # a mixed run reuses one workspace for every chunk and row: all three CSI
+    # modes, rows with fewer trials than the run, and two positions, one with
+    # a faded BS link; each row must equal that row run alone, whatever
+    # data earlier chunks or rows left in the buffers
     link = _beta_direct([1.0, 0.25], [4, 4])
+    faded = dataclasses.replace(_beta_direct([0.5, 2.0], [4, 4]), k_br=3.0)
     alloc = allocate_average(link)
+    rows = [
+        GainRow(link, alloc),
+        GainRow(faded, alloc, "random-phase"),
+        GainRow(link, alloc, "estimated"),
+        GainRow(faded, alloc, "perfect", 37),
+        GainRow(faded, alloc, None, 120),
+        GainRow(link, alloc, "random-phase", 5),
+        GainRow(faded, alloc, "estimated"),
+        GainRow(link, alloc, "perfect"),
+    ]
     cfg = TrialConfig(trials=200, seed=5, csi_mode=mode)
-    reference = _gains(link, alloc, cfg)
-    for cap in (8, 56):  # one and seven trials per chunk
+    alone = [trial_gains([row], cfg)[0] for row in rows]
+    assert [g.size for g in alone] == [200, 200, 200, 37, 120, 5, 200, 200]
+    for cap in (8, 56, montecarlo.CHUNK_ELEMENTS):  # one, seven and 2048 trials per chunk
         monkeypatch.setattr(montecarlo, "CHUNK_ELEMENTS", cap)
         for workers in (1, 2):
-            got = _gains(link, alloc, cfg, workers=workers)
-            assert np.array_equal(got, reference), (cap, workers)
+            got = trial_gains(rows, cfg, workers=workers)
+            for i, (g, want) in enumerate(zip(got, alone)):
+                assert np.array_equal(g, want), (cap, workers, i)
 
 
 def test_every_csi_mode_sees_trial_ts_channel():

@@ -69,6 +69,42 @@ def test_alignment_matches_complex_division():
         assert np.array_equal(got[nonzero].view(np.uint64), want[nonzero].view(np.uint64))
 
 
+def test_alignment_fills_out_with_the_same_bits():
+    h = _channels(_link([1.0, 0.25], [3, 5]), 6, trials=4)
+    h[1, 2] = 0.0  # the zero-estimate fallback runs through out too
+    expected = configure_phases(h)
+    out = np.full(h.shape, np.nan, dtype=np.complex128)
+    assert configure_phases(h, out=out) is out
+    assert np.array_equal(out, expected)
+    # in place, over the estimate itself
+    est = h.copy()
+    assert configure_phases(est, out=est) is est
+    assert np.array_equal(est, expected)
+    assert est[1, 2] == 1.0
+
+
+def test_composite_fills_out_with_the_same_bits():
+    h = _channels(_link([1.0, 0.25], [3, 5]), 6, trials=4)
+    phases = random_phases(6, 0, 4, 8)
+    expected = composite_channel(h, phases)
+    out = np.full(h.shape, np.nan, dtype=np.complex128)
+    assert np.array_equal(composite_channel(h, phases, out=out), expected)
+    assert np.array_equal(out, h * phases)
+    # in place, over the phases
+    aligned = configure_phases(h)
+    want = composite_channel(h, aligned)
+    assert np.array_equal(composite_channel(h, aligned, out=aligned), want)
+    assert np.array_equal(aligned, h * configure_phases(h))
+
+
+def test_random_phases_fill_out_with_the_same_bits():
+    out = np.full((3, 11), np.nan, dtype=np.complex128)
+    assert random_phases(9, 4, 7, 11, out=out) is out
+    assert np.array_equal(out, random_phases(9, 4, 7, 11))
+    with pytest.raises(ValueError):
+        random_phases(9, 4, 7, 11, out=np.empty((3, 12), dtype=np.complex128))
+
+
 def test_aligned_composite_is_sum_of_magnitudes():
     h = _flat([np.array([3.0 + 4.0j, 1.0j]), np.array([-5.0 + 12.0j])])
     c = composite_channel(h, configure_phases(h))
