@@ -36,7 +36,6 @@ from .allocation import (
     allocate_average,
     allocate_moderate_snr,
     allocate_large_m,
-    allocate_equal_m,
     ALLOCATOR_IDS,
     resolve_allocator,
     run_allocator,

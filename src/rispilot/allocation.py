@@ -4,10 +4,10 @@ All allocators spread a fixed total training energy: with counts M_k
 and average power p_avg, the per-surface powers satisfy
 sum_k M_k p_k = (sum_k M_k) * p_avg. Inside a surface every element
 trains at its surface's power, which is optimal by symmetry of the
-gain formula. Three closed forms cover the moderate-SNR, many-element
-and equal-count regimes; the numeric solver maximizes the exact
-objective by solving its Lagrange conditions with Newton steps in log
-powers, for many problems at once.
+gain formula. Two closed forms cover the moderate-SNR and many-element
+regimes, the second with its equal-count case; the numeric solver
+maximizes the exact objective by solving its Lagrange conditions with
+Newton steps in log powers, for many problems at once.
 """
 from __future__ import annotations
 
@@ -27,7 +27,6 @@ __all__ = [
     "allocate_average",
     "allocate_moderate_snr",
     "allocate_large_m",
-    "allocate_equal_m",
     "ExactSolution",
     "solve_exact",
     "multiplier_spread",
@@ -85,28 +84,20 @@ def allocate_moderate_snr(link: Link) -> PerRisPowers:
     return PerRisPowers(p_k=p)
 
 
-def allocate_equal_m(link: Link) -> PerRisPowers:
-    """Closed form when every surface has the same element count.
-
-    Power goes with the inverse square root of the cascade amplitude,
-    so p_k * sqrt(beta_k) is the same for every surface. It spends the
-    budget only when the counts are equal; run_allocator checks that.
-    """
-    root_beta = np.sqrt(link.beta)
-    denom = root_beta * float(np.sum(1.0 / root_beta))
-    return PerRisPowers(p_k=link.num_ris * link.p_avg / denom)
-
-
 def allocate_large_m(link: Link) -> PerRisPowers:
     """Closed form for many elements per surface.
 
-    Reduces exactly to the equal-count form when all counts agree, and
-    that case is routed through it so the two agree bit for bit.
+    When every surface has the same element count it reduces to the
+    paper's eq. (29): power goes with the inverse square root of the
+    cascade amplitude, so p_k * sqrt(beta_k) is the same for every
+    surface. That case keeps eq. (29)'s own arithmetic, which rounds
+    differently from the general form, so its outputs keep their bits.
     """
     counts = link.counts
-    if equal_counts(counts):
-        return allocate_equal_m(link)
     root_beta = np.sqrt(link.beta)
+    if equal_counts(counts):
+        denom = root_beta * float(np.sum(1.0 / root_beta))
+        return PerRisPowers(p_k=link.num_ris * link.p_avg / denom)
     denom = root_beta * float(np.sum(counts / root_beta))
     return PerRisPowers(p_k=int(counts.sum()) * link.p_avg / denom)
 
@@ -344,12 +335,13 @@ def solve_exact(beta_sq, counts, p_avg, sigma_z_sq) -> ExactSolution:
 
 
 # CLI vocabulary for the allocators, with spelled-out aliases
-ALLOCATOR_IDS = ("uniform", "eq27", "eq28", "eq29", "exact")
+ALLOCATOR_IDS = ("uniform", "eq27", "eq28", "exact")
 _ALIASES = {
     "average": "uniform",
     "moderate-snr": "eq27",
     "large-m": "eq28",
-    "equal-m": "eq29",
+    "eq29": "eq28",
+    "equal-m": "eq28",
     "numeric": "exact",
 }
 
@@ -390,9 +382,5 @@ def run_allocator(name: str, link: Link, others=None):
         return allocate_moderate_snr(link)
     if canonical == "eq28":
         return allocate_large_m(link)
-    if canonical == "eq29":
-        if not equal_counts(link.counts):
-            raise ValueError("allocator 'eq29' needs equal element counts on every surface")
-        return allocate_equal_m(link)
     sol = solve_exact(link.beta_sq[None], link.counts, link.p_avg, link.sigma_z_sq)
     return PerRisPowers(p_k=sol.row(0))

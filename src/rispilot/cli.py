@@ -29,8 +29,6 @@ from .allocation import (
     NonConvergenceError,
     UniformFallbackWarning,
     allocate_average,
-    allocate_equal_m,
-    allocate_large_m,
     multiplier_spread,
     resolve_allocator,
     run_allocator,
@@ -50,7 +48,6 @@ from .scenario import (
     Link,
     cascaded_large_scale,
     dbm_to_watts,
-    equal_counts,
     two_ris_layout,
     watts_to_dbm,
 )
@@ -380,11 +377,6 @@ def _mode_value(value, path: str, choices) -> str:
     return value
 
 
-def _check_eq29(names, counts, path: str):
-    if "eq29" in names and not equal_counts(counts):
-        raise ConfigError(path, "'eq29' expects equal element counts on every surface; use 'eq28'")
-
-
 def _resolve_allocators(names, path: str) -> list[str]:
     resolved = []
     for i, name in enumerate(names):
@@ -411,7 +403,10 @@ def _parse_d_range(text: str, path: str) -> list[float]:
         raise ConfigError(path, f"step must be positive, got {step}")
     if stop < start:
         raise ConfigError(path, f"empty range: start {start} exceeds stop {stop}")
-    n = int(math.floor((stop - start) / step + 1e-9)) + 1
+    count = (stop - start) / step
+    if not math.isfinite(count):
+        raise ConfigError(path, f"the range {text!r} holds more offsets than a float can count")
+    n = int(math.floor(count + 1e-9)) + 1
     return [start + i * step for i in range(n)]
 
 
@@ -537,19 +532,12 @@ def _config_run(args, flags: dict) -> tuple[ScenarioSettings, dict]:
     block = _require_mapping({} if block is None else block, "run")
     _reject_unknown(block, _RUN_KEYS, "run")
     given = {**_run_fields(block, "run."), **flags}
-    # only a command that reads the allocators checks eq29 against the counts
-    if "allocators" in given and "allocators" in _SETTINGS[args.command]:
-        source = "--allocators" if "allocators" in flags else "run.allocators"
-        _check_eq29(given["allocators"], scn.element_counts, source)
     return scn, {key: given.get(key, default) for key, default in _SETTINGS[args.command].items()}
 
 
 def cmd_allocate(args, flags: dict) -> int:
     scn, run = _config_run(args, flags)
-    # a named eq29 was checked against the counts; the default list skips it
-    # where the counts differ
-    equal = equal_counts(scn.element_counts)
-    names = [name for name in run["allocators"] if name != "eq29" or equal]
+    names = run["allocators"]
     link = scn.fixed_link()
     # outside the closed form's model the gain column reads nan, as in sweep
     in_model = model_applies(link)
@@ -610,7 +598,6 @@ def _validation_checks(link: Link, trials: int, seed: int, workers: int,
     checks = []
     counts = link.counts
     countsf = counts.astype(np.float64)
-    equal = equal_counts(counts)
     uniform = allocate_average(link)
 
     # per-surface aligned-coefficient mean, against the closed form; trial
@@ -676,8 +663,6 @@ def _validation_checks(link: Link, trials: int, seed: int, workers: int,
     exact = run_allocator("exact", link, [] if off_centre is None else [off_centre])
     allocator_powers = {}
     for name in ALLOCATOR_IDS:
-        if name == "eq29" and not equal:
-            continue
         if name == "exact":
             powers = PerRisPowers(p_k=exact.row(0))
         else:
@@ -686,14 +671,6 @@ def _validation_checks(link: Link, trials: int, seed: int, workers: int,
         spent = float(np.dot(countsf, powers.p_k))
         checks.append(
             _check(f"budget[{name}]", spent, budget, ok=abs(spent - budget) <= 1e-9 * budget)
-        )
-
-    # the two many-element forms must agree bit for bit on equal counts
-    if equal:
-        a = allocate_large_m(link).p_k
-        b = allocate_equal_m(link).p_k
-        checks.append(
-            _check("equal-count-identity", a[0], b[0], ok=bool(np.array_equal(a, b)))
         )
 
     # the numeric solution equalizes the budget multiplier
@@ -815,7 +792,6 @@ def _replay(saved: dict, args, flags: dict) -> int:
     for key in _SETTINGS["sweep"]:
         _get(saved, _stored_as(key), "")
     run = {**_run_fields(saved, ""), **flags}
-    _check_eq29(run["allocators"], scn.element_counts, "allocators")
     return _sweep_from(scn, run, args)
 
 

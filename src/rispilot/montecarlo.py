@@ -26,6 +26,7 @@ its pages stay mapped from one chunk to the next.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
@@ -191,13 +192,15 @@ def trial_gains(rows, cfg: TrialConfig, *, workers: int = 1) -> list[np.ndarray]
     entry t depends only on (cfg.seed, t), so any worker count or chunk
     size returns the identical arrays, and rows of one run are paired
     trial by trial. Callers pass cfg and workers by keyword, where
-    perfbench's tracer reads the run's trial and worker counts.
+    perfbench's tracer reads the run's trial and worker counts. The pool
+    starts no more workers than this process may run on CPUs.
     """
     rows = list(rows)
     if not rows:
         raise ValueError("no rows to evaluate")
     counts = rows[0].link.counts
     rows = [_resolved(r, cfg, counts) for r in rows]
+    workers = min(workers, _usable_cpus())
     if workers <= 1 or cfg.trials < 2 * workers:
         return _gain_range(rows, cfg.seed, 0, cfg.trials)
     bounds = np.linspace(0, cfg.trials, workers + 1, dtype=int)
@@ -210,6 +213,13 @@ def trial_gains(rows, cfg: TrialConfig, *, workers: int = 1) -> list[np.ndarray]
             *zip(*[(rows, cfg.seed, int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]),
         ))
     return [np.concatenate([p[i] for p in parts]) for i in range(len(rows))]
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, or the machine's where that is unknown."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _metrics(links: list[Link], gains: np.ndarray) -> list[MetricEstimate]:

@@ -147,7 +147,7 @@ class Link:
 
 
 def equal_counts(counts) -> bool:
-    """Whether every surface has the same element count, as eq29 needs."""
+    """Whether every surface has the same element count."""
     counts = np.asarray(counts)
     return bool(np.all(counts == counts[0]))
 

@@ -16,7 +16,6 @@ import pytest
 from corridor import corridor_link
 from rispilot.allocation import (
     allocate_average,
-    allocate_equal_m,
     allocate_large_m,
     allocate_moderate_snr,
     run_allocator,
@@ -176,16 +175,18 @@ def test_criterion_03_perfect_csi_limit():
 
 def test_criterion_04_allocation_closed_forms():
     # (a) sixteen-to-one gain ratio doubles the weak surface's pilot power
-    ratio = allocate_equal_m(_link([16.0, 1.0], (4, 4), 3.0))
+    ratio = allocate_large_m(_link([16.0, 1.0], (4, 4), 3.0))
     assert ratio.p_k[1] == 2.0 * ratio.p_k[0]
 
-    # (b) the count-weighted form collapses to the equal-count form bitwise
+    # (b) on equal counts the count-weighted form is the paper's eq. (29) bitwise
     link = _link([1.7, 0.3], (7, 7), 2.5)
-    assert np.array_equal(allocate_large_m(link).p_k, allocate_equal_m(link).p_k)
+    root_beta = np.sqrt(link.beta)
+    eq29 = link.num_ris * link.p_avg / (root_beta * float(np.sum(1.0 / root_beta)))
+    assert np.array_equal(allocate_large_m(link).p_k, eq29)
 
     # (c) inverse square-root law: p_k * sqrt(amplitude) constant per surface
     link4 = _link([3.5, 1.0, 0.4, 0.07], (4, 4, 4, 4), 5.0)
-    p = allocate_equal_m(link4).p_k
+    p = allocate_large_m(link4).p_k
     t = p * link4.beta_sq**0.25
     assert np.ptp(t) / np.mean(t) <= 1e-12
 

@@ -12,7 +12,6 @@ from rispilot.allocation import (
     PerRisPowers,
     UniformFallbackWarning,
     allocate_average,
-    allocate_equal_m,
     allocate_large_m,
     allocate_moderate_snr,
     multiplier_spread,
@@ -37,7 +36,7 @@ def test_moderate_snr_two_surface_example():
 
 
 def test_equal_count_inverse_root_law():
-    p = allocate_equal_m(_link([16.0, 1.0], [8, 8])).p_k
+    p = allocate_large_m(_link([16.0, 1.0], [8, 8])).p_k
     assert p[1] == 2.0 * p[0]
     prod = p * np.sqrt(np.sqrt(np.array([16.0, 1.0])))
     assert prod[0] == pytest.approx(prod[1], rel=1e-12)
@@ -48,13 +47,6 @@ def test_large_m_unequal_counts_example():
     p = allocate_large_m(_link([16.0, 1.0], [10, 30])).p_k
     assert p[0] == pytest.approx(4.0 / 7.0, rel=1e-12)
     assert p[1] == pytest.approx(8.0 / 7.0, rel=1e-12)
-
-
-def test_large_m_routes_equal_counts_through_equal_m():
-    link = _link([3.0, 0.7, 1.2], [64, 64, 64], 0.05)
-    a = allocate_large_m(link).p_k
-    b = allocate_equal_m(link).p_k
-    assert np.array_equal(a, b)
 
 
 def test_average_allocator_is_flat():
@@ -78,13 +70,16 @@ def test_closed_forms_meet_the_budget(beta_sq, data):
     ):
         assert float(np.dot(counts, p)) == pytest.approx(total, rel=1e-12)
         assert np.all(p > 0.0)
-    p_eq = allocate_equal_m(link).p_k
+    p_eq = allocate_large_m(_link(beta_sq, [counts[0]] * k, p_avg)).p_k
     assert float(np.sum(p_eq)) == pytest.approx(k * p_avg, rel=1e-12)
 
 
 def test_closed_forms_scale_linearly_with_budget():
-    counts = [16, 8, 4]
-    for allocate in (allocate_moderate_snr, allocate_large_m, allocate_equal_m):
+    for allocate, counts in (
+        (allocate_moderate_snr, [16, 8, 4]),
+        (allocate_large_m, [16, 8, 4]),
+        (allocate_large_m, [8, 8, 8]),
+    ):
         def fn(pa):
             return allocate(_link([2.0, 0.5, 0.1], counts, pa)).p_k
 
@@ -102,7 +97,7 @@ def test_closed_forms_are_permutation_equivariant():
     for fn, link, link_perm in (
         (allocate_moderate_snr, _link(beta_sq, counts), _link(beta_perm, counts_perm)),
         (allocate_large_m, _link(beta_sq, counts), _link(beta_perm, counts_perm)),
-        (allocate_equal_m, _link(beta_sq, [8, 8, 8]), _link(beta_perm, [8, 8, 8])),
+        (allocate_large_m, _link(beta_sq, [8, 8, 8]), _link(beta_perm, [8, 8, 8])),
     ):
         base = fn(link).p_k
         perm = fn(link_perm).p_k
@@ -114,7 +109,7 @@ def test_weaker_surfaces_get_more_power():
     for p in (
         allocate_moderate_snr(_link(beta_sq, [8, 8, 8])).p_k,
         allocate_large_m(_link(beta_sq, [8, 4, 2])).p_k,
-        allocate_equal_m(_link(beta_sq, [8, 8, 8])).p_k,
+        allocate_large_m(_link(beta_sq, [8, 8, 8])).p_k,
     ):
         assert p[0] < p[1] < p[2]
 
@@ -272,11 +267,12 @@ def test_exact_solver_certifies_a_lopsided_single_element_pair():
 
 
 def test_allocator_vocabulary():
-    assert ALLOCATOR_IDS == ("uniform", "eq27", "eq28", "eq29", "exact")
+    assert ALLOCATOR_IDS == ("uniform", "eq27", "eq28", "exact")
     assert resolve_allocator("average") == "uniform"
     assert resolve_allocator("moderate-snr") == "eq27"
     assert resolve_allocator("large-m") == "eq28"
-    assert resolve_allocator("equal-m") == "eq29"
+    assert resolve_allocator("eq29") == "eq28"
+    assert resolve_allocator("equal-m") == "eq28"
     assert resolve_allocator("numeric") == "exact"
     assert resolve_allocator("exact") == "exact"
     with pytest.raises(ValueError):
@@ -290,8 +286,8 @@ def test_run_allocator_dispatch():
     assert np.array_equal(
         run_allocator("eq28", link).p_k, run_allocator("eq29", link).p_k
     )
-    with pytest.raises(ValueError):
-        run_allocator("eq29", _link([1.0, 0.25], [16, 8], 2.0, 0.01))
+    unequal = _link([1.0, 0.25], [16, 8], 2.0, 0.01)
+    assert np.array_equal(run_allocator("eq29", unequal).p_k, run_allocator("eq28", unequal).p_k)
     assert np.all(run_allocator("exact", link).p_k > 0.0)
     # a link and a list of others are solved in one call, `exact` only
     other = _link([0.5, 0.25], [16, 16], 2.0, 0.01)

@@ -70,7 +70,7 @@ def test_allocate_symmetric_surfaces_get_identical_rows(tmp_path, capsys):
     rc = main(["allocate", "--config", _cfg(tmp_path, SYMMETRIC)])
     assert rc == 0
     out = capsys.readouterr().out
-    for name in ("uniform", "eq27", "eq28", "eq29", "exact"):
+    for name in ("uniform", "eq27", "eq28", "exact"):
         rows = [line.split() for line in out.splitlines() if line.startswith(name)]
         assert len(rows) == 2
         assert rows[0][2] == rows[1][2]  # same power on both surfaces
@@ -262,7 +262,7 @@ def test_sweep_config_and_manifest_are_exclusive(tmp_path, capsys):
     assert main(["sweep"]) == 2
 
 
-def test_unequal_counts_reject_explicit_eq29(tmp_path, capsys):
+def test_eq29_on_unequal_counts_runs_eq28_once(tmp_path, capsys):
     cfg = _cfg(
         tmp_path,
         """
@@ -276,20 +276,26 @@ def test_unequal_counts_reject_explicit_eq29(tmp_path, capsys):
             beta_sq: [1.0, 0.5]
         """,
     )
-    assert main(["allocate", "--config", cfg, "--allocators", "eq29"]) == 2
-    assert "eq29" in capsys.readouterr().err
-    # without an explicit request the command simply skips that form
-    assert main(["allocate", "--config", cfg]) == 0
+    assert main(["allocate", "--config", cfg, "--allocators", "eq28"]) == 0
+    alone = capsys.readouterr().out
+    assert main(["allocate", "--config", cfg, "--allocators", "eq28,eq29"]) == 0
+    out = capsys.readouterr().out
+    assert [line.split()[0] for line in out.splitlines()[1:]] == ["eq28", "eq28"]
+    assert out == alone
 
 
-def test_run_block_eq29_binds_only_the_commands_that_read_allocators(tmp_path, capsys):
-    # run.allocators names eq29 on unequal counts; validate does not read it
-    cfg = _cfg(tmp_path, GEOMETRY.replace("element_counts: [8, 8]", "element_counts: [8, 4]"))
-    assert main(["validate", "--config", cfg, "--trials", "200"]) == 0
-    assert " 0 failed" in capsys.readouterr().out
-    for command in ("allocate", "sweep"):
-        assert main([command, "--config", cfg]) == 2, command
-        assert "config error: run.allocators: 'eq29'" in capsys.readouterr().err, command
+def test_manifest_naming_eq29_replays_as_eq28(tmp_path):
+    # manifests written while eq29 was an allocator of its own still replay
+    out = tmp_path / "eq28"
+    assert main(["sweep", "--config", _cfg(tmp_path, GEOMETRY), "--allocators", "eq28,uniform",
+                 "--trials", "20", "--d-range", "0:4:4", "--out", str(out)]) == 0
+    saved = yaml.safe_load((out / "run_manifest.yaml").read_text(encoding="utf-8"))
+    assert saved["allocators"] == ["eq28", "uniform"]
+    assert _replay(tmp_path, dict(saved, allocators=["eq29", "uniform"]), "old") == 0
+    rows = _read_csv(tmp_path / "old" / "metrics.csv")
+    assert sorted({r["allocator"] for r in rows}) == ["eq28", "uniform"]
+    for name in ("metrics.csv", "powers.csv"):
+        assert (tmp_path / "old" / name).read_bytes() == (out / name).read_bytes()
 
 
 def test_unknown_allocator_rejected(tmp_path, capsys):
@@ -580,9 +586,10 @@ def test_main_prints_its_own_warnings_once_and_passes_others_on(tmp_path, capsys
         ("    d0: 50.0\n", "    d0: 50.0\n    d_u: 60\n", [], "scenario.geometry.d_u"),
         ("", "", ["--d-range", "0:nan:1"], "--d-range"),
         ("", "", ["--d-range", "0:inf:1"], "--d-range"),
+        ("", "", ["--d-range", "0:1e300:1e-300"], "--d-range"),
     ],
     ids=["d0-inf", "alpha_br-inf", "c0-inf", "p_avg-inf", "p_avg-nan", "d_u-past-d0",
-         "d_range-nan", "d_range-inf"],
+         "d_range-nan", "d_range-inf", "d_range-overflow"],
 )
 def test_non_finite_input_is_a_config_error(tmp_path, capsys, old, new, flag, field):
     assert old in GEOMETRY

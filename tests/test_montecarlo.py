@@ -1,5 +1,7 @@
+import concurrent.futures
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
@@ -95,6 +97,48 @@ def test_gains_do_not_depend_on_worker_count():
         assert np.array_equal(serial, _gains(link, alloc, cfg, workers=workers))
     few = _gains(link, alloc, TrialConfig(trials=3, seed=5), workers=8)
     assert np.array_equal(few, _gains(link, alloc, TrialConfig(trials=3, seed=5)))
+
+
+def test_pool_workers_are_capped_at_the_usable_cpus(monkeypatch):
+    # a stand-in pool runs its tasks in this process and records its size,
+    # so no worker process starts however many are asked for
+    pools = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            tasks = list(zip(*iterables))
+            pools.append((self.max_workers, len(tasks)))
+            return [fn(*task) for task in tasks]
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    link = _beta_direct([1.0, 0.25], [4, 4])
+    alloc = allocate_average(link)
+    cfg = TrialConfig(trials=200, seed=5)
+    serial = _gains(link, alloc, cfg)
+    assert pools == []
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert np.array_equal(_gains(link, alloc, cfg, workers=5000), serial)
+    assert pools == [(3, 3)]
+    # where the affinity is unknown, the machine's CPU count caps the pool
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert np.array_equal(_gains(link, alloc, cfg, workers=5000), serial)
+    assert pools == [(3, 3), (2, 2)]
+    # one CPU, or none known, runs every trial in this process
+    for cpus in (1, None):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert np.array_equal(_gains(link, alloc, cfg, workers=5000), serial)
+    assert pools == [(3, 3), (2, 2)]
 
 
 @pytest.mark.parametrize("mode", ["estimated", "perfect", "random-phase"])
@@ -283,8 +327,8 @@ def test_sweep_symmetric_point_equates_exact_and_uniform():
 
 def test_sweep_mirror_symmetry():
     cfg = TrialConfig(trials=2000, seed=6)
-    result = sweep_user(_layout, [-4.0, 4.0], ["uniform", "eq29"], cfg)
-    for name in ("uniform", "eq29"):
+    result = sweep_user(_layout, [-4.0, 4.0], ["uniform", "eq28"], cfg)
+    for name in ("uniform", "eq28"):
         minus = _select(result, allocator=name, d_m=-4.0)[0]
         plus = _select(result, allocator=name, d_m=4.0)[0]
         assert minus.closed_form_gain == plus.closed_form_gain
