@@ -262,6 +262,48 @@ def test_sweep_config_and_manifest_are_exclusive(tmp_path, capsys):
     assert main(["sweep"]) == 2
 
 
+def test_unequal_counts_reject_explicit_eq29(tmp_path, capsys):
+    # an explicit eq29 on unequal counts once exited 2; as an alias it now
+    # runs eq28 and is rejected no more
+    cfg = _cfg(
+        tmp_path,
+        """
+        scenario:
+          element_counts: [4, 2]
+          p_avg: "1 W"
+          q: "10 W"
+          sigma_z: "1 W"
+          sigma_n: "1 W"
+          channel:
+            beta_sq: [1.0, 0.5]
+        """,
+    )
+    assert main(["allocate", "--config", cfg, "--allocators", "eq28"]) == 0
+    alone = capsys.readouterr().out
+    assert main(["allocate", "--config", cfg, "--allocators", "eq29"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == alone
+    assert captured.err == ""
+    # the default list runs on unequal counts too
+    assert main(["allocate", "--config", cfg]) == 0
+
+
+def test_run_block_eq29_binds_only_the_commands_that_read_allocators(tmp_path, capsys):
+    # run.allocators names eq29 on unequal counts: validate does not read it,
+    # and allocate and sweep read it as eq28
+    cfg = _cfg(tmp_path, GEOMETRY.replace("element_counts: [8, 8]", "element_counts: [8, 4]"))
+    assert main(["validate", "--config", cfg, "--trials", "200"]) == 0
+    assert " 0 failed" in capsys.readouterr().out
+    assert main(["allocate", "--config", cfg]) == 0
+    out = capsys.readouterr().out
+    assert sorted({line.split()[0] for line in out.splitlines()[1:]}) == ["eq28", "uniform"]
+    out_dir = tmp_path / "sweep"
+    assert main(["sweep", "--config", cfg, "--trials", "20", "--out", str(out_dir)]) == 0
+    assert "config error" not in capsys.readouterr().err
+    rows = _read_csv(out_dir / "metrics.csv")
+    assert sorted({r["allocator"] for r in rows}) == ["eq28", "uniform"]
+
+
 def test_eq29_on_unequal_counts_runs_eq28_once(tmp_path, capsys):
     cfg = _cfg(
         tmp_path,
