@@ -10,14 +10,11 @@ a reproducible Monte Carlo harness that validates the closed forms.
 """
 
 from .scenario import (
-    Position,
-    Scenario,
     Link,
     dbm_to_watts,
     watts_to_dbm,
     path_loss,
     cascaded_large_scale,
-    two_ris_layout,
 )
 from .channel import RngStream, sample_channels, unit_normals
 from .estimation import PerRisPowers, ls_estimate

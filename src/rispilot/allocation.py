@@ -360,22 +360,22 @@ def run_allocator(name: str, link: Link, others=None):
 
     `exact` alone returns link's certified powers, or raises
     NonConvergenceError carrying the best iterate and its residuals.
-    For `exact`, a list of other links may follow: problems that share
-    link's element counts, average pilot power and training noise, such
-    as the other user positions of one layout. link and the others are
-    solved in one call, and the ExactSolution comes back for the caller
-    to read row by row, row 0 being link.
+    For `exact`, a list of other links with as many surfaces may follow,
+    such as the other user positions of one layout or the other budgets
+    of a pilot-power sweep. link and the others are solved in one call,
+    each with its own counts, average pilot power and training noise, and
+    the ExactSolution comes back for the caller to read row by row, row 0
+    being link.
     """
     canonical = resolve_allocator(name)
     if others is not None:
         if canonical != "exact":
             raise TypeError(f"allocator {canonical!r} solves one link at a time")
-        shared = (tuple(link.counts), link.p_avg, link.sigma_z_sq)
-        if any((tuple(o.counts), o.p_avg, o.sigma_z_sq) != shared for o in others):
-            raise ValueError("problems solved together need the same element counts, "
-                             "average pilot power and training noise")
-        beta_sq = np.stack([link.beta_sq] + [o.beta_sq for o in others])
-        return solve_exact(beta_sq, link.counts, link.p_avg, link.sigma_z_sq)
+        problems = [link, *others]
+        return solve_exact(
+            np.stack([x.beta_sq for x in problems]), np.stack([x.counts for x in problems]),
+            [x.p_avg for x in problems], [x.sigma_z_sq for x in problems],
+        )
     if canonical == "uniform":
         return allocate_average(link)
     if canonical == "eq27":

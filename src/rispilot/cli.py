@@ -4,7 +4,7 @@ Config files are YAML. Every power is a string with an explicit unit
 ("-13 dBm", "0.2 W", "5 mW") and the path-loss reference is a "dB"
 string; bare numbers for those fields are rejected so units can never
 be silently wrong. Exit codes: 0 success, 1 validation check failed,
-2 config error, 3 numerical failure, 4 I/O error.
+2 config error, 3 numerical failure or out of memory, 4 I/O error.
 """
 from __future__ import annotations
 
@@ -44,13 +44,7 @@ from .analysis import (
 from .channel import PURPOSE_RIS_USER, unit_normals
 from .estimation import PerRisPowers
 from .montecarlo import CSI_MODES, GainRow, TrialConfig, sweep_user, trial_gains
-from .scenario import (
-    Link,
-    cascaded_large_scale,
-    dbm_to_watts,
-    two_ris_layout,
-    watts_to_dbm,
-)
+from .scenario import Link, cascaded_large_scale, dbm_to_watts, watts_to_dbm
 
 METRICS_CSV = "metrics.csv"
 POWERS_CSV = "powers.csv"
@@ -64,6 +58,8 @@ _OWN_WARNINGS = (ModelAssumptionWarning, UniformFallbackWarning)
 
 # validate runs its perfect and random-phase rows on at most this many trials
 _HIERARCHY_TRIALS = 20_000
+# a sweep's d_range expands to at most this many offsets; the bundled configs use 9
+_MAX_OFFSETS = 10_000
 
 
 class ConfigError(ValueError):
@@ -193,11 +189,11 @@ class ScenarioSettings:
         if self.geometry is None:
             raise ConfigError("scenario.geometry", "user sweeps need a geometric layout")
         g = self.geometry
-        layout = two_ris_layout(
+        beta_sq = cascaded_large_scale(
             g["d0"], d, d_v=g["d_v"], d_h=g["d_h"], d_u=g["d_u"],
             c0_db=g["c0_db"], alpha_br=g["alpha_br"], alpha_ru=g["alpha_ru"],
         )
-        return self._link(cascaded_large_scale(layout), g["k_br"], g["k_ru"])
+        return self._link(beta_sq, g["k_br"], g["k_ru"])
 
     def fixed_link(self) -> Link:
         """The link at the configured user position, or the configured channel."""
@@ -403,10 +399,11 @@ def _parse_d_range(text: str, path: str) -> list[float]:
         raise ConfigError(path, f"step must be positive, got {step}")
     if stop < start:
         raise ConfigError(path, f"empty range: start {start} exceeds stop {stop}")
-    count = (stop - start) / step
-    if not math.isfinite(count):
-        raise ConfigError(path, f"the range {text!r} holds more offsets than a float can count")
-    n = int(math.floor(count + 1e-9)) + 1
+    # checked before the list is built; a count that overflowed to inf fails too
+    count = (stop - start) / step + 1e-9
+    if not count < _MAX_OFFSETS:
+        raise ConfigError(path, f"the range {text!r} holds more than {_MAX_OFFSETS} offsets")
+    n = int(math.floor(count)) + 1
     return [start + i * step for i in range(n)]
 
 
@@ -640,15 +637,8 @@ def _validation_checks(link: Link, trials: int, seed: int, workers: int,
         )
     checks.append(check)
 
-    # perfect-estimation limit of the closed form
-    if link.sigma_z_sq > 0.0:
-        p_big = 1e12 * link.sigma_z_sq / float(np.min(link.beta_sq))
-    else:
-        p_big = 1.0
-    # at p_big surface_objective's rate term may overflow; the gain does not use it
-    with np.errstate(over="ignore"):
-        limit = ergodic_gain_closed_form(
-            link, PerRisPowers(p_k=np.full(link.num_ris, p_big))).total
+    # perfect-estimation limit of the closed form: noiseless training
+    limit = ergodic_gain_closed_form(dataclasses.replace(link, sigma_z_sq=0.0), uniform).total
     m_beta = float(np.dot(countsf, link.beta))
     m_beta_sq = float(np.dot(countsf, link.beta_sq))
     ideal = m_beta_sq + 0.25 * math.pi * (m_beta**2 - m_beta_sq)
@@ -675,8 +665,7 @@ def _validation_checks(link: Link, trials: int, seed: int, workers: int,
 
     # the numeric solution equalizes the budget multiplier
     if link.sigma_z_sq > 0.0:
-        r = stationarity_residual(link, allocator_powers["exact"].p_k)
-        spread = multiplier_spread(r)
+        spread = _spread(link, allocator_powers["exact"].p_k)
         checks.append(_check("solver-stationarity", spread, 0.0, ok=spread < 1e-6))
 
     # where the surfaces differ in strength uniform power is not stationary,
@@ -696,16 +685,19 @@ def _validation_checks(link: Link, trials: int, seed: int, workers: int,
     return checks
 
 
+def _spread(link: Link, p_k) -> float:
+    """The multiplier spread of pilot powers p_k on link."""
+    # at extreme powers the residual's rate term overflows to inf, harmlessly
+    with np.errstate(over="ignore"):
+        return multiplier_spread(stationarity_residual(link, p_k))
+
+
 def _off_centre_check(link: Link, exact) -> dict:
     """The stationarity of `exact` at the off-centre position, row 1 of exact."""
     name = "solver-stationarity[off-centre]"
-
-    def spread_of(p_k):
-        return multiplier_spread(stationarity_residual(link, p_k))
-
-    detail = f"uniform spread {spread_of(np.full(link.num_ris, link.p_avg)):.3g}"
+    detail = f"uniform spread {_spread(link, np.full(link.num_ris, link.p_avg)):.3g}"
     try:
-        spread = spread_of(exact.row(1))
+        spread = _spread(link, exact.row(1))
     except NonConvergenceError as exc:
         return _check(name, math.nan, 0.0, ok=False, detail=f"{exc}; {detail}")
     return _check(name, spread, 0.0, ok=spread < 1e-6, detail=detail)
@@ -760,7 +752,8 @@ def _sweep_from(scn: ScenarioSettings, run: dict, args) -> int:
     trials, seed, csi_mode, workers = run["trials"], run["seed"], run["csi_mode"], run["workers"]
     cfg = TrialConfig(trials=trials, seed=seed, csi_mode=csi_mode)
     t0 = time.monotonic()
-    result = sweep_user(scn.link_at, run["d_range"], run["allocators"], cfg, workers=workers)
+    links = [scn.link_at(d) for d in run["d_range"]]
+    result = sweep_user(links, run["d_range"], run["allocators"], cfg, workers=workers)
     duration = time.monotonic() - t0
 
     os.makedirs(out_dir, exist_ok=True)
@@ -889,6 +882,9 @@ def _run(args) -> int:
         return 2
     except (NonConvergenceError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -4,11 +4,15 @@ Trials are addressed by (seed, trial index): trial t draws from one
 Philox generator per purpose keyed (seed, t) (see channel), so a run is
 reproducible bit for bit no matter how trials are split across workers
 or chunks. A run evaluates every row (a `scenario.Link`, its allocation
-and CSI mode) on the same draws: all positions and allocators of a
-sweep, all CSI modes of a validation. The comparison between rows is
+and CSI mode) on the same draws: all links and allocators of a sweep,
+all CSI modes of a validation. The comparison between rows is
 therefore paired: differences between their metrics come from the rows
 alone, not from sampling noise. Two runs with the same seed share their draws too;
 use different seeds if independent runs are wanted instead.
+
+A sweep takes its problems as a list of links, one per point of its
+axis, with the axis values beside them: the caller builds each link,
+whatever the axis (user offset, pilot budget) changes.
 
 The engine works on chunks of trials. A chunk holds one
 (trials, sum(M_k)) array per purpose, with no more than CHUNK_ELEMENTS
@@ -28,7 +32,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -112,7 +116,7 @@ def _gain_range(rows: list[GainRow], seed: int, start: int, stop: int) -> list[n
 
     Each chunk draws each purpose once, for all rows: the user hop always,
     the BS hop when a row's BS link is faded, pilot noise when a row
-    estimates, phases when a row uses random phases. Rows at one position
+    estimates, phases when a row uses random phases. Rows of one link
     (the same Link object) share one channel array.
 
     Every chunk reuses one workspace, allocated here for the largest
@@ -249,7 +253,7 @@ class SweepRow:
 
 
 class SolverRow(NamedTuple):
-    """The exact solver's work at one user position."""
+    """The exact solver's work at one sweep point, d_m its axis value."""
 
     d_m: float
     iterations: int
@@ -278,32 +282,34 @@ def _closed_forms(rows: list[GainRow], csi_mode: str) -> np.ndarray:
 
 
 def sweep_user(
-    link_for: Callable[[float], Link],
+    links: Iterable[Link],
     d_values: Iterable[float],
     allocators: Iterable[str],
     cfg: TrialConfig,
     *,
     workers: int = 1,
 ) -> SweepResult:
-    """Metrics for every (user position, allocator) pair.
+    """Metrics for every (link, allocator) pair.
 
-    link_for builds the link at each position, so the cascaded gains
-    track the user; the positions must share element counts, average
-    pilot power and training noise. Allocator names are resolved
-    to their canonical ids and run in canonical order. Every allocation
-    is made first, with one solve_exact call for all positions; then all
-    rows run on one set of draws (see trial_gains), and their metrics and
-    closed forms are each computed in one call. The result's solver
-    entries hold the exact solver's iterations and final multiplier
-    spread per position, when `exact` was run.
+    links holds one link per sweep point and d_values its axis value, such
+    as the user offset the link was built at; the links must share
+    element counts. Allocator names are resolved to their canonical ids
+    and run in canonical order. Every allocation is made first, with one
+    solve_exact call for all links; then all rows run on one set of draws
+    (see trial_gains), and their metrics and closed forms are each
+    computed in one call. The result's solver entries hold the exact
+    solver's iterations and final multiplier spread per link, when
+    `exact` was run.
     """
+    links = list(links)
     d_list = [float(d) for d in d_values]
     if not d_list:
         raise ValueError("d_values must not be empty")
+    if len(links) != len(d_list):
+        raise ValueError(f"{len(links)} links for {len(d_list)} axis values")
     names = sorted({resolve_allocator(a) for a in allocators})
     if not names:
         raise ValueError("allocators must not be empty")
-    links = [link_for(d) for d in d_list]
     solver = ()
     powers = {}
     for name in names:

@@ -1,12 +1,12 @@
 """Geometry, unit conversions and the flat link description.
 
-A `Scenario` places the BS, the user and the surfaces and sets the path
-loss; `cascaded_large_scale` reduces it to each surface's cascaded gain.
-A `Link` joins those gains (or gains a config pins) with the element
-counts, the fading and the powers, and is all the engine, the allocators
-and the closed forms use. Everything downstream works in linear units
-(watts, linear power gains); dB and dBm values appear only at the
-configuration boundary.
+`cascaded_large_scale` gives each surface's cascaded gain in the
+two-surface corridor; the closed forms and the allocators need nothing
+else of the geometry. A `Link` joins those gains (or gains a config
+pins) with the element counts, the fading and the powers, and is all
+the engine, the allocators and the closed forms use. Everything
+downstream works in linear units (watts, linear power gains); dB and
+dBm values appear only at the configuration boundary.
 """
 from __future__ import annotations
 
@@ -16,15 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "Position",
-    "Scenario",
     "Link",
     "equal_counts",
     "dbm_to_watts",
     "watts_to_dbm",
     "path_loss",
     "cascaded_large_scale",
-    "two_ris_layout",
 ]
 
 
@@ -54,46 +51,6 @@ def path_loss(distance_m: float, c0_db: float, alpha: float) -> float:
     if alpha <= 0.0:
         raise ValueError(f"path loss exponent must be positive, got {alpha}")
     return 10.0 ** (c0_db / 10.0) * distance_m ** (-alpha)
-
-
-@dataclass(frozen=True)
-class Position:
-    """Cartesian position in meters."""
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        for name in ("x", "y", "z"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"coordinate {name} must be finite, got {v}")
-
-    def distance_to(self, other: "Position") -> float:
-        return math.dist((self.x, self.y, self.z), (other.x, other.y, other.z))
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """Where the BS, the user and the surfaces stand, and the path loss between them.
-
-    c0_db is the path loss at 1 m, alpha_br and alpha_ru the exponents of
-    the BS-surface and surface-user hops. ris_positions holds one
-    position per surface, in surface order.
-    """
-
-    bs_position: Position
-    user_position: Position
-    ris_positions: tuple[Position, ...]
-    c0_db: float
-    alpha_br: float
-    alpha_ru: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "ris_positions", tuple(self.ris_positions))
-        if len(self.ris_positions) < 1:
-            raise ValueError("scenario needs at least one RIS")
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,22 +109,31 @@ def equal_counts(counts) -> bool:
     return bool(np.all(counts == counts[0]))
 
 
-def cascaded_large_scale(s: Scenario) -> np.ndarray:
-    """The cascaded power gain beta_k^2 of each surface of scenario s.
+def cascaded_large_scale(
+    d0: float, d: float, *, d_v: float, d_h: float, d_u: float,
+    c0_db: float, alpha_br: float, alpha_ru: float,
+) -> np.ndarray:
+    """The cascaded power gains beta_k^2 of two surfaces flanking a corridor.
 
-    A surface's cascaded gain is the product of its two hops' path losses:
-    the reflect path sees both hops, so the gains multiply. Coincident
-    nodes (zero distance) are rejected. A gain that leaves the float range
-    (0 or inf) raises ArithmeticError naming the surface.
+    The BS sits at the origin at height d_h. The surfaces sit at x = d0,
+    offset by -d_v (surface 0) and +d_v (surface 1) in y, at the same
+    height. The user is on the ground at x = d0 - d_u, y = d. A surface's
+    cascaded gain is the product of its two hops' path losses: the
+    reflect path sees both hops, so the gains multiply. The layout is
+    mirror symmetric in d, which tests rely on, so the coordinate
+    expressions keep +d and -d exactly symmetric in floating point. A
+    gain that leaves the float range (0 or inf) raises ArithmeticError
+    naming the surface.
     """
-    gains = np.empty(len(s.ris_positions))
-    for k, r in enumerate(s.ris_positions):
-        d_br = s.bs_position.distance_to(r)
-        d_ru = r.distance_to(s.user_position)
-        if d_br == 0.0 or d_ru == 0.0:
-            raise ValueError("RIS coincides with BS or user, distances must be positive")
+    if d0 <= d_u:
+        raise ValueError(f"corridor length d0 must exceed the user setback d_u ({d0} <= {d_u})")
+    bs, user = (0.0, 0.0, d_h), (d0 - d_u, d, 0.0)
+    gains = np.empty(2)
+    for k, y in enumerate((-d_v, d_v)):
+        ris = (d0, y, d_h)
+        d_br, d_ru = math.dist(bs, ris), math.dist(ris, user)
         try:
-            gain = path_loss(d_br, s.c0_db, s.alpha_br) * path_loss(d_ru, s.c0_db, s.alpha_ru)
+            gain = path_loss(d_br, c0_db, alpha_br) * path_loss(d_ru, c0_db, alpha_ru)
         except OverflowError:  # float ** raises where float * gives inf
             gain = math.inf
         if not 0.0 < gain < math.inf:
@@ -177,27 +143,3 @@ def cascaded_large_scale(s: Scenario) -> np.ndarray:
             )
         gains[k] = gain
     return gains
-
-
-def two_ris_layout(
-    d0: float, d: float, *, d_v: float, d_h: float, d_u: float,
-    c0_db: float, alpha_br: float, alpha_ru: float,
-) -> Scenario:
-    """Two surfaces flanking a corridor, user sliding along it.
-
-    BS sits at the origin at height d_h. The surfaces sit at x = d0,
-    offset by +/- d_v in y, same height. The user is on the ground at
-    x = d0 - d_u, y = d. The layout is mirror symmetric in d, which
-    tests rely on, so the coordinate expressions keep +d and -d cases
-    exactly symmetric in floating point.
-    """
-    if d0 <= d_u:
-        raise ValueError(f"corridor length d0 must exceed the user setback d_u ({d0} <= {d_u})")
-    return Scenario(
-        bs_position=Position(0.0, 0.0, d_h),
-        user_position=Position(d0 - d_u, d, 0.0),
-        ris_positions=(Position(d0, -d_v, d_h), Position(d0, d_v, d_h)),
-        c0_db=c0_db,
-        alpha_br=alpha_br,
-        alpha_ru=alpha_ru,
-    )

@@ -297,10 +297,13 @@ def test_run_allocator_dispatch():
     assert run_allocator("exact", link, []).powers.shape == (1, 2)
     with pytest.raises(TypeError):
         run_allocator("eq28", link, [other])
-    # problems solved together share counts, average power and training noise
-    for field, value in (("counts", [16, 8]), ("p_avg", 3.0), ("sigma_z_sq", 0.02)):
-        with pytest.raises(ValueError, match="same element counts"):
-            run_allocator("exact", link, [dataclasses.replace(other, **{field: value})])
+    # each problem solved together keeps its own counts, average power and
+    # training noise, and gets the bits of its solo solve
+    mixed = [dataclasses.replace(other, **{field: value})
+             for field, value in (("counts", [16, 8]), ("p_avg", 3.0), ("sigma_z_sq", 0.02))]
+    sol = run_allocator("exact", link, mixed)
+    for i, problem in enumerate([link, *mixed]):
+        assert np.array_equal(sol.row(i), run_allocator("exact", problem).p_k)
 
 
 def _problem_rows(draw, k, n):

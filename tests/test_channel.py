@@ -17,13 +17,7 @@ from rispilot.channel import (
     unit_normals,
 )
 from corridor import CORRIDOR, corridor_link
-from rispilot.scenario import (
-    Link,
-    Position,
-    Scenario,
-    cascaded_large_scale,
-    two_ris_layout,
-)
+from rispilot.scenario import Link, cascaded_large_scale
 
 SQRT_PI_HALF = math.sqrt(math.pi) / 2.0
 
@@ -193,32 +187,19 @@ def test_sample_channels_rejects_misshapen_draws():
         sample_channels(faded, unit_normals(1, 0, 2, PURPOSE_RIS_USER, 24))
 
 
-def _mirrored(s):
-    flipped_user = dataclasses.replace(s.user_position, y=-s.user_position.y)
-    flipped_ris = tuple(dataclasses.replace(r, y=-r.y) for r in s.ris_positions)
-    return dataclasses.replace(s, user_position=flipped_user, ris_positions=flipped_ris)
-
-
 @pytest.mark.parametrize("d", [0.0, 4.0, 16.0, 7.3])
 def test_mirrored_layout_reproduces_draws_bit_for_bit(d):
+    # the corridor mirrored in y: the user at -d, and the surfaces trade sides
     link_s = corridor_link(50.0, d, 8, 16)
-    mirrored = cascaded_large_scale(_mirrored(two_ris_layout(50.0, d, **CORRIDOR)))
+    mirrored = cascaded_large_scale(50.0, -d, **CORRIDOR)[::-1]
     link_m = dataclasses.replace(link_s, beta_sq=mirrored)
     assert np.array_equal(link_s.beta_sq, link_m.beta_sq)
     assert np.array_equal(_channel(link_s, 77), _channel(link_m, 77))
 
 
 def _one_ris_rician(m, k_br):
-    """One surface 1 m from the BS and the user, at 0 dB and exponent 2: beta^2 = 1."""
-    s = Scenario(
-        bs_position=Position(0.0, 0.0, 0.0),
-        user_position=Position(2.0, 0.0, 0.0),
-        ris_positions=(Position(1.0, 0.0, 0.0),),
-        c0_db=0.0,
-        alpha_br=2.0,
-        alpha_ru=2.0,
-    )
-    return Link(counts=[m], beta_sq=cascaded_large_scale(s), sigma_z_sq=1.0, sigma_n_sq=1.0,
+    """One surface of cascaded gain beta^2 = 1."""
+    return Link(counts=[m], beta_sq=[1.0], sigma_z_sq=1.0, sigma_n_sq=1.0,
                 q=1.0, p_avg=1.0, k_br=k_br, k_ru=0.0)
 
 

@@ -629,9 +629,10 @@ def test_main_prints_its_own_warnings_once_and_passes_others_on(tmp_path, capsys
         ("", "", ["--d-range", "0:nan:1"], "--d-range"),
         ("", "", ["--d-range", "0:inf:1"], "--d-range"),
         ("", "", ["--d-range", "0:1e300:1e-300"], "--d-range"),
+        ("", "", ["--d-range", "0:1e300:1"], "--d-range"),
     ],
     ids=["d0-inf", "alpha_br-inf", "c0-inf", "p_avg-inf", "p_avg-nan", "d_u-past-d0",
-         "d_range-nan", "d_range-inf", "d_range-overflow"],
+         "d_range-nan", "d_range-inf", "d_range-overflow", "d_range-too-many"],
 )
 def test_non_finite_input_is_a_config_error(tmp_path, capsys, old, new, flag, field):
     assert old in GEOMETRY
@@ -710,6 +711,54 @@ def test_an_optimal_power_below_the_float_range_is_a_numerical_failure(tmp_path,
         assert captured.err.startswith("numerical failure: "), command
         assert "multiplier spread nan" in captured.err and "Traceback" not in captured.err
         assert captured.out == ""
+
+
+EXTREME = """
+scenario:
+  element_counts: [8, 8]
+  p_avg: "14 dBm"
+  q: "40 dBm"
+  sigma_z: "-110 dBm"
+  sigma_n: "-90 dBm"
+  channel:
+    beta_sq: [1.0e-11, 1.0e-10]
+"""
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [("1.0e-11", "1.0e-320"), ('"-110 dBm"', '"1e300 W"')],
+    ids=["subnormal-gain", "huge-training-noise"],
+)
+def test_validate_on_extreme_powers_is_a_numerical_failure(tmp_path, capsys, old, new):
+    # the perfect-CSI limit is taken at noiseless training, so no power
+    # overflows before `exact`, which cannot certify these problems
+    cfg = _cfg(tmp_path, EXTREME.replace(old, new, 1))
+    assert main(["validate", "--config", cfg, "--trials", "50"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", [EXTREME, GEOMETRY], ids=["channel", "geometry"])
+def test_validate_on_a_huge_budget_does_not_warn(tmp_path, capsys, text):
+    # the stationarity residual's rate term overflows to inf there; the
+    # suite turns a RuntimeWarning into an error
+    cfg = _cfg(tmp_path, text.replace('"14 dBm"', '"1e300 W"', 1))
+    assert main(["validate", "--config", cfg, "--trials", "50"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_running_out_of_memory_is_one_line(tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.45 GiB")
+
+    monkeypatch.setattr(cli, "trial_gains", exhausted)
+    monkeypatch.setattr(cli, "sweep_user", exhausted)
+    cfg = _cfg(tmp_path, GEOMETRY)
+    for command in (["validate"], ["sweep"]):
+        assert main([*command, "--config", cfg, "--out", str(tmp_path / "x")]) == 3, command
+        captured = capsys.readouterr()
+        assert captured.err == "out of memory: Unable to allocate 7.45 GiB\n", command
 
 
 def test_sweep_manifest_records_the_solver_per_position(tmp_path):

@@ -243,7 +243,7 @@ def test_metric_estimate_matches_manual_statistics():
     link = _beta_direct([1.0], [4])
     cfg = TrialConfig(trials=400, seed=13)
     gains = _gains(link, allocate_average(link), cfg)
-    m = sweep_user(lambda d: link, [0.0], ["uniform"], cfg).rows[0]
+    m = sweep_user([link], [0.0], ["uniform"], cfg).rows[0]
     assert m.mean_gain == pytest.approx(float(np.mean(gains)), rel=1e-12)
     assert m.se_gain == pytest.approx(
         float(np.std(gains, ddof=1) / math.sqrt(gains.size)), rel=1e-12
@@ -267,9 +267,14 @@ def _layout(d):
     return corridor_link(50.0, d, 8, 8)
 
 
+def _sweep(d_values, allocators, cfg):
+    """A sweep of the user offset along the corridor."""
+    return sweep_user([_layout(d) for d in d_values], d_values, allocators, cfg)
+
+
 def test_sweep_rows_are_canonical_and_complete():
     cfg = TrialConfig(trials=50, seed=1)
-    result = sweep_user(_layout, [0.0, 4.0], ["numeric", "average"], cfg)
+    result = _sweep([0.0, 4.0], ["numeric", "average"], cfg)
     assert [r.allocator for r in result.rows] == ["exact", "uniform", "exact", "uniform"]
     assert [r.d_m for r in result.rows] == [0.0, 0.0, 4.0, 4.0]
     assert all(isinstance(r, SweepRow) and len(r.powers_w) == 2 for r in result.rows)
@@ -279,7 +284,7 @@ def test_sweep_rows_are_canonical_and_complete():
 
 def test_sweep_rows_equal_single_row_runs():
     cfg = TrialConfig(trials=300, seed=8)
-    result = sweep_user(_layout, [-4.0, 4.0], ["uniform", "exact"], cfg)
+    result = _sweep([-4.0, 4.0], ["uniform", "exact"], cfg)
     for row in result.rows:
         alone = _simulate(_layout(row.d_m), PerRisPowers(p_k=np.array(row.powers_w)), cfg)
         assert alone == (row.mean_gain, row.se_gain, row.mean_rate, row.se_rate)
@@ -302,7 +307,7 @@ def _per_row_reference(link, powers, gains, csi_mode):
 def test_sweep_metrics_equal_the_per_row_reference(csi_mode):
     cfg = TrialConfig(trials=120, seed=5, csi_mode=csi_mode)
     d_values = [-6.0, 0.0, 3.5]
-    result = sweep_user(_layout, d_values, ["uniform", "eq28", "exact"], cfg)
+    result = _sweep(d_values, ["uniform", "eq28", "exact"], cfg)
     rows = [GainRow(_layout(r.d_m), PerRisPowers(p_k=np.array(r.powers_w))) for r in result.rows]
     gains = trial_gains(rows, cfg)
     for r, row, g in zip(result.rows, rows, gains):
@@ -317,7 +322,7 @@ def test_sweep_metrics_equal_the_per_row_reference(csi_mode):
 
 def test_sweep_symmetric_point_equates_exact_and_uniform():
     cfg = TrialConfig(trials=300, seed=4)
-    result = sweep_user(_layout, [0.0], ["exact", "uniform"], cfg)
+    result = _sweep([0.0], ["exact", "uniform"], cfg)
     exact_row = _select(result, allocator="exact")[0]
     uniform_row = _select(result, allocator="uniform")[0]
     assert exact_row.powers_w == uniform_row.powers_w
@@ -327,7 +332,7 @@ def test_sweep_symmetric_point_equates_exact_and_uniform():
 
 def test_sweep_mirror_symmetry():
     cfg = TrialConfig(trials=2000, seed=6)
-    result = sweep_user(_layout, [-4.0, 4.0], ["uniform", "eq28"], cfg)
+    result = _sweep([-4.0, 4.0], ["uniform", "eq28"], cfg)
     for name in ("uniform", "eq28"):
         minus = _select(result, allocator=name, d_m=-4.0)[0]
         plus = _select(result, allocator=name, d_m=4.0)[0]
@@ -340,11 +345,11 @@ def test_sweep_mirror_symmetry():
 def test_sweep_closed_form_column_per_mode():
     link = _layout(4.0)
     cfg = TrialConfig(trials=20, seed=1, csi_mode="random-phase")
-    row = sweep_user(_layout, [4.0], ["uniform"], cfg).rows[0]
+    row = _sweep([4.0], ["uniform"], cfg).rows[0]
     incoherent = float(np.dot(link.counts.astype(float), link.beta_sq))
     assert row.closed_form_gain == pytest.approx(incoherent, rel=1e-12)
     cfg_e = TrialConfig(trials=20, seed=1)
-    row_e = sweep_user(_layout, [4.0], ["uniform"], cfg_e).rows[0]
+    row_e = _sweep([4.0], ["uniform"], cfg_e).rows[0]
     alloc = run_allocator("uniform", link)
     expected = ergodic_gain_closed_form(link, alloc).total
     assert row_e.closed_form_gain == pytest.approx(expected, rel=1e-12)
@@ -354,14 +359,26 @@ def test_sweep_closed_form_column_per_mode():
 def test_sweep_rejects_empty_inputs():
     cfg = TrialConfig(trials=10)
     with pytest.raises(ValueError):
-        sweep_user(_layout, [], ["uniform"], cfg)
+        _sweep([], ["uniform"], cfg)
     with pytest.raises(ValueError):
-        sweep_user(_layout, [0.0], [], cfg)
+        _sweep([0.0], [], cfg)
+    with pytest.raises(ValueError, match="2 links for 1 axis values"):
+        sweep_user([_layout(0.0), _layout(1.0)], [0.0], ["uniform"], cfg)
 
 
 def test_sweep_positions_must_share_the_budget():
-    def drifting(d):
-        return corridor_link(50.0, d, 8, 8, p_avg_dbm=-13.0 + d)
-
+    # the links of one sweep need only share element counts: one that
+    # differs in average power or training noise gets its solo sweep's rows
+    d_values = [0.0, 1.0, 2.0]
+    links = [corridor_link(50.0, d, 8, 8, p_avg_dbm=-13.0 + 10.0 * d) for d in d_values]
+    links[2] = dataclasses.replace(links[2], sigma_z_sq=1e-12)
+    allocators = ["exact", "uniform"]
+    cfg = TrialConfig(trials=40, seed=2)
+    result = sweep_user(links, d_values, allocators, cfg)
+    for i, (d, link) in enumerate(zip(d_values, links)):
+        alone = sweep_user([link], [d], allocators, cfg)
+        assert result.rows[2 * i:2 * i + 2] == alone.rows
+        assert result.solver[i] == alone.solver[0]
+    # rows of other element counts cannot share the draws
     with pytest.raises(ValueError, match="same element counts"):
-        sweep_user(drifting, [0.0, 1.0], ["exact"], TrialConfig(trials=10))
+        sweep_user([links[0], corridor_link(50.0, 1.0, 8, 16)], [0.0, 1.0], allocators, cfg)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -9,12 +8,9 @@ from corridor import CORRIDOR, corridor_link
 from rispilot.cli import ScenarioSettings
 from rispilot.scenario import (
     Link,
-    Position,
-    Scenario,
     cascaded_large_scale,
     dbm_to_watts,
     path_loss,
-    two_ris_layout,
     watts_to_dbm,
 )
 
@@ -67,40 +63,24 @@ def test_path_loss_decreasing_in_distance(d1, d2, alpha):
         assert path_loss(hi, -20.0, alpha) < path_loss(lo, -20.0, alpha)
 
 
-def _simple_scenario(ris_positions, user=Position(5.0, 0.0, 0.0)):
-    return Scenario(
-        bs_position=Position(0.0, 0.0, 0.0),
-        user_position=user,
-        ris_positions=ris_positions,
-        c0_db=-20.0,
-        alpha_br=2.0,
-        alpha_ru=2.0,
-    )
-
-
 def test_cascaded_gain_is_product_of_link_losses():
-    # both hops at 1 m with -20 dB reference: 1e-2 * 1e-2
-    s = _simple_scenario([Position(1.0, 0.0, 0.0)], user=Position(2.0, 0.0, 0.0))
-    beta_sq = cascaded_large_scale(s)
-    assert beta_sq[0] == pytest.approx(1e-4, rel=1e-12)
-    assert _link(beta_sq, [4]).beta[0] == pytest.approx(1e-2, rel=1e-12)
-
-
-def test_cascaded_gain_rejects_coincident_nodes():
-    s = _simple_scenario([Position(5.0, 0.0, 0.0)])
-    with pytest.raises(ValueError):
-        cascaded_large_scale(s)
+    # both hops of surface 1 are 5 m long (3-4-5 triangles): 1e-2 / 25 each;
+    # surface 0's user hop is sqrt(3^2 + 6^2 + 4^2) m
+    beta_sq = cascaded_large_scale(4.0, 3.0, d_v=3.0, d_h=4.0, d_u=3.0, c0_db=-20.0,
+                                   alpha_br=2.0, alpha_ru=2.0)
+    assert beta_sq[1] == pytest.approx(1.6e-7, rel=1e-12)
+    assert beta_sq[0] == pytest.approx(1e-4 / 25.0 / 61.0, rel=1e-12)
+    assert _link(beta_sq, [4, 4]).beta[1] == pytest.approx(4e-4, rel=1e-12)
 
 
 def test_cascaded_gain_outside_float_range_names_the_surface():
     # the user stands by surface 0, whose gain stays finite; the far
     # surface 1's gain underflows to 0
-    s = dataclasses.replace(two_ris_layout(50.0, -8.0, **CORRIDOR), alpha_ru=245.0)
-    assert cascaded_large_scale(dataclasses.replace(s, ris_positions=s.ris_positions[:1]))[0] > 0.0
-    with pytest.raises(ArithmeticError, match="surface 1"):
-        cascaded_large_scale(s)
-    with pytest.raises(ArithmeticError, match="surface 0.* inf "):
-        cascaded_large_scale(dataclasses.replace(s, c0_db=4000.0))
+    steep = {**CORRIDOR, "alpha_ru": 245.0}
+    with pytest.raises(ArithmeticError, match="surface 1 is 0.0 "):
+        cascaded_large_scale(50.0, -8.0, **steep)
+    with pytest.raises(ArithmeticError, match="surface 0 is inf "):
+        cascaded_large_scale(50.0, -8.0, **{**steep, "c0_db": 4000.0})
 
 
 def test_two_ris_layout_symmetric_user_sees_equal_gains():
@@ -123,22 +103,7 @@ def test_two_ris_layout_mirror_exchange_is_exact(d):
 
 def test_two_ris_layout_rejects_user_behind_bs():
     with pytest.raises(ValueError):
-        two_ris_layout(1.0, 0.0, **CORRIDOR)
-
-
-@given(st.permutations(range(3)))
-def test_cascade_is_permutation_equivariant(order):
-    positions = [Position(4.0, -2.0, 3.0), Position(6.0, 1.0, 2.0), Position(3.0, 5.0, 1.0)]
-    base = cascaded_large_scale(_simple_scenario(positions))
-    shuffled = cascaded_large_scale(_simple_scenario([positions[i] for i in order]))
-    assert np.array_equal(shuffled, base[list(order)])
-
-
-def test_scenario_validation():
-    with pytest.raises(ValueError):
-        _simple_scenario([])
-    with pytest.raises(ValueError):
-        Position(math.nan, 0.0, 0.0)
+        cascaded_large_scale(1.0, 0.0, **CORRIDOR)
 
 
 def _link(beta_sq, counts, **powers):
@@ -205,7 +170,6 @@ def test_settings_links_carry_the_config():
         assert list(link.counts) == counts and (link.k_br, link.k_ru) == fading
         assert (link.p_avg, link.q, link.sigma_z_sq, link.sigma_n_sq) == (
             2e-3, 10.0, 1e-14, 1e-12)
-    assert np.array_equal(links[1].beta_sq,
-                          cascaded_large_scale(two_ris_layout(50.0, 4.0, **CORRIDOR)))
+    assert np.array_equal(links[1].beta_sq, cascaded_large_scale(50.0, 4.0, **CORRIDOR))
     assert links[0].beta_sq[0] > links[0].beta_sq[1]
     assert np.array_equal(links[2].beta_sq, [1e-9, 4e-10, 1e-11])
