@@ -80,7 +80,18 @@ def allocate_moderate_snr(link: Link) -> PerRisPowers:
     live = ~degenerate
     if np.any(live):
         budget_live = float((int(counts.sum()) - int(counts[degenerate].sum())) * p_avg)
-        p[live] = w[live] * budget_live / float(np.dot(counts[live], w[live]))
+        w, dot = w[live], float(np.dot(counts[live], w[live]))
+        with np.errstate(over="ignore"):
+            spent = w * budget_live
+        # where that product overflows, dividing first keeps p_k <= budget / M_k
+        p[live] = np.where(np.isinf(spent), w / dot * budget_live, spent / dot)
+    return _in_range(p, "eq27")
+
+
+def _in_range(p: np.ndarray, name: str) -> PerRisPowers:
+    """A closed form's powers p; ArithmeticError where one left the float range."""
+    if not np.all((p > 0.0) & (p < np.inf)):
+        raise ArithmeticError(f"{name} pilot powers leave the float range: {p.tolist()}")
     return PerRisPowers(p_k=p)
 
 
@@ -97,9 +108,9 @@ def allocate_large_m(link: Link) -> PerRisPowers:
     root_beta = np.sqrt(link.beta)
     if equal_counts(counts):
         denom = root_beta * float(np.sum(1.0 / root_beta))
-        return PerRisPowers(p_k=link.num_ris * link.p_avg / denom)
+        return _in_range(link.num_ris * link.p_avg / denom, "eq28")
     denom = root_beta * float(np.sum(counts / root_beta))
-    return PerRisPowers(p_k=int(counts.sum()) * link.p_avg / denom)
+    return _in_range(int(counts.sum()) * link.p_avg / denom, "eq28")
 
 
 def multiplier_spread(residuals):
@@ -178,8 +189,10 @@ class ExactSolution(NamedTuple):
     iterations: np.ndarray
     certified: np.ndarray
 
-    def row(self, i: int) -> np.ndarray:
-        """Row i's certified powers; NonConvergenceError if it has none."""
+    def row(self, i: int) -> PerRisPowers:
+        """Row i's certified powers as the allocation type every caller
+        takes; NonConvergenceError, carrying the best iterate, if the row
+        has none."""
         if not self.certified[i]:
             raise NonConvergenceError(
                 f"no convergence after {self.iterations[i]} iterations (cap {_MAX_ITER}): "
@@ -187,7 +200,7 @@ class ExactSolution(NamedTuple):
                 best_powers=self.powers[i].copy(),
                 residuals=self.residuals[i].copy(),
             )
-        return self.powers[i]
+        return PerRisPowers(p_k=self.powers[i])
 
 
 def solve_exact(beta_sq, counts, p_avg, sigma_z_sq) -> ExactSolution:
@@ -382,5 +395,4 @@ def run_allocator(name: str, link: Link, others=None):
         return allocate_moderate_snr(link)
     if canonical == "eq28":
         return allocate_large_m(link)
-    sol = solve_exact(link.beta_sq[None], link.counts, link.p_avg, link.sigma_z_sq)
-    return PerRisPowers(p_k=sol.row(0))
+    return solve_exact(link.beta_sq[None], link.counts, link.p_avg, link.sigma_z_sq).row(0)

@@ -7,8 +7,8 @@ combining across elements of the same surface, and coherent combining
 across surfaces. Every element of a surface trains at the surface's
 pilot power, and both structured sums are damped per element by
 1 / sqrt(beta_sq + mse), which is where the pilot powers enter. The
-one-problem functions take the problem's `scenario.Link` and its pilot
-powers; the closed form needs nothing else of the link.
+one-problem functions take the problem's `scenario.Link` and its
+`PerRisPowers`; the closed form needs nothing else of the link.
 """
 from __future__ import annotations
 
@@ -72,13 +72,12 @@ class GainBreakdown:
     total: float
 
 
-def _checked(link: Link, powers) -> tuple[np.ndarray, np.ndarray]:
-    """link's counts as floats, and powers (PerRisPowers or a sequence) as an array."""
-    p = np.asarray(getattr(powers, "p_k", powers), dtype=np.float64)
-    if p.shape != (link.num_ris,) or not (p > 0.0).all():
-        raise ValueError(f"{p.size} pilot powers for {link.num_ris} surfaces; "
-                         "each must be positive")
-    return link.counts.astype(np.float64), p
+def _checked(link: Link, powers: PerRisPowers) -> np.ndarray:
+    """link's counts as floats, once powers has one per surface; PerRisPowers
+    has checked that each is finite and positive."""
+    if powers.num_ris != link.num_ris:
+        raise ValueError(f"{powers.num_ris} pilot powers for {link.num_ris} surfaces")
+    return link.counts.astype(np.float64)
 
 
 def _coupling_sums(beta_sq, counts, p, sigma_z_sq):
@@ -119,16 +118,9 @@ def ergodic_gain_closed_form(link: Link, powers: PerRisPowers) -> GainBreakdown:
     Exact for independent CN(0, beta_sq) cascades, which is the
     deterministic-BS-link, fully-scattered-user-link model; model_applies
     says whether link has it. This is the one-row case of
-    ergodic_gain_rows.
+    ergodic_gain_rows, whose fields are then numpy float64 scalars.
     """
-    counts, p = _checked(link, powers)
-    row = ergodic_gain_rows(link.beta_sq, counts, p, link.sigma_z_sq)
-    return GainBreakdown(
-        incoherent=float(row.incoherent),
-        intra_ris=float(row.intra_ris),
-        inter_ris=float(row.inter_ris),
-        total=float(row.total),
-    )
+    return ergodic_gain_rows(link.beta_sq, _checked(link, powers), powers.p_k, link.sigma_z_sq)
 
 
 def model_applies(link: Link) -> bool:
@@ -153,8 +145,8 @@ def objective_phi(link: Link, powers: PerRisPowers) -> float:
     total gain = incoherent + (pi/4) * objective_phi, so maximizing this
     over the pilot powers maximizes the gain.
     """
-    counts, p = _checked(link, powers)
-    intra, inter = _coupling_sums(link.beta_sq, counts, p, link.sigma_z_sq)
+    counts = _checked(link, powers)
+    intra, inter = _coupling_sums(link.beta_sq, counts, powers.p_k, link.sigma_z_sq)
     return float(intra + inter)
 
 
@@ -208,7 +200,7 @@ def surface_objective(beta_sq, counts, p, sigma_z_sq) -> SurfaceObjective:
     return SurfaceObjective(phi, residual, slope, curvature, g)
 
 
-def stationarity_residual(link: Link, per_ris_powers) -> np.ndarray:
+def stationarity_residual(link: Link, powers: PerRisPowers) -> np.ndarray:
     """Per-surface candidate for the budget multiplier.
 
     With equal power inside each surface, the optimality condition says
@@ -217,5 +209,5 @@ def stationarity_residual(link: Link, per_ris_powers) -> np.ndarray:
     across surfaces therefore measures how far an allocation is from
     stationary.
     """
-    counts, p = _checked(link, per_ris_powers)
-    return surface_objective(link.beta_sq, counts, p, link.sigma_z_sq).residual
+    counts = _checked(link, powers)
+    return surface_objective(link.beta_sq, counts, powers.p_k, link.sigma_z_sq).residual

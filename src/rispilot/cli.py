@@ -44,7 +44,7 @@ from .analysis import (
 from .channel import PURPOSE_RIS_USER, unit_normals
 from .estimation import PerRisPowers
 from .montecarlo import CSI_MODES, GainRow, TrialConfig, sweep_user, trial_gains
-from .scenario import Link, cascaded_large_scale, dbm_to_watts, watts_to_dbm
+from .scenario import MAX_ELEMENTS, Link, cascaded_large_scale, dbm_to_watts, watts_to_dbm
 
 METRICS_CSV = "metrics.csv"
 POWERS_CSV = "powers.csv"
@@ -162,58 +162,54 @@ def _element_counts(value, path: str) -> list[int]:
         if isinstance(item, bool) or not isinstance(item, int) or item < 1:
             raise ConfigError(f"{path}[{i}]", f"element count must be a positive integer, got {item!r}")
         counts.append(item)
+    if sum(counts) > MAX_ELEMENTS:
+        raise ConfigError(path, f"the element counts total {sum(counts)}, above 2^53")
     return counts
 
 
 @dataclasses.dataclass(frozen=True)
 class ScenarioSettings:
-    """Resolved scenario description, all powers in watts."""
+    """A config's problem: one Link, and the geometric layout that placed it.
 
-    element_counts: tuple[int, ...]
-    p_avg_w: float
-    q_w: float
-    sigma_z_sq_w: float
-    sigma_n_sq_w: float
-    geometry: dict | None = None  # d0, d_v, d_h, d_u, user_y, c0_db, alphas, rician
-    beta_sq: tuple[float, ...] | None = None
+    link is the configured channel, or the layout's link with the user at
+    user_y. geometry, None for a channel config, holds the layout's d0,
+    d_v, d_h, d_u, user_y, c0_db, alpha_br and alpha_ru; its Rician
+    factors are the link's k_br and k_ru. All powers are in watts.
+    """
 
-    def _link(self, beta_sq, k_br=math.inf, k_ru=0.0) -> Link:
-        return Link(
-            counts=self.element_counts, beta_sq=beta_sq,
-            sigma_z_sq=self.sigma_z_sq_w, sigma_n_sq=self.sigma_n_sq_w,
-            q=self.q_w, p_avg=self.p_avg_w, k_br=k_br, k_ru=k_ru,
-        )
+    link: Link
+    geometry: dict | None = None
 
     def link_at(self, d: float) -> Link:
         """The geometric layout's link with the user at offset d."""
         if self.geometry is None:
             raise ConfigError("scenario.geometry", "user sweeps need a geometric layout")
-        g = self.geometry
-        beta_sq = cascaded_large_scale(
-            g["d0"], d, d_v=g["d_v"], d_h=g["d_h"], d_u=g["d_u"],
-            c0_db=g["c0_db"], alpha_br=g["alpha_br"], alpha_ru=g["alpha_ru"],
-        )
-        return self._link(beta_sq, g["k_br"], g["k_ru"])
-
-    def fixed_link(self) -> Link:
-        """The link at the configured user position, or the configured channel."""
-        if self.geometry is not None:
-            return self.link_at(self.geometry["user_y"])
-        return self._link(self.beta_sq)
+        return dataclasses.replace(self.link, beta_sq=_gains_at(self.geometry, d))
 
     def as_dict(self) -> dict:
-        out = {
-            "element_counts": list(self.element_counts),
-            "p_avg_w": self.p_avg_w,
-            "q_w": self.q_w,
-            "sigma_z_sq_w": self.sigma_z_sq_w,
-            "sigma_n_sq_w": self.sigma_n_sq_w,
-        }
-        if self.geometry is not None:
-            out["geometry"] = dict(self.geometry)
-        else:
-            out["beta_sq"] = list(self.beta_sq)
-        return out
+        link = self.link
+        out = {"element_counts": link.counts.tolist(), "p_avg_w": link.p_avg, "q_w": link.q,
+               "sigma_z_sq_w": link.sigma_z_sq, "sigma_n_sq_w": link.sigma_n_sq}
+        if self.geometry is None:
+            return {**out, "beta_sq": link.beta_sq.tolist()}
+        return {**out, "geometry": {**self.geometry, "k_br": link.k_br, "k_ru": link.k_ru}}
+
+    @classmethod
+    def build(cls, counts, p_avg, q, sigma_z_sq, sigma_n_sq, *, geometry=None, beta_sq=None,
+              p_avg_path="scenario.p_avg") -> "ScenarioSettings":
+        """The settings of a channel's beta_sq, or of a layout's geometry as
+        _geometry returns it, Rician factors included. An overflowing pilot
+        budget sum(M_k) * p_avg is a ConfigError naming p_avg_path."""
+        if not math.isfinite(sum(counts) * p_avg):
+            raise ConfigError(p_avg_path, f"the pilot budget {sum(counts)} x {p_avg:g} W overflows")
+        fading = {}
+        if geometry is not None:
+            geometry = dict(geometry)
+            fading = {key: geometry.pop(key) for key in ("k_br", "k_ru")}
+            beta_sq = _gains_at(geometry, geometry["user_y"])
+        link = Link(counts=counts, beta_sq=beta_sq, sigma_z_sq=sigma_z_sq, sigma_n_sq=sigma_n_sq,
+                    q=q, p_avg=p_avg, **fading)
+        return cls(link, geometry)
 
     @classmethod
     def from_dict(cls, raw) -> "ScenarioSettings":
@@ -227,14 +223,17 @@ class ScenarioSettings:
         def number(key, **sign):
             return _float_value(_get(block, key, path), f"{path}.{key}", **sign)
 
-        return cls(
-            element_counts=tuple(counts),
-            p_avg_w=number("p_avg_w", positive=True),
-            q_w=number("q_w", positive=True),
-            sigma_z_sq_w=number("sigma_z_sq_w", nonneg=True),
-            sigma_n_sq_w=number("sigma_n_sq_w", positive=True),
+        return cls.build(
+            counts, number("p_avg_w", positive=True), number("q_w", positive=True),
+            number("sigma_z_sq_w", nonneg=True), number("sigma_n_sq_w", positive=True),
             geometry=_geometry(_get(block, "geometry", path), f"{path}.geometry", config=False),
+            p_avg_path=f"{path}.p_avg_w",
         )
+
+
+def _gains_at(g: dict, d: float) -> np.ndarray:
+    """The cascaded gains of layout g with the user at offset d."""
+    return cascaded_large_scale(d=d, **{key: x for key, x in g.items() if key != "user_y"})
 
 
 _POSITIVE, _K_FACTOR = {"positive": True}, {"nonneg": True, "inf_ok": True}
@@ -298,11 +297,8 @@ def _parse_scenario(raw: dict) -> ScenarioSettings:
                 "scenario.element_counts",
                 f"the geometric layout places exactly two surfaces, got {len(counts)} counts",
             )
-        return ScenarioSettings(
-            element_counts=tuple(counts), p_avg_w=p_avg, q_w=q,
-            sigma_z_sq_w=sigma_z, sigma_n_sq_w=sigma_n,
-            geometry=_geometry(block["geometry"], "scenario.geometry", config=True),
-        )
+        geometry = _geometry(block["geometry"], "scenario.geometry", config=True)
+        return ScenarioSettings.build(counts, p_avg, q, sigma_z, sigma_n, geometry=geometry)
 
     ch = _require_mapping(block["channel"], "scenario.channel")
     _reject_unknown(ch, {"beta_sq"}, "scenario.channel")
@@ -318,10 +314,7 @@ def _parse_scenario(raw: dict) -> ScenarioSettings:
             "scenario.channel.beta_sq",
             f"{len(beta_sq)} gains for {len(counts)} element counts",
         )
-    return ScenarioSettings(
-        element_counts=tuple(counts), p_avg_w=p_avg, q_w=q,
-        sigma_z_sq_w=sigma_z, sigma_n_sq_w=sigma_n, beta_sq=tuple(beta_sq),
-    )
+    return ScenarioSettings.build(counts, p_avg, q, sigma_z, sigma_n, beta_sq=beta_sq)
 
 
 _INT_FIELDS = {
@@ -535,7 +528,7 @@ def _config_run(args, flags: dict) -> tuple[ScenarioSettings, dict]:
 def cmd_allocate(args, flags: dict) -> int:
     scn, run = _config_run(args, flags)
     names = run["allocators"]
-    link = scn.fixed_link()
+    link = scn.link
     # outside the closed form's model the gain column reads nan, as in sweep
     in_model = model_applies(link)
 
@@ -557,11 +550,8 @@ def cmd_allocate(args, flags: dict) -> int:
 
     if args.out is not None:
         os.makedirs(args.out, exist_ok=True)
-        power_rows = [
-            _PowerRow(0.0, name, tuple(float(p) for p in powers.p_k))
-            for name, powers, _, _ in rows
-        ]
-        _write_powers_csv(os.path.join(args.out, POWERS_CSV), power_rows)
+        _write_powers_csv(os.path.join(args.out, POWERS_CSV),
+                          [_PowerRow(0.0, name, powers.p_k.tolist()) for name, powers, _, _ in rows])
         manifest = _manifest("allocate", scn, {"allocators": names}, args.caught)
         _write_yaml(os.path.join(args.out, MANIFEST_FILE), manifest)
         print(f"wrote {os.path.join(args.out, POWERS_CSV)}")
@@ -651,13 +641,8 @@ def _validation_checks(link: Link, trials: int, seed: int, workers: int,
     # configured problem it cannot certify is a numerical failure
     budget = float(int(counts.sum()) * link.p_avg)
     exact = run_allocator("exact", link, [] if off_centre is None else [off_centre])
-    allocator_powers = {}
     for name in ALLOCATOR_IDS:
-        if name == "exact":
-            powers = PerRisPowers(p_k=exact.row(0))
-        else:
-            powers = run_allocator(name, link)
-        allocator_powers[name] = powers
+        powers = exact.row(0) if name == "exact" else run_allocator(name, link)
         spent = float(np.dot(countsf, powers.p_k))
         checks.append(
             _check(f"budget[{name}]", spent, budget, ok=abs(spent - budget) <= 1e-9 * budget)
@@ -665,7 +650,7 @@ def _validation_checks(link: Link, trials: int, seed: int, workers: int,
 
     # the numeric solution equalizes the budget multiplier
     if link.sigma_z_sq > 0.0:
-        spread = _spread(link, allocator_powers["exact"].p_k)
+        spread = _spread(link, exact.row(0))
         checks.append(_check("solver-stationarity", spread, 0.0, ok=spread < 1e-6))
 
     # where the surfaces differ in strength uniform power is not stationary,
@@ -685,17 +670,17 @@ def _validation_checks(link: Link, trials: int, seed: int, workers: int,
     return checks
 
 
-def _spread(link: Link, p_k) -> float:
-    """The multiplier spread of pilot powers p_k on link."""
+def _spread(link: Link, powers: PerRisPowers) -> float:
+    """The multiplier spread of pilot powers on link."""
     # at extreme powers the residual's rate term overflows to inf, harmlessly
     with np.errstate(over="ignore"):
-        return multiplier_spread(stationarity_residual(link, p_k))
+        return multiplier_spread(stationarity_residual(link, powers))
 
 
 def _off_centre_check(link: Link, exact) -> dict:
     """The stationarity of `exact` at the off-centre position, row 1 of exact."""
     name = "solver-stationarity[off-centre]"
-    detail = f"uniform spread {_spread(link, np.full(link.num_ris, link.p_avg)):.3g}"
+    detail = f"uniform spread {_spread(link, allocate_average(link)):.3g}"
     try:
         spread = _spread(link, exact.row(1))
     except NonConvergenceError as exc:
@@ -706,13 +691,11 @@ def _off_centre_check(link: Link, exact) -> dict:
 def cmd_validate(args, flags: dict) -> int:
     scn, run = _config_run(args, flags)
     seed, trials, workers = run["seed"], run["trials"], run["workers"]
-    link = scn.fixed_link()
-    off_centre = None
-    if scn.geometry is not None:
-        off_centre = scn.link_at(scn.geometry["user_y"] + scn.geometry["d_v"])
+    g = scn.geometry
+    off_centre = None if g is None else scn.link_at(g["user_y"] + g["d_v"])
 
     t0 = time.monotonic()
-    checks = _validation_checks(link, trials, seed, workers, off_centre)
+    checks = _validation_checks(scn.link, trials, seed, workers, off_centre)
     duration = time.monotonic() - t0
 
     width = max(len(c["name"]) for c in checks)

@@ -317,7 +317,7 @@ def sweep_user(
             powers[name] = [run_allocator(name, link) for link in links]
             continue
         sol = run_allocator("exact", links[0], links[1:])
-        powers[name] = [PerRisPowers(p_k=sol.row(i)) for i in range(len(d_list))]
+        powers[name] = [sol.row(i) for i in range(len(d_list))]
         solver = tuple(SolverRow(d, int(it), float(spread))
                        for d, it, spread in zip(d_list, sol.iterations, sol.spread))
     rows = [(d, name, GainRow(link, powers[name][i]))

@@ -25,6 +25,10 @@ __all__ = [
 ]
 
 
+# the largest element total for which int(sum(M_k)) * p_avg stays exact
+MAX_ELEMENTS = 2**53
+
+
 def dbm_to_watts(x_dbm: float) -> float:
     """Convert a power in dBm to watts."""
     return 10.0 ** ((x_dbm - 30.0) / 10.0)
@@ -62,7 +66,9 @@ class Link:
     the Rician factors of the BS and user hops (math.inf: deterministic).
     sigma_z_sq is the training noise, sigma_n_sq the receiver noise, q the
     transmit power and p_avg the average pilot power, all in watts. The
-    arrays are read-only copies, checked once here.
+    counts total at most MAX_ELEMENTS, and the pilot budget
+    sum(M_k) * p_avg is finite. The arrays are read-only copies, checked
+    once here.
     """
 
     counts: np.ndarray
@@ -93,6 +99,10 @@ class Link:
             raise ValueError("noise powers must be finite, the receiver's positive")
         if not (0.0 < self.q < math.inf and 0.0 < self.p_avg < math.inf):
             raise ValueError("transmit powers must be finite and positive")
+        total = sum(counts.tolist())  # Python ints, which cannot wrap
+        if total > MAX_ELEMENTS or not math.isfinite(total * self.p_avg):
+            raise ValueError(f"element counts must total at most 2^53 and the pilot budget "
+                             f"{total} x {self.p_avg:g} W must be finite")
         for name, arr in (("counts", counts.astype(np.int64)), ("beta_sq", beta_sq),
                           ("beta", np.sqrt(beta_sq))):
             arr.setflags(write=False)

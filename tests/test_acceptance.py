@@ -217,7 +217,7 @@ def test_criterion_05_solver_consistency():
     rel = np.abs(exact.p_k - closed.p_k) / closed.p_k
     assert np.all(rel <= 0.05), rel
 
-    res = stationarity_residual(link, exact.p_k)
+    res = stationarity_residual(link, exact)
     spread = float(np.ptp(res) / abs(np.mean(res)))
     assert spread <= 1e-6, spread
 

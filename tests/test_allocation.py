@@ -146,7 +146,7 @@ _SOLVER_LINK = _link([1.0, 0.25], _SOLVER_COUNTS, _SOLVER_PAVG, 1.0)
 
 def test_exact_solver_equalizes_the_multiplier():
     sol = run_allocator("exact", _SOLVER_LINK)
-    r = stationarity_residual(_SOLVER_LINK, sol.p_k)
+    r = stationarity_residual(_SOLVER_LINK, sol)
     spread = (r.max() - r.min()) / np.max(np.abs(r))
     assert spread < 1e-6
     budget = float(np.dot(_SOLVER_COUNTS, sol.p_k))
@@ -215,7 +215,7 @@ def test_exact_solver_certifies_heterogeneous_problems(k, data):
     exact = run_allocator("exact", link).p_k
     budget = float(np.dot(counts, exact))
     assert budget == pytest.approx(sum(counts) * _HETERO_PAVG, rel=1e-9)
-    r = stationarity_residual(link, exact)
+    r = stationarity_residual(link, PerRisPowers(p_k=exact))
     assert multiplier_spread(r) < 1e-6
 
     def phi_of(p_k):
@@ -292,8 +292,8 @@ def test_run_allocator_dispatch():
     # a link and a list of others are solved in one call, `exact` only
     other = _link([0.5, 0.25], [16, 16], 2.0, 0.01)
     sol = run_allocator("exact", link, [other])
-    assert np.array_equal(sol.row(0), run_allocator("exact", link).p_k)
-    assert np.array_equal(sol.row(1), run_allocator("exact", other).p_k)
+    assert np.array_equal(sol.row(0).p_k, run_allocator("exact", link).p_k)
+    assert np.array_equal(sol.row(1).p_k, run_allocator("exact", other).p_k)
     assert run_allocator("exact", link, []).powers.shape == (1, 2)
     with pytest.raises(TypeError):
         run_allocator("eq28", link, [other])
@@ -303,7 +303,7 @@ def test_run_allocator_dispatch():
              for field, value in (("counts", [16, 8]), ("p_avg", 3.0), ("sigma_z_sq", 0.02))]
     sol = run_allocator("exact", link, mixed)
     for i, problem in enumerate([link, *mixed]):
-        assert np.array_equal(sol.row(i), run_allocator("exact", problem).p_k)
+        assert np.array_equal(sol.row(i).p_k, run_allocator("exact", problem).p_k)
 
 
 def _problem_rows(draw, k, n):
@@ -358,7 +358,7 @@ def test_exact_solver_certifies_powers_sixteen_decades_apart():
     # exited 3 with a multiplier spread of 1.8e-3 under the step cap
     link = _link([1e-10, 1e-16], [4, 8], 1e-30, 1e-14)
     p = run_allocator("exact", link).p_k
-    assert multiplier_spread(stationarity_residual(link, p)) < 1e-9
+    assert multiplier_spread(stationarity_residual(link, PerRisPowers(p_k=p))) < 1e-9
     assert float(np.dot([4, 8], p)) == pytest.approx(12e-30, rel=1e-12)
     assert p[1] / p[0] < 1e-10
 
@@ -375,3 +375,11 @@ def test_a_non_finite_residual_certifies_nothing():
     assert not sol.certified[0] and not sol.spread[0] < 1e-9
     with pytest.raises(NonConvergenceError):
         sol.row(0)
+
+
+def test_closed_form_powers_below_the_float_range_are_a_numerical_failure():
+    # at the smallest subnormal budget the stronger surface's power rounds to 0
+    link = _link([1e-10, 1e-16], [4, 8], 5e-324, 1e-14)
+    for allocate in (allocate_moderate_snr, allocate_large_m):
+        with pytest.raises(ArithmeticError, match="leave the float range"):
+            allocate(link)

@@ -160,7 +160,7 @@ def test_shape_mismatches_rejected():
 
 
 def test_residual_equal_under_symmetry():
-    r = stationarity_residual(_link([1.0, 1.0, 1.0], [8, 8, 8], 1.0), [2.0, 2.0, 2.0])
+    r = stationarity_residual(_link([1.0, 1.0, 1.0], [8, 8, 8], 1.0), _alloc([2.0, 2.0, 2.0]))
     assert r[0] == r[1] == r[2]
 
 
@@ -168,7 +168,7 @@ def test_residual_matches_objective_derivative():
     counts = [8, 16]
     link = _link([1.0, 0.25], counts, 1.0)
     p = np.array([3.0, 2.0])
-    r = stationarity_residual(link, p)
+    r = stationarity_residual(link, _alloc(p))
 
     def phi_at(powers):
         return objective_phi(link, _alloc(powers))
@@ -247,23 +247,23 @@ def test_closed_forms_see_the_solvers_damped_sums(column):
         np.testing.assert_array_equal(gains.inter_ris, inter * (0.25 * math.pi))
         for i in range(rows):
             link = _link(beta_sq[i], counts, float(np.broadcast_to(sigma, (rows, 1))[i, 0]))
-            assert objective_phi(link, p[i]) == float(intra[i] + inter[i])
+            assert objective_phi(link, _alloc(p[i])) == float(intra[i] + inter[i])
 
 
 def test_residual_vanishes_with_perfect_estimates():
-    r = stationarity_residual(_link([1.0, 0.25], [8, 16], 1.0), [1e12, 1e12])
+    r = stationarity_residual(_link([1.0, 0.25], [8, 16], 1.0), _alloc([1e12, 1e12]))
     assert np.max(np.abs(r)) < 1e-12
-    r0 = stationarity_residual(_link([1.0, 0.25], [8, 16], 0.0), [1.0, 1.0])
+    r0 = stationarity_residual(_link([1.0, 0.25], [8, 16], 0.0), _alloc([1.0, 1.0]))
     assert np.all(r0 == 0.0)
 
 
 def test_residual_input_validation():
     with pytest.raises(ValueError):
-        stationarity_residual(_link([1.0], [1], 1.0), [1.0, 2.0])
+        stationarity_residual(_link([1.0], [1], 1.0), _alloc([1.0, 2.0]))
     with pytest.raises(ValueError):
-        stationarity_residual(_link([1.0], [1], 1.0), [0.0])
+        stationarity_residual(_link([1.0], [1], 1.0), _alloc([0.0]))
     with pytest.raises(ValueError):
-        stationarity_residual(_link([1.0], [1], 1.0), [math.nan])
+        stationarity_residual(_link([1.0], [1], 1.0), _alloc([math.nan]))
 
 
 def test_breakdown_is_frozen():

@@ -12,6 +12,7 @@ from rispilot import cli
 from rispilot.allocation import multiplier_spread
 from rispilot.analysis import stationarity_residual
 from rispilot.cli import main
+from rispilot.estimation import PerRisPowers
 from rispilot.scenario import Link
 
 SYMMETRIC = """
@@ -694,7 +695,7 @@ def test_powers_sixteen_decades_apart_are_solved(tmp_path, capsys):
     powers = [float(line.split()[2]) for line in capsys.readouterr().out.splitlines()[1:]]
     link = Link(counts=[4, 8], beta_sq=[1e-10, 1e-16], sigma_z_sq=1e-14, sigma_n_sq=1e-12,
                 q=10.0, p_avg=1e-30)
-    residual = stationarity_residual(link, np.array(powers))
+    residual = stationarity_residual(link, PerRisPowers(p_k=powers))
     assert multiplier_spread(residual) < 1e-9
 
 
@@ -775,3 +776,81 @@ def test_sweep_manifest_records_the_solver_per_position(tmp_path):
     assert saved["solver"][1]["iterations"] == 0
     assert main(["sweep", "--manifest", str(manifest), "--out", str(tmp_path / "again")]) == 0
     assert (tmp_path / "again" / "metrics.csv").read_bytes() == (out / "metrics.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "edits, code, field",
+    [
+        ([('"1e-30 W"', '"1e308 W"')], 2, "scenario.p_avg"),
+        # eq27's product w_k * budget overflows, though its powers do not
+        ([('"1e-30 W"', '"1e300 W"'), ("BETA0", "1.0e-300")], 0, None),
+        ([("[4, 8]", "[100000000000000000000, 8]")], 2, "scenario.element_counts"),
+        ([("[4, 8]", "[9000000000000000000, 9000000000000000000]")], 2,
+         "scenario.element_counts"),
+    ],
+    ids=["overflowing-budget", "eq27-overflow", "counts-beyond-int64", "counts-wrapping-int64"],
+)
+def test_extreme_budgets_and_counts_end_in_one_line(tmp_path, capsys, edits, code, field):
+    text = EXPONENT
+    for old, new in [*edits, ("BETA0", "1.0e-10")]:
+        text = text.replace(old, new, 1)
+    cfg = _cfg(tmp_path, text)
+    for command in (["allocate"], ["allocate", "--allocators", "exact"],
+                    ["validate", "--trials", "200"]):
+        assert main([*command, "--config", cfg]) == code, command
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err and "RuntimeWarning" not in captured.err
+        if field is None:
+            assert captured.err == "", command
+        else:
+            assert captured.err.startswith(f"config error: {field}: "), command
+            assert captured.err.count("\n") == 1, command
+    if field is None:
+        assert main(["allocate", "--config", cfg, "--allocators", "eq27"]) == 0
+        powers = [float(line.split()[2]) for line in capsys.readouterr().out.splitlines()[1:]]
+        assert float(np.dot([4, 8], powers)) == pytest.approx(12e300, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "key, value, field",
+    [("p_avg_w", 1e308, "scenario.p_avg_w"),
+     ("element_counts", [2**53, 1], "scenario.element_counts")],
+    ids=["overflowing-budget", "too-many-elements"],
+)
+def test_a_manifest_with_an_extreme_budget_is_a_config_error(tmp_path, capsys, key, value, field):
+    _, saved = _sweep_manifest(tmp_path)
+    saved["scenario"][key] = value
+    assert _replay(tmp_path, saved, "edited") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field}: ") and err.count("\n") == 1
+
+
+def test_sweep_builds_the_link_at_user_y(tmp_path, capsys):
+    # the user_y link leaves the float range though every swept offset is
+    # fine: sweep exits 3, as allocate and validate do
+    cfg = _cfg(tmp_path, GEOMETRY.replace("    alpha_ru: 2.8\n",
+                                          "    alpha_ru: 2.8\n    user_y: 1.0e200\n"))
+    for command in (["allocate"], ["validate", "--trials", "20"], ["sweep", "--trials", "20"]):
+        assert main([*command, "--config", cfg, "--out", str(tmp_path / "x")]) == 3, command
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1, command
+
+
+def test_rician_sweep_replays_and_keeps_its_fading(tmp_path):
+    config = pathlib.Path(__file__).parent / "data" / "two_ris_asymmetric_rician.yaml"
+    out, again = tmp_path / "sweep", tmp_path / "replay"
+    assert main(["sweep", "--config", str(config), "--trials", "50", "--out", str(out)]) == 0
+    manifest = out / "run_manifest.yaml"
+    assert main(["sweep", "--manifest", str(manifest), "--out", str(again)]) == 0
+    for name in ("metrics.csv", "powers.csv"):
+        assert (again / name).read_bytes() == (out / name).read_bytes(), name
+    geometry = yaml.safe_load(manifest.read_text(encoding="utf-8"))["scenario"]["geometry"]
+    assert (geometry["k_br"], geometry["k_ru"]) == (10.0, 1.0)
+
+
+def test_a_channel_manifest_records_the_configured_gains(tmp_path):
+    cfg = _cfg(tmp_path, EXPONENT.replace("BETA0", "1.0e-10"))
+    assert main(["allocate", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+    saved = yaml.safe_load((tmp_path / "run" / "run_manifest.yaml").read_text(encoding="utf-8"))
+    assert saved["scenario"]["beta_sq"] == [1.0e-10, 2.5e-11]
+    assert "geometry" not in saved["scenario"]

@@ -144,10 +144,12 @@ def test_link_pins_the_gains_verbatim():
     "fields",
     [{"counts": [0, 8]}, {"counts": [8.0, 8.0]}, {"counts": []}, {"sigma_z_sq": -1.0},
      {"sigma_n_sq": 0.0}, {"sigma_z_sq": math.nan}, {"q": 0.0}, {"p_avg": math.inf},
-     {"k_br": -1.0}, {"k_ru": math.nan}],
+     {"k_br": -1.0}, {"k_ru": math.nan}, {"p_avg": 1e308}, {"counts": [2**53, 1]},
+     {"counts": [9 * 10**18, 9 * 10**18]}],
     ids=["zero-count", "float-count", "no-surface", "negative-training-noise",
          "zero-receiver-noise", "nan-training-noise", "zero-q", "infinite-p_avg",
-         "negative-k_br", "nan-k_ru"],
+         "negative-k_br", "nan-k_ru", "overflowing-budget", "counts-above-2^53",
+         "counts-wrapping-int64"],
 )
 def test_link_rejects_invalid_fields(fields):
     args = dict(counts=[8, 8], beta_sq=[1.0, 0.25], sigma_z_sq=1.0, sigma_n_sq=1.0,
@@ -158,13 +160,13 @@ def test_link_rejects_invalid_fields(fields):
 
 
 def test_settings_links_carry_the_config():
-    powers = dict(p_avg_w=2e-3, q_w=10.0, sigma_z_sq_w=1e-14, sigma_n_sq_w=1e-12)
-    geometric = ScenarioSettings(
-        element_counts=(8, 16), **powers,
+    powers = dict(p_avg=2e-3, q=10.0, sigma_z_sq=1e-14, sigma_n_sq=1e-12)
+    geometric = ScenarioSettings.build(
+        (8, 16), **powers,
         geometry={"d0": 50.0, "user_y": 4.0, "k_br": 3.0, "k_ru": 0.5, **CORRIDOR},
     )
-    channel = ScenarioSettings(element_counts=(8, 16, 4), **powers, beta_sq=(1e-9, 4e-10, 1e-11))
-    links = [geometric.link_at(-6.0), geometric.fixed_link(), channel.fixed_link()]
+    channel = ScenarioSettings.build((8, 16, 4), **powers, beta_sq=(1e-9, 4e-10, 1e-11))
+    links = [geometric.link_at(-6.0), geometric.link, channel.link]
     for link, counts, fading in zip(links, ([8, 16], [8, 16], [8, 16, 4]),
                                     ((3.0, 0.5), (3.0, 0.5), (math.inf, 0.0))):
         assert list(link.counts) == counts and (link.k_br, link.k_ru) == fading
