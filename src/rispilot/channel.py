@@ -158,7 +158,7 @@ def _rician(k_factor: float) -> tuple[float, float]:
 
 
 def sample_channels(link: Link, user: np.ndarray, bs: np.ndarray | None = None,
-                    out: np.ndarray | None = None) -> np.ndarray:
+                    out: np.ndarray | None = None, fade: np.ndarray | None = None) -> np.ndarray:
     """Cascaded coefficients h = beta_k * u * conj(v), one row per trial.
 
     user and bs are (trials, sum(M_k)) unit normals from unit_normals
@@ -168,15 +168,17 @@ def sample_channels(link: Link, user: np.ndarray, bs: np.ndarray | None = None,
     hops' fading has unit power, so the cascade's scale is link.beta
     alone: with a deterministic BS link and a scattered user link, h is
     CN(0, beta_k^2). out, a complex128 array shaped like user, receives
-    h in place of a new array.
+    h in place of a new array; fade, another, holds a faded BS link's
+    fading on its way into h.
     """
     scale = np.repeat(link.beta, link.counts)
     if user.ndim != 2 or user.shape[1] != scale.size:
         raise ValueError(f"user draws must be (trials, {scale.size}), got {user.shape}")
     h = np.empty(user.shape, dtype=np.complex128) if out is None else out
-    if h.shape != user.shape or h.dtype != np.complex128:
-        raise ValueError(f"out must be a complex128 array of shape {user.shape}, "
-                         f"got {h.dtype} {h.shape}")
+    for name, buf in (("out", h), ("fade", fade)):
+        if buf is not None and (buf.shape != user.shape or buf.dtype != np.complex128):
+            raise ValueError(f"{name} must be a complex128 array of shape {user.shape}, "
+                             f"got {buf.dtype} {buf.shape}")
     if math.isinf(link.k_ru):
         h.fill(1.0)
     else:
@@ -189,6 +191,9 @@ def sample_channels(link: Link, user: np.ndarray, bs: np.ndarray | None = None,
         if bs is None or bs.shape != user.shape:
             raise ValueError(f"a faded BS link needs bs draws shaped {user.shape}")
         los, nlos = _rician(link.k_br)
-        h *= los + nlos * bs
+        # h *= los + nlos * bs, in the same operations, without temporaries
+        fade = np.multiply(nlos, bs, out=fade)
+        np.add(los, fade, out=fade)
+        h *= fade
     h *= scale
     return h

@@ -91,17 +91,37 @@ def _get(mapping: dict, key: str, path: str):
     return mapping[key]
 
 
-# a YAML 1.2 decimal float; PyYAML's YAML 1.1 resolver leaves one without a
-# dot, such as 1e-10, a string
-_DECIMAL_FLOAT = re.compile(r"[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)([eE][-+]?[0-9]+)?")
+# The one number grammar of config scalars, quoted or plain: decimal
+# integers and floats, an exponent with or without a dot, and YAML's
+# spellings of infinity and NaN. Integer fields take the integer form of
+# plain scalars only. An integer with a leading zero, octal in YAML 1.1,
+# is no number, so it cannot silently change its value.
+_INT = re.compile(r"[-+]?(0|[1-9][0-9]*)")
+_DECIMAL = re.compile(r"(?![-+]?0[0-9]+\Z)[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)([eE][-+]?[0-9]+)?")
+# an element count int() reads without a digit limit
+_COUNT = re.compile(r"[1-9][0-9]{0,17}")
+_SPECIAL = {
+    **{sign + dot_inf: float(sign + "inf") for sign in ("", "+", "-")
+       for dot_inf in (".inf", ".Inf", ".INF")},
+    **{dot_nan: math.nan for dot_nan in (".nan", ".NaN", ".NAN")},
+}
+
+
+def _number(value) -> float | None:
+    """value as a float, or None: a Python int or float (not a bool), or a
+    string in the number grammar."""
+    if isinstance(value, str):
+        x = _SPECIAL.get(value)
+        return float(value) if x is None and _DECIMAL.fullmatch(value) else x
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    return None
 
 
 def _float_value(value, path: str, *, positive=False, nonneg=False, inf_ok=False) -> float:
-    if isinstance(value, str) and _DECIMAL_FLOAT.fullmatch(value):
-        value = float(value)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    x = _number(value)
+    if x is None:
         raise ConfigError(path, f"expected a number, got {value!r}")
-    x = float(value)
     if math.isnan(x):
         raise ConfigError(path, "must not be NaN")
     if math.isinf(x) and not inf_ok:
@@ -113,10 +133,28 @@ def _float_value(value, path: str, *, positive=False, nonneg=False, inf_ok=False
     return x
 
 
+def _int_value(value, path: str, what: str, low=1, high=math.inf) -> int:
+    """value as an integer in [low, high): a Python int (not a bool), or a
+    plain scalar in the integer form; what is the message's subject."""
+    x = value
+    if type(value) is str and _INT.fullmatch(value):
+        try:
+            x = int(value)
+        except ValueError:  # beyond the interpreter's digit limit
+            pass
+    if isinstance(x, bool) or not isinstance(x, int) or not low <= x < high:
+        raise ConfigError(path, f"{what}, got {value!r}")
+    return x
+
+
+def _all_plain(values: list, grammar: re.Pattern) -> bool:
+    """Whether every element of values is a plain scalar in grammar; such a
+    list, the common case, is converted by one map."""
+    return set(map(type, values)) == {str} and all(map(grammar.fullmatch, values))
+
+
 def _power_watts(value, path: str, *, nonneg_ok=False) -> float:
     """Parse a power string with a mandatory unit suffix into watts."""
-    if isinstance(value, (int, float)):
-        raise ConfigError(path, "power needs an explicit unit suffix: 'dBm', 'W', or 'mW'")
     if not isinstance(value, str):
         raise ConfigError(path, f"expected a power string, got {type(value).__name__}")
     text = value.strip()
@@ -140,8 +178,6 @@ def _power_watts(value, path: str, *, nonneg_ok=False) -> float:
 
 
 def _db_value(value, path: str) -> float:
-    if isinstance(value, (int, float)):
-        raise ConfigError(path, "needs an explicit 'dB' suffix")
     if not isinstance(value, str) or not value.strip().endswith("dB") or value.strip().endswith("dBm"):
         raise ConfigError(path, f"expected a 'dB' string, got {value!r}")
     body = value.strip()[:-2].strip()
@@ -157,11 +193,11 @@ def _db_value(value, path: str) -> float:
 def _element_counts(value, path: str) -> list[int]:
     if not isinstance(value, list) or not value:
         raise ConfigError(path, "expected a nonempty list of element counts")
-    counts = []
-    for i, item in enumerate(value):
-        if isinstance(item, bool) or not isinstance(item, int) or item < 1:
-            raise ConfigError(f"{path}[{i}]", f"element count must be a positive integer, got {item!r}")
-        counts.append(item)
+    if _all_plain(value, _COUNT):
+        counts = list(map(int, value))
+    else:
+        counts = [_int_value(v, f"{path}[{i}]", "element count must be a positive integer")
+                  for i, v in enumerate(value)]
     if sum(counts) > MAX_ELEMENTS:
         raise ConfigError(path, f"the element counts total {sum(counts)}, above 2^53")
     return counts
@@ -305,10 +341,12 @@ def _parse_scenario(raw: dict) -> ScenarioSettings:
     raw_beta = _get(ch, "beta_sq", "scenario.channel")
     if not isinstance(raw_beta, list) or not raw_beta:
         raise ConfigError("scenario.channel.beta_sq", "expected a nonempty list")
-    beta_sq = [
-        _float_value(b, f"scenario.channel.beta_sq[{i}]", positive=True)
-        for i, b in enumerate(raw_beta)
-    ]
+    # any other list, or one holding a bad gain, is read gain by gain, so
+    # that an error names the gain
+    beta_sq = list(map(float, raw_beta)) if _all_plain(raw_beta, _DECIMAL) else None
+    if beta_sq is None or not 0.0 < min(beta_sq) <= max(beta_sq) < math.inf:
+        beta_sq = [_float_value(b, f"scenario.channel.beta_sq[{i}]", positive=True)
+                   for i, b in enumerate(raw_beta)]
     if len(beta_sq) != len(counts):
         raise ConfigError(
             "scenario.channel.beta_sq",
@@ -336,11 +374,8 @@ def _run_fields(block: dict, prefix: str) -> dict:
 
     out = {}
     for key, (low, high, what) in _INT_FIELDS.items():
-        value = block.get(key)
         if key in block:
-            if isinstance(value, bool) or not isinstance(value, int) or not low <= value < high:
-                raise ConfigError(where(key), f"{key} must be {what}, got {value!r}")
-            out[key] = value
+            out[key] = _int_value(block[key], where(key), f"{key} must be {what}", low, high)
     if "csi_mode" in block:
         out["csi_mode"] = _mode_value(block["csi_mode"], where("csi_mode"), CSI_MODES)
     if "allocators" in block:
@@ -363,7 +398,7 @@ def _run_fields(block: dict, prefix: str) -> dict:
 def _mode_value(value, path: str, choices) -> str:
     if value not in choices:
         raise ConfigError(path, f"expected one of {', '.join(choices)}; got {value!r}")
-    return value
+    return str(value)  # a quoted one is a _Quoted, which manifests cannot store
 
 
 def _resolve_allocators(names, path: str) -> list[str]:
@@ -400,17 +435,68 @@ def _parse_d_range(text: str, path: str) -> list[float]:
     return [start + i * step for i in range(n)]
 
 
-# libyaml parses and emits the same documents several times faster, where
-# PyYAML has it; the emitted bytes are the same
-_YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+# libyaml composes and emits the same documents several times faster,
+# where PyYAML has it; the emitted bytes are the same. Configs are
+# composed under the base resolver, which types nothing: the field
+# parsers above do, by the number grammar.
 _YAML_DUMPER = yaml.CSafeDumper if yaml.__with_libyaml__ else yaml.SafeDumper
+# the base resolver's tag of each node kind; any other tag is explicit
+_UNTAGGED = {
+    yaml.ScalarNode: yaml.resolver.BaseResolver.DEFAULT_SCALAR_TAG,
+    yaml.SequenceNode: yaml.resolver.BaseResolver.DEFAULT_SEQUENCE_TAG,
+    yaml.MappingNode: yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG,
+}
+_NULLS = frozenset(("", "~", "null", "Null", "NULL"))
+
+
+class _PyComposer(yaml.BaseLoader):
+    """PyYAML's pure-Python base loader. Its resolver has no implicit
+    resolvers, so an untagged node's tag is its kind's default; resolve
+    returns that without the resolver's lookups."""
+
+    def resolve(self, kind, value, implicit):
+        return _UNTAGGED[kind]
+
+
+if yaml.__with_libyaml__:
+    class _Composer(yaml.CBaseLoader):
+        """The libyaml base loader, resolving as _PyComposer does."""
+
+        resolve = _PyComposer.resolve
+else:
+    _Composer = _PyComposer
+
+
+class _Quoted(str):
+    """A quoted (or block) YAML scalar: never an integer field's value."""
+
+
+def _tree(node):
+    """A composed YAML node as dicts, lists and strings: a plain null is
+    None, and a quoted scalar is a _Quoted string."""
+    kind = type(node)
+    if node.tag != _UNTAGGED[kind]:
+        raise yaml.constructor.ConstructorError(
+            None, None, f"found an unsupported tag {node.tag!r}", node.start_mark)
+    if kind is yaml.ScalarNode:
+        if node.style:
+            return _Quoted(node.value)
+        return None if node.value in _NULLS else node.value
+    if kind is yaml.SequenceNode:
+        return [_tree(item) for item in node.value]
+    return {_tree(key): _tree(value) for key, value in node.value}
 
 
 def _load_yaml(path: str):
-    with open(path, "r", encoding="utf-8") as f:
+    # PyYAML decodes the bytes itself (UTF-8, or UTF-16 after a byte-order
+    # mark) and reports a bad encoding as a YAMLError; _tree fails with a
+    # TypeError on a list as a key, and a RecursionError on an alias inside
+    # its own anchor
+    with open(path, "rb") as f:
         try:
-            return yaml.load(f, Loader=_YAML_LOADER)
-        except yaml.YAMLError as exc:
+            node = yaml.compose(f, Loader=_Composer)
+            return None if node is None else _tree(node)
+        except (yaml.YAMLError, TypeError, RecursionError) as exc:
             raise ConfigError(path, f"not valid YAML: {exc}") from None
 
 
@@ -425,36 +511,26 @@ def load_config(path: str) -> dict:
 # ---------------------------------------------------------------- output
 
 
-def _fmt(x: float) -> str:
-    return "%.17g" % x
+# Each writer formats a whole block with one % over a flat tuple, which
+# writes the bytes "%.17g" % x writes per value, inf, nan and -0 included.
+_METRICS_ROW = "%.17g,%s,%.17g,%.17g,%.17g,%.17g,%.17g\n"
 
 
 def _write_metrics_csv(path: str, rows):
+    values = [v for r in rows for v in (r.d_m, r.allocator, r.mean_gain, r.se_gain,
+                                        r.mean_rate, r.se_rate, r.closed_form_gain)]
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write("d_m,allocator,mean_gain,se_gain,mean_rate_bps_hz,se_rate,closed_form_gain\n")
-        for r in rows:
-            f.write(
-                ",".join(
-                    (
-                        _fmt(r.d_m), r.allocator, _fmt(r.mean_gain), _fmt(r.se_gain),
-                        _fmt(r.mean_rate), _fmt(r.se_rate), _fmt(r.closed_form_gain),
-                    )
-                )
-                + "\n"
-            )
+        f.write(_METRICS_ROW * len(rows) % tuple(values))
 
 
 def _write_powers_csv(path: str, rows):
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write("d_m,allocator,ris_index,pilot_power_w,pilot_power_dbm\n")
         for r in rows:
-            for k, p in enumerate(r.powers_w):
-                f.write(
-                    ",".join(
-                        (_fmt(r.d_m), r.allocator, str(k), _fmt(p), _fmt(watts_to_dbm(p)))
-                    )
-                    + "\n"
-                )
+            p_k = list(r.powers_w)
+            row = "%.17g,%s," % (r.d_m, r.allocator) + "%d,%.17g,%.17g\n"
+            f.write(row * len(p_k) % _interleave(range(len(p_k)), p_k, list(map(watts_to_dbm, p_k))))
 
 
 def _write_yaml(path: str, payload: dict):
@@ -525,6 +601,22 @@ def _config_run(args, flags: dict) -> tuple[ScenarioSettings, dict]:
     return scn, {key: given.get(key, default) for key, default in _SETTINGS[args.command].items()}
 
 
+def _interleave(*columns: list) -> tuple:
+    """The columns' values row by row, as one flat tuple."""
+    flat = [None] * sum(len(c) for c in columns)
+    for i, column in enumerate(columns):
+        flat[i::len(columns)] = column
+    return tuple(flat)
+
+
+def _table_block(name: str, p_k: list, phi: float, gain: float) -> str:
+    """An allocator's rows of the allocate table, formatted by one %: its
+    name, phi and gain go into the row format once, and each row takes
+    (k, p_k, p_k in dBm)."""
+    row = "%-10s " % name + "%3d %24.17g %12.4f" + " %14.6e %14.6e\n" % (phi, gain)
+    return row * len(p_k) % _interleave(range(len(p_k)), p_k, list(map(watts_to_dbm, p_k)))
+
+
 def cmd_allocate(args, flags: dict) -> int:
     scn, run = _config_run(args, flags)
     names = run["allocators"]
@@ -532,21 +624,15 @@ def cmd_allocate(args, flags: dict) -> int:
     # outside the closed form's model the gain column reads nan, as in sweep
     in_model = model_applies(link)
 
-    header = f"{'allocator':<10} {'ris':>3} {'power_w':>24} {'power_dbm':>12} {'phi':>14} {'gain':>14}"
-    lines = [header]
+    blocks = [f"{'allocator':<10} {'ris':>3} {'power_w':>24} {'power_dbm':>12} {'phi':>14} {'gain':>14}\n"]
     rows = []
     for name in names:
         powers = run_allocator(name, link)
         phi = objective_phi(link, powers)
         gain = ergodic_gain_closed_form(link, powers).total if in_model else math.nan
         rows.append((name, powers, phi, gain))
-        # name, phi and gain are formatted once; p_k as Python floats formats faster
-        head, tail = f"{name:<10} ", f" {phi:>14.6e} {gain:>14.6e}"
-        lines.extend(
-            f"{head}{k:>3} {p:>24.17g} {watts_to_dbm(p):>12.4f}{tail}"
-            for k, p in enumerate(powers.p_k.tolist())
-        )
-    print("\n".join(lines))
+        blocks.append(_table_block(name, powers.p_k.tolist(), phi, gain))
+    sys.stdout.write("".join(blocks))
 
     if args.out is not None:
         os.makedirs(args.out, exist_ok=True)

@@ -122,8 +122,9 @@ def _gain_range(rows: list[GainRow], seed: int, start: int, stop: int) -> list[n
     Every chunk reuses one workspace, allocated here for the largest
     chunk: a float buffer per draw purpose the range needs, complex
     buffers for the channel and the random phases, and one row buffer
-    that holds a row's estimate, then its phases, then its products
-    h * phases. A random-phase row leaves the shared phase buffer alone.
+    that holds a faded BS link's fading while its channel is drawn, then a
+    row's estimate, its phases and its products h * phases. A
+    random-phase row leaves the shared phase buffer alone.
     """
     counts = rows[0].link.counts
     n = int(counts.sum())
@@ -160,7 +161,8 @@ def _gain_range(rows: list[GainRow], seed: int, start: int, stop: int) -> list[n
         for i, r in live:
             if at is not r.link:
                 at = r.link
-                h = sample_channels(r.link, user, bs, out=h_buf[:b - a])
+                # the row buffer is free until the row's work starts
+                h = sample_channels(r.link, user, bs, out=h_buf[:b - a], fade=row_buf[:b - a])
             m = min(b, r.trials) - a
             work = row_buf[:m]  # the estimate, then the phases, then h * phases
             if r.csi_mode == "estimated":

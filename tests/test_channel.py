@@ -133,6 +133,31 @@ def test_sample_channels_fill_out_with_the_same_bits(k_br, k_ru):
         sample_channels(link, user, bs, out=np.empty((2, 24), dtype=np.complex128))
 
 
+@pytest.mark.parametrize("k_br, k_ru", [(3.0, 0.0), (0.5, 2.0), (10.0, math.inf), (0.0, 1.0)])
+def test_a_faded_bs_link_gives_the_same_bits_with_a_fade_buffer(k_br, k_ru):
+    link = dataclasses.replace(corridor_link(50.0, 4.0, 8, 16), k_br=k_br, k_ru=k_ru)
+    user = unit_normals(6, 0, 3, PURPOSE_RIS_USER, 24)
+    bs = unit_normals(6, 0, 3, PURPOSE_BS_RIS, 24)
+    # the cascade as sample_channels computed it with temporaries
+    def rician(k):
+        return math.sqrt(k / (k + 1.0)), math.sqrt(1.0 / (k + 1.0))
+
+    expected = np.ones_like(user) if math.isinf(k_ru) else np.conj(user)
+    if 0.0 < k_ru < math.inf:
+        los, nlos = rician(k_ru)
+        expected *= nlos
+        expected += los
+    los, nlos = rician(k_br)
+    expected *= los + nlos * bs
+    expected *= np.repeat(link.beta, link.counts)
+    fade = np.full((3, 24), np.nan, dtype=np.complex128)
+    with_buffer = sample_channels(link, user, bs, fade=fade)
+    assert with_buffer.tobytes() == sample_channels(link, user, bs).tobytes()
+    assert with_buffer.tobytes() == expected.tobytes()
+    with pytest.raises(ValueError):
+        sample_channels(link, user, bs, fade=np.empty((3, 24)))
+
+
 def _one_ris_blocked(beta_sq, m):
     return Link(counts=[m], beta_sq=[beta_sq], sigma_z_sq=1.0, sigma_n_sq=1.0, q=1.0, p_avg=1.0)
 

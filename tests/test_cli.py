@@ -854,3 +854,184 @@ def test_a_channel_manifest_records_the_configured_gains(tmp_path):
     saved = yaml.safe_load((tmp_path / "run" / "run_manifest.yaml").read_text(encoding="utf-8"))
     assert saved["scenario"]["beta_sq"] == [1.0e-10, 2.5e-11]
     assert "geometry" not in saved["scenario"]
+
+
+# Config scalar typing, pinned per (form, field). Each form is written
+# as it appears in the YAML file, and each field gets it in turn, the
+# other placeholders taking their defaults. An answer is 0 for exit 0,
+# or the field that an exit-2 message names first: ".", the field itself.
+TYPED_CHANNEL = """
+scenario:
+  element_counts:
+    - COUNT0
+    - 8
+  p_avg: "14 dBm"
+  q: "40 dBm"
+  sigma_z: "-110 dBm"
+  sigma_n: "-90 dBm"
+  channel:
+    beta_sq:
+      - BETA0
+      - 2.5e-11
+run:
+  trials: TRIALS
+  seed: SEED
+"""
+TYPED_GEOMETRY = """
+scenario:
+  element_counts: [8, 8]
+  p_avg: "14 dBm"
+  q: "40 dBm"
+  sigma_z: "-110 dBm"
+  sigma_n: "-90 dBm"
+  geometry:
+    d0: D0
+    c0: "-20 dB"
+    alpha_br: 2.2
+    alpha_ru: 2.8
+    k_br: K_BR
+"""
+# field -> (template, placeholder)
+TYPED_FIELDS = {
+    "scenario.channel.beta_sq[0]": (TYPED_CHANNEL, "BETA0"),
+    "scenario.geometry.d0": (TYPED_GEOMETRY, "D0"),
+    "scenario.element_counts[0]": (TYPED_CHANNEL, "COUNT0"),
+    "run.trials": (TYPED_CHANNEL, "TRIALS"),
+    "run.seed": (TYPED_CHANNEL, "SEED"),
+    "scenario.geometry.k_br": (TYPED_GEOMETRY, "K_BR"),
+}
+TYPED_DEFAULTS = {"BETA0": "1.0e-10", "D0": "50.0", "COUNT0": "4", "TRIALS": "20",
+                  "SEED": "3", "K_BR": ".inf"}
+D_U = "scenario.geometry.d_u"
+# form: answers for the fields in TYPED_FIELDS' order
+#   beta_sq[0], d0, element_counts[0], trials, seed, k_br
+SCALAR_ANSWERS = {
+    "1e-10": (0, D_U, ".", ".", ".", 0),
+    '"1e-10"': (0, D_U, ".", ".", ".", 0),
+    "2.5": (0, 0, ".", ".", ".", 0),
+    "8": (0, 0, 0, 0, 0, 0),
+    '"8"': (0, 0, ".", ".", ".", 0),
+    ".inf": (".", ".", ".", ".", ".", 0),
+    "-.inf": (".", ".", ".", ".", ".", "."),
+    ".nan": (".", ".", ".", ".", ".", "."),
+    "yes": (".", ".", ".", ".", ".", "."),
+    "true": (".", ".", ".", ".", ".", "."),
+    "null": (".", ".", ".", ".", ".", "."),
+    "~": (".", ".", ".", ".", ".", "."),
+    "": (".", ".", ".", ".", ".", "."),
+    "1_000": (".", ".", ".", ".", ".", "."),
+    "0x10": (".", ".", ".", ".", ".", "."),
+    "010": (".", ".", ".", ".", ".", "."),
+}
+
+
+@pytest.mark.parametrize(
+    "form, field, answer",
+    [(form, field, answer) for form, answers in SCALAR_ANSWERS.items()
+     for field, answer in zip(TYPED_FIELDS, answers)],
+)
+def test_config_scalar_typing_is_pinned(tmp_path, capsys, form, field, answer):
+    template, placeholder = TYPED_FIELDS[field]
+    text = template
+    for key, default in TYPED_DEFAULTS.items():
+        text = text.replace(key, form if key == placeholder else default)
+    rc = main(["allocate", "--config", _cfg(tmp_path, text), "--allocators", "uniform"])
+    err = capsys.readouterr().err
+    if answer == 0:
+        # a finite k_br warns that the closed form's model does not hold
+        assert rc == 0 and "config error" not in err, err
+    else:
+        assert rc == 2
+        assert err.startswith(f"config error: {field if answer == '.' else answer}: "), err
+
+
+def test_run_settings_are_read_as_written(tmp_path):
+    # YAML 1.1 read a plain -8:8:8 as a base-60 integer; the range is its
+    # text, and a quoted mode reaches the manifest as a plain string
+    cfg = _cfg(tmp_path, GEOMETRY.replace('d_range: "-8:8:8"', "d_range: -8:8:8")
+               + '  csi_mode: "perfect"\n')
+    out = tmp_path / "run"
+    assert main(["sweep", "--config", cfg, "--trials", "20", "--out", str(out)]) == 0
+    assert [r["d_m"] for r in _read_csv(out / "metrics.csv")][::2] == ["-8", "0", "8"]
+    saved = yaml.safe_load((out / "run_manifest.yaml").read_text(encoding="utf-8"))
+    assert (saved["csi_mode"], saved["d_values"]) == ("perfect", [-8.0, 0.0, 8.0])
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+CONFIG_FILES = sorted([*ROOT.glob("configs/*.yaml"), *ROOT.glob("tests/data/*.yaml")])
+
+
+def _read_both_ways(monkeypatch, read):
+    """read() with libyaml, where PyYAML has it, and with PyYAML's own parser."""
+    first = read()
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_Composer", cli._PyComposer)
+        second = read()
+    return first, second
+
+
+def _scenario_and_run(path):
+    raw = cli.load_config(str(path))
+    scn = cli._parse_scenario(raw)
+    return scn.as_dict(), scn.link.beta_sq.tobytes(), cli._run_fields(raw.get("run") or {}, "run.")
+
+
+@pytest.mark.parametrize("path", CONFIG_FILES, ids=[p.name for p in CONFIG_FILES])
+def test_configs_read_the_same_without_libyaml(monkeypatch, path):
+    with_libyaml, without = _read_both_ways(monkeypatch, lambda: _scenario_and_run(path))
+    assert with_libyaml == without
+
+
+def test_a_sweep_manifest_reads_the_same_without_libyaml(tmp_path, monkeypatch):
+    config = ROOT / "tests" / "data" / "two_ris_asymmetric_rician.yaml"
+    assert main(["sweep", "--config", str(config), "--trials", "5", "--out", str(tmp_path)]) == 0
+
+    def read():
+        saved = cli._load_yaml(str(tmp_path / "run_manifest.yaml"))
+        scn = cli.ScenarioSettings.from_dict(saved["scenario"])
+        return scn.as_dict(), scn.link.beta_sq.tobytes(), cli._run_fields(saved, "")
+
+    with_libyaml, without = _read_both_ways(monkeypatch, read)
+    assert with_libyaml == without
+    assert with_libyaml[2]["d_range"] == [-16.0 + 4.0 * i for i in range(9)]
+
+
+SPECIAL_VALUES = [math.inf, math.nan, 5e-324, 1.7976931348623157e308, -0.0]
+
+
+def _per_value(*values) -> str:
+    """A CSV line as "%.17g" writes each float."""
+    return ",".join("%.17g" % v if isinstance(v, float) else str(v) for v in values) + "\n"
+
+
+def test_the_csv_writers_write_each_value_as_17_digits(tmp_path):
+    from rispilot.montecarlo import SweepRow
+    from rispilot.scenario import watts_to_dbm
+
+    values = SPECIAL_VALUES
+    rows = [SweepRow(d, "exact", *values[i:] + values[:i], powers_w=(values[i], 0.5))
+            for i, d in enumerate(values[:4])]
+    # -0.0 is no power, but it is a user offset
+    rows[3] = SweepRow(-0.0, "uniform", *values[:5], powers_w=(5e-324, 1.7976931348623157e308))
+    cli._write_metrics_csv(tmp_path / "metrics.csv", rows)
+    cli._write_powers_csv(tmp_path / "powers.csv", rows)
+    metrics = "".join(
+        _per_value(r.d_m, r.allocator, r.mean_gain, r.se_gain, r.mean_rate, r.se_rate,
+                   r.closed_form_gain) for r in rows)
+    powers = "".join(_per_value(r.d_m, r.allocator, k, p, watts_to_dbm(p))
+                     for r in rows for k, p in enumerate(r.powers_w))
+    assert (tmp_path / "metrics.csv").read_text(encoding="utf-8").split("\n", 1)[1] == metrics
+    assert (tmp_path / "powers.csv").read_text(encoding="utf-8").split("\n", 1)[1] == powers
+    assert "inf,nan,4.9406564584124654e-324,1.7976931348623157e+308,-0" in metrics
+
+
+def test_an_allocate_block_formats_as_row_by_row():
+    from rispilot.scenario import watts_to_dbm
+
+    name = "exact"
+    p_k = [5e-324, 1.7976931348623157e308, 0.025, math.inf]
+    for phi, gain in [(1.5e-7, math.nan), (math.inf, -0.0)]:
+        rows = "".join(
+            f"{name:<10} {k:>3} {p:>24.17g} {watts_to_dbm(p):>12.4f} {phi:>14.6e} {gain:>14.6e}\n"
+            for k, p in enumerate(p_k))
+        assert cli._table_block(name, p_k, phi, gain) == rows
