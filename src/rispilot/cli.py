@@ -671,7 +671,15 @@ def _validation_checks(link: Link, trials: int, seed: int, workers: int,
     checks = []
     counts = link.counts
     countsf = counts.astype(np.float64)
-    uniform = allocate_average(link)
+
+    # every allocator runs before any draw, so a problem that has no
+    # allocation stops before the trial engine sees it; `exact` solves the
+    # off-centre problem of the check below in the same call, and a
+    # configured problem it cannot certify is a numerical failure
+    exact = run_allocator("exact", link, [] if off_centre is None else [off_centre])
+    allocations = {name: exact.row(0) if name == "exact" else run_allocator(name, link)
+                   for name in ALLOCATOR_IDS}
+    uniform = allocations["uniform"]
 
     # per-surface aligned-coefficient mean, against the closed form; trial
     # 2^63 + k's user-hop draws give h, then the estimation noise
@@ -722,13 +730,9 @@ def _validation_checks(link: Link, trials: int, seed: int, workers: int,
         _check("perfect-csi-limit", limit, ideal, ok=abs(limit - ideal) <= 1e-9 * ideal)
     )
 
-    # every allocator must spend exactly the budget; `exact` solves the
-    # off-centre problem of the check below in the same call, and a
-    # configured problem it cannot certify is a numerical failure
+    # every allocator must spend exactly the budget
     budget = float(int(counts.sum()) * link.p_avg)
-    exact = run_allocator("exact", link, [] if off_centre is None else [off_centre])
-    for name in ALLOCATOR_IDS:
-        powers = exact.row(0) if name == "exact" else run_allocator(name, link)
+    for name, powers in allocations.items():
         spent = float(np.dot(countsf, powers.p_k))
         checks.append(
             _check(f"budget[{name}]", spent, budget, ok=abs(spent - budget) <= 1e-9 * budget)

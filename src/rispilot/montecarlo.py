@@ -22,10 +22,15 @@ arrays; an np.repeat over the element counts maps per-surface values
 
 Each range of trials (one pool worker's share, or the whole run with one
 worker) allocates its chunk arrays once, as a workspace sized to the
-largest chunk: the draws of each purpose, the channel, the random phases
-and one row buffer. Every layer writes into them through its `out`
-argument, so the chunk loop allocates no array of a chunk's size, and
-its pages stay mapped from one chunk to the next.
+largest chunk: the draws of each purpose, the channel, the random phases,
+one row buffer and one buffer of element magnitudes. Every layer writes
+into them through its `out` argument, so the chunk loop allocates no
+array of a chunk's size, and its pages stay mapped from one chunk to the
+next.
+
+A perfect-CSI row needs no phases: conjugate alignment makes the
+composite sum_m |h_m|, so its gain is (sum_m |h_m|)^2 straight from the
+channel (see reflection.aligned_gain).
 """
 from __future__ import annotations
 
@@ -40,7 +45,7 @@ from .allocation import resolve_allocator, run_allocator
 from .analysis import ergodic_gain_rows, model_applies
 from .channel import PURPOSE_BS_RIS, PURPOSE_PILOT_NOISE, PURPOSE_RIS_USER, sample_channels, unit_normals
 from .estimation import PerRisPowers, ls_estimate
-from .reflection import composite_channel, configure_phases, random_phases
+from .reflection import aligned_gain, composite_channel, configure_phases, random_phases
 from .scenario import Link
 
 __all__ = [
@@ -104,10 +109,11 @@ class GainRow(NamedTuple):
 # Upper bound on the elements of any (trials, sum(M_k)) engine array (a
 # chunk holds at least one trial, so one trial of more elements exceeds
 # it). 2^14 complex values are 256 KiB: a range's workspace of at most
-# six such buffers, 1.5 MiB, fits in a core's L2 cache (2 MiB on the
-# 2-vCPU Xeon VM measured), and a pool worker holds no more than that
-# beyond a one-trial-at-a-time loop. At 2^16 the M=[1024, 256]
-# validation ran 7% slower and its workers peaked 8 MiB higher.
+# six such buffers and one half their size, 1.625 MiB, fits in a core's
+# L2 cache (2 MiB on the 2-vCPU Xeon VM measured), and a pool worker
+# holds no more than that beyond a one-trial-at-a-time loop. At 2^16 the
+# M=[1024, 256] validation ran 7% slower and its workers peaked 8 MiB
+# higher.
 CHUNK_ELEMENTS = 2**14
 
 
@@ -121,10 +127,12 @@ def _gain_range(rows: list[GainRow], seed: int, start: int, stop: int) -> list[n
 
     Every chunk reuses one workspace, allocated here for the largest
     chunk: a float buffer per draw purpose the range needs, complex
-    buffers for the channel and the random phases, and one row buffer
-    that holds a faded BS link's fading while its channel is drawn, then a
-    row's estimate, its phases and its products h * phases. A
-    random-phase row leaves the shared phase buffer alone.
+    buffers for the channel and the random phases, one row buffer that
+    holds a faded BS link's fading while its channel is drawn, then a
+    row's estimate, its phases and its products h * phases, and a float
+    buffer for the magnitudes of an estimate or, in a perfect-CSI row,
+    of the channel. A random-phase row leaves the shared phase buffer
+    alone; a perfect-CSI row uses neither the row buffer nor phases.
     """
     counts = rows[0].link.counts
     n = int(counts.sum())
@@ -140,6 +148,7 @@ def _gain_range(rows: list[GainRow], seed: int, start: int, stop: int) -> list[n
     bs_buf = buffer(any(not math.isinf(r.link.k_br) for r in first), 2 * n)
     noise_buf = buffer(any(r.csi_mode == "estimated" for r in first), 2 * n)
     phase_buf = buffer(any(r.csi_mode == "random-phase" for r in first), n, np.complex128)
+    mag_buf = buffer(any(r.csi_mode != "random-phase" for r in first), n)
     h_buf = buffer(True, n, np.complex128)
     row_buf = buffer(True, n, np.complex128)
     gains = [np.empty(max(0, min(stop, r.trials) - start)) for r in rows]
@@ -164,16 +173,18 @@ def _gain_range(rows: list[GainRow], seed: int, start: int, stop: int) -> list[n
                 # the row buffer is free until the row's work starts
                 h = sample_channels(r.link, user, bs, out=h_buf[:b - a], fade=row_buf[:b - a])
             m = min(b, r.trials) - a
+            into = gains[i][a - start:a - start + m]
+            if r.csi_mode == "perfect":
+                into[:] = aligned_gain(h[:m], mag=mag_buf[:m])
+                continue
             work = row_buf[:m]  # the estimate, then the phases, then h * phases
             if r.csi_mode == "estimated":
                 est = ls_estimate(h[:m], counts, r.powers, r.link.sigma_z_sq, noise[:m], out=work)
-                phases = configure_phases(est, out=est)
-            elif r.csi_mode == "perfect":
-                phases = configure_phases(h[:m], out=work)
+                phases = configure_phases(est, out=est, mag=mag_buf[:m])
             else:
                 phases = scrambled[:m]
             total = composite_channel(h[:m], phases, out=work)
-            gains[i][a - start:a - start + m] = np.abs(total) ** 2
+            into[:] = np.abs(total) ** 2
     return gains
 
 

@@ -24,10 +24,12 @@ __all__ = [
     "configure_phases",
     "random_phases",
     "composite_channel",
+    "aligned_gain",
 ]
 
 
-def configure_phases(est: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def configure_phases(est: np.ndarray, out: np.ndarray | None = None,
+                     mag: np.ndarray | None = None) -> np.ndarray:
     """Conjugate-align each element to its estimated coefficient.
 
     A zero estimate carries no phase information; those elements fall
@@ -35,9 +37,10 @@ def configure_phases(est: np.ndarray, out: np.ndarray | None = None) -> np.ndarr
     division and gives its bits, up to the sign of a part that is exactly
     zero, which no product with a channel coefficient shows. out, a
     complex128 array shaped like est, or est itself, receives the phases
-    in place of a new array.
+    in place of a new array; mag, a float64 array shaped like est, holds
+    the magnitudes in place of a new array.
     """
-    mag = np.abs(est)
+    mag = np.abs(est, out=mag)
     phases = np.conjugate(est, out=out)
     if not mag.all():
         zero = mag == 0.0
@@ -89,3 +92,16 @@ def composite_channel(h: np.ndarray, phases: np.ndarray,
     if h.shape != phases.shape:
         raise ValueError(f"phases {phases.shape} do not match channels {h.shape}")
     return np.sum(np.multiply(h, phases, out=out), axis=-1)
+
+
+def aligned_gain(h: np.ndarray, mag: np.ndarray | None = None) -> np.ndarray:
+    """Composite power gain under perfect CSI, (sum_m |h_m|)^2 per trial.
+
+    Conjugate alignment turns each product h_m conj(h_m) / |h_m| into
+    |h_m|, so the aligned sum is sum_m |h_m|, with no phases to derive; a
+    zero coefficient adds 0, as its phase-1 fallback in configure_phases
+    does. mag, a float64 array shaped like h, holds the magnitudes in
+    place of a new array.
+    """
+    total = np.add.reduce(np.abs(h, out=mag), axis=-1)
+    return np.square(total, out=total)

@@ -811,6 +811,23 @@ def test_extreme_budgets_and_counts_end_in_one_line(tmp_path, capsys, edits, cod
         assert float(np.dot([4, 8], powers)) == pytest.approx(12e300, rel=1e-9)
 
 
+def test_validate_on_a_subnormal_budget_fails_before_any_draw(tmp_path, capsys):
+    # sigma_z^2 / p_avg overflows; the allocators run first, so eq27's
+    # failure ends the command before the draws, the estimation noise and
+    # the closed form warn about that overflow
+    text = EXPONENT.replace('"1e-30 W"', '"5e-324 W"').replace("BETA0", "1.0e-10")
+    cfg = _cfg(tmp_path, text.replace("2.5e-11", "1.0e-16"))
+    with warnings.catch_warnings(record=True) as shown:
+        # main shows a RuntimeWarning through warnings.showwarning, which
+        # appends it here rather than raising it
+        warnings.simplefilter("always", RuntimeWarning)
+        assert main(["validate", "--config", cfg, "--trials", "200"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+    assert "RuntimeWarning" not in err
+    assert [str(w.message) for w in shown] == []
+
+
 @pytest.mark.parametrize(
     "key, value, field",
     [("p_avg_w", 1e308, "scenario.p_avg_w"),

@@ -2,21 +2,25 @@ import concurrent.futures
 import dataclasses
 import math
 import os
+import pathlib
 
 import numpy as np
 import pytest
 
 from corridor import corridor_link
-from rispilot import montecarlo
+from rispilot import cli, montecarlo
 from rispilot.allocation import PerRisPowers, allocate_average, run_allocator
 from rispilot.analysis import ergodic_gain_closed_form
 from rispilot.channel import (
+    PURPOSE_BS_RIS,
     PURPOSE_PHASE,
     PURPOSE_PILOT_NOISE,
     PURPOSE_RIS_USER,
     RngStream,
+    sample_channels,
     standard_complex_normal,
     substream,
+    unit_normals,
 )
 from rispilot.montecarlo import (
     GainRow,
@@ -199,6 +203,39 @@ def test_every_csi_mode_sees_trial_ts_channel():
         )
         for mode, g, want in zip(modes, gains, expected):
             assert g[t] == pytest.approx(want, rel=1e-12), (mode, t)
+
+
+def test_a_perfect_row_is_the_squared_sum_of_channel_magnitudes():
+    # with a faded BS link the channel takes both hops' draws
+    link = dataclasses.replace(_beta_direct([1.0, 0.25], [3, 5]), k_br=4.0, k_ru=1.0)
+    gains = _gains(link, allocate_average(link), TrialConfig(trials=60, seed=23, csi_mode="perfect"))
+    n = int(link.counts.sum())
+    h = sample_channels(link, unit_normals(23, 0, 60, PURPOSE_RIS_USER, n),
+                        unit_normals(23, 0, 60, PURPOSE_BS_RIS, n))
+    expected = np.array([math.fsum(np.abs(row)) ** 2 for row in h])
+    assert np.allclose(gains, expected, rtol=1e-13, atol=0.0)
+
+
+TESTS = pathlib.Path(__file__).resolve().parent
+
+
+@pytest.mark.parametrize("config", [
+    TESTS.parent / "configs" / "two_ris_symmetric.yaml",
+    TESTS / "data" / "two_ris_asymmetric_rician.yaml",
+], ids=["two_ris_symmetric", "rician"])
+def test_perfect_csi_wins_every_trial(config):
+    # no configuration of the phases beats conjugate alignment to the true
+    # channel, trial by trial; at the centre and off it, where the
+    # surfaces differ in strength
+    scn = cli._parse_scenario(cli.load_config(str(config)))
+    for d in (0.0, 12.0):
+        link = scn.link_at(scn.geometry["user_y"] + d)
+        alloc = allocate_average(link)
+        modes = ("perfect", "estimated", "random-phase")
+        gains = dict(zip(modes, trial_gains([GainRow(link, alloc, mode) for mode in modes],
+                                            TrialConfig(trials=2000, seed=29))))
+        for other in modes[1:]:
+            assert np.all(gains["perfect"] >= gains[other] * (1.0 - 1e-12)), (d, other)
 
 
 def test_rows_must_fit_one_run():

@@ -15,7 +15,13 @@ from rispilot.channel import (
 from rispilot.estimation import PerRisPowers, ls_estimate
 from rispilot.analysis import ModelAssumptionWarning
 from rispilot.montecarlo import TrialConfig, sweep_user
-from rispilot.reflection import _unit_circle, composite_channel, configure_phases, random_phases
+from rispilot.reflection import (
+    _unit_circle,
+    aligned_gain,
+    composite_channel,
+    configure_phases,
+    random_phases,
+)
 from rispilot.scenario import Link
 
 
@@ -77,6 +83,8 @@ def test_alignment_fills_out_with_the_same_bits():
     out = np.full(h.shape, np.nan, dtype=np.complex128)
     assert configure_phases(h, out=out) is out
     assert np.array_equal(out, expected)
+    # with the magnitudes in a caller's buffer
+    assert np.array_equal(configure_phases(h, mag=np.full(h.shape, np.nan)), expected)
     # in place, over the estimate itself
     est = h.copy()
     assert configure_phases(est, out=est) is est
@@ -173,6 +181,27 @@ def test_alignment_beats_any_other_configuration():
         # aligned gain equals the squared total magnitude, the coherent ceiling
         ceiling = float(np.sum(np.abs(h))) ** 2
         assert aligned == pytest.approx(ceiling, rel=1e-12)
+
+
+def test_aligned_gain_is_the_squared_sum_of_magnitudes():
+    h = _channels(_link([1.0, 0.25], [3, 5]), 8, trials=6)
+    mag = np.full(h.shape, np.nan)
+    gains = aligned_gain(h, mag=mag)
+    assert gains.shape == (6,)
+    assert np.array_equal(mag, np.abs(h))
+    assert np.array_equal(gains, np.sum(np.abs(h), axis=-1) ** 2)
+    # the phases it spares give the same gain up to rounding
+    phased = np.abs(composite_channel(h, configure_phases(h))) ** 2
+    assert np.allclose(gains, phased, rtol=1e-14, atol=0.0)
+
+
+def test_a_zero_coefficient_adds_nothing_to_the_aligned_gain():
+    h = _flat([np.array([0.0 + 0.0j, 3.0 + 4.0j]), np.array([-0.0 - 0.0j, -5.0 + 12.0j])])
+    assert aligned_gain(h)[0] == 18.0**2
+    # as the phase-1 fallback of configure_phases gives it
+    phased = abs(composite_channel(h, configure_phases(h))[0]) ** 2
+    assert phased == pytest.approx(18.0**2, rel=1e-15)
+    assert aligned_gain(np.zeros((2, 4), dtype=np.complex128)).tolist() == [0.0, 0.0]
 
 
 def test_gain_invariant_to_common_rotation_single_surface():
