@@ -56,6 +56,8 @@ _PowerRow = namedtuple("_PowerRow", ["d_m", "allocator", "powers_w"])
 # manifests list them
 _OWN_WARNINGS = (ModelAssumptionWarning, UniformFallbackWarning)
 
+_QUARTER_PI = 0.25 * math.pi
+
 # validate runs its perfect and random-phase rows on at most this many trials
 _HIERARCHY_TRIALS = 20_000
 # a sweep's d_range expands to at most this many offsets; the bundled configs use 9
@@ -621,15 +623,19 @@ def cmd_allocate(args, flags: dict) -> int:
     scn, run = _config_run(args, flags)
     names = run["allocators"]
     link = scn.link
-    # outside the closed form's model the gain column reads nan, as in sweep
-    in_model = model_applies(link)
+    # gain = sum_k M_k beta_k^2 + (pi/4) phi, so phi's one closed-form
+    # evaluation gives both columns; the allocation-free sum is elementwise,
+    # whose bits do not depend on the host's BLAS kernel. Outside the closed
+    # form's model the gain column reads nan, as in sweep.
+    incoherent = (float(np.add.reduce(np.multiply(link.counts, link.beta_sq)))
+                  if model_applies(link) else math.nan)
 
     blocks = [f"{'allocator':<10} {'ris':>3} {'power_w':>24} {'power_dbm':>12} {'phi':>14} {'gain':>14}\n"]
     rows = []
     for name in names:
         powers = run_allocator(name, link)
         phi = objective_phi(link, powers)
-        gain = ergodic_gain_closed_form(link, powers).total if in_model else math.nan
+        gain = incoherent + _QUARTER_PI * phi
         rows.append((name, powers, phi, gain))
         blocks.append(_table_block(name, powers.p_k.tolist(), phi, gain))
     sys.stdout.write("".join(blocks))

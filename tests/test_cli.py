@@ -9,8 +9,13 @@ import pytest
 import yaml
 
 from rispilot import cli
-from rispilot.allocation import multiplier_spread
-from rispilot.analysis import stationarity_residual
+from rispilot.allocation import (
+    ALLOCATOR_IDS,
+    UniformFallbackWarning,
+    multiplier_spread,
+    run_allocator,
+)
+from rispilot.analysis import ergodic_gain_closed_form, stationarity_residual
 from rispilot.cli import main
 from rispilot.estimation import PerRisPowers
 from rispilot.scenario import Link
@@ -97,6 +102,76 @@ def test_allocate_sixteen_to_one_gain_ratio_doubles_power(tmp_path):
     rows = _read_csv(out / "powers.csv")
     p = {r["ris_index"]: float(r["pilot_power_w"]) for r in rows}
     assert p["1"] == 2.0 * p["0"]
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+EVERY_ALLOCATOR = ",".join(ALLOCATOR_IDS)
+
+
+def _printed_gains(capsys, cfg) -> dict:
+    """Each allocator's gain column as `allocate` prints it for cfg."""
+    assert main(["allocate", "--config", cfg, "--allocators", EVERY_ALLOCATOR]) == 0
+    gains = {}
+    for line in capsys.readouterr().out.splitlines()[1:]:
+        name, *_, gain = line.split()
+        assert gains.setdefault(name, gain) == gain  # one gain per allocator
+    assert sorted(gains) == sorted(ALLOCATOR_IDS)
+    return gains
+
+
+def _channel_config(tmp_path, name, counts, beta_sq) -> str:
+    return _cfg(tmp_path, SYMMETRIC.replace("[4, 4]", repr(list(counts)))
+                .replace("[1.0, 1.0]", repr(list(beta_sq))), name)
+
+
+def _random_channel_configs(tmp_path) -> list[str]:
+    rng = np.random.default_rng(18)
+    return [_channel_config(tmp_path, f"random-{i}.yaml", rng.integers(1, 257, k).tolist(),
+                            (10.0 ** rng.uniform(-12.0, -8.0, k)).tolist())
+            for i, k in enumerate((2, 8, 64) * 3)]
+
+
+@pytest.mark.parametrize(
+    "configs",
+    [
+        lambda tmp: [str(ROOT / "configs" / "two_ris_symmetric.yaml"),
+                     str(ROOT / "configs" / "two_ris_asymmetric.yaml")],
+        lambda tmp: [str(ROOT / "tests" / "data" / "four_ris_channel.yaml"),
+                     str(ROOT / "tests" / "data" / "sixty_four_ris_channel.yaml")],
+        _random_channel_configs,
+        # a lone element adds no coupling: both sums are exactly 0 for [1]
+        lambda tmp: [_channel_config(tmp, "lone.yaml", [1], [0.5]),
+                     _channel_config(tmp, "one-of-two.yaml", [1, 4], [1.0, 0.25])],
+    ],
+    ids=["bundled", "channel-fixtures", "random-channels", "one-element-surface"],
+)
+def test_allocate_gain_is_the_closed_form_of_each_allocation(tmp_path, capsys, configs):
+    # allocate reads the gain off phi's evaluation; it must print what the
+    # full closed form gives on the same powers
+    with warnings.catch_warnings():
+        # eq27 falls back to uniform power on a lone element
+        warnings.simplefilter("ignore", UniformFallbackWarning)
+        for cfg in configs(tmp_path):
+            link = cli._parse_scenario(cli.load_config(cfg)).link
+            for name, printed in _printed_gains(capsys, cfg).items():
+                closed = ergodic_gain_closed_form(link, run_allocator(name, link)).total
+                assert printed == "%.6e" % closed, (cfg, name)
+
+
+def test_allocate_gain_is_nan_outside_the_model(capsys):
+    cfg = str(ROOT / "tests" / "data" / "two_ris_asymmetric_rician.yaml")
+    assert set(_printed_gains(capsys, cfg).values()) == {"nan"}
+
+
+def test_allocate_gain_overflows_with_phi(tmp_path, capsys):
+    # phi = intra + inter overflows here while (pi/4) intra + (pi/4) inter
+    # does not; the gain then reads inf, never a finite value beside phi's inf
+    cfg = _channel_config(tmp_path, "huge.yaml", [7071, 7071], [1e300, 1e300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(["allocate", "--config", cfg, "--allocators", EVERY_ALLOCATOR]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    assert rows and all(row[4:] == ["inf", "inf"] for row in rows)
 
 
 def test_missing_field_is_named(tmp_path, capsys):
