@@ -225,53 +225,40 @@ def solve_exact(beta_sq, counts, p_avg, sigma_z_sq) -> ExactSolution:
     of u) and backtracked on phi. A row stops when its multiplier spread
     falls below _TOL, when a step no longer moves it, or after _MAX_ITER
     steps; it is certified if its final spread is below 1e-9.
-    Rows never mix: a row's answer is the same bits whichever other rows
-    are solved with it.
+
+    Every row stays in the batch for the whole solve. A finished row is
+    frozen in place with its point and its best iterate. Backtracking
+    halves each short row's own step length t and evaluates the whole
+    batch again, where a row already passing, or finished, recomputes its
+    own bits. Rows never mix: a row's answer is the same bits alone or in
+    any batch.
     """
     b2 = np.asarray(beta_sq, dtype=np.float64)
     n, k = b2.shape
-    counts = _filled(counts, (n, k))
+    m = _filled(counts, (n, k))
     p_avg = _filled(np.reshape(p_avg, (-1, 1)), (n, 1))
     sigma = _filled(np.reshape(sigma_z_sq, (-1, 1)), (n, 1))
-    budget = _sum(counts, axis=-1, keepdims=True) * p_avg
-    inputs = [counts, b2, sigma, budget]
+    budget = _sum(m, axis=-1, keepdims=True) * p_avg
 
-    out_p, out_r, out_best = np.empty((n, k)), np.empty((n, k)), np.empty((n, k))
-    out_it = np.zeros(n, dtype=np.int64)
     with np.errstate(all="ignore"):
         p = _filled(p_avg, (n, k))
-        p *= budget / _rowdot(counts, p)
-        cur = surface_objective(b2, counts, p, sigma)
+        p *= budget / _rowdot(m, p)
+        cur = surface_objective(b2, m, p, sigma)
         # flat objective (noiseless training): every allocation is optimal
         flat = ~_any(cur.residual != 0.0, axis=-1)
         if np.count_nonzero(flat):
             p[flat] = _filled(p_avg, (n, k))[flat]
-        # the rows still iterating, and their share of the inputs
-        live, state = np.arange(n), inputs
         best_p, best_phi = p, cur.phi
-        stopped = np.zeros(n, dtype=bool)
-        iterations = 0
-        while True:
+        done = np.zeros(n, dtype=bool)
+        iterations = np.zeros(n, dtype=np.int64)
+        for _ in range(_MAX_ITER):
             r = cur.residual
             high, low = _max(r, axis=-1), _min(r, axis=-1)
             # the spread below _TOL, without dividing by a scale that may be 0
-            done = stopped | (high - low <= _TOL * np.maximum(high, -low))
-            if iterations >= _MAX_ITER:
-                done[:] = True
-            finished = np.count_nonzero(done)
-            if finished:
-                rows = live[done]
-                out_p[rows], out_r[rows], out_best[rows] = p[done], r[done], best_p[done]
-                out_it[rows] = iterations
-                if finished == live.size:
-                    break
-                keep = ~done
-                live, p, best_p, best_phi = live[keep], p[keep], best_p[keep], best_phi[keep]
-                state = [x[keep] for x in state]
-                cur = SurfaceObjective(*(x[keep] for x in cur))
-                r = cur.residual
-            m, b2, sigma, budget = state
-            iterations += 1
+            done |= high - low <= _TOL * np.maximum(high, -low)
+            if np.count_nonzero(done) == n:
+                break
+            iterations += ~done
 
             mp = m * p
             lam = _rowdot(mp * mp, r) / _rowdot(mp, mp)
@@ -282,13 +269,13 @@ def solve_exact(beta_sq, counts, p_avg, sigma_z_sq) -> ExactSolution:
             mr = m * r
             z, diag = np.log(r / lam), p * cur.curvature / mr
             step = _newton_step(mp, z, diag, 2.0 * cur.slope / mr, p * cur.slope)
-            ok = _ascends(step, grad)
-            if np.count_nonzero(ok) < ok.size:
+            ok = _ascends(step, grad) | done
+            if np.count_nonzero(ok) < n:
                 # far from the optimum the rank-one coupling can point the
                 # step downhill; the diagonal alone often still ascends
                 step = np.where(ok[:, None], step, _newton_step(mp, z, diag))
-                ok = _ascends(step, grad)
-                if np.count_nonzero(ok) < ok.size:
+                ok = _ascends(step, grad) | done
+                if np.count_nonzero(ok) < n:
                     scaled = grad * (0.5 / _max(np.abs(grad), axis=-1, keepdims=True))
                     step = np.where(ok[:, None], step, scaled)
 
@@ -298,29 +285,18 @@ def solve_exact(beta_sq, counts, p_avg, sigma_z_sq) -> ExactSolution:
             # far below G^2 and |phi| would understate its rounding.
             big_g = _sum(cur.coherent, axis=-1)
             floor = cur.phi - 1e-14 * (big_g * big_g)
-            cand = p * np.exp(step)
-            cand *= budget / _rowdot(m, cand)
-            trial = surface_objective(b2, m, cand, sigma)
-            short = ~(trial.phi >= floor)
-            if np.count_nonzero(short):
-                short, t = np.flatnonzero(short), 1.0
-                for _ in range(_TRIES - 1):
-                    t *= 0.5
-                    sub = p[short] * np.exp(t * step[short])
-                    sub *= budget[short] / _rowdot(m[short], sub)
-                    again = surface_objective(b2[short], m[short], sub, sigma[short])
-                    good = again.phi >= floor[short]
-                    rows = short[good]
-                    cand[rows] = sub[good]
-                    for field, value in zip(trial, again):
-                        field[rows] = value[good]
-                    short = short[~good]
-                    if not short.size:
-                        break
-            stopped = ~_any(cand != p, axis=-1)
-            stopped[short] = True
+            t = 1.0
+            for _ in range(_TRIES):
+                cand = p * np.exp(t * step)
+                cand *= budget / _rowdot(m, cand)
+                trial = surface_objective(b2, m, cand, sigma)
+                short = ~((trial.phi >= floor) | done)
+                if not np.count_nonzero(short):
+                    break
+                t = np.where(short[:, None], 0.5 * t, t)
+            # a row that cannot move keeps its point and is done
+            stopped = done | short | ~_any(cand != p, axis=-1)
             if np.count_nonzero(stopped):
-                # a row that cannot move keeps its point and is done
                 moved = ~stopped
                 p = np.where(moved[:, None], cand, p)
                 cur = SurfaceObjective(*(
@@ -329,22 +305,23 @@ def solve_exact(beta_sq, counts, p_avg, sigma_z_sq) -> ExactSolution:
                 ))
             else:
                 p, cur = cand, trial
+            done = stopped
             better = cur.phi > best_phi
-            if np.count_nonzero(better) == better.size:
+            if np.count_nonzero(better) == n:
                 best_p, best_phi = p, cur.phi
             elif np.count_nonzero(better):
                 best_p = np.where(better[:, None], p, best_p)
                 best_phi = np.where(better, cur.phi, best_phi)
 
-        spread = multiplier_spread(out_r)
+        r = cur.residual
+        spread = multiplier_spread(r)
         certified = spread < _CERTIFIED_SPREAD
-        lost = np.flatnonzero(~certified)
-        if lost.size:
-            out_p[lost] = out_best[lost]
-            m, b2, sigma, _ = (x[lost] for x in inputs)
-            out_r[lost] = surface_objective(b2, m, out_p[lost], sigma).residual
-            spread[lost] = multiplier_spread(out_r[lost])
-    return ExactSolution(out_p, out_r, spread, out_it, certified)
+        lost = ~certified
+        if np.count_nonzero(lost):
+            p[lost] = best_p[lost]
+            r[lost] = surface_objective(b2[lost], m[lost], p[lost], sigma[lost]).residual
+            spread[lost] = multiplier_spread(r[lost])
+    return ExactSolution(p, r, spread, iterations, certified)
 
 
 # CLI vocabulary for the allocators, with spelled-out aliases

@@ -162,11 +162,9 @@ def _power_watts(value, path: str, *, nonneg_ok=False) -> float:
     text = value.strip()
     for suffix, scale in (("dBm", None), ("mW", 1e-3), ("W", 1.0)):
         if text.endswith(suffix):
-            body = text[: -len(suffix)].strip()
-            try:
-                x = float(body)
-            except ValueError:
-                raise ConfigError(path, f"cannot parse power value {value!r}") from None
+            x = _number(text[: -len(suffix)].strip())
+            if x is None:
+                raise ConfigError(path, f"cannot parse power value {value!r}")
             if not math.isfinite(x):
                 raise ConfigError(path, f"power must be finite, got {value!r}")
             try:
@@ -182,11 +180,9 @@ def _power_watts(value, path: str, *, nonneg_ok=False) -> float:
 def _db_value(value, path: str) -> float:
     if not isinstance(value, str) or not value.strip().endswith("dB") or value.strip().endswith("dBm"):
         raise ConfigError(path, f"expected a 'dB' string, got {value!r}")
-    body = value.strip()[:-2].strip()
-    try:
-        x = float(body)
-    except ValueError:
-        raise ConfigError(path, f"cannot parse dB value {value!r}") from None
+    x = _number(value.strip()[:-2].strip())
+    if x is None:
+        raise ConfigError(path, f"cannot parse dB value {value!r}")
     if not math.isfinite(x):
         raise ConfigError(path, f"dB value must be finite, got {value!r}")
     return x
@@ -416,13 +412,10 @@ def _resolve_allocators(names, path: str) -> list[str]:
 
 
 def _parse_d_range(text: str, path: str) -> list[float]:
-    parts = text.split(":")
-    if len(parts) != 3:
+    parts = [_number(p.strip()) for p in text.split(":")]
+    if len(parts) != 3 or None in parts:
         raise ConfigError(path, f"expected 'start:stop:step', got {text!r}")
-    try:
-        start, stop, step = (float(p) for p in parts)
-    except ValueError:
-        raise ConfigError(path, f"expected 'start:stop:step', got {text!r}") from None
+    start, stop, step = parts
     if not all(math.isfinite(x) for x in (start, stop, step)):
         raise ConfigError(path, f"start, stop and step must be finite, got {text!r}")
     if step <= 0.0:

@@ -334,6 +334,32 @@ def test_a_row_solves_the_same_alone_or_in_any_batch(k, n, data):
             assert sol.certified[row] == alone.certified[0]
 
 
+def test_a_batch_of_mixed_outcomes_keeps_each_row_s_solo_answer():
+    # rows that finish after 0 to 3 steps, so finished rows sit frozen beside
+    # live ones: certified, nan spread, stopped uncertified, flat
+    p, s = dbm_to_watts(14.0), dbm_to_watts(-110.0)
+    rows = [  # beta_sq, counts, p_avg, sigma_z_sq
+        ([1e-10, 1e-11], [8, 8], p, s),
+        ([1e-320, 1e-10], [8, 8], p, s),
+        ([1e-11, 1e-10], [8, 8], p, 1e300),
+        ([1e-300, 1e-12], [4, 8], p, s),
+        ([1e-10, 1e-11], [8, 8], p, 0.0),
+        ([1e-10, 1e-16], [4, 8], 1e-30, 1e-14),
+        ([2e-11, 4e-12], [16, 48], p, s),
+    ]
+    beta_sq, counts, p_avg, sigma = (np.array(x, dtype=np.float64) for x in zip(*rows))
+    alone = [solve_exact(beta_sq[i:i + 1], counts[i:i + 1], p_avg[i:i + 1], sigma[i:i + 1])
+             for i in range(len(rows))]
+    assert [a.iterations[0] for a in alone] == [3, 1, 2, 2, 0, 2, 3]
+    assert [a.certified[0] for a in alone] == [True, False, False, False, True, True, True]
+    assert math.isnan(alone[1].spread[0]) and alone[2].spread[0] > 1e-9
+    for order in (slice(None), slice(None, None, -1)):
+        batch = solve_exact(beta_sq[order], counts[order], p_avg[order], sigma[order])
+        for row, i in enumerate(range(len(rows))[order]):
+            for field, solo in zip(batch, alone[i]):
+                assert np.array_equal(field[row], solo[0], equal_nan=True)
+
+
 def test_exact_solver_certifies_low_snr_problems_over_eight_decades():
     # per-surface pilot SNR below 1e-4: optimal powers go with beta_sq^2 and
     # span up to sixteen decades, which the p-space solver's step cap crossed at one

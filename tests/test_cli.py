@@ -706,9 +706,17 @@ def test_main_prints_its_own_warnings_once_and_passes_others_on(tmp_path, capsys
         ("", "", ["--d-range", "0:inf:1"], "--d-range"),
         ("", "", ["--d-range", "0:1e300:1e-300"], "--d-range"),
         ("", "", ["--d-range", "0:1e300:1"], "--d-range"),
+        # numbers that float() reads but the config number grammar does not
+        ('  p_avg: "14 dBm"\n', '  p_avg: "1_4 dBm"\n', [], "scenario.p_avg"),
+        ('  p_avg: "14 dBm"\n', '  p_avg: "\u0661\u0664 dBm"\n', [], "scenario.p_avg"),
+        ('  p_avg: "14 dBm"\n', '  p_avg: "014 dBm"\n', [], "scenario.p_avg"),
+        ('    c0: "-20 dB"\n', '    c0: "-2_0 dB"\n', [], "scenario.geometry.c0"),
+        ("", "", ["--d-range", "0:1_0:5"], "--d-range"),
     ],
     ids=["d0-inf", "alpha_br-inf", "c0-inf", "p_avg-inf", "p_avg-nan", "d_u-past-d0",
-         "d_range-nan", "d_range-inf", "d_range-overflow", "d_range-too-many"],
+         "d_range-nan", "d_range-inf", "d_range-overflow", "d_range-too-many",
+         "p_avg-separator", "p_avg-arabic-indic-digits", "p_avg-leading-zero",
+         "c0-separator", "d_range-separator"],
 )
 def test_non_finite_input_is_a_config_error(tmp_path, capsys, old, new, flag, field):
     assert old in GEOMETRY
@@ -720,6 +728,20 @@ def test_non_finite_input_is_a_config_error(tmp_path, capsys, old, new, flag, fi
         rc = main([*command, "--config", cfg, "--out", str(tmp_path / "x")])
         assert rc == 2, command
         assert capsys.readouterr().err.startswith(f"config error: {field}: "), command
+
+
+@pytest.mark.parametrize(
+    "spelling, plain",
+    [("14dBm", "14 dBm"), (" 14 dBm ", "14 dBm"), ("+14 dBm", "14 dBm"),
+     (".5 W", "0.5 W"), ("1e-3 W", "0.001 W")],
+)
+def test_power_spellings_read_as_their_plain_form(tmp_path, capsys, spelling, plain):
+    outputs = []
+    for p_avg in (plain, spelling):
+        cfg = _cfg(tmp_path, GEOMETRY.replace('"14 dBm"', f'"{p_avg}"', 1))
+        assert main(["allocate", "--config", cfg]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
 
 
 def test_infinite_rician_factors_are_accepted(tmp_path):
