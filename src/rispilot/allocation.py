@@ -11,6 +11,7 @@ Newton steps in log powers, for many problems at once.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from typing import NamedTuple
 
@@ -61,14 +62,20 @@ def allocate_moderate_snr(link: Link) -> PerRisPowers:
     the cascade amplitudes, normalized to the budget. S >= beta_k for
     every surface, so the radicand is nonnegative up to rounding; a
     radicand at zero (single surface with a single element) degenerates
-    to uniform power for the affected surfaces, with a warning.
+    to uniform power for the affected surfaces, with a warning. Where
+    S / beta_k overflows, the weight is sqrt(S) * sqrt(1 / beta_k - 1 / S),
+    which stays in range for every valid link.
     """
     counts, p_avg = link.counts, link.p_avg
     s_amp = float(np.dot(counts.astype(np.float64), link.beta))
-    ratio = s_amp / link.beta
+    with np.errstate(over="ignore"):
+        ratio = s_amp / link.beta
     radicand = ratio - 1.0
-    degenerate = radicand <= 1e-12 * ratio
+    overflowed = np.isinf(ratio)
+    degenerate = (radicand <= 1e-12 * ratio) & ~overflowed
     w = np.sqrt(np.where(degenerate, 0.0, radicand))
+    if np.any(overflowed):
+        w[overflowed] = math.sqrt(s_amp) * np.sqrt(1.0 / link.beta[overflowed] - 1.0 / s_amp)
     p = np.full(link.num_ris, p_avg)
     if np.any(degenerate):
         warnings.warn(

@@ -147,7 +147,9 @@ def objective_phi(link: Link, powers: PerRisPowers) -> float:
     """
     counts = _checked(link, powers)
     intra, inter = _coupling_sums(link.beta_sq, counts, powers.p_k, link.sigma_z_sq)
-    return float(intra + inter)
+    # added as Python floats: two finite sums near the float maximum add up
+    # to inf, the answer, without numpy's overflow warning
+    return float(intra) + float(inter)
 
 
 class SurfaceObjective(NamedTuple):

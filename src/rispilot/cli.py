@@ -300,15 +300,13 @@ def _geometry(raw, path: str, *, config: bool) -> dict:
 _SCENARIO_KEYS = {"element_counts", "p_avg", "q", "sigma_z", "sigma_n", "geometry", "channel"}
 # the run settings each command takes and their defaults (None: no default);
 # a config's run block overrides a default and a flag overrides both. The
-# allocator lists are sorted, as _resolve_allocators returns them.
+# allocator lists are sorted, as _allocators returns them.
 _SETTINGS = {
     "allocate": {"allocators": tuple(sorted(ALLOCATOR_IDS))},
     "validate": {"seed": 0, "trials": 100_000, "workers": 1},
     "sweep": {"seed": 0, "trials": 1000, "csi_mode": "estimated",
               "allocators": ("exact", "uniform"), "workers": 1, "d_range": None},
 }
-# one config serves every command, so its run block may give any setting
-_RUN_KEYS = set().union(*_SETTINGS.values())
 
 
 def _parse_scenario(raw: dict) -> ScenarioSettings:
@@ -353,53 +351,19 @@ def _parse_scenario(raw: dict) -> ScenarioSettings:
     return ScenarioSettings.build(counts, p_avg, q, sigma_z, sigma_n, beta_sq=beta_sq)
 
 
-_INT_FIELDS = {
-    "seed": (0, 2**64, "an integer in [0, 2^64)"),
-    "trials": (1, math.inf, "a positive integer"),
-    "workers": (1, math.inf, "a positive integer"),
-}
-
-
-def _run_fields(block: dict, prefix: str) -> dict:
-    """Check the run settings present in the flags (prefix "--"), a config's
-    run block (prefix "run.") or a manifest (no prefix).
-
-    A manifest stores the user offsets a sweep's d_range expanded to as
-    d_values; either way they come back as the list under d_range.
-    """
-    def where(key):
-        return prefix + (key.replace("_", "-") if prefix == "--" else key)
-
-    out = {}
-    for key, (low, high, what) in _INT_FIELDS.items():
-        if key in block:
-            out[key] = _int_value(block[key], where(key), f"{key} must be {what}", low, high)
-    if "csi_mode" in block:
-        out["csi_mode"] = _mode_value(block["csi_mode"], where("csi_mode"), CSI_MODES)
-    if "allocators" in block:
-        names = block["allocators"]
-        if isinstance(names, str):
-            names = [t for t in names.split(",") if t]
-        if not isinstance(names, list) or not names:
-            raise ConfigError(where("allocators"), "expected a nonempty list of allocator names")
-        out["allocators"] = _resolve_allocators(names, where("allocators"))
-    if "d_range" in block:
-        out["d_range"] = _parse_d_range(str(block["d_range"]), where("d_range"))
-    if "d_values" in block:
-        d_values = block["d_values"]
-        if not isinstance(d_values, list) or not d_values:
-            raise ConfigError(where("d_values"), "expected a nonempty list of user offsets")
-        out["d_range"] = [_float_value(d, f"d_values[{i}]") for i, d in enumerate(d_values)]
-    return out
-
-
-def _mode_value(value, path: str, choices) -> str:
-    if value not in choices:
-        raise ConfigError(path, f"expected one of {', '.join(choices)}; got {value!r}")
+def _csi_mode(value, path: str) -> str:
+    if value not in CSI_MODES:
+        raise ConfigError(path, f"expected one of {', '.join(CSI_MODES)}; got {value!r}")
     return str(value)  # a quoted one is a _Quoted, which manifests cannot store
 
 
-def _resolve_allocators(names, path: str) -> list[str]:
+def _allocators(names, path: str) -> list[str]:
+    """A list of allocator names, or a comma-separated string of them, as
+    the sorted canonical names."""
+    if isinstance(names, str):
+        names = [t for t in names.split(",") if t]
+    if not isinstance(names, list) or not names:
+        raise ConfigError(path, "expected a nonempty list of allocator names")
     resolved = []
     for i, name in enumerate(names):
         try:
@@ -411,7 +375,9 @@ def _resolve_allocators(names, path: str) -> list[str]:
     return sorted(resolved)
 
 
-def _parse_d_range(text: str, path: str) -> list[float]:
+def _d_range(value, path: str) -> list[float]:
+    """The user offsets of a 'start:stop:step' range, stop included."""
+    text = str(value)
     parts = [_number(p.strip()) for p in text.split(":")]
     if len(parts) != 3 or None in parts:
         raise ConfigError(path, f"expected 'start:stop:step', got {text!r}")
@@ -428,6 +394,55 @@ def _parse_d_range(text: str, path: str) -> list[float]:
         raise ConfigError(path, f"the range {text!r} holds more than {_MAX_OFFSETS} offsets")
     n = int(math.floor(count)) + 1
     return [start + i * step for i in range(n)]
+
+
+def _d_values(value, path: str) -> list[float]:
+    """The user offsets a manifest stores, as a list of numbers."""
+    if not isinstance(value, list) or not value:
+        raise ConfigError(path, "expected a nonempty list of user offsets")
+    return [_float_value(d, f"{path}[{i}]") for i, d in enumerate(value)]
+
+
+def _integer(what: str, low=1, high=math.inf):
+    """A reader of integers in [low, high) whose error message says what."""
+    return functools.partial(_int_value, what=what, low=low, high=high)
+
+
+# a run setting: its flag, the flag's help, the reader of its value in the
+# flags or a run block, and its manifest field with that field's reader
+# (None: read)
+_Setting = namedtuple("_Setting", ["flag", "help", "read", "stored", "read_stored"],
+                      defaults=(None,))
+
+# Every run setting. One config serves every command, so its run block may
+# give any of them; _SETTINGS says which ones each command takes. Flags
+# arrive as strings and are read like a run block's plain scalars.
+_RUN_SETTINGS = {
+    "seed": _Setting("--seed", "base RNG seed (64-bit unsigned)",
+                     _integer("seed must be an integer in [0, 2^64)", 0, 2**64), "seed"),
+    "trials": _Setting("--trials", "Monte Carlo trials",
+                       _integer("trials must be a positive integer"), "trials"),
+    "workers": _Setting("--workers", "parallel trial workers",
+                        _integer("workers must be a positive integer"), "workers"),
+    "csi_mode": _Setting("--csi-mode", f"how reflection phases are chosen: {', '.join(CSI_MODES)}",
+                         _csi_mode, "csi_mode"),
+    "allocators": _Setting("--allocators",
+                           f"comma-separated allocators from: {', '.join(ALLOCATOR_IDS)}",
+                           _allocators, "allocators"),
+    "d_range": _Setting("--d-range", "user offsets as start:stop:step, inclusive",
+                        _d_range, "d_values", _d_values),
+}
+
+
+def _run_fields(block: dict, prefix: str) -> dict:
+    """Read the run settings present in the flags (prefix "--"), a config's
+    run block (prefix "run.") or a manifest (no prefix, stored fields)."""
+    out = {}
+    for key, s in _RUN_SETTINGS.items():
+        field, read = (key, s.read) if prefix else (s.stored, s.read_stored or s.read)
+        if field in block:
+            out[key] = read(block[field], s.flag if prefix == "--" else prefix + field)
+    return out
 
 
 # libyaml composes and emits the same documents several times faster,
@@ -555,11 +570,6 @@ def _own_messages(caught) -> list[str]:
     return list(dict.fromkeys(own))
 
 
-def _stored_as(key: str) -> str:
-    """A run setting's manifest field: the offsets d_range expanded to are d_values."""
-    return "d_values" if key == "d_range" else key
-
-
 def _manifest(command: str, scn: ScenarioSettings, run: dict, caught, *,
               duration_s=None, trial_rows=0) -> dict:
     """Run record of the command's run settings; trial_rows counts every
@@ -572,7 +582,7 @@ def _manifest(command: str, scn: ScenarioSettings, run: dict, caught, *,
         "scenario": scn.as_dict(),
     }
     for key in _SETTINGS[command]:
-        out[_stored_as(key)] = run[key]
+        out[_RUN_SETTINGS[key].stored] = run[key]
     if duration_s is not None:
         out["duration_s"] = round(duration_s, 3)
         out["trials_per_s"] = round(trial_rows / duration_s, 1) if duration_s > 0 else None
@@ -591,7 +601,7 @@ def _config_run(args, flags: dict) -> tuple[ScenarioSettings, dict]:
     scn = _parse_scenario(raw)
     block = raw.get("run")
     block = _require_mapping({} if block is None else block, "run")
-    _reject_unknown(block, _RUN_KEYS, "run")
+    _reject_unknown(block, _RUN_SETTINGS, "run")
     given = {**_run_fields(block, "run."), **flags}
     return scn, {key: given.get(key, default) for key, default in _SETTINGS[args.command].items()}
 
@@ -851,11 +861,11 @@ def _replay(saved: dict, args, flags: dict) -> int:
     """Rerun a sweep manifest, checking each field as a config's would be."""
     fixed = sorted(set(flags) - {"workers"})
     if fixed:
-        raise ConfigError("--" + fixed[0].replace("_", "-"),
+        raise ConfigError(_RUN_SETTINGS[fixed[0]].flag,
                           "the manifest fixes this setting; a replay takes only --workers and --out")
     scn = ScenarioSettings.from_dict(_get(saved, "scenario", ""))
     for key in _SETTINGS["sweep"]:
-        _get(saved, _stored_as(key), "")
+        _get(saved, _RUN_SETTINGS[key].stored, "")
     run = {**_run_fields(saved, ""), **flags}
     return _sweep_from(scn, run, args)
 
@@ -876,24 +886,13 @@ def cmd_sweep(args, flags: dict) -> int:
 # ---------------------------------------------------------------- entry
 
 
-# each run setting's flag
-_FLAGS = {
-    "seed": {"type": int, "help": "base RNG seed (64-bit unsigned)"},
-    "trials": {"type": int, "help": "Monte Carlo trials"},
-    "csi_mode": {"choices": CSI_MODES, "help": "how reflection phases are chosen"},
-    "allocators": {"help": f"comma-separated allocators from: {', '.join(ALLOCATOR_IDS)}"},
-    "workers": {"type": int, "help": "parallel trial workers"},
-    "d_range": {"help": "user offsets as start:stop:step, inclusive"},
-}
-
-
 def _add_command(sub, command: str, func, text: str) -> argparse.ArgumentParser:
     """A subcommand taking --config, --out and the flags of its run settings."""
     p = sub.add_parser(command, help=text)
     p.add_argument("--config", help="YAML config file")
     p.add_argument("--out", help="output directory")
     for key in _SETTINGS[command]:
-        p.add_argument("--" + key.replace("_", "-"), dest=key, **_FLAGS[key])
+        p.add_argument(_RUN_SETTINGS[key].flag, dest=key, help=_RUN_SETTINGS[key].help)
     p.set_defaults(func=func)
     return p
 

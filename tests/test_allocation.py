@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -401,6 +402,17 @@ def test_a_non_finite_residual_certifies_nothing():
     assert not sol.certified[0] and not sol.spread[0] < 1e-9
     with pytest.raises(NonConvergenceError):
         sol.row(0)
+
+
+def test_eq27_forms_the_weight_where_s_over_beta_overflows():
+    # S / beta_0 = 8e150 / 1e-160 overflows, yet both powers are in the float
+    # range; the reference powers are from 50-digit mpmath
+    link = _link([1.0e-320, 1.0e300], [4, 8], dbm_to_watts(14.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = allocate_moderate_snr(link).p_k
+    np.testing.assert_allclose(p, [0.075356592945287403, 7.0489441971077783e-157], rtol=1e-12)
+    assert float(np.dot([4, 8], p)) == pytest.approx(12 * link.p_avg, rel=1e-12)
 
 
 def test_closed_form_powers_below_the_float_range_are_a_numerical_failure():

@@ -165,13 +165,14 @@ def test_allocate_gain_is_nan_outside_the_model(capsys):
 
 def test_allocate_gain_overflows_with_phi(tmp_path, capsys):
     # phi = intra + inter overflows here while (pi/4) intra + (pi/4) inter
-    # does not; the gain then reads inf, never a finite value beside phi's inf
+    # does not; the gain then reads inf, never a finite value beside phi's
+    # inf, and the suite turns numpy's overflow warning into an error
     cfg = _channel_config(tmp_path, "huge.yaml", [7071, 7071], [1e300, 1e300])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        assert main(["allocate", "--config", cfg, "--allocators", EVERY_ALLOCATOR]) == 0
-    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    assert main(["allocate", "--config", cfg, "--allocators", EVERY_ALLOCATOR]) == 0
+    captured = capsys.readouterr()
+    rows = [line.split() for line in captured.out.splitlines()[1:]]
     assert rows and all(row[4:] == ["inf", "inf"] for row in rows)
+    assert captured.err == ""
 
 
 def test_missing_field_is_named(tmp_path, capsys):
@@ -559,6 +560,45 @@ def test_a_command_rejects_the_flags_it_does_not_take(tmp_path, capsys, monkeypa
         main([command, "--config", "absent.yaml", flag, FLAGS[flag], "--out", "x"])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag} " in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+# each run setting: a flag value, and the value it reads to; a run block
+# gives the same scalar, and a manifest field stores the value
+SETTING_VALUES = {
+    "seed": ("5", 5), "trials": ("20", 20), "workers": ("2", 2),
+    "csi_mode": ("perfect", "perfect"), "allocators": ("uniform,exact", ["exact", "uniform"]),
+    "d_range": ("-4:4:4", [-4.0, 0.0, 4.0]),
+}
+
+
+@pytest.mark.parametrize("key", list(cli._RUN_SETTINGS))
+def test_a_setting_reads_the_same_from_each_source(tmp_path, key):
+    setting, (text, value) = cli._RUN_SETTINGS[key], SETTING_VALUES[key]
+    args = cli.build_parser().parse_args(["sweep", f"{setting.flag}={text}"])
+    from_flag = cli._run_fields({key: getattr(args, key)}, "--")
+    config = _cfg(tmp_path, f"run:\n  {key}: {text}\n")
+    from_run = cli._run_fields(cli.load_config(config)["run"], "run.")
+    manifest = tmp_path / "manifest.yaml"
+    cli._write_yaml(manifest, {setting.stored: value})
+    from_manifest = cli._run_fields(cli._load_yaml(manifest), "")
+    assert from_flag == from_run == from_manifest == {key: value}
+    assert type(from_flag[key]) is type(value)
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--trials", "2_0"), ("--seed", "\u0661\u0660"), ("--workers", " 1 "),
+     ("--trials", "abc"), ("--csi-mode", "oracle")],
+    ids=["digit-separator", "arabic-indic-digits", "spaces", "not-a-number", "unknown-mode"],
+)
+def test_a_malformed_flag_is_a_config_error(tmp_path, capsys, monkeypatch, flag, value):
+    # the config does not exist: reading it would exit 4
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep", "--config", "absent.yaml", flag, value, "--out", "x"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {flag}: ") and err.count("\n") == 1
+    assert "usage" not in err
     assert not (tmp_path / "x").exists()
 
 
