@@ -60,7 +60,8 @@ _QUARTER_PI = 0.25 * math.pi
 
 # validate runs its perfect and random-phase rows on at most this many trials
 _HIERARCHY_TRIALS = 20_000
-# a sweep's d_range expands to at most this many offsets; the bundled configs use 9
+# a sweep's d_range expands to, and a manifest's d_values holds, at most
+# this many offsets; the bundled configs use 9
 _MAX_OFFSETS = 10_000
 
 
@@ -178,7 +179,7 @@ def _power_watts(value, path: str, *, nonneg_ok=False) -> float:
 
 
 def _db_value(value, path: str) -> float:
-    if not isinstance(value, str) or not value.strip().endswith("dB") or value.strip().endswith("dBm"):
+    if not isinstance(value, str) or not value.strip().endswith("dB"):
         raise ConfigError(path, f"expected a 'dB' string, got {value!r}")
     x = _number(value.strip()[:-2].strip())
     if x is None:
@@ -400,6 +401,8 @@ def _d_values(value, path: str) -> list[float]:
     """The user offsets a manifest stores, as a list of numbers."""
     if not isinstance(value, list) or not value:
         raise ConfigError(path, "expected a nonempty list of user offsets")
+    if len(value) > _MAX_OFFSETS:
+        raise ConfigError(path, f"{len(value)} offsets, more than {_MAX_OFFSETS}")
     return [_float_value(d, f"{path}[{i}]") for i, d in enumerate(value)]
 
 
@@ -481,20 +484,32 @@ class _Quoted(str):
     """A quoted (or block) YAML scalar: never an integer field's value."""
 
 
-def _tree(node):
+def _found(what: str, node) -> yaml.YAMLError:
+    """A one-line error: what was found, and the line of node."""
+    line = node.start_mark.line + 1
+    return yaml.constructor.ConstructorError(None, None, f"found {what} on line {line}")
+
+
+def _tree(node, key=False):
     """A composed YAML node as dicts, lists and strings: a plain null is
-    None, and a quoted scalar is a _Quoted string."""
+    None, a quoted scalar is a _Quoted string, and a mapping key is its
+    own text, a null's too. A repeated key is an error naming its line."""
     kind = type(node)
     if node.tag != _UNTAGGED[kind]:
-        raise yaml.constructor.ConstructorError(
-            None, None, f"found an unsupported tag {node.tag!r}", node.start_mark)
+        raise _found(f"an unsupported tag {node.tag!r}", node)
     if kind is yaml.ScalarNode:
         if node.style:
             return _Quoted(node.value)
-        return None if node.value in _NULLS else node.value
+        return None if node.value in _NULLS and not key else node.value
     if kind is yaml.SequenceNode:
         return [_tree(item) for item in node.value]
-    return {_tree(key): _tree(value) for key, value in node.value}
+    out = {}
+    for key_node, value_node in node.value:
+        name = _tree(key_node, key=True)
+        if name in out:
+            raise _found(f"a repeated key {name!r}", key_node)
+        out[name] = _tree(value_node)
+    return out
 
 
 def _load_yaml(path: str):
@@ -916,16 +931,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "sweep":
-        if args.manifest is not None and args.config is not None:
-            print("config error: --manifest and --config are mutually exclusive", file=sys.stderr)
-            return 2
-        if args.manifest is None and args.config is None:
-            print("config error: one of --config or --manifest is required", file=sys.stderr)
-            return 2
-    elif args.config is None:
-        print("config error: --config is required", file=sys.stderr)
-        return 2
     # every warning is recorded; only rispilot's own are shown as one line
     # each, and the rest are shown as Python would have shown them
     with warnings.catch_warnings(record=True) as caught:
@@ -944,6 +949,12 @@ def main(argv=None) -> int:
 def _run(args) -> int:
     """args' command, its errors reported as one line and an exit code."""
     try:
+        manifest = getattr(args, "manifest", None)
+        if manifest is not None and args.config is not None:
+            raise ConfigError("--manifest", "cannot be given with --config")
+        if manifest is None and args.config is None:
+            alternative = " (or pass --manifest)" if args.command == "sweep" else ""
+            raise ConfigError("--config", f"missing required flag{alternative}")
         # flags are checked before any file is read
         given = {key: getattr(args, key) for key in _SETTINGS[args.command]}
         flags = _run_fields({key: v for key, v in given.items() if v is not None}, "--")

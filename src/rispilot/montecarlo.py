@@ -108,12 +108,12 @@ class GainRow(NamedTuple):
 
 # Upper bound on the elements of any (trials, sum(M_k)) engine array (a
 # chunk holds at least one trial, so one trial of more elements exceeds
-# it). 2^14 complex values are 256 KiB: a range's workspace of at most
-# six such buffers and one half their size, 1.625 MiB, fits in a core's
-# L2 cache (2 MiB on the 2-vCPU Xeon VM measured), and a pool worker
-# holds no more than that beyond a one-trial-at-a-time loop. At 2^16 the
-# M=[1024, 256] validation ran 7% slower and its workers peaked 8 MiB
-# higher.
+# it). 2^14 complex values are 256 KiB: the buffers a range writes, at
+# most six such buffers and one half their size, 1.625 MiB, fit in a
+# core's L2 cache (2 MiB on the 2-vCPU Xeon VM measured), and a pool
+# worker holds no more than that beyond a one-trial-at-a-time loop. At
+# 2^16 the M=[1024, 256] validation ran 7% slower and its workers peaked
+# 8 MiB higher.
 CHUNK_ELEMENTS = 2**14
 
 
@@ -125,32 +125,24 @@ def _gain_range(rows: list[GainRow], seed: int, start: int, stop: int) -> list[n
     estimates, phases when a row uses random phases. Rows of one link
     (the same Link object) share one channel array.
 
-    Every chunk reuses one workspace, allocated here for the largest
-    chunk: a float buffer per draw purpose the range needs, complex
-    buffers for the channel and the random phases, one row buffer that
-    holds a faded BS link's fading while its channel is drawn, then a
-    row's estimate, its phases and its products h * phases, and a float
-    buffer for the magnitudes of an estimate or, in a perfect-CSI row,
-    of the channel. A random-phase row leaves the shared phase buffer
-    alone; a perfect-CSI row uses neither the row buffer nor phases.
+    Every chunk reuses one workspace, allocated here whole for the
+    largest chunk: a float buffer per draw purpose, complex buffers for
+    the channel and the random phases, one row buffer that holds a faded
+    BS link's fading while its channel is drawn, then a row's estimate,
+    its phases and its products h * phases, and a float buffer for the
+    magnitudes of an estimate or, in a perfect-CSI row, of the channel.
+    np.empty writes none of its pages, so a buffer that no chunk writes
+    adds next to nothing to resident memory. A random-phase row leaves
+    the shared phase buffer alone; a perfect-CSI row uses neither the
+    row buffer nor phases.
     """
     counts = rows[0].link.counts
     n = int(counts.sum())
     step = max(1, CHUNK_ELEMENTS // n)
     size = min(step, stop - start)
-    # the first chunk's rows are a superset of every later chunk's
-    first = [r for r in rows if r.trials > start]
-
-    def buffer(needed: bool, width: int, dtype=np.float64) -> np.ndarray | None:
-        return np.empty((size, width), dtype) if needed else None
-
-    user_buf = buffer(True, 2 * n)
-    bs_buf = buffer(any(not math.isinf(r.link.k_br) for r in first), 2 * n)
-    noise_buf = buffer(any(r.csi_mode == "estimated" for r in first), 2 * n)
-    phase_buf = buffer(any(r.csi_mode == "random-phase" for r in first), n, np.complex128)
-    mag_buf = buffer(any(r.csi_mode != "random-phase" for r in first), n)
-    h_buf = buffer(True, n, np.complex128)
-    row_buf = buffer(True, n, np.complex128)
+    user_buf, bs_buf, noise_buf = (np.empty((size, 2 * n)) for _ in range(3))
+    mag_buf = np.empty((size, n))
+    phase_buf, h_buf, row_buf = (np.empty((size, n), np.complex128) for _ in range(3))
     gains = [np.empty(max(0, min(stop, r.trials) - start)) for r in rows]
     for a in range(start, stop, step):
         b = min(stop, a + step)

@@ -462,6 +462,45 @@ def test_seed_changes_metrics_but_not_schema(tmp_path):
     assert (a / "metrics.csv").read_bytes() == (c / "metrics.csv").read_bytes()
 
 
+def test_a_repeated_key_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # the last value once won silently: powers of -50 dBm, exit 0
+    text = EXTREME.replace("1.0e-11, 1.0e-10", "1.0e-10, 2.5e-11") + '  p_avg: "-50 dBm"\n'
+    cfg = _cfg(tmp_path, text)
+    errors = []
+    for composer in (cli._Composer, cli._PyComposer):
+        monkeypatch.setattr(cli, "_Composer", composer)
+        assert main(["allocate", "--config", cfg, "--allocators", "uniform"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(captured.err)
+    assert errors[0] == errors[1] == (
+        f"config error: {cfg}: not valid YAML: found a repeated key 'p_avg' on line 10\n")
+    # a manifest gets the same check
+    out, _ = _sweep_manifest(tmp_path)
+    manifest = out / "run_manifest.yaml"
+    manifest.write_text(manifest.read_text(encoding="utf-8") + "trials: 30\n", encoding="utf-8")
+    assert main(["sweep", "--manifest", str(manifest), "--out", str(tmp_path / "again")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {manifest}: ") and "repeated key 'trials'" in err
+    assert not (tmp_path / "again").exists()
+
+
+@pytest.mark.parametrize(
+    "block, keys, field",
+    [("scenario", "~: 1\n  zz: 2", "scenario.zz"),
+     ("scenario", "null: 1", "scenario.null"),
+     ("run", '~: 1\n  "": 2', "run.")],
+    ids=["scenario-tilde", "scenario-null", "run-tilde-and-empty"],
+)
+def test_a_null_key_is_an_unknown_field(tmp_path, capsys, block, keys, field):
+    # a null key once composed to None, which sorted() could not order
+    # among the other keys: a TypeError traceback, exit 1
+    text = GEOMETRY.replace(f"{block}:\n", f"{block}:\n  {keys}\n", 1)
+    assert main(["allocate", "--config", _cfg(tmp_path, text)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field}: unknown field ") and err.count("\n") == 1
+
+
 def test_invalid_yaml_is_a_config_error(tmp_path, capsys):
     cfg = _cfg(tmp_path, "scenario: [unclosed\n")
     assert main(["allocate", "--config", cfg]) == 2
@@ -506,14 +545,28 @@ def _replay(tmp_path, saved, name):
         (lambda m: m.pop("d_values"), "d_values"),
         (lambda m: m["scenario"].pop("q_w"), "scenario.q_w"),
         (lambda m: m.update(trials="many"), "trials"),
+        (lambda m: m["scenario"].update(element_counts=[8, 8, 8]), "scenario.element_counts"),
+        (lambda m: m.update(d_values=4.0), "d_values"),
+        (lambda m: m.update(d_values=[0.0] * 10_001), "d_values"),
     ],
-    ids=["missing-d_values", "missing-q_w", "trials-many"],
+    ids=["missing-d_values", "missing-q_w", "trials-many", "three-counts", "scalar-d_values",
+         "too-many-d_values"],
 )
 def test_malformed_manifest_is_a_config_error(tmp_path, capsys, edit, field):
     _, saved = _sweep_manifest(tmp_path)
     edit(saved)
     assert _replay(tmp_path, saved, "edited") == 2
-    assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field}: ") and err.count("\n") == 1
+    assert not (tmp_path / "edited").exists()
+
+
+def test_a_manifest_holds_no_more_offsets_than_a_d_range():
+    assert cli._d_values([float(d) for d in range(10_000)], "d_values") == cli._d_range(
+        "0:9999:1", "--d-range")
+    for read, value in ((cli._d_values, [0.0] * 10_001), (cli._d_range, "0:10000:1")):
+        with pytest.raises(cli.ConfigError, match="10000"):
+            read(value, "field")
 
 
 def test_manifest_with_estimate_mode_replays(tmp_path):
@@ -1189,3 +1242,53 @@ def test_an_allocate_block_formats_as_row_by_row():
             f"{name:<10} {k:>3} {p:>24.17g} {watts_to_dbm(p):>12.4f} {phi:>14.6e} {gain:>14.6e}\n"
             for k, p in enumerate(p_k))
         assert cli._table_block(name, p_k, phi, gain) == rows
+
+
+# Exit-2 paths, each with the field its one-line message names; FILE stands
+# for the config's path
+NO_LAYOUT = GEOMETRY.split("  geometry:")[0]
+EXIT_2_CASES = {
+    "p_avg-null": (GEOMETRY.replace('p_avg: "14 dBm"', "p_avg: ~"), ["allocate"],
+                   "scenario.p_avg"),
+    "p_avg-inf": (GEOMETRY.replace('"14 dBm"', '".inf W"'), ["allocate"], "scenario.p_avg"),
+    "p_avg-dbm-overflow": (GEOMETRY.replace('"14 dBm"', '"1e308 dBm"'), ["allocate"],
+                           "scenario.p_avg"),
+    "p_avg-negative": (GEOMETRY.replace('"14 dBm"', '"-1 W"'), ["allocate"], "scenario.p_avg"),
+    "c0-bare": (GEOMETRY.replace('c0: "-20 dB"', "c0: -20"), ["allocate"],
+                "scenario.geometry.c0"),
+    "c0-inf": (GEOMETRY.replace('"-20 dB"', '".inf dB"'), ["allocate"], "scenario.geometry.c0"),
+    "c0-dbm": (GEOMETRY.replace('"-20 dB"', '"-20 dBm"'), ["allocate"], "scenario.geometry.c0"),
+    "counts-scalar": (GEOMETRY.replace("[8, 8]", "8"), ["allocate"], "scenario.element_counts"),
+    "geometry-three-counts": (GEOMETRY.replace("[8, 8]", "[8, 8, 8]"), ["allocate"],
+                              "scenario.element_counts"),
+    "no-geometry-or-channel": (NO_LAYOUT, ["allocate"], "scenario"),
+    "beta_sq-scalar": (EXTREME.replace("[1.0e-11, 1.0e-10]", "1.0e-10"), ["allocate"],
+                       "scenario.channel.beta_sq"),
+    "beta_sq-one-gain": (EXTREME.replace("[1.0e-11, 1.0e-10]", "[1.0e-10]"), ["allocate"],
+                         "scenario.channel.beta_sq"),
+    "allocators-empty": (GEOMETRY, ["allocate", "--allocators", ","], "--allocators"),
+    "d_range-inf-start": (GEOMETRY, ["sweep", "--d-range", ".inf:1:1"], "--d-range"),
+    "d_range-zero-step": (GEOMETRY, ["sweep", "--d-range", "0:1:0"], "--d-range"),
+    "float-tag": (GEOMETRY.replace("d0: 50.0", "d0: !!float 50"), ["allocate"], "FILE"),
+    "top-level-list": ("- 1\n- 2\n", ["allocate"], "FILE"),
+    "scenario-scalar": ("scenario: 5\n", ["allocate"], "scenario"),
+    "manifest-is-a-config": (GEOMETRY, ["sweep", "--manifest", "FILE"], "FILE"),
+    "sweep-without-d_range": (GEOMETRY.replace('  d_range: "-8:8:8"\n', ""), ["sweep"],
+                              "run.d_range"),
+    "allocate-without-config": (None, ["allocate"], "--config"),
+    "sweep-without-config-or-manifest": (None, ["sweep"], "--config"),
+    "sweep-with-config-and-manifest": (GEOMETRY, ["sweep", "--manifest", "FILE", "--config", "FILE"],
+                                       "--manifest"),
+}
+
+
+@pytest.mark.parametrize("text, argv, field", EXIT_2_CASES.values(), ids=EXIT_2_CASES)
+def test_a_config_error_is_one_line_naming_its_field(tmp_path, capsys, text, argv, field):
+    path = "absent.yaml" if text is None else _cfg(tmp_path, text)
+    if text is not None and "FILE" not in argv:
+        argv = [*argv, "--config", "FILE"]
+    out = tmp_path / "out"
+    assert main([*(path if a == "FILE" else a for a in argv), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field.replace('FILE', path)}: ") and err.count("\n") == 1
+    assert not out.exists()
