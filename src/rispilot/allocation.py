@@ -21,6 +21,11 @@ from .analysis import SurfaceObjective, surface_objective
 from .estimation import PerRisPowers
 from .scenario import Link, equal_counts
 
+# numpy's reductions without the Python layer of np.sum, np.max and np.all,
+# which costs more than the arithmetic on a few surfaces
+_sum, _max, _min = np.add.reduce, np.maximum.reduce, np.minimum.reduce
+_any, _all = np.logical_or.reduce, np.logical_and.reduce
+
 __all__ = [
     "PerRisPowers",
     "UniformFallbackWarning",
@@ -74,10 +79,10 @@ def allocate_moderate_snr(link: Link) -> PerRisPowers:
     overflowed = np.isinf(ratio)
     degenerate = (radicand <= 1e-12 * ratio) & ~overflowed
     w = np.sqrt(np.where(degenerate, 0.0, radicand))
-    if np.any(overflowed):
+    if _any(overflowed):
         w[overflowed] = math.sqrt(s_amp) * np.sqrt(1.0 / link.beta[overflowed] - 1.0 / s_amp)
     p = np.full(link.num_ris, p_avg)
-    if np.any(degenerate):
+    if _any(degenerate):
         warnings.warn(
             f"uniform fallback for surface index {np.flatnonzero(degenerate).tolist()}: "
             "degenerate moderate-SNR weight",
@@ -85,7 +90,7 @@ def allocate_moderate_snr(link: Link) -> PerRisPowers:
             stacklevel=2,
         )
     live = ~degenerate
-    if np.any(live):
+    if _any(live):
         budget_live = float((int(counts.sum()) - int(counts[degenerate].sum())) * p_avg)
         w, dot = w[live], float(np.dot(counts[live], w[live]))
         with np.errstate(over="ignore"):
@@ -97,7 +102,7 @@ def allocate_moderate_snr(link: Link) -> PerRisPowers:
 
 def _in_range(p: np.ndarray, name: str) -> PerRisPowers:
     """A closed form's powers p; ArithmeticError where one left the float range."""
-    if not np.all((p > 0.0) & (p < np.inf)):
+    if not _all((p > 0.0) & (p < np.inf)):
         raise ArithmeticError(f"{name} pilot powers leave the float range: {p.tolist()}")
     return PerRisPowers(p_k=p)
 
@@ -114,9 +119,9 @@ def allocate_large_m(link: Link) -> PerRisPowers:
     counts = link.counts
     root_beta = np.sqrt(link.beta)
     if equal_counts(counts):
-        denom = root_beta * float(np.sum(1.0 / root_beta))
+        denom = root_beta * float(_sum(1.0 / root_beta))
         return _in_range(link.num_ris * link.p_avg / denom, "eq28")
-    denom = root_beta * float(np.sum(counts / root_beta))
+    denom = root_beta * float(_sum(counts / root_beta))
     return _in_range(int(counts.sum()) * link.p_avg / denom, "eq28")
 
 
@@ -131,11 +136,6 @@ def multiplier_spread(residuals):
     with np.errstate(divide="ignore", invalid="ignore"):
         spread = np.where(scale == 0.0, 0.0, (np.max(r, axis=-1) - np.min(r, axis=-1)) / scale)
     return float(spread) if spread.ndim == 0 else spread
-
-
-# numpy's reductions without the Python layer of np.sum and np.max, which
-# costs more than the arithmetic on a few surfaces
-_sum, _max, _min, _any = np.add.reduce, np.maximum.reduce, np.minimum.reduce, np.logical_or.reduce
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -485,9 +485,21 @@ class _Quoted(str):
 
 
 def _found(what: str, node) -> yaml.YAMLError:
-    """A one-line error: what was found, and the line of node."""
-    line = node.start_mark.line + 1
-    return yaml.constructor.ConstructorError(None, None, f"found {what} on line {line}")
+    """An error marking what was found at node."""
+    return yaml.constructor.ConstructorError(None, None, f"found {what}", node.start_mark)
+
+
+def _one_line(exc: Exception) -> str:
+    """A YAML error as one line: its context and problem, each with the line
+    it marks, or the position of an undecodable or unprintable character.
+    PyYAML's own text puts each mark on a line of its own."""
+    if isinstance(exc, yaml.MarkedYAMLError):
+        return ", ".join(text if mark is None else f"{text} on line {mark.line + 1}"
+                         for text, mark in ((exc.context, exc.context_mark),
+                                            (exc.problem, exc.problem_mark)) if text)
+    if isinstance(exc, yaml.reader.ReaderError):
+        return f"{str(exc).splitlines()[0]} at position {exc.position}"
+    return str(exc)
 
 
 def _tree(node, key=False):
@@ -522,7 +534,7 @@ def _load_yaml(path: str):
             node = yaml.compose(f, Loader=_Composer)
             return None if node is None else _tree(node)
         except (yaml.YAMLError, TypeError, RecursionError) as exc:
-            raise ConfigError(path, f"not valid YAML: {exc}") from None
+            raise ConfigError(path, f"not valid YAML: {_one_line(exc)}") from None
 
 
 def load_config(path: str) -> dict:
@@ -558,9 +570,74 @@ def _write_powers_csv(path: str, rows):
             f.write(row * len(p_k) % _interleave(range(len(p_k)), p_k, list(map(watts_to_dbm, p_k))))
 
 
+# Manifests and reports are written as the events PyYAML's serializer
+# would make of the payload's representation, without building its node
+# tree. The emitter still chooses every scalar's style, so the bytes are
+# those of yaml.dump(payload, Dumper=_YAML_DUMPER, sort_keys=True,
+# default_flow_style=False).
+_TAG = "tag:yaml.org,2002:"
+_STR_TAG, _SEQ_TAG, _MAP_TAG = _TAG + "str", _TAG + "seq", _TAG + "map"
+# both dumpers resolve with this class; it tells which strings the emitter
+# may leave plain
+_RESOLVER = yaml.resolver.Resolver()
+
+
+def _float_text(x: float) -> str:
+    """x as PyYAML's safe representer writes it."""
+    if x != x:
+        return ".nan"
+    if math.isinf(x):
+        return ".inf" if x > 0 else "-.inf"
+    text = repr(x).lower()
+    # repr(1e17) is '1e17', which YAML does not read as a float
+    return text.replace("e", ".0e", 1) if "." not in text and "e" in text else text
+
+
+# the safe representer's tag and text of each other scalar type, which a
+# resolver reads back as that tag
+_SCALARS = {
+    float: (_TAG + "float", _float_text),
+    bool: (_TAG + "bool", lambda b: "true" if b else "false"),
+    int: (_TAG + "int", str),
+    type(None): (_TAG + "null", lambda _: "null"),
+}
+
+
+def _yaml_events(value, events: list):
+    """Append the events of a tree of dicts, lists, tuples and scalars:
+    block style, keys sorted. Any other type, a subclass of one of these
+    included, is a RepresenterError, as under the safe representer."""
+    kind = type(value)
+    if kind is dict:
+        events.append(yaml.MappingStartEvent(None, _MAP_TAG, True, flow_style=False))
+        for key in sorted(value):
+            _yaml_events(key, events)
+            _yaml_events(value[key], events)
+        events.append(yaml.MappingEndEvent())
+    elif kind is list or kind is tuple:
+        events.append(yaml.SequenceStartEvent(None, _SEQ_TAG, True, flow_style=False))
+        for item in value:
+            _yaml_events(item, events)
+        events.append(yaml.SequenceEndEvent())
+    elif kind is str:
+        plain = _RESOLVER.resolve(yaml.ScalarNode, value, (True, False)) == _STR_TAG
+        events.append(yaml.ScalarEvent(None, _STR_TAG, (plain, True), value))
+    elif kind in _SCALARS:
+        tag, text = _SCALARS[kind]
+        events.append(yaml.ScalarEvent(None, tag, (True, False), text(value)))
+    else:
+        raise yaml.representer.RepresenterError("cannot represent an object", value)
+
+
 def _write_yaml(path: str, payload: dict):
+    """payload as a block-style YAML document with sorted keys. Its events
+    are all made before the file is opened, so a payload holding another
+    type writes nothing."""
+    events = [yaml.StreamStartEvent(), yaml.DocumentStartEvent()]
+    _yaml_events(payload, events)
+    events += [yaml.DocumentEndEvent(), yaml.StreamEndEvent()]
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        yaml.dump(payload, f, Dumper=_YAML_DUMPER, sort_keys=True, default_flow_style=False)
+        yaml.emit(events, f, Dumper=_YAML_DUMPER)
 
 
 def _host() -> dict:

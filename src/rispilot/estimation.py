@@ -29,7 +29,7 @@ class PerRisPowers:
         arr = np.asarray(self.p_k, dtype=np.float64).copy()
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("p_k must be a nonempty 1-D array")
-        if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
+        if not np.logical_and.reduce(np.isfinite(arr)) or np.logical_or.reduce(arr <= 0.0):
             raise ValueError("every per-surface power must be finite and positive")
         arr.setflags(write=False)
         object.__setattr__(self, "p_k", arr)

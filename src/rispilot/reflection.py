@@ -91,7 +91,7 @@ def composite_channel(h: np.ndarray, phases: np.ndarray,
     """
     if h.shape != phases.shape:
         raise ValueError(f"phases {phases.shape} do not match channels {h.shape}")
-    return np.sum(np.multiply(h, phases, out=out), axis=-1)
+    return np.add.reduce(np.multiply(h, phases, out=out), axis=-1)
 
 
 def aligned_gain(h: np.ndarray, mag: np.ndarray | None = None) -> np.ndarray:

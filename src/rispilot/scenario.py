@@ -89,9 +89,9 @@ class Link:
                 f"need one cascaded gain per surface, got {beta_sq.size} gains "
                 f"for {counts.size} element counts"
             )
-        if not np.issubdtype(counts.dtype, np.integer) or np.any(counts < 1):
+        if not np.issubdtype(counts.dtype, np.integer) or np.logical_or.reduce(counts < 1):
             raise ValueError("element counts must be positive integers")
-        if not np.all((beta_sq > 0.0) & (beta_sq < math.inf)):
+        if not np.logical_and.reduce((beta_sq > 0.0) & (beta_sq < math.inf)):
             raise ValueError("every cascaded gain must be finite and positive")
         if not (self.k_br >= 0.0 and self.k_ru >= 0.0):
             raise ValueError("Rician factors must be nonnegative")
@@ -116,7 +116,7 @@ class Link:
 def equal_counts(counts) -> bool:
     """Whether every surface has the same element count."""
     counts = np.asarray(counts)
-    return bool(np.all(counts == counts[0]))
+    return bool(np.logical_and.reduce(counts == counts[0]))
 
 
 def cascaded_large_scale(

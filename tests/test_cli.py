@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 from rispilot import cli
 from rispilot.allocation import (
@@ -508,6 +509,42 @@ def test_invalid_yaml_is_a_config_error(tmp_path, capsys):
     assert err.startswith("config error: ") and "not valid YAML" in err
     assert main(["sweep", "--manifest", cfg]) == 2
     assert "not valid YAML" in capsys.readouterr().err
+
+
+# YAML syntax errors, each with how its one-line message ends: the line of
+# the problem, or the position of a character the reader refuses
+SYNTAX_ERRORS = {
+    "unclosed-flow-sequence": ("scenario: [unclosed\n", "--config", "on line 2"),
+    "unterminated-quote": ('scenario:\n  p_avg: "14 dBm\n', "--config", "on line 3"),
+    "tab-indented-key": ("scenario:\n\tp_avg: 1\n", "--config", "on line 2"),
+    "control-character": ('scenario:\n  p_avg: "14\x01 dBm"\n', "--config", "at position 22"),
+    "truncated-manifest": ("command: sweep\nscenario: [\n", "--manifest", "on line 3"),
+}
+
+
+@pytest.mark.parametrize("composer", ["libyaml", "pyyaml"])
+@pytest.mark.parametrize("text, flag, end", SYNTAX_ERRORS.values(), ids=SYNTAX_ERRORS)
+def test_a_yaml_syntax_error_is_one_line(tmp_path, capsys, monkeypatch, composer, text, flag,
+                                         end):
+    # PyYAML's own text put each of its marks on a line of its own: 2 to 4 lines
+    if composer == "pyyaml":
+        monkeypatch.setattr(cli, "_Composer", cli._PyComposer)
+    path, out = tmp_path / "bad.yaml", tmp_path / "out"
+    path.write_text(text, encoding="utf-8")
+    assert main(["sweep", flag, str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}: not valid YAML: ") and err.count("\n") == 1
+    assert err.endswith(f" {end}\n")
+    assert not out.exists()
+
+
+def test_a_yaml_syntax_error_names_its_context_and_problem(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_Composer", cli._PyComposer)
+    cfg = _cfg(tmp_path, SYNTAX_ERRORS["unclosed-flow-sequence"][0])
+    assert main(["allocate", "--config", cfg]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {cfg}: not valid YAML: while parsing a flow sequence on line 1, "
+        "expected ',' or ']', but got '<stream end>' on line 2\n")
 
 
 def test_exact_sweep_converges_at_a_flat_optimum(tmp_path):
@@ -1230,6 +1267,53 @@ def test_the_csv_writers_write_each_value_as_17_digits(tmp_path):
     assert (tmp_path / "metrics.csv").read_text(encoding="utf-8").split("\n", 1)[1] == metrics
     assert (tmp_path / "powers.csv").read_text(encoding="utf-8").split("\n", 1)[1] == powers
     assert "inf,nan,4.9406564584124654e-324,1.7976931348623157e+308,-0" in metrics
+
+
+# strings a resolver reads as another type, and strings the emitter must
+# quote, escape or fold
+YAML_STRINGS = [
+    "", "null", "Null", "~", "yes", "No", "on", "true", "1e3", "1.0", ".inf", "-.nan", "0x1F",
+    "0o17", "012", "1_000", "12:30", "190:20:30", "2026-10-19", "2026-10-19T21:52:04+00:00",
+    "2001-12-14 21:59:43.10 -5", "<<", "=", "a: b", "a:b", "#x", "a #b", "- y", "-", "?", ":",
+    "two\nlines", "end\n", "\n", "tab\there", " lead", "trail ", "h\u00e9llo", "\u65e5\u672c",
+    "\u2028", "\x85", "\ufeff", "\x07", "x" * 81, "word " * 30, '"q"', "'s'", "[a]", "{a}",
+    "&a", "*a", "!t", "%", "@", "`", "|", ">",
+]
+YAML_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.sampled_from([2**64, -(10**40)]),
+    st.floats(), st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 1e17, 1e16, 5e-324]),
+    st.text(), st.sampled_from(YAML_STRINGS),
+)
+YAML_KEYS = st.text() | st.sampled_from(YAML_STRINGS)
+YAML_TREES = st.dictionaries(YAML_KEYS, st.recursive(
+    YAML_SCALARS,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(YAML_KEYS, inner, max_size=4)),
+    max_leaves=16,
+), max_size=6)
+
+
+@pytest.mark.parametrize("dumper", [yaml.CSafeDumper, yaml.SafeDumper]
+                         if yaml.__with_libyaml__ else [yaml.SafeDumper])
+@given(YAML_TREES)
+@settings(max_examples=150, deadline=None)
+def test_manifests_are_written_as_yaml_dump_writes_them(tmp_path_factory, dumper, payload):
+    path = tmp_path_factory.getbasetemp() / f"{dumper.__name__}.yaml"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_YAML_DUMPER", dumper)
+        cli._write_yaml(path, payload)
+    expected = yaml.dump(payload, Dumper=dumper, sort_keys=True, default_flow_style=False)
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
+@pytest.mark.parametrize("value", [np.float64(1.0), np.int64(1), {1, 2}, cli._Quoted("x"),
+                                   b"x", object()],
+                         ids=["float64", "int64", "set", "str-subclass", "bytes", "object"])
+def test_a_payload_of_another_type_writes_nothing(tmp_path, value):
+    path = tmp_path / "payload.yaml"
+    with pytest.raises(yaml.representer.RepresenterError):
+        cli._write_yaml(path, {"a": [1.0, {"b": value}]})
+    assert not path.exists()
 
 
 def test_an_allocate_block_formats_as_row_by_row():
