@@ -1,13 +1,17 @@
 """Small-scale fading draws for the cascaded reflect channels.
 
-Randomness is counter-based (Philox). Trial t of a run with seed s owns
-one generator per purpose (user hop, BS hop, pilot noise, phases), keyed
-(s, t) and `substream(RngStream(s, t), purpose, 0)`. Each generator
-fills that purpose's draws for every element of every surface, end to
-end in surface order, so a trial's draws are a flat array of sum(M_k)
-values and never depend on which other trials, purposes or rows are
-evaluated beside it. Serial, chunked and parallel runs therefore see
-bit-identical numbers for the same seed.
+Randomness is counter-based (Philox), keyed by blocks of BLOCK_TRIALS
+trials. Block c = t // BLOCK_TRIALS of a run with seed s owns one
+generator per purpose (user hop, BS hop, pilot noise, phases), keyed
+(s, c) and `substream(RngStream(s, c), purpose, 0)`, and its stream is
+dealt out trial after trial: with w values per trial (2 sum(M_k)
+normals, or ceil(sum(M_k) / 4) raw words for random phases), trial
+c BLOCK_TRIALS + r takes values [r w, (r + 1) w). Within a trial the
+values run end to end over every element of every surface, in surface
+order. A trial's draws therefore depend only on (s, t) and w, never on
+which other trials, purposes or rows are evaluated beside it, so serial,
+chunked and parallel runs see bit-identical numbers for the same seed;
+nothing in a run varies w.
 
 The layer functions work on a chunk of trials at once: arrays of shape
 (trials, sum(M_k)), one row per trial, with element m of surface k at
@@ -26,6 +30,7 @@ import numpy as np
 from .scenario import Link
 
 __all__ = [
+    "BLOCK_TRIALS",
     "RngStream",
     "substream",
     "standard_complex_normal",
@@ -35,6 +40,9 @@ __all__ = [
 ]
 
 _U64_MAX = 2**64 - 1
+
+# trials per Philox key: the draws of trials 8c .. 8c + 7 share one stream
+BLOCK_TRIALS = 8
 
 # counter-word assignments: one purpose per independent draw family
 PURPOSE_RIS_USER = 0
@@ -80,7 +88,7 @@ def standard_complex_normal(gen: np.random.Generator, n: int) -> np.ndarray:
 
 @functools.cache
 def _generator() -> np.random.Generator:
-    """The process's one Philox, behind a Generator; trial_draws re-keys it per trial.
+    """The process's one Philox, behind a Generator; trial_draws re-keys it per block.
 
     Trials run in worker processes, never threads, so one per process
     is never shared by two callers at once.
@@ -90,19 +98,22 @@ def _generator() -> np.random.Generator:
 
 def trial_draws(seed: int, start: int, stop: int, purpose: int, width: int,
                 method: str = "standard_normal", out: np.ndarray | None = None) -> np.ndarray:
-    """(stop - start, width) draws, row i from trial start + i's stream.
+    """(stop - start, width) draws, row i from trial start + i.
 
-    Row i equals `substream(RngStream(seed, start + i), purpose,
-    0).standard_normal(width)`, or with method "random_raw" that
-    stream's raw 64-bit Philox words, `.bit_generator.random_raw(width)`.
-    out, a C-contiguous float64 (or uint64 for "random_raw") array of that
-    shape, receives the draws in place of a new array.
+    Trial t = c BLOCK_TRIALS + r takes values [r width, (r + 1) width) of
+    `substream(RngStream(seed, c), purpose, 0).standard_normal`, or with
+    method "random_raw" of that stream's raw 64-bit Philox words,
+    `.bit_generator.random_raw`. out, a C-contiguous float64 (or uint64
+    for "random_raw") array of that shape, receives the draws in place of
+    a new array.
 
-    The process's one bit generator is re-keyed per trial instead of
-    building a new one, which would also gather OS entropy it never uses;
-    each trial sets its whole state, buffer included, so no earlier call
-    shows through. The state holds plain lists, which the setter reads
-    faster than uint64 arrays.
+    The process's one bit generator is re-keyed per block instead of
+    building a new one, which would also gather OS entropy it never uses,
+    and one call fills all of a block's rows in the range; a range that
+    starts inside a block draws and drops its earlier trials' values
+    first. Each block sets the whole state, buffer included, so no
+    earlier call shows through. The state holds plain lists, which the
+    setter reads faster than uint64 arrays.
     """
     if not 0 <= start <= stop <= _U64_MAX + 1:
         raise ValueError(f"trial range [{start}, {stop}) is not inside [0, 2^64)")
@@ -116,10 +127,12 @@ def trial_draws(seed: int, start: int, stop: int, purpose: int, width: int,
         raise ValueError(f"out must be a C-contiguous {np.dtype(dtype)} array of shape "
                          f"{(stop - start, width)}, got {out.dtype} {out.shape}")
     if method == "random_raw":
+        draw = bitgen.random_raw
+
         def fill(out):
-            out[...] = bitgen.random_raw(width)
+            out[...] = draw(out.shape)
     else:
-        fill = getattr(gen, method)
+        draw = fill = getattr(gen, method)
     key = [int(seed), 0]
     counter = [0, 0, purpose, 0]
     state = {
@@ -130,10 +143,16 @@ def trial_draws(seed: int, start: int, stop: int, purpose: int, width: int,
         "has_uint32": 0,
         "uinteger": 0,
     }
-    for i, t in enumerate(range(start, stop)):
-        key[1] = counter[1] = t
+    a = start
+    while a < stop:
+        c, r = divmod(a, BLOCK_TRIALS)
+        b = min(stop, a - r + BLOCK_TRIALS)
+        key[1] = counter[1] = c
         bitgen.state = state
-        fill(out=out[i])
+        if r:
+            draw(r * width)
+        fill(out=out[a - start:b - start])
+        a = b
     return out
 
 
@@ -141,10 +160,11 @@ def unit_normals(seed: int, start: int, stop: int, purpose: int, n: int,
                  out: np.ndarray | None = None) -> np.ndarray:
     """(stop - start, n) unit complex normals, row i = trial start + i.
 
-    Row i equals standard_complex_normal(substream(RngStream(seed,
-    start + i), purpose, 0), n). out, a C-contiguous float64 array of
-    shape (stop - start, 2 n), receives the draws; the result is then its
-    complex view.
+    Row i is trial start + i's 2 n standard normals from trial_draws,
+    paired as (real, imaginary) and scaled by sqrt(1/2), as
+    standard_complex_normal pairs them. out, a C-contiguous float64 array
+    of shape (stop - start, 2 n), receives the draws; the result is then
+    its complex view.
     """
     flat = trial_draws(seed, start, stop, purpose, 2 * n, out=out)
     flat *= math.sqrt(0.5)

@@ -498,6 +498,9 @@ def _one_line(exc: Exception) -> str:
                          for text, mark in ((exc.context, exc.context_mark),
                                             (exc.problem, exc.problem_mark)) if text)
     if isinstance(exc, yaml.reader.ReaderError):
+        # libyaml gives character -1 where the input ends inside a character
+        if isinstance(exc.character, int) and exc.character < 0:
+            return f"{exc.reason} at position {exc.position}"
         return f"{str(exc).splitlines()[0]} at position {exc.position}"
     return str(exc)
 
@@ -773,6 +776,13 @@ def _validation_checks(link: Link, trials: int, seed: int, workers: int,
     counts = link.counts
     countsf = counts.astype(np.float64)
 
+    # every gain the checks average is of the order of the coherent gain
+    # (sum_k M_k beta_k)^2; a problem where it overflows stops before any draw
+    m_beta = float(np.dot(countsf, link.beta))
+    if not math.isfinite(m_beta * m_beta):
+        raise ArithmeticError(
+            f"the coherent gain (sum_k M_k beta_k)^2 overflows: sum_k M_k beta_k = {m_beta:.6g}")
+
     # every allocator runs before any draw, so a problem that has no
     # allocation stops before the trial engine sees it; `exact` solves the
     # off-centre problem of the check below in the same call, and a
@@ -784,10 +794,10 @@ def _validation_checks(link: Link, trials: int, seed: int, workers: int,
 
     # per-surface aligned-coefficient mean, against the closed form; trial
     # 2^63 + k's user-hop draws give h, then the estimation noise
-    for k in range(link.num_ris):
+    samples = unit_normals(seed, 2**63, 2**63 + link.num_ris, PURPOSE_RIS_USER, 2 * trials)
+    for k, z in enumerate(samples):
         b2 = float(link.beta_sq[k])
         d2 = link.sigma_z_sq / link.p_avg
-        z = unit_normals(seed, 2**63 + k, 2**63 + k + 1, PURPOSE_RIS_USER, 2 * trials)[0]
         h = math.sqrt(b2) * z[:trials]
         est = h + math.sqrt(d2) * z[trials:]
         stat = (h * np.conj(est) / np.abs(est)).real
@@ -824,9 +834,8 @@ def _validation_checks(link: Link, trials: int, seed: int, workers: int,
 
     # perfect-estimation limit of the closed form: noiseless training
     limit = ergodic_gain_closed_form(dataclasses.replace(link, sigma_z_sq=0.0), uniform).total
-    m_beta = float(np.dot(countsf, link.beta))
     m_beta_sq = float(np.dot(countsf, link.beta_sq))
-    ideal = m_beta_sq + 0.25 * math.pi * (m_beta**2 - m_beta_sq)
+    ideal = m_beta_sq + 0.25 * math.pi * (m_beta * m_beta - m_beta_sq)
     checks.append(
         _check("perfect-csi-limit", limit, ideal, ok=abs(limit - ideal) <= 1e-9 * ideal)
     )

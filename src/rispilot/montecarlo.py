@@ -1,10 +1,13 @@
 """Monte Carlo estimation of composite gain and downlink rate.
 
-Trials are addressed by (seed, trial index): trial t draws from one
-Philox generator per purpose keyed (seed, t) (see channel), so a run is
-reproducible bit for bit no matter how trials are split across workers
-or chunks. A run evaluates every row (a `scenario.Link`, its allocation
-and CSI mode) on the same draws: all links and allocators of a sweep,
+Trials are addressed by (seed, trial index): trial t draws its own
+values of one Philox stream per purpose and block of
+channel.BLOCK_TRIALS trials, keyed (seed, t // BLOCK_TRIALS) (see
+channel), so a run is reproducible bit for bit no matter how trials are
+split across workers or chunks. Chunks and worker shares start on block
+boundaries, so each block's draws of a purpose come from one fill. A run
+evaluates every row (a `scenario.Link`, its allocation and CSI mode) on
+the same draws: all links and allocators of a sweep,
 all CSI modes of a validation. The comparison between rows is
 therefore paired: differences between their metrics come from the rows
 alone, not from sampling noise. Two runs with the same seed share their draws too;
@@ -15,10 +18,11 @@ axis, with the axis values beside them: the caller builds each link,
 whatever the axis (user offset, pilot budget) changes.
 
 The engine works on chunks of trials. A chunk holds one
-(trials, sum(M_k)) array per purpose, with no more than CHUNK_ELEMENTS
-elements, and each layer function is called once per chunk on those
-arrays; an np.repeat over the element counts maps per-surface values
-(beta_k, the estimation error delta_k) onto the elements.
+(trials, sum(M_k)) array per purpose, of whole blocks and, beyond one
+block, of no more than CHUNK_ELEMENTS elements, and each layer function
+is called once per chunk on those arrays; an np.repeat over the element
+counts maps per-surface values (beta_k, the estimation error delta_k)
+onto the elements.
 
 Each range of trials (one pool worker's share, or the whole run with one
 worker) allocates its chunk arrays once, as a workspace sized to the
@@ -43,7 +47,8 @@ import numpy as np
 
 from .allocation import resolve_allocator, run_allocator
 from .analysis import ergodic_gain_rows, model_applies
-from .channel import PURPOSE_BS_RIS, PURPOSE_PILOT_NOISE, PURPOSE_RIS_USER, sample_channels, unit_normals
+from .channel import (BLOCK_TRIALS, PURPOSE_BS_RIS, PURPOSE_PILOT_NOISE, PURPOSE_RIS_USER,
+                      sample_channels, unit_normals)
 from .estimation import PerRisPowers, ls_estimate
 from .reflection import aligned_gain, composite_channel, configure_phases, random_phases
 from .scenario import Link
@@ -106,19 +111,24 @@ class GainRow(NamedTuple):
     trials: int | None = None
 
 
-# Upper bound on the elements of any (trials, sum(M_k)) engine array (a
-# chunk holds at least one trial, so one trial of more elements exceeds
-# it). 2^14 complex values are 256 KiB: the buffers a range writes, at
-# most six such buffers and one half their size, 1.625 MiB, fit in a
-# core's L2 cache (2 MiB on the 2-vCPU Xeon VM measured), and a pool
-# worker holds no more than that beyond a one-trial-at-a-time loop. At
-# 2^16 the M=[1024, 256] validation ran 7% slower and its workers peaked
-# 8 MiB higher.
+# Upper bound on the elements of any (trials, sum(M_k)) engine array,
+# except that a chunk holds at least one block of BLOCK_TRIALS trials: for
+# sum(M_k) above CHUNK_ELEMENTS / BLOCK_TRIALS = 2048 its arrays hold 8
+# trials and exceed it, 8 times one trial's size. 2^14 complex values are
+# 256 KiB: the buffers a range writes, at most six such buffers and one
+# half their size, 1.625 MiB, fit in a core's L2 cache (2 MiB on the
+# 2-vCPU Xeon VM measured), and a pool worker holds no more than that
+# beyond a one-block-at-a-time loop. At 2^16 the M=[1024, 256] validation
+# ran 7% slower and its workers peaked 8 MiB higher.
 CHUNK_ELEMENTS = 2**14
 
 
 def _gain_range(rows: list[GainRow], seed: int, start: int, stop: int) -> list[np.ndarray]:
     """Gains of every row over trials [start, stop), chunk by chunk.
+
+    Chunks hold whole blocks of BLOCK_TRIALS trials, the last one
+    excepted, so with start on a block boundary, as trial_gains splits,
+    each block of a purpose is drawn by one fill.
 
     Each chunk draws each purpose once, for all rows: the user hop always,
     the BS hop when a row's BS link is faded, pilot noise when a row
@@ -138,7 +148,7 @@ def _gain_range(rows: list[GainRow], seed: int, start: int, stop: int) -> list[n
     """
     counts = rows[0].link.counts
     n = int(counts.sum())
-    step = max(1, CHUNK_ELEMENTS // n)
+    step = max(1, CHUNK_ELEMENTS // n // BLOCK_TRIALS) * BLOCK_TRIALS
     size = min(step, stop - start)
     user_buf, bs_buf, noise_buf = (np.empty((size, 2 * n)) for _ in range(3))
     mag_buf = np.empty((size, n))
@@ -198,28 +208,31 @@ def trial_gains(rows, cfg: TrialConfig, *, workers: int = 1) -> list[np.ndarray]
 
     Every row is evaluated on the same draws, and one array comes back
     per row, of its trial count. The ordering is part of the contract:
-    entry t depends only on (cfg.seed, t), so any worker count or chunk
-    size returns the identical arrays, and rows of one run are paired
-    trial by trial. Callers pass cfg and workers by keyword, where
-    perfbench's tracer reads the run's trial and worker counts. The pool
-    starts no more workers than this process may run on CPUs.
+    entry t depends only on (cfg.seed, t) and the rows' element counts,
+    so any worker count or chunk size returns the identical arrays, and
+    rows of one run are paired trial by trial. Callers pass cfg and
+    workers by keyword, where perfbench's tracer reads the run's trial and
+    worker counts. The pool starts no more workers than this process may
+    run on CPUs, nor more than the run has blocks of trials.
     """
     rows = list(rows)
     if not rows:
         raise ValueError("no rows to evaluate")
     counts = rows[0].link.counts
     rows = [_resolved(r, cfg, counts) for r in rows]
-    workers = min(workers, _usable_cpus())
-    if workers <= 1 or cfg.trials < 2 * workers:
+    # workers split the run on block boundaries, each taking whole blocks
+    blocks = -(-cfg.trials // BLOCK_TRIALS)
+    workers = min(workers, _usable_cpus(), blocks)
+    if workers <= 1:
         return _gain_range(rows, cfg.seed, 0, cfg.trials)
-    bounds = np.linspace(0, cfg.trials, workers + 1, dtype=int)
+    bounds = [min(cfg.trials, blocks * i // workers * BLOCK_TRIALS) for i in range(workers + 1)]
     # imported here so that commands without a pool never load multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
         parts = list(pool.map(
             _gain_range,
-            *zip(*[(rows, cfg.seed, int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]),
+            *zip(*[(rows, cfg.seed, a, b) for a, b in zip(bounds[:-1], bounds[1:])]),
         ))
     return [np.concatenate([p[i] for p in parts]) for i in range(len(rows))]
 

@@ -67,10 +67,10 @@ def random_phases(seed: int, start: int, stop: int, n: int,
                   out: np.ndarray | None = None) -> np.ndarray:
     """Uniform random grid phases for trials [start, stop), the no-CSI reference.
 
-    Row i takes ceil(n / 4) raw words of substream(RngStream(seed,
-    start + i), PURPOSE_PHASE, 0), splits each into four 16-bit lanes,
-    low lane first, and maps the first n lanes' top _GRID_BITS bits to
-    _unit_circle(). out, a complex128 (stop - start, n) array, receives
+    Row i takes trial start + i's ceil(n / 4) raw words of its block's
+    PURPOSE_PHASE stream (see channel.trial_draws), splits each into four
+    16-bit lanes, low lane first, and maps the first n lanes' top
+    _GRID_BITS bits to _unit_circle(). out, a complex128 (stop - start, n) array, receives
     the phases in place of a new array.
     """
     words = trial_draws(seed, start, stop, PURPOSE_PHASE, -(-n // 4), "random_raw")

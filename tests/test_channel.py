@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from rispilot.channel import (
+    BLOCK_TRIALS,
     PURPOSE_BS_RIS,
     PURPOSE_PHASE,
     PURPOSE_PILOT_NOISE,
@@ -65,6 +66,14 @@ def _channel(link, seed, trial=0):
     return sample_channels(link, user, bs)[0]
 
 
+def _block_row(seed, t, purpose, width, method="standard_normal"):
+    """Trial t's draws by the contract: row t % 8 of its block's stream,
+    substream(RngStream(seed, t // 8), purpose, 0), filled for the whole block."""
+    gen = substream(RngStream(seed, t // BLOCK_TRIALS), purpose, 0)
+    draw = gen.bit_generator.random_raw if method == "random_raw" else getattr(gen, method)
+    return draw(BLOCK_TRIALS * width).reshape(BLOCK_TRIALS, width)[t % BLOCK_TRIALS]
+
+
 @pytest.mark.parametrize("method, width, before", [
     pytest.param("standard_normal", 6, None, id="standard_normal-6"),
     pytest.param("random_raw", 5, None, id="random_raw-5"),
@@ -77,23 +86,39 @@ def test_trial_draws_are_each_trials_own_substream(method, width, before):
     seed = 2**64 - 3
     if before is not None:
         trial_draws(seed, 8, 10, PURPOSE_PILOT_NOISE, before[1], before[0])
+    # the range starts on the last trial of block 0 and ends inside block 1
     chunk = trial_draws(seed, 7, 11, PURPOSE_PILOT_NOISE, width, method)
     assert chunk.shape == (4, width)
     for i, t in enumerate(range(7, 11)):
-        gen = substream(RngStream(seed, t), PURPOSE_PILOT_NOISE, 0)
-        expected = getattr(gen.bit_generator if method == "random_raw" else gen, method)(width)
+        expected = _block_row(seed, t, PURPOSE_PILOT_NOISE, width, method)
         assert chunk.dtype == expected.dtype
         assert np.array_equal(chunk[i], expected)
     # a trial's draws do not depend on the range it is drawn in
     assert np.array_equal(trial_draws(seed, 9, 10, PURPOSE_PILOT_NOISE, width, method)[0], chunk[2])
     normals = unit_normals(seed, 7, 9, PURPOSE_RIS_USER, width)
     for i, t in enumerate((7, 8)):
-        gen = substream(RngStream(seed, t), PURPOSE_RIS_USER, 0)
-        assert np.array_equal(normals[i], standard_complex_normal(gen, width))
+        expected = _block_row(seed, t, PURPOSE_RIS_USER, 2 * width).view(np.complex128)
+        assert np.array_equal(normals[i], expected * math.sqrt(0.5))
     with pytest.raises(ValueError):
         trial_draws(2**64, 0, 1, PURPOSE_RIS_USER, 2)
     with pytest.raises(ValueError):
         trial_draws(0, 3, 2, PURPOSE_RIS_USER, 2)
+
+
+@pytest.mark.parametrize("method", ["standard_normal", "random_raw"])
+def test_trial_draws_inside_one_block_and_at_the_last_trial(method):
+    seed = 11
+    # a range that starts and ends inside block 2 drops the rows before it
+    inside = trial_draws(seed, 17, 22, PURPOSE_BS_RIS, 3, method)
+    whole = trial_draws(seed, 16, 24, PURPOSE_BS_RIS, 3, method)
+    assert np.array_equal(inside, whole[1:6])
+    for i, t in enumerate(range(17, 22)):
+        assert np.array_equal(inside[i], _block_row(seed, t, PURPOSE_BS_RIS, 3, method))
+    # the last trial is row 7 of block 2^61 - 1
+    last = trial_draws(seed, 2**64 - 1, 2**64, PURPOSE_PHASE, 4, method)
+    assert np.array_equal(last[0], _block_row(seed, 2**64 - 1, PURPOSE_PHASE, 4, method))
+    tail = trial_draws(seed, 2**64 - BLOCK_TRIALS, 2**64, PURPOSE_PHASE, 4, method)
+    assert np.array_equal(tail[-1], last[0])
 
 
 @pytest.mark.parametrize("method, dtype", [("standard_normal", np.float64),

@@ -519,6 +519,9 @@ SYNTAX_ERRORS = {
     "tab-indented-key": ("scenario:\n\tp_avg: 1\n", "--config", "on line 2"),
     "control-character": ('scenario:\n  p_avg: "14\x01 dBm"\n', "--config", "at position 22"),
     "truncated-manifest": ("command: sweep\nscenario: [\n", "--manifest", "on line 3"),
+    # a UTF-16LE byte-order mark, then one odd byte: libyaml names the
+    # missing character -1, which once printed as "#x-001"
+    "cut-utf16-character": (b"\xff\xfe\xfd", "--config", "at position 2"),
 }
 
 
@@ -530,11 +533,11 @@ def test_a_yaml_syntax_error_is_one_line(tmp_path, capsys, monkeypatch, composer
     if composer == "pyyaml":
         monkeypatch.setattr(cli, "_Composer", cli._PyComposer)
     path, out = tmp_path / "bad.yaml", tmp_path / "out"
-    path.write_text(text, encoding="utf-8")
+    path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     assert main(["sweep", flag, str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {path}: not valid YAML: ") and err.count("\n") == 1
-    assert err.endswith(f" {end}\n")
+    assert err.endswith(f" {end}\n") and "#x-" not in err
     assert not out.exists()
 
 
@@ -1053,6 +1056,31 @@ def test_validate_on_a_subnormal_budget_fails_before_any_draw(tmp_path, capsys):
     assert err.startswith("numerical failure: ") and err.count("\n") == 1
     assert "RuntimeWarning" not in err
     assert [str(w.message) for w in shown] == []
+
+
+def test_validate_on_an_overflowing_coherent_gain_fails_before_any_draw(tmp_path, capsys):
+    # (sum_k M_k beta_k)^2 = (14142 * 1e150)^2 leaves the float range: the
+    # Python float m_beta**2 once raised a bare errno tuple, after the trial
+    # statistics had warned of their own overflow
+    cfg = _cfg(tmp_path, """
+        scenario:
+          element_counts: [7071, 7071]
+          p_avg: "14 dBm"
+          q: "40 dBm"
+          sigma_z: "-110 dBm"
+          sigma_n: "-90 dBm"
+          channel:
+            beta_sq: [1.0e300, 1.0e300]
+        """)
+    with warnings.catch_warnings(record=True) as shown:
+        warnings.simplefilter("always", RuntimeWarning)
+        assert main(["validate", "--config", cfg, "--trials", "100",
+                     "--out", str(tmp_path / "x")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: the coherent gain ") and err.count("\n") == 1
+    assert "RuntimeWarning" not in err
+    assert [str(w.message) for w in shown] == []
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize(

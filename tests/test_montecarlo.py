@@ -12,6 +12,7 @@ from rispilot import cli, montecarlo
 from rispilot.allocation import PerRisPowers, allocate_average, run_allocator
 from rispilot.analysis import ergodic_gain_closed_form
 from rispilot.channel import (
+    BLOCK_TRIALS,
     PURPOSE_BS_RIS,
     PURPOSE_PHASE,
     PURPOSE_PILOT_NOISE,
@@ -103,6 +104,18 @@ def test_gains_do_not_depend_on_worker_count():
     assert np.array_equal(few, _gains(link, alloc, TrialConfig(trials=3, seed=5)))
 
 
+def test_a_worker_split_inside_a_block_moves_no_draw(monkeypatch):
+    # 250 trials halve at 125, inside block 15; the shares meet on a block
+    # boundary instead. The pool splits only where two CPUs are usable
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    link = _beta_direct([1.0, 0.25], [32, 32])
+    rows = [GainRow(link, allocate_average(link), mode) for mode in montecarlo.CSI_MODES]
+    cfg = TrialConfig(trials=250, seed=3)
+    serial = trial_gains(rows, cfg, workers=1)
+    for got, want in zip(trial_gains(rows, cfg, workers=2), serial):
+        assert np.array_equal(got, want)
+
+
 def test_pool_workers_are_capped_at_the_usable_cpus(monkeypatch):
     # a stand-in pool runs its tasks in this process and records its size,
     # so no worker process starts however many are asked for
@@ -167,7 +180,7 @@ def test_gains_do_not_depend_on_chunk_size(monkeypatch, mode):
     cfg = TrialConfig(trials=200, seed=5, csi_mode=mode)
     alone = [trial_gains([row], cfg)[0] for row in rows]
     assert [g.size for g in alone] == [200, 200, 200, 37, 120, 5, 200, 200]
-    for cap in (8, 56, montecarlo.CHUNK_ELEMENTS):  # one, seven and 2048 trials per chunk
+    for cap in (8, 192, montecarlo.CHUNK_ELEMENTS):  # one, three and 256 blocks per chunk
         monkeypatch.setattr(montecarlo, "CHUNK_ELEMENTS", cap)
         for workers in (1, 2):
             got = trial_gains(rows, cfg, workers=workers)
@@ -188,12 +201,16 @@ def test_every_csi_mode_sees_trial_ts_channel():
     beta = np.repeat(link.beta, link.counts)
     delta = np.repeat(np.sqrt(link.sigma_z_sq / alloc.p_k), link.counts)
     for t in range(40):
-        rng = RngStream(17, t)
-        h = beta * np.conj(standard_complex_normal(substream(rng, PURPOSE_RIS_USER, 0), 8))
-        est = h + delta * standard_complex_normal(substream(rng, PURPOSE_PILOT_NOISE, 0), 8)
+        # trial t is row t % 8 of its block's streams, each filled for the block
+        rng, r = RngStream(17, t // BLOCK_TRIALS), t % BLOCK_TRIALS
+        h = beta * np.conj(standard_complex_normal(substream(rng, PURPOSE_RIS_USER, 0),
+                                                   8 * BLOCK_TRIALS)[8 * r:8 * r + 8])
+        noise = standard_complex_normal(substream(rng, PURPOSE_PILOT_NOISE, 0), 8 * BLOCK_TRIALS)
+        est = h + delta * noise[8 * r:8 * r + 8]
         # random phases: 16-bit lanes of the raw words, low lane first, whose
         # top 12 bits pick a point of the 4096-point grid
-        words = substream(rng, PURPOSE_PHASE, 0).bit_generator.random_raw(2)
+        phase_words = substream(rng, PURPOSE_PHASE, 0).bit_generator.random_raw(2 * BLOCK_TRIALS)
+        words = phase_words[2 * r:2 * r + 2]
         grid = [(int(w) >> (16 * j + 4)) & 0xFFF for w in words for j in range(4)]
         theta = 2.0 * math.pi / 4096 * np.array(grid)
         expected = (

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rispilot.channel import (
+    BLOCK_TRIALS,
     PURPOSE_PHASE,
     PURPOSE_PILOT_NOISE,
     PURPOSE_RIS_USER,
@@ -132,16 +133,23 @@ def test_random_phases_deterministic_and_unit_modulus():
     # row i is trial i's own phase stream, whatever range it is drawn in
     chunk = random_phases(9, 0, 3, 24)
     assert np.array_equal(chunk[0], a[0])
-    assert np.array_equal(chunk[2], _grid_phases(RngStream(9, 2), 24))
-    # n need not fill whole words: the lanes are read in order, low lane first
-    assert np.array_equal(random_phases(9, 2, 3, 7)[0], chunk[2][:7])
+    assert np.array_equal(chunk[2], _grid_phases(9, 2, 24))
+    # trial 9 is row 1 of block 1, drawn in a range that starts inside it
+    assert np.array_equal(random_phases(9, 9, 10, 24)[0], _grid_phases(9, 9, 24))
+    # n need not fill whole words: the lanes are read in order, low lane first,
+    # so n = 7 takes the first 7 of n = 8's lanes, both two words a trial
+    assert np.array_equal(random_phases(9, 2, 3, 7)[0], _grid_phases(9, 2, 7))
+    assert np.array_equal(random_phases(9, 2, 3, 7)[0], random_phases(9, 2, 3, 8)[0][:7])
 
 
-def _grid_phases(rng, n):
-    """The phases of one trial, by the contract: the phase stream's raw words,
-    cut into 16-bit lanes from the lowest up, whose top 12 bits pick
-    exp(j 2 pi k / 4096)."""
-    words = substream(rng, PURPOSE_PHASE, 0).bit_generator.random_raw(-(-n // 4))
+def _grid_phases(seed, t, n):
+    """The phases of trial t, by the contract: its ceil(n / 4) raw words, row
+    t % 8 of its block's phase stream substream(RngStream(seed, t // 8),
+    PURPOSE_PHASE, 0), cut into 16-bit lanes from the lowest up, whose top 12
+    bits pick exp(j 2 pi k / 4096)."""
+    width = -(-n // 4)
+    block = substream(RngStream(seed, t // BLOCK_TRIALS), PURPOSE_PHASE, 0)
+    words = block.bit_generator.random_raw((BLOCK_TRIALS, width))[t % BLOCK_TRIALS]
     lanes = [(int(w) >> (16 * j)) & 0xFFFF for w in words for j in range(4)]
     return np.exp(2j * math.pi / 4096 * np.array([lane >> 4 for lane in lanes[:n]]))
 
