@@ -1,17 +1,18 @@
 """Small-scale fading draws for the cascaded reflect channels.
 
-Randomness is counter-based (Philox), keyed by blocks of BLOCK_TRIALS
-trials. Block c = t // BLOCK_TRIALS of a run with seed s owns one
-generator per purpose (user hop, BS hop, pilot noise, phases), keyed
-(s, c) and `substream(RngStream(s, c), purpose, 0)`, and its stream is
-dealt out trial after trial: with w values per trial (2 sum(M_k)
-normals, or ceil(sum(M_k) / 4) raw words for random phases), trial
-c BLOCK_TRIALS + r takes values [r w, (r + 1) w). Within a trial the
-values run end to end over every element of every surface, in surface
-order. A trial's draws therefore depend only on (s, t) and w, never on
-which other trials, purposes or rows are evaluated beside it, so serial,
-chunked and parallel runs see bit-identical numbers for the same seed;
-nothing in a run varies w.
+Randomness is keyed by blocks of BLOCK_TRIALS trials. Block
+c = t // BLOCK_TRIALS of a run with seed s owns one stream per purpose
+p (user hop, BS hop, pilot noise, phases): an SFC64 generator whose four
+state words are the first four words of the counter-based Philox
+keyed (s, p) at counter (c, 0, 0, 0), `block_stream(s, c, p)`. Its
+values are dealt out trial after trial: with w values per trial
+(2 sum(M_k) normals, or ceil(sum(M_k) / 4) raw words for random
+phases), trial c BLOCK_TRIALS + r takes values [r w, (r + 1) w).
+Within a trial the values run end to end over every element of every
+surface, in surface order. A trial's draws therefore depend only on
+(s, t) and w, never on which other trials, purposes or rows are
+evaluated beside it, so serial, chunked and parallel runs see
+bit-identical numbers for the same seed; nothing in a run varies w.
 
 The layer functions work on a chunk of trials at once: arrays of shape
 (trials, sum(M_k)), one row per trial, with element m of surface k at
@@ -32,6 +33,7 @@ from .scenario import Link
 __all__ = [
     "BLOCK_TRIALS",
     "RngStream",
+    "block_stream",
     "substream",
     "standard_complex_normal",
     "trial_draws",
@@ -41,10 +43,11 @@ __all__ = [
 
 _U64_MAX = 2**64 - 1
 
-# trials per Philox key: the draws of trials 8c .. 8c + 7 share one stream
+# trials per block: the draws of trials 8c .. 8c + 7 of a purpose share one stream
 BLOCK_TRIALS = 8
 
-# counter-word assignments: one purpose per independent draw family
+# one purpose per independent draw family: the second key word of a block's
+# Philox, and the counter word of a substream slot
 PURPOSE_RIS_USER = 0
 PURPOSE_BS_RIS = 1
 PURPOSE_PILOT_NOISE = 2
@@ -55,8 +58,10 @@ PURPOSE_PHASE = 3
 class RngStream:
     """Handle for one reproducible stream of draws.
 
-    Identical (seed, stream_id) always reproduces identical draws.
-    Monte Carlo code uses stream_id as the trial index.
+    Identical (seed, stream_id) always reproduces identical draws
+    through substream. The Monte Carlo engine keys its draws by block
+    (see block_stream) and uses RngStream only to validate seeds, so a
+    stream id keys nothing but substream's standalone draws.
     """
 
     seed: int
@@ -86,14 +91,45 @@ def standard_complex_normal(gen: np.random.Generator, n: int) -> np.ndarray:
     return flat.view(np.complex128) * math.sqrt(0.5)
 
 
+def _sfc64_state(words) -> dict:
+    """SFC64 state dict whose four state words are words."""
+    return {"bit_generator": "SFC64", "state": {"state": words},
+            "has_uint32": 0, "uinteger": 0}
+
+
+def block_stream(seed: int, block: int, purpose: int) -> np.random.Generator:
+    """A fresh Generator on one purpose's stream of a block of trials.
+
+    Its bit generator is an SFC64 whose four state words (a, b, c and
+    the counter) are the first four words of
+    `Philox(key=[seed, purpose], counter=[block, 0, 0, 0]).random_raw(4)`.
+    This is the one definition of the draws trial_draws deals out.
+
+    Philox is a keyed pseudorandom function of its counter, so each
+    block starts at a 256-bit state that looks uniformly drawn, given
+    (seed, purpose, block): the situation of SFC64 streams spawned from
+    a SeedSequence. No warm-up rounds are run; numpy's own SFC64
+    seeding runs 12 only to mix low-entropy seeds.
+    """
+    RngStream(seed, block)  # validates both
+    key = np.array([seed, purpose], dtype=np.uint64)
+    counter = np.array([block, 0, 0, 0], dtype=np.uint64)
+    words = np.random.Philox(key=key, counter=counter).random_raw(4)
+    bitgen = np.random.SFC64(0)
+    bitgen.state = _sfc64_state(words)
+    return np.random.Generator(bitgen)
+
+
 @functools.cache
-def _generator() -> np.random.Generator:
-    """The process's one Philox, behind a Generator; trial_draws re-keys it per block.
+def _generators() -> tuple[np.random.Philox, np.random.Generator]:
+    """The process's one Philox, which trial_draws keys once per call to
+    derive its blocks' states, and its one SFC64 behind a Generator,
+    which it sets once per block.
 
     Trials run in worker processes, never threads, so one per process
     is never shared by two callers at once.
     """
-    return np.random.Generator(np.random.Philox(key=0))
+    return np.random.Philox(key=0), np.random.Generator(np.random.SFC64(0))
 
 
 def trial_draws(seed: int, start: int, stop: int, purpose: int, width: int,
@@ -101,24 +137,27 @@ def trial_draws(seed: int, start: int, stop: int, purpose: int, width: int,
     """(stop - start, width) draws, row i from trial start + i.
 
     Trial t = c BLOCK_TRIALS + r takes values [r width, (r + 1) width) of
-    `substream(RngStream(seed, c), purpose, 0).standard_normal`, or with
-    method "random_raw" of that stream's raw 64-bit Philox words,
+    `block_stream(seed, c, purpose).standard_normal`, or with method
+    "random_raw" of that stream's raw 64-bit SFC64 words,
     `.bit_generator.random_raw`. out, a C-contiguous float64 (or uint64
     for "random_raw") array of that shape, receives the draws in place of
     a new array.
 
-    The process's one bit generator is re-keyed per block instead of
-    building a new one, which would also gather OS entropy it never uses,
-    and one call fills all of a block's rows in the range; a range that
-    starts inside a block draws and drops its earlier trials' values
-    first. Each block sets the whole state, buffer included, so no
-    earlier call shows through. The state holds plain lists, which the
-    setter reads faster than uint64 arrays.
+    The process's one Philox is set once per call and reads the states
+    of every block in the range with one random_raw: Philox's output at
+    counter (c, 0, 0, 0) continues into its output at (c + 1, 0, 0, 0),
+    so consecutive four-word rows are consecutive blocks. Then, block by
+    block, the process's one SFC64 takes the block's state, and one call
+    fills all of the block's rows in the range; a range that starts
+    inside a block draws and drops its earlier trials' values first.
+    Each block sets the whole state, so no earlier call shows through.
+    Setting state in place of building generators spares the OS entropy
+    a new one would gather and never use.
     """
     if not 0 <= start <= stop <= _U64_MAX + 1:
         raise ValueError(f"trial range [{start}, {stop}) is not inside [0, 2^64)")
     RngStream(seed)  # validates the seed
-    gen = _generator()
+    philox, gen = _generators()
     bitgen = gen.bit_generator
     dtype = np.uint64 if method == "random_raw" else np.float64
     if out is None:
@@ -133,21 +172,23 @@ def trial_draws(seed: int, start: int, stop: int, purpose: int, width: int,
             out[...] = draw(out.shape)
     else:
         draw = fill = getattr(gen, method)
-    key = [int(seed), 0]
-    counter = [0, 0, purpose, 0]
-    state = {
+    first = start // BLOCK_TRIALS
+    # the state holds plain lists, which the setter reads faster than uint64 arrays
+    philox.state = {
         "bit_generator": "Philox",
-        "state": {"counter": counter, "key": key},
+        "state": {"counter": [first, 0, 0, 0], "key": [int(seed), purpose]},
         "buffer": [0, 0, 0, 0],
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
+    words = philox.random_raw((-(-stop // BLOCK_TRIALS) - first, 4))
+    state = _sfc64_state(None)
     a = start
-    while a < stop:
-        c, r = divmod(a, BLOCK_TRIALS)
+    for row in words:
+        r = a % BLOCK_TRIALS
         b = min(stop, a - r + BLOCK_TRIALS)
-        key[1] = counter[1] = c
+        state["state"]["state"] = row
         bitgen.state = state
         if r:
             draw(r * width)

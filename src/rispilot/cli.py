@@ -765,9 +765,18 @@ def _check(name, observed, expected, tol=0.0, margin=0.0, *, ok=None, detail="")
     }
 
 
-def _se(x: np.ndarray) -> float:
-    """Standard error of the mean; unknown (inf) below two samples."""
-    return float(np.std(x, ddof=1) / math.sqrt(x.size)) if x.size > 1 else math.inf
+def _mean_se(x: np.ndarray, scale: float) -> tuple[float, float]:
+    """Mean and standard error of the mean of samples x of the order of
+    scale; the error is unknown (inf) below two samples.
+
+    Both are computed on x 2^-e, e the binary exponent of scale, and
+    scaled back, so the sums of samples near the float maximum do not
+    overflow; a power of two keeps every bit of normal numbers.
+    """
+    e = math.frexp(scale)[1]
+    y = np.ldexp(x, -e)
+    se = float(np.std(y, ddof=1) / math.sqrt(y.size)) if y.size > 1 else math.inf
+    return math.ldexp(float(np.mean(y)), e), math.ldexp(se, e)
 
 
 def _validation_checks(link: Link, trials: int, seed: int, workers: int,
@@ -802,10 +811,8 @@ def _validation_checks(link: Link, trials: int, seed: int, workers: int,
         est = h + math.sqrt(d2) * z[trials:]
         stat = (h * np.conj(est) / np.abs(est)).real
         expected = alignment_mean(b2, d2)
-        checks.append(
-            _check(f"alignment-mean[{k}]", float(np.mean(stat)), expected,
-                   0.02 * expected, 4.0 * _se(stat))
-        )
+        mean, se = _mean_se(stat, expected)
+        checks.append(_check(f"alignment-mean[{k}]", mean, expected, 0.02 * expected, 4.0 * se))
 
     # one run for the ergodic-gain check and the hierarchy checks below:
     # the estimated row over every trial, the other CSI modes over the
@@ -820,8 +827,11 @@ def _validation_checks(link: Link, trials: int, seed: int, workers: int,
         ),
     ))
 
-    # closed-form ergodic gain against the simulated pipeline
-    mean, se = float(np.mean(gains["estimated"])), _se(gains["estimated"])
+    # closed-form ergodic gain against the simulated pipeline; each gain is
+    # finite, but a sum of them may not be, so the gains' statistics are
+    # taken at the coherent gain's scale
+    coherent = m_beta * m_beta
+    mean, se = _mean_se(gains["estimated"], coherent)
     closed = ergodic_gain_closed_form(link, uniform).total
     check = _check("ergodic-gain", mean, closed, 0.02 * closed, 4.0 * se)
     if not model_applies(link):
@@ -863,8 +873,7 @@ def _validation_checks(link: Link, trials: int, seed: int, workers: int,
         ("hierarchy-perfect-vs-estimated", "perfect", "estimated"),
         ("hierarchy-estimated-vs-random", "estimated", "random-phase"),
     ):
-        diff = gains[top][:n_h] - gains[bottom][:n_h]
-        mean, se = float(np.mean(diff)), _se(diff)
+        mean, se = _mean_se(gains[top][:n_h] - gains[bottom][:n_h], coherent)
         checks.append(_check(name, mean, 0.0, 3.0 * se, 3.0 * se, ok=mean >= -3.0 * se,
                              detail="paired mean difference"))
     return checks

@@ -1,8 +1,8 @@
 """Monte Carlo estimation of composite gain and downlink rate.
 
 Trials are addressed by (seed, trial index): trial t draws its own
-values of one Philox stream per purpose and block of
-channel.BLOCK_TRIALS trials, keyed (seed, t // BLOCK_TRIALS) (see
+values of one stream per purpose and block of channel.BLOCK_TRIALS
+trials, channel.block_stream(seed, t // BLOCK_TRIALS, purpose) (see
 channel), so a run is reproducible bit for bit no matter how trials are
 split across workers or chunks. Chunks and worker shares start on block
 boundaries, so each block's draws of a purpose come from one fill. A run

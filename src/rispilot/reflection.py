@@ -4,7 +4,7 @@ Phases, estimates and channels are (trials, sum(M_k)) arrays, one row
 per trial, as channel.sample_channels lays them out.
 
 The no-CSI reference draws each element's phase uniformly from the grid
-of 4096 points 2 pi k / 4096, read from 12 raw Philox bits, rather than
+of 4096 points 2 pi k / 4096, read from 12 raw SFC64 bits, rather than
 from the continuous circle. It is the same reference: for theta uniform
 on an N-point grid, E[exp(j k theta)] = 0 for every 0 < |k| < N, as for
 the continuous one, so E|sum h exp(j theta)|^2 = sum |h|^2 and the

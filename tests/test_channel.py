@@ -11,6 +11,7 @@ from rispilot.channel import (
     PURPOSE_PILOT_NOISE,
     PURPOSE_RIS_USER,
     RngStream,
+    block_stream,
     sample_channels,
     standard_complex_normal,
     substream,
@@ -68,8 +69,8 @@ def _channel(link, seed, trial=0):
 
 def _block_row(seed, t, purpose, width, method="standard_normal"):
     """Trial t's draws by the contract: row t % 8 of its block's stream,
-    substream(RngStream(seed, t // 8), purpose, 0), filled for the whole block."""
-    gen = substream(RngStream(seed, t // BLOCK_TRIALS), purpose, 0)
+    block_stream(seed, t // 8, purpose), filled for the whole block."""
+    gen = block_stream(seed, t // BLOCK_TRIALS, purpose)
     draw = gen.bit_generator.random_raw if method == "random_raw" else getattr(gen, method)
     return draw(BLOCK_TRIALS * width).reshape(BLOCK_TRIALS, width)[t % BLOCK_TRIALS]
 
@@ -119,6 +120,61 @@ def test_trial_draws_inside_one_block_and_at_the_last_trial(method):
     assert np.array_equal(last[0], _block_row(seed, 2**64 - 1, PURPOSE_PHASE, 4, method))
     tail = trial_draws(seed, 2**64 - BLOCK_TRIALS, 2**64, PURPOSE_PHASE, 4, method)
     assert np.array_equal(tail[-1], last[0])
+
+
+def _philox_words(seed, purpose, block, n):
+    """n raw words of Philox keyed (seed, purpose) from counter (block, 0, 0, 0)."""
+    key = np.array([seed, purpose], dtype=np.uint64)
+    counter = np.array([block, 0, 0, 0], dtype=np.uint64)
+    return np.random.Philox(key=key, counter=counter).random_raw(n)
+
+
+@pytest.mark.parametrize("method", ["standard_normal", "random_raw"])
+def test_a_block_is_an_sfc64_started_from_philox(method):
+    # block c of a purpose, built from numpy alone: an SFC64 whose four state
+    # words are the first four words of Philox keyed (seed, purpose) at
+    # counter (c, 0, 0, 0), its values dealt out eight trials in a row
+    seed, purpose, width, c = 2**63 + 5, PURPOSE_BS_RIS, 3, 41
+
+    def block(c):
+        bitgen = np.random.SFC64(0)
+        bitgen.state = {"bit_generator": "SFC64",
+                        "state": {"state": _philox_words(seed, purpose, c, 4)},
+                        "has_uint32": 0, "uinteger": 0}
+        if method == "random_raw":
+            return bitgen.random_raw((BLOCK_TRIALS, width))
+        return np.random.Generator(bitgen).standard_normal((BLOCK_TRIALS, width))
+
+    start = c * BLOCK_TRIALS
+    both = trial_draws(seed, start, start + 2 * BLOCK_TRIALS, purpose, width, method)
+    assert np.array_equal(both[:BLOCK_TRIALS], block(c))
+    assert np.array_equal(both[BLOCK_TRIALS:], block(c + 1))
+    # blocks c and c + 1 read from one call are the blocks read one call each
+    first = trial_draws(seed, start, start + BLOCK_TRIALS, purpose, width, method)
+    second = trial_draws(seed, start + BLOCK_TRIALS, start + 2 * BLOCK_TRIALS, purpose, width,
+                         method)
+    assert np.array_equal(both, np.concatenate([first, second]))
+
+
+def test_consecutive_blocks_and_purposes_are_separated():
+    # the first normal of each of n consecutive blocks, in each purpose: unit
+    # normal moments, no lag-1 correlation between blocks and none between
+    # purposes at the same block, each within 4 standard errors
+    seed, n = 20240, 20_000
+    purposes = (PURPOSE_RIS_USER, PURPOSE_BS_RIS, PURPOSE_PILOT_NOISE, PURPOSE_PHASE)
+    first = {p: trial_draws(seed, 0, n * BLOCK_TRIALS, p, 1)[::BLOCK_TRIALS, 0]
+             for p in purposes}
+    bound = 4.0 / math.sqrt(n)
+    for p, x in first.items():
+        assert abs(np.mean(x)) < bound, p
+        assert abs(np.var(x) - 1.0) < 4.0 * math.sqrt(2.0 / n), p
+        assert abs(np.corrcoef(x[:-1], x[1:])[0, 1]) < bound, p
+    for i, p in enumerate(purposes):
+        for q in purposes[i + 1:]:
+            assert abs(np.corrcoef(first[p], first[q])[0, 1]) < bound, (p, q)
+    # every block of every purpose starts SFC64 at its own state
+    states = np.concatenate([_philox_words(seed, p, 0, 4 * n).reshape(n, 4) for p in purposes])
+    assert np.unique(states, axis=0).shape == (len(purposes) * n, 4)
 
 
 @pytest.mark.parametrize("method, dtype", [("standard_normal", np.float64),

@@ -1083,6 +1083,33 @@ def test_validate_on_an_overflowing_coherent_gain_fails_before_any_draw(tmp_path
     assert not (tmp_path / "x").exists()
 
 
+def test_validate_just_below_the_float_maximum_reports_finite_statistics(tmp_path, capsys):
+    # (sum_k M_k beta_k)^2 = (14142 * 3.87e149)^2 is about 3e307: every
+    # trial's gain is finite, but a sum of 100 of them is not, so the trial
+    # statistics once reported an infinite mean after numpy's overflow warnings
+    cfg = _cfg(tmp_path, """
+        scenario:
+          element_counts: [7071, 7071]
+          p_avg: "14 dBm"
+          q: "40 dBm"
+          sigma_z: "-110 dBm"
+          sigma_n: "-90 dBm"
+          channel:
+            beta_sq: [1.5e299, 1.5e299]
+        """)
+    out = tmp_path / "x"
+    with warnings.catch_warnings(record=True) as shown:
+        warnings.simplefilter("always", RuntimeWarning)
+        assert main(["validate", "--config", cfg, "--trials", "100", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert [str(w.message) for w in shown] == []
+    report = yaml.safe_load((out / "validation_report.yaml").read_text(encoding="utf-8"))
+    checks = {c["name"]: c for c in report["checks"]}
+    for check in checks.values():
+        assert math.isfinite(check["observed"]) and math.isfinite(check["noise_margin"])
+    assert checks["ergodic-gain"]["status"] == "pass"
+
+
 @pytest.mark.parametrize(
     "key, value, field",
     [("p_avg_w", 1e308, "scenario.p_avg_w"),

@@ -8,6 +8,7 @@ from rispilot.channel import (
     PURPOSE_PILOT_NOISE,
     PURPOSE_RIS_USER,
     RngStream,
+    block_stream,
     sample_channels,
     standard_complex_normal,
     substream,
@@ -112,7 +113,8 @@ def test_protocol_mode_defaults_match_shortcut_bitwise():
     s, h, noise = _sampled(5, beta_sq=(2.0, 0.5), counts=(4, 4))
     powers = PerRisPowers(p_k=[0.3, 1.7])
     est = ls_estimate(h, s.counts, powers, 1.0, noise)[0]
-    w = standard_complex_normal(substream(RngStream(5, 0), PURPOSE_PILOT_NOISE, 0), 8)
+    # trial 0 is row 0 of block 0: the first 8 complex normals of its stream
+    w = standard_complex_normal(block_stream(5, 0, PURPOSE_PILOT_NOISE), 8)
     delta = np.repeat(np.sqrt(1.0 / powers.p_k), s.counts)
     assert np.array_equal(est, h[0] + delta * w)
     root_p = 1.0 / delta

@@ -17,10 +17,9 @@ from rispilot.channel import (
     PURPOSE_PHASE,
     PURPOSE_PILOT_NOISE,
     PURPOSE_RIS_USER,
-    RngStream,
+    block_stream,
     sample_channels,
     standard_complex_normal,
-    substream,
     unit_normals,
 )
 from rispilot.montecarlo import (
@@ -190,7 +189,7 @@ def test_gains_do_not_depend_on_chunk_size(monkeypatch, mode):
 
 def test_every_csi_mode_sees_trial_ts_channel():
     # a per-trial reference loop: trial t's channel, pilot noise and phases
-    # come from its own substreams, and every row of a run uses them
+    # come from its block's streams, and every row of a run uses them
     link = _beta_direct([1.0, 0.25], [3, 5], p_avg=2.0)
     alloc = PerRisPowers(p_k=np.array([3.0, 1.4]))
     modes = ("perfect", "estimated", "random-phase")
@@ -202,14 +201,14 @@ def test_every_csi_mode_sees_trial_ts_channel():
     delta = np.repeat(np.sqrt(link.sigma_z_sq / alloc.p_k), link.counts)
     for t in range(40):
         # trial t is row t % 8 of its block's streams, each filled for the block
-        rng, r = RngStream(17, t // BLOCK_TRIALS), t % BLOCK_TRIALS
-        h = beta * np.conj(standard_complex_normal(substream(rng, PURPOSE_RIS_USER, 0),
+        c, r = divmod(t, BLOCK_TRIALS)
+        h = beta * np.conj(standard_complex_normal(block_stream(17, c, PURPOSE_RIS_USER),
                                                    8 * BLOCK_TRIALS)[8 * r:8 * r + 8])
-        noise = standard_complex_normal(substream(rng, PURPOSE_PILOT_NOISE, 0), 8 * BLOCK_TRIALS)
+        noise = standard_complex_normal(block_stream(17, c, PURPOSE_PILOT_NOISE), 8 * BLOCK_TRIALS)
         est = h + delta * noise[8 * r:8 * r + 8]
         # random phases: 16-bit lanes of the raw words, low lane first, whose
         # top 12 bits pick a point of the 4096-point grid
-        phase_words = substream(rng, PURPOSE_PHASE, 0).bit_generator.random_raw(2 * BLOCK_TRIALS)
+        phase_words = block_stream(17, c, PURPOSE_PHASE).bit_generator.random_raw(2 * BLOCK_TRIALS)
         words = phase_words[2 * r:2 * r + 2]
         grid = [(int(w) >> (16 * j + 4)) & 0xFFF for w in words for j in range(4)]
         theta = 2.0 * math.pi / 4096 * np.array(grid)

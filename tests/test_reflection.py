@@ -8,9 +8,8 @@ from rispilot.channel import (
     PURPOSE_PHASE,
     PURPOSE_PILOT_NOISE,
     PURPOSE_RIS_USER,
-    RngStream,
+    block_stream,
     sample_channels,
-    substream,
     unit_normals,
 )
 from rispilot.estimation import PerRisPowers, ls_estimate
@@ -144,11 +143,11 @@ def test_random_phases_deterministic_and_unit_modulus():
 
 def _grid_phases(seed, t, n):
     """The phases of trial t, by the contract: its ceil(n / 4) raw words, row
-    t % 8 of its block's phase stream substream(RngStream(seed, t // 8),
-    PURPOSE_PHASE, 0), cut into 16-bit lanes from the lowest up, whose top 12
+    t % 8 of its block's phase stream block_stream(seed, t // 8,
+    PURPOSE_PHASE), cut into 16-bit lanes from the lowest up, whose top 12
     bits pick exp(j 2 pi k / 4096)."""
     width = -(-n // 4)
-    block = substream(RngStream(seed, t // BLOCK_TRIALS), PURPOSE_PHASE, 0)
+    block = block_stream(seed, t // BLOCK_TRIALS, PURPOSE_PHASE)
     words = block.bit_generator.random_raw((BLOCK_TRIALS, width))[t % BLOCK_TRIALS]
     lanes = [(int(w) >> (16 * j)) & 0xFFFF for w in words for j in range(4)]
     return np.exp(2j * math.pi / 4096 * np.array([lane >> 4 for lane in lanes[:n]]))
