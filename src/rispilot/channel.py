@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,10 +31,7 @@ from .scenario import Link
 
 __all__ = [
     "BLOCK_TRIALS",
-    "RngStream",
     "block_stream",
-    "substream",
-    "standard_complex_normal",
     "trial_draws",
     "unit_normals",
     "sample_channels",
@@ -46,49 +42,17 @@ _U64_MAX = 2**64 - 1
 # trials per block: the draws of trials 8c .. 8c + 7 of a purpose share one stream
 BLOCK_TRIALS = 8
 
-# one purpose per independent draw family: the second key word of a block's
-# Philox, and the counter word of a substream slot
+# one purpose per independent draw family: the second key word of a block's Philox
 PURPOSE_RIS_USER = 0
 PURPOSE_BS_RIS = 1
 PURPOSE_PILOT_NOISE = 2
 PURPOSE_PHASE = 3
 
 
-@dataclass(frozen=True)
-class RngStream:
-    """Handle for one reproducible stream of draws.
-
-    Identical (seed, stream_id) always reproduces identical draws
-    through substream. The Monte Carlo engine keys its draws by block
-    (see block_stream) and uses RngStream only to validate seeds, so a
-    stream id keys nothing but substream's standalone draws.
-    """
-
-    seed: int
-    stream_id: int = 0
-
-    def __post_init__(self):
-        for name in ("seed", "stream_id"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or not (0 <= v <= _U64_MAX):
-                raise ValueError(f"{name} must be an unsigned 64-bit integer, got {v!r}")
-
-
-def substream(rng: RngStream, purpose: int, ris: int) -> np.random.Generator:
-    """Generator for one (purpose, ris) slot of a stream.
-
-    The slot goes into the upper Philox counter words, so slots never
-    overlap as long as a single slot draws fewer than 2^64 blocks.
-    """
-    key = np.array([rng.seed, rng.stream_id], dtype=np.uint64)
-    counter = np.array([0, rng.stream_id, purpose, ris], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(counter=counter, key=key))
-
-
-def standard_complex_normal(gen: np.random.Generator, n: int) -> np.ndarray:
-    """n i.i.d. draws of a circularly symmetric unit-variance complex normal."""
-    flat = gen.standard_normal(2 * n)
-    return flat.view(np.complex128) * math.sqrt(0.5)
+def _check_u64(name: str, value) -> None:
+    """Raise ValueError unless value is an int or numpy integer in [0, 2^64)."""
+    if not isinstance(value, (int, np.integer)) or not 0 <= value <= _U64_MAX:
+        raise ValueError(f"{name} must be an unsigned 64-bit integer, got {value!r}")
 
 
 def _sfc64_state(words) -> dict:
@@ -111,7 +75,8 @@ def block_stream(seed: int, block: int, purpose: int) -> np.random.Generator:
     a SeedSequence. No warm-up rounds are run; numpy's own SFC64
     seeding runs 12 only to mix low-entropy seeds.
     """
-    RngStream(seed, block)  # validates both
+    _check_u64("seed", seed)
+    _check_u64("block", block)
     key = np.array([seed, purpose], dtype=np.uint64)
     counter = np.array([block, 0, 0, 0], dtype=np.uint64)
     words = np.random.Philox(key=key, counter=counter).random_raw(4)
@@ -156,7 +121,7 @@ def trial_draws(seed: int, start: int, stop: int, purpose: int, width: int,
     """
     if not 0 <= start <= stop <= _U64_MAX + 1:
         raise ValueError(f"trial range [{start}, {stop}) is not inside [0, 2^64)")
-    RngStream(seed)  # validates the seed
+    _check_u64("seed", seed)
     philox, gen = _generators()
     bitgen = gen.bit_generator
     dtype = np.uint64 if method == "random_raw" else np.float64
@@ -202,8 +167,8 @@ def unit_normals(seed: int, start: int, stop: int, purpose: int, n: int,
     """(stop - start, n) unit complex normals, row i = trial start + i.
 
     Row i is trial start + i's 2 n standard normals from trial_draws,
-    paired as (real, imaginary) and scaled by sqrt(1/2), as
-    standard_complex_normal pairs them. out, a C-contiguous float64 array
+    paired as (real, imaginary) and scaled by sqrt(1/2), so each is
+    circularly symmetric with unit variance. out, a C-contiguous float64 array
     of shape (stop - start, 2 n), receives the draws; the result is then
     its complex view.
     """

@@ -765,18 +765,30 @@ def _check(name, observed, expected, tol=0.0, margin=0.0, *, ok=None, detail="")
     }
 
 
-def _mean_se(x: np.ndarray, scale: float) -> tuple[float, float]:
-    """Mean and standard error of the mean of samples x of the order of
-    scale; the error is unknown (inf) below two samples.
+def _unit_exponent(x: float) -> int:
+    """The exponent e >= 0 of the units validate draws a magnitude x in:
+    x 2^-e is below one, and a magnitude below one keeps e = 0. Scaling by
+    a power of two keeps every bit of normal numbers."""
+    return max(0, math.frexp(x)[1])
 
-    Both are computed on x 2^-e, e the binary exponent of scale, and
-    scaled back, so the sums of samples near the float maximum do not
-    overflow; a power of two keeps every bit of normal numbers.
+
+def _mean_se(x: np.ndarray, e: int, name: str) -> tuple[float, float]:
+    """Mean and standard error of the mean of samples x in units of 2^e,
+    scaled back to units of one; the error is unknown (inf) below two
+    samples. Both are computed on x 2^-f, whose largest magnitude is in
+    [1/2, 1), so the sums and squares of samples near the largest stay in
+    the float range. A mean or error beyond it in units of one is a
+    numerical failure of the check `name`.
     """
-    e = math.frexp(scale)[1]
-    y = np.ldexp(x, -e)
+    f = math.frexp(max(float(np.max(x)), -float(np.min(x))))[1]
+    y = np.ldexp(x, -f)
+    mean = float(np.mean(y))
     se = float(np.std(y, ddof=1) / math.sqrt(y.size)) if y.size > 1 else math.inf
-    return math.ldexp(float(np.mean(y)), e), math.ldexp(se, e)
+    try:
+        return math.ldexp(mean, e + f), math.ldexp(se, e + f)
+    except OverflowError:
+        raise ArithmeticError(f"{name}: the trials' mean {mean:.6g} or standard error "
+                              f"{se:.6g} times 2^{e + f} leaves the float range") from None
 
 
 def _validation_checks(link: Link, trials: int, seed: int, workers: int,
@@ -802,36 +814,45 @@ def _validation_checks(link: Link, trials: int, seed: int, workers: int,
     uniform = allocations["uniform"]
 
     # per-surface aligned-coefficient mean, against the closed form; trial
-    # 2^63 + k's user-hop draws give h, then the estimation noise
+    # 2^63 + k's user-hop draws give h, then the estimation noise, both in
+    # units of 2^e_k, e_k the unit exponent of beta_k
     samples = unit_normals(seed, 2**63, 2**63 + link.num_ris, PURPOSE_RIS_USER, 2 * trials)
+    d2 = link.sigma_z_sq / link.p_avg
     for k, z in enumerate(samples):
         b2 = float(link.beta_sq[k])
-        d2 = link.sigma_z_sq / link.p_avg
-        h = math.sqrt(b2) * z[:trials]
-        est = h + math.sqrt(d2) * z[trials:]
+        e = _unit_exponent(float(link.beta[k]))
+        h = math.sqrt(math.ldexp(b2, -2 * e)) * z[:trials]
+        est = h + math.sqrt(math.ldexp(d2, -2 * e)) * z[trials:]
         stat = (h * np.conj(est) / np.abs(est)).real
         expected = alignment_mean(b2, d2)
-        mean, se = _mean_se(stat, expected)
-        checks.append(_check(f"alignment-mean[{k}]", mean, expected, 0.02 * expected, 4.0 * se))
+        name = f"alignment-mean[{k}]"
+        mean, se = _mean_se(stat, e, name)
+        checks.append(_check(name, mean, expected, 0.02 * expected, 4.0 * se))
 
     # one run for the ergodic-gain check and the hierarchy checks below:
     # the estimated row over every trial, the other CSI modes over the
-    # first n_h, all on the same draws
+    # first n_h, all on the same draws. The rows' link is in units of 2^e,
+    # e the unit exponent of sum_k M_k beta_k, so its gains are of the order
+    # of one: no single gain, nor a sum of them, overflows. A surface whose
+    # cascaded gain would fall below the smallest float is given that: its
+    # coefficients are then over 10^161 times smaller than the total, which
+    # a float sum cannot see.
+    e = _unit_exponent(m_beta)
+    scaled = dataclasses.replace(
+        link, beta_sq=np.maximum(np.ldexp(link.beta_sq, -2 * e), math.ulp(0.0)),
+        sigma_z_sq=math.ldexp(link.sigma_z_sq, -2 * e))
     n_h = min(trials, _HIERARCHY_TRIALS)
     gains = dict(zip(
         ("estimated", "perfect", "random-phase"),
         trial_gains(
-            [GainRow(link, uniform)]
-            + [GainRow(link, uniform, mode, n_h) for mode in ("perfect", "random-phase")],
+            [GainRow(scaled, uniform)]
+            + [GainRow(scaled, uniform, mode, n_h) for mode in ("perfect", "random-phase")],
             cfg=TrialConfig(trials=trials, seed=seed), workers=workers,
         ),
     ))
 
-    # closed-form ergodic gain against the simulated pipeline; each gain is
-    # finite, but a sum of them may not be, so the gains' statistics are
-    # taken at the coherent gain's scale
-    coherent = m_beta * m_beta
-    mean, se = _mean_se(gains["estimated"], coherent)
+    # closed-form ergodic gain against the simulated pipeline
+    mean, se = _mean_se(gains["estimated"], 2 * e, "ergodic-gain")
     closed = ergodic_gain_closed_form(link, uniform).total
     check = _check("ergodic-gain", mean, closed, 0.02 * closed, 4.0 * se)
     if not model_applies(link):
@@ -873,7 +894,7 @@ def _validation_checks(link: Link, trials: int, seed: int, workers: int,
         ("hierarchy-perfect-vs-estimated", "perfect", "estimated"),
         ("hierarchy-estimated-vs-random", "estimated", "random-phase"),
     ):
-        mean, se = _mean_se(gains[top][:n_h] - gains[bottom][:n_h], coherent)
+        mean, se = _mean_se(gains[top][:n_h] - gains[bottom][:n_h], 2 * e, name)
         checks.append(_check(name, mean, 0.0, 3.0 * se, 3.0 * se, ok=mean >= -3.0 * se,
                              detail="paired mean difference"))
     return checks

@@ -10,48 +10,66 @@ from rispilot.channel import (
     PURPOSE_PHASE,
     PURPOSE_PILOT_NOISE,
     PURPOSE_RIS_USER,
-    RngStream,
     block_stream,
     sample_channels,
-    standard_complex_normal,
-    substream,
     trial_draws,
     unit_normals,
 )
 from corridor import CORRIDOR, corridor_link
+from philox_draws import complex_normals, slot_generator
+from rispilot.reflection import random_phases
 from rispilot.scenario import Link, cascaded_large_scale
 
 SQRT_PI_HALF = math.sqrt(math.pi) / 2.0
 
 
-def test_rng_stream_validation():
-    with pytest.raises(ValueError):
-        RngStream(-1)
-    with pytest.raises(ValueError):
-        RngStream(2**64)
-    with pytest.raises(ValueError):
-        RngStream(0, stream_id=-5)
+def _draw_entries():
+    """Each public draw entry, called with one seed."""
+    return {
+        "trial_draws": lambda seed: trial_draws(seed, 0, 1, PURPOSE_RIS_USER, 2),
+        "block_stream": lambda seed: block_stream(seed, 0, PURPOSE_RIS_USER).random(4),
+        "unit_normals": lambda seed: unit_normals(seed, 0, 1, PURPOSE_RIS_USER, 2),
+        "random_phases": lambda seed: random_phases(seed, 0, 1, 2),
+    }
 
 
-def test_substream_repeatability_and_separation():
-    rng = RngStream(123, stream_id=7)
-    a = substream(rng, PURPOSE_RIS_USER, 0).random(4)
-    b = substream(rng, PURPOSE_RIS_USER, 0).random(4)
-    assert np.array_equal(a, b)
-    for purpose, ris in [
-        (PURPOSE_RIS_USER, 1),
-        (PURPOSE_BS_RIS, 0),
-        (PURPOSE_PILOT_NOISE, 0),
-        (PURPOSE_PHASE, 0),
-    ]:
-        assert not np.array_equal(a, substream(rng, purpose, ris).random(4))
-    assert not np.array_equal(a, substream(RngStream(123, stream_id=8), PURPOSE_RIS_USER, 0).random(4))
-    assert not np.array_equal(a, substream(RngStream(124, stream_id=7), PURPOSE_RIS_USER, 0).random(4))
+@pytest.mark.parametrize("entry", list(_draw_entries()))
+def test_every_draw_entry_checks_its_seed(entry):
+    draw = _draw_entries()[entry]
+    for bad in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed"):
+            draw(bad)
+    # the largest seed is accepted as an int and as a numpy integer, with the same draws
+    assert np.array_equal(draw(2**64 - 1), draw(np.uint64(2**64 - 1)))
 
 
-def test_standard_complex_normal_moments():
-    gen = substream(RngStream(5), PURPOSE_RIS_USER, 0)
-    w = standard_complex_normal(gen, 100_000)
+def test_block_stream_checks_its_block_index():
+    for bad in (-1, 2**64):
+        with pytest.raises(ValueError, match="block"):
+            block_stream(3, bad, PURPOSE_PHASE)
+    a = block_stream(3, 2**64 - 1, PURPOSE_PHASE).random(4)
+    assert np.array_equal(a, block_stream(3, np.uint64(2**64 - 1), PURPOSE_PHASE).random(4))
+
+
+def test_philox_draws_keep_their_pinned_values():
+    # the tests that draw their own data (criterion 01, the pilot-cancellation
+    # test) were written on these values; they must keep every bit
+    pinned = {
+        0: [-0.4164572456381788+0.44165677160355676j, 0.0965822360941591+0.03607869934662136j,
+            -2.0216224436551493+0.7900308004502875j, -0.5442759159419597+1.1728530011574163j],
+        11: [0.9296584133809527+0.36035877060267346j, 0.3319162120886483+0.6296819550785365j,
+             0.9641279286675234+0.40107270447861104j, 0.6122244604158169-0.6478278701767989j],
+    }
+    for slot, values in pinned.items():
+        w = complex_normals(slot_generator(1001, PURPOSE_RIS_USER, slot), 4)
+        assert w.tolist() == values
+    u = slot_generator(4, PURPOSE_PHASE, 10).random(4)
+    assert u.tolist() == [0.7305238748239148, 0.7704014848868288, 0.6219619362457844,
+                          0.06928131525359937]
+
+
+def test_unit_normals_moments():
+    w = unit_normals(5, 0, 1, PURPOSE_RIS_USER, 100_000)[0]
     n = w.size
     assert abs(np.mean(np.abs(w) ** 2) - 1.0) < 4.0 / math.sqrt(n)
     assert abs(np.mean(w)) < 4.0 / math.sqrt(2 * n)
@@ -83,7 +101,7 @@ def _block_row(seed, t, purpose, width, method="standard_normal"):
     pytest.param("standard_normal", 6, ("random_raw", 3), id="standard_normal-6-after-random_raw-3"),
     pytest.param("random_raw", 5, ("standard_normal", 7), id="random_raw-5-after-standard_normal-7"),
 ])
-def test_trial_draws_are_each_trials_own_substream(method, width, before):
+def test_trial_draws_are_each_trials_own_block_row(method, width, before):
     seed = 2**64 - 3
     if before is not None:
         trial_draws(seed, 8, 10, PURPOSE_PILOT_NOISE, before[1], before[0])

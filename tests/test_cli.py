@@ -1110,6 +1110,101 @@ def test_validate_just_below_the_float_maximum_reports_finite_statistics(tmp_pat
     assert checks["ergodic-gain"]["status"] == "pass"
 
 
+def _validate_finite(tmp_path, capsys, cfg, trials):
+    """validate's report on cfg, which must exit 0 with every statistic
+    finite, no numpy warning and nothing on stderr but the fallback line."""
+    out = tmp_path / "x"
+    with warnings.catch_warnings(record=True) as shown:
+        warnings.simplefilter("always", RuntimeWarning)
+        assert main(["validate", "--config", cfg, "--trials", str(trials), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ("warning: uniform fallback for surface index [0]: "
+                                       "degenerate moderate-SNR weight\n")
+    assert [str(w.message) for w in shown] == []
+    report = yaml.safe_load((out / "validation_report.yaml").read_text(encoding="utf-8"))
+    checks = {c["name"]: c for c in report["checks"]}
+    for check in checks.values():
+        assert math.isfinite(check["observed"]) and math.isfinite(check["noise_margin"])
+        assert check["status"] != "fail", check
+    return checks
+
+
+def test_validate_on_one_huge_surface_reports_finite_statistics(tmp_path, capsys):
+    # beta^2 = 1e308 on one element: about one trial in six has a gain |h|^2
+    # beyond the float maximum, and h conj(est) overflows too, so the checks
+    # once read nan and inf after numpy's warnings; validate now runs in
+    # units of 2^512
+    cfg = _cfg(tmp_path, """
+        scenario:
+          element_counts: [1]
+          p_avg: "14 dBm"
+          q: "40 dBm"
+          sigma_z: "-110 dBm"
+          sigma_n: "-90 dBm"
+          channel:
+            beta_sq: [1.0e308]
+        """)
+    checks = _validate_finite(tmp_path, capsys, cfg, 2000)
+    assert checks["ergodic-gain"]["observed"] > 1e307
+
+
+def test_validate_keeps_a_surface_that_its_units_send_below_the_smallest_float(tmp_path, capsys):
+    # 1e-300 in units of 2^1024 is 0, which no link admits; the surface is given
+    # the smallest float instead, 10^161 times below the other's coefficients
+    cfg = _cfg(tmp_path, """
+        scenario:
+          element_counts: [1, 1]
+          p_avg: "4 W"
+          q: "10 W"
+          sigma_z: "0 W"
+          sigma_n: "1 W"
+          channel:
+            beta_sq: [1.0e308, 1.0e-300]
+        """)
+    checks = _validate_finite(tmp_path, capsys, cfg, 2000)
+    assert checks["alignment-mean[1]"]["observed"] == pytest.approx(
+        checks["alignment-mean[1]"]["expected"], rel=0.1)
+
+
+def test_validate_on_a_mean_gain_beyond_the_float_range_is_a_numerical_failure(tmp_path, capsys):
+    # (sum_k M_k beta_k)^2 = 1.79e308 is finite, but these 2000 trials' mean
+    # gain is 1.01 times it: one line, no traceback, no report
+    cfg = _channel_config(tmp_path, "edge.yaml", [1], [1.79e308])
+    with warnings.catch_warnings(record=True) as shown:
+        warnings.simplefilter("always", RuntimeWarning)
+        assert main(["validate", "--config", cfg, "--trials", "2000",
+                     "--out", str(tmp_path / "x")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("numerical failure: ergodic-gain: ")
+    assert err[1:] == ["warning: uniform fallback for surface index [0]: "
+                       "degenerate moderate-SNR weight"]
+    assert [str(w.message) for w in shown] == []
+    assert not (tmp_path / "x").exists()
+
+
+def test_mean_se_scales_back_exactly_and_names_an_overflow():
+    x = np.array([1.5, 1.0, 2.0])
+    se = float(np.std(x, ddof=1) / math.sqrt(3))
+    assert cli._mean_se(x, 1000, "check") == (math.ldexp(1.5, 1000), math.ldexp(se, 1000))
+    assert cli._mean_se(x[:1], 7, "check") == (math.ldexp(1.5, 7), math.inf)
+    # samples far below one keep their error: their squares would underflow
+    assert cli._mean_se(np.ldexp(x, -1000), 0, "check") == (math.ldexp(1.5, -1000),
+                                                            math.ldexp(se, -1000))
+    with pytest.raises(ArithmeticError, match="^check: "):
+        cli._mean_se(x, 1024, "check")
+
+
+def test_validate_on_tiny_gains_keeps_its_noise_margins(tmp_path, capsys):
+    # gains of the order of 1e-299 are drawn in units of one; their
+    # differences' squares underflow there, so the statistics rescale them
+    cfg = _channel_config(tmp_path, "tiny.yaml", [4, 4], [1e-300, 1e-300])
+    out = tmp_path / "x"
+    assert main(["validate", "--config", cfg, "--trials", "2000", "--out", str(out)]) == 0
+    report = yaml.safe_load((out / "validation_report.yaml").read_text(encoding="utf-8"))
+    for check in report["checks"]:
+        if check["name"].startswith(("ergodic-gain", "hierarchy-")):
+            assert check["noise_margin"] > 0.0 and check["status"] != "fail", check
+
+
 @pytest.mark.parametrize(
     "key, value, field",
     [("p_avg_w", 1e308, "scenario.p_avg_w"),

@@ -7,13 +7,11 @@ from rispilot.channel import (
     PURPOSE_PHASE,
     PURPOSE_PILOT_NOISE,
     PURPOSE_RIS_USER,
-    RngStream,
     block_stream,
     sample_channels,
-    standard_complex_normal,
-    substream,
     unit_normals,
 )
+from philox_draws import complex_normals, slot_generator
 from rispilot.estimation import PerRisPowers, ls_estimate
 from rispilot.scenario import Link
 
@@ -72,10 +70,10 @@ def test_estimate_error_shrinks_with_pilot_power():
     assert err(strong) < err(weak)
 
 
-def _unit_phases(rng, counts, offset=0):
+def _unit_phases(seed, counts, offset=0):
     out = []
     for k, m in enumerate(counts):
-        gen = substream(rng, PURPOSE_PHASE, k + offset)
+        gen = slot_generator(seed, PURPOSE_PHASE, k + offset)
         out.append(np.exp(1j * gen.uniform(0.0, 2.0 * math.pi, m)))
     return out
 
@@ -90,10 +88,9 @@ def test_estimates_do_not_depend_on_training_phase_or_pilots():
     powers = PerRisPowers(p_k=[0.3, 1.7])
     base = ls_estimate(h, counts, powers, 1.0, noise)[0]
     split = np.cumsum(counts)[:-1]
-    rng = RngStream(4)
     for offset in (10, 20):
-        phases = _unit_phases(rng, counts, offset)
-        pilots = _unit_phases(rng, counts, offset + 5)
+        phases = _unit_phases(4, counts, offset)
+        pilots = _unit_phases(4, counts, offset + 5)
         for hk, est, phi, x, p in zip(
             np.split(h[0], split), np.split(base, split), phases, pilots, powers.p_k
         ):
@@ -114,7 +111,7 @@ def test_protocol_mode_defaults_match_shortcut_bitwise():
     powers = PerRisPowers(p_k=[0.3, 1.7])
     est = ls_estimate(h, s.counts, powers, 1.0, noise)[0]
     # trial 0 is row 0 of block 0: the first 8 complex normals of its stream
-    w = standard_complex_normal(block_stream(5, 0, PURPOSE_PILOT_NOISE), 8)
+    w = complex_normals(block_stream(5, 0, PURPOSE_PILOT_NOISE), 8)
     delta = np.repeat(np.sqrt(1.0 / powers.p_k), s.counts)
     assert np.array_equal(est, h[0] + delta * w)
     root_p = 1.0 / delta

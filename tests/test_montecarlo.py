@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from corridor import corridor_link
+from philox_draws import complex_normals
 from rispilot import cli, montecarlo
 from rispilot.allocation import PerRisPowers, allocate_average, run_allocator
 from rispilot.analysis import ergodic_gain_closed_form
@@ -19,7 +20,6 @@ from rispilot.channel import (
     PURPOSE_RIS_USER,
     block_stream,
     sample_channels,
-    standard_complex_normal,
     unit_normals,
 )
 from rispilot.montecarlo import (
@@ -202,9 +202,9 @@ def test_every_csi_mode_sees_trial_ts_channel():
     for t in range(40):
         # trial t is row t % 8 of its block's streams, each filled for the block
         c, r = divmod(t, BLOCK_TRIALS)
-        h = beta * np.conj(standard_complex_normal(block_stream(17, c, PURPOSE_RIS_USER),
-                                                   8 * BLOCK_TRIALS)[8 * r:8 * r + 8])
-        noise = standard_complex_normal(block_stream(17, c, PURPOSE_PILOT_NOISE), 8 * BLOCK_TRIALS)
+        h = beta * np.conj(complex_normals(block_stream(17, c, PURPOSE_RIS_USER),
+                                           8 * BLOCK_TRIALS)[8 * r:8 * r + 8])
+        noise = complex_normals(block_stream(17, c, PURPOSE_PILOT_NOISE), 8 * BLOCK_TRIALS)
         est = h + delta * noise[8 * r:8 * r + 8]
         # random phases: 16-bit lanes of the raw words, low lane first, whose
         # top 12 bits pick a point of the 4096-point grid
