@@ -176,6 +176,16 @@ def _damped(beta_sq, counts, p, sigma_z_sq):
     return c, damping, counts * beta_sq * damping
 
 
+def _stationarity(beta_sq, counts, p, sigma_z_sq):
+    """The damping 1 / sqrt(c_k), g_k, rate_k, G and the residual: the part
+    of surface_objective that stationarity_residual needs."""
+    c, damping, g = _damped(beta_sq, counts, p, sigma_z_sq)
+    rate = sigma_z_sq / (p * p * c)  # -(dc_k / dp_k) / c_k
+    big_g = _sum(g, axis=-1, keepdims=True)
+    residual = rate * beta_sq * damping * (big_g - beta_sq * damping)
+    return damping, g, rate, big_g, residual
+
+
 def surface_objective(beta_sq, counts, p, sigma_z_sq) -> SurfaceObjective:
     """objective_phi with its gradient and Hessian, for one row or many.
 
@@ -188,11 +198,8 @@ def surface_objective(beta_sq, counts, p, sigma_z_sq) -> SurfaceObjective:
     (rows, 1) column). Rows never mix: a row's values are the same bits
     whichever other rows it is evaluated with.
     """
-    c, damping, g = _damped(beta_sq, counts, p, sigma_z_sq)
-    rate = sigma_z_sq / (p * p * c)  # -(dc_k / dp_k) / c_k
+    damping, g, rate, big_g, residual = _stationarity(beta_sq, counts, p, sigma_z_sq)
     h = g * beta_sq * damping
-    big_g = _sum(g, axis=-1, keepdims=True)
-    residual = rate * beta_sq * damping * (big_g - beta_sq * damping)
     slope = 0.5 * rate * g
     two_over_p = 2.0 / p
     curvature = (
@@ -209,7 +216,8 @@ def stationarity_residual(link: Link, powers: PerRisPowers) -> np.ndarray:
     this quantity, d phi / d p_k divided by M_k, is the same for every
     surface (it equals the budget constraint's multiplier). The spread
     across surfaces therefore measures how far an allocation is from
-    stationary.
+    stationary. It is surface_objective's residual, without the
+    derivatives that could overflow where the residual does not.
     """
     counts = _checked(link, powers)
-    return surface_objective(link.beta_sq, counts, powers.p_k, link.sigma_z_sq).residual
+    return _stationarity(link.beta_sq, counts, powers.p_k, link.sigma_z_sq)[-1]

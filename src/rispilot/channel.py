@@ -2,17 +2,26 @@
 
 Randomness is keyed by blocks of BLOCK_TRIALS trials. Block
 c = t // BLOCK_TRIALS of a run with seed s owns one stream per purpose
-p (user hop, BS hop, pilot noise, phases): an SFC64 generator whose four
-state words are the first four words of the counter-based Philox
+p (user hop, BS hop and pilot noise, each with a second purpose for the
+phases of its normals, and random phases): an SFC64 generator whose
+four state words are the first four words of the counter-based Philox
 keyed (s, p) at counter (c, 0, 0, 0), `block_stream(s, c, p)`. Its
 values are dealt out trial after trial: with w values per trial
-(2 sum(M_k) normals, or ceil(sum(M_k) / 4) raw words for random
-phases), trial c BLOCK_TRIALS + r takes values [r w, (r + 1) w).
+(sum(M_k) exponentials, or ceil(sum(M_k) / 4) raw words for phases),
+trial c BLOCK_TRIALS + r takes values [r w, (r + 1) w).
 Within a trial the values run end to end over every element of every
 surface, in surface order. A trial's draws therefore depend only on
 (s, t) and w, never on which other trials, purposes or rows are
 evaluated beside it, so serial, chunked and parallel runs see
 bit-identical numbers for the same seed; nothing in a run varies w.
+
+A unit complex normal is drawn in polar form, sqrt(E) exp(j theta) with
+E standard exponential and theta uniform and independent of E, so |z|^2
+is E and z is circularly symmetric with unit variance. theta lies on the
+lattice 2 pi k / 2^16, read from a 16-bit lane of a raw word: for theta
+uniform on an N-point lattice, E[exp(j k theta)] = 0 for every
+0 < |k| < N, as on the circle, so every moment E[z^a conj(z)^b] with
+|a - b| < 2^16 equals the continuous normal's.
 
 The layer functions work on a chunk of trials at once: arrays of shape
 (trials, sum(M_k)), one row per trial, with element m of surface k at
@@ -47,12 +56,30 @@ PURPOSE_RIS_USER = 0
 PURPOSE_BS_RIS = 1
 PURPOSE_PILOT_NOISE = 2
 PURPOSE_PHASE = 3
+# unit_normals of purpose p take their phases from purpose p + NORMAL_PHASES:
+# 4, 5 and 6 for the user hop, the BS hop and pilot noise
+NORMAL_PHASES = 4
 
 
 def _check_u64(name: str, value) -> None:
     """Raise ValueError unless value is an int or numpy integer in [0, 2^64)."""
     if not isinstance(value, (int, np.integer)) or not 0 <= value <= _U64_MAX:
         raise ValueError(f"{name} must be an unsigned 64-bit integer, got {value!r}")
+
+
+def _check_range(start: int, stop: int) -> None:
+    if not 0 <= start <= stop <= _U64_MAX + 1:
+        raise ValueError(f"trial range [{start}, {stop}) is not inside [0, 2^64)")
+
+
+def _buffer(name: str, buf: np.ndarray | None, shape: tuple, dtype) -> np.ndarray:
+    """buf, checked to be a C-contiguous array of shape and dtype, or a new one."""
+    if buf is None:
+        return np.empty(shape, dtype=dtype)
+    if buf.shape != shape or buf.dtype != dtype or not buf.flags.c_contiguous:
+        raise ValueError(f"{name} must be a C-contiguous {np.dtype(dtype)} array of shape "
+                         f"{shape}, got {buf.dtype} {buf.shape}")
+    return buf
 
 
 def _sfc64_state(words) -> dict:
@@ -102,7 +129,8 @@ def trial_draws(seed: int, start: int, stop: int, purpose: int, width: int,
     """(stop - start, width) draws, row i from trial start + i.
 
     Trial t = c BLOCK_TRIALS + r takes values [r width, (r + 1) width) of
-    `block_stream(seed, c, purpose).standard_normal`, or with method
+    `block_stream(seed, c, purpose).standard_normal`, or of the Generator
+    method named by method, such as "standard_exponential", or with method
     "random_raw" of that stream's raw 64-bit SFC64 words,
     `.bit_generator.random_raw`. out, a C-contiguous float64 (or uint64
     for "random_raw") array of that shape, receives the draws in place of
@@ -119,17 +147,12 @@ def trial_draws(seed: int, start: int, stop: int, purpose: int, width: int,
     Setting state in place of building generators spares the OS entropy
     a new one would gather and never use.
     """
-    if not 0 <= start <= stop <= _U64_MAX + 1:
-        raise ValueError(f"trial range [{start}, {stop}) is not inside [0, 2^64)")
+    _check_range(start, stop)
     _check_u64("seed", seed)
     philox, gen = _generators()
     bitgen = gen.bit_generator
     dtype = np.uint64 if method == "random_raw" else np.float64
-    if out is None:
-        out = np.empty((stop - start, width), dtype=dtype)
-    elif out.shape != (stop - start, width) or out.dtype != dtype or not out.flags.c_contiguous:
-        raise ValueError(f"out must be a C-contiguous {np.dtype(dtype)} array of shape "
-                         f"{(stop - start, width)}, got {out.dtype} {out.shape}")
+    out = _buffer("out", out, (stop - start, width), dtype)
     if method == "random_raw":
         draw = bitgen.random_raw
 
@@ -162,19 +185,54 @@ def trial_draws(seed: int, start: int, stop: int, purpose: int, width: int,
     return out
 
 
+@functools.cache
+def _unit_circle(bits: int) -> np.ndarray:
+    """The 2^bits unit phasors exp(j 2 pi k / 2^bits), built on first use."""
+    size = 1 << bits
+    table = np.arange(size, dtype=np.complex128)
+    table *= 2j * math.pi / size
+    np.exp(table, out=table)
+    table.flags.writeable = False  # one array serves every caller
+    return table
+
+
+def _lanes(words: np.ndarray, n: int) -> np.ndarray:
+    """The first n 16-bit lanes of each row of raw words, low lane first.
+
+    The words are read little-endian, so the lanes do not depend on the
+    host's byte order.
+    """
+    return words.astype("<u8", copy=False).view("<u2")[:, :n]
+
+
 def unit_normals(seed: int, start: int, stop: int, purpose: int, n: int,
-                 out: np.ndarray | None = None) -> np.ndarray:
+                 out: np.ndarray | None = None, mag: np.ndarray | None = None) -> np.ndarray:
     """(stop - start, n) unit complex normals, row i = trial start + i.
 
-    Row i is trial start + i's 2 n standard normals from trial_draws,
-    paired as (real, imaginary) and scaled by sqrt(1/2), so each is
-    circularly symmetric with unit variance. out, a C-contiguous float64 array
-    of shape (stop - start, 2 n), receives the draws; the result is then
-    its complex view.
+    Value m of row i is sqrt(E) exp(j 2 pi k / 2^16): E is value m of trial
+    start + i's n exponentials from trial_draws(..., purpose, n,
+    "standard_exponential"), and k is lane m of its ceil(n / 4) raw words
+    of purpose + NORMAL_PHASES, cut as _lanes cuts them. out, a
+    C-contiguous float64 array of shape (stop - start, 2 n), receives the
+    draws; the result is then its complex view. mag, a C-contiguous
+    float64 (stop - start, n) array, holds the lane indices and then the
+    magnitudes in place of a new array.
     """
-    flat = trial_draws(seed, start, stop, purpose, 2 * n, out=out)
-    flat *= math.sqrt(0.5)
-    return flat.view(np.complex128)
+    _check_range(start, stop)
+    rows, width = stop - start, -(-n // 4)
+    out = _buffer("out", out, (rows, 2 * n), np.float64)
+    mag = _buffer("mag", mag, (rows, n), np.float64)
+    z = out.view(np.complex128)
+    # the raw words take out's first bytes until their lanes are indices in mag
+    words = out.reshape(-1)[:rows * width].view(np.uint64).reshape(rows, width)
+    trial_draws(seed, start, stop, purpose + NORMAL_PHASES, width, "random_raw", out=words)
+    index = mag.view(np.int64)
+    np.copyto(index, _lanes(words, n))
+    # a whole 16-bit lane picks a point of the 2^16-point lattice
+    _unit_circle(16).take(index, out=z, mode="clip")
+    trial_draws(seed, start, stop, purpose, n, "standard_exponential", out=mag)
+    z *= np.sqrt(mag, out=mag)
+    return z
 
 
 def _rician(k_factor: float) -> tuple[float, float]:

@@ -4,7 +4,10 @@ Trials are addressed by (seed, trial index): trial t draws its own
 values of one stream per purpose and block of channel.BLOCK_TRIALS
 trials, channel.block_stream(seed, t // BLOCK_TRIALS, purpose) (see
 channel), so a run is reproducible bit for bit no matter how trials are
-split across workers or chunks. Chunks and worker shares start on block
+split across workers or chunks. Each unit complex normal of the channel
+and the pilot noise is drawn in polar form, an exponential of its
+purpose's stream and a 16-bit phase lane of a second purpose's
+(channel.unit_normals). Chunks and worker shares start on block
 boundaries, so each block's draws of a purpose come from one fill. A run
 evaluates every row (a `scenario.Link`, its allocation and CSI mode) on
 the same draws: all links and allocators of a sweep,
@@ -27,10 +30,11 @@ onto the elements.
 Each range of trials (one pool worker's share, or the whole run with one
 worker) allocates its chunk arrays once, as a workspace sized to the
 largest chunk: the draws of each purpose, the channel, the random phases,
-one row buffer and one buffer of element magnitudes. Every layer writes
-into them through its `out` argument, so the chunk loop allocates no
-array of a chunk's size, and its pages stay mapped from one chunk to the
-next.
+one row buffer and one buffer of element magnitudes, which also holds
+each purpose's phase indices and magnitudes while its normals are drawn.
+Every layer writes into them through its `out` argument, so the chunk
+loop allocates no array of a chunk's size, and its pages stay mapped
+from one chunk to the next.
 
 A perfect-CSI row needs no phases: conjugate alignment makes the
 composite sum_m |h_m|, so its gain is (sum_m |h_m|)^2 straight from the
@@ -139,8 +143,9 @@ def _gain_range(rows: list[GainRow], seed: int, start: int, stop: int) -> list[n
     largest chunk: a float buffer per draw purpose, complex buffers for
     the channel and the random phases, one row buffer that holds a faded
     BS link's fading while its channel is drawn, then a row's estimate,
-    its phases and its products h * phases, and a float buffer for the
-    magnitudes of an estimate or, in a perfect-CSI row, of the channel.
+    its phases and its products h * phases, and a float buffer for
+    magnitudes: of each purpose's normals while they are drawn, then of
+    an estimate or, in a perfect-CSI row, of the channel.
     np.empty writes none of its pages, so a buffer that no chunk writes
     adds next to nothing to resident memory. A random-phase row leaves
     the shared phase buffer alone; a perfect-CSI row uses neither the
@@ -158,13 +163,15 @@ def _gain_range(rows: list[GainRow], seed: int, start: int, stop: int) -> list[n
         b = min(stop, a + step)
         live = [(i, r) for i, r in enumerate(rows) if r.trials > a]
         modes = {r.csi_mode for _, r in live}
-        user = unit_normals(seed, a, b, PURPOSE_RIS_USER, n, out=user_buf[:b - a])
+        spare = mag_buf[:b - a]  # the magnitude buffer is free until the rows' work starts
+        user = unit_normals(seed, a, b, PURPOSE_RIS_USER, n, out=user_buf[:b - a], mag=spare)
         bs = None
         if any(not math.isinf(r.link.k_br) for _, r in live):
-            bs = unit_normals(seed, a, b, PURPOSE_BS_RIS, n, out=bs_buf[:b - a])
+            bs = unit_normals(seed, a, b, PURPOSE_BS_RIS, n, out=bs_buf[:b - a], mag=spare)
         noise = None
         if "estimated" in modes:
-            noise = unit_normals(seed, a, b, PURPOSE_PILOT_NOISE, n, out=noise_buf[:b - a])
+            noise = unit_normals(seed, a, b, PURPOSE_PILOT_NOISE, n, out=noise_buf[:b - a],
+                                 mag=spare)
         scrambled = None
         if "random-phase" in modes:
             scrambled = random_phases(seed, a, b, n, out=phase_buf[:b - a])

@@ -13,12 +13,9 @@ up to order N - 1 equals the continuous one.
 """
 from __future__ import annotations
 
-import functools
-import math
-
 import numpy as np
 
-from .channel import PURPOSE_PHASE, trial_draws
+from .channel import PURPOSE_PHASE, _lanes, _unit_circle, trial_draws
 
 __all__ = [
     "configure_phases",
@@ -54,15 +51,6 @@ def configure_phases(est: np.ndarray, out: np.ndarray | None = None,
 _GRID_BITS = 12
 
 
-@functools.cache
-def _unit_circle() -> np.ndarray:
-    """The 2^_GRID_BITS unit phasors exp(j 2 pi k / 2^_GRID_BITS)."""
-    size = 1 << _GRID_BITS
-    table = np.exp(2j * math.pi / size * np.arange(size))
-    table.flags.writeable = False  # one array serves every caller
-    return table
-
-
 def random_phases(seed: int, start: int, stop: int, n: int,
                   out: np.ndarray | None = None) -> np.ndarray:
     """Uniform random grid phases for trials [start, stop), the no-CSI reference.
@@ -70,16 +58,15 @@ def random_phases(seed: int, start: int, stop: int, n: int,
     Row i takes trial start + i's ceil(n / 4) raw words of its block's
     PURPOSE_PHASE stream (see channel.trial_draws), splits each into four
     16-bit lanes, low lane first, and maps the first n lanes' top
-    _GRID_BITS bits to _unit_circle(). out, a complex128 (stop - start, n) array, receives
-    the phases in place of a new array.
+    _GRID_BITS bits to channel._unit_circle(_GRID_BITS). out, a complex128
+    (stop - start, n) array, receives the phases in place of a new array.
     """
     words = trial_draws(seed, start, stop, PURPOSE_PHASE, -(-n // 4), "random_raw")
-    lanes = words.astype("<u8", copy=False).view("<u2")[:, :n]
     # shifting straight into intp spares take a converted copy of the
     # indices; every index is in the table, and "clip" lets take write
     # into out without buffering the result
-    index = np.right_shift(lanes, 16 - _GRID_BITS, dtype=np.intp)
-    return _unit_circle().take(index, out=out, mode="clip")
+    index = np.right_shift(_lanes(words, n), 16 - _GRID_BITS, dtype=np.intp)
+    return _unit_circle(_GRID_BITS).take(index, out=out, mode="clip")
 
 
 def composite_channel(h: np.ndarray, phases: np.ndarray,

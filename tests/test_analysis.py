@@ -164,6 +164,22 @@ def test_residual_equal_under_symmetry():
     assert r[0] == r[1] == r[2]
 
 
+def test_residual_is_surface_objectives_without_its_curvature():
+    link = _link([1.0, 0.25, 3e-3], [8, 16, 2], 0.7)
+    p = np.array([3.0, 2.0, 0.125])
+    counts = link.counts.astype(np.float64)
+    full = surface_objective(link.beta_sq, counts, p, link.sigma_z_sq)
+    assert stationarity_residual(link, _alloc(p)).tobytes() == full.residual.tobytes()
+    # beta^2 = 1e308 at p = 4: p^2 c overflows and h_k is inf, so the
+    # curvature reads 0 * inf, but the residual is a finite 0
+    huge = _link([1e308], [1], 1.0)
+    with np.errstate(over="ignore"):
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            surface_objective(huge.beta_sq, np.ones(1), np.full(1, 4.0), 1.0)
+        with np.errstate(invalid="raise"):
+            assert stationarity_residual(huge, _alloc([4.0])).tolist() == [0.0]
+
+
 def test_residual_matches_objective_derivative():
     counts = [8, 16]
     link = _link([1.0, 0.25], counts, 1.0)

@@ -6,15 +6,18 @@ import pytest
 
 from rispilot.channel import (
     BLOCK_TRIALS,
+    NORMAL_PHASES,
     PURPOSE_BS_RIS,
     PURPOSE_PHASE,
     PURPOSE_PILOT_NOISE,
     PURPOSE_RIS_USER,
+    _unit_circle,
     block_stream,
     sample_channels,
     trial_draws,
     unit_normals,
 )
+from block_draws import block_row, trial_normals
 from corridor import CORRIDOR, corridor_link
 from philox_draws import complex_normals, slot_generator
 from rispilot.reflection import random_phases
@@ -85,14 +88,6 @@ def _channel(link, seed, trial=0):
     return sample_channels(link, user, bs)[0]
 
 
-def _block_row(seed, t, purpose, width, method="standard_normal"):
-    """Trial t's draws by the contract: row t % 8 of its block's stream,
-    block_stream(seed, t // 8, purpose), filled for the whole block."""
-    gen = block_stream(seed, t // BLOCK_TRIALS, purpose)
-    draw = gen.bit_generator.random_raw if method == "random_raw" else getattr(gen, method)
-    return draw(BLOCK_TRIALS * width).reshape(BLOCK_TRIALS, width)[t % BLOCK_TRIALS]
-
-
 @pytest.mark.parametrize("method, width, before", [
     pytest.param("standard_normal", 6, None, id="standard_normal-6"),
     pytest.param("random_raw", 5, None, id="random_raw-5"),
@@ -109,22 +104,21 @@ def test_trial_draws_are_each_trials_own_block_row(method, width, before):
     chunk = trial_draws(seed, 7, 11, PURPOSE_PILOT_NOISE, width, method)
     assert chunk.shape == (4, width)
     for i, t in enumerate(range(7, 11)):
-        expected = _block_row(seed, t, PURPOSE_PILOT_NOISE, width, method)
+        expected = block_row(seed, t, PURPOSE_PILOT_NOISE, width, method)
         assert chunk.dtype == expected.dtype
         assert np.array_equal(chunk[i], expected)
     # a trial's draws do not depend on the range it is drawn in
     assert np.array_equal(trial_draws(seed, 9, 10, PURPOSE_PILOT_NOISE, width, method)[0], chunk[2])
     normals = unit_normals(seed, 7, 9, PURPOSE_RIS_USER, width)
     for i, t in enumerate((7, 8)):
-        expected = _block_row(seed, t, PURPOSE_RIS_USER, 2 * width).view(np.complex128)
-        assert np.array_equal(normals[i], expected * math.sqrt(0.5))
+        assert np.array_equal(normals[i], trial_normals(seed, t, PURPOSE_RIS_USER, width))
     with pytest.raises(ValueError):
         trial_draws(2**64, 0, 1, PURPOSE_RIS_USER, 2)
     with pytest.raises(ValueError):
         trial_draws(0, 3, 2, PURPOSE_RIS_USER, 2)
 
 
-@pytest.mark.parametrize("method", ["standard_normal", "random_raw"])
+@pytest.mark.parametrize("method", ["standard_normal", "standard_exponential", "random_raw"])
 def test_trial_draws_inside_one_block_and_at_the_last_trial(method):
     seed = 11
     # a range that starts and ends inside block 2 drops the rows before it
@@ -132,10 +126,10 @@ def test_trial_draws_inside_one_block_and_at_the_last_trial(method):
     whole = trial_draws(seed, 16, 24, PURPOSE_BS_RIS, 3, method)
     assert np.array_equal(inside, whole[1:6])
     for i, t in enumerate(range(17, 22)):
-        assert np.array_equal(inside[i], _block_row(seed, t, PURPOSE_BS_RIS, 3, method))
+        assert np.array_equal(inside[i], block_row(seed, t, PURPOSE_BS_RIS, 3, method))
     # the last trial is row 7 of block 2^61 - 1
     last = trial_draws(seed, 2**64 - 1, 2**64, PURPOSE_PHASE, 4, method)
-    assert np.array_equal(last[0], _block_row(seed, 2**64 - 1, PURPOSE_PHASE, 4, method))
+    assert np.array_equal(last[0], block_row(seed, 2**64 - 1, PURPOSE_PHASE, 4, method))
     tail = trial_draws(seed, 2**64 - BLOCK_TRIALS, 2**64, PURPOSE_PHASE, 4, method)
     assert np.array_equal(tail[-1], last[0])
 
@@ -147,7 +141,7 @@ def _philox_words(seed, purpose, block, n):
     return np.random.Philox(key=key, counter=counter).random_raw(n)
 
 
-@pytest.mark.parametrize("method", ["standard_normal", "random_raw"])
+@pytest.mark.parametrize("method", ["standard_normal", "standard_exponential", "random_raw"])
 def test_a_block_is_an_sfc64_started_from_philox(method):
     # block c of a purpose, built from numpy alone: an SFC64 whose four state
     # words are the first four words of Philox keyed (seed, purpose) at
@@ -161,7 +155,7 @@ def test_a_block_is_an_sfc64_started_from_philox(method):
                         "has_uint32": 0, "uinteger": 0}
         if method == "random_raw":
             return bitgen.random_raw((BLOCK_TRIALS, width))
-        return np.random.Generator(bitgen).standard_normal((BLOCK_TRIALS, width))
+        return getattr(np.random.Generator(bitgen), method)((BLOCK_TRIALS, width))
 
     start = c * BLOCK_TRIALS
     both = trial_draws(seed, start, start + 2 * BLOCK_TRIALS, purpose, width, method)
@@ -175,11 +169,14 @@ def test_a_block_is_an_sfc64_started_from_philox(method):
 
 
 def test_consecutive_blocks_and_purposes_are_separated():
-    # the first normal of each of n consecutive blocks, in each purpose: unit
-    # normal moments, no lag-1 correlation between blocks and none between
-    # purposes at the same block, each within 4 standard errors
+    # the first normal of each of n consecutive blocks, in each purpose (the
+    # phase purposes of unit_normals too): unit normal moments, no lag-1
+    # correlation between blocks and none between purposes at the same
+    # block, each within 4 standard errors
     seed, n = 20240, 20_000
-    purposes = (PURPOSE_RIS_USER, PURPOSE_BS_RIS, PURPOSE_PILOT_NOISE, PURPOSE_PHASE)
+    drawn = (PURPOSE_RIS_USER, PURPOSE_BS_RIS, PURPOSE_PILOT_NOISE)
+    purposes = drawn + (PURPOSE_PHASE,) + tuple(p + NORMAL_PHASES for p in drawn)
+    assert len(set(purposes)) == 7
     first = {p: trial_draws(seed, 0, n * BLOCK_TRIALS, p, 1)[::BLOCK_TRIALS, 0]
              for p in purposes}
     bound = 4.0 / math.sqrt(n)
@@ -196,6 +193,7 @@ def test_consecutive_blocks_and_purposes_are_separated():
 
 
 @pytest.mark.parametrize("method, dtype", [("standard_normal", np.float64),
+                                           ("standard_exponential", np.float64),
                                            ("random_raw", np.uint64)])
 def test_trial_draws_fill_out_with_the_same_bits(method, dtype):
     out = np.full((4, 6), 7, dtype=dtype)
@@ -212,10 +210,72 @@ def test_trial_draws_fill_out_with_the_same_bits(method, dtype):
 
 
 def test_unit_normals_fill_out_with_the_same_bits():
-    out = np.empty((3, 10))
-    normals = unit_normals(8, 2, 5, PURPOSE_BS_RIS, 5, out=out)
+    out, mag = np.full((3, 10), np.nan), np.full((3, 5), np.nan)
+    normals = unit_normals(8, 2, 5, PURPOSE_BS_RIS, 5, out=out, mag=mag)
     assert np.shares_memory(normals, out)
     assert np.array_equal(normals, unit_normals(8, 2, 5, PURPOSE_BS_RIS, 5))
+    # mag ends holding the magnitudes
+    assert np.array_equal(mag, np.sqrt(trial_draws(8, 2, 5, PURPOSE_BS_RIS, 5,
+                                                   "standard_exponential")))
+    for bad in (np.empty((3, 6)), np.empty((5, 3)).T, np.empty((3, 5), np.float32)):
+        with pytest.raises(ValueError, match="mag"):
+            unit_normals(8, 2, 5, PURPOSE_BS_RIS, 5, mag=bad)
+    with pytest.raises(ValueError, match="out"):
+        unit_normals(8, 2, 5, PURPOSE_BS_RIS, 5, out=np.empty((10, 3)).T)
+    with pytest.raises(ValueError, match="trial range"):
+        unit_normals(8, 5, 2, PURPOSE_BS_RIS, 5)
+
+
+@pytest.mark.parametrize("start, stop, n", [
+    pytest.param(13, 19, 6, id="inside-a-block-n-6"),
+    pytest.param(2**64 - 1, 2**64, 9, id="last-trial-n-9"),
+    pytest.param(0, 17, 8, id="three-blocks-n-8"),
+    pytest.param(3, 4, 1, id="one-value"),
+])
+def test_unit_normals_are_polar_draws_of_their_block_streams(start, stop, n):
+    # sqrt of the exponentials of the purpose's stream times the 2^16-point
+    # phasors at the 16-bit lanes of its phase purpose's raw words
+    seed = 2**64 - 9
+    for purpose in (PURPOSE_RIS_USER, PURPOSE_BS_RIS, PURPOSE_PILOT_NOISE):
+        got = unit_normals(seed, start, stop, purpose, n)
+        assert got.shape == (stop - start, n) and got.dtype == np.complex128
+        for i, t in enumerate(range(start, stop)):
+            assert np.array_equal(got[i], trial_normals(seed, t, purpose, n)), (purpose, t)
+
+
+def test_unit_normals_are_circular_unit_normals():
+    # 2 * 10^5 values over 800 trials (100 blocks): the moments of CN(0, 1)
+    # within 4 standard errors, and the real part's distribution within the
+    # DKW bound at alpha = 1e-6
+    z = unit_normals(90210, 0, 800, PURPOSE_PILOT_NOISE, 250).ravel()
+    n = z.size
+    x, y = z.real, z.imag
+    # each part has variance 1/2; z^2's parts variance 1; |z|^2 is Exp(1)
+    assert abs(np.mean(x)) < 4.0 * math.sqrt(0.5 / n)
+    assert abs(np.mean(y)) < 4.0 * math.sqrt(0.5 / n)
+    z2 = np.mean(z * z)
+    assert abs(z2.real) < 4.0 / math.sqrt(n) and abs(z2.imag) < 4.0 / math.sqrt(n)
+    assert abs(np.corrcoef(x, y)[0, 1]) < 4.0 / math.sqrt(n)
+    power = np.abs(z) ** 2
+    assert abs(np.mean(power) - 1.0) < 4.0 / math.sqrt(n)
+    # |z|^4 = E^2 has mean 2 and variance 24 - 4 = 20
+    assert abs(np.mean(power**2) - 2.0) < 4.0 * math.sqrt(20.0 / n)
+    # Kolmogorov-Smirnov distance of sqrt(2) Re z from N(0, 1)
+    u = np.sort(math.sqrt(2.0) * x)
+    cdf = np.array([0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in u])
+    ranks = np.arange(1, n + 1) / n
+    distance = max(np.max(ranks - cdf), np.max(cdf - (ranks - 1.0 / n)))
+    assert distance < math.sqrt(math.log(2.0 / 1e-6) / (2 * n))
+
+
+def test_normal_phase_table_has_the_continuous_moments():
+    # E[exp(j k theta)] = 0 for 0 < k < 2^16 on the lattice, as on the circle
+    table = _unit_circle(16)
+    assert table.shape == (2**16,) and not table.flags.writeable
+    assert np.all(np.abs(np.abs(table) - 1.0) < 1e-15)
+    for k in range(1, 9):
+        assert abs(np.mean(table**k)) < 1e-12, k
+    assert _unit_circle(16) is table
 
 
 @pytest.mark.parametrize("k_br, k_ru", [(math.inf, 0.0), (math.inf, 2.0), (3.0, 0.0),

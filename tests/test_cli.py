@@ -1147,6 +1147,22 @@ def test_validate_on_one_huge_surface_reports_finite_statistics(tmp_path, capsys
     assert checks["ergodic-gain"]["observed"] > 1e307
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_validate_on_one_huge_surface_at_watt_powers_warns_of_nothing(tmp_path, capsys):
+    # with p_avg 4 W and sigma_z 1 W, p^2 c overflows in the stationarity
+    # check, so the residual's rate is 0; the curvature, which the check
+    # does not use, once multiplied that 0 by an infinite h_k
+    cfg = _channel_config(tmp_path, "huge-watts.yaml", [1], [1.0e308])
+    out = tmp_path / "x"
+    assert main(["validate", "--config", cfg, "--trials", "2000", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ("warning: uniform fallback for surface index [0]: "
+                                       "degenerate moderate-SNR weight\n")
+    report = yaml.safe_load((out / "validation_report.yaml").read_text(encoding="utf-8"))
+    checks = {c["name"]: c for c in report["checks"]}
+    assert checks["solver-stationarity"]["status"] == "pass"
+    assert report["summary"]["fail"] == 0
+
+
 def test_validate_keeps_a_surface_that_its_units_send_below_the_smallest_float(tmp_path, capsys):
     # 1e-300 in units of 2^1024 is 0, which no link admits; the surface is given
     # the smallest float instead, 10^161 times below the other's coefficients

@@ -7,11 +7,11 @@ from rispilot.channel import (
     PURPOSE_PHASE,
     PURPOSE_PILOT_NOISE,
     PURPOSE_RIS_USER,
-    block_stream,
     sample_channels,
     unit_normals,
 )
-from philox_draws import complex_normals, slot_generator
+from block_draws import trial_normals
+from philox_draws import slot_generator
 from rispilot.estimation import PerRisPowers, ls_estimate
 from rispilot.scenario import Link
 
@@ -110,8 +110,8 @@ def test_protocol_mode_defaults_match_shortcut_bitwise():
     s, h, noise = _sampled(5, beta_sq=(2.0, 0.5), counts=(4, 4))
     powers = PerRisPowers(p_k=[0.3, 1.7])
     est = ls_estimate(h, s.counts, powers, 1.0, noise)[0]
-    # trial 0 is row 0 of block 0: the first 8 complex normals of its stream
-    w = complex_normals(block_stream(5, 0, PURPOSE_PILOT_NOISE), 8)
+    # trial 0's 8 pilot-noise normals, rebuilt from its block's streams
+    w = trial_normals(5, 0, PURPOSE_PILOT_NOISE, 8)
     delta = np.repeat(np.sqrt(1.0 / powers.p_k), s.counts)
     assert np.array_equal(est, h[0] + delta * w)
     root_p = 1.0 / delta

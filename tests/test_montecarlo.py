@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from corridor import corridor_link
-from philox_draws import complex_normals
+from block_draws import trial_normals
 from rispilot import cli, montecarlo
 from rispilot.allocation import PerRisPowers, allocate_average, run_allocator
 from rispilot.analysis import ergodic_gain_closed_form
@@ -202,10 +202,8 @@ def test_every_csi_mode_sees_trial_ts_channel():
     for t in range(40):
         # trial t is row t % 8 of its block's streams, each filled for the block
         c, r = divmod(t, BLOCK_TRIALS)
-        h = beta * np.conj(complex_normals(block_stream(17, c, PURPOSE_RIS_USER),
-                                           8 * BLOCK_TRIALS)[8 * r:8 * r + 8])
-        noise = complex_normals(block_stream(17, c, PURPOSE_PILOT_NOISE), 8 * BLOCK_TRIALS)
-        est = h + delta * noise[8 * r:8 * r + 8]
+        h = beta * np.conj(trial_normals(17, t, PURPOSE_RIS_USER, 8))
+        est = h + delta * trial_normals(17, t, PURPOSE_PILOT_NOISE, 8)
         # random phases: 16-bit lanes of the raw words, low lane first, whose
         # top 12 bits pick a point of the 4096-point grid
         phase_words = block_stream(17, c, PURPOSE_PHASE).bit_generator.random_raw(2 * BLOCK_TRIALS)

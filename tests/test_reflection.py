@@ -8,6 +8,7 @@ from rispilot.channel import (
     PURPOSE_PHASE,
     PURPOSE_PILOT_NOISE,
     PURPOSE_RIS_USER,
+    _unit_circle,
     block_stream,
     sample_channels,
     unit_normals,
@@ -16,7 +17,6 @@ from rispilot.estimation import PerRisPowers, ls_estimate
 from rispilot.analysis import ModelAssumptionWarning
 from rispilot.montecarlo import TrialConfig, sweep_user
 from rispilot.reflection import (
-    _unit_circle,
     aligned_gain,
     composite_channel,
     configure_phases,
@@ -155,7 +155,7 @@ def _grid_phases(seed, t, n):
 
 def test_phase_grid_has_the_continuous_moments():
     # E[exp(j k theta)] = 0 for 0 < k < 4096 on the grid, as on the circle
-    table = _unit_circle()
+    table = _unit_circle(12)
     assert table.shape == (4096,)
     assert np.all(np.abs(np.abs(table) - 1.0) < 1e-15)
     for k in range(1, 9):
@@ -168,7 +168,7 @@ def test_random_phases_are_uniform_on_the_grid():
     # 4095 degrees of freedom below its mean plus 6 standard deviations
     phases = random_phases(2024, 0, 256, 1024)
     k = np.rint(np.angle(phases) * (4096 / (2.0 * math.pi))).astype(np.int64) % 4096
-    assert np.array_equal(_unit_circle()[k], phases)
+    assert np.array_equal(_unit_circle(12)[k], phases)
     expected = phases.size / 4096
     chi2 = np.sum((np.bincount(k.ravel(), minlength=4096) - expected) ** 2) / expected
     assert chi2 < 4095 + 6.0 * math.sqrt(2 * 4095)
