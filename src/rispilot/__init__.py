@@ -16,7 +16,7 @@ from .scenario import (
     path_loss,
     cascaded_large_scale,
 )
-from .channel import sample_channels, unit_normals
+from .channel import block_states, polar_normals, sample_channels, unit_normals
 from .estimation import PerRisPowers, ls_estimate
 from .reflection import configure_phases, random_phases, composite_channel
 from .analysis import (

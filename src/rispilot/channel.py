@@ -25,9 +25,11 @@ uniform on an N-point lattice, E[exp(j k theta)] = 0 for every
 
 The layer functions work on a chunk of trials at once: arrays of shape
 (trials, sum(M_k)), one row per trial, with element m of surface k at
-column offset_k + m. Beyond the draws, a chunk's channels depend only
-on a `scenario.Link`: its element counts, cascaded gains and the fading
-of each hop.
+column offset_k + m. A range of trials derives each purpose's block
+states once, with block_states; the draws of a chunk of it are then
+filled from that array's rows, one SFC64 state set per block. Beyond
+the draws, a chunk's channels depend only on a `scenario.Link`: its
+element counts, cascaded gains and the fading of each hop.
 """
 from __future__ import annotations
 
@@ -41,7 +43,9 @@ from .scenario import Link
 __all__ = [
     "BLOCK_TRIALS",
     "block_stream",
+    "block_states",
     "trial_draws",
+    "polar_normals",
     "unit_normals",
     "sample_channels",
 ]
@@ -94,7 +98,7 @@ def block_stream(seed: int, block: int, purpose: int) -> np.random.Generator:
     Its bit generator is an SFC64 whose four state words (a, b, c and
     the counter) are the first four words of
     `Philox(key=[seed, purpose], counter=[block, 0, 0, 0]).random_raw(4)`.
-    This is the one definition of the draws trial_draws deals out.
+    This is the one definition of the draws dealt out from block_states.
 
     Philox is a keyed pseudorandom function of its counter, so each
     block starts at a 256-bit state that looks uniformly drawn, given
@@ -114,14 +118,78 @@ def block_stream(seed: int, block: int, purpose: int) -> np.random.Generator:
 
 @functools.cache
 def _generators() -> tuple[np.random.Philox, np.random.Generator]:
-    """The process's one Philox, which trial_draws keys once per call to
-    derive its blocks' states, and its one SFC64 behind a Generator,
-    which it sets once per block.
+    """The process's one Philox, which block_states keys once per call,
+    and its one SFC64 behind a Generator, which a fill sets once per block.
 
     Trials run in worker processes, never threads, so one per process
     is never shared by two callers at once.
     """
     return np.random.Philox(key=0), np.random.Generator(np.random.SFC64(0))
+
+
+def block_states(seed: int, start: int, stop: int, purpose: int) -> np.ndarray:
+    """The SFC64 states of purpose's blocks that trials [start, stop) touch.
+
+    Row j of the (blocks, 4) uint64 result holds the four state words
+    block_stream gives block start // BLOCK_TRIALS + j. The process's one
+    Philox is set once and reads them all with one random_raw: its output
+    at counter (c, 0, 0, 0) continues into its output at
+    (c + 1, 0, 0, 0), so consecutive four-word rows are consecutive
+    blocks. This is where a range's seed and bounds are checked; the
+    fills that take rows of the result check neither.
+    """
+    _check_range(start, stop)
+    _check_u64("seed", seed)
+    philox = _generators()[0]
+    first = start // BLOCK_TRIALS
+    # the state holds plain lists, which the setter reads faster than uint64 arrays
+    philox.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [first, 0, 0, 0], "key": [int(seed), purpose]},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return philox.random_raw((-(-stop // BLOCK_TRIALS) - first, 4))
+
+
+def _blocks(states: np.ndarray, start: int, stop: int) -> None:
+    """Raise ValueError unless states holds one row per block [start, stop) touches."""
+    if not 0 <= start <= stop or len(states) != -(-stop // BLOCK_TRIALS) - start // BLOCK_TRIALS:
+        raise ValueError(f"{len(states)} block states do not cover trials [{start}, {stop})")
+
+
+def _fill(states: np.ndarray, start: int, out: np.ndarray, method: str) -> np.ndarray:
+    """Fill out's rows, row i from trial start + i, from its blocks' states.
+
+    Block by block, the process's one SFC64 takes the block's state, and
+    one call fills all of the block's rows; a fill that starts inside a
+    block draws and drops its earlier trials' values first. Each block
+    sets the whole state, so no earlier fill shows through. Setting
+    state in place of building generators spares the OS entropy a new
+    one would gather and never use.
+    """
+    gen = _generators()[1]
+    bitgen = gen.bit_generator
+    raw = method == "random_raw"
+    draw = bitgen.random_raw if raw else getattr(gen, method)
+    stop, width = start + len(out), out.shape[1]
+    state = _sfc64_state(None)
+    a = start
+    for row in states:
+        r = a % BLOCK_TRIALS
+        b = min(stop, a - r + BLOCK_TRIALS)
+        state["state"]["state"] = row
+        bitgen.state = state
+        if r:
+            draw(r * width)
+        if raw:
+            out[a - start:b - start] = draw((b - a, width))
+        else:
+            draw(out=out[a - start:b - start])
+        a = b
+    return out
 
 
 def trial_draws(seed: int, start: int, stop: int, purpose: int, width: int,
@@ -134,55 +202,11 @@ def trial_draws(seed: int, start: int, stop: int, purpose: int, width: int,
     "random_raw" of that stream's raw 64-bit SFC64 words,
     `.bit_generator.random_raw`. out, a C-contiguous float64 (or uint64
     for "random_raw") array of that shape, receives the draws in place of
-    a new array.
-
-    The process's one Philox is set once per call and reads the states
-    of every block in the range with one random_raw: Philox's output at
-    counter (c, 0, 0, 0) continues into its output at (c + 1, 0, 0, 0),
-    so consecutive four-word rows are consecutive blocks. Then, block by
-    block, the process's one SFC64 takes the block's state, and one call
-    fills all of the block's rows in the range; a range that starts
-    inside a block draws and drops its earlier trials' values first.
-    Each block sets the whole state, so no earlier call shows through.
-    Setting state in place of building generators spares the OS entropy
-    a new one would gather and never use.
+    a new array. The blocks' states come from one block_states call.
     """
-    _check_range(start, stop)
-    _check_u64("seed", seed)
-    philox, gen = _generators()
-    bitgen = gen.bit_generator
+    states = block_states(seed, start, stop, purpose)
     dtype = np.uint64 if method == "random_raw" else np.float64
-    out = _buffer("out", out, (stop - start, width), dtype)
-    if method == "random_raw":
-        draw = bitgen.random_raw
-
-        def fill(out):
-            out[...] = draw(out.shape)
-    else:
-        draw = fill = getattr(gen, method)
-    first = start // BLOCK_TRIALS
-    # the state holds plain lists, which the setter reads faster than uint64 arrays
-    philox.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": [first, 0, 0, 0], "key": [int(seed), purpose]},
-        "buffer": [0, 0, 0, 0],
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    words = philox.random_raw((-(-stop // BLOCK_TRIALS) - first, 4))
-    state = _sfc64_state(None)
-    a = start
-    for row in words:
-        r = a % BLOCK_TRIALS
-        b = min(stop, a - r + BLOCK_TRIALS)
-        state["state"]["state"] = row
-        bitgen.state = state
-        if r:
-            draw(r * width)
-        fill(out=out[a - start:b - start])
-        a = b
-    return out
+    return _fill(states, start, _buffer("out", out, (stop - start, width), dtype), method)
 
 
 @functools.cache
@@ -205,33 +229,49 @@ def _lanes(words: np.ndarray, n: int) -> np.ndarray:
     return words.astype("<u8", copy=False).view("<u2")[:, :n]
 
 
-def unit_normals(seed: int, start: int, stop: int, purpose: int, n: int,
-                 out: np.ndarray | None = None, mag: np.ndarray | None = None) -> np.ndarray:
-    """(stop - start, n) unit complex normals, row i = trial start + i.
+def _raw_words(out: np.ndarray, width: int) -> np.ndarray:
+    """A (rows, width) uint64 view of a (rows, n) complex buffer's first
+    bytes, which hold a chunk's raw words until their lanes are indices."""
+    rows = out.shape[0]
+    return out.reshape(-1).view(np.uint64)[:rows * width].reshape(rows, width)
 
-    Value m of row i is sqrt(E) exp(j 2 pi k / 2^16): E is value m of trial
-    start + i's n exponentials from trial_draws(..., purpose, n,
-    "standard_exponential"), and k is lane m of its ceil(n / 4) raw words
-    of purpose + NORMAL_PHASES, cut as _lanes cuts them. out, a
-    C-contiguous float64 array of shape (stop - start, 2 n), receives the
-    draws; the result is then its complex view. mag, a C-contiguous
-    float64 (stop - start, n) array, holds the lane indices and then the
-    magnitudes in place of a new array.
+
+def polar_normals(states: np.ndarray, phase_states: np.ndarray, start: int, stop: int, n: int,
+                  out: np.ndarray | None = None,
+                  mag: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(stop - start, n) unit complex normals in polar form, row i = trial start + i.
+
+    Returns the phasors exp(j 2 pi k / 2^16) and the magnitudes sqrt(E),
+    left unmultiplied. E is value m of trial start + i's n exponentials
+    of a purpose and k lane m, cut as _lanes cuts them, of its
+    ceil(n / 4) raw words of purpose + NORMAL_PHASES: states and
+    phase_states are those two purposes' block states from block_states,
+    one row per block that [start, stop) touches. out, a C-contiguous
+    complex128 (stop - start, n) array, receives the phasors, and mag, a
+    C-contiguous float64 one, holds the lane indices and then the
+    magnitudes, each in place of a new array.
     """
-    _check_range(start, stop)
-    rows, width = stop - start, -(-n // 4)
-    out = _buffer("out", out, (rows, 2 * n), np.float64)
+    _blocks(states, start, stop)
+    _blocks(phase_states, start, stop)
+    rows = stop - start
+    out = _buffer("out", out, (rows, n), np.complex128)
     mag = _buffer("mag", mag, (rows, n), np.float64)
-    z = out.view(np.complex128)
-    # the raw words take out's first bytes until their lanes are indices in mag
-    words = out.reshape(-1)[:rows * width].view(np.uint64).reshape(rows, width)
-    trial_draws(seed, start, stop, purpose + NORMAL_PHASES, width, "random_raw", out=words)
+    words = _fill(phase_states, start, _raw_words(out, -(-n // 4)), "random_raw")
     index = mag.view(np.int64)
     np.copyto(index, _lanes(words, n))
     # a whole 16-bit lane picks a point of the 2^16-point lattice
-    _unit_circle(16).take(index, out=z, mode="clip")
-    trial_draws(seed, start, stop, purpose, n, "standard_exponential", out=mag)
-    z *= np.sqrt(mag, out=mag)
+    _unit_circle(16).take(index, out=out, mode="clip")
+    _fill(states, start, mag, "standard_exponential")
+    return out, np.sqrt(mag, out=mag)
+
+
+def unit_normals(states: np.ndarray, phase_states: np.ndarray, start: int, stop: int, n: int,
+                 out: np.ndarray | None = None, mag: np.ndarray | None = None) -> np.ndarray:
+    """(stop - start, n) unit complex normals sqrt(E) exp(j theta): the
+    product of polar_normals' phasors and magnitudes, with the same
+    arguments, formed in out."""
+    z, root = polar_normals(states, phase_states, start, stop, n, out, mag)
+    z *= root
     return z
 
 
@@ -241,43 +281,58 @@ def _rician(k_factor: float) -> tuple[float, float]:
     return math.sqrt(k_factor / (k_factor + 1.0)), math.sqrt(1.0 / (k_factor + 1.0))
 
 
-def sample_channels(link: Link, user: np.ndarray, bs: np.ndarray | None = None,
-                    out: np.ndarray | None = None, fade: np.ndarray | None = None) -> np.ndarray:
-    """Cascaded coefficients h = beta_k * u * conj(v), one row per trial.
+def sample_channels(link: Link, phasors: np.ndarray, magnitudes: np.ndarray,
+                    bs: np.ndarray | None = None, out: np.ndarray | None = None,
+                    fade: np.ndarray | None = None,
+                    mag: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+    """Cascaded coefficients h = beta_k (a_ru + b_ru u)(a_br + b_br v), one row per trial.
 
-    user and bs are (trials, sum(M_k)) unit normals from unit_normals
-    with PURPOSE_RIS_USER and PURPOSE_BS_RIS; user also sets the trial
-    count, and is ignored when the user link is deterministic. bs is
-    needed only when the BS link is faded (finite Rician factor). Both
-    hops' fading has unit power, so the cascade's scale is link.beta
-    alone: with a deterministic BS link and a scattered user link, h is
-    CN(0, beta_k^2). out, a complex128 array shaped like user, receives
-    h in place of a new array; fade, another, holds a faded BS link's
-    fading on its way into h.
+    u = phasors * magnitudes is the user hop's unit normal, as
+    polar_normals draws it with PURPOSE_RIS_USER, and v = bs the BS hop's,
+    from unit_normals with PURPOSE_BS_RIS; (a, b) = (sqrt(K / (K + 1)),
+    sqrt(1 / (K + 1))) for each hop's Rician factor K, so a hop with K = 0
+    is Rayleigh and one with K = inf deterministic, its draws unread. bs
+    is needed only when the BS link is faded (finite k_br). Both hops'
+    fading has unit power, so the cascade's scale is link.beta alone: with
+    a deterministic BS link and a Rayleigh user link, h is CN(0, beta_k^2).
+
+    mag, a float64 array shaped like the draws, receives
+    beta_k b_ru magnitudes in one real multiply, and h = phasors * mag
+    (+ beta_k a_ru) follows in one complex-by-real multiply, so u is never
+    formed. out, a complex128 array of that shape, receives h, and fade,
+    another, holds a faded BS link's fading on its way into h, each in
+    place of a new array.
+
+    Returns h and, where nothing shifts or multiplies the drawn normal
+    (k_ru = 0 and k_br = inf), mag, which then holds |h| = beta_k sqrt(E);
+    otherwise None in its place.
     """
-    scale = np.repeat(link.beta, link.counts)
-    if user.ndim != 2 or user.shape[1] != scale.size:
-        raise ValueError(f"user draws must be (trials, {scale.size}), got {user.shape}")
-    h = np.empty(user.shape, dtype=np.complex128) if out is None else out
-    for name, buf in (("out", h), ("fade", fade)):
-        if buf is not None and (buf.shape != user.shape or buf.dtype != np.complex128):
-            raise ValueError(f"{name} must be a complex128 array of shape {user.shape}, "
+    scale = link.beta.repeat(link.counts)
+    shape = magnitudes.shape
+    if magnitudes.ndim != 2 or shape[1] != scale.size or phasors.shape != shape:
+        raise ValueError(f"user draws must be (trials, {scale.size}), got "
+                         f"{phasors.shape} and {shape}")
+    for name, buf, dtype in (("out", out, np.complex128), ("fade", fade, np.complex128),
+                             ("mag", mag, np.float64)):
+        if buf is not None and (buf.shape != shape or buf.dtype != dtype):
+            raise ValueError(f"{name} must be a {np.dtype(dtype)} array of shape {shape}, "
                              f"got {buf.dtype} {buf.shape}")
+    h = np.empty(shape, dtype=np.complex128) if out is None else out
     if math.isinf(link.k_ru):
-        h.fill(1.0)
+        h[...] = scale
     else:
-        np.conjugate(user, out=h)
-        if link.k_ru > 0.0:
-            los, nlos = _rician(link.k_ru)
-            h *= nlos
-            h += los
+        los, nlos = _rician(link.k_ru)
+        mag = np.multiply(magnitudes, scale * nlos, out=mag)
+        np.multiply(phasors, mag, out=h)
+        if los:
+            h += scale * los
     if not math.isinf(link.k_br):
-        if bs is None or bs.shape != user.shape:
-            raise ValueError(f"a faded BS link needs bs draws shaped {user.shape}")
+        if bs is None or bs.shape != shape:
+            raise ValueError(f"a faded BS link needs bs draws shaped {shape}")
         los, nlos = _rician(link.k_br)
         # h *= los + nlos * bs, in the same operations, without temporaries
         fade = np.multiply(nlos, bs, out=fade)
         np.add(los, fade, out=fade)
         h *= fade
-    h *= scale
-    return h
+    # mag is |h| only where nothing shifts or multiplies the drawn normal
+    return h, mag if link.k_ru == 0.0 and math.isinf(link.k_br) else None

@@ -41,7 +41,7 @@ from .analysis import (
     objective_phi,
     stationarity_residual,
 )
-from .channel import PURPOSE_RIS_USER, unit_normals
+from .channel import NORMAL_PHASES, PURPOSE_RIS_USER, block_states, unit_normals
 from .estimation import PerRisPowers
 from .montecarlo import CSI_MODES, GainRow, TrialConfig, sweep_user, trial_gains
 from .scenario import MAX_ELEMENTS, Link, cascaded_large_scale, dbm_to_watts, watts_to_dbm
@@ -795,11 +795,10 @@ def _validation_checks(link: Link, trials: int, seed: int, workers: int,
                        off_centre: Link | None) -> list[dict]:
     checks = []
     counts = link.counts
-    countsf = counts.astype(np.float64)
 
     # every gain the checks average is of the order of the coherent gain
     # (sum_k M_k beta_k)^2; a problem where it overflows stops before any draw
-    m_beta = float(np.dot(countsf, link.beta))
+    m_beta = float(np.add.reduce(np.multiply(counts, link.beta)))
     if not math.isfinite(m_beta * m_beta):
         raise ArithmeticError(
             f"the coherent gain (sum_k M_k beta_k)^2 overflows: sum_k M_k beta_k = {m_beta:.6g}")
@@ -816,7 +815,10 @@ def _validation_checks(link: Link, trials: int, seed: int, workers: int,
     # per-surface aligned-coefficient mean, against the closed form; trial
     # 2^63 + k's user-hop draws give h, then the estimation noise, both in
     # units of 2^e_k, e_k the unit exponent of beta_k
-    samples = unit_normals(seed, 2**63, 2**63 + link.num_ris, PURPOSE_RIS_USER, 2 * trials)
+    start, stop = 2**63, 2**63 + link.num_ris
+    samples = unit_normals(block_states(seed, start, stop, PURPOSE_RIS_USER),
+                           block_states(seed, start, stop, PURPOSE_RIS_USER + NORMAL_PHASES),
+                           start, stop, 2 * trials)
     d2 = link.sigma_z_sq / link.p_avg
     for k, z in enumerate(samples):
         b2 = float(link.beta_sq[k])
@@ -865,7 +867,7 @@ def _validation_checks(link: Link, trials: int, seed: int, workers: int,
 
     # perfect-estimation limit of the closed form: noiseless training
     limit = ergodic_gain_closed_form(dataclasses.replace(link, sigma_z_sq=0.0), uniform).total
-    m_beta_sq = float(np.dot(countsf, link.beta_sq))
+    m_beta_sq = float(np.add.reduce(np.multiply(counts, link.beta_sq)))
     ideal = m_beta_sq + 0.25 * math.pi * (m_beta * m_beta - m_beta_sq)
     checks.append(
         _check("perfect-csi-limit", limit, ideal, ok=abs(limit - ideal) <= 1e-9 * ideal)
@@ -874,7 +876,7 @@ def _validation_checks(link: Link, trials: int, seed: int, workers: int,
     # every allocator must spend exactly the budget
     budget = float(int(counts.sum()) * link.p_avg)
     for name, powers in allocations.items():
-        spent = float(np.dot(countsf, powers.p_k))
+        spent = float(np.add.reduce(np.multiply(counts, powers.p_k)))
         checks.append(
             _check(f"budget[{name}]", spent, budget, ok=abs(spent - budget) <= 1e-9 * budget)
         )

@@ -28,17 +28,23 @@ counts maps per-surface values (beta_k, the estimation error delta_k)
 onto the elements.
 
 Each range of trials (one pool worker's share, or the whole run with one
-worker) allocates its chunk arrays once, as a workspace sized to the
-largest chunk: the draws of each purpose, the channel, the random phases,
-one row buffer and one buffer of element magnitudes, which also holds
-each purpose's phase indices and magnitudes while its normals are drawn.
-Every layer writes into them through its `out` argument, so the chunk
-loop allocates no array of a chunk's size, and its pages stay mapped
-from one chunk to the next.
+worker) derives each purpose's block states once (channel.block_states),
+where the seed and the range are checked, and allocates its chunk arrays
+once, as a workspace sized to the largest chunk: the draws of each
+purpose, the channel, the random phases, one row buffer, and two float
+buffers: the user hop's magnitudes, and a spare one for each other
+purpose's phase indices and magnitudes while they are drawn, then the
+channel's magnitudes. Every layer writes into them through its `out`
+arguments, so the chunk loop allocates no array of a chunk's size, and
+its pages stay mapped from one chunk to the next.
 
-A perfect-CSI row needs no phases: conjugate alignment makes the
-composite sum_m |h_m|, so its gain is (sum_m |h_m|)^2 straight from the
-channel (see reflection.aligned_gain).
+The user hop is drawn in polar form and goes straight into the channel
+(channel.sample_channels). A perfect-CSI row needs no phases: conjugate
+alignment makes the composite sum_m |h_m|, so its gain is
+(sum_m |h_m|)^2 (see reflection.aligned_gain), which depends on the
+link's channel alone. It is summed once per link and chunk from the
+magnitudes beta_k sqrt(E) that sample_channels leaves where the channel
+is the drawn normal scaled, and from abs(h) elsewhere.
 """
 from __future__ import annotations
 
@@ -51,7 +57,8 @@ import numpy as np
 
 from .allocation import resolve_allocator, run_allocator
 from .analysis import ergodic_gain_rows, model_applies
-from .channel import (BLOCK_TRIALS, PURPOSE_BS_RIS, PURPOSE_PILOT_NOISE, PURPOSE_RIS_USER,
+from .channel import (BLOCK_TRIALS, NORMAL_PHASES, PURPOSE_BS_RIS, PURPOSE_PHASE,
+                      PURPOSE_PILOT_NOISE, PURPOSE_RIS_USER, block_states, polar_normals,
                       sample_channels, unit_normals)
 from .estimation import PerRisPowers, ls_estimate
 from .reflection import aligned_gain, composite_channel, configure_phases, random_phases
@@ -96,7 +103,7 @@ class MetricEstimate(NamedTuple):
 
 def _check_budget(alloc: PerRisPowers, link: Link):
     counts = link.counts
-    total = float(np.dot(counts.astype(np.float64), alloc.p_k))
+    total = float(np.add.reduce(np.multiply(counts, alloc.p_k)))
     budget = float(int(counts.sum()) * link.p_avg)
     if not math.isclose(total, budget, rel_tol=1e-9):
         raise ValueError(f"allocation spends {total!r}, budget is {budget!r}")
@@ -119,8 +126,8 @@ class GainRow(NamedTuple):
 # except that a chunk holds at least one block of BLOCK_TRIALS trials: for
 # sum(M_k) above CHUNK_ELEMENTS / BLOCK_TRIALS = 2048 its arrays hold 8
 # trials and exceed it, 8 times one trial's size. 2^14 complex values are
-# 256 KiB: the buffers a range writes, at most six such buffers and one
-# half their size, 1.625 MiB, fit in a core's L2 cache (2 MiB on the
+# 256 KiB: the buffers a range writes, at most six such buffers and two
+# half their size, 1.75 MiB, fit in a core's L2 cache (2 MiB on the
 # 2-vCPU Xeon VM measured), and a pool worker holds no more than that
 # beyond a one-block-at-a-time loop. At 2^16 the M=[1024, 256] validation
 # ran 7% slower and its workers peaked 8 MiB higher.
@@ -130,61 +137,90 @@ CHUNK_ELEMENTS = 2**14
 def _gain_range(rows: list[GainRow], seed: int, start: int, stop: int) -> list[np.ndarray]:
     """Gains of every row over trials [start, stop), chunk by chunk.
 
-    Chunks hold whole blocks of BLOCK_TRIALS trials, the last one
-    excepted, so with start on a block boundary, as trial_gains splits,
-    each block of a purpose is drawn by one fill.
+    The range derives each purpose's block states once, with one
+    block_states call per purpose that any row needs; a chunk takes the
+    rows of the blocks it touches, so its draws only set each block's
+    SFC64 state and fill. Chunks hold whole blocks of BLOCK_TRIALS
+    trials, the last one excepted, so with start on a block boundary, as
+    trial_gains splits, each block of a purpose is drawn by one fill.
 
     Each chunk draws each purpose once, for all rows: the user hop always,
-    the BS hop when a row's BS link is faded, pilot noise when a row
-    estimates, phases when a row uses random phases. Rows of one link
-    (the same Link object) share one channel array.
+    in polar form, the BS hop when a row's BS link is faded, pilot noise
+    when a row estimates, phases when a row uses random phases. Rows of
+    one link (the same Link object) share one channel array and one
+    perfect-CSI gain.
 
     Every chunk reuses one workspace, allocated here whole for the
-    largest chunk: a float buffer per draw purpose, complex buffers for
-    the channel and the random phases, one row buffer that holds a faded
-    BS link's fading while its channel is drawn, then a row's estimate,
-    its phases and its products h * phases, and a float buffer for
-    magnitudes: of each purpose's normals while they are drawn, then of
-    an estimate or, in a perfect-CSI row, of the channel.
-    np.empty writes none of its pages, so a buffer that no chunk writes
-    adds next to nothing to resident memory. A random-phase row leaves
-    the shared phase buffer alone; a perfect-CSI row uses neither the
-    row buffer nor phases.
+    largest chunk: complex buffers for the user hop's phasors, each other
+    purpose's draws, the channel and the random phases, one row buffer
+    that holds a faded BS link's fading while its channel is drawn, then
+    a row's estimate, its phases and its products h * phases, a float
+    buffer for the user hop's magnitudes sqrt(E), and a spare float
+    buffer: it holds each other purpose's magnitudes and phase indices
+    (and the random phases' indices) while they are drawn, then the
+    channel's magnitudes until the link's perfect-CSI gain is summed,
+    then an estimate's magnitudes. np.empty writes none of its pages, so
+    a buffer that no chunk writes adds next to nothing to resident
+    memory. A random-phase row leaves the shared phase buffer alone.
     """
     counts = rows[0].link.counts
     n = int(counts.sum())
     step = max(1, CHUNK_ELEMENTS // n // BLOCK_TRIALS) * BLOCK_TRIALS
     size = min(step, stop - start)
-    user_buf, bs_buf, noise_buf = (np.empty((size, 2 * n)) for _ in range(3))
-    mag_buf = np.empty((size, n))
-    phase_buf, h_buf, row_buf = (np.empty((size, n), np.complex128) for _ in range(3))
+    drawn = [PURPOSE_RIS_USER]
+    if any(not math.isinf(r.link.k_br) for r in rows):
+        drawn.append(PURPOSE_BS_RIS)
+    if any(r.csi_mode == "estimated" for r in rows):
+        drawn.append(PURPOSE_PILOT_NOISE)
+    purposes = drawn + [p + NORMAL_PHASES for p in drawn]
+    if any(r.csi_mode == "random-phase" for r in rows):
+        purposes.append(PURPOSE_PHASE)
+    states = {p: block_states(seed, start, stop, p) for p in purposes}
+    first = start // BLOCK_TRIALS
+    # a perfect-CSI row's gain depends on its link's channel alone
+    perfect_links = {id(r.link) for r in rows if r.csi_mode == "perfect"}
+    user_buf, bs_buf, noise_buf, phase_buf, h_buf, row_buf = (
+        np.empty((size, n), np.complex128) for _ in range(6))
+    root_buf, mag_buf = (np.empty((size, n)) for _ in range(2))
     gains = [np.empty(max(0, min(stop, r.trials) - start)) for r in rows]
     for a in range(start, stop, step):
         b = min(stop, a + step)
+        k = b - a
+        blocks = slice(a // BLOCK_TRIALS - first, -(-b // BLOCK_TRIALS) - first)
         live = [(i, r) for i, r in enumerate(rows) if r.trials > a]
         modes = {r.csi_mode for _, r in live}
-        spare = mag_buf[:b - a]  # the magnitude buffer is free until the rows' work starts
-        user = unit_normals(seed, a, b, PURPOSE_RIS_USER, n, out=user_buf[:b - a], mag=spare)
+
+        def normals(purpose, out):
+            # the magnitude buffer is free until the rows' work starts
+            return unit_normals(states[purpose][blocks], states[purpose + NORMAL_PHASES][blocks],
+                                a, b, n, out=out[:k], mag=mag_buf[:k])
+
+        user = polar_normals(states[PURPOSE_RIS_USER][blocks],
+                             states[PURPOSE_RIS_USER + NORMAL_PHASES][blocks], a, b, n,
+                             out=user_buf[:k], mag=root_buf[:k])
         bs = None
         if any(not math.isinf(r.link.k_br) for _, r in live):
-            bs = unit_normals(seed, a, b, PURPOSE_BS_RIS, n, out=bs_buf[:b - a], mag=spare)
+            bs = normals(PURPOSE_BS_RIS, bs_buf)
         noise = None
         if "estimated" in modes:
-            noise = unit_normals(seed, a, b, PURPOSE_PILOT_NOISE, n, out=noise_buf[:b - a],
-                                 mag=spare)
+            noise = normals(PURPOSE_PILOT_NOISE, noise_buf)
         scrambled = None
         if "random-phase" in modes:
-            scrambled = random_phases(seed, a, b, n, out=phase_buf[:b - a])
-        h, at = None, None
+            scrambled = random_phases(states[PURPOSE_PHASE][blocks], a, b, n, out=phase_buf[:k],
+                                      mag=mag_buf[:k])
+        h, perfect, at = None, None, None
         for i, r in live:
             if at is not r.link:
                 at = r.link
-                # the row buffer is free until the row's work starts
-                h = sample_channels(r.link, user, bs, out=h_buf[:b - a], fade=row_buf[:b - a])
+                # the row and magnitude buffers are free until the link's rows start
+                h, mag = sample_channels(r.link, *user, bs, out=h_buf[:k], fade=row_buf[:k],
+                                         mag=mag_buf[:k])
+                if id(at) in perfect_links:
+                    perfect = aligned_gain(np.abs(h, out=mag_buf[:k]) if mag is None else mag)
             m = min(b, r.trials) - a
             into = gains[i][a - start:a - start + m]
             if r.csi_mode == "perfect":
-                into[:] = aligned_gain(h[:m], mag=mag_buf[:m])
+                into[:] = perfect[:m]
                 continue
             work = row_buf[:m]  # the estimate, then the phases, then h * phases
             if r.csi_mode == "estimated":

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import PURPOSE_PHASE, _lanes, _unit_circle, trial_draws
+from .channel import _blocks, _buffer, _fill, _lanes, _raw_words, _unit_circle
 
 __all__ = [
     "configure_phases",
@@ -51,21 +51,28 @@ def configure_phases(est: np.ndarray, out: np.ndarray | None = None,
 _GRID_BITS = 12
 
 
-def random_phases(seed: int, start: int, stop: int, n: int,
-                  out: np.ndarray | None = None) -> np.ndarray:
+def random_phases(states: np.ndarray, start: int, stop: int, n: int,
+                  out: np.ndarray | None = None, mag: np.ndarray | None = None) -> np.ndarray:
     """Uniform random grid phases for trials [start, stop), the no-CSI reference.
 
     Row i takes trial start + i's ceil(n / 4) raw words of its block's
-    PURPOSE_PHASE stream (see channel.trial_draws), splits each into four
-    16-bit lanes, low lane first, and maps the first n lanes' top
-    _GRID_BITS bits to channel._unit_circle(_GRID_BITS). out, a complex128
-    (stop - start, n) array, receives the phases in place of a new array.
+    PURPOSE_PHASE stream: states are that purpose's block states from
+    channel.block_states, one row per block that [start, stop) touches.
+    Each word splits into four 16-bit lanes, low lane first, and the
+    first n lanes' top _GRID_BITS bits pick a point of
+    channel._unit_circle(_GRID_BITS). out, a C-contiguous complex128
+    (stop - start, n) array, receives the phases, its first bytes holding
+    the raw words until they are indices; mag, a C-contiguous float64 one,
+    holds the indices; each in place of a new array.
     """
-    words = trial_draws(seed, start, stop, PURPOSE_PHASE, -(-n // 4), "random_raw")
-    # shifting straight into intp spares take a converted copy of the
-    # indices; every index is in the table, and "clip" lets take write
-    # into out without buffering the result
-    index = np.right_shift(_lanes(words, n), 16 - _GRID_BITS, dtype=np.intp)
+    _blocks(states, start, stop)
+    rows = stop - start
+    out = _buffer("out", out, (rows, n), np.complex128)
+    index = _buffer("mag", mag, (rows, n), np.float64).view(np.int64)
+    words = _fill(states, start, _raw_words(out, -(-n // 4)), "random_raw")
+    np.right_shift(_lanes(words, n), 16 - _GRID_BITS, out=index, dtype=np.int64)
+    # every index is in the table, and "clip" lets take write into out
+    # without buffering the result
     return _unit_circle(_GRID_BITS).take(index, out=out, mode="clip")
 
 
@@ -81,14 +88,13 @@ def composite_channel(h: np.ndarray, phases: np.ndarray,
     return np.add.reduce(np.multiply(h, phases, out=out), axis=-1)
 
 
-def aligned_gain(h: np.ndarray, mag: np.ndarray | None = None) -> np.ndarray:
+def aligned_gain(magnitudes: np.ndarray) -> np.ndarray:
     """Composite power gain under perfect CSI, (sum_m |h_m|)^2 per trial.
 
     Conjugate alignment turns each product h_m conj(h_m) / |h_m| into
-    |h_m|, so the aligned sum is sum_m |h_m|, with no phases to derive; a
-    zero coefficient adds 0, as its phase-1 fallback in configure_phases
-    does. mag, a float64 array shaped like h, holds the magnitudes in
-    place of a new array.
+    |h_m|, so the aligned sum is the sum of the channel's magnitudes
+    |h_m|, given here, with no phases to derive; a zero coefficient adds
+    0, as its phase-1 fallback in configure_phases does.
     """
-    total = np.add.reduce(np.abs(h, out=mag), axis=-1)
+    total = np.add.reduce(magnitudes, axis=-1)
     return np.square(total, out=total)

@@ -12,15 +12,17 @@ from rispilot.channel import (
     PURPOSE_PILOT_NOISE,
     PURPOSE_RIS_USER,
     _unit_circle,
+    block_states,
     block_stream,
+    polar_normals,
     sample_channels,
     trial_draws,
     unit_normals,
 )
 from block_draws import block_row, trial_normals
 from corridor import CORRIDOR, corridor_link
+from engine_draws import channels, drawn_phases, normal_states, normals, polar
 from philox_draws import complex_normals, slot_generator
-from rispilot.reflection import random_phases
 from rispilot.scenario import Link, cascaded_large_scale
 
 SQRT_PI_HALF = math.sqrt(math.pi) / 2.0
@@ -31,8 +33,10 @@ def _draw_entries():
     return {
         "trial_draws": lambda seed: trial_draws(seed, 0, 1, PURPOSE_RIS_USER, 2),
         "block_stream": lambda seed: block_stream(seed, 0, PURPOSE_RIS_USER).random(4),
-        "unit_normals": lambda seed: unit_normals(seed, 0, 1, PURPOSE_RIS_USER, 2),
-        "random_phases": lambda seed: random_phases(seed, 0, 1, 2),
+        "block_states": lambda seed: block_states(seed, 0, 1, PURPOSE_RIS_USER),
+        # the layer draws take their states from block_states, which checks the seed
+        "unit_normals": lambda seed: normals(seed, 0, 1, PURPOSE_RIS_USER, 2),
+        "random_phases": lambda seed: drawn_phases(seed, 0, 1, 2),
     }
 
 
@@ -72,7 +76,7 @@ def test_philox_draws_keep_their_pinned_values():
 
 
 def test_unit_normals_moments():
-    w = unit_normals(5, 0, 1, PURPOSE_RIS_USER, 100_000)[0]
+    w = normals(5, 0, 1, PURPOSE_RIS_USER, 100_000)[0]
     n = w.size
     assert abs(np.mean(np.abs(w) ** 2) - 1.0) < 4.0 / math.sqrt(n)
     assert abs(np.mean(w)) < 4.0 / math.sqrt(2 * n)
@@ -82,10 +86,7 @@ def test_unit_normals_moments():
 
 def _channel(link, seed, trial=0):
     """Trial `trial` of seed `seed`, as the engine draws it: (sum(M_k),) coefficients."""
-    n = int(link.counts.sum())
-    user = unit_normals(seed, trial, trial + 1, PURPOSE_RIS_USER, n)
-    bs = unit_normals(seed, trial, trial + 1, PURPOSE_BS_RIS, n)
-    return sample_channels(link, user, bs)[0]
+    return channels(link, seed, trial, trial + 1)[0]
 
 
 @pytest.mark.parametrize("method, width, before", [
@@ -109,9 +110,9 @@ def test_trial_draws_are_each_trials_own_block_row(method, width, before):
         assert np.array_equal(chunk[i], expected)
     # a trial's draws do not depend on the range it is drawn in
     assert np.array_equal(trial_draws(seed, 9, 10, PURPOSE_PILOT_NOISE, width, method)[0], chunk[2])
-    normals = unit_normals(seed, 7, 9, PURPOSE_RIS_USER, width)
+    drawn = normals(seed, 7, 9, PURPOSE_RIS_USER, width)
     for i, t in enumerate((7, 8)):
-        assert np.array_equal(normals[i], trial_normals(seed, t, PURPOSE_RIS_USER, width))
+        assert np.array_equal(drawn[i], trial_normals(seed, t, PURPOSE_RIS_USER, width))
     with pytest.raises(ValueError):
         trial_draws(2**64, 0, 1, PURPOSE_RIS_USER, 2)
     with pytest.raises(ValueError):
@@ -210,20 +211,50 @@ def test_trial_draws_fill_out_with_the_same_bits(method, dtype):
 
 
 def test_unit_normals_fill_out_with_the_same_bits():
-    out, mag = np.full((3, 10), np.nan), np.full((3, 5), np.nan)
-    normals = unit_normals(8, 2, 5, PURPOSE_BS_RIS, 5, out=out, mag=mag)
-    assert np.shares_memory(normals, out)
-    assert np.array_equal(normals, unit_normals(8, 2, 5, PURPOSE_BS_RIS, 5))
+    out, mag = np.full((3, 5), np.nan, dtype=np.complex128), np.full((3, 5), np.nan)
+    drawn = normals(8, 2, 5, PURPOSE_BS_RIS, 5, out=out, mag=mag)
+    assert drawn is out
+    assert np.array_equal(drawn, normals(8, 2, 5, PURPOSE_BS_RIS, 5))
     # mag ends holding the magnitudes
     assert np.array_equal(mag, np.sqrt(trial_draws(8, 2, 5, PURPOSE_BS_RIS, 5,
                                                    "standard_exponential")))
     for bad in (np.empty((3, 6)), np.empty((5, 3)).T, np.empty((3, 5), np.float32)):
         with pytest.raises(ValueError, match="mag"):
-            unit_normals(8, 2, 5, PURPOSE_BS_RIS, 5, mag=bad)
-    with pytest.raises(ValueError, match="out"):
-        unit_normals(8, 2, 5, PURPOSE_BS_RIS, 5, out=np.empty((10, 3)).T)
+            normals(8, 2, 5, PURPOSE_BS_RIS, 5, mag=bad)
+    for bad in (np.empty((5, 3), np.complex128).T, np.empty((3, 10))):
+        with pytest.raises(ValueError, match="out"):
+            normals(8, 2, 5, PURPOSE_BS_RIS, 5, out=bad)
     with pytest.raises(ValueError, match="trial range"):
-        unit_normals(8, 5, 2, PURPOSE_BS_RIS, 5)
+        normals(8, 5, 2, PURPOSE_BS_RIS, 5)
+    # the states must hold one row per block the range touches
+    states = normal_states(8, 2, 5, PURPOSE_BS_RIS)
+    for start, stop in ((5, 2), (2, 9), (0, 0)):
+        with pytest.raises(ValueError, match="block states"):
+            unit_normals(*states, start, stop, 5)
+
+
+@pytest.mark.parametrize("first", [0, 1, 2**61 - 2], ids=["block-0", "block-1", "block-2^61-2"])
+def test_block_states_are_the_block_streams_states(first):
+    # a range that starts inside block `first` and ends in the last block or
+    # two blocks on: row j is the state block_stream gives block first + j
+    seed = 2**64 - 5
+    start = first * BLOCK_TRIALS + 3
+    stop = min(2**64, start + 2 * BLOCK_TRIALS)
+    blocks = -(-stop // BLOCK_TRIALS) - first
+    for purpose in range(7):
+        states = block_states(seed, start, stop, purpose)
+        assert states.shape == (blocks, 4) and states.dtype == np.uint64
+        for j, row in enumerate(states):
+            want = block_stream(seed, first + j, purpose).bit_generator.state["state"]["state"]
+            assert np.array_equal(row, want), (purpose, j)
+        # a chunk's rows of a range's states are the chunk's own states
+        later = (first + 1) * BLOCK_TRIALS
+        assert np.array_equal(states[1:], block_states(seed, later, stop, purpose))
+        # the chunk's fill from those rows is trial_draws' fill of the chunk
+        assert np.array_equal(
+            polar_normals(states[1:], block_states(seed, later, stop, purpose + NORMAL_PHASES),
+                          later, stop, 5)[1],
+            np.sqrt(trial_draws(seed, later, stop, purpose, 5, "standard_exponential")))
 
 
 @pytest.mark.parametrize("start, stop, n", [
@@ -237,17 +268,22 @@ def test_unit_normals_are_polar_draws_of_their_block_streams(start, stop, n):
     # phasors at the 16-bit lanes of its phase purpose's raw words
     seed = 2**64 - 9
     for purpose in (PURPOSE_RIS_USER, PURPOSE_BS_RIS, PURPOSE_PILOT_NOISE):
-        got = unit_normals(seed, start, stop, purpose, n)
+        got = normals(seed, start, stop, purpose, n)
         assert got.shape == (stop - start, n) and got.dtype == np.complex128
+        # polar_normals leaves the phasors and the magnitudes unmultiplied
+        phasors, root = polar(seed, start, stop, purpose, n)
+        assert np.array_equal(phasors * root, got)
         for i, t in enumerate(range(start, stop)):
             assert np.array_equal(got[i], trial_normals(seed, t, purpose, n)), (purpose, t)
+            exponentials = block_row(seed, t, purpose, n, "standard_exponential")
+            assert np.array_equal(root[i], np.sqrt(exponentials)), (purpose, t)
 
 
 def test_unit_normals_are_circular_unit_normals():
     # 2 * 10^5 values over 800 trials (100 blocks): the moments of CN(0, 1)
     # within 4 standard errors, and the real part's distribution within the
     # DKW bound at alpha = 1e-6
-    z = unit_normals(90210, 0, 800, PURPOSE_PILOT_NOISE, 250).ravel()
+    z = normals(90210, 0, 800, PURPOSE_PILOT_NOISE, 250).ravel()
     n = z.size
     x, y = z.real, z.imag
     # each part has variance 1/2; z^2's parts variance 1; |z|^2 is Exp(1)
@@ -282,39 +318,65 @@ def test_normal_phase_table_has_the_continuous_moments():
                                         (0.5, math.inf)])
 def test_sample_channels_fill_out_with_the_same_bits(k_br, k_ru):
     link = dataclasses.replace(corridor_link(50.0, 4.0, 8, 16), k_br=k_br, k_ru=k_ru)
-    user = unit_normals(4, 0, 3, PURPOSE_RIS_USER, 24)
-    bs = unit_normals(4, 0, 3, PURPOSE_BS_RIS, 24)
+    user = polar(4, 0, 3, PURPOSE_RIS_USER, 24)
+    bs = normals(4, 0, 3, PURPOSE_BS_RIS, 24)
     out = np.full((3, 24), np.nan, dtype=np.complex128)
-    h = sample_channels(link, user, bs, out=out)
+    mag = np.full((3, 24), np.nan)
+    h, magnitudes = sample_channels(link, *user, bs, out=out, mag=mag)
     assert h is out
-    assert np.array_equal(h, sample_channels(link, user, bs))
-    with pytest.raises(ValueError):
-        sample_channels(link, user, bs, out=np.empty((2, 24), dtype=np.complex128))
+    fresh, fresh_magnitudes = sample_channels(link, *user, bs)
+    assert np.array_equal(h, fresh)
+    # the magnitudes come back only where h is the drawn normal scaled
+    if k_ru == 0.0 and math.isinf(k_br):
+        assert magnitudes is mag and np.array_equal(mag, fresh_magnitudes)
+    else:
+        assert magnitudes is None and fresh_magnitudes is None
+    for name, bad in (("out", np.empty((2, 24), dtype=np.complex128)),
+                      ("mag", np.empty((3, 24), dtype=np.complex128))):
+        with pytest.raises(ValueError, match=name):
+            sample_channels(link, *user, bs, **{name: bad})
+
+
+def test_a_rayleigh_link_is_beta_times_the_user_normal():
+    # k_ru = 0 and k_br = inf: h = beta_k u, u the trial's unit normal, and
+    # |h| = beta_k sqrt(E) comes back from the exponentials of block_stream
+    link = corridor_link(50.0, 4.0, 8, 16)
+    beta = np.repeat(link.beta, link.counts)
+    h, magnitudes = sample_channels(link, *polar(7, 5, 11, PURPOSE_RIS_USER, 24))
+    for i, t in enumerate(range(5, 11)):
+        root = np.sqrt(block_row(7, t, PURPOSE_RIS_USER, 24, "standard_exponential"))
+        assert np.array_equal(magnitudes[i], root * beta), t
+        assert np.allclose(h[i], beta * trial_normals(7, t, PURPOSE_RIS_USER, 24),
+                           rtol=1e-15, atol=0.0), t
+        assert np.allclose(np.abs(h[i]), magnitudes[i], rtol=1e-15, atol=0.0), t
 
 
 @pytest.mark.parametrize("k_br, k_ru", [(3.0, 0.0), (0.5, 2.0), (10.0, math.inf), (0.0, 1.0)])
 def test_a_faded_bs_link_gives_the_same_bits_with_a_fade_buffer(k_br, k_ru):
     link = dataclasses.replace(corridor_link(50.0, 4.0, 8, 16), k_br=k_br, k_ru=k_ru)
-    user = unit_normals(6, 0, 3, PURPOSE_RIS_USER, 24)
-    bs = unit_normals(6, 0, 3, PURPOSE_BS_RIS, 24)
-    # the cascade as sample_channels computed it with temporaries
+    phasors, root = polar(6, 0, 3, PURPOSE_RIS_USER, 24)
+    bs = normals(6, 0, 3, PURPOSE_BS_RIS, 24)
+    # the cascade beta_k (a_ru + b_ru u)(a_br + b_br v) with temporaries, the
+    # user hop's scattered part as phasors times beta_k b_ru sqrt(E)
     def rician(k):
         return math.sqrt(k / (k + 1.0)), math.sqrt(1.0 / (k + 1.0))
 
-    expected = np.ones_like(user) if math.isinf(k_ru) else np.conj(user)
-    if 0.0 < k_ru < math.inf:
+    scale = np.repeat(link.beta, link.counts)
+    if math.isinf(k_ru):
+        expected = np.tile(scale.astype(np.complex128), (3, 1))
+    else:
         los, nlos = rician(k_ru)
-        expected *= nlos
-        expected += los
+        expected = phasors * (root * (scale * nlos))
+        if los:
+            expected += scale * los
     los, nlos = rician(k_br)
     expected *= los + nlos * bs
-    expected *= np.repeat(link.beta, link.counts)
     fade = np.full((3, 24), np.nan, dtype=np.complex128)
-    with_buffer = sample_channels(link, user, bs, fade=fade)
-    assert with_buffer.tobytes() == sample_channels(link, user, bs).tobytes()
+    with_buffer = sample_channels(link, phasors, root, bs, fade=fade)[0]
+    assert with_buffer.tobytes() == sample_channels(link, phasors, root, bs)[0].tobytes()
     assert with_buffer.tobytes() == expected.tobytes()
     with pytest.raises(ValueError):
-        sample_channels(link, user, bs, fade=np.empty((3, 24)))
+        sample_channels(link, phasors, root, bs, fade=np.empty((3, 24)))
 
 
 def _one_ris_blocked(beta_sq, m):
@@ -354,21 +416,24 @@ def test_surfaces_fill_each_trials_stream_end_to_end():
     link1 = corridor_link(50.0, 4.0, 8, 16)
     link2 = corridor_link(50.0, 4.0, 32, 16)
     assert np.array_equal(link1.beta, link2.beta)
-    v = unit_normals(21, 0, 1, PURPOSE_RIS_USER, 48)[0]
+    phasors, root = polar(21, 0, 1, PURPOSE_RIS_USER, 48)
     h1 = _channel(link1, 21)
     h2 = _channel(link2, 21)
     assert np.array_equal(h1[:8], h2[:8])
-    assert np.array_equal(h1[:8], link1.beta[0] * np.conj(v[:8]))
-    assert np.array_equal(h2[32:], link1.beta[1] * np.conj(v[32:48]))
+    assert np.array_equal(h1[:8], phasors[0, :8] * (root[0, :8] * link1.beta[0]))
+    assert np.array_equal(h2[32:], phasors[0, 32:48] * (root[0, 32:48] * link1.beta[1]))
 
 
 def test_sample_channels_rejects_misshapen_draws():
     link = corridor_link(50.0, 4.0, 8, 16)
     with pytest.raises(ValueError):
-        sample_channels(link, unit_normals(1, 0, 2, PURPOSE_RIS_USER, 23))
+        sample_channels(link, *polar(1, 0, 2, PURPOSE_RIS_USER, 23))
+    phasors, root = polar(1, 0, 2, PURPOSE_RIS_USER, 24)
+    with pytest.raises(ValueError):
+        sample_channels(link, phasors, root[:1])
     faded = dataclasses.replace(link, k_br=3.0)
     with pytest.raises(ValueError):
-        sample_channels(faded, unit_normals(1, 0, 2, PURPOSE_RIS_USER, 24))
+        sample_channels(faded, phasors, root)
 
 
 @pytest.mark.parametrize("d", [0.0, 4.0, 16.0, 7.3])

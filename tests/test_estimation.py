@@ -6,11 +6,9 @@ import pytest
 from rispilot.channel import (
     PURPOSE_PHASE,
     PURPOSE_PILOT_NOISE,
-    PURPOSE_RIS_USER,
-    sample_channels,
-    unit_normals,
 )
 from block_draws import trial_normals
+from engine_draws import channels, normals
 from philox_draws import slot_generator
 from rispilot.estimation import PerRisPowers, ls_estimate
 from rispilot.scenario import Link
@@ -42,9 +40,7 @@ def _sampled(seed, beta_sq=(1.0,), counts=(64,), sigma_z_sq=1.0):
     """Trial 0 of seed: the link, its (1, sum(M_k)) channel and pilot-noise draws."""
     s = Link(counts=counts, beta_sq=beta_sq, sigma_z_sq=sigma_z_sq, sigma_n_sq=1.0, q=1.0,
              p_avg=1.0)
-    n = sum(counts)
-    h = sample_channels(s, unit_normals(seed, 0, 1, PURPOSE_RIS_USER, n))
-    return s, h, unit_normals(seed, 0, 1, PURPOSE_PILOT_NOISE, n)
+    return s, channels(s, seed, 0, 1), normals(seed, 0, 1, PURPOSE_PILOT_NOISE, sum(counts))
 
 
 def test_noiseless_estimate_recovers_channel_exactly():
@@ -141,8 +137,8 @@ def test_power_count_must_match_surfaces():
 def test_estimate_fills_out_with_the_same_bits():
     link = Link(counts=(3, 5), beta_sq=(1.0, 0.25), sigma_z_sq=0.7, sigma_n_sq=1.0, q=1.0,
                 p_avg=1.0)
-    h = sample_channels(link, unit_normals(12, 0, 4, PURPOSE_RIS_USER, 8))
-    noise = unit_normals(12, 0, 4, PURPOSE_PILOT_NOISE, 8)
+    h = channels(link, 12, 0, 4)
+    noise = normals(12, 0, 4, PURPOSE_PILOT_NOISE, 8)
     powers = PerRisPowers(p_k=[0.4, 1.36])
     out = np.full((4, 8), np.nan, dtype=np.complex128)
     est = ls_estimate(h, link.counts, powers, 0.7, noise, out=out)

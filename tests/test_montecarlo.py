@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from corridor import corridor_link
-from block_draws import trial_normals
+from block_draws import block_row, trial_normals
 from rispilot import cli, montecarlo
 from rispilot.allocation import PerRisPowers, allocate_average, run_allocator
 from rispilot.analysis import ergodic_gain_closed_form
@@ -19,8 +19,6 @@ from rispilot.channel import (
     PURPOSE_PILOT_NOISE,
     PURPOSE_RIS_USER,
     block_stream,
-    sample_channels,
-    unit_normals,
 )
 from rispilot.montecarlo import (
     GainRow,
@@ -92,13 +90,22 @@ def test_estimated_mode_tracks_closed_form():
     assert abs(m.mean_gain - closed) < 4.0 * m.se_gain
 
 
+# element counts whose ranges hold one chunk of 256 blocks, several chunks
+# of two blocks (sum(M_k) = 1000 < 2048, the last chunk of a worker's
+# share shorter), and chunks of one block beyond CHUNK_ELEMENTS (2064 > 2048)
+LAYOUTS = ([4, 4], [500, 500], [2048, 16])
+
+
 def test_gains_do_not_depend_on_worker_count():
+    cfg = TrialConfig(trials=200, seed=5)
+    for counts in LAYOUTS:
+        link = _beta_direct([1.0, 0.25], counts)
+        alloc = allocate_average(link)
+        serial = _gains(link, alloc, cfg, workers=1)
+        for workers in (2, 3):
+            assert np.array_equal(serial, _gains(link, alloc, cfg, workers=workers)), counts
     link = _beta_direct([1.0, 0.25], [4, 4])
     alloc = allocate_average(link)
-    cfg = TrialConfig(trials=200, seed=5)
-    serial = _gains(link, alloc, cfg, workers=1)
-    for workers in (2, 3):
-        assert np.array_equal(serial, _gains(link, alloc, cfg, workers=workers))
     few = _gains(link, alloc, TrialConfig(trials=3, seed=5), workers=8)
     assert np.array_equal(few, _gains(link, alloc, TrialConfig(trials=3, seed=5)))
 
@@ -162,29 +169,35 @@ def test_gains_do_not_depend_on_chunk_size(monkeypatch, mode):
     # a mixed run reuses one workspace for every chunk and row: all three CSI
     # modes, rows with fewer trials than the run, and two positions, one with
     # a faded BS link; each row must equal that row run alone, whatever
-    # data earlier chunks or rows left in the buffers
-    link = _beta_direct([1.0, 0.25], [4, 4])
-    faded = dataclasses.replace(_beta_direct([0.5, 2.0], [4, 4]), k_br=3.0)
-    alloc = allocate_average(link)
-    rows = [
-        GainRow(link, alloc),
-        GainRow(faded, alloc, "random-phase"),
-        GainRow(link, alloc, "estimated"),
-        GainRow(faded, alloc, "perfect", 37),
-        GainRow(faded, alloc, None, 120),
-        GainRow(link, alloc, "random-phase", 5),
-        GainRow(faded, alloc, "estimated"),
-        GainRow(link, alloc, "perfect"),
-    ]
+    # data earlier chunks or rows left in the buffers. Four surfaces run at
+    # one, three and 256 blocks per chunk; the wider layouts at their own
+    # chunk size, several chunks per worker's share
     cfg = TrialConfig(trials=200, seed=5, csi_mode=mode)
-    alone = [trial_gains([row], cfg)[0] for row in rows]
-    assert [g.size for g in alone] == [200, 200, 200, 37, 120, 5, 200, 200]
-    for cap in (8, 192, montecarlo.CHUNK_ELEMENTS):  # one, three and 256 blocks per chunk
-        monkeypatch.setattr(montecarlo, "CHUNK_ELEMENTS", cap)
-        for workers in (1, 2):
-            got = trial_gains(rows, cfg, workers=workers)
-            for i, (g, want) in enumerate(zip(got, alone)):
-                assert np.array_equal(g, want), (cap, workers, i)
+    default = montecarlo.CHUNK_ELEMENTS
+    for counts, caps in (([4, 4], (8, 192, default)), ([500, 500], (default,)),
+                         ([2048, 16], (default,))):
+        link = _beta_direct([1.0, 0.25], counts)
+        faded = dataclasses.replace(_beta_direct([0.5, 2.0], counts), k_br=3.0)
+        alloc = allocate_average(link)
+        rows = [
+            GainRow(link, alloc),
+            GainRow(faded, alloc, "random-phase"),
+            GainRow(link, alloc, "estimated"),
+            GainRow(faded, alloc, "perfect", 37),
+            GainRow(faded, alloc, None, 120),
+            GainRow(link, alloc, "random-phase", 5),
+            GainRow(faded, alloc, "estimated"),
+            GainRow(link, alloc, "perfect"),
+        ]
+        monkeypatch.setattr(montecarlo, "CHUNK_ELEMENTS", default)
+        alone = [trial_gains([row], cfg)[0] for row in rows]
+        assert [g.size for g in alone] == [200, 200, 200, 37, 120, 5, 200, 200]
+        for cap in caps:
+            monkeypatch.setattr(montecarlo, "CHUNK_ELEMENTS", cap)
+            for workers in (1, 2):
+                got = trial_gains(rows, cfg, workers=workers)
+                for i, (g, want) in enumerate(zip(got, alone)):
+                    assert np.array_equal(g, want), (counts, cap, workers, i)
 
 
 def test_every_csi_mode_sees_trial_ts_channel():
@@ -202,7 +215,7 @@ def test_every_csi_mode_sees_trial_ts_channel():
     for t in range(40):
         # trial t is row t % 8 of its block's streams, each filled for the block
         c, r = divmod(t, BLOCK_TRIALS)
-        h = beta * np.conj(trial_normals(17, t, PURPOSE_RIS_USER, 8))
+        h = beta * trial_normals(17, t, PURPOSE_RIS_USER, 8)
         est = h + delta * trial_normals(17, t, PURPOSE_PILOT_NOISE, 8)
         # random phases: 16-bit lanes of the raw words, low lane first, whose
         # top 12 bits pick a point of the 4096-point grid
@@ -219,15 +232,44 @@ def test_every_csi_mode_sees_trial_ts_channel():
             assert g[t] == pytest.approx(want, rel=1e-12), (mode, t)
 
 
-def test_a_perfect_row_is_the_squared_sum_of_channel_magnitudes():
-    # with a faded BS link the channel takes both hops' draws
-    link = dataclasses.replace(_beta_direct([1.0, 0.25], [3, 5]), k_br=4.0, k_ru=1.0)
-    gains = _gains(link, allocate_average(link), TrialConfig(trials=60, seed=23, csi_mode="perfect"))
+def test_a_perfect_row_on_a_rayleigh_link_sums_the_drawn_magnitudes():
+    # k_ru = 0 and k_br = inf: |h_m| = beta_k sqrt(E_m), E the trial's
+    # exponentials of its block's user-hop stream, over five chunks of 8
+    link = _beta_direct([1.0, 0.25], [1000, 1100])
+    cfg = TrialConfig(trials=40, seed=31, csi_mode="perfect")
+    gains = _gains(link, allocate_average(link), cfg)
+    beta = np.repeat(link.beta, link.counts)
+    for t in range(40):
+        magnitudes = np.sqrt(block_row(31, t, PURPOSE_RIS_USER, 2100, "standard_exponential"))
+        assert gains[t] == np.add.reduce(magnitudes * beta) ** 2, t
+
+
+def _reference_channel(link, seed, t):
+    """Trial t's channel beta_k (a_ru + b_ru u)(a_br + b_br v) from its block streams,
+    for finite Rician factors on both hops."""
     n = int(link.counts.sum())
-    h = sample_channels(link, unit_normals(23, 0, 60, PURPOSE_RIS_USER, n),
-                        unit_normals(23, 0, 60, PURPOSE_BS_RIS, n))
-    expected = np.array([math.fsum(np.abs(row)) ** 2 for row in h])
-    assert np.allclose(gains, expected, rtol=1e-13, atol=0.0)
+
+    def hop(k, z):
+        return math.sqrt(k / (k + 1.0)) + math.sqrt(1.0 / (k + 1.0)) * z
+
+    user = hop(link.k_ru, trial_normals(seed, t, PURPOSE_RIS_USER, n))
+    bs = hop(link.k_br, trial_normals(seed, t, PURPOSE_BS_RIS, n))
+    return np.repeat(link.beta, link.counts) * user * bs
+
+
+def test_a_perfect_row_is_the_squared_sum_of_channel_magnitudes():
+    # with a faded BS link the channel takes both hops' draws, and with a
+    # Rician user hop the magnitudes are taken from the channel itself: a
+    # made-up link and the bundled Rician config's, off its centre
+    config = TESTS / "data" / "two_ris_asymmetric_rician.yaml"
+    scn = cli._parse_scenario(cli.load_config(str(config)))
+    rician = scn.link_at(scn.geometry["user_y"] + 3.0)
+    made_up = dataclasses.replace(_beta_direct([1.0, 0.25], [3, 5]), k_br=4.0, k_ru=1.0)
+    for link in (made_up, rician):
+        cfg = TrialConfig(trials=60, seed=23, csi_mode="perfect")
+        gains = _gains(link, allocate_average(link), cfg)
+        expected = [math.fsum(np.abs(_reference_channel(link, 23, t))) ** 2 for t in range(60)]
+        assert np.allclose(gains, expected, rtol=1e-13, atol=0.0)
 
 
 TESTS = pathlib.Path(__file__).resolve().parent

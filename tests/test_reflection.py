@@ -7,12 +7,11 @@ from rispilot.channel import (
     BLOCK_TRIALS,
     PURPOSE_PHASE,
     PURPOSE_PILOT_NOISE,
-    PURPOSE_RIS_USER,
     _unit_circle,
+    block_states,
     block_stream,
-    sample_channels,
-    unit_normals,
 )
+from engine_draws import channels, drawn_phases, normals
 from rispilot.estimation import PerRisPowers, ls_estimate
 from rispilot.analysis import ModelAssumptionWarning
 from rispilot.montecarlo import TrialConfig, sweep_user
@@ -35,8 +34,7 @@ def _link(beta_sq, counts):
 
 
 def _channels(link, seed, trials=1):
-    n = int(link.counts.sum())
-    return sample_channels(link, unit_normals(seed, 0, trials, PURPOSE_RIS_USER, n))
+    return channels(link, seed, 0, trials)
 
 
 def test_conjugate_alignment_on_known_coefficients():
@@ -94,7 +92,7 @@ def test_alignment_fills_out_with_the_same_bits():
 
 def test_composite_fills_out_with_the_same_bits():
     h = _channels(_link([1.0, 0.25], [3, 5]), 6, trials=4)
-    phases = random_phases(6, 0, 4, 8)
+    phases = drawn_phases(6, 0, 4, 8)
     expected = composite_channel(h, phases)
     out = np.full(h.shape, np.nan, dtype=np.complex128)
     assert np.array_equal(composite_channel(h, phases, out=out), expected)
@@ -107,11 +105,18 @@ def test_composite_fills_out_with_the_same_bits():
 
 
 def test_random_phases_fill_out_with_the_same_bits():
-    out = np.full((3, 11), np.nan, dtype=np.complex128)
-    assert random_phases(9, 4, 7, 11, out=out) is out
-    assert np.array_equal(out, random_phases(9, 4, 7, 11))
-    with pytest.raises(ValueError):
-        random_phases(9, 4, 7, 11, out=np.empty((3, 12), dtype=np.complex128))
+    out, mag = np.full((3, 11), np.nan, dtype=np.complex128), np.full((3, 11), np.nan)
+    assert drawn_phases(9, 4, 7, 11, out=out, mag=mag) is out
+    assert np.array_equal(out, drawn_phases(9, 4, 7, 11))
+    # the raw words pass through out's first bytes, the grid indices through mag
+    assert np.array_equal(_unit_circle(12)[mag.view(np.int64)], out)
+    for name, bad in (("out", np.empty((3, 12), dtype=np.complex128)),
+                      ("out", np.empty((11, 3), dtype=np.complex128).T),
+                      ("mag", np.empty((3, 11), dtype=np.complex128))):
+        with pytest.raises(ValueError, match=name):
+            drawn_phases(9, 4, 7, 11, **{name: bad})
+    with pytest.raises(ValueError, match="block states"):
+        random_phases(block_states(9, 4, 7, PURPOSE_PHASE), 4, 9, 11)
 
 
 def test_aligned_composite_is_sum_of_magnitudes():
@@ -123,22 +128,22 @@ def test_aligned_composite_is_sum_of_magnitudes():
 
 
 def test_random_phases_deterministic_and_unit_modulus():
-    a = random_phases(9, 0, 1, 24)
-    b = random_phases(9, 0, 1, 24)
-    c = random_phases(10, 0, 1, 24)
+    a = drawn_phases(9, 0, 1, 24)
+    b = drawn_phases(9, 0, 1, 24)
+    c = drawn_phases(10, 0, 1, 24)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert np.all(np.abs(np.abs(a) - 1.0) < 1e-12)
     # row i is trial i's own phase stream, whatever range it is drawn in
-    chunk = random_phases(9, 0, 3, 24)
+    chunk = drawn_phases(9, 0, 3, 24)
     assert np.array_equal(chunk[0], a[0])
     assert np.array_equal(chunk[2], _grid_phases(9, 2, 24))
     # trial 9 is row 1 of block 1, drawn in a range that starts inside it
-    assert np.array_equal(random_phases(9, 9, 10, 24)[0], _grid_phases(9, 9, 24))
+    assert np.array_equal(drawn_phases(9, 9, 10, 24)[0], _grid_phases(9, 9, 24))
     # n need not fill whole words: the lanes are read in order, low lane first,
     # so n = 7 takes the first 7 of n = 8's lanes, both two words a trial
-    assert np.array_equal(random_phases(9, 2, 3, 7)[0], _grid_phases(9, 2, 7))
-    assert np.array_equal(random_phases(9, 2, 3, 7)[0], random_phases(9, 2, 3, 8)[0][:7])
+    assert np.array_equal(drawn_phases(9, 2, 3, 7)[0], _grid_phases(9, 2, 7))
+    assert np.array_equal(drawn_phases(9, 2, 3, 7)[0], drawn_phases(9, 2, 3, 8)[0][:7])
 
 
 def _grid_phases(seed, t, n):
@@ -166,7 +171,7 @@ def test_random_phases_are_uniform_on_the_grid():
     # every grid point and every lane position of a word is equally likely:
     # 2^18 phases over 4096 points (64 expected per point), chi-square with
     # 4095 degrees of freedom below its mean plus 6 standard deviations
-    phases = random_phases(2024, 0, 256, 1024)
+    phases = drawn_phases(2024, 0, 256, 1024)
     k = np.rint(np.angle(phases) * (4096 / (2.0 * math.pi))).astype(np.int64) % 4096
     assert np.array_equal(_unit_circle(12)[k], phases)
     expected = phases.size / 4096
@@ -183,7 +188,7 @@ def test_alignment_beats_any_other_configuration():
     for seed in range(5):
         h = _channels(link, seed)
         aligned = abs(composite_channel(h, configure_phases(h))[0]) ** 2
-        scrambled = abs(composite_channel(h, random_phases(seed + 100, 0, 1, 16))[0]) ** 2
+        scrambled = abs(composite_channel(h, drawn_phases(seed + 100, 0, 1, 16))[0]) ** 2
         assert aligned >= scrambled
         # aligned gain equals the squared total magnitude, the coherent ceiling
         ceiling = float(np.sum(np.abs(h))) ** 2
@@ -192,10 +197,8 @@ def test_alignment_beats_any_other_configuration():
 
 def test_aligned_gain_is_the_squared_sum_of_magnitudes():
     h = _channels(_link([1.0, 0.25], [3, 5]), 8, trials=6)
-    mag = np.full(h.shape, np.nan)
-    gains = aligned_gain(h, mag=mag)
+    gains = aligned_gain(np.abs(h))
     assert gains.shape == (6,)
-    assert np.array_equal(mag, np.abs(h))
     assert np.array_equal(gains, np.sum(np.abs(h), axis=-1) ** 2)
     # the phases it spares give the same gain up to rounding
     phased = np.abs(composite_channel(h, configure_phases(h))) ** 2
@@ -204,11 +207,11 @@ def test_aligned_gain_is_the_squared_sum_of_magnitudes():
 
 def test_a_zero_coefficient_adds_nothing_to_the_aligned_gain():
     h = _flat([np.array([0.0 + 0.0j, 3.0 + 4.0j]), np.array([-0.0 - 0.0j, -5.0 + 12.0j])])
-    assert aligned_gain(h)[0] == 18.0**2
+    assert aligned_gain(np.abs(h))[0] == 18.0**2
     # as the phase-1 fallback of configure_phases gives it
     phased = abs(composite_channel(h, configure_phases(h))[0]) ** 2
     assert phased == pytest.approx(18.0**2, rel=1e-15)
-    assert aligned_gain(np.zeros((2, 4), dtype=np.complex128)).tolist() == [0.0, 0.0]
+    assert aligned_gain(np.zeros((2, 4))).tolist() == [0.0, 0.0]
 
 
 def test_gain_invariant_to_common_rotation_single_surface():
@@ -223,7 +226,7 @@ def test_random_phase_mean_gain_is_incoherent_sum():
     link = _link([1.0, 1.0], [8, 8])
     n = 3000
     h = _channels(link, 1234, trials=n)
-    gains = np.abs(composite_channel(h, random_phases(1234, 0, n, 16))) ** 2
+    gains = np.abs(composite_channel(h, drawn_phases(1234, 0, n, 16))) ** 2
     # the incoherent mean gain is sum(M_k beta_k^2) = 16; gain is exponential
     assert abs(np.mean(gains) - 16.0) < 4.0 * 16.0 / math.sqrt(n)
 
@@ -260,7 +263,7 @@ def test_noisier_estimates_lose_gain_on_average():
     diffs = []
     for seed in range(200):
         h = _channels(link, seed)
-        noise = unit_normals(seed, 0, 1, PURPOSE_PILOT_NOISE, 64)
+        noise = normals(seed, 0, 1, PURPOSE_PILOT_NOISE, 64)
         good = ls_estimate(h, link.counts, PerRisPowers(p_k=[100.0]), 1.0, noise)
         bad = ls_estimate(h, link.counts, PerRisPowers(p_k=[0.01]), 1.0, noise)
         g_good = abs(composite_channel(h, configure_phases(good))[0]) ** 2
@@ -273,6 +276,6 @@ def test_composite_shape_mismatch_rejected():
     link = _link([1.0], [4])
     h = _channels(link, 0)
     with pytest.raises(ValueError):
-        composite_channel(h, random_phases(0, 0, 1, 5))
+        composite_channel(h, drawn_phases(0, 0, 1, 5))
     with pytest.raises(ValueError):
-        composite_channel(h, random_phases(0, 0, 2, 4))
+        composite_channel(h, drawn_phases(0, 0, 2, 4))
