@@ -29,12 +29,14 @@ column offset_k + m. A range of trials derives each purpose's block
 states once, with block_states; the draws of a chunk of it are then
 filled from that array's rows, one SFC64 state set per block. Beyond
 the draws, a chunk's channels depend only on a `scenario.Link`: its
-element counts, cascaded gains and the fading of each hop.
+element counts, cascaded gains and the fading of each hop, which
+link_scales turns into per-element factors once per range.
 """
 from __future__ import annotations
 
 import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,6 +49,8 @@ __all__ = [
     "trial_draws",
     "polar_normals",
     "unit_normals",
+    "LinkScales",
+    "link_scales",
     "sample_channels",
 ]
 
@@ -117,14 +121,15 @@ def block_stream(seed: int, block: int, purpose: int) -> np.random.Generator:
 
 
 @functools.cache
-def _generators() -> tuple[np.random.Philox, np.random.Generator]:
+def _generators() -> tuple[np.random.Philox, np.random.Generator, dict]:
     """The process's one Philox, which block_states keys once per call,
-    and its one SFC64 behind a Generator, which a fill sets once per block.
+    its one SFC64 behind a Generator, which a fill sets once per block,
+    and the state dict a fill sets it from, whose words each block replaces.
 
     Trials run in worker processes, never threads, so one per process
     is never shared by two callers at once.
     """
-    return np.random.Philox(key=0), np.random.Generator(np.random.SFC64(0))
+    return np.random.Philox(key=0), np.random.Generator(np.random.SFC64(0)), _sfc64_state(None)
 
 
 def block_states(seed: int, start: int, stop: int, purpose: int) -> np.ndarray:
@@ -170,25 +175,24 @@ def _fill(states: np.ndarray, start: int, out: np.ndarray, method: str) -> np.nd
     state in place of building generators spares the OS entropy a new
     one would gather and never use.
     """
-    gen = _generators()[1]
-    bitgen = gen.bit_generator
+    _, gen, state = _generators()
+    bitgen, words = gen.bit_generator, state["state"]
     raw = method == "random_raw"
     draw = bitgen.random_raw if raw else getattr(gen, method)
-    stop, width = start + len(out), out.shape[1]
-    state = _sfc64_state(None)
-    a = start
+    rows, width = out.shape
+    i, skip = 0, start % BLOCK_TRIALS
     for row in states:
-        r = a % BLOCK_TRIALS
-        b = min(stop, a - r + BLOCK_TRIALS)
-        state["state"]["state"] = row
+        words["state"] = row
         bitgen.state = state
-        if r:
-            draw(r * width)
+        j = min(rows, i + BLOCK_TRIALS - skip)
+        if skip:
+            draw(skip * width)
+            skip = 0
         if raw:
-            out[a - start:b - start] = draw((b - a, width))
+            out[i:j] = draw((j - i, width))
         else:
-            draw(out=out[a - start:b - start])
-        a = b
+            draw(out=out[i:j])
+        i = j
     return out
 
 
@@ -281,20 +285,54 @@ def _rician(k_factor: float) -> tuple[float, float]:
     return math.sqrt(k_factor / (k_factor + 1.0)), math.sqrt(1.0 / (k_factor + 1.0))
 
 
-def sample_channels(link: Link, phasors: np.ndarray, magnitudes: np.ndarray,
+class LinkScales(NamedTuple):
+    """A link's per-element factors of its channel, from link_scales.
+
+    h = scattered * u + direct, times (a_br + b_br v) where bs = (a_br,
+    b_br); scattered is beta_k b_ru and direct beta_k a_ru on surface k's
+    elements, or None where the user hop is deterministic (k_ru = inf) or
+    Rayleigh (a_ru = 0), and bs is None where the BS hop is deterministic.
+    """
+
+    scattered: np.ndarray | None
+    direct: np.ndarray | None
+    bs: tuple[float, float] | None
+
+
+def link_scales(link: Link) -> LinkScales:
+    """The per-element factors sample_channels applies to link's draws.
+
+    A trial range derives them once per link, so no chunk repeats
+    beta_k over the element counts or rescales it. The vectors are
+    read-only: one serves every chunk of the range.
+    """
+    scale = link.beta.repeat(link.counts)
+    if math.isinf(link.k_ru):
+        scattered, direct = None, scale
+    else:
+        los, nlos = _rician(link.k_ru)
+        scattered, direct = scale * nlos, (scale * los if los else None)
+    for vector in (scattered, direct):
+        if vector is not None:
+            vector.setflags(write=False)
+    return LinkScales(scattered, direct, None if math.isinf(link.k_br) else _rician(link.k_br))
+
+
+def sample_channels(scales: LinkScales, phasors: np.ndarray, magnitudes: np.ndarray,
                     bs: np.ndarray | None = None, out: np.ndarray | None = None,
                     fade: np.ndarray | None = None,
                     mag: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
     """Cascaded coefficients h = beta_k (a_ru + b_ru u)(a_br + b_br v), one row per trial.
 
-    u = phasors * magnitudes is the user hop's unit normal, as
-    polar_normals draws it with PURPOSE_RIS_USER, and v = bs the BS hop's,
-    from unit_normals with PURPOSE_BS_RIS; (a, b) = (sqrt(K / (K + 1)),
-    sqrt(1 / (K + 1))) for each hop's Rician factor K, so a hop with K = 0
-    is Rayleigh and one with K = inf deterministic, its draws unread. bs
-    is needed only when the BS link is faded (finite k_br). Both hops'
-    fading has unit power, so the cascade's scale is link.beta alone: with
-    a deterministic BS link and a Rayleigh user link, h is CN(0, beta_k^2).
+    scales are the link's factors from link_scales. u = phasors *
+    magnitudes is the user hop's unit normal, as polar_normals draws it
+    with PURPOSE_RIS_USER, and v = bs the BS hop's, from unit_normals with
+    PURPOSE_BS_RIS; (a, b) = (sqrt(K / (K + 1)), sqrt(1 / (K + 1))) for
+    each hop's Rician factor K, so a hop with K = 0 is Rayleigh and one
+    with K = inf deterministic, its draws unread. bs is needed only when
+    the BS link is faded (finite k_br). Both hops' fading has unit power,
+    so the cascade's scale is link.beta alone: with a deterministic BS
+    link and a Rayleigh user link, h is CN(0, beta_k^2).
 
     mag, a float64 array shaped like the draws, receives
     beta_k b_ru magnitudes in one real multiply, and h = phasors * mag
@@ -307,10 +345,11 @@ def sample_channels(link: Link, phasors: np.ndarray, magnitudes: np.ndarray,
     (k_ru = 0 and k_br = inf), mag, which then holds |h| = beta_k sqrt(E);
     otherwise None in its place.
     """
-    scale = link.beta.repeat(link.counts)
+    scattered, direct, fading = scales
     shape = magnitudes.shape
-    if magnitudes.ndim != 2 or shape[1] != scale.size or phasors.shape != shape:
-        raise ValueError(f"user draws must be (trials, {scale.size}), got "
+    width = (direct if scattered is None else scattered).size
+    if magnitudes.ndim != 2 or shape[1] != width or phasors.shape != shape:
+        raise ValueError(f"user draws must be (trials, {width}), got "
                          f"{phasors.shape} and {shape}")
     for name, buf, dtype in (("out", out, np.complex128), ("fade", fade, np.complex128),
                              ("mag", mag, np.float64)):
@@ -318,21 +357,20 @@ def sample_channels(link: Link, phasors: np.ndarray, magnitudes: np.ndarray,
             raise ValueError(f"{name} must be a {np.dtype(dtype)} array of shape {shape}, "
                              f"got {buf.dtype} {buf.shape}")
     h = np.empty(shape, dtype=np.complex128) if out is None else out
-    if math.isinf(link.k_ru):
-        h[...] = scale
+    if scattered is None:
+        h[...] = direct
     else:
-        los, nlos = _rician(link.k_ru)
-        mag = np.multiply(magnitudes, scale * nlos, out=mag)
+        mag = np.multiply(magnitudes, scattered, out=mag)
         np.multiply(phasors, mag, out=h)
-        if los:
-            h += scale * los
-    if not math.isinf(link.k_br):
+        if direct is not None:
+            h += direct
+    if fading is not None:
         if bs is None or bs.shape != shape:
             raise ValueError(f"a faded BS link needs bs draws shaped {shape}")
-        los, nlos = _rician(link.k_br)
+        los, nlos = fading
         # h *= los + nlos * bs, in the same operations, without temporaries
         fade = np.multiply(nlos, bs, out=fade)
         np.add(los, fade, out=fade)
         h *= fade
     # mag is |h| only where nothing shifts or multiplies the drawn normal
-    return h, mag if link.k_ru == 0.0 and math.isinf(link.k_br) else None
+    return h, mag if direct is None and fading is None else None

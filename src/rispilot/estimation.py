@@ -15,6 +15,7 @@ import numpy as np
 
 __all__ = [
     "PerRisPowers",
+    "noise_scales",
     "ls_estimate",
 ]
 
@@ -39,32 +40,39 @@ class PerRisPowers:
         return self.p_k.size
 
 
-def ls_estimate(
-    h: np.ndarray,
-    element_counts,
-    powers: PerRisPowers,
-    sigma_z_sq: float,
-    noise: np.ndarray,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """LS estimates of a chunk of cascaded coefficients, one row per trial.
+def noise_scales(element_counts, powers: PerRisPowers, sigma_z_sq: float) -> np.ndarray:
+    """delta_k = sqrt(sigma_z_sq / p_k) on each of surface k's elements.
 
-    h and noise are (trials, sum(M_k)); noise holds unit complex normals
-    from unit_normals with PURPOSE_PILOT_NOISE. The estimate is h plus
-    noise scaled by delta_k = sqrt(sigma_z_sq / p_k) on surface k's
-    elements, the exact form left once the pilot symbol and the training
-    phase cancel, so neither appears here. out, a complex128 array shaped
-    like h (not h itself), receives the estimate in place of a new array.
+    The LS estimate's error is unit noise scaled by these. A trial range
+    derives them once per estimated row, and checks here that there is
+    one power per surface and that sigma_z_sq is nonnegative.
     """
     counts = np.asarray(element_counts)
     if powers.num_ris != counts.size:
         raise ValueError(f"{powers.num_ris} pilot powers for {counts.size} surfaces")
     if sigma_z_sq < 0.0:
         raise ValueError(f"noise power must be nonnegative, got {sigma_z_sq}")
-    if h.shape != noise.shape or h.shape[-1] != int(counts.sum()):
+    delta = np.repeat(np.sqrt(sigma_z_sq / powers.p_k), counts)
+    delta.setflags(write=False)  # one vector serves every chunk of a range
+    return delta
+
+
+def ls_estimate(h: np.ndarray, delta: np.ndarray, noise: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """LS estimates of a chunk of cascaded coefficients, one row per trial.
+
+    h and noise are (trials, sum(M_k)); noise holds unit complex normals
+    from unit_normals with PURPOSE_PILOT_NOISE. The estimate is h plus
+    noise scaled by delta, each element's delta_k from noise_scales, the
+    exact form left once the pilot symbol and the training phase cancel,
+    so neither appears here. out, a complex128 array shaped like h that
+    shares no memory with h, receives the estimate in place of a new array.
+    """
+    if h.shape != noise.shape or h.shape[-1] != delta.size:
         raise ValueError(f"channel {h.shape} and noise {noise.shape} must both have "
-                         f"{int(counts.sum())} elements per trial")
-    est = np.multiply(noise, np.repeat(np.sqrt(sigma_z_sq / powers.p_k), counts), out=out)
+                         f"{delta.size} elements per trial")
+    if out is not None and np.may_share_memory(out, h):
+        raise ValueError("out must not share memory with h, which it would overwrite")
+    est = np.multiply(noise, delta, out=out)
     est += h
     return est
-

@@ -23,20 +23,23 @@ whatever the axis (user offset, pilot budget) changes.
 The engine works on chunks of trials. A chunk holds one
 (trials, sum(M_k)) array per purpose, of whole blocks and, beyond one
 block, of no more than CHUNK_ELEMENTS elements, and each layer function
-is called once per chunk on those arrays; an np.repeat over the element
-counts maps per-surface values (beta_k, the estimation error delta_k)
-onto the elements.
+is called once per chunk on those arrays.
 
 Each range of trials (one pool worker's share, or the whole run with one
-worker) derives each purpose's block states once (channel.block_states),
-where the seed and the range are checked, and allocates its chunk arrays
-once, as a workspace sized to the largest chunk: the draws of each
-purpose, the channel, the random phases, one row buffer, and two float
-buffers: the user hop's magnitudes, and a spare one for each other
-purpose's phase indices and magnitudes while they are drawn, then the
-channel's magnitudes. Every layer writes into them through its `out`
-arguments, so the chunk loop allocates no array of a chunk's size, and
-its pages stay mapped from one chunk to the next.
+worker) derives what stays fixed over it once: each purpose's block
+states (channel.block_states), where the seed and the range are checked,
+each link's per-element factors beta_k b_ru and beta_k a_ru
+(channel.link_scales), and each estimated row's per-element error scales
+delta_k (estimation.noise_scales), where its powers and training noise
+are checked. It allocates its chunk arrays once, as a workspace sized to
+the largest chunk: the draws of each purpose, the channel, the random
+phases, one row buffer, and two float buffers: the user hop's
+magnitudes, and a spare one for each other purpose's phase indices and
+magnitudes while they are drawn, then the channel's magnitudes. Every
+layer writes into them through its `out` arguments, so after its first
+chunk the loop allocates no array of a chunk's size, nor one of a float
+per element, but the raw words numpy's random_raw returns for a block,
+and its pages stay mapped from one chunk to the next.
 
 The user hop is drawn in polar form and goes straight into the channel
 (channel.sample_channels). A perfect-CSI row needs no phases: conjugate
@@ -58,9 +61,9 @@ import numpy as np
 from .allocation import resolve_allocator, run_allocator
 from .analysis import ergodic_gain_rows, model_applies
 from .channel import (BLOCK_TRIALS, NORMAL_PHASES, PURPOSE_BS_RIS, PURPOSE_PHASE,
-                      PURPOSE_PILOT_NOISE, PURPOSE_RIS_USER, block_states, polar_normals,
-                      sample_channels, unit_normals)
-from .estimation import PerRisPowers, ls_estimate
+                      PURPOSE_PILOT_NOISE, PURPOSE_RIS_USER, block_states, link_scales,
+                      polar_normals, sample_channels, unit_normals)
+from .estimation import PerRisPowers, ls_estimate, noise_scales
 from .reflection import aligned_gain, composite_channel, configure_phases, random_phases
 from .scenario import Link
 
@@ -124,25 +127,31 @@ class GainRow(NamedTuple):
 
 # Upper bound on the elements of any (trials, sum(M_k)) engine array,
 # except that a chunk holds at least one block of BLOCK_TRIALS trials: for
-# sum(M_k) above CHUNK_ELEMENTS / BLOCK_TRIALS = 2048 its arrays hold 8
-# trials and exceed it, 8 times one trial's size. 2^14 complex values are
-# 256 KiB: the buffers a range writes, at most six such buffers and two
-# half their size, 1.75 MiB, fit in a core's L2 cache (2 MiB on the
-# 2-vCPU Xeon VM measured), and a pool worker holds no more than that
-# beyond a one-block-at-a-time loop. At 2^16 the M=[1024, 256] validation
-# ran 7% slower and its workers peaked 8 MiB higher.
-CHUNK_ELEMENTS = 2**14
+# sum(M_k) above CHUNK_ELEMENTS / BLOCK_TRIALS = 4096 its arrays hold 8
+# trials and exceed it, 8 times one trial's size. A chunk costs about 60 us
+# in calls whatever its size (validate-wide's three rows at sum(M_k) = 2),
+# so larger chunks spread that over more trials. At 2^15 the M=[1024, 256]
+# validation runs three blocks per chunk: its workspace of at most six
+# 480 KiB buffers and two half their size, 3.3 MiB, no longer fits a core's
+# 2 MiB L2 cache (2-vCPU Xeon VM), but the calls saved outweigh that
+# (BENCH_29.json). At 2^16 (six blocks) it ran no faster than at 2^15 in
+# three benchmark pairs, and its peak RSS rose another 2.2 MB.
+CHUNK_ELEMENTS = 2**15
 
 
 def _gain_range(rows: list[GainRow], seed: int, start: int, stop: int) -> list[np.ndarray]:
     """Gains of every row over trials [start, stop), chunk by chunk.
 
-    The range derives each purpose's block states once, with one
-    block_states call per purpose that any row needs; a chunk takes the
-    rows of the blocks it touches, so its draws only set each block's
-    SFC64 state and fill. Chunks hold whole blocks of BLOCK_TRIALS
-    trials, the last one excepted, so with start on a block boundary, as
-    trial_gains splits, each block of a purpose is drawn by one fill.
+    The range derives what stays fixed over it once: each purpose's
+    block states, with one block_states call per purpose that any row
+    needs, each link's factors (channel.link_scales), each estimated
+    row's error scales (estimation.noise_scales, where a row's powers and
+    training noise are checked), and the last trial at which any row
+    needs each purpose. A chunk takes the rows of the blocks it touches,
+    so its draws only set each block's SFC64 state and fill. Chunks hold
+    whole blocks of BLOCK_TRIALS trials, the last one excepted, so with
+    start on a block boundary, as trial_gains splits, each block of a
+    purpose is drawn by one fill.
 
     Each chunk draws each purpose once, for all rows: the user hop always,
     in polar form, the BS hop when a row's BS link is faded, pilot noise
@@ -167,70 +176,80 @@ def _gain_range(rows: list[GainRow], seed: int, start: int, stop: int) -> list[n
     n = int(counts.sum())
     step = max(1, CHUNK_ELEMENTS // n // BLOCK_TRIALS) * BLOCK_TRIALS
     size = min(step, stop - start)
+    # a purpose is drawn while some row that needs it has trials left
+    bs_until = max((r.trials for r in rows if not math.isinf(r.link.k_br)), default=0)
+    noise_until = max((r.trials for r in rows if r.csi_mode == "estimated"), default=0)
+    phase_until = max((r.trials for r in rows if r.csi_mode == "random-phase"), default=0)
     drawn = [PURPOSE_RIS_USER]
-    if any(not math.isinf(r.link.k_br) for r in rows):
+    if bs_until:
         drawn.append(PURPOSE_BS_RIS)
-    if any(r.csi_mode == "estimated" for r in rows):
+    if noise_until:
         drawn.append(PURPOSE_PILOT_NOISE)
     purposes = drawn + [p + NORMAL_PHASES for p in drawn]
-    if any(r.csi_mode == "random-phase" for r in rows):
+    if phase_until:
         purposes.append(PURPOSE_PHASE)
     states = {p: block_states(seed, start, stop, p) for p in purposes}
     first = start // BLOCK_TRIALS
+    scales = {}
+    plan = []
+    for r in rows:
+        if id(r.link) not in scales:
+            scales[id(r.link)] = link_scales(r.link)
+        delta = None
+        if r.csi_mode == "estimated":
+            delta = noise_scales(counts, r.powers, r.link.sigma_z_sq)
+        out = np.empty(max(0, min(stop, r.trials) - start))
+        plan.append((r.link, scales[id(r.link)], r.csi_mode, r.trials, delta, out))
     # a perfect-CSI row's gain depends on its link's channel alone
     perfect_links = {id(r.link) for r in rows if r.csi_mode == "perfect"}
     user_buf, bs_buf, noise_buf, phase_buf, h_buf, row_buf = (
         np.empty((size, n), np.complex128) for _ in range(6))
     root_buf, mag_buf = (np.empty((size, n)) for _ in range(2))
-    gains = [np.empty(max(0, min(stop, r.trials) - start)) for r in rows]
     for a in range(start, stop, step):
         b = min(stop, a + step)
         k = b - a
         blocks = slice(a // BLOCK_TRIALS - first, -(-b // BLOCK_TRIALS) - first)
-        live = [(i, r) for i, r in enumerate(rows) if r.trials > a]
-        modes = {r.csi_mode for _, r in live}
-
-        def normals(purpose, out):
-            # the magnitude buffer is free until the rows' work starts
-            return unit_normals(states[purpose][blocks], states[purpose + NORMAL_PHASES][blocks],
-                                a, b, n, out=out[:k], mag=mag_buf[:k])
-
         user = polar_normals(states[PURPOSE_RIS_USER][blocks],
                              states[PURPOSE_RIS_USER + NORMAL_PHASES][blocks], a, b, n,
                              out=user_buf[:k], mag=root_buf[:k])
-        bs = None
-        if any(not math.isinf(r.link.k_br) for _, r in live):
-            bs = normals(PURPOSE_BS_RIS, bs_buf)
-        noise = None
-        if "estimated" in modes:
-            noise = normals(PURPOSE_PILOT_NOISE, noise_buf)
-        scrambled = None
-        if "random-phase" in modes:
+        # the magnitude buffer is free until the rows' work starts
+        bs = noise = scrambled = None
+        if a < bs_until:
+            bs = unit_normals(states[PURPOSE_BS_RIS][blocks],
+                              states[PURPOSE_BS_RIS + NORMAL_PHASES][blocks], a, b, n,
+                              out=bs_buf[:k], mag=mag_buf[:k])
+        if a < noise_until:
+            noise = unit_normals(states[PURPOSE_PILOT_NOISE][blocks],
+                                 states[PURPOSE_PILOT_NOISE + NORMAL_PHASES][blocks], a, b, n,
+                                 out=noise_buf[:k], mag=mag_buf[:k])
+        if a < phase_until:
             scrambled = random_phases(states[PURPOSE_PHASE][blocks], a, b, n, out=phase_buf[:k],
                                       mag=mag_buf[:k])
         h, perfect, at = None, None, None
-        for i, r in live:
-            if at is not r.link:
-                at = r.link
+        for link, link_scale, mode, trials, delta, out in plan:
+            if trials <= a:
+                continue
+            if at is not link:
+                at = link
                 # the row and magnitude buffers are free until the link's rows start
-                h, mag = sample_channels(r.link, *user, bs, out=h_buf[:k], fade=row_buf[:k],
+                h, mag = sample_channels(link_scale, *user, bs, out=h_buf[:k], fade=row_buf[:k],
                                          mag=mag_buf[:k])
                 if id(at) in perfect_links:
                     perfect = aligned_gain(np.abs(h, out=mag_buf[:k]) if mag is None else mag)
-            m = min(b, r.trials) - a
-            into = gains[i][a - start:a - start + m]
-            if r.csi_mode == "perfect":
+            m = min(b, trials) - a
+            into = out[a - start:a - start + m]
+            if mode == "perfect":
                 into[:] = perfect[:m]
                 continue
             work = row_buf[:m]  # the estimate, then the phases, then h * phases
-            if r.csi_mode == "estimated":
-                est = ls_estimate(h[:m], counts, r.powers, r.link.sigma_z_sq, noise[:m], out=work)
+            if mode == "estimated":
+                est = ls_estimate(h[:m], delta, noise[:m], out=work)
                 phases = configure_phases(est, out=est, mag=mag_buf[:m])
             else:
                 phases = scrambled[:m]
             total = composite_channel(h[:m], phases, out=work)
             into[:] = np.abs(total) ** 2
-    return gains
+    return [out for *_, out in plan]
 
 
 def _resolved(row: GainRow, cfg: TrialConfig, counts: np.ndarray) -> GainRow:

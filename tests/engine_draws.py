@@ -10,6 +10,7 @@ from rispilot.channel import (
     PURPOSE_PHASE,
     PURPOSE_RIS_USER,
     block_states,
+    link_scales,
     polar_normals,
     sample_channels,
     unit_normals,
@@ -40,4 +41,5 @@ def channels(link, seed, start, stop):
     """Trials [start, stop)'s channels of link, as sample_channels forms them."""
     n = int(link.counts.sum())
     user = polar(seed, start, stop, PURPOSE_RIS_USER, n)
-    return sample_channels(link, *user, normals(seed, start, stop, PURPOSE_BS_RIS, n))[0]
+    return sample_channels(link_scales(link), *user,
+                           normals(seed, start, stop, PURPOSE_BS_RIS, n))[0]

@@ -14,6 +14,7 @@ from rispilot.channel import (
     _unit_circle,
     block_states,
     block_stream,
+    link_scales,
     polar_normals,
     sample_channels,
     trial_draws,
@@ -318,13 +319,14 @@ def test_normal_phase_table_has_the_continuous_moments():
                                         (0.5, math.inf)])
 def test_sample_channels_fill_out_with_the_same_bits(k_br, k_ru):
     link = dataclasses.replace(corridor_link(50.0, 4.0, 8, 16), k_br=k_br, k_ru=k_ru)
+    scales = link_scales(link)
     user = polar(4, 0, 3, PURPOSE_RIS_USER, 24)
     bs = normals(4, 0, 3, PURPOSE_BS_RIS, 24)
     out = np.full((3, 24), np.nan, dtype=np.complex128)
     mag = np.full((3, 24), np.nan)
-    h, magnitudes = sample_channels(link, *user, bs, out=out, mag=mag)
+    h, magnitudes = sample_channels(scales, *user, bs, out=out, mag=mag)
     assert h is out
-    fresh, fresh_magnitudes = sample_channels(link, *user, bs)
+    fresh, fresh_magnitudes = sample_channels(scales, *user, bs)
     assert np.array_equal(h, fresh)
     # the magnitudes come back only where h is the drawn normal scaled
     if k_ru == 0.0 and math.isinf(k_br):
@@ -334,15 +336,16 @@ def test_sample_channels_fill_out_with_the_same_bits(k_br, k_ru):
     for name, bad in (("out", np.empty((2, 24), dtype=np.complex128)),
                       ("mag", np.empty((3, 24), dtype=np.complex128))):
         with pytest.raises(ValueError, match=name):
-            sample_channels(link, *user, bs, **{name: bad})
+            sample_channels(scales, *user, bs, **{name: bad})
 
 
 def test_a_rayleigh_link_is_beta_times_the_user_normal():
     # k_ru = 0 and k_br = inf: h = beta_k u, u the trial's unit normal, and
     # |h| = beta_k sqrt(E) comes back from the exponentials of block_stream
     link = corridor_link(50.0, 4.0, 8, 16)
+    scales = link_scales(link)
     beta = np.repeat(link.beta, link.counts)
-    h, magnitudes = sample_channels(link, *polar(7, 5, 11, PURPOSE_RIS_USER, 24))
+    h, magnitudes = sample_channels(scales, *polar(7, 5, 11, PURPOSE_RIS_USER, 24))
     for i, t in enumerate(range(5, 11)):
         root = np.sqrt(block_row(7, t, PURPOSE_RIS_USER, 24, "standard_exponential"))
         assert np.array_equal(magnitudes[i], root * beta), t
@@ -354,6 +357,7 @@ def test_a_rayleigh_link_is_beta_times_the_user_normal():
 @pytest.mark.parametrize("k_br, k_ru", [(3.0, 0.0), (0.5, 2.0), (10.0, math.inf), (0.0, 1.0)])
 def test_a_faded_bs_link_gives_the_same_bits_with_a_fade_buffer(k_br, k_ru):
     link = dataclasses.replace(corridor_link(50.0, 4.0, 8, 16), k_br=k_br, k_ru=k_ru)
+    scales = link_scales(link)
     phasors, root = polar(6, 0, 3, PURPOSE_RIS_USER, 24)
     bs = normals(6, 0, 3, PURPOSE_BS_RIS, 24)
     # the cascade beta_k (a_ru + b_ru u)(a_br + b_br v) with temporaries, the
@@ -372,11 +376,11 @@ def test_a_faded_bs_link_gives_the_same_bits_with_a_fade_buffer(k_br, k_ru):
     los, nlos = rician(k_br)
     expected *= los + nlos * bs
     fade = np.full((3, 24), np.nan, dtype=np.complex128)
-    with_buffer = sample_channels(link, phasors, root, bs, fade=fade)[0]
-    assert with_buffer.tobytes() == sample_channels(link, phasors, root, bs)[0].tobytes()
+    with_buffer = sample_channels(scales, phasors, root, bs, fade=fade)[0]
+    assert with_buffer.tobytes() == sample_channels(scales, phasors, root, bs)[0].tobytes()
     assert with_buffer.tobytes() == expected.tobytes()
     with pytest.raises(ValueError):
-        sample_channels(link, phasors, root, bs, fade=np.empty((3, 24)))
+        sample_channels(scales, phasors, root, bs, fade=np.empty((3, 24)))
 
 
 def _one_ris_blocked(beta_sq, m):
@@ -424,16 +428,38 @@ def test_surfaces_fill_each_trials_stream_end_to_end():
     assert np.array_equal(h2[32:], phasors[0, 32:48] * (root[0, 32:48] * link1.beta[1]))
 
 
+@pytest.mark.parametrize("k_br, k_ru", [(math.inf, 0.0), (math.inf, 2.0), (3.0, 0.0),
+                                        (0.5, math.inf)])
+def test_link_scales_hold_the_links_factors(k_br, k_ru):
+    link = dataclasses.replace(corridor_link(50.0, 4.0, 8, 16), k_br=k_br, k_ru=k_ru)
+    scattered, direct, bs = link_scales(link)
+    beta = np.repeat(link.beta, link.counts)
+    if math.isinf(k_ru):
+        assert scattered is None and np.array_equal(direct, beta)
+    else:
+        assert np.array_equal(scattered, beta * math.sqrt(1.0 / (k_ru + 1.0)))
+        if k_ru == 0.0:
+            assert direct is None
+        else:
+            assert np.array_equal(direct, beta * math.sqrt(k_ru / (k_ru + 1.0)))
+    assert bs == (None if math.isinf(k_br)
+                  else (math.sqrt(k_br / (k_br + 1.0)), math.sqrt(1.0 / (k_br + 1.0))))
+    # one range's vectors serve every chunk, so none may be written
+    for vector in (scattered, direct):
+        assert vector is None or not vector.flags.writeable
+
+
 def test_sample_channels_rejects_misshapen_draws():
     link = corridor_link(50.0, 4.0, 8, 16)
+    scales = link_scales(link)
     with pytest.raises(ValueError):
-        sample_channels(link, *polar(1, 0, 2, PURPOSE_RIS_USER, 23))
+        sample_channels(scales, *polar(1, 0, 2, PURPOSE_RIS_USER, 23))
     phasors, root = polar(1, 0, 2, PURPOSE_RIS_USER, 24)
     with pytest.raises(ValueError):
-        sample_channels(link, phasors, root[:1])
+        sample_channels(scales, phasors, root[:1])
     faded = dataclasses.replace(link, k_br=3.0)
     with pytest.raises(ValueError):
-        sample_channels(faded, phasors, root)
+        sample_channels(link_scales(faded), phasors, root)
 
 
 @pytest.mark.parametrize("d", [0.0, 4.0, 16.0, 7.3])

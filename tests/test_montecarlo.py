@@ -1,15 +1,17 @@
 import concurrent.futures
 import dataclasses
+import inspect
 import math
 import os
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from corridor import corridor_link
 from block_draws import block_row, trial_normals
-from rispilot import cli, montecarlo
+from rispilot import channel, cli, montecarlo, reflection
 from rispilot.allocation import PerRisPowers, allocate_average, run_allocator
 from rispilot.analysis import ergodic_gain_closed_form
 from rispilot.channel import (
@@ -90,10 +92,12 @@ def test_estimated_mode_tracks_closed_form():
     assert abs(m.mean_gain - closed) < 4.0 * m.se_gain
 
 
-# element counts whose ranges hold one chunk of 256 blocks, several chunks
-# of two blocks (sum(M_k) = 1000 < 2048, the last chunk of a worker's
-# share shorter), and chunks of one block beyond CHUNK_ELEMENTS (2064 > 2048)
-LAYOUTS = ([4, 4], [500, 500], [2048, 16])
+# element counts whose ranges hold one chunk (of up to 512 blocks), several
+# chunks of four blocks (sum(M_k) = 1000), chunks of three blocks
+# (sum(M_k) = 1280, validate-wide's layout: 200 trials leave a short last
+# chunk at one worker and in one share of two), and chunks of one block
+# beyond CHUNK_ELEMENTS (4112 > CHUNK_ELEMENTS / BLOCK_TRIALS = 4096)
+LAYOUTS = ([4, 4], [500, 500], [1024, 256], [4096, 16])
 
 
 def test_gains_do_not_depend_on_worker_count():
@@ -169,13 +173,12 @@ def test_gains_do_not_depend_on_chunk_size(monkeypatch, mode):
     # a mixed run reuses one workspace for every chunk and row: all three CSI
     # modes, rows with fewer trials than the run, and two positions, one with
     # a faded BS link; each row must equal that row run alone, whatever
-    # data earlier chunks or rows left in the buffers. Four surfaces run at
-    # one, three and 256 blocks per chunk; the wider layouts at their own
-    # chunk size, several chunks per worker's share
+    # data earlier chunks or rows left in the buffers. Eight elements run at
+    # one, three and 512 blocks per chunk; the wider layouts of LAYOUTS at
+    # their own chunk size, several chunks per worker's share
     cfg = TrialConfig(trials=200, seed=5, csi_mode=mode)
     default = montecarlo.CHUNK_ELEMENTS
-    for counts, caps in (([4, 4], (8, 192, default)), ([500, 500], (default,)),
-                         ([2048, 16], (default,))):
+    for counts, caps in [([4, 4], (8, 192, default))] + [(c, (default,)) for c in LAYOUTS[1:]]:
         link = _beta_direct([1.0, 0.25], counts)
         faded = dataclasses.replace(_beta_direct([0.5, 2.0], counts), k_br=3.0)
         alloc = allocate_average(link)
@@ -198,6 +201,75 @@ def test_gains_do_not_depend_on_chunk_size(monkeypatch, mode):
                 got = trial_gains(rows, cfg, workers=workers)
                 for i, (g, want) in enumerate(zip(got, alone)):
                     assert np.array_equal(g, want), (counts, cap, workers, i)
+
+
+def test_chunks_after_the_first_allocate_no_array_of_a_chunks_size(monkeypatch):
+    # Every call the trial loop makes through montecarlo's names, and every
+    # fill inside the draws, is wrapped. tracemalloc's peak is read and reset
+    # at each entry and exit, so the allocations of each stretch of code
+    # between two of them are charged to the function running it, the loop's
+    # own code included. After the first chunk, which builds the phase
+    # tables, no stretch may allocate as much as one float per element, but
+    # a fill of raw words: numpy's random_raw has no out argument, so it
+    # takes them one block at a time. numpy's casting buffers are no arrays
+    # of the program's: a small buffer size keeps them out of the count.
+    counts = [1024, 256]  # three blocks per chunk, nine chunks in 200 trials
+    n = sum(counts)
+    link = _beta_direct([1.0, 0.25], counts)
+    faded = dataclasses.replace(_beta_direct([0.5, 2.0], counts), k_br=3.0, k_ru=1.5)
+    alloc = allocate_average(link)
+    rows = [GainRow(link, alloc), GainRow(link, alloc, "perfect"),
+            GainRow(link, alloc, "random-phase", 150)]
+    rows += [GainRow(faded, alloc, mode) for mode in montecarlo.CSI_MODES]
+    cfg = TrialConfig(trials=200, seed=9)
+    want = trial_gains(rows, cfg)
+
+    charged, stack, chunks, base = [], ["loop"], [0], [0]
+
+    def charge():
+        current, peak = tracemalloc.get_traced_memory()
+        if chunks[0] > 1:
+            charged.append((stack[-1], peak - base[0]))
+        tracemalloc.reset_peak()
+        base[0] = current
+
+    def wrapped(fn, name):
+        def call(*args, **kwargs):
+            charge()
+            chunks[0] += name == "polar_normals"  # the first draw of every chunk
+            raw = name == "_fill" and args[3] == "random_raw"
+            stack.append("raw fill" if raw else name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                charge()
+                stack.pop()
+        return call
+
+    for attr, fn in list(vars(montecarlo).items()):
+        source = getattr(fn, "__module__", None) or ""
+        if inspect.isfunction(fn) and source.startswith("rispilot.") and source != montecarlo.__name__:
+            monkeypatch.setattr(montecarlo, attr, wrapped(fn, attr))
+    for module in (channel, reflection):
+        monkeypatch.setattr(module, "_fill", wrapped(channel._fill, "_fill"))
+    bufsize = np.setbufsize(64)
+    tracemalloc.start()
+    try:
+        got = trial_gains(rows, cfg)
+    finally:
+        tracemalloc.stop()
+        np.setbufsize(bufsize)
+    assert chunks[0] == 9
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    names = {name for name, _ in charged}
+    assert {"loop", "polar_normals", "unit_normals", "random_phases", "sample_channels",
+            "ls_estimate", "configure_phases", "composite_channel", "aligned_gain",
+            "_fill", "raw fill"} <= names, names
+    block_words = BLOCK_TRIALS * -(-n // 4) * 8
+    for name, grown in charged:
+        limit = block_words + 4096 if name == "raw fill" else 8 * n
+        assert grown < limit, (name, grown, limit)
 
 
 def test_every_csi_mode_sees_trial_ts_channel():
@@ -307,6 +379,22 @@ def test_rows_must_fit_one_run():
         trial_gains([GainRow(link, alloc, csi_mode="oracle")], cfg)
     with pytest.raises(ValueError):
         trial_gains([], cfg)
+
+
+def test_a_range_checks_its_rows_before_any_draw(monkeypatch):
+    # one power for two surfaces spends the budget of p_avg = 1, but an
+    # estimated row cannot scale its noise: the range rejects it up front
+    link = _beta_direct([1.0, 0.25], [8, 8])
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a chunk was drawn")
+
+    monkeypatch.setattr(montecarlo, "polar_normals", no_draw)
+    for workers in (1, 2):
+        with pytest.raises(ValueError, match="1 pilot powers for 2 surfaces"):
+            trial_gains([GainRow(link, allocate_average(link), "perfect"),
+                         GainRow(link, PerRisPowers(p_k=[1.0]), "estimated")],
+                        TrialConfig(trials=40), workers=workers)
 
 
 def test_same_seed_shares_draws_across_allocations():

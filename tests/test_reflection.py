@@ -12,7 +12,7 @@ from rispilot.channel import (
     block_stream,
 )
 from engine_draws import channels, drawn_phases, normals
-from rispilot.estimation import PerRisPowers, ls_estimate
+from rispilot.estimation import PerRisPowers, ls_estimate, noise_scales
 from rispilot.analysis import ModelAssumptionWarning
 from rispilot.montecarlo import TrialConfig, sweep_user
 from rispilot.reflection import (
@@ -264,8 +264,8 @@ def test_noisier_estimates_lose_gain_on_average():
     for seed in range(200):
         h = _channels(link, seed)
         noise = normals(seed, 0, 1, PURPOSE_PILOT_NOISE, 64)
-        good = ls_estimate(h, link.counts, PerRisPowers(p_k=[100.0]), 1.0, noise)
-        bad = ls_estimate(h, link.counts, PerRisPowers(p_k=[0.01]), 1.0, noise)
+        good = ls_estimate(h, noise_scales(link.counts, PerRisPowers(p_k=[100.0]), 1.0), noise)
+        bad = ls_estimate(h, noise_scales(link.counts, PerRisPowers(p_k=[0.01]), 1.0), noise)
         g_good = abs(composite_channel(h, configure_phases(good))[0]) ** 2
         g_bad = abs(composite_channel(h, configure_phases(bad))[0]) ** 2
         diffs.append(g_good - g_bad)
