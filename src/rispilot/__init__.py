@@ -16,7 +16,8 @@ from .scenario import (
     path_loss,
     cascaded_large_scale,
 )
-from .channel import block_states, link_scales, polar_normals, sample_channels, unit_normals
+from .channel import (block_states, link_scales, normal_states, polar_normals, sample_channels,
+                      unit_normals)
 from .estimation import PerRisPowers, ls_estimate, noise_scales
 from .reflection import configure_phases, random_phases, composite_channel
 from .analysis import (

@@ -26,11 +26,12 @@ uniform on an N-point lattice, E[exp(j k theta)] = 0 for every
 The layer functions work on a chunk of trials at once: arrays of shape
 (trials, sum(M_k)), one row per trial, with element m of surface k at
 column offset_k + m. A range of trials derives each purpose's block
-states once, with block_states; the draws of a chunk of it are then
-filled from that array's rows, one SFC64 state set per block. Beyond
-the draws, a chunk's channels depend only on a `scenario.Link`: its
-element counts, cascaded gains and the fading of each hop, which
-link_scales turns into per-element factors once per range.
+states once, with normal_states for normals and block_states for random
+phases; a chunk's draws are then filled from those arrays' rows, one
+SFC64 state set per block. Beyond the draws, a chunk's channels depend
+only on a `scenario.Link`: its element counts, cascaded gains and the
+fading of each hop, which link_scales turns into per-element factors
+once per range.
 """
 from __future__ import annotations
 
@@ -46,7 +47,7 @@ __all__ = [
     "BLOCK_TRIALS",
     "block_stream",
     "block_states",
-    "trial_draws",
+    "normal_states",
     "polar_normals",
     "unit_normals",
     "LinkScales",
@@ -64,8 +65,8 @@ PURPOSE_RIS_USER = 0
 PURPOSE_BS_RIS = 1
 PURPOSE_PILOT_NOISE = 2
 PURPOSE_PHASE = 3
-# unit_normals of purpose p take their phases from purpose p + NORMAL_PHASES:
-# 4, 5 and 6 for the user hop, the BS hop and pilot noise
+# normal_states pairs each normal purpose p with its phases' purpose
+# p + NORMAL_PHASES: 4, 5 and 6 for the user hop, the BS hop and pilot noise
 NORMAL_PHASES = 4
 
 
@@ -159,10 +160,20 @@ def block_states(seed: int, start: int, stop: int, purpose: int) -> np.ndarray:
     return philox.random_raw((-(-stop // BLOCK_TRIALS) - first, 4))
 
 
-def _blocks(states: np.ndarray, start: int, stop: int) -> None:
-    """Raise ValueError unless states holds one row per block [start, stop) touches."""
-    if not 0 <= start <= stop or len(states) != -(-stop // BLOCK_TRIALS) - start // BLOCK_TRIALS:
-        raise ValueError(f"{len(states)} block states do not cover trials [{start}, {stop})")
+def normal_states(seed: int, start: int, stop: int, purpose: int) -> np.ndarray:
+    """The (blocks, 2, 4) block states of a family of normals over trials [start, stop):
+    block_states' rows of purpose, whose exponentials give the magnitudes,
+    beside those of purpose + NORMAL_PHASES, whose raw words give the phases."""
+    return np.stack([block_states(seed, start, stop, purpose),
+                     block_states(seed, start, stop, purpose + NORMAL_PHASES)], axis=1)
+
+
+def _blocks(states: np.ndarray, start: int, stop: int, row: tuple = (4,)) -> None:
+    """Raise ValueError unless states is one row, shaped row, per block [start, stop) touches."""
+    blocks = -(-stop // BLOCK_TRIALS) - start // BLOCK_TRIALS
+    if not 0 <= start <= stop or states.shape != (blocks, *row):
+        raise ValueError(f"block states {states.shape} do not cover trials [{start}, {stop}) "
+                         f"in rows of {row}")
 
 
 def _fill(states: np.ndarray, start: int, out: np.ndarray, method: str) -> np.ndarray:
@@ -196,23 +207,6 @@ def _fill(states: np.ndarray, start: int, out: np.ndarray, method: str) -> np.nd
     return out
 
 
-def trial_draws(seed: int, start: int, stop: int, purpose: int, width: int,
-                method: str = "standard_normal", out: np.ndarray | None = None) -> np.ndarray:
-    """(stop - start, width) draws, row i from trial start + i.
-
-    Trial t = c BLOCK_TRIALS + r takes values [r width, (r + 1) width) of
-    `block_stream(seed, c, purpose).standard_normal`, or of the Generator
-    method named by method, such as "standard_exponential", or with method
-    "random_raw" of that stream's raw 64-bit SFC64 words,
-    `.bit_generator.random_raw`. out, a C-contiguous float64 (or uint64
-    for "random_raw") array of that shape, receives the draws in place of
-    a new array. The blocks' states come from one block_states call.
-    """
-    states = block_states(seed, start, stop, purpose)
-    dtype = np.uint64 if method == "random_raw" else np.float64
-    return _fill(states, start, _buffer("out", out, (stop - start, width), dtype), method)
-
-
 @functools.cache
 def _unit_circle(bits: int) -> np.ndarray:
     """The 2^bits unit phasors exp(j 2 pi k / 2^bits), built on first use."""
@@ -224,57 +218,56 @@ def _unit_circle(bits: int) -> np.ndarray:
     return table
 
 
-def _lanes(words: np.ndarray, n: int) -> np.ndarray:
-    """The first n 16-bit lanes of each row of raw words, low lane first.
+def _lattice(states: np.ndarray, start: int, n: int, bits: int, out: np.ndarray,
+             index: np.ndarray) -> np.ndarray:
+    """Fill out's rows, row i from trial start + i, with exp(j 2 pi k / 2^bits).
 
-    The words are read little-endian, so the lanes do not depend on the
-    host's byte order.
+    Element m's k is the top bits of 16-bit lane m, low lane first, of
+    the trial's ceil(n / 4) raw words, read little-endian so that the
+    lanes do not depend on the host's byte order. The words pass through
+    out's first bytes, and the k through index, an int64 array like out.
     """
-    return words.astype("<u8", copy=False).view("<u2")[:, :n]
-
-
-def _raw_words(out: np.ndarray, width: int) -> np.ndarray:
-    """A (rows, width) uint64 view of a (rows, n) complex buffer's first
-    bytes, which hold a chunk's raw words until their lanes are indices."""
     rows = out.shape[0]
-    return out.reshape(-1).view(np.uint64)[:rows * width].reshape(rows, width)
+    width = -(-n // 4)
+    words = out.reshape(-1).view(np.uint64)[:rows * width].reshape(rows, width)
+    _fill(states, start, words, "random_raw")
+    np.copyto(index, words.astype("<u8", copy=False).view("<u2")[:, :n])
+    if bits < 16:
+        index >>= 16 - bits
+    # every index is in the table, and "clip" lets take write into out
+    # without buffering the result
+    return _unit_circle(bits).take(index, out=out, mode="clip")
 
 
-def polar_normals(states: np.ndarray, phase_states: np.ndarray, start: int, stop: int, n: int,
+def polar_normals(states: np.ndarray, start: int, stop: int, n: int,
                   out: np.ndarray | None = None,
                   mag: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(stop - start, n) unit complex normals in polar form, row i = trial start + i.
 
     Returns the phasors exp(j 2 pi k / 2^16) and the magnitudes sqrt(E),
-    left unmultiplied. E is value m of trial start + i's n exponentials
-    of a purpose and k lane m, cut as _lanes cuts them, of its
-    ceil(n / 4) raw words of purpose + NORMAL_PHASES: states and
-    phase_states are those two purposes' block states from block_states,
-    one row per block that [start, stop) touches. out, a C-contiguous
-    complex128 (stop - start, n) array, receives the phasors, and mag, a
-    C-contiguous float64 one, holds the lane indices and then the
-    magnitudes, each in place of a new array.
+    left unmultiplied. states are a family's states from normal_states,
+    one row per block that [start, stop) touches. E is value m of trial
+    start + i's n exponentials from the magnitude states, and k its whole
+    16-bit lane m of the phase states, as _lattice cuts them. out, a
+    C-contiguous complex128 (stop - start, n) array, receives the
+    phasors, and mag, a C-contiguous float64 one, holds the lane indices
+    and then the magnitudes, each in place of a new array.
     """
-    _blocks(states, start, stop)
-    _blocks(phase_states, start, stop)
+    _blocks(states, start, stop, (2, 4))
     rows = stop - start
     out = _buffer("out", out, (rows, n), np.complex128)
     mag = _buffer("mag", mag, (rows, n), np.float64)
-    words = _fill(phase_states, start, _raw_words(out, -(-n // 4)), "random_raw")
-    index = mag.view(np.int64)
-    np.copyto(index, _lanes(words, n))
-    # a whole 16-bit lane picks a point of the 2^16-point lattice
-    _unit_circle(16).take(index, out=out, mode="clip")
-    _fill(states, start, mag, "standard_exponential")
+    _lattice(states[:, 1], start, n, 16, out, mag.view(np.int64))
+    _fill(states[:, 0], start, mag, "standard_exponential")
     return out, np.sqrt(mag, out=mag)
 
 
-def unit_normals(states: np.ndarray, phase_states: np.ndarray, start: int, stop: int, n: int,
+def unit_normals(states: np.ndarray, start: int, stop: int, n: int,
                  out: np.ndarray | None = None, mag: np.ndarray | None = None) -> np.ndarray:
     """(stop - start, n) unit complex normals sqrt(E) exp(j theta): the
     product of polar_normals' phasors and magnitudes, with the same
     arguments, formed in out."""
-    z, root = polar_normals(states, phase_states, start, stop, n, out, mag)
+    z, root = polar_normals(states, start, stop, n, out, mag)
     z *= root
     return z
 

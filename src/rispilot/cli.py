@@ -41,9 +41,9 @@ from .analysis import (
     objective_phi,
     stationarity_residual,
 )
-from .channel import NORMAL_PHASES, PURPOSE_RIS_USER, block_states, unit_normals
+from .channel import PURPOSE_RIS_USER, normal_states, unit_normals
 from .estimation import PerRisPowers
-from .montecarlo import CSI_MODES, GainRow, TrialConfig, sweep_user, trial_gains
+from .montecarlo import CSI_MODES, GainRow, TrialConfig, WorkerLostError, sweep_user, trial_gains
 from .scenario import MAX_ELEMENTS, Link, cascaded_large_scale, dbm_to_watts, watts_to_dbm
 
 METRICS_CSV = "metrics.csv"
@@ -816,9 +816,8 @@ def _validation_checks(link: Link, trials: int, seed: int, workers: int,
     # 2^63 + k's user-hop draws give h, then the estimation noise, both in
     # units of 2^e_k, e_k the unit exponent of beta_k
     start, stop = 2**63, 2**63 + link.num_ris
-    samples = unit_normals(block_states(seed, start, stop, PURPOSE_RIS_USER),
-                           block_states(seed, start, stop, PURPOSE_RIS_USER + NORMAL_PHASES),
-                           start, stop, 2 * trials)
+    samples = unit_normals(normal_states(seed, start, stop, PURPOSE_RIS_USER), start, stop,
+                           2 * trials)
     d2 = link.sigma_z_sq / link.p_avg
     for k, z in enumerate(samples):
         b2 = float(link.beta_sq[k])
@@ -1085,6 +1084,9 @@ def _run(args) -> int:
         return 3
     except MemoryError as exc:
         print(f"out of memory: {exc}", file=sys.stderr)
+        return 3
+    except WorkerLostError as exc:
+        print(f"worker failure: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -7,7 +7,7 @@ channel), so a run is reproducible bit for bit no matter how trials are
 split across workers or chunks. Each unit complex normal of the channel
 and the pilot noise is drawn in polar form, an exponential of its
 purpose's stream and a 16-bit phase lane of a second purpose's
-(channel.unit_normals). Chunks and worker shares start on block
+(channel.normal_states). Chunks and worker shares start on block
 boundaries, so each block's draws of a purpose come from one fill. A run
 evaluates every row (a `scenario.Link`, its allocation and CSI mode) on
 the same draws: all links and allocators of a sweep,
@@ -27,7 +27,7 @@ is called once per chunk on those arrays.
 
 Each range of trials (one pool worker's share, or the whole run with one
 worker) derives what stays fixed over it once: each purpose's block
-states (channel.block_states), where the seed and the range are checked,
+states (channel.normal_states), where the seed and the range are checked,
 each link's per-element factors beta_k b_ru and beta_k a_ru
 (channel.link_scales), and each estimated row's per-element error scales
 delta_k (estimation.noise_scales), where its powers and training noise
@@ -60,8 +60,8 @@ import numpy as np
 
 from .allocation import resolve_allocator, run_allocator
 from .analysis import ergodic_gain_rows, model_applies
-from .channel import (BLOCK_TRIALS, NORMAL_PHASES, PURPOSE_BS_RIS, PURPOSE_PHASE,
-                      PURPOSE_PILOT_NOISE, PURPOSE_RIS_USER, block_states, link_scales,
+from .channel import (BLOCK_TRIALS, PURPOSE_BS_RIS, PURPOSE_PHASE, PURPOSE_PILOT_NOISE,
+                      PURPOSE_RIS_USER, block_states, link_scales, normal_states,
                       polar_normals, sample_channels, unit_normals)
 from .estimation import PerRisPowers, ls_estimate, noise_scales
 from .reflection import aligned_gain, composite_channel, configure_phases, random_phases
@@ -75,6 +75,7 @@ __all__ = [
     "SweepRow",
     "SolverRow",
     "SweepResult",
+    "WorkerLostError",
     "trial_gains",
     "sweep_user",
 ]
@@ -95,6 +96,10 @@ class TrialConfig:
             raise ValueError(f"trials must be positive, got {self.trials}")
         if self.csi_mode not in CSI_MODES:
             raise ValueError(f"csi_mode must be one of {CSI_MODES}")
+
+
+class WorkerLostError(RuntimeError):
+    """A trial worker process stopped before returning its share of a run."""
 
 
 class MetricEstimate(NamedTuple):
@@ -142,11 +147,11 @@ CHUNK_ELEMENTS = 2**15
 def _gain_range(rows: list[GainRow], seed: int, start: int, stop: int) -> list[np.ndarray]:
     """Gains of every row over trials [start, stop), chunk by chunk.
 
-    The range derives what stays fixed over it once: each purpose's
-    block states, with one block_states call per purpose that any row
-    needs, each link's factors (channel.link_scales), each estimated
-    row's error scales (estimation.noise_scales, where a row's powers and
-    training noise are checked), and the last trial at which any row
+    The range derives what stays fixed over it once: the block states
+    of each purpose that any row needs, each normal's two purposes with
+    one normal_states call, each link's factors (channel.link_scales),
+    each estimated row's error scales (estimation.noise_scales, where a
+    row's powers and training noise are checked), and the last trial at which any row
     needs each purpose. A chunk takes the rows of the blocks it touches,
     so its draws only set each block's SFC64 state and fill. Chunks hold
     whole blocks of BLOCK_TRIALS trials, the last one excepted, so with
@@ -185,10 +190,9 @@ def _gain_range(rows: list[GainRow], seed: int, start: int, stop: int) -> list[n
         drawn.append(PURPOSE_BS_RIS)
     if noise_until:
         drawn.append(PURPOSE_PILOT_NOISE)
-    purposes = drawn + [p + NORMAL_PHASES for p in drawn]
+    states = {p: normal_states(seed, start, stop, p) for p in drawn}
     if phase_until:
-        purposes.append(PURPOSE_PHASE)
-    states = {p: block_states(seed, start, stop, p) for p in purposes}
+        states[PURPOSE_PHASE] = block_states(seed, start, stop, PURPOSE_PHASE)
     first = start // BLOCK_TRIALS
     scales = {}
     plan = []
@@ -209,18 +213,15 @@ def _gain_range(rows: list[GainRow], seed: int, start: int, stop: int) -> list[n
         b = min(stop, a + step)
         k = b - a
         blocks = slice(a // BLOCK_TRIALS - first, -(-b // BLOCK_TRIALS) - first)
-        user = polar_normals(states[PURPOSE_RIS_USER][blocks],
-                             states[PURPOSE_RIS_USER + NORMAL_PHASES][blocks], a, b, n,
-                             out=user_buf[:k], mag=root_buf[:k])
+        user = polar_normals(states[PURPOSE_RIS_USER][blocks], a, b, n, out=user_buf[:k],
+                             mag=root_buf[:k])
         # the magnitude buffer is free until the rows' work starts
         bs = noise = scrambled = None
         if a < bs_until:
-            bs = unit_normals(states[PURPOSE_BS_RIS][blocks],
-                              states[PURPOSE_BS_RIS + NORMAL_PHASES][blocks], a, b, n,
-                              out=bs_buf[:k], mag=mag_buf[:k])
+            bs = unit_normals(states[PURPOSE_BS_RIS][blocks], a, b, n, out=bs_buf[:k],
+                              mag=mag_buf[:k])
         if a < noise_until:
-            noise = unit_normals(states[PURPOSE_PILOT_NOISE][blocks],
-                                 states[PURPOSE_PILOT_NOISE + NORMAL_PHASES][blocks], a, b, n,
+            noise = unit_normals(states[PURPOSE_PILOT_NOISE][blocks], a, b, n,
                                  out=noise_buf[:k], mag=mag_buf[:k])
         if a < phase_until:
             scrambled = random_phases(states[PURPOSE_PHASE][blocks], a, b, n, out=phase_buf[:k],
@@ -255,6 +256,9 @@ def _gain_range(rows: list[GainRow], seed: int, start: int, stop: int) -> list[n
 def _resolved(row: GainRow, cfg: TrialConfig, counts: np.ndarray) -> GainRow:
     if not np.array_equal(row.link.counts, counts):
         raise ValueError("every row of a run needs the same element counts")
+    # _check_budget would broadcast a single power over every surface
+    if row.powers.num_ris != row.link.num_ris:
+        raise ValueError(f"{row.powers.num_ris} pilot powers for {row.link.num_ris} surfaces")
     _check_budget(row.powers, row.link)
     mode = cfg.csi_mode if row.csi_mode is None else row.csi_mode
     if mode not in CSI_MODES:
@@ -275,7 +279,8 @@ def trial_gains(rows, cfg: TrialConfig, *, workers: int = 1) -> list[np.ndarray]
     rows of one run are paired trial by trial. Callers pass cfg and
     workers by keyword, where perfbench's tracer reads the run's trial and
     worker counts. The pool starts no more workers than this process may
-    run on CPUs, nor more than the run has blocks of trials.
+    run on CPUs, nor more than the run has blocks of trials. A worker
+    killed before returning its share raises WorkerLostError.
     """
     rows = list(rows)
     if not rows:
@@ -288,14 +293,16 @@ def trial_gains(rows, cfg: TrialConfig, *, workers: int = 1) -> list[np.ndarray]
     if workers <= 1:
         return _gain_range(rows, cfg.seed, 0, cfg.trials)
     bounds = [min(cfg.trials, blocks * i // workers * BLOCK_TRIALS) for i in range(workers + 1)]
+    shares = [(rows, cfg.seed, a, b) for a, b in zip(bounds[:-1], bounds[1:])]
     # imported here so that commands without a pool never load multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(
-            _gain_range,
-            *zip(*[(rows, cfg.seed, a, b) for a, b in zip(bounds[:-1], bounds[1:])]),
-        ))
+    try:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_gain_range, *zip(*shares)))
+    except BrokenExecutor as exc:
+        raise WorkerLostError("a trial worker stopped abruptly, most often because the system "
+                              "ran out of memory") from exc
     return [np.concatenate([p[i] for p in parts]) for i in range(len(rows))]
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import _blocks, _buffer, _fill, _lanes, _raw_words, _unit_circle
+from .channel import _blocks, _buffer, _lattice
 
 __all__ = [
     "configure_phases",
@@ -59,8 +59,8 @@ def random_phases(states: np.ndarray, start: int, stop: int, n: int,
     PURPOSE_PHASE stream: states are that purpose's block states from
     channel.block_states, one row per block that [start, stop) touches.
     Each word splits into four 16-bit lanes, low lane first, and the
-    first n lanes' top _GRID_BITS bits pick a point of
-    channel._unit_circle(_GRID_BITS). out, a C-contiguous complex128
+    first n lanes' top _GRID_BITS bits pick a point of the 2^_GRID_BITS
+    grid, as channel._lattice cuts them. out, a C-contiguous complex128
     (stop - start, n) array, receives the phases, its first bytes holding
     the raw words until they are indices; mag, a C-contiguous float64 one,
     holds the indices; each in place of a new array.
@@ -69,11 +69,7 @@ def random_phases(states: np.ndarray, start: int, stop: int, n: int,
     rows = stop - start
     out = _buffer("out", out, (rows, n), np.complex128)
     index = _buffer("mag", mag, (rows, n), np.float64).view(np.int64)
-    words = _fill(states, start, _raw_words(out, -(-n // 4)), "random_raw")
-    np.right_shift(_lanes(words, n), 16 - _GRID_BITS, out=index, dtype=np.int64)
-    # every index is in the table, and "clip" lets take write into out
-    # without buffering the result
-    return _unit_circle(_GRID_BITS).take(index, out=out, mode="clip")
+    return _lattice(states, start, n, _GRID_BITS, out, index)
 
 
 def composite_channel(h: np.ndarray, phases: np.ndarray,

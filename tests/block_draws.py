@@ -10,12 +10,22 @@ import numpy as np
 from rispilot.channel import BLOCK_TRIALS, NORMAL_PHASES, _unit_circle, block_stream
 
 
-def block_row(seed, t, purpose, width, method="standard_normal"):
+def block_row(seed, t, purpose, width, method):
     """Trial t's width values of its block's purpose stream, drawn by method
-    ("random_raw" for the raw 64-bit words, or a Generator method)."""
+    ("random_raw" for the raw 64-bit words, or a Generator method such as
+    "standard_exponential")."""
     gen = block_stream(seed, t // BLOCK_TRIALS, purpose)
     draw = gen.bit_generator.random_raw if method == "random_raw" else getattr(gen, method)
     return draw(BLOCK_TRIALS * width).reshape(BLOCK_TRIALS, width)[t % BLOCK_TRIALS]
+
+
+def lattice(words, n, bits=16):
+    """The points exp(j 2 pi k / 2^bits) whose k are the top bits of the
+    first n 16-bit lanes, lowest first, of each row of raw words."""
+    shifts = np.arange(0, 64, 16, dtype=np.uint64)
+    lanes = (words[..., None] >> shifts) & np.uint64(0xFFFF)
+    k = lanes.reshape(*words.shape[:-1], -1)[..., :n] >> np.uint64(16 - bits)
+    return _unit_circle(bits)[k.astype(np.int64)]
 
 
 def trial_normals(seed, t, purpose, n):
@@ -25,5 +35,4 @@ def trial_normals(seed, t, purpose, n):
     purpose + NORMAL_PHASES."""
     magnitude = np.sqrt(block_row(seed, t, purpose, n, "standard_exponential"))
     words = block_row(seed, t, purpose + NORMAL_PHASES, -(-n // 4), "random_raw")
-    lanes = [(int(w) >> (16 * j)) & 0xFFFF for w in words for j in range(4)]
-    return magnitude * _unit_circle(16)[lanes[:n]]
+    return magnitude * lattice(words, n)

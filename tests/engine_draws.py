@@ -1,16 +1,17 @@
 """The engine's draws of a trial range, called with a seed as the tests call them.
 
-Each purpose's block states come from channel.block_states over the
-range alone, as a range of the trial engine derives them; the layer
-functions then draw from them. Buffers pass through by keyword.
+Each purpose's block states come from channel.normal_states or
+channel.block_states over the range alone, as a range of the trial
+engine derives them; the layer functions then draw from them. Buffers
+pass through by keyword.
 """
 from rispilot.channel import (
-    NORMAL_PHASES,
     PURPOSE_BS_RIS,
     PURPOSE_PHASE,
     PURPOSE_RIS_USER,
     block_states,
     link_scales,
+    normal_states,
     polar_normals,
     sample_channels,
     unit_normals,
@@ -18,18 +19,12 @@ from rispilot.channel import (
 from rispilot.reflection import random_phases
 
 
-def normal_states(seed, start, stop, purpose):
-    """The block states of purpose and of its phase purpose over [start, stop)."""
-    return (block_states(seed, start, stop, purpose),
-            block_states(seed, start, stop, purpose + NORMAL_PHASES))
-
-
 def normals(seed, start, stop, purpose, n, **buffers):
-    return unit_normals(*normal_states(seed, start, stop, purpose), start, stop, n, **buffers)
+    return unit_normals(normal_states(seed, start, stop, purpose), start, stop, n, **buffers)
 
 
 def polar(seed, start, stop, purpose, n, **buffers):
-    return polar_normals(*normal_states(seed, start, stop, purpose), start, stop, n, **buffers)
+    return polar_normals(normal_states(seed, start, stop, purpose), start, stop, n, **buffers)
 
 
 def drawn_phases(seed, start, stop, n, **buffers):

@@ -15,14 +15,14 @@ from rispilot.channel import (
     block_states,
     block_stream,
     link_scales,
+    normal_states,
     polar_normals,
     sample_channels,
-    trial_draws,
     unit_normals,
 )
-from block_draws import block_row, trial_normals
+from block_draws import block_row, lattice, trial_normals
 from corridor import CORRIDOR, corridor_link
-from engine_draws import channels, drawn_phases, normal_states, normals, polar
+from engine_draws import channels, drawn_phases, normals, polar
 from philox_draws import complex_normals, slot_generator
 from rispilot.scenario import Link, cascaded_large_scale
 
@@ -32,9 +32,9 @@ SQRT_PI_HALF = math.sqrt(math.pi) / 2.0
 def _draw_entries():
     """Each public draw entry, called with one seed."""
     return {
-        "trial_draws": lambda seed: trial_draws(seed, 0, 1, PURPOSE_RIS_USER, 2),
         "block_stream": lambda seed: block_stream(seed, 0, PURPOSE_RIS_USER).random(4),
         "block_states": lambda seed: block_states(seed, 0, 1, PURPOSE_RIS_USER),
+        "normal_states": lambda seed: normal_states(seed, 0, 1, PURPOSE_RIS_USER),
         # the layer draws take their states from block_states, which checks the seed
         "unit_normals": lambda seed: normals(seed, 0, 1, PURPOSE_RIS_USER, 2),
         "random_phases": lambda seed: drawn_phases(seed, 0, 1, 2),
@@ -90,50 +90,87 @@ def _channel(link, seed, trial=0):
     return channels(link, seed, trial, trial + 1)[0]
 
 
+def _fill_draws(method, seed, start, stop, purpose, width):
+    """Trials [start, stop)'s values of one fill, as polar_normals shows them:
+    the magnitudes sqrt(E) of width standard exponentials of purpose, or
+    for "random_raw" the phasors of the lanes of width raw words of its
+    phase purpose."""
+    states = normal_states(seed, start, stop, purpose)
+    if method == "standard_exponential":
+        return polar_normals(states, start, stop, width)[1]
+    return polar_normals(states, start, stop, 4 * width)[0]
+
+
+def _fill_rows(method, values):
+    """_fill_draws' rows from rows of the same fill's values of block_stream."""
+    if method == "standard_exponential":
+        return np.sqrt(values)
+    return lattice(values, 4 * values.shape[-1])
+
+
+def _fill_row(method, seed, t, purpose, width):
+    """Trial t's row of _fill_draws, rebuilt from block_stream."""
+    stream = purpose if method == "standard_exponential" else purpose + NORMAL_PHASES
+    return _fill_rows(method, block_row(seed, t, stream, width, method))
+
+
 @pytest.mark.parametrize("method, width, before", [
-    pytest.param("standard_normal", 6, None, id="standard_normal-6"),
+    pytest.param("standard_exponential", 6, None, id="standard_exponential-6"),
     pytest.param("random_raw", 5, None, id="random_raw-5"),
     # the process shares one bit generator: a call that leaves its buffer
     # part used must not show in the next call's draws
-    pytest.param("standard_normal", 6, ("random_raw", 3), id="standard_normal-6-after-random_raw-3"),
-    pytest.param("random_raw", 5, ("standard_normal", 7), id="random_raw-5-after-standard_normal-7"),
+    pytest.param("standard_exponential", 6, ("random_raw", 3),
+                 id="standard_exponential-6-after-random_raw-3"),
+    pytest.param("random_raw", 5, ("standard_exponential", 7),
+                 id="random_raw-5-after-standard_exponential-7"),
 ])
 def test_trial_draws_are_each_trials_own_block_row(method, width, before):
+    # each fill's values of a trial, as the layer draws show them
     seed = 2**64 - 3
     if before is not None:
-        trial_draws(seed, 8, 10, PURPOSE_PILOT_NOISE, before[1], before[0])
+        _fill_draws(before[0], seed, 8, 10, PURPOSE_PILOT_NOISE, before[1])
     # the range starts on the last trial of block 0 and ends inside block 1
-    chunk = trial_draws(seed, 7, 11, PURPOSE_PILOT_NOISE, width, method)
-    assert chunk.shape == (4, width)
+    chunk = _fill_draws(method, seed, 7, 11, PURPOSE_PILOT_NOISE, width)
+    assert len(chunk) == 4
     for i, t in enumerate(range(7, 11)):
-        expected = block_row(seed, t, PURPOSE_PILOT_NOISE, width, method)
-        assert chunk.dtype == expected.dtype
-        assert np.array_equal(chunk[i], expected)
+        assert np.array_equal(chunk[i], _fill_row(method, seed, t, PURPOSE_PILOT_NOISE, width))
     # a trial's draws do not depend on the range it is drawn in
-    assert np.array_equal(trial_draws(seed, 9, 10, PURPOSE_PILOT_NOISE, width, method)[0], chunk[2])
+    assert np.array_equal(_fill_draws(method, seed, 9, 10, PURPOSE_PILOT_NOISE, width)[0],
+                          chunk[2])
     drawn = normals(seed, 7, 9, PURPOSE_RIS_USER, width)
     for i, t in enumerate((7, 8)):
         assert np.array_equal(drawn[i], trial_normals(seed, t, PURPOSE_RIS_USER, width))
     with pytest.raises(ValueError):
-        trial_draws(2**64, 0, 1, PURPOSE_RIS_USER, 2)
-    with pytest.raises(ValueError):
-        trial_draws(0, 3, 2, PURPOSE_RIS_USER, 2)
+        normal_states(2**64, 0, 1, PURPOSE_RIS_USER)
+    for states in (normal_states, block_states):
+        with pytest.raises(ValueError, match="trial range"):
+            states(0, 3, 2, PURPOSE_RIS_USER)
 
 
-@pytest.mark.parametrize("method", ["standard_normal", "standard_exponential", "random_raw"])
+@pytest.mark.parametrize("method", ["standard_exponential", "random_raw"])
 def test_trial_draws_inside_one_block_and_at_the_last_trial(method):
     seed = 11
     # a range that starts and ends inside block 2 drops the rows before it
-    inside = trial_draws(seed, 17, 22, PURPOSE_BS_RIS, 3, method)
-    whole = trial_draws(seed, 16, 24, PURPOSE_BS_RIS, 3, method)
+    inside = _fill_draws(method, seed, 17, 22, PURPOSE_BS_RIS, 3)
+    whole = _fill_draws(method, seed, 16, 24, PURPOSE_BS_RIS, 3)
     assert np.array_equal(inside, whole[1:6])
     for i, t in enumerate(range(17, 22)):
-        assert np.array_equal(inside[i], block_row(seed, t, PURPOSE_BS_RIS, 3, method))
+        assert np.array_equal(inside[i], _fill_row(method, seed, t, PURPOSE_BS_RIS, 3))
     # the last trial is row 7 of block 2^61 - 1
-    last = trial_draws(seed, 2**64 - 1, 2**64, PURPOSE_PHASE, 4, method)
-    assert np.array_equal(last[0], block_row(seed, 2**64 - 1, PURPOSE_PHASE, 4, method))
-    tail = trial_draws(seed, 2**64 - BLOCK_TRIALS, 2**64, PURPOSE_PHASE, 4, method)
+    last = _fill_draws(method, seed, 2**64 - 1, 2**64, PURPOSE_PILOT_NOISE, 4)
+    assert np.array_equal(last[0], _fill_row(method, seed, 2**64 - 1, PURPOSE_PILOT_NOISE, 4))
+    tail = _fill_draws(method, seed, 2**64 - BLOCK_TRIALS, 2**64, PURPOSE_PILOT_NOISE, 4)
     assert np.array_equal(tail[-1], last[0])
+    if method == "random_raw":
+        # random phases cut the same lanes of their own purpose to 12 bits
+        phases = drawn_phases(seed, 17, 22, 11)
+        assert np.array_equal(phases, drawn_phases(seed, 16, 24, 11)[1:6])
+        for i, t in enumerate(range(17, 22)):
+            words = block_row(seed, t, PURPOSE_PHASE, 3, method)
+            assert np.array_equal(phases[i], lattice(words, 11, 12))
+        words = block_row(seed, 2**64 - 1, PURPOSE_PHASE, 3, method)
+        assert np.array_equal(drawn_phases(seed, 2**64 - 1, 2**64, 11)[0],
+                              lattice(words, 11, 12))
 
 
 def _philox_words(seed, purpose, block, n):
@@ -143,44 +180,55 @@ def _philox_words(seed, purpose, block, n):
     return np.random.Philox(key=key, counter=counter).random_raw(n)
 
 
-@pytest.mark.parametrize("method", ["standard_normal", "standard_exponential", "random_raw"])
+@pytest.mark.parametrize("method", ["standard_exponential", "random_raw"])
 def test_a_block_is_an_sfc64_started_from_philox(method):
     # block c of a purpose, built from numpy alone: an SFC64 whose four state
     # words are the first four words of Philox keyed (seed, purpose) at
-    # counter (c, 0, 0, 0), its values dealt out eight trials in a row
+    # counter (c, 0, 0, 0), its values dealt out eight trials in a row; the
+    # raw words are the phase purpose's
     seed, purpose, width, c = 2**63 + 5, PURPOSE_BS_RIS, 3, 41
+    stream = purpose if method == "standard_exponential" else purpose + NORMAL_PHASES
 
     def block(c):
         bitgen = np.random.SFC64(0)
         bitgen.state = {"bit_generator": "SFC64",
-                        "state": {"state": _philox_words(seed, purpose, c, 4)},
+                        "state": {"state": _philox_words(seed, stream, c, 4)},
                         "has_uint32": 0, "uinteger": 0}
         if method == "random_raw":
-            return bitgen.random_raw((BLOCK_TRIALS, width))
-        return getattr(np.random.Generator(bitgen), method)((BLOCK_TRIALS, width))
+            values = bitgen.random_raw((BLOCK_TRIALS, width))
+        else:
+            values = getattr(np.random.Generator(bitgen), method)((BLOCK_TRIALS, width))
+        return _fill_rows(method, values)
 
     start = c * BLOCK_TRIALS
-    both = trial_draws(seed, start, start + 2 * BLOCK_TRIALS, purpose, width, method)
+    both = _fill_draws(method, seed, start, start + 2 * BLOCK_TRIALS, purpose, width)
     assert np.array_equal(both[:BLOCK_TRIALS], block(c))
     assert np.array_equal(both[BLOCK_TRIALS:], block(c + 1))
     # blocks c and c + 1 read from one call are the blocks read one call each
-    first = trial_draws(seed, start, start + BLOCK_TRIALS, purpose, width, method)
-    second = trial_draws(seed, start + BLOCK_TRIALS, start + 2 * BLOCK_TRIALS, purpose, width,
-                         method)
+    first = _fill_draws(method, seed, start, start + BLOCK_TRIALS, purpose, width)
+    second = _fill_draws(method, seed, start + BLOCK_TRIALS, start + 2 * BLOCK_TRIALS, purpose,
+                         width)
     assert np.array_equal(both, np.concatenate([first, second]))
 
 
 def test_consecutive_blocks_and_purposes_are_separated():
-    # the first normal of each of n consecutive blocks, in each purpose (the
-    # phase purposes of unit_normals too): unit normal moments, no lag-1
+    # the first value of each of n consecutive blocks in each purpose, as a
+    # draw of mean 0 and variance 1: sqrt(2) Re z for a normal purpose's unit
+    # normal z, sqrt(2) Im of z's phasor for its phase purpose (uncorrelated
+    # with Re z), and sqrt(2) Re of a random phase. Unit moments, no lag-1
     # correlation between blocks and none between purposes at the same
     # block, each within 4 standard errors
     seed, n = 20240, 20_000
     drawn = (PURPOSE_RIS_USER, PURPOSE_BS_RIS, PURPOSE_PILOT_NOISE)
     purposes = drawn + (PURPOSE_PHASE,) + tuple(p + NORMAL_PHASES for p in drawn)
     assert len(set(purposes)) == 7
-    first = {p: trial_draws(seed, 0, n * BLOCK_TRIALS, p, 1)[::BLOCK_TRIALS, 0]
-             for p in purposes}
+    trials = n * BLOCK_TRIALS
+    phases = drawn_phases(seed, 0, trials, 1)
+    first = {PURPOSE_PHASE: math.sqrt(2.0) * phases[::BLOCK_TRIALS, 0].real}
+    for p in drawn:
+        phasors, root = polar(seed, 0, trials, p, 1)
+        first[p] = math.sqrt(2.0) * (phasors * root)[::BLOCK_TRIALS, 0].real
+        first[p + NORMAL_PHASES] = math.sqrt(2.0) * phasors[::BLOCK_TRIALS, 0].imag
     bound = 4.0 / math.sqrt(n)
     for p, x in first.items():
         assert abs(np.mean(x)) < bound, p
@@ -194,31 +242,19 @@ def test_consecutive_blocks_and_purposes_are_separated():
     assert np.unique(states, axis=0).shape == (len(purposes) * n, 4)
 
 
-@pytest.mark.parametrize("method, dtype", [("standard_normal", np.float64),
-                                           ("standard_exponential", np.float64),
-                                           ("random_raw", np.uint64)])
-def test_trial_draws_fill_out_with_the_same_bits(method, dtype):
-    out = np.full((4, 6), 7, dtype=dtype)
-    got = trial_draws(3, 7, 11, PURPOSE_RIS_USER, 6, method, out=out)
-    assert got is out
-    assert np.array_equal(out, trial_draws(3, 7, 11, PURPOSE_RIS_USER, 6, method))
-    # a row of a larger buffer is filled in place; a misfit out is refused
-    wide = np.zeros((5, 6), dtype=dtype)
-    trial_draws(3, 9, 10, PURPOSE_RIS_USER, 6, method, out=wide[2:3])
-    assert np.array_equal(wide[2], out[2])
-    for bad in (wide, np.zeros((4, 6), np.float32), np.zeros((6, 4), dtype=dtype).T):
-        with pytest.raises(ValueError):
-            trial_draws(3, 7, 11, PURPOSE_RIS_USER, 6, method, out=bad)
-
-
 def test_unit_normals_fill_out_with_the_same_bits():
     out, mag = np.full((3, 5), np.nan, dtype=np.complex128), np.full((3, 5), np.nan)
     drawn = normals(8, 2, 5, PURPOSE_BS_RIS, 5, out=out, mag=mag)
     assert drawn is out
     assert np.array_equal(drawn, normals(8, 2, 5, PURPOSE_BS_RIS, 5))
     # mag ends holding the magnitudes
-    assert np.array_equal(mag, np.sqrt(trial_draws(8, 2, 5, PURPOSE_BS_RIS, 5,
-                                                   "standard_exponential")))
+    for i, t in enumerate(range(2, 5)):
+        exponentials = block_row(8, t, PURPOSE_BS_RIS, 5, "standard_exponential")
+        assert np.array_equal(mag[i], np.sqrt(exponentials))
+    # a row of larger buffers is filled in place
+    wide, wide_mag = np.zeros((5, 5), dtype=np.complex128), np.zeros((5, 5))
+    normals(8, 4, 5, PURPOSE_BS_RIS, 5, out=wide[2:3], mag=wide_mag[2:3])
+    assert np.array_equal(wide[2], out[2]) and np.array_equal(wide_mag[2], mag[2])
     for bad in (np.empty((3, 6)), np.empty((5, 3)).T, np.empty((3, 5), np.float32)):
         with pytest.raises(ValueError, match="mag"):
             normals(8, 2, 5, PURPOSE_BS_RIS, 5, mag=bad)
@@ -231,7 +267,10 @@ def test_unit_normals_fill_out_with_the_same_bits():
     states = normal_states(8, 2, 5, PURPOSE_BS_RIS)
     for start, stop in ((5, 2), (2, 9), (0, 0)):
         with pytest.raises(ValueError, match="block states"):
-            unit_normals(*states, start, stop, 5)
+            unit_normals(states, start, stop, 5)
+    # a normal's states pair two purposes; one purpose's states are refused
+    with pytest.raises(ValueError, match="block states"):
+        unit_normals(block_states(8, 2, 5, PURPOSE_BS_RIS), 2, 5, 5)
 
 
 @pytest.mark.parametrize("first", [0, 1, 2**61 - 2], ids=["block-0", "block-1", "block-2^61-2"])
@@ -251,11 +290,28 @@ def test_block_states_are_the_block_streams_states(first):
         # a chunk's rows of a range's states are the chunk's own states
         later = (first + 1) * BLOCK_TRIALS
         assert np.array_equal(states[1:], block_states(seed, later, stop, purpose))
-        # the chunk's fill from those rows is trial_draws' fill of the chunk
-        assert np.array_equal(
-            polar_normals(states[1:], block_states(seed, later, stop, purpose + NORMAL_PHASES),
-                          later, stop, 5)[1],
-            np.sqrt(trial_draws(seed, later, stop, purpose, 5, "standard_exponential")))
+        # the chunk's fill from those rows is the chunk's own trials' draws
+        paired = np.stack([states[1:], block_states(seed, later, stop, purpose + NORMAL_PHASES)],
+                          axis=1)
+        root = polar_normals(paired, later, stop, 5)[1]
+        for i, t in enumerate(range(later, stop)):
+            exponentials = block_row(seed, t, purpose, 5, "standard_exponential")
+            assert np.array_equal(root[i], np.sqrt(exponentials)), (purpose, t)
+
+
+@pytest.mark.parametrize("purpose", [PURPOSE_RIS_USER, PURPOSE_BS_RIS, PURPOSE_PILOT_NOISE])
+def test_normal_states_pair_a_purpose_with_its_phase_purpose(purpose):
+    # column 0 of row j holds the state block_stream gives block first + j of
+    # purpose, column 1 that of purpose + NORMAL_PHASES
+    seed, start, stop = 2**64 - 7, 13, 30
+    states = normal_states(seed, start, stop, purpose)
+    assert states.shape == (3, 2, 4) and states.dtype == np.uint64
+    for j, row in enumerate(states):
+        for column, stream in enumerate((purpose, purpose + NORMAL_PHASES)):
+            want = block_stream(seed, 1 + j, stream).bit_generator.state["state"]["state"]
+            assert np.array_equal(row[column], want), (j, column)
+    assert np.array_equal(states[:, 0], block_states(seed, start, stop, purpose))
+    assert np.array_equal(states[:, 1], block_states(seed, start, stop, purpose + NORMAL_PHASES))
 
 
 @pytest.mark.parametrize("start, stop, n", [

@@ -11,7 +11,7 @@ import pytest
 
 from corridor import corridor_link
 from block_draws import block_row, trial_normals
-from rispilot import channel, cli, montecarlo, reflection
+from rispilot import channel, cli, montecarlo
 from rispilot.allocation import PerRisPowers, allocate_average, run_allocator
 from rispilot.analysis import ergodic_gain_closed_form
 from rispilot.channel import (
@@ -250,8 +250,8 @@ def test_chunks_after_the_first_allocate_no_array_of_a_chunks_size(monkeypatch):
         source = getattr(fn, "__module__", None) or ""
         if inspect.isfunction(fn) and source.startswith("rispilot.") and source != montecarlo.__name__:
             monkeypatch.setattr(montecarlo, attr, wrapped(fn, attr))
-    for module in (channel, reflection):
-        monkeypatch.setattr(module, "_fill", wrapped(channel._fill, "_fill"))
+    # random_phases fills through channel._lattice, so channel holds every fill
+    monkeypatch.setattr(channel, "_fill", wrapped(channel._fill, "_fill"))
     bufsize = np.setbufsize(64)
     tracemalloc.start()
     try:
@@ -395,6 +395,52 @@ def test_a_range_checks_its_rows_before_any_draw(monkeypatch):
             trial_gains([GainRow(link, allocate_average(link), "perfect"),
                          GainRow(link, PerRisPowers(p_k=[1.0]), "estimated")],
                         TrialConfig(trials=40), workers=workers)
+
+
+@pytest.mark.parametrize("mode", montecarlo.CSI_MODES)
+def test_a_row_needs_one_power_per_surface(mode):
+    # one power of p_avg for two surfaces spends the budget, and three sum
+    # to three times it; no CSI mode broadcasts them over the surfaces
+    link = _beta_direct([1.0, 0.25], [8, 8])
+    for p_k in ([1.0], [1.0, 1.0, 1.0]):
+        with pytest.raises(ValueError, match=f"{len(p_k)} pilot powers for 2 surfaces"):
+            trial_gains([GainRow(link, PerRisPowers(p_k=p_k), mode)], TrialConfig(trials=16))
+
+
+class _ExitsWhenUnpickled(PerRisPowers):
+    """Powers whose unpickling ends the process, as when a pool worker is
+    killed: its share never comes back, under fork and forkserver alike."""
+
+    def __reduce__(self):
+        return os._exit, (1,)
+
+
+def _dies_in_a_worker(resolved):
+    """montecarlo._resolved, with each row's powers replaced by _ExitsWhenUnpickled."""
+    def resolve(row, cfg, counts):
+        row = resolved(row, cfg, counts)
+        return row._replace(powers=_ExitsWhenUnpickled(p_k=row.powers.p_k))
+    return resolve
+
+
+def test_a_worker_that_dies_is_named_as_the_cause(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(montecarlo, "_resolved", _dies_in_a_worker(montecarlo._resolved))
+    link = _beta_direct([1.0, 0.25], [4, 4])
+    with pytest.raises(montecarlo.WorkerLostError, match="stopped abruptly"):
+        trial_gains([GainRow(link, allocate_average(link))], TrialConfig(trials=40), workers=2)
+
+
+@pytest.mark.parametrize("command", ["validate", "sweep"])
+def test_a_dead_worker_exits_3_with_one_line(monkeypatch, capsys, tmp_path, command):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(montecarlo, "_resolved", _dies_in_a_worker(montecarlo._resolved))
+    config = str(TESTS.parent / "configs" / "two_ris_symmetric.yaml")
+    code = cli.main([command, "--config", config, "--trials", "40", "--workers", "2",
+                     "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 3
+    assert len(err) == 1 and err[0].startswith("worker failure: a trial worker stopped abruptly")
 
 
 def test_same_seed_shares_draws_across_allocations():

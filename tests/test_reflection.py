@@ -10,6 +10,7 @@ from rispilot.channel import (
     _unit_circle,
     block_states,
     block_stream,
+    normal_states,
 )
 from engine_draws import channels, drawn_phases, normals
 from rispilot.estimation import PerRisPowers, ls_estimate, noise_scales
@@ -110,6 +111,10 @@ def test_random_phases_fill_out_with_the_same_bits():
     assert np.array_equal(out, drawn_phases(9, 4, 7, 11))
     # the raw words pass through out's first bytes, the grid indices through mag
     assert np.array_equal(_unit_circle(12)[mag.view(np.int64)], out)
+    # a row of larger buffers is filled in place
+    wide, wide_mag = np.zeros((5, 11), dtype=np.complex128), np.zeros((5, 11))
+    drawn_phases(9, 6, 7, 11, out=wide[2:3], mag=wide_mag[2:3])
+    assert np.array_equal(wide[2], out[2]) and np.array_equal(wide_mag[2], mag[2])
     for name, bad in (("out", np.empty((3, 12), dtype=np.complex128)),
                       ("out", np.empty((11, 3), dtype=np.complex128).T),
                       ("mag", np.empty((3, 11), dtype=np.complex128))):
@@ -117,6 +122,8 @@ def test_random_phases_fill_out_with_the_same_bits():
             drawn_phases(9, 4, 7, 11, **{name: bad})
     with pytest.raises(ValueError, match="block states"):
         random_phases(block_states(9, 4, 7, PURPOSE_PHASE), 4, 9, 11)
+    with pytest.raises(ValueError, match="block states"):
+        random_phases(normal_states(9, 4, 7, PURPOSE_PILOT_NOISE), 4, 7, 11)
 
 
 def test_aligned_composite_is_sum_of_magnitudes():
