@@ -242,6 +242,33 @@ def test_consecutive_blocks_and_purposes_are_separated():
     assert np.unique(states, axis=0).shape == (len(purposes) * n, 4)
 
 
+@pytest.mark.parametrize("method, dtype", [("standard_exponential", np.float64),
+                                           ("random_raw", np.uint64)])
+def test_trial_draws_fill_out_with_the_same_bits(method, dtype):
+    # polar_normals takes each fill into a given buffer: the exponentials into
+    # mag, then their roots; the raw words into out's first bytes, then their
+    # phasors. Each buffer ends with the bits of a call that makes its own
+    name, kind, pick = (("mag", np.float64, 1) if method == "standard_exponential"
+                        else ("out", np.complex128, 0))
+    stream = PURPOSE_RIS_USER if method == "standard_exponential" else (
+        PURPOSE_RIS_USER + NORMAL_PHASES)
+    assert block_row(3, 7, stream, 6, method).dtype == dtype
+    buffer = np.full((4, 24), np.nan, dtype=kind)
+    got = polar(3, 7, 11, PURPOSE_RIS_USER, 24, **{name: buffer})[pick]
+    assert got is buffer
+    assert np.array_equal(buffer, polar(3, 7, 11, PURPOSE_RIS_USER, 24)[pick])
+    width = 24 if method == "standard_exponential" else 6
+    for i, t in enumerate(range(7, 11)):
+        assert np.array_equal(buffer[i], _fill_row(method, 3, t, PURPOSE_RIS_USER, width))
+    # a row of a larger buffer is filled in place; a misfit buffer is refused
+    wide = np.zeros((5, 24), dtype=kind)
+    polar(3, 9, 10, PURPOSE_RIS_USER, 24, **{name: wide[2:3]})
+    assert np.array_equal(wide[2], buffer[2])
+    for bad in (wide, np.zeros((4, 24), np.float32), np.zeros((24, 4), dtype=kind).T):
+        with pytest.raises(ValueError, match=name):
+            polar(3, 7, 11, PURPOSE_RIS_USER, 24, **{name: bad})
+
+
 def test_unit_normals_fill_out_with_the_same_bits():
     out, mag = np.full((3, 5), np.nan, dtype=np.complex128), np.full((3, 5), np.nan)
     drawn = normals(8, 2, 5, PURPOSE_BS_RIS, 5, out=out, mag=mag)
