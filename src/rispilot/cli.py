@@ -223,47 +223,11 @@ class ScenarioSettings:
 
     def as_dict(self) -> dict:
         link = self.link
-        out = {"element_counts": link.counts.tolist(), "p_avg_w": link.p_avg, "q_w": link.q,
-               "sigma_z_sq_w": link.sigma_z_sq, "sigma_n_sq_w": link.sigma_n_sq}
+        out = {f.stored: getattr(link, key) for key, f in _SCENARIO.items()}
+        out["element_counts"] = link.counts.tolist()
         if self.geometry is None:
             return {**out, "beta_sq": link.beta_sq.tolist()}
         return {**out, "geometry": {**self.geometry, "k_br": link.k_br, "k_ru": link.k_ru}}
-
-    @classmethod
-    def build(cls, counts, p_avg, q, sigma_z_sq, sigma_n_sq, *, geometry=None, beta_sq=None,
-              p_avg_path="scenario.p_avg") -> "ScenarioSettings":
-        """The settings of a channel's beta_sq, or of a layout's geometry as
-        _geometry returns it, Rician factors included. An overflowing pilot
-        budget sum(M_k) * p_avg is a ConfigError naming p_avg_path."""
-        if not math.isfinite(sum(counts) * p_avg):
-            raise ConfigError(p_avg_path, f"the pilot budget {sum(counts)} x {p_avg:g} W overflows")
-        fading = {}
-        if geometry is not None:
-            geometry = dict(geometry)
-            fading = {key: geometry.pop(key) for key in ("k_br", "k_ru")}
-            beta_sq = _gains_at(geometry, geometry["user_y"])
-        link = Link(counts=counts, beta_sq=beta_sq, sigma_z_sq=sigma_z_sq, sigma_n_sq=sigma_n_sq,
-                    q=q, p_avg=p_avg, **fading)
-        return cls(link, geometry)
-
-    @classmethod
-    def from_dict(cls, raw) -> "ScenarioSettings":
-        """Rebuild a geometric layout from as_dict output (manifest replay path)."""
-        path = "scenario"
-        block = _require_mapping(raw, path)
-        counts = _element_counts(_get(block, "element_counts", path), f"{path}.element_counts")
-        if len(counts) != 2:
-            raise ConfigError(f"{path}.element_counts", f"expected two counts, got {len(counts)}")
-
-        def number(key, **sign):
-            return _float_value(_get(block, key, path), f"{path}.{key}", **sign)
-
-        return cls.build(
-            counts, number("p_avg_w", positive=True), number("q_w", positive=True),
-            number("sigma_z_sq_w", nonneg=True), number("sigma_n_sq_w", positive=True),
-            geometry=_geometry(_get(block, "geometry", path), f"{path}.geometry", config=False),
-            p_avg_path=f"{path}.p_avg_w",
-        )
 
 
 def _gains_at(g: dict, d: float) -> np.ndarray:
@@ -271,34 +235,111 @@ def _gains_at(g: dict, d: float) -> np.ndarray:
     return cascaded_large_scale(d=d, **{key: x for key, x in g.items() if key != "user_y"})
 
 
-_POSITIVE, _K_FACTOR = {"positive": True}, {"nonneg": True, "inf_ok": True}
-# geometry fields as a manifest stores them: (config default, sign). A config
-# must give the fields without a default, and gives c0_db as a "dB" string, c0.
+_POSITIVE = functools.partial(_float_value, positive=True)
+_K_FACTOR = functools.partial(_float_value, nonneg=True, inf_ok=True)
+# A scenario field: its name in a config and the reader of its value there,
+# its name in a manifest with that value's reader (None: read), and its
+# config default (None: required). A manifest stores every field.
+_Field = namedtuple("_Field", ["name", "read", "stored", "read_stored", "default"],
+                    defaults=(None, None))
+
+# the scenario's fields other than its layout, keyed by the Link field each
+# sets; a manifest stores the powers in watts
+_SCENARIO = {
+    "counts": _Field("element_counts", _element_counts, "element_counts"),
+    "p_avg": _Field("p_avg", _power_watts, "p_avg_w", _POSITIVE),
+    "q": _Field("q", _power_watts, "q_w", _POSITIVE),
+    "sigma_z_sq": _Field("sigma_z", functools.partial(_power_watts, nonneg_ok=True),
+                         "sigma_z_sq_w", functools.partial(_float_value, nonneg=True)),
+    "sigma_n_sq": _Field("sigma_n", _power_watts, "sigma_n_sq_w", _POSITIVE),
+}
+# the geometric layout's fields, keyed by their manifest names
 _GEOMETRY = {
-    "d0": (None, _POSITIVE), "d_v": (10.0, _POSITIVE), "d_h": (10.0, _POSITIVE),
-    "d_u": (2.0, _POSITIVE), "user_y": (0.0, {}), "c0_db": (None, {}),
-    "alpha_br": (None, _POSITIVE), "alpha_ru": (None, _POSITIVE),
-    "k_br": (math.inf, _K_FACTOR), "k_ru": (0.0, _K_FACTOR),
+    "d0": _Field("d0", _POSITIVE, "d0"),
+    "d_v": _Field("d_v", _POSITIVE, "d_v", default=10.0),
+    "d_h": _Field("d_h", _POSITIVE, "d_h", default=10.0),
+    "d_u": _Field("d_u", _POSITIVE, "d_u", default=2.0),
+    "user_y": _Field("user_y", _float_value, "user_y", default=0.0),
+    "c0_db": _Field("c0", _db_value, "c0_db", _float_value),
+    "alpha_br": _Field("alpha_br", _POSITIVE, "alpha_br"),
+    "alpha_ru": _Field("alpha_ru", _POSITIVE, "alpha_ru"),
+    "k_br": _Field("k_br", _K_FACTOR, "k_br", default=math.inf),
+    "k_ru": _Field("k_ru", _K_FACTOR, "k_ru", default=0.0),
 }
 
 
-def _geometry(raw, path: str, *, config: bool) -> dict:
-    """Check a config's geometry block, or the geometry a manifest stored."""
-    g = _require_mapping(raw, path)
-    names = {key: "c0" if config and key == "c0_db" else key for key in _GEOMETRY}
-    if config:
-        _reject_unknown(g, names.values(), path)
+def _fields(block: dict, table: dict, path: str, config: bool, extra=()) -> dict:
+    """The values of table's fields in a config's block, or in a manifest's;
+    a key that is no field's nor in extra is an error."""
+    names = [f.name if config else f.stored for f in table.values()]
+    _reject_unknown(block, [*names, *extra], path)
     out = {}
-    for key, (default, sign) in _GEOMETRY.items():
-        name, where = names[key], f"{path}.{names[key]}"
-        value = _get(g, name, path) if default is None or not config else g.get(name, default)
-        out[key] = _db_value(value, where) if name == "c0" else _float_value(value, where, **sign)
-    if out["d_u"] >= out["d0"]:
-        raise ConfigError(f"{path}.d_u", f"must be below d0 = {out['d0']:g}, got {out['d_u']:g}")
+    for (key, f), name in zip(table.items(), names):
+        if config and f.default is not None and name not in block:
+            out[key] = f.default
+        else:
+            read = f.read if config else f.read_stored or f.read
+            out[key] = read(_get(block, name, path), f"{path}.{name}")
     return out
 
 
-_SCENARIO_KEYS = {"element_counts", "p_avg", "q", "sigma_z", "sigma_n", "geometry", "channel"}
+def _beta_sq(value, path: str) -> list[float]:
+    """A nonempty list of positive, finite gains."""
+    if not isinstance(value, list) or not value:
+        raise ConfigError(path, "expected a nonempty list")
+    # any other list, or one holding a bad gain, is read gain by gain, so
+    # that an error names the gain
+    beta_sq = list(map(float, value)) if _all_plain(value, _DECIMAL) else None
+    if beta_sq is None or not 0.0 < min(beta_sq) <= max(beta_sq) < math.inf:
+        beta_sq = [_float_value(b, f"{path}[{i}]", positive=True) for i, b in enumerate(value)]
+    return beta_sq
+
+
+def _scenario(raw, path: str, *, config: bool) -> ScenarioSettings:
+    """The scenario of a config's block (config=True) or of the block a
+    manifest stored: its counts and powers, and a geometric layout or the
+    gains, a config's channel.beta_sq or a manifest's beta_sq."""
+    block = _require_mapping(raw, path)
+    gains = "channel" if config else "beta_sq"
+    fields = _fields(block, _SCENARIO, path, config, extra=("geometry", gains))
+    counts = fields["counts"]
+    if ("geometry" in block) == (gains in block):
+        raise ConfigError(path, f"exactly one of 'geometry' and '{gains}' must be present")
+    geometry = None
+    if "geometry" in block:
+        if len(counts) != 2:
+            raise ConfigError(f"{path}.element_counts", "the geometric layout places exactly "
+                              f"two surfaces, got {len(counts)} counts")
+        where = f"{path}.geometry"
+        geometry = _fields(_require_mapping(block["geometry"], where), _GEOMETRY, where, config)
+        if geometry["d_u"] >= geometry["d0"]:
+            raise ConfigError(f"{where}.d_u",
+                              f"must be below d0 = {geometry['d0']:g}, got {geometry['d_u']:g}")
+        fields.update((key, geometry.pop(key)) for key in ("k_br", "k_ru"))
+    else:
+        # a config gives the gains in its channel block, a manifest beside the counts
+        channel, where = block, path
+        if config:
+            where = f"{path}.channel"
+            channel = _require_mapping(block["channel"], where)
+            _reject_unknown(channel, {"beta_sq"}, where)
+        beta_sq = _beta_sq(_get(channel, "beta_sq", where), f"{where}.beta_sq")
+        if len(beta_sq) != len(counts):
+            raise ConfigError(f"{where}.beta_sq",
+                              f"{len(beta_sq)} gains for {len(counts)} element counts")
+        fields["beta_sq"] = beta_sq
+
+    # the pilot budget sum(M_k) * p_avg must not overflow; a layout's gains
+    # are computed once it is checked
+    p_avg, field = fields["p_avg"], _SCENARIO["p_avg"]
+    if not math.isfinite(sum(counts) * p_avg):
+        raise ConfigError(f"{path}.{field.name if config else field.stored}",
+                          f"the pilot budget {sum(counts)} x {p_avg:g} W overflows")
+    if geometry is not None:
+        fields["beta_sq"] = _gains_at(geometry, geometry["user_y"])
+    return ScenarioSettings(Link(**fields), geometry)
+
+
 # the run settings each command takes and their defaults (None: no default);
 # a config's run block overrides a default and a flag overrides both. The
 # allocator lists are sorted, as _allocators returns them.
@@ -308,48 +349,6 @@ _SETTINGS = {
     "sweep": {"seed": 0, "trials": 1000, "csi_mode": "estimated",
               "allocators": ("exact", "uniform"), "workers": 1, "d_range": None},
 }
-
-
-def _parse_scenario(raw: dict) -> ScenarioSettings:
-    block = _require_mapping(_get(raw, "scenario", ""), "scenario")
-    _reject_unknown(block, _SCENARIO_KEYS, "scenario")
-    counts = _element_counts(_get(block, "element_counts", "scenario"), "scenario.element_counts")
-    p_avg = _power_watts(_get(block, "p_avg", "scenario"), "scenario.p_avg")
-    q = _power_watts(_get(block, "q", "scenario"), "scenario.q")
-    sigma_z = _power_watts(_get(block, "sigma_z", "scenario"), "scenario.sigma_z", nonneg_ok=True)
-    sigma_n = _power_watts(_get(block, "sigma_n", "scenario"), "scenario.sigma_n")
-
-    has_geometry = "geometry" in block
-    has_channel = "channel" in block
-    if has_geometry == has_channel:
-        raise ConfigError("scenario", "exactly one of 'geometry' and 'channel' must be present")
-
-    if has_geometry:
-        if len(counts) != 2:
-            raise ConfigError(
-                "scenario.element_counts",
-                f"the geometric layout places exactly two surfaces, got {len(counts)} counts",
-            )
-        geometry = _geometry(block["geometry"], "scenario.geometry", config=True)
-        return ScenarioSettings.build(counts, p_avg, q, sigma_z, sigma_n, geometry=geometry)
-
-    ch = _require_mapping(block["channel"], "scenario.channel")
-    _reject_unknown(ch, {"beta_sq"}, "scenario.channel")
-    raw_beta = _get(ch, "beta_sq", "scenario.channel")
-    if not isinstance(raw_beta, list) or not raw_beta:
-        raise ConfigError("scenario.channel.beta_sq", "expected a nonempty list")
-    # any other list, or one holding a bad gain, is read gain by gain, so
-    # that an error names the gain
-    beta_sq = list(map(float, raw_beta)) if _all_plain(raw_beta, _DECIMAL) else None
-    if beta_sq is None or not 0.0 < min(beta_sq) <= max(beta_sq) < math.inf:
-        beta_sq = [_float_value(b, f"scenario.channel.beta_sq[{i}]", positive=True)
-                   for i, b in enumerate(raw_beta)]
-    if len(beta_sq) != len(counts):
-        raise ConfigError(
-            "scenario.channel.beta_sq",
-            f"{len(beta_sq)} gains for {len(counts)} element counts",
-        )
-    return ScenarioSettings.build(counts, p_avg, q, sigma_z, sigma_n, beta_sq=beta_sq)
 
 
 def _csi_mode(value, path: str) -> str:
@@ -693,7 +692,7 @@ def _config_run(args, flags: dict) -> tuple[ScenarioSettings, dict]:
     """A config's scenario and the command's run settings, the run block and
     flags merged over its defaults."""
     raw = load_config(args.config)
-    scn = _parse_scenario(raw)
+    scn = _scenario(_get(raw, "scenario", ""), "scenario", config=True)
     block = raw.get("run")
     block = _require_mapping({} if block is None else block, "run")
     _reject_unknown(block, _RUN_SETTINGS, "run")
@@ -995,7 +994,7 @@ def _replay(saved: dict, args, flags: dict) -> int:
     if fixed:
         raise ConfigError(_RUN_SETTINGS[fixed[0]].flag,
                           "the manifest fixes this setting; a replay takes only --workers and --out")
-    scn = ScenarioSettings.from_dict(_get(saved, "scenario", ""))
+    scn = _scenario(_get(saved, "scenario", ""), "scenario", config=False)
     for key in _SETTINGS["sweep"]:
         _get(saved, _RUN_SETTINGS[key].stored, "")
     run = {**_run_fields(saved, ""), **flags}

@@ -120,6 +120,11 @@ def _printed_gains(capsys, cfg) -> dict:
     return gains
 
 
+def _config_scenario(path):
+    """The scenario of the config at path."""
+    return cli._scenario(cli.load_config(str(path))["scenario"], "scenario", config=True)
+
+
 def _channel_config(tmp_path, name, counts, beta_sq) -> str:
     return _cfg(tmp_path, SYMMETRIC.replace("[4, 4]", repr(list(counts)))
                 .replace("[1.0, 1.0]", repr(list(beta_sq))), name)
@@ -153,7 +158,7 @@ def test_allocate_gain_is_the_closed_form_of_each_allocation(tmp_path, capsys, c
         # eq27 falls back to uniform power on a lone element
         warnings.simplefilter("ignore", UniformFallbackWarning)
         for cfg in configs(tmp_path):
-            link = cli._parse_scenario(cli.load_config(cfg)).link
+            link = _config_scenario(cfg).link
             for name, printed in _printed_gains(capsys, cfg).items():
                 closed = ergodic_gain_closed_form(link, run_allocator(name, link)).total
                 assert printed == "%.6e" % closed, (cfg, name)
@@ -579,6 +584,12 @@ def _replay(tmp_path, saved, name):
     return main(["sweep", "--manifest", str(path), "--out", str(tmp_path / name)])
 
 
+def _gains_for_geometry(saved):
+    """Replace a manifest's layout by gains, as a channel config's are stored."""
+    saved["scenario"]["beta_sq"] = [1e-10, 1e-11]
+    del saved["scenario"]["geometry"]
+
+
 @pytest.mark.parametrize(
     "edit, field",
     [
@@ -588,9 +599,14 @@ def _replay(tmp_path, saved, name):
         (lambda m: m["scenario"].update(element_counts=[8, 8, 8]), "scenario.element_counts"),
         (lambda m: m.update(d_values=4.0), "d_values"),
         (lambda m: m.update(d_values=[0.0] * 10_001), "d_values"),
+        (lambda m: m["scenario"].update(zz=1), "scenario.zz"),
+        (lambda m: m["scenario"]["geometry"].update(zz=1), "scenario.geometry.zz"),
+        (lambda m: m["scenario"].update(beta_sq=[1e-10, 1e-11]), "scenario"),
+        (_gains_for_geometry, "scenario.geometry"),
     ],
     ids=["missing-d_values", "missing-q_w", "trials-many", "three-counts", "scalar-d_values",
-         "too-many-d_values"],
+         "too-many-d_values", "unknown-scenario-key", "unknown-geometry-key",
+         "gains-and-geometry", "gains-without-geometry"],
 )
 def test_malformed_manifest_is_a_config_error(tmp_path, capsys, edit, field):
     _, saved = _sweep_manifest(tmp_path)
@@ -1382,7 +1398,7 @@ def _read_both_ways(monkeypatch, read):
 
 def _scenario_and_run(path):
     raw = cli.load_config(str(path))
-    scn = cli._parse_scenario(raw)
+    scn = cli._scenario(raw["scenario"], "scenario", config=True)
     return scn.as_dict(), scn.link.beta_sq.tobytes(), cli._run_fields(raw.get("run") or {}, "run.")
 
 
@@ -1392,13 +1408,68 @@ def test_configs_read_the_same_without_libyaml(monkeypatch, path):
     assert with_libyaml == without
 
 
+@pytest.mark.parametrize("path", CONFIG_FILES, ids=[p.name for p in CONFIG_FILES])
+def test_a_config_s_scenario_reads_back_from_its_manifest(tmp_path, path):
+    # a manifest stores the scenario itself: the same fields and the same
+    # gains' bits, in channel mode and at any surface count too
+    scn = _config_scenario(path)
+    manifest = tmp_path / "manifest.yaml"
+    cli._write_yaml(manifest, {"scenario": scn.as_dict()})
+    again = cli._scenario(cli._load_yaml(manifest)["scenario"], "scenario", config=False)
+    assert again.as_dict() == scn.as_dict()
+    assert again.link.beta_sq.tobytes() == scn.link.beta_sq.tobytes()
+
+
+# every scenario field, with the prefix of its path in either source
+SCENARIO_FIELDS = [(prefix, field) for prefix, table in (("scenario.", cli._SCENARIO),
+                                                         ("scenario.geometry.", cli._GEOMETRY))
+                   for field in table.values()]
+
+
+def _written(field, x):
+    """x as a config gives field's value, and as a manifest stores it."""
+    read = getattr(field.read, "func", field.read)
+    if read is cli._element_counts:
+        return [x, 8], [x, 8]
+    unit = {cli._power_watts: " W", cli._db_value: " dB"}.get(read)
+    return (x, x) if unit is None else (f"{x}{unit}", x)
+
+
+@pytest.mark.parametrize("prefix, field", SCENARIO_FIELDS,
+                         ids=[field.stored for _, field in SCENARIO_FIELDS])
+def test_a_scenario_field_reads_the_same_from_each_source(tmp_path, capsys, prefix, field):
+    # a value one source rejects the other rejects too, each naming the
+    # field in its own spelling, and a manifest must store every field,
+    # those a config may leave to their defaults included
+    def fields(tree):
+        return tree["scenario"]["geometry"] if prefix.endswith("geometry.") else tree["scenario"]
+
+    _, saved = _sweep_manifest(tmp_path)
+    for i, x in enumerate(["yes", -1.0, 0.0, 2.5, math.inf]):
+        config = yaml.safe_load(GEOMETRY)
+        fields(config)[field.name], fields(saved)[field.stored] = _written(field, x)
+        rc = main(["allocate", "--config", _cfg(tmp_path, yaml.safe_dump(config), "bad.yaml")])
+        errors = [capsys.readouterr().err]
+        assert (rc == 2) == (_replay(tmp_path, saved, f"run-{i}") == 2), x
+        errors.append(capsys.readouterr().err)
+        if rc == 2 or x == "yes":
+            for err, name in zip(errors, (field.name, field.stored)):
+                # a count is named by its index in the list
+                where = f"config error: {prefix}{name}"
+                assert err.startswith((f"{where}: ", f"{where}[0]: ")), (x, err)
+    del fields(saved)[field.stored]
+    assert _replay(tmp_path, saved, "missing") == 2
+    assert capsys.readouterr().err == (
+        f"config error: {prefix}{field.stored}: missing required field\n")
+
+
 def test_a_sweep_manifest_reads_the_same_without_libyaml(tmp_path, monkeypatch):
     config = ROOT / "tests" / "data" / "two_ris_asymmetric_rician.yaml"
     assert main(["sweep", "--config", str(config), "--trials", "5", "--out", str(tmp_path)]) == 0
 
     def read():
         saved = cli._load_yaml(str(tmp_path / "run_manifest.yaml"))
-        scn = cli.ScenarioSettings.from_dict(saved["scenario"])
+        scn = cli._scenario(saved["scenario"], "scenario", config=False)
         return scn.as_dict(), scn.link.beta_sq.tobytes(), cli._run_fields(saved, "")
 
     with_libyaml, without = _read_both_ways(monkeypatch, read)

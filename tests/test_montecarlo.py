@@ -334,7 +334,7 @@ def test_a_perfect_row_is_the_squared_sum_of_channel_magnitudes():
     # Rician user hop the magnitudes are taken from the channel itself: a
     # made-up link and the bundled Rician config's, off its centre
     config = TESTS / "data" / "two_ris_asymmetric_rician.yaml"
-    scn = cli._parse_scenario(cli.load_config(str(config)))
+    scn = cli._scenario(cli.load_config(str(config))["scenario"], "scenario", config=True)
     rician = scn.link_at(scn.geometry["user_y"] + 3.0)
     made_up = dataclasses.replace(_beta_direct([1.0, 0.25], [3, 5]), k_br=4.0, k_ru=1.0)
     for link in (made_up, rician):
@@ -355,7 +355,7 @@ def test_perfect_csi_wins_every_trial(config):
     # no configuration of the phases beats conjugate alignment to the true
     # channel, trial by trial; at the centre and off it, where the
     # surfaces differ in strength
-    scn = cli._parse_scenario(cli.load_config(str(config)))
+    scn = cli._scenario(cli.load_config(str(config))["scenario"], "scenario", config=True)
     for d in (0.0, 12.0):
         link = scn.link_at(scn.geometry["user_y"] + d)
         alloc = allocate_average(link)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from corridor import CORRIDOR, corridor_link
-from rispilot.cli import ScenarioSettings
+from rispilot.cli import _scenario
 from rispilot.scenario import (
     Link,
     cascaded_large_scale,
@@ -160,12 +160,14 @@ def test_link_rejects_invalid_fields(fields):
 
 
 def test_settings_links_carry_the_config():
-    powers = dict(p_avg=2e-3, q=10.0, sigma_z_sq=1e-14, sigma_n_sq=1e-12)
-    geometric = ScenarioSettings.build(
-        (8, 16), **powers,
-        geometry={"d0": 50.0, "user_y": 4.0, "k_br": 3.0, "k_ru": 0.5, **CORRIDOR},
+    powers = dict(p_avg_w=2e-3, q_w=10.0, sigma_z_sq_w=1e-14, sigma_n_sq_w=1e-12)
+    geometric = _scenario(
+        {"element_counts": [8, 16], **powers,
+         "geometry": {"d0": 50.0, "user_y": 4.0, "k_br": 3.0, "k_ru": 0.5, **CORRIDOR}},
+        "scenario", config=False,
     )
-    channel = ScenarioSettings.build((8, 16, 4), **powers, beta_sq=(1e-9, 4e-10, 1e-11))
+    channel = _scenario({"element_counts": [8, 16, 4], **powers, "beta_sq": [1e-9, 4e-10, 1e-11]},
+                        "scenario", config=False)
     links = [geometric.link_at(-6.0), geometric.link, channel.link]
     for link, counts, fading in zip(links, ([8, 16], [8, 16], [8, 16, 4]),
                                     ((3.0, 0.5), (3.0, 0.5), (math.inf, 0.0))):
