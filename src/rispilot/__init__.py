@@ -40,7 +40,6 @@ from .allocation import (
 )
 from .montecarlo import (
     TrialConfig,
-    MetricEstimate,
     GainRow,
     SweepRow,
     SweepResult,

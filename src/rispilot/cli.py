@@ -43,7 +43,8 @@ from .analysis import (
 )
 from .channel import PURPOSE_RIS_USER, normal_states, unit_normals
 from .estimation import PerRisPowers
-from .montecarlo import CSI_MODES, GainRow, TrialConfig, WorkerLostError, sweep_user, trial_gains
+from .montecarlo import (CSI_MODES, GainRow, TrialConfig, WorkerLostError, in_units, mean_se,
+                         sweep_user, trial_gains, unit_exponent)
 from .scenario import MAX_ELEMENTS, Link, cascaded_large_scale, dbm_to_watts, watts_to_dbm
 
 METRICS_CSV = "metrics.csv"
@@ -764,32 +765,6 @@ def _check(name, observed, expected, tol=0.0, margin=0.0, *, ok=None, detail="")
     }
 
 
-def _unit_exponent(x: float) -> int:
-    """The exponent e >= 0 of the units validate draws a magnitude x in:
-    x 2^-e is below one, and a magnitude below one keeps e = 0. Scaling by
-    a power of two keeps every bit of normal numbers."""
-    return max(0, math.frexp(x)[1])
-
-
-def _mean_se(x: np.ndarray, e: int, name: str) -> tuple[float, float]:
-    """Mean and standard error of the mean of samples x in units of 2^e,
-    scaled back to units of one; the error is unknown (inf) below two
-    samples. Both are computed on x 2^-f, whose largest magnitude is in
-    [1/2, 1), so the sums and squares of samples near the largest stay in
-    the float range. A mean or error beyond it in units of one is a
-    numerical failure of the check `name`.
-    """
-    f = math.frexp(max(float(np.max(x)), -float(np.min(x))))[1]
-    y = np.ldexp(x, -f)
-    mean = float(np.mean(y))
-    se = float(np.std(y, ddof=1) / math.sqrt(y.size)) if y.size > 1 else math.inf
-    try:
-        return math.ldexp(mean, e + f), math.ldexp(se, e + f)
-    except OverflowError:
-        raise ArithmeticError(f"{name}: the trials' mean {mean:.6g} or standard error "
-                              f"{se:.6g} times 2^{e + f} leaves the float range") from None
-
-
 def _validation_checks(link: Link, trials: int, seed: int, workers: int,
                        off_centre: Link | None) -> list[dict]:
     checks = []
@@ -820,27 +795,19 @@ def _validation_checks(link: Link, trials: int, seed: int, workers: int,
     d2 = link.sigma_z_sq / link.p_avg
     for k, z in enumerate(samples):
         b2 = float(link.beta_sq[k])
-        e = _unit_exponent(float(link.beta[k]))
+        e = unit_exponent(float(link.beta[k]))
         h = math.sqrt(math.ldexp(b2, -2 * e)) * z[:trials]
         est = h + math.sqrt(math.ldexp(d2, -2 * e)) * z[trials:]
         stat = (h * np.conj(est) / np.abs(est)).real
         expected = alignment_mean(b2, d2)
         name = f"alignment-mean[{k}]"
-        mean, se = _mean_se(stat, e, name)
+        mean, se = mean_se(stat, e, name)
         checks.append(_check(name, mean, expected, 0.02 * expected, 4.0 * se))
 
     # one run for the ergodic-gain check and the hierarchy checks below:
     # the estimated row over every trial, the other CSI modes over the
-    # first n_h, all on the same draws. The rows' link is in units of 2^e,
-    # e the unit exponent of sum_k M_k beta_k, so its gains are of the order
-    # of one: no single gain, nor a sum of them, overflows. A surface whose
-    # cascaded gain would fall below the smallest float is given that: its
-    # coefficients are then over 10^161 times smaller than the total, which
-    # a float sum cannot see.
-    e = _unit_exponent(m_beta)
-    scaled = dataclasses.replace(
-        link, beta_sq=np.maximum(np.ldexp(link.beta_sq, -2 * e), math.ulp(0.0)),
-        sigma_z_sq=math.ldexp(link.sigma_z_sq, -2 * e))
+    # first n_h, all on the same draws, of the link in its units
+    scaled, e = in_units(link)
     n_h = min(trials, _HIERARCHY_TRIALS)
     gains = dict(zip(
         ("estimated", "perfect", "random-phase"),
@@ -852,7 +819,7 @@ def _validation_checks(link: Link, trials: int, seed: int, workers: int,
     ))
 
     # closed-form ergodic gain against the simulated pipeline
-    mean, se = _mean_se(gains["estimated"], 2 * e, "ergodic-gain")
+    mean, se = mean_se(gains["estimated"], 2 * e, "ergodic-gain")
     closed = ergodic_gain_closed_form(link, uniform).total
     check = _check("ergodic-gain", mean, closed, 0.02 * closed, 4.0 * se)
     if not model_applies(link):
@@ -894,7 +861,7 @@ def _validation_checks(link: Link, trials: int, seed: int, workers: int,
         ("hierarchy-perfect-vs-estimated", "perfect", "estimated"),
         ("hierarchy-estimated-vs-random", "estimated", "random-phase"),
     ):
-        mean, se = _mean_se(gains[top][:n_h] - gains[bottom][:n_h], 2 * e, name)
+        mean, se = mean_se(gains[top][:n_h] - gains[bottom][:n_h], 2 * e, name)
         checks.append(_check(name, mean, 0.0, 3.0 * se, 3.0 * se, ok=mean >= -3.0 * se,
                              detail="paired mean difference"))
     return checks

@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -70,13 +70,15 @@ from .scenario import Link
 __all__ = [
     "CSI_MODES",
     "TrialConfig",
-    "MetricEstimate",
     "GainRow",
     "SweepRow",
     "SolverRow",
     "SweepResult",
     "WorkerLostError",
     "trial_gains",
+    "unit_exponent",
+    "in_units",
+    "mean_se",
     "sweep_user",
 ]
 
@@ -100,13 +102,6 @@ class TrialConfig:
 
 class WorkerLostError(RuntimeError):
     """A trial worker process stopped before returning its share of a run."""
-
-
-class MetricEstimate(NamedTuple):
-    mean_gain: float
-    se_gain: float
-    mean_rate: float
-    se_rate: float
 
 
 def _check_budget(alloc: PerRisPowers, link: Link):
@@ -313,18 +308,60 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _metrics(links: list[Link], gains: np.ndarray) -> list[MetricEstimate]:
-    """Means and standard errors of gain and rate, one per row of (rows, trials) gains."""
+def unit_exponent(x: float) -> int:
+    """The exponent e >= 0 of the units to draw a magnitude x in: x 2^-e is
+    below one, and a magnitude below one keeps e = 0. Scaling by a power of
+    two keeps every bit of normal numbers."""
+    return max(0, math.frexp(x)[1])
+
+
+def in_units(link: Link) -> tuple[Link, int]:
+    """link in units of 2^e, and e, the unit exponent of sum_k M_k beta_k:
+    its gains, 2^-2e times the link's, are of the order of one, so no gain
+    nor a sum of them overflows. A surface whose cascaded gain would fall
+    below the smallest float is given that: its coefficients are then over
+    10^161 times smaller than the total, which a float sum cannot see. At
+    e = 0 the link itself comes back, so its rows share one channel."""
+    e = unit_exponent(float(np.add.reduce(np.multiply(link.counts, link.beta))))
+    if e == 0:
+        return link, 0
+    return replace(
+        link, beta_sq=np.maximum(np.ldexp(link.beta_sq, -2 * e), math.ulp(0.0)),
+        sigma_z_sq=math.ldexp(link.sigma_z_sq, -2 * e)), e
+
+
+def mean_se(x: np.ndarray, e: int | np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error of the mean of each row of samples x in units
+    of 2^e (one e, or one per row), in units of one; the error is unknown
+    (inf) below two samples. A row is reduced as x 2^-f, its largest
+    magnitude then in [1/2, 1), so its sums and squares neither overflow
+    nor underflow. A mean or error beyond the float range in units of one
+    is a numerical failure of `name`."""
+    n = x.shape[-1]
+    f = np.frexp(np.maximum(np.max(x, axis=-1), -np.min(x, axis=-1)))[1]
+    y = np.ldexp(x, np.expand_dims(-f, -1))
+    mean = np.mean(y, axis=-1)
+    se = np.std(y, axis=-1, ddof=1) / math.sqrt(n) if n > 1 else np.full_like(mean, math.inf)
+    k = np.add(e, f)
+    with np.errstate(over="ignore"):
+        out = np.ldexp(mean, k), np.ldexp(se, k)
+    lost = (np.isinf(out[0]) > np.isinf(mean)) | (np.isinf(out[1]) > np.isinf(se))
+    if lost.any():
+        raise ArithmeticError(f"{name}: the trials' mean {mean[lost][0]:.6g} or standard error "
+                              f"{se[lost][0]:.6g} times 2^{k[lost][0]} leaves the float range")
+    return out
+
+
+def _metrics(links: list[Link], e: np.ndarray, gains: np.ndarray) -> list[list[float]]:
+    """Mean and standard error of gain and rate, one list per row of
+    (rows, trials) gains in units of 2^2e, e one exponent per row."""
     q = np.array([[link.q] for link in links])
     sigma_n_sq = np.array([[link.sigma_n_sq] for link in links])
-    rates = np.log2(1.0 + q * gains / sigma_n_sq)
-    n = gains.shape[-1]
-    columns = []
-    for x in (gains, rates):
-        # one sample leaves the standard error unknown
-        se = np.std(x, axis=-1, ddof=1) / math.sqrt(n) if n > 1 else np.full(len(x), math.inf)
-        columns += [np.mean(x, axis=-1), se]
-    return [MetricEstimate(*map(float, row)) for row in zip(*columns)]
+    e2 = 2 * e[:, None]
+    # log2(1 + q g 2^2e / sigma_n^2), which at e = 0 is computed as written
+    rates = e2 + np.log2(np.ldexp(1.0, -e2) + q * gains / sigma_n_sq)
+    columns = (*mean_se(gains, 2 * e, "mean_gain"), *mean_se(rates, 0, "mean_rate"))
+    return np.stack(columns, axis=-1).tolist()
 
 
 @dataclass(frozen=True)
@@ -383,10 +420,10 @@ def sweep_user(
     element counts. Allocator names are resolved to their canonical ids
     and run in canonical order. Every allocation is made first, with one
     solve_exact call for all links; then all rows run on one set of draws
-    (see trial_gains), and their metrics and closed forms are each
-    computed in one call. The result's solver entries hold the exact
-    solver's iterations and final multiplier spread per link, when
-    `exact` was run.
+    (see trial_gains), each on its link in its units (in_units), and their
+    metrics (mean_se) and closed forms are each computed in one call.
+    The result's solver entries hold the exact solver's iterations and
+    final multiplier spread per link, when `exact` was run.
     """
     links = list(links)
     d_list = [float(d) for d in d_values]
@@ -407,19 +444,16 @@ def sweep_user(
         powers[name] = [sol.row(i) for i in range(len(d_list))]
         solver = tuple(SolverRow(d, int(it), float(spread))
                        for d, it, spread in zip(d_list, sol.iterations, sol.spread))
-    rows = [(d, name, GainRow(link, powers[name][i]))
-            for i, (d, link) in enumerate(zip(d_list, links)) for name in names]
-    gain_rows = [row for _, _, row in rows]
-    gains = np.stack(trial_gains(gain_rows, cfg=cfg, workers=workers))
-    metrics = _metrics([r.link for r in gain_rows], gains)
-    closed = _closed_forms(gain_rows, cfg.csi_mode)
-    out = [
-        SweepRow(
-            d_m=d, allocator=name, mean_gain=m.mean_gain, se_gain=m.se_gain,
-            mean_rate=m.mean_rate, se_rate=m.se_rate, closed_form_gain=float(c),
-            powers_w=tuple(float(p) for p in row.powers.p_k),
-        )
-        for (d, name, row), m, c in zip(rows, metrics, closed)
-    ]
+    pairs = [(i, name) for i in range(len(links)) for name in names]
+    rows = [GainRow(links[i], powers[name][i]) for i, name in pairs]
+    # one scaled link per point, which its rows share
+    units = [in_units(link) for link in links]
+    gains = np.stack(trial_gains([GainRow(units[i][0], powers[name][i]) for i, name in pairs],
+                                 cfg=cfg, workers=workers))
+    e = np.array([units[i][1] for i, _ in pairs])
+    metrics = _metrics([row.link for row in rows], e, gains)
+    closed = _closed_forms(rows, cfg.csi_mode)
+    out = [SweepRow(d_list[i], name, *m, float(c), tuple(row.powers.p_k.tolist()))
+           for (i, name), row, m, c in zip(pairs, rows, metrics, closed)]
     return SweepResult(rows=tuple(out), solver=solver)
 

@@ -19,6 +19,7 @@ from rispilot.allocation import (
 from rispilot.analysis import ergodic_gain_closed_form, stationarity_residual
 from rispilot.cli import main
 from rispilot.estimation import PerRisPowers
+from rispilot.montecarlo import mean_se
 from rispilot.scenario import Link
 
 SYMMETRIC = """
@@ -1216,13 +1217,51 @@ def test_validate_on_a_mean_gain_beyond_the_float_range_is_a_numerical_failure(t
 def test_mean_se_scales_back_exactly_and_names_an_overflow():
     x = np.array([1.5, 1.0, 2.0])
     se = float(np.std(x, ddof=1) / math.sqrt(3))
-    assert cli._mean_se(x, 1000, "check") == (math.ldexp(1.5, 1000), math.ldexp(se, 1000))
-    assert cli._mean_se(x[:1], 7, "check") == (math.ldexp(1.5, 7), math.inf)
+    assert mean_se(x, 1000, "check") == (math.ldexp(1.5, 1000), math.ldexp(se, 1000))
+    assert mean_se(x[:1], 7, "check") == (math.ldexp(1.5, 7), math.inf)
     # samples far below one keep their error: their squares would underflow
-    assert cli._mean_se(np.ldexp(x, -1000), 0, "check") == (math.ldexp(1.5, -1000),
-                                                            math.ldexp(se, -1000))
+    assert mean_se(np.ldexp(x, -1000), 0, "check") == (math.ldexp(1.5, -1000),
+                                                       math.ldexp(se, -1000))
     with pytest.raises(ArithmeticError, match="^check: "):
-        cli._mean_se(x, 1024, "check")
+        mean_se(x, 1024, "check")
+
+
+def _symmetric_at(tmp_path, c0_db) -> str:
+    """The bundled symmetric config with its path loss at 1 m set to c0_db."""
+    text = (ROOT / "configs" / "two_ris_symmetric.yaml").read_text(encoding="utf-8")
+    path = tmp_path / f"c0-{c0_db}.yaml"
+    path.write_text(text.replace('c0: "-20 dB"', f'c0: "{c0_db} dB"'), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sweep_near_the_float_maximum_keeps_finite_statistics(tmp_path, capsys):
+    # closed-form gains of 6e306 to 1e307: the trials' gains sum past the
+    # float maximum, so the sweep takes its statistics in units of 2^e
+    out = tmp_path / "x"
+    assert main(["sweep", "--config", _symmetric_at(tmp_path, 1552), "--trials", "200",
+                 "--allocators", "uniform", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    with open(out / "metrics.csv", newline="", encoding="utf-8") as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == 9
+    for row in rows:
+        values = {k: float(v) for k, v in row.items() if k != "allocator"}
+        assert all(math.isfinite(v) for v in values.values()), row
+        assert abs(values["mean_gain"] - values["closed_form_gain"]) <= 4.0 * values["se_gain"]
+
+
+def test_sweep_on_a_mean_gain_beyond_the_float_range_is_a_numerical_failure(tmp_path, capsys):
+    # at 1560 dB the trials' mean gain itself passes the float maximum:
+    # one line, no numpy warning, no metrics
+    with warnings.catch_warnings(record=True) as shown:
+        warnings.simplefilter("always", RuntimeWarning)
+        assert main(["sweep", "--config", _symmetric_at(tmp_path, 1560), "--trials", "200",
+                     "--allocators", "uniform", "--out", str(tmp_path / "x")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: mean_gain: ") and err.count("\n") == 1
+    assert [str(w.message) for w in shown] == []
+    assert not (tmp_path / "x" / "metrics.csv").exists()
 
 
 def test_validate_on_tiny_gains_keeps_its_noise_margins(tmp_path, capsys):

@@ -5,6 +5,7 @@ import math
 import os
 import pathlib
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -24,9 +25,10 @@ from rispilot.channel import (
 )
 from rispilot.montecarlo import (
     GainRow,
-    MetricEstimate,
     SweepRow,
     TrialConfig,
+    in_units,
+    mean_se,
     sweep_user,
     trial_gains,
 )
@@ -54,11 +56,18 @@ def _se(x):
     return float(np.std(x, ddof=1) / math.sqrt(x.size))
 
 
+class _Metrics(NamedTuple):
+    mean_gain: float
+    se_gain: float
+    mean_rate: float
+    se_rate: float
+
+
 def _simulate(link, alloc, cfg):
     """Means and standard errors of one row's gain and rate, as a sweep row reports them."""
     gains = _gains(link, alloc, cfg)
     rates = np.log2(1.0 + link.q * gains / link.sigma_n_sq)
-    return MetricEstimate(float(np.mean(gains)), _se(gains), float(np.mean(rates)), _se(rates))
+    return _Metrics(float(np.mean(gains)), _se(gains), float(np.mean(rates)), _se(rates))
 
 
 def _select(result, allocator=None, d_m=None):
@@ -545,6 +554,38 @@ def test_sweep_metrics_equal_the_per_row_reference(csi_mode):
         alone = run_allocator("exact", _layout(d)).p_k
         assert _select(result, allocator="exact", d_m=d)[0].powers_w == tuple(alone)
         assert solved.d_m == d and solved.iterations >= 0 and solved.multiplier_spread < 1e-9
+
+
+def test_a_link_below_one_is_its_own_units():
+    link = _layout(0.0)
+    assert in_units(link) == (link, 0)
+
+
+def test_sweep_rates_in_units_are_the_rates_of_the_gains_in_units_of_one():
+    # at 1552 dB every trial's rate is log2(1 + q g / sigma_n^2) of a gain
+    # g = g' 2^2e near or beyond the float maximum, g' the gain drawn in units
+    link = corridor_link(50.0, -16.0, 32, 32, 14.0, c0_db=1552.0)
+    scaled, e = in_units(link)
+    assert e > 0
+    cfg = TrialConfig(trials=200, seed=7)
+    row, = sweep_user([link], [-16.0], ["uniform"], cfg).rows
+    g = trial_gains([GainRow(scaled, PerRisPowers(p_k=np.array(row.powers_w)))], cfg)[0]
+    log2_g = 2 * e + np.log2(g)
+    rates = np.logaddexp2(0.0, math.log2(link.q / link.sigma_n_sq) + log2_g)
+    assert math.isfinite(row.mean_gain)
+    assert row.mean_rate == pytest.approx(float(np.mean(rates)), rel=1e-12, abs=0.0)
+
+
+def test_mean_se_gives_each_row_of_a_batch_the_bits_it_gets_alone():
+    rng = np.random.default_rng(3)
+    x = (rng.standard_normal((3, 1000)) + 1.0) * np.array([[1e-300], [1.0], [1e300]])
+    e = np.array([0, 5, 0])
+    mean, se = mean_se(x, e, "batch")
+    for i in range(3):
+        assert (mean[i], se[i]) == mean_se(x[i], int(e[i]), "row")
+    # rows in the float range keep np.mean's and np.std's bits, scaled by 2^e
+    assert mean[1] == math.ldexp(np.mean(x[1]), 5)
+    assert se[1] == math.ldexp(np.std(x[1], ddof=1) / math.sqrt(1000), 5)
 
 
 def test_sweep_symmetric_point_equates_exact_and_uniform():
