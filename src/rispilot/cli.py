@@ -28,7 +28,6 @@ from .allocation import (
     ALLOCATOR_IDS,
     NonConvergenceError,
     UniformFallbackWarning,
-    allocate_average,
     multiplier_spread,
     resolve_allocator,
     run_allocator,
@@ -52,7 +51,6 @@ POWERS_CSV = "powers.csv"
 MANIFEST_FILE = "run_manifest.yaml"
 REPORT_FILE = "validation_report.yaml"
 
-_PowerRow = namedtuple("_PowerRow", ["d_m", "allocator", "powers_w"])
 # rispilot's own warnings: main prints each distinct message once, and
 # manifests list them
 _OWN_WARNINGS = (ModelAssumptionWarning, UniformFallbackWarning)
@@ -565,11 +563,11 @@ def _write_metrics_csv(path: str, rows):
 
 
 def _write_powers_csv(path: str, rows):
+    """rows holds (d_m, allocator, powers) tuples, powers in watts."""
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write("d_m,allocator,ris_index,pilot_power_w,pilot_power_dbm\n")
-        for r in rows:
-            p_k = list(r.powers_w)
-            row = "%.17g,%s," % (r.d_m, r.allocator) + "%d,%.17g,%.17g\n"
+        for d_m, allocator, p_k in rows:
+            row = "%.17g,%s," % (d_m, allocator) + "%d,%.17g,%.17g\n"
             f.write(row * len(p_k) % _interleave(range(len(p_k)), p_k, list(map(watts_to_dbm, p_k))))
 
 
@@ -741,7 +739,7 @@ def cmd_allocate(args, flags: dict) -> int:
     if args.out is not None:
         os.makedirs(args.out, exist_ok=True)
         _write_powers_csv(os.path.join(args.out, POWERS_CSV),
-                          [_PowerRow(0.0, name, powers.p_k.tolist()) for name, powers, _, _ in rows])
+                          [(0.0, name, powers.p_k.tolist()) for name, powers, _, _ in rows])
         manifest = _manifest("allocate", scn, {"allocators": names}, args.caught)
         _write_yaml(os.path.join(args.out, MANIFEST_FILE), manifest)
         print(f"wrote {os.path.join(args.out, POWERS_CSV)}")
@@ -846,15 +844,16 @@ def _validation_checks(link: Link, trials: int, seed: int, workers: int,
             _check(f"budget[{name}]", spent, budget, ok=abs(spent - budget) <= 1e-9 * budget)
         )
 
-    # the numeric solution equalizes the budget multiplier
+    # the numeric solution equalizes the budget multiplier: the spread that
+    # certified its row
     if link.sigma_z_sq > 0.0:
-        spread = _spread(link, exact.row(0))
+        spread = float(exact.spread[0])
         checks.append(_check("solver-stationarity", spread, 0.0, ok=spread < 1e-6))
 
     # where the surfaces differ in strength uniform power is not stationary,
     # so this check fails if the solver stops at its starting point
     if off_centre is not None and off_centre.sigma_z_sq > 0.0:
-        checks.append(_off_centre_check(off_centre, exact))
+        checks.append(_off_centre_check(off_centre, exact, uniform))
 
     # more channel knowledge can only help, trial by trial
     for name, top, bottom in (
@@ -867,21 +866,19 @@ def _validation_checks(link: Link, trials: int, seed: int, workers: int,
     return checks
 
 
-def _spread(link: Link, powers: PerRisPowers) -> float:
-    """The multiplier spread of pilot powers on link."""
+def _off_centre_check(link: Link, exact, uniform: PerRisPowers) -> dict:
+    """The stationarity of `exact` at the off-centre position, row 1 of exact,
+    beside that of uniform power: the configured link's uniform allocation,
+    as link has the same counts and average power."""
+    name = "solver-stationarity[off-centre]"
     # at extreme powers the residual's rate term overflows to inf, harmlessly
     with np.errstate(over="ignore"):
-        return multiplier_spread(stationarity_residual(link, powers))
-
-
-def _off_centre_check(link: Link, exact) -> dict:
-    """The stationarity of `exact` at the off-centre position, row 1 of exact."""
-    name = "solver-stationarity[off-centre]"
-    detail = f"uniform spread {_spread(link, allocate_average(link)):.3g}"
+        detail = f"uniform spread {multiplier_spread(stationarity_residual(link, uniform)):.3g}"
     try:
-        spread = _spread(link, exact.row(1))
+        exact.row(1)
     except NonConvergenceError as exc:
         return _check(name, math.nan, 0.0, ok=False, detail=f"{exc}; {detail}")
+    spread = float(exact.spread[1])
     return _check(name, spread, 0.0, ok=spread < 1e-6, detail=detail)
 
 
@@ -940,13 +937,16 @@ def _sweep_from(scn: ScenarioSettings, run: dict, args) -> int:
     metrics_path = os.path.join(out_dir, METRICS_CSV)
     powers_path = os.path.join(out_dir, POWERS_CSV)
     _write_metrics_csv(metrics_path, result.rows)
-    _write_powers_csv(powers_path, result.rows)
+    _write_powers_csv(powers_path, [(r.d_m, r.allocator, r.powers_w) for r in result.rows])
     manifest = _manifest(
         "sweep", scn, run, args.caught, duration_s=duration,
         trial_rows=trials * len(result.rows),
     )
     # the exact solver's iterations and final multiplier spread per position
-    manifest["solver"] = [row._asdict() for row in result.solver]
+    solver = result.solver
+    manifest["solver"] = [] if solver is None else [
+        {"d_m": float(d), "iterations": int(it), "multiplier_spread": float(spread)}
+        for d, it, spread in zip(run["d_range"], solver.iterations, solver.spread)]
     _write_yaml(os.path.join(out_dir, MANIFEST_FILE), manifest)
     print(
         f"wrote {metrics_path} ({len(result.rows)} rows), {powers_path}, "

@@ -58,7 +58,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .allocation import resolve_allocator, run_allocator
+from .allocation import ExactSolution, resolve_allocator, run_allocator
 from .analysis import ergodic_gain_rows, model_applies
 from .channel import (BLOCK_TRIALS, PURPOSE_BS_RIS, PURPOSE_PHASE, PURPOSE_PILOT_NOISE,
                       PURPOSE_RIS_USER, block_states, link_scales, normal_states,
@@ -72,7 +72,6 @@ __all__ = [
     "TrialConfig",
     "GainRow",
     "SweepRow",
-    "SolverRow",
     "SweepResult",
     "WorkerLostError",
     "trial_gains",
@@ -376,18 +375,13 @@ class SweepRow:
     powers_w: tuple[float, ...]
 
 
-class SolverRow(NamedTuple):
-    """The exact solver's work at one sweep point, d_m its axis value."""
-
-    d_m: float
-    iterations: int
-    multiplier_spread: float
-
-
 @dataclass(frozen=True)
 class SweepResult:
+    """A sweep's rows, and the exact solver's answer for its links, row i
+    being point i, or None when `exact` was not run."""
+
     rows: tuple[SweepRow, ...]
-    solver: tuple[SolverRow, ...] = ()
+    solver: ExactSolution | None = None
 
 
 def _closed_forms(rows: list[GainRow], csi_mode: str) -> np.ndarray:
@@ -422,8 +416,7 @@ def sweep_user(
     solve_exact call for all links; then all rows run on one set of draws
     (see trial_gains), each on its link in its units (in_units), and their
     metrics (mean_se) and closed forms are each computed in one call.
-    The result's solver entries hold the exact solver's iterations and
-    final multiplier spread per link, when `exact` was run.
+    The result's solver is that call's ExactSolution, when `exact` was run.
     """
     links = list(links)
     d_list = [float(d) for d in d_values]
@@ -434,16 +427,14 @@ def sweep_user(
     names = sorted({resolve_allocator(a) for a in allocators})
     if not names:
         raise ValueError("allocators must not be empty")
-    solver = ()
+    solver = None
     powers = {}
     for name in names:
         if name != "exact":
             powers[name] = [run_allocator(name, link) for link in links]
             continue
-        sol = run_allocator("exact", links[0], links[1:])
-        powers[name] = [sol.row(i) for i in range(len(d_list))]
-        solver = tuple(SolverRow(d, int(it), float(spread))
-                       for d, it, spread in zip(d_list, sol.iterations, sol.spread))
+        solver = run_allocator("exact", links[0], links[1:])
+        powers[name] = [solver.row(i) for i in range(len(d_list))]
     pairs = [(i, name) for i in range(len(links)) for name in names]
     rows = [GainRow(links[i], powers[name][i]) for i, name in pairs]
     # one scaled link per point, which its rows share

@@ -257,6 +257,46 @@ def test_no_feasible_allocation_beats_exact(k, data):
             assert phi_of(rival) <= phi_exact + 1e-12 * abs(phi_exact)
 
 
+def _spread_bits_differ(sol, beta_sq, counts, p_avg, sigma_z_sq) -> int:
+    """How many certified rows of sol record a spread other than the bits
+    multiplier_spread(stationarity_residual(...)) gives their powers."""
+    differ = 0
+    for i in np.flatnonzero(sol.certified):
+        link = _link(beta_sq[i], counts[i], p_avg, sigma_z_sq)
+        # at extreme powers the residual's rate term overflows to inf, harmlessly
+        with np.errstate(over="ignore"):
+            spread = multiplier_spread(stationarity_residual(link, sol.row(i)))
+        differ += np.float64(spread).tobytes() != sol.spread[i].tobytes()
+    return differ
+
+
+@given(st.sampled_from([2, 8, 64]), st.integers(min_value=1, max_value=4), st.data())
+@settings(max_examples=40, deadline=None)
+def test_the_solver_records_the_spread_of_its_powers(k, n, data):
+    # validate reports ExactSolution.spread as the solution's stationarity:
+    # the benchmark's heterogeneous problems, solved as one batch
+    exponents = data.draw(st.lists(st.lists(st.floats(-12.0, -8.0), min_size=k, max_size=k),
+                                   min_size=n, max_size=n))
+    counts = data.draw(st.lists(st.lists(st.integers(8, 256), min_size=k, max_size=k),
+                                min_size=n, max_size=n))
+    beta_sq, counts = 10.0 ** np.array(exponents), np.array(counts)
+    sol = solve_exact(beta_sq, counts, _HETERO_PAVG, _HETERO_NOISE)
+    assert np.all(sol.certified)
+    assert _spread_bits_differ(sol, beta_sq, counts, _HETERO_PAVG, _HETERO_NOISE) == 0
+
+
+def test_the_solver_records_the_spread_of_its_powers_over_eighty_decades():
+    gen = np.random.Generator(np.random.Philox(key=33))
+    certified = 0
+    for k in (1, 2, 8, 64):
+        beta_sq = 10.0 ** gen.uniform(-40.0, 40.0, (100, k))
+        counts = gen.integers(1, 257, (100, k))
+        sol = solve_exact(beta_sq, counts, _HETERO_PAVG, _HETERO_NOISE)
+        assert _spread_bits_differ(sol, beta_sq, counts, _HETERO_PAVG, _HETERO_NOISE) == 0
+        certified += int(np.count_nonzero(sol.certified))
+    assert certified > 300
+
+
 def test_exact_solver_certifies_a_lopsided_single_element_pair():
     # one element each, 29 dB apart: phi = 2 g_1 g_2 sits 220 times below
     # G^2, so its rounding exceeds 1e-14 |phi| and the last Newton step

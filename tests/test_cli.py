@@ -1534,7 +1534,7 @@ def test_the_csv_writers_write_each_value_as_17_digits(tmp_path):
     # -0.0 is no power, but it is a user offset
     rows[3] = SweepRow(-0.0, "uniform", *values[:5], powers_w=(5e-324, 1.7976931348623157e308))
     cli._write_metrics_csv(tmp_path / "metrics.csv", rows)
-    cli._write_powers_csv(tmp_path / "powers.csv", rows)
+    cli._write_powers_csv(tmp_path / "powers.csv", [(r.d_m, r.allocator, r.powers_w) for r in rows])
     metrics = "".join(
         _per_value(r.d_m, r.allocator, r.mean_gain, r.se_gain, r.mean_rate, r.se_rate,
                    r.closed_form_gain) for r in rows)

@@ -549,11 +549,14 @@ def test_sweep_metrics_equal_the_per_row_reference(csi_mode):
     for r, row, g in zip(result.rows, rows, gains):
         expected = _per_row_reference(row.link, row.powers, g, csi_mode)
         assert (r.mean_gain, r.se_gain, r.mean_rate, r.se_rate, r.closed_form_gain) == expected
-    # the exact rows are the per-position solves, with their solver record
-    for d, solved in zip(d_values, result.solver):
+    # the exact rows are the per-position solves, with their solver record,
+    # row i being point i
+    solver = result.solver
+    assert solver.powers.shape == (len(d_values), 2)
+    for i, d in enumerate(d_values):
         alone = run_allocator("exact", _layout(d)).p_k
         assert _select(result, allocator="exact", d_m=d)[0].powers_w == tuple(alone)
-        assert solved.d_m == d and solved.iterations >= 0 and solved.multiplier_spread < 1e-9
+        assert solver.iterations[i] >= 0 and solver.spread[i] < 1e-9 and solver.certified[i]
 
 
 def test_a_link_below_one_is_its_own_units():
@@ -646,7 +649,8 @@ def test_sweep_positions_must_share_the_budget():
     for i, (d, link) in enumerate(zip(d_values, links)):
         alone = sweep_user([link], [d], allocators, cfg)
         assert result.rows[2 * i:2 * i + 2] == alone.rows
-        assert result.solver[i] == alone.solver[0]
+        for field in ("iterations", "spread", "certified"):
+            assert getattr(result.solver, field)[i] == getattr(alone.solver, field)[0]
     # rows of other element counts cannot share the draws
     with pytest.raises(ValueError, match="same element counts"):
         sweep_user([links[0], corridor_link(50.0, 1.0, 8, 16)], [0.0, 1.0], allocators, cfg)
