@@ -47,12 +47,7 @@ class UniformFallbackWarning(UserWarning):
 
 
 class NonConvergenceError(RuntimeError):
-    """The numeric solver stopped without a certified stationary point."""
-
-    def __init__(self, message: str, best_powers: np.ndarray, residuals: np.ndarray):
-        super().__init__(message)
-        self.best_powers = best_powers
-        self.residuals = residuals
+    """The numeric solver stopped uncertified; the message says where."""
 
 
 def allocate_average(link: Link) -> PerRisPowers:
@@ -185,27 +180,23 @@ _TRIES = 60
 class ExactSolution(NamedTuple):
     """solve_exact's answer, one row per problem.
 
-    powers is the certified answer where certified is set, else the best
-    iterate found (highest phi); residuals and spread are those of powers.
-    iterations counts the steps each row took.
+    powers is the point where each row stopped, certified where certified
+    is set; spread is that point's multiplier spread, iterations its step
+    count. A tuple of arrays, it does not compare with ==: compare fields.
     """
 
     powers: np.ndarray
-    residuals: np.ndarray
     spread: np.ndarray
     iterations: np.ndarray
     certified: np.ndarray
 
     def row(self, i: int) -> PerRisPowers:
         """Row i's certified powers as the allocation type every caller
-        takes; NonConvergenceError, carrying the best iterate, if the row
-        has none."""
+        takes; NonConvergenceError if the row has none."""
         if not self.certified[i]:
             raise NonConvergenceError(
                 f"no convergence after {self.iterations[i]} iterations (cap {_MAX_ITER}): "
-                f"multiplier spread {self.spread[i]:.3e} vs {_CERTIFIED_SPREAD:.1e}",
-                best_powers=self.powers[i].copy(),
-                residuals=self.residuals[i].copy(),
+                f"multiplier spread {self.spread[i]:.3e} vs {_CERTIFIED_SPREAD:.1e}"
             )
         return PerRisPowers(p_k=self.powers[i])
 
@@ -234,7 +225,7 @@ def solve_exact(beta_sq, counts, p_avg, sigma_z_sq) -> ExactSolution:
     steps; it is certified if its final spread is below 1e-9.
 
     Every row stays in the batch for the whole solve. A finished row is
-    frozen in place with its point and its best iterate. Backtracking
+    frozen in place with the point where it stopped. Backtracking
     halves each short row's own step length t and evaluates the whole
     batch again, where a row already passing, or finished, recomputes its
     own bits. Rows never mix: a row's answer is the same bits alone or in
@@ -255,7 +246,6 @@ def solve_exact(beta_sq, counts, p_avg, sigma_z_sq) -> ExactSolution:
         flat = ~_any(cur.residual != 0.0, axis=-1)
         if np.count_nonzero(flat):
             p[flat] = _filled(p_avg, (n, k))[flat]
-        best_p, best_phi = p, cur.phi
         done = np.zeros(n, dtype=bool)
         iterations = np.zeros(n, dtype=np.int64)
         for _ in range(_MAX_ITER):
@@ -313,22 +303,8 @@ def solve_exact(beta_sq, counts, p_avg, sigma_z_sq) -> ExactSolution:
             else:
                 p, cur = cand, trial
             done = stopped
-            better = cur.phi > best_phi
-            if np.count_nonzero(better) == n:
-                best_p, best_phi = p, cur.phi
-            elif np.count_nonzero(better):
-                best_p = np.where(better[:, None], p, best_p)
-                best_phi = np.where(better, cur.phi, best_phi)
-
-        r = cur.residual
-        spread = multiplier_spread(r)
-        certified = spread < _CERTIFIED_SPREAD
-        lost = ~certified
-        if np.count_nonzero(lost):
-            p[lost] = best_p[lost]
-            r[lost] = surface_objective(b2[lost], m[lost], p[lost], sigma[lost]).residual
-            spread[lost] = multiplier_spread(r[lost])
-    return ExactSolution(p, r, spread, iterations, certified)
+        spread = multiplier_spread(cur.residual)
+    return ExactSolution(p, spread, iterations, spread < _CERTIFIED_SPREAD)
 
 
 # CLI vocabulary for the allocators, with spelled-out aliases
@@ -356,7 +332,7 @@ def run_allocator(name: str, link: Link, others=None):
     """Pilot powers from one allocator for link.
 
     `exact` alone returns link's certified powers, or raises
-    NonConvergenceError carrying the best iterate and its residuals.
+    NonConvergenceError naming where the solve stopped.
     For `exact`, a list of other links with as many surfaces may follow,
     such as the other user positions of one layout or the other budgets
     of a pilot-power sweep. link and the others are solved in one call,

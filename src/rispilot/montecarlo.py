@@ -375,7 +375,7 @@ class SweepRow:
     powers_w: tuple[float, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
     """A sweep's rows, and the exact solver's answer for its links, row i
     being point i, or None when `exact` was not run."""

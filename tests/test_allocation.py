@@ -20,8 +20,9 @@ from rispilot.allocation import (
     run_allocator,
     solve_exact,
 )
-from rispilot.analysis import objective_phi, stationarity_residual
+from rispilot.analysis import _stationarity, objective_phi, stationarity_residual
 from rispilot.scenario import Link, dbm_to_watts
+from solver_corpus import SEEDS, batches
 
 
 def _link(beta_sq, counts, p_avg=1.0, sigma_z_sq=1.0):
@@ -178,25 +179,16 @@ def test_exact_solver_stays_near_moderate_snr_form_at_high_snr():
     assert np.max(np.abs(exact - closed) / closed) < 0.05
 
 
-def test_exact_solver_nonconvergence_carries_best_iterate(monkeypatch):
-    monkeypatch.setattr(allocation, "_MAX_ITER", 1)
-    with pytest.raises(NonConvergenceError) as exc:
-        run_allocator("exact", _SOLVER_LINK)
-    err = exc.value
-    assert err.best_powers.shape == (2,)
-    assert err.residuals.shape == (2,)
-    assert np.all(err.best_powers > 0.0)
-
-
 def test_exact_solver_failure_message_reports_what_ran(monkeypatch):
     monkeypatch.setattr(allocation, "_MAX_ITER", 1)
     with pytest.raises(NonConvergenceError) as exc:
         run_allocator("exact", _SOLVER_LINK)
     message = str(exc.value)
     assert message.startswith("no convergence after 1 iterations (cap 1): multiplier spread ")
-    spread = float(message.split("multiplier spread ")[1].split()[0])
-    assert spread == pytest.approx(multiplier_spread(exc.value.residuals), rel=1e-3)
-    assert spread > 1e-9
+    spread = message.split("multiplier spread ")[1].split()[0]
+    # the spread of the point where the row stopped
+    assert spread == f"{run_allocator('exact', _SOLVER_LINK, []).spread[0]:.3e}"
+    assert float(spread) > 1e-9
 
 
 # the benchmark's heterogeneous problems: 14 dBm average pilot power
@@ -295,6 +287,21 @@ def test_the_solver_records_the_spread_of_its_powers_over_eighty_decades():
         assert _spread_bits_differ(sol, beta_sq, counts, _HETERO_PAVG, _HETERO_NOISE) == 0
         certified += int(np.count_nonzero(sol.certified))
     assert certified > 300
+
+
+def test_the_solver_corpus_certifies_normal_rows_and_records_where_each_row_stopped():
+    # uncertified rows too: each row's record is the point where it stopped
+    for seed in SEEDS:
+        for batch in batches(seed, 500):
+            sol = solve_exact(*batch[:4])
+            assert batch.extreme or np.all(sol.certified)
+            for i, p in enumerate(sol.powers):
+                with np.errstate(all="ignore"):
+                    r = _stationarity(batch.beta_sq[i], batch.counts[i].astype(np.float64), p,
+                                      batch.sigma_z_sq[i])[-1]
+                spread = multiplier_spread(r) if np.all(np.isfinite(p)) else math.nan
+                assert (np.float64(spread).tobytes() == sol.spread[i].tobytes()
+                        or math.isnan(spread) and math.isnan(sol.spread[i])), (seed, batch, i)
 
 
 def test_exact_solver_certifies_a_lopsided_single_element_pair():

@@ -961,6 +961,18 @@ def test_an_optimal_power_below_the_float_range_is_a_numerical_failure(tmp_path,
         assert captured.out == ""
 
 
+def test_a_gain_ratio_below_the_float_range_stops_at_the_step_cap(tmp_path, capsys):
+    # beta^2 1e-320 beside 1e300: the strength ratio 1e-620 rounds to 0 and
+    # surface 1's pilot SNR is inf; `exact` runs to its cap, where eq27 answers
+    text = (EXPONENT.replace('"1e-30 W"', '"14 dBm"').replace("BETA0", "1.0e-320")
+            .replace("2.5e-11", "1.0e300"))
+    assert main(["allocate", "--config", _cfg(tmp_path, text), "--allocators", "exact"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("numerical failure: no convergence after 100 iterations (cap 100): "
+                            "multiplier spread 1.000e+00 vs 1.0e-09\n")
+
+
 EXTREME = """
 scenario:
   element_counts: [8, 8]

@@ -654,3 +654,12 @@ def test_sweep_positions_must_share_the_budget():
     # rows of other element counts cannot share the draws
     with pytest.raises(ValueError, match="same element counts"):
         sweep_user([links[0], corridor_link(50.0, 1.0, 8, 16)], [0.0, 1.0], allocators, cfg)
+
+
+def test_sweep_results_that_ran_exact_compare_without_raising():
+    # the solver's record is a tuple of arrays, which == cannot reduce to one bool
+    link, cfg = corridor_link(50.0, 1.0, 8, 8), TrialConfig(trials=16, seed=2)
+    result = sweep_user([link], [1.0], ["exact"], cfg)
+    rerun = sweep_user([link], [1.0], ["exact"], cfg)
+    assert (result == rerun) is False
+    assert (result == result) is True
