@@ -218,9 +218,9 @@ def solve_exact(beta_sq, counts, p_avg, sigma_z_sq) -> ExactSolution:
     flat to rounding and cannot guide it; Newton on phi itself in u would
     stall there, as phi grows like sqrt(p) = exp(u / 2), convex in u. A
     step that does not ascend phi is replaced by the step from the
-    Jacobian's diagonal alone, and that one by the projected gradient. A
-    candidate p exp(t d) is shifted back onto the budget (a uniform shift
-    of u) and backtracked on phi. A row stops when its multiplier spread
+    Jacobian's diagonal alone, the only fallback. Every candidate
+    p exp(t d) is shifted back onto the budget (a uniform shift of u) and
+    backtracked on phi. A row stops when its multiplier spread
     falls below _TOL, when a step no longer moves it, or after _MAX_ITER
     steps; it is certified if its final spread is below 1e-9.
 
@@ -271,10 +271,6 @@ def solve_exact(beta_sq, counts, p_avg, sigma_z_sq) -> ExactSolution:
                 # far from the optimum the rank-one coupling can point the
                 # step downhill; the diagonal alone often still ascends
                 step = np.where(ok[:, None], step, _newton_step(mp, z, diag))
-                ok = _ascends(step, grad) | done
-                if np.count_nonzero(ok) < n:
-                    scaled = grad * (0.5 / _max(np.abs(grad), axis=-1, keepdims=True))
-                    step = np.where(ok[:, None], step, scaled)
 
             # phi is flat to rounding near the optimum: tolerate a loss at that
             # level, which is set by G^2, the larger of the two terms phi = G^2 -

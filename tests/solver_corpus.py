@@ -8,7 +8,9 @@ extreme: beta^2 = 10^U(-40, 40), and on every third batch also
 sigma_z^2 = 10^U(-30, 30) W. A batch's draws depend only on its seed and
 index, so a prefix of the corpus is the corpus at a smaller count.
 
-Run as a script, it solves the corpus and prints its counts:
+Run as a script, it solves the corpus, prints its counts (rows, certified,
+uncertified, and the uncertified rows that ran to the step cap) and exits
+1 if a normal-range row is uncertified:
 
     PYTHONPATH=src python tests/solver_corpus.py [batches per seed]
 """
@@ -18,6 +20,8 @@ import sys
 from typing import Iterator, NamedTuple
 
 import numpy as np
+
+from rispilot.allocation import _MAX_ITER, ExactSolution, solve_exact
 
 SEEDS = (7, 99)
 KS = (1, 2, 8, 64)
@@ -50,19 +54,27 @@ def batches(seed: int, count: int) -> Iterator[Batch]:
         )
 
 
-def _summary(count: int) -> str:
-    from rispilot.allocation import solve_exact
-
-    rows = certified = normal_lost = 0
+def solved(count: int) -> Iterator[tuple[Batch, ExactSolution]]:
+    """Each of the first count batches of every seed, with solve_exact's answer."""
     for seed in SEEDS:
         for batch in batches(seed, count):
-            sol = solve_exact(*batch[:4])
-            rows += sol.certified.size
-            certified += int(np.count_nonzero(sol.certified))
-            normal_lost += 0 if batch.extreme else int(np.count_nonzero(~sol.certified))
+            yield batch, solve_exact(*batch[:4])
+
+
+def _summary(count: int) -> tuple[str, int]:
+    """The corpus counts, and how many normal-range rows are uncertified."""
+    rows = certified = normal_lost = at_cap = 0
+    for batch, sol in solved(count):
+        rows += sol.certified.size
+        certified += int(np.count_nonzero(sol.certified))
+        normal_lost += 0 if batch.extreme else int(np.count_nonzero(~sol.certified))
+        at_cap += int(np.count_nonzero(~sol.certified & (sol.iterations == _MAX_ITER)))
     return (f"{count} batches per seed: {rows} rows, {certified} certified, "
-            f"{rows - certified} uncertified ({normal_lost} of them normal-range)")
+            f"{rows - certified} uncertified ({normal_lost} of them normal-range, "
+            f"{at_cap} stopped at the {_MAX_ITER}-step cap)"), normal_lost
 
 
 if __name__ == "__main__":
-    print(_summary(int(sys.argv[1]) if len(sys.argv) > 1 else 500))
+    line, normal_lost = _summary(int(sys.argv[1]) if len(sys.argv) > 1 else 500)
+    print(line)
+    sys.exit(1 if normal_lost else 0)

@@ -961,16 +961,37 @@ def test_an_optimal_power_below_the_float_range_is_a_numerical_failure(tmp_path,
         assert captured.out == ""
 
 
-def test_a_gain_ratio_below_the_float_range_stops_at_the_step_cap(tmp_path, capsys):
+def test_a_gain_ratio_below_the_float_range_stops_uncertified(tmp_path, capsys):
     # beta^2 1e-320 beside 1e300: the strength ratio 1e-620 rounds to 0 and
-    # surface 1's pilot SNR is inf; `exact` runs to its cap, where eq27 answers
+    # surface 1's pilot SNR is inf; `exact` stops uncertified after two steps,
+    # when its step no longer moves the powers, where eq27 answers
     text = (EXPONENT.replace('"1e-30 W"', '"14 dBm"').replace("BETA0", "1.0e-320")
             .replace("2.5e-11", "1.0e300"))
     assert main(["allocate", "--config", _cfg(tmp_path, text), "--allocators", "exact"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("numerical failure: no convergence after 100 iterations (cap 100): "
+    assert captured.err == ("numerical failure: no convergence after 2 iterations (cap 100): "
                             "multiplier spread 1.000e+00 vs 1.0e-09\n")
+
+
+def test_a_surface_77_decades_below_the_other_certifies(tmp_path, capsys):
+    # corpus seed 3, batch 2277, row 1 (tests/solver_corpus.py): `exact`
+    # must certify it, not stop at its step cap
+    text = """
+    scenario:
+      element_counts: [174, 123]
+      p_avg: "0.0071884520387084485 W"
+      q: "40 dBm"
+      sigma_z: "1.3001896342401752e26 W"
+      sigma_n: "-90 dBm"
+      channel:
+        beta_sq: [4.4470265995206395e6, 1.3810326779463568e-32]
+    """
+    assert main(["allocate", "--config", _cfg(tmp_path, text), "--allocators", "exact"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    powers = [float(line.split()[2]) for line in captured.out.splitlines()[1:]]
+    assert len(powers) == 2 and powers[1] < 1e-70 * powers[0]
 
 
 EXTREME = """
