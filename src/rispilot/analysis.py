@@ -99,11 +99,13 @@ def ergodic_gain_rows(beta_sq, counts, p, sigma_z_sq) -> GainBreakdown:
     beta_sq, counts and p are (rows, K) arrays and sigma_z_sq is a scalar
     or a (rows, 1) column; every field of the result holds one entry per
     row. Inputs are not validated, and whether the model holds is left to
-    the caller (see model_applies). Row sums are np.vecdot, which gives
-    each row the bits np.dot gives it alone.
+    the caller (see model_applies). The coupling sums are np.vecdot, which
+    gives each row the bits np.dot gives it alone; the incoherent sum
+    sum_k M_k beta_sq_k is elementwise, as `allocate` and `validate` form
+    it, whose bits do not depend on the host's BLAS kernel.
     """
     intra, inter = _coupling_sums(beta_sq, counts, p, sigma_z_sq)
-    incoherent = np.vecdot(counts, beta_sq)
+    incoherent = _sum(np.multiply(counts, beta_sq), axis=-1)
     intra *= _QUARTER_PI
     inter *= _QUARTER_PI
     return GainBreakdown(
@@ -176,16 +178,6 @@ def _damped(beta_sq, counts, p, sigma_z_sq):
     return c, damping, counts * beta_sq * damping
 
 
-def _stationarity(beta_sq, counts, p, sigma_z_sq):
-    """The damping 1 / sqrt(c_k), g_k, rate_k, G and the residual: the part
-    of surface_objective that stationarity_residual needs."""
-    c, damping, g = _damped(beta_sq, counts, p, sigma_z_sq)
-    rate = sigma_z_sq / (p * p * c)  # -(dc_k / dp_k) / c_k
-    big_g = _sum(g, axis=-1, keepdims=True)
-    residual = rate * beta_sq * damping * (big_g - beta_sq * damping)
-    return damping, g, rate, big_g, residual
-
-
 def surface_objective(beta_sq, counts, p, sigma_z_sq) -> SurfaceObjective:
     """objective_phi with its gradient and Hessian, for one row or many.
 
@@ -198,7 +190,10 @@ def surface_objective(beta_sq, counts, p, sigma_z_sq) -> SurfaceObjective:
     (rows, 1) column). Rows never mix: a row's values are the same bits
     whichever other rows it is evaluated with.
     """
-    damping, g, rate, big_g, residual = _stationarity(beta_sq, counts, p, sigma_z_sq)
+    c, damping, g = _damped(beta_sq, counts, p, sigma_z_sq)
+    rate = sigma_z_sq / (p * p * c)  # -(dc_k / dp_k) / c_k
+    big_g = _sum(g, axis=-1, keepdims=True)
+    residual = rate * beta_sq * damping * (big_g - beta_sq * damping)
     h = g * beta_sq * damping
     slope = 0.5 * rate * g
     two_over_p = 2.0 / p
@@ -216,8 +211,10 @@ def stationarity_residual(link: Link, powers: PerRisPowers) -> np.ndarray:
     this quantity, d phi / d p_k divided by M_k, is the same for every
     surface (it equals the budget constraint's multiplier). The spread
     across surfaces therefore measures how far an allocation is from
-    stationary. It is surface_objective's residual, without the
-    derivatives that could overflow where the residual does not.
+    stationary. It is surface_objective's residual, taken with numpy's
+    floating-point warnings off: at extreme powers the derivatives beside
+    it overflow, and its own rate term may overflow to inf, harmlessly.
     """
     counts = _checked(link, powers)
-    return _stationarity(link.beta_sq, counts, powers.p_k, link.sigma_z_sq)[-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return surface_objective(link.beta_sq, counts, powers.p_k, link.sigma_z_sq).residual

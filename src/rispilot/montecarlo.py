@@ -114,14 +114,13 @@ def _check_budget(alloc: PerRisPowers, link: Link):
 class GainRow(NamedTuple):
     """One row of a run: a link, its pilot powers and how phases are set.
 
-    csi_mode None takes the run's TrialConfig.csi_mode; trials None takes
-    all of the run's trials, a smaller count its first `trials` trials.
+    csi_mode None takes the run's TrialConfig.csi_mode. Every row runs
+    every trial of the run.
     """
 
     link: Link
     powers: PerRisPowers
     csi_mode: str | None = None
-    trials: int | None = None
 
 
 # Upper bound on the elements of any (trials, sum(M_k)) engine array,
@@ -138,19 +137,21 @@ class GainRow(NamedTuple):
 CHUNK_ELEMENTS = 2**15
 
 
-def _gain_range(rows: list[GainRow], seed: int, start: int, stop: int) -> list[np.ndarray]:
-    """Gains of every row over trials [start, stop), chunk by chunk.
+def _gain_range(rows: list[GainRow], seed: int, start: int, stop: int) -> np.ndarray:
+    """Gains of every row over trials [start, stop), chunk by chunk, as one
+    (rows, stop - start) array.
 
     The range derives what stays fixed over it once: the block states
     of each purpose that any row needs, each normal's two purposes with
     one normal_states call, each link's factors (channel.link_scales),
-    each estimated row's error scales (estimation.noise_scales, where a
-    row's powers and training noise are checked), and the last trial at which any row
-    needs each purpose. A chunk takes the rows of the blocks it touches,
-    so its draws only set each block's SFC64 state and fill. Chunks hold
-    whole blocks of BLOCK_TRIALS trials, the last one excepted, so with
-    start on a block boundary, as trial_gains splits, each block of a
-    purpose is drawn by one fill.
+    and each estimated row's error scales (estimation.noise_scales, where
+    a row's powers and training noise are checked). Every row runs every
+    trial of the range, so a chunk writes one column block of the array.
+    A chunk takes the rows of the blocks it touches, so its draws only set
+    each block's SFC64 state and fill. Chunks hold whole blocks of
+    BLOCK_TRIALS trials, the last one excepted, so with start on a block
+    boundary, as trial_gains splits, each block of a purpose is drawn by
+    one fill.
 
     Each chunk draws each purpose once, for all rows: the user hop always,
     in polar form, the BS hop when a row's BS link is faded, pilot noise
@@ -175,17 +176,15 @@ def _gain_range(rows: list[GainRow], seed: int, start: int, stop: int) -> list[n
     n = int(counts.sum())
     step = max(1, CHUNK_ELEMENTS // n // BLOCK_TRIALS) * BLOCK_TRIALS
     size = min(step, stop - start)
-    # a purpose is drawn while some row that needs it has trials left
-    bs_until = max((r.trials for r in rows if not math.isinf(r.link.k_br)), default=0)
-    noise_until = max((r.trials for r in rows if r.csi_mode == "estimated"), default=0)
-    phase_until = max((r.trials for r in rows if r.csi_mode == "random-phase"), default=0)
+    # a purpose is drawn when some row needs it
+    modes = {r.csi_mode for r in rows}
     drawn = [PURPOSE_RIS_USER]
-    if bs_until:
+    if any(not math.isinf(r.link.k_br) for r in rows):
         drawn.append(PURPOSE_BS_RIS)
-    if noise_until:
+    if "estimated" in modes:
         drawn.append(PURPOSE_PILOT_NOISE)
     states = {p: normal_states(seed, start, stop, p) for p in drawn}
-    if phase_until:
+    if "random-phase" in modes:
         states[PURPOSE_PHASE] = block_states(seed, start, stop, PURPOSE_PHASE)
     first = start // BLOCK_TRIALS
     scales = {}
@@ -196,8 +195,8 @@ def _gain_range(rows: list[GainRow], seed: int, start: int, stop: int) -> list[n
         delta = None
         if r.csi_mode == "estimated":
             delta = noise_scales(counts, r.powers, r.link.sigma_z_sq)
-        out = np.empty(max(0, min(stop, r.trials) - start))
-        plan.append((r.link, scales[id(r.link)], r.csi_mode, r.trials, delta, out))
+        plan.append((r.link, scales[id(r.link)], r.csi_mode, delta))
+    out = np.empty((len(rows), stop - start))
     # a perfect-CSI row's gain depends on its link's channel alone
     perfect_links = {id(r.link) for r in rows if r.csi_mode == "perfect"}
     user_buf, bs_buf, noise_buf, phase_buf, h_buf, row_buf = (
@@ -211,19 +210,17 @@ def _gain_range(rows: list[GainRow], seed: int, start: int, stop: int) -> list[n
                              mag=root_buf[:k])
         # the magnitude buffer is free until the rows' work starts
         bs = noise = scrambled = None
-        if a < bs_until:
+        if PURPOSE_BS_RIS in states:
             bs = unit_normals(states[PURPOSE_BS_RIS][blocks], a, b, n, out=bs_buf[:k],
                               mag=mag_buf[:k])
-        if a < noise_until:
+        if PURPOSE_PILOT_NOISE in states:
             noise = unit_normals(states[PURPOSE_PILOT_NOISE][blocks], a, b, n,
                                  out=noise_buf[:k], mag=mag_buf[:k])
-        if a < phase_until:
+        if PURPOSE_PHASE in states:
             scrambled = random_phases(states[PURPOSE_PHASE][blocks], a, b, n, out=phase_buf[:k],
                                       mag=mag_buf[:k])
         h, perfect, at = None, None, None
-        for link, link_scale, mode, trials, delta, out in plan:
-            if trials <= a:
-                continue
+        for into, (link, link_scale, mode, delta) in zip(out[:, a - start:b - start], plan):
             if at is not link:
                 at = link
                 # the row and magnitude buffers are free until the link's rows start
@@ -231,20 +228,18 @@ def _gain_range(rows: list[GainRow], seed: int, start: int, stop: int) -> list[n
                                          mag=mag_buf[:k])
                 if id(at) in perfect_links:
                     perfect = aligned_gain(np.abs(h, out=mag_buf[:k]) if mag is None else mag)
-            m = min(b, trials) - a
-            into = out[a - start:a - start + m]
             if mode == "perfect":
-                into[:] = perfect[:m]
+                into[:] = perfect
                 continue
-            work = row_buf[:m]  # the estimate, then the phases, then h * phases
+            work = row_buf[:k]  # the estimate, then the phases, then h * phases
             if mode == "estimated":
-                est = ls_estimate(h[:m], delta, noise[:m], out=work)
-                phases = configure_phases(est, out=est, mag=mag_buf[:m])
+                est = ls_estimate(h, delta, noise, out=work)
+                phases = configure_phases(est, out=est, mag=mag_buf[:k])
             else:
-                phases = scrambled[:m]
-            total = composite_channel(h[:m], phases, out=work)
+                phases = scrambled
+            total = composite_channel(h, phases, out=work)
             into[:] = np.abs(total) ** 2
-    return [out for *_, out in plan]
+    return out
 
 
 def _resolved(row: GainRow, cfg: TrialConfig, counts: np.ndarray) -> GainRow:
@@ -257,20 +252,18 @@ def _resolved(row: GainRow, cfg: TrialConfig, counts: np.ndarray) -> GainRow:
     mode = cfg.csi_mode if row.csi_mode is None else row.csi_mode
     if mode not in CSI_MODES:
         raise ValueError(f"csi_mode must be one of {CSI_MODES}")
-    trials = cfg.trials if row.trials is None else row.trials
-    if not 1 <= trials <= cfg.trials:
-        raise ValueError(f"a row's trials must be in [1, {cfg.trials}], got {trials}")
-    return row._replace(csi_mode=mode, trials=trials)
+    return row._replace(csi_mode=mode)
 
 
-def trial_gains(rows, cfg: TrialConfig, *, workers: int = 1) -> list[np.ndarray]:
+def trial_gains(rows, cfg: TrialConfig, *, workers: int = 1) -> np.ndarray:
     """Per-trial composite power gains of every GainRow, ordered by trial index.
 
-    Every row is evaluated on the same draws, and one array comes back
-    per row, of its trial count. The ordering is part of the contract:
-    entry t depends only on (cfg.seed, t) and the rows' element counts,
-    so any worker count or chunk size returns the identical arrays, and
-    rows of one run are paired trial by trial. Callers pass cfg and
+    Every row is evaluated on the same draws, and one (rows, cfg.trials)
+    array comes back, row i holding rows[i]'s gains. The ordering is part
+    of the contract: entry [i, t] depends only on (cfg.seed, t), row i and
+    the rows' element counts, so any worker count or chunk size returns
+    the identical array, and rows of one run are paired trial by trial: a
+    paired difference is the difference of two rows. Callers pass cfg and
     workers by keyword, where perfbench's tracer reads the run's trial and
     worker counts. The pool starts no more workers than this process may
     run on CPUs, nor more than the run has blocks of trials. A worker
@@ -297,7 +290,7 @@ def trial_gains(rows, cfg: TrialConfig, *, workers: int = 1) -> list[np.ndarray]
     except BrokenExecutor as exc:
         raise WorkerLostError("a trial worker stopped abruptly, most often because the system "
                               "ran out of memory") from exc
-    return [np.concatenate([p[i] for p in parts]) for i in range(len(rows))]
+    return np.concatenate(parts, axis=1)
 
 
 def _usable_cpus() -> int:
@@ -439,8 +432,8 @@ def sweep_user(
     rows = [GainRow(links[i], powers[name][i]) for i, name in pairs]
     # one scaled link per point, which its rows share
     units = [in_units(link) for link in links]
-    gains = np.stack(trial_gains([GainRow(units[i][0], powers[name][i]) for i, name in pairs],
-                                 cfg=cfg, workers=workers))
+    gains = trial_gains([GainRow(units[i][0], powers[name][i]) for i, name in pairs],
+                        cfg=cfg, workers=workers)
     e = np.array([units[i][1] for i, _ in pairs])
     metrics = _metrics([row.link for row in rows], e, gains)
     closed = _closed_forms(rows, cfg.csi_mode)

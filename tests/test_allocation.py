@@ -20,7 +20,7 @@ from rispilot.allocation import (
     run_allocator,
     solve_exact,
 )
-from rispilot.analysis import _stationarity, objective_phi, stationarity_residual
+from rispilot.analysis import objective_phi, stationarity_residual, surface_objective
 from rispilot.scenario import Link, dbm_to_watts
 from solver_corpus import solved
 
@@ -308,8 +308,8 @@ def test_the_solver_corpus_certifies_normal_rows_and_records_where_each_row_stop
         extreme_certified += batch.extreme * int(np.count_nonzero(sol.certified))
         for i, p in enumerate(sol.powers):
             with np.errstate(all="ignore"):
-                r = _stationarity(batch.beta_sq[i], batch.counts[i].astype(np.float64), p,
-                                  batch.sigma_z_sq[i])[-1]
+                r = surface_objective(batch.beta_sq[i], batch.counts[i].astype(np.float64), p,
+                                      batch.sigma_z_sq[i]).residual
             spread = multiplier_spread(r) if np.all(np.isfinite(p)) else math.nan
             assert (np.float64(spread).tobytes() == sol.spread[i].tobytes()
                     or math.isnan(spread) and math.isnan(sol.spread[i])), (batch, i)

@@ -9,7 +9,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from rispilot import cli
+from rispilot import allocation, cli
 from rispilot.allocation import (
     ALLOCATOR_IDS,
     UniformFallbackWarning,
@@ -528,6 +528,14 @@ SYNTAX_ERRORS = {
     # a UTF-16LE byte-order mark, then one odd byte: libyaml names the
     # missing character -1, which once printed as "#x-001"
     "cut-utf16-character": (b"\xff\xfe\xfd", "--config", "at position 2"),
+    # composed fine, but no tree of dicts and lists: a list cannot be a key,
+    # and an alias inside its own anchor nests without end
+    "list-as-key": ("? [a, b]\n: 1\n", "--config", "unhashable type: 'list'"),
+    # the interpreter's RecursionError text: a Python frame or a C call may
+    # meet the limit first
+    "alias-in-its-own-anchor": ("scenario: &a [*a]\n", "--config",
+                                ("maximum recursion depth exceeded",
+                                 "maximum recursion depth exceeded while calling a Python object")),
 }
 
 
@@ -543,7 +551,8 @@ def test_a_yaml_syntax_error_is_one_line(tmp_path, capsys, monkeypatch, composer
     assert main(["sweep", flag, str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {path}: not valid YAML: ") and err.count("\n") == 1
-    assert err.endswith(f" {end}\n") and "#x-" not in err
+    ends = (end,) if isinstance(end, str) else end
+    assert err.endswith(tuple(f" {e}\n" for e in ends)) and "#x-" not in err
     assert not out.exists()
 
 
@@ -699,8 +708,9 @@ def test_a_setting_reads_the_same_from_each_source(tmp_path, key):
 @pytest.mark.parametrize(
     "flag, value",
     [("--trials", "2_0"), ("--seed", "\u0661\u0660"), ("--workers", " 1 "),
-     ("--trials", "abc"), ("--csi-mode", "oracle")],
-    ids=["digit-separator", "arabic-indic-digits", "spaces", "not-a-number", "unknown-mode"],
+     ("--trials", "abc"), ("--csi-mode", "oracle"), ("--trials", "9" * 5000)],
+    ids=["digit-separator", "arabic-indic-digits", "spaces", "not-a-number", "unknown-mode",
+         "past-the-integer-string-limit"],
 )
 def test_a_malformed_flag_is_a_config_error(tmp_path, capsys, monkeypatch, flag, value):
     # the config does not exist: reading it would exit 4
@@ -747,6 +757,40 @@ def test_validate_solves_an_off_centre_position(tmp_path, capsys):
     assert off["status"] == "pass" and off["observed"] < 1e-6
     uniform_spread = float(off["detail"].removeprefix("uniform spread "))
     assert uniform_spread > 1e-2
+
+
+def test_an_uncertified_off_centre_row_fails_with_its_spread(tmp_path, monkeypatch):
+    # one step leaves the off-centre row uncertified; the configured row of
+    # the symmetric layout is stationary at its uniform start
+    monkeypatch.setattr(allocation, "_MAX_ITER", 1)
+    out = tmp_path / "vout"
+    rc = main(["validate", "--config", str(ROOT / "configs" / "two_ris_symmetric.yaml"),
+               "--trials", "200", "--out", str(out)])
+    assert rc == 1
+    report = yaml.safe_load((out / "validation_report.yaml").read_text(encoding="utf-8"))
+    checks = {c["name"]: c for c in report["checks"]}
+    assert checks["solver-stationarity"]["status"] == "pass"
+    off = checks["solver-stationarity[off-centre]"]
+    assert off["status"] == "fail" and f"{off['observed']:.3e}" == "7.563e-03"
+    assert off["detail"] == ("no convergence after 1 iterations (cap 1): multiplier spread "
+                             "7.563e-03 vs 1.0e-09; uniform spread 0.613")
+
+
+@pytest.mark.parametrize("config, d_m", [
+    ("configs/two_ris_symmetric.yaml", "0"),
+    ("configs/two_ris_symmetric.yaml", "5"),
+    ("tests/data/four_ris_channel.yaml", "nan"),
+], ids=["layout", "layout-at-5-m", "channel"])
+def test_allocate_writes_the_user_position_as_d_m(tmp_path, config, d_m):
+    # a layout's powers are those of its user at user_y; a channel has no position
+    text = (ROOT / config).read_text(encoding="utf-8")
+    if d_m == "5":
+        text = text.replace("  geometry:\n", "  geometry:\n    user_y: 5.0\n", 1)
+    out = tmp_path / "alloc"
+    assert main(["allocate", "--config", _cfg(tmp_path, text), "--allocators", "uniform,exact",
+                 "--out", str(out)]) == 0
+    rows = _read_csv(out / "powers.csv")
+    assert rows and {r["d_m"] for r in rows} == {d_m}
 
 
 @pytest.mark.parametrize(
