@@ -41,8 +41,8 @@ from .analysis import (
     stationarity_residual,
 )
 from .channel import PURPOSE_RIS_USER, normal_states, unit_normals
-from .montecarlo import (CSI_MODES, GainRow, TrialConfig, WorkerLostError, in_units, mean_se,
-                         sweep_user, trial_gains, unit_exponent)
+from .montecarlo import (CSI_MODES, GainRow, TrialConfig, WorkerLostError, check_gain_scale,
+                         mean_se, sweep_user, trial_gains)
 from .scenario import MAX_ELEMENTS, Link, cascaded_large_scale, dbm_to_watts, watts_to_dbm
 
 METRICS_CSV = "metrics.csv"
@@ -764,15 +764,10 @@ def _check(name, observed, expected, tol=0.0, margin=0.0, *, ok=None, detail="")
 
 def _validation_checks(link: Link, trials: int, seed: int, workers: int,
                        off_centre: Link | None) -> list[dict]:
+    # a problem whose samples could overflow stops before any draw
+    check_gain_scale(link)
     checks = []
     counts = link.counts
-
-    # every gain the checks average is of the order of the coherent gain
-    # (sum_k M_k beta_k)^2; a problem where it overflows stops before any draw
-    m_beta = float(np.add.reduce(np.multiply(counts, link.beta)))
-    if not math.isfinite(m_beta * m_beta):
-        raise ArithmeticError(
-            f"the coherent gain (sum_k M_k beta_k)^2 overflows: sum_k M_k beta_k = {m_beta:.6g}")
 
     # every allocator runs before any draw, so a problem that has no
     # allocation stops before the trial engine sees it; `exact` solves the
@@ -784,33 +779,32 @@ def _validation_checks(link: Link, trials: int, seed: int, workers: int,
     uniform = allocations["uniform"]
 
     # per-surface aligned-coefficient mean, against the closed form; trial
-    # 2^63 + k's user-hop draws give h, then the estimation noise, both in
-    # units of 2^e_k, e_k the unit exponent of beta_k
+    # 2^63 + k's user-hop draws give h, then the estimation noise
     start, stop = 2**63, 2**63 + link.num_ris
     samples = unit_normals(normal_states(seed, start, stop, PURPOSE_RIS_USER), start, stop,
                            2 * trials)
     d2 = link.sigma_z_sq / link.p_avg
     for k, z in enumerate(samples):
         b2 = float(link.beta_sq[k])
-        e = unit_exponent(float(link.beta[k]))
-        h = math.sqrt(math.ldexp(b2, -2 * e)) * z[:trials]
-        est = h + math.sqrt(math.ldexp(d2, -2 * e)) * z[trials:]
+        h = math.sqrt(b2) * z[:trials]
+        est = h + math.sqrt(d2) * z[trials:]
         stat = (h * np.conj(est) / np.abs(est)).real
         expected = alignment_mean(b2, d2)
         name = f"alignment-mean[{k}]"
-        mean, se = mean_se(stat, e, name)
+        mean, se = mean_se(stat, name)
         checks.append(_check(name, mean, expected, 0.02 * expected, 4.0 * se))
+    # the trial run below needs none of these arrays
+    del samples, z, h, est, stat
 
     # one run for the ergodic-gain check and the hierarchy checks below:
-    # a row per CSI mode, all on the same draws, of the link in its units
-    scaled, e = in_units(link)
+    # a row per CSI mode, all on the same draws
     gains = dict(zip(CSI_MODES, trial_gains(
-        [GainRow(scaled, uniform, mode) for mode in CSI_MODES],
+        [GainRow(link, uniform, mode) for mode in CSI_MODES],
         cfg=TrialConfig(trials=trials, seed=seed), workers=workers,
     )))
 
     # closed-form ergodic gain against the simulated pipeline
-    mean, se = mean_se(gains["estimated"], 2 * e, "ergodic-gain")
+    mean, se = mean_se(gains["estimated"], "ergodic-gain")
     closed = ergodic_gain_closed_form(link, uniform).total
     check = _check("ergodic-gain", mean, closed, 0.02 * closed, 4.0 * se)
     if not model_applies(link):
@@ -823,6 +817,7 @@ def _validation_checks(link: Link, trials: int, seed: int, workers: int,
 
     # perfect-estimation limit of the closed form: noiseless training
     limit = ergodic_gain_closed_form(dataclasses.replace(link, sigma_z_sq=0.0), uniform).total
+    m_beta = float(np.add.reduce(np.multiply(counts, link.beta)))
     m_beta_sq = float(np.add.reduce(np.multiply(counts, link.beta_sq)))
     ideal = m_beta_sq + 0.25 * math.pi * (m_beta * m_beta - m_beta_sq)
     checks.append(
@@ -860,7 +855,7 @@ def _validation_checks(link: Link, trials: int, seed: int, workers: int,
         ("hierarchy-perfect-vs-estimated", "perfect", "estimated"),
         ("hierarchy-estimated-vs-random", "estimated", "random-phase"),
     ):
-        mean, se = mean_se(gains[top] - gains[bottom], 2 * e, name)
+        mean, se = mean_se(gains[top] - gains[bottom], name)
         checks.append(_check(name, mean, 0.0, 3.0 * se, 3.0 * se, ok=mean >= -3.0 * se,
                              detail="paired mean difference"))
     return checks

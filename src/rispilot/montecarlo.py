@@ -16,6 +16,12 @@ therefore paired: differences between their metrics come from the rows
 alone, not from sampling noise. Two runs with the same seed share their draws too;
 use different seeds if independent runs are wanted instead.
 
+Statistics are taken in units of one. A run first checks that each
+link's coherent gain (sum_k M_k beta_k)^2 leaves headroom below the
+float maximum for every trial's gain (check_gain_scale); a mean or
+standard error that still leaves the float range, such as that of a
+rate q g / sigma_n^2 that overflows, is a numerical failure (mean_se).
+
 A sweep takes its problems as a list of links, one per point of its
 axis, with the axis values beside them: the caller builds each link,
 whatever the axis (user offset, pilot budget) changes.
@@ -53,7 +59,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -75,8 +81,7 @@ __all__ = [
     "SweepResult",
     "WorkerLostError",
     "trial_gains",
-    "unit_exponent",
-    "in_units",
+    "check_gain_scale",
     "mean_se",
     "sweep_user",
 ]
@@ -265,15 +270,19 @@ def trial_gains(rows, cfg: TrialConfig, *, workers: int = 1) -> np.ndarray:
     the identical array, and rows of one run are paired trial by trial: a
     paired difference is the difference of two rows. Callers pass cfg and
     workers by keyword, where perfbench's tracer reads the run's trial and
-    worker counts. The pool starts no more workers than this process may
-    run on CPUs, nor more than the run has blocks of trials. A worker
-    killed before returning its share raises WorkerLostError.
+    worker counts. Each distinct link's gain scale is checked before any
+    draw (check_gain_scale), so every gain returned is finite. The pool
+    starts no more workers than this process may run on CPUs, nor more
+    than the run has blocks of trials. A worker killed before returning
+    its share raises WorkerLostError.
     """
     rows = list(rows)
     if not rows:
         raise ValueError("no rows to evaluate")
     counts = rows[0].link.counts
     rows = [_resolved(r, cfg, counts) for r in rows]
+    for link in {id(r.link): r.link for r in rows}.values():
+        check_gain_scale(link)
     # workers split the run on block boundaries, each taking whole blocks
     blocks = -(-cfg.trials // BLOCK_TRIALS)
     workers = min(workers, _usable_cpus(), blocks)
@@ -300,59 +309,48 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def unit_exponent(x: float) -> int:
-    """The exponent e >= 0 of the units to draw a magnitude x in: x 2^-e is
-    below one, and a magnitude below one keeps e = 0. Scaling by a power of
-    two keeps every bit of normal numbers."""
-    return max(0, math.frexp(x)[1])
+def check_gain_scale(link: Link) -> None:
+    """Raise ArithmeticError unless link's coherent gain (sum_k M_k beta_k)^2
+    has 2^16 of headroom below the float maximum. A draw's magnitude is at
+    most sqrt(E) <= 6.67, so every trial's gain, even with both hops
+    Rician, stays below 2^12 times the coherent gain, and so does a
+    validation's h conj(est): every sample a statistic averages is finite."""
+    m_beta = float(np.add.reduce(np.multiply(link.counts, link.beta)))
+    if not math.isfinite(m_beta * m_beta * 2.0**16):
+        raise ArithmeticError(f"the coherent gain (sum_k M_k beta_k)^2 has less than 2^16 of "
+                              f"headroom below the float maximum: sum_k M_k beta_k = {m_beta:.6g}")
 
 
-def in_units(link: Link) -> tuple[Link, int]:
-    """link in units of 2^e, and e, the unit exponent of sum_k M_k beta_k:
-    its gains, 2^-2e times the link's, are of the order of one, so no gain
-    nor a sum of them overflows. A surface whose cascaded gain would fall
-    below the smallest float is given that: its coefficients are then over
-    10^161 times smaller than the total, which a float sum cannot see. At
-    e = 0 the link itself comes back, so its rows share one channel."""
-    e = unit_exponent(float(np.add.reduce(np.multiply(link.counts, link.beta))))
-    if e == 0:
-        return link, 0
-    return replace(
-        link, beta_sq=np.maximum(np.ldexp(link.beta_sq, -2 * e), math.ulp(0.0)),
-        sigma_z_sq=math.ldexp(link.sigma_z_sq, -2 * e)), e
-
-
-def mean_se(x: np.ndarray, e: int | np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and standard error of the mean of each row of samples x in units
-    of 2^e (one e, or one per row), in units of one; the error is unknown
-    (inf) below two samples. A row is reduced as x 2^-f, its largest
-    magnitude then in [1/2, 1), so its sums and squares neither overflow
-    nor underflow. A mean or error beyond the float range in units of one
-    is a numerical failure of `name`."""
+def mean_se(x: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error of the mean of each row of samples x; the
+    error is unknown (inf) below two samples. A row is reduced as x 2^-f,
+    its largest magnitude then in [1/2, 1), so its sums and squares neither
+    overflow nor underflow, and scaled back by 2^f. A mean that is not
+    finite, or an error of two or more samples that is not, is a numerical
+    failure of `name`."""
     n = x.shape[-1]
-    f = np.frexp(np.maximum(np.max(x, axis=-1), -np.min(x, axis=-1)))[1]
-    y = np.ldexp(x, np.expand_dims(-f, -1))
-    mean = np.mean(y, axis=-1)
-    se = np.std(y, axis=-1, ddof=1) / math.sqrt(n) if n > 1 else np.full_like(mean, math.inf)
-    k = np.add(e, f)
-    with np.errstate(over="ignore"):
-        out = np.ldexp(mean, k), np.ldexp(se, k)
-    lost = (np.isinf(out[0]) > np.isinf(mean)) | (np.isinf(out[1]) > np.isinf(se))
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = np.frexp(np.maximum(np.max(x, axis=-1), -np.min(x, axis=-1)))[1]
+        y = np.ldexp(x, np.expand_dims(-f, -1))
+        mean = np.ldexp(np.mean(y, axis=-1), f)
+        se = (np.ldexp(np.std(y, axis=-1, ddof=1) / math.sqrt(n), f) if n > 1
+              else np.full_like(mean, math.inf))
+    lost = ~np.isfinite(mean) | (~np.isfinite(se) if n > 1 else False)
     if lost.any():
         raise ArithmeticError(f"{name}: the trials' mean {mean[lost][0]:.6g} or standard error "
-                              f"{se[lost][0]:.6g} times 2^{k[lost][0]} leaves the float range")
-    return out
+                              f"{se[lost][0]:.6g} leaves the float range")
+    return mean, se
 
 
-def _metrics(links: list[Link], e: np.ndarray, gains: np.ndarray) -> list[list[float]]:
+def _metrics(links: list[Link], gains: np.ndarray) -> list[list[float]]:
     """Mean and standard error of gain and rate, one list per row of
-    (rows, trials) gains in units of 2^2e, e one exponent per row."""
+    (rows, trials) gains. A rate q g / sigma_n^2 beyond the float maximum
+    is infinite, and mean_se names it."""
     q = np.array([[link.q] for link in links])
     sigma_n_sq = np.array([[link.sigma_n_sq] for link in links])
-    e2 = 2 * e[:, None]
-    # log2(1 + q g 2^2e / sigma_n^2), which at e = 0 is computed as written
-    rates = e2 + np.log2(np.ldexp(1.0, -e2) + q * gains / sigma_n_sq)
-    columns = (*mean_se(gains, 2 * e, "mean_gain"), *mean_se(rates, 0, "mean_rate"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rates = np.log2(1.0 + q * gains / sigma_n_sq)
+    columns = (*mean_se(gains, "mean_gain"), *mean_se(rates, "mean_rate"))
     return np.stack(columns, axis=-1).tolist()
 
 
@@ -407,7 +405,7 @@ def sweep_user(
     element counts. Allocator names are resolved to their canonical ids
     and run in canonical order. Every allocation is made first, with one
     solve_exact call for all links; then all rows run on one set of draws
-    (see trial_gains), each on its link in its units (in_units), and their
+    (see trial_gains, which checks each link's gain scale), and their
     metrics (mean_se) and closed forms are each computed in one call.
     The result's solver is that call's ExactSolution, when `exact` was run.
     """
@@ -430,12 +428,8 @@ def sweep_user(
         powers[name] = [solver.row(i) for i in range(len(d_list))]
     pairs = [(i, name) for i in range(len(links)) for name in names]
     rows = [GainRow(links[i], powers[name][i]) for i, name in pairs]
-    # one scaled link per point, which its rows share
-    units = [in_units(link) for link in links]
-    gains = trial_gains([GainRow(units[i][0], powers[name][i]) for i, name in pairs],
-                        cfg=cfg, workers=workers)
-    e = np.array([units[i][1] for i, _ in pairs])
-    metrics = _metrics([row.link for row in rows], e, gains)
+    gains = trial_gains(rows, cfg=cfg, workers=workers)
+    metrics = _metrics([row.link for row in rows], gains)
     closed = _closed_forms(rows, cfg.csi_mode)
     out = [SweepRow(d_list[i], name, *m, float(c), tuple(row.powers.p_k.tolist()))
            for (i, name), row, m, c in zip(pairs, rows, metrics, closed)]

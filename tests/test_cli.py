@@ -2,6 +2,7 @@ import csv
 import math
 import pathlib
 import textwrap
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -1177,10 +1178,24 @@ def test_validate_on_an_overflowing_coherent_gain_fails_before_any_draw(tmp_path
     assert not (tmp_path / "x").exists()
 
 
+def _beyond_the_gain_headroom(tmp_path, capsys, argv):
+    """argv, which must exit 3 with one `the coherent gain` line, no numpy
+    warning and no output directory."""
+    out = tmp_path / "x"
+    with warnings.catch_warnings(record=True) as shown:
+        warnings.simplefilter("always", RuntimeWarning)
+        assert main([*argv, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: the coherent gain ") and err.count("\n") == 1, err
+    assert [str(w.message) for w in shown] == []
+    assert not out.exists()
+
+
 def test_validate_just_below_the_float_maximum_reports_finite_statistics(tmp_path, capsys):
     # (sum_k M_k beta_k)^2 = (14142 * 3.87e149)^2 is about 3e307: every
-    # trial's gain is finite, but a sum of 100 of them is not, so the trial
-    # statistics once reported an infinite mean after numpy's overflow warnings
+    # trial's gain is finite, but a sum of 100 of them is not, and a gain
+    # 2^12 times the coherent gain would not be, so the layout lacks the
+    # headroom its statistics need
     cfg = _cfg(tmp_path, """
         scenario:
           element_counts: [7071, 7071]
@@ -1191,17 +1206,7 @@ def test_validate_just_below_the_float_maximum_reports_finite_statistics(tmp_pat
           channel:
             beta_sq: [1.5e299, 1.5e299]
         """)
-    out = tmp_path / "x"
-    with warnings.catch_warnings(record=True) as shown:
-        warnings.simplefilter("always", RuntimeWarning)
-        assert main(["validate", "--config", cfg, "--trials", "100", "--out", str(out)]) == 0
-    assert capsys.readouterr().err == ""
-    assert [str(w.message) for w in shown] == []
-    report = yaml.safe_load((out / "validation_report.yaml").read_text(encoding="utf-8"))
-    checks = {c["name"]: c for c in report["checks"]}
-    for check in checks.values():
-        assert math.isfinite(check["observed"]) and math.isfinite(check["noise_margin"])
-    assert checks["ergodic-gain"]["status"] == "pass"
+    _beyond_the_gain_headroom(tmp_path, capsys, ["validate", "--config", cfg, "--trials", "100"])
 
 
 def _validate_finite(tmp_path, capsys, cfg, trials):
@@ -1224,9 +1229,8 @@ def _validate_finite(tmp_path, capsys, cfg, trials):
 
 def test_validate_on_one_huge_surface_reports_finite_statistics(tmp_path, capsys):
     # beta^2 = 1e308 on one element: about one trial in six has a gain |h|^2
-    # beyond the float maximum, and h conj(est) overflows too, so the checks
-    # once read nan and inf after numpy's warnings; validate now runs in
-    # units of 2^512
+    # beyond the float maximum, and h conj(est) overflows too, so the
+    # layout stops before any draw
     cfg = _cfg(tmp_path, """
         scenario:
           element_counts: [1]
@@ -1237,70 +1241,70 @@ def test_validate_on_one_huge_surface_reports_finite_statistics(tmp_path, capsys
           channel:
             beta_sq: [1.0e308]
         """)
-    checks = _validate_finite(tmp_path, capsys, cfg, 2000)
-    assert checks["ergodic-gain"]["observed"] > 1e307
+    _beyond_the_gain_headroom(tmp_path, capsys, ["validate", "--config", cfg, "--trials", "2000"])
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_validate_on_one_huge_surface_at_watt_powers_warns_of_nothing(tmp_path, capsys):
     # with p_avg 4 W and sigma_z 1 W, p^2 c overflows in the stationarity
-    # check, so the residual's rate is 0; the curvature, which the check
-    # does not use, once multiplied that 0 by an infinite h_k
+    # check, but the gain-scale check stops the layout first; test_analysis
+    # covers that overflowing residual directly
     cfg = _channel_config(tmp_path, "huge-watts.yaml", [1], [1.0e308])
-    out = tmp_path / "x"
-    assert main(["validate", "--config", cfg, "--trials", "2000", "--out", str(out)]) == 0
-    assert capsys.readouterr().err == ("warning: uniform fallback for surface index [0]: "
-                                       "degenerate moderate-SNR weight\n")
-    report = yaml.safe_load((out / "validation_report.yaml").read_text(encoding="utf-8"))
-    checks = {c["name"]: c for c in report["checks"]}
-    assert checks["solver-stationarity"]["status"] == "pass"
-    assert report["summary"]["fail"] == 0
+    _beyond_the_gain_headroom(tmp_path, capsys, ["validate", "--config", cfg, "--trials", "2000"])
 
 
-def test_validate_keeps_a_surface_that_its_units_send_below_the_smallest_float(tmp_path, capsys):
-    # 1e-300 in units of 2^1024 is 0, which no link admits; the surface is given
-    # the smallest float instead, 10^161 times below the other's coefficients
-    cfg = _cfg(tmp_path, """
-        scenario:
-          element_counts: [1, 1]
-          p_avg: "4 W"
-          q: "10 W"
-          sigma_z: "0 W"
-          sigma_n: "1 W"
-          channel:
-            beta_sq: [1.0e308, 1.0e-300]
-        """)
-    checks = _validate_finite(tmp_path, capsys, cfg, 2000)
-    assert checks["alignment-mean[1]"]["observed"] == pytest.approx(
-        checks["alignment-mean[1]"]["expected"], rel=0.1)
+@pytest.mark.parametrize("beta_sq, code", [(2.7e303, 0), (2.8e303, 3)], ids=["inside", "outside"])
+def test_validate_on_either_side_of_the_gain_headroom(tmp_path, capsys, beta_sq, code):
+    # one element on each side of (sum_k M_k beta_k)^2 2^16 = the float
+    # maximum: inside, every statistic is finite; outside, nothing is drawn
+    cfg = _channel_config(tmp_path, "edge.yaml", [1], [beta_sq])
+    if code == 0:
+        checks = _validate_finite(tmp_path, capsys, cfg, 2000)
+        assert checks["ergodic-gain"]["observed"] > 1e303
+    else:
+        _beyond_the_gain_headroom(tmp_path, capsys,
+                                  ["validate", "--config", cfg, "--trials", "2000"])
 
 
 def test_validate_on_a_mean_gain_beyond_the_float_range_is_a_numerical_failure(tmp_path, capsys):
     # (sum_k M_k beta_k)^2 = 1.79e308 is finite, but these 2000 trials' mean
-    # gain is 1.01 times it: one line, no traceback, no report
+    # gain would be 1.01 times it: the layout stops before any draw
     cfg = _channel_config(tmp_path, "edge.yaml", [1], [1.79e308])
-    with warnings.catch_warnings(record=True) as shown:
-        warnings.simplefilter("always", RuntimeWarning)
-        assert main(["validate", "--config", cfg, "--trials", "2000",
-                     "--out", str(tmp_path / "x")]) == 3
-    err = capsys.readouterr().err.splitlines()
-    assert err[0].startswith("numerical failure: ergodic-gain: ")
-    assert err[1:] == ["warning: uniform fallback for surface index [0]: "
-                       "degenerate moderate-SNR weight"]
-    assert [str(w.message) for w in shown] == []
-    assert not (tmp_path / "x").exists()
+    _beyond_the_gain_headroom(tmp_path, capsys, ["validate", "--config", cfg, "--trials", "2000"])
+
+
+def test_validate_frees_the_alignment_samples_before_the_trial_run(monkeypatch):
+    # the alignment-mean checks' 2 * trials normals per surface, and the
+    # arrays made from them, are dropped before the trial engine runs
+    class Entered(Exception):
+        pass
+
+    def entry(*args, **kwargs):
+        raise Entered(tracemalloc.get_traced_memory()[0])
+
+    monkeypatch.setattr(cli, "trial_gains", entry)
+    tracemalloc.start()
+    try:
+        with pytest.raises(Entered) as entered:
+            main(["validate", "--config", str(ROOT / "configs" / "two_ris_symmetric.yaml"),
+                  "--trials", "200000"])
+    finally:
+        tracemalloc.stop()
+    assert entered.value.args[0] < 5e6
 
 
 def test_mean_se_scales_back_exactly_and_names_an_overflow():
     x = np.array([1.5, 1.0, 2.0])
     se = float(np.std(x, ddof=1) / math.sqrt(3))
-    assert mean_se(x, 1000, "check") == (math.ldexp(1.5, 1000), math.ldexp(se, 1000))
-    assert mean_se(x[:1], 7, "check") == (math.ldexp(1.5, 7), math.inf)
+    assert mean_se(np.ldexp(x, 1000), "check") == (math.ldexp(1.5, 1000), math.ldexp(se, 1000))
+    assert mean_se(np.ldexp(x[:1], 7), "check") == (math.ldexp(1.5, 7), math.inf)
     # samples far below one keep their error: their squares would underflow
-    assert mean_se(np.ldexp(x, -1000), 0, "check") == (math.ldexp(1.5, -1000),
-                                                       math.ldexp(se, -1000))
+    assert mean_se(np.ldexp(x, -1000), "check") == (math.ldexp(1.5, -1000),
+                                                    math.ldexp(se, -1000))
+    # an infinite sample, or a nan in one row of a batch, is named
     with pytest.raises(ArithmeticError, match="^check: "):
-        mean_se(x, 1024, "check")
+        mean_se(np.array([1.0, math.inf, 2.0]), "check")
+    with pytest.raises(ArithmeticError, match="^check: the trials' mean nan "):
+        mean_se(np.array([x, [1.0, math.nan, 2.0]]), "check")
 
 
 def _symmetric_at(tmp_path, c0_db) -> str:
@@ -1311,34 +1315,37 @@ def _symmetric_at(tmp_path, c0_db) -> str:
     return str(path)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_sweep_near_the_float_maximum_keeps_finite_statistics(tmp_path, capsys):
     # closed-form gains of 6e306 to 1e307: the trials' gains sum past the
-    # float maximum, so the sweep takes its statistics in units of 2^e
-    out = tmp_path / "x"
-    assert main(["sweep", "--config", _symmetric_at(tmp_path, 1552), "--trials", "200",
-                 "--allocators", "uniform", "--out", str(out)]) == 0
-    assert capsys.readouterr().err == ""
-    with open(out / "metrics.csv", newline="", encoding="utf-8") as f:
-        rows = list(csv.DictReader(f))
-    assert len(rows) == 9
-    for row in rows:
-        values = {k: float(v) for k, v in row.items() if k != "allocator"}
-        assert all(math.isfinite(v) for v in values.values()), row
-        assert abs(values["mean_gain"] - values["closed_form_gain"]) <= 4.0 * values["se_gain"]
+    # float maximum, and the layout lacks the headroom for its statistics
+    _beyond_the_gain_headroom(tmp_path, capsys,
+                              ["sweep", "--config", _symmetric_at(tmp_path, 1552),
+                               "--trials", "200", "--allocators", "uniform"])
 
 
 def test_sweep_on_a_mean_gain_beyond_the_float_range_is_a_numerical_failure(tmp_path, capsys):
-    # at 1560 dB the trials' mean gain itself passes the float maximum:
-    # one line, no numpy warning, no metrics
+    # at 1560 dB the trials' mean gain itself would pass the float maximum
+    _beyond_the_gain_headroom(tmp_path, capsys,
+                              ["sweep", "--config", _symmetric_at(tmp_path, 1560),
+                               "--trials", "200", "--allocators", "uniform"])
+
+
+def test_sweep_on_a_rate_beyond_the_float_range_is_a_numerical_failure(tmp_path, capsys):
+    # q g / sigma_n^2 overflows at q = 1e305 W and sigma_n^2 = 1e-300 W, on
+    # finite gains: one line naming the rates' mean, no numpy warning, and
+    # no inf or nan written
+    text = (ROOT / "configs" / "two_ris_symmetric.yaml").read_text(encoding="utf-8")
+    cfg = _cfg(tmp_path, text.replace('q: "40 dBm"', 'q: "1e305 W"')
+               .replace('sigma_n: "-90 dBm"', 'sigma_n: "1e-300 W"'))
+    out = tmp_path / "x"
     with warnings.catch_warnings(record=True) as shown:
         warnings.simplefilter("always", RuntimeWarning)
-        assert main(["sweep", "--config", _symmetric_at(tmp_path, 1560), "--trials", "200",
-                     "--allocators", "uniform", "--out", str(tmp_path / "x")]) == 3
+        assert main(["sweep", "--config", cfg, "--trials", "50", "--allocators", "uniform",
+                     "--out", str(out)]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("numerical failure: mean_gain: ") and err.count("\n") == 1
+    assert err.startswith("numerical failure: mean_rate: ") and err.count("\n") == 1, err
     assert [str(w.message) for w in shown] == []
-    assert not (tmp_path / "x" / "metrics.csv").exists()
+    assert not out.exists()
 
 
 def test_validate_on_tiny_gains_keeps_its_noise_margins(tmp_path, capsys):

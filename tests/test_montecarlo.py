@@ -27,7 +27,7 @@ from rispilot.montecarlo import (
     GainRow,
     SweepRow,
     TrialConfig,
-    in_units,
+    check_gain_scale,
     mean_se,
     sweep_user,
     trial_gains,
@@ -559,36 +559,35 @@ def test_sweep_metrics_equal_the_per_row_reference(csi_mode):
         assert solver.iterations[i] >= 0 and solver.spread[i] < 1e-9 and solver.certified[i]
 
 
-def test_a_link_below_one_is_its_own_units():
-    link = _layout(0.0)
-    assert in_units(link) == (link, 0)
-
-
-def test_sweep_rates_in_units_are_the_rates_of_the_gains_in_units_of_one():
-    # at 1552 dB every trial's rate is log2(1 + q g / sigma_n^2) of a gain
-    # g = g' 2^2e near or beyond the float maximum, g' the gain drawn in units
-    link = corridor_link(50.0, -16.0, 32, 32, 14.0, c0_db=1552.0)
-    scaled, e = in_units(link)
-    assert e > 0
-    cfg = TrialConfig(trials=200, seed=7)
-    row, = sweep_user([link], [-16.0], ["uniform"], cfg).rows
-    g = trial_gains([GainRow(scaled, PerRisPowers(p_k=np.array(row.powers_w)))], cfg)[0]
-    log2_g = 2 * e + np.log2(g)
-    rates = np.logaddexp2(0.0, math.log2(link.q / link.sigma_n_sq) + log2_g)
-    assert math.isfinite(row.mean_gain)
-    assert row.mean_rate == pytest.approx(float(np.mean(rates)), rel=1e-12, abs=0.0)
-
-
 def test_mean_se_gives_each_row_of_a_batch_the_bits_it_gets_alone():
     rng = np.random.default_rng(3)
     x = (rng.standard_normal((3, 1000)) + 1.0) * np.array([[1e-300], [1.0], [1e300]])
-    e = np.array([0, 5, 0])
-    mean, se = mean_se(x, e, "batch")
+    mean, se = mean_se(x, "batch")
     for i in range(3):
-        assert (mean[i], se[i]) == mean_se(x[i], int(e[i]), "row")
-    # rows in the float range keep np.mean's and np.std's bits, scaled by 2^e
-    assert mean[1] == math.ldexp(np.mean(x[1]), 5)
-    assert se[1] == math.ldexp(np.std(x[1], ddof=1) / math.sqrt(1000), 5)
+        assert (mean[i], se[i]) == mean_se(x[i], "row")
+    # rows in the float range keep np.mean's and np.std's bits, and a
+    # power-of-two scale carries them exactly
+    assert mean[1] == np.mean(x[1])
+    assert se[1] == np.std(x[1], ddof=1) / math.sqrt(1000)
+    assert mean_se(np.ldexp(x[1], 5), "row") == (math.ldexp(mean[1], 5), math.ldexp(se[1], 5))
+
+
+def test_a_link_without_the_gain_headroom_stops_before_any_draw(monkeypatch):
+    # one element on each side of (sum_k M_k beta_k)^2 2^16 = the float maximum
+    inside, outside = (_beta_direct([beta_sq], [1]) for beta_sq in (2.7e303, 2.8e303))
+    check_gain_scale(inside)
+    rows = [GainRow(inside, allocate_average(inside), mode) for mode in montecarlo.CSI_MODES]
+    assert np.isfinite(trial_gains(rows, TrialConfig(trials=2000))).all()
+
+    def no_range(*args):
+        raise AssertionError("a range was run")
+
+    monkeypatch.setattr(montecarlo, "_gain_range", no_range)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    for workers in (1, 2):
+        with pytest.raises(ArithmeticError, match="^the coherent gain "):
+            trial_gains([*rows, GainRow(outside, allocate_average(outside))],
+                        TrialConfig(trials=40), workers=workers)
 
 
 def test_sweep_symmetric_point_equates_exact_and_uniform():
